@@ -15,7 +15,6 @@ import (
 	"cosmos/internal/cbn"
 	"cosmos/internal/cost"
 	"cosmos/internal/cql"
-	"cosmos/internal/dht"
 	"cosmos/internal/exec"
 	"cosmos/internal/merge"
 	"cosmos/internal/overlay"
@@ -226,46 +225,6 @@ func BenchmarkAblationTreeStructure(b *testing.B) {
 			b.ReportMetric(ratio, "cost-vs-mst")
 		})
 	}
-}
-
-// BenchmarkAblationSchemaLookup compares schema resolution through the
-// DHT (hops per lookup) against local flooding (map lookup) — the §3
-// design fork for large stream catalogues.
-func BenchmarkAblationSchemaLookup(b *testing.B) {
-	info := sensordata.Info(0)
-	b.Run("dht-1024-nodes", func(b *testing.B) {
-		ring := dht.New()
-		for i := 0; i < 1024; i++ {
-			if _, err := ring.Join(fmt.Sprintf("node-%d", i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, _, err := ring.Store("node-0", "Sensor00", info); err != nil {
-			b.Fatal(err)
-		}
-		totalHops := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, hops, err := ring.Get(fmt.Sprintf("node-%d", i%1024), "Sensor00")
-			if err != nil {
-				b.Fatal(err)
-			}
-			totalHops += hops
-		}
-		b.ReportMetric(float64(totalHops)/float64(b.N), "hops/lookup")
-	})
-	b.Run("flooded-registry", func(b *testing.B) {
-		reg := stream.NewRegistry()
-		if err := sensordata.RegisterAll(reg); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := reg.Lookup("Sensor00"); !ok {
-				b.Fatal("missing")
-			}
-		}
-	})
 }
 
 // BenchmarkAblationMaxCandidates sweeps the optimiser's candidate-scan

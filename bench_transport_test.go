@@ -10,7 +10,6 @@
 package cosmos_test
 
 import (
-	"fmt"
 	"net"
 	"os"
 	"sync/atomic"
@@ -46,8 +45,8 @@ func (h *benchHarness) close() {
 	}
 }
 
-// startBenchHarness wires the assembly at the given wire version.
-func startBenchHarness(tb testing.TB, wire, ingestBatch int) *benchHarness {
+// startBenchHarness wires the assembly.
+func startBenchHarness(tb testing.TB, ingestBatch int) *benchHarness {
 	tb.Helper()
 	h := &benchHarness{notify: make(chan struct{}, 1)}
 	opts := core.Options{Nodes: 16, Seed: 3, ExecWorkers: 2, IngestBatch: ingestBatch}
@@ -76,15 +75,12 @@ func startBenchHarness(tb testing.TB, wire, ingestBatch int) *benchHarness {
 	}
 	h.src = src
 
-	sub, err := transport.DialConfig(ln.Addr().String(), transport.Config{WireVersion: wire})
+	sub, err := transport.Dial(ln.Addr().String())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	h.cleanup = append(h.cleanup, func() { sub.Close() })
 	h.sub = sub
-	if got := sub.WireVersion(); got != wire {
-		tb.Fatalf("negotiated wire v%d, want v%d", got, wire)
-	}
 	for i := 0; i < benchFanout; i++ {
 		_, err := sub.Submit("SELECT station, temperature FROM Sensor00 [Now]", 3+i%8,
 			func(tp cosmos.Tuple, _ uint64) {
@@ -122,44 +118,38 @@ func (h *benchHarness) waitResults(tb testing.TB, n int64) {
 	}
 }
 
-// BenchmarkDialResultPath is the wire-codec A/B: identical fan-out
-// workload over the v1 gob wire and the v2 binary wire; one op = one
-// result delivered to a client callback. Compare ns/op and allocs/op
-// between the sub-benchmarks.
+// BenchmarkDialResultPath measures the TCP result path under a fan-out
+// workload; one op = one result delivered to a client callback.
 func BenchmarkDialResultPath(b *testing.B) {
-	for _, wire := range []int{transport.WireV1, transport.WireV2} {
-		b.Run(fmt.Sprintf("wire=%d", wire), func(b *testing.B) {
-			h := startBenchHarness(b, wire, 32)
-			defer h.close()
-			pubs := (b.N + benchFanout - 1) / benchFanout
-			b.ReportAllocs()
-			b.ResetTimer()
-			// Publish in rounds with a blocking wait between them: deep
-			// enough for batching to form, bounded so elastic buffers
-			// stay small — and no spin-waiting, which on a small host
-			// would drown the measurement in scheduler churn.
-			const round = 256
-			for published := 0; published < pubs; {
-				n := round
-				if pubs-published < n {
-					n = pubs - published
-				}
-				h.target.Store(int64((published + n) * benchFanout))
-				for i := 0; i < n; i++ {
-					if err := h.src.Publish(diffTuple(0, published+i)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				published += n
-				h.waitResults(b, int64(published*benchFanout))
+	h := startBenchHarness(b, 32)
+	defer h.close()
+	pubs := (b.N + benchFanout - 1) / benchFanout
+	b.ReportAllocs()
+	b.ResetTimer()
+	// Publish in rounds with a blocking wait between them: deep
+	// enough for batching to form, bounded so elastic buffers
+	// stay small — and no spin-waiting, which on a small host
+	// would drown the measurement in scheduler churn.
+	const round = 256
+	for published := 0; published < pubs; {
+		n := round
+		if pubs-published < n {
+			n = pubs - published
+		}
+		h.target.Store(int64((published + n) * benchFanout))
+		for i := 0; i < n; i++ {
+			if err := h.src.Publish(diffTuple(0, published+i)); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+		published += n
+		h.waitResults(b, int64(published*benchFanout))
 	}
 }
 
 // TestSustainedTransportLoad is the harness-driven successor of the
 // bespoke sustained bench: internal/load's transport scenario holds the
-// same offered rate (5000/s, 16 subscriptions, v2 wire) with an
+// same offered rate (5000/s, 16 subscriptions) with an
 // open-loop pacer and a per-subscription sequence ledger, so the run
 // both produces the BENCH_transport.json trajectory point and asserts
 // zero loss and zero duplication. With COSMOS_BENCH_OUT set the report
@@ -181,8 +171,8 @@ func TestSustainedTransportLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rep.Results
-	t.Logf("sustained v%d: %d results in %.2fs, %.0f ns/result, %.1f allocs/result, p50 %.0fµs p99 %.0fµs p99.99 %.0fµs",
-		rep.Config.WireVersion, r.Delivered, r.ElapsedS, r.NsPerResult, r.AllocsPerResult,
+	t.Logf("sustained: %d results in %.2fs, %.0f ns/result, %.1f allocs/result, p50 %.0fµs p99 %.0fµs p99.99 %.0fµs",
+		r.Delivered, r.ElapsedS, r.NsPerResult, r.AllocsPerResult,
 		r.LatencyUs.P50, r.LatencyUs.P99, r.LatencyUs.P9999)
 	if r.Lost != 0 || r.Duplicated != 0 {
 		t.Fatalf("ledger: %d lost, %d duplicated (want 0/0)", r.Lost, r.Duplicated)

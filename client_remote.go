@@ -31,8 +31,7 @@ type Gap = transport.Gap
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
-	resilience  *Resilience
-	wireVersion int
+	resilience *Resilience
 }
 
 // WithResilience opts the connection into the reconnecting session
@@ -47,15 +46,6 @@ func WithResilience(r Resilience) DialOption {
 	return func(c *dialConfig) { c.resilience = &r }
 }
 
-// WithWireVersion caps the wire format version the connection offers
-// in its hello (1 = plain gob, 2 = binary batched data frames). The
-// default, 0, offers the newest version the client speaks; the server
-// answers with the highest version both sides support. Forcing 1 is a
-// debugging/compatibility escape hatch (cosmosctl's -wire flag).
-func WithWireVersion(v int) DialOption {
-	return func(c *dialConfig) { c.wireVersion = v }
-}
-
 // Dial returns a Client session over TCP to a cosmosd daemon. The
 // daemon hosts the deployment (a LiveSystem by default, so the
 // direct-publish data path carries results onto the wire with no
@@ -67,7 +57,7 @@ func Dial(addr string, opts ...DialOption) (Client, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	tc, err := transport.DialConfig(addr, transport.Config{Resilience: cfg.resilience, WireVersion: cfg.wireVersion})
+	tc, err := transport.DialConfig(addr, transport.Config{Resilience: cfg.resilience})
 	if err != nil {
 		return nil, err
 	}
@@ -86,17 +76,34 @@ type remoteClient struct {
 type remoteSource struct {
 	tc     *transport.Client
 	schema *Schema
+	// errSchema is the precomputed refusal for tuples of another layout.
+	errSchema error
 }
 
-func (s remoteSource) Stream() string        { return s.schema.Stream }
-func (s remoteSource) Schema() *Schema       { return s.schema }
-func (s remoteSource) Publish(t Tuple) error { return s.tc.Publish(t) }
+func newRemoteSource(tc *transport.Client, schema *Schema) remoteSource {
+	return remoteSource{tc: tc, schema: schema,
+		errSchema: fmt.Errorf("cosmos: tuple does not carry the registered schema %s", schema)}
+}
+
+func (s remoteSource) Stream() string  { return s.schema.Stream }
+func (s remoteSource) Schema() *Schema { return s.schema }
+
+// Publish applies the same door as the embedded backends before the
+// tuple leaves the process: publish frames carry values, not attribute
+// names, so the daemon can check arity and kinds but only this side can
+// tell a reordered layout from the registered one.
+func (s remoteSource) Publish(t Tuple) error {
+	if t.Schema != s.schema && !s.schema.Equal(t.Schema) {
+		return s.errSchema
+	}
+	return s.tc.Publish(t)
+}
 
 func (c *remoteClient) RegisterStream(info *StreamInfo, node int) (Source, error) {
 	if err := c.tc.Register(info, node); err != nil {
 		return nil, err
 	}
-	return remoteSource{tc: c.tc, schema: info.Schema}, nil
+	return newRemoteSource(c.tc, info.Schema), nil
 }
 
 func (c *remoteClient) Source(name string) (Source, error) {
@@ -108,7 +115,7 @@ func (c *remoteClient) Source(name string) (Source, error) {
 	}
 	for _, info := range infos {
 		if info.Schema.Stream == name {
-			return remoteSource{tc: c.tc, schema: info.Schema}, nil
+			return newRemoteSource(c.tc, info.Schema), nil
 		}
 	}
 	return nil, fmt.Errorf("cosmos: stream %q not registered", name)

@@ -40,7 +40,6 @@ func main() {
 		streams  = flag.Int("streams", 0, "source-stream count, churn/clients (scenario default)")
 		workers  = flag.Int("workers", 0, "execution workers per processor (default 2)")
 		seed     = flag.Int64("seed", 0, "topology/churn seed (scenario default)")
-		wire     = flag.Int("wire", 0, "max wire version to negotiate (0 = newest)")
 		addr     = flag.String("addr", "", "drive an external cosmosd at this address instead of in-process")
 		out      = flag.String("out", "auto",
 			`report path ("auto" = BENCH_<area>.json in the working directory, "" = don't write)`)
@@ -64,7 +63,6 @@ func main() {
 		Streams:      *streams,
 		Workers:      *workers,
 		Seed:         *seed,
-		WireVersion:  *wire,
 		Addr:         *addr,
 		DrainTimeout: *drain,
 	}

@@ -41,8 +41,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7654", "cosmosd address")
 	retry := flag.Bool("retry", false,
 		"survive connection loss: redial with backoff and resume subscriptions")
-	wire := flag.Int("wire", 0,
-		"wire format version to offer: 0 = newest, 1 = plain gob, 2 = binary data frames")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) < 1 {
@@ -56,9 +54,6 @@ func main() {
 	}
 
 	var opts []cosmos.DialOption
-	if *wire != 0 {
-		opts = append(opts, cosmos.WithWireVersion(*wire))
-	}
 	if *retry {
 		opts = append(opts, cosmos.WithResilience(cosmos.Resilience{
 			MaxRetries: 120,
@@ -104,7 +99,7 @@ func fail(format string, args ...interface{}) {
 
 func usage() {
 	fmt.Fprintln(os.Stderr,
-		"usage: cosmosctl [-addr host:port] [-retry] [-wire N] register|publish|submit|explain|catalog|stats|top|quiesce [flags]")
+		"usage: cosmosctl [-addr host:port] [-retry] register|publish|submit|explain|catalog|stats|top|quiesce [flags]")
 	os.Exit(2)
 }
 

@@ -3,22 +3,21 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"strings"
 	"time"
 
 	"cosmos"
-	"cosmos/internal/core"
-	"cosmos/internal/cost"
 )
 
 // cmdTop renders a refreshing per-stage / per-query / per-link view of
 // a running deployment. Each frame is built from two Stats() snapshots
-// bracketing the refresh interval, distilled through the same typed
-// feed (core.BuildCostFeed) the adaptive re-optimisation layer
-// consumes — rates are real deltas over the window, latency quantiles
-// come from the sampled histograms. `-n 1` prints a single frame with
-// no escape codes, which is what scripts and smoke tests want.
+// bracketing the refresh interval: rates are counter deltas over the
+// window, latency quantiles come from the sampled histograms of the
+// later snapshot. `-n 1` prints a single frame with no escape codes,
+// which is what scripts and smoke tests want.
 func cmdTop(c cosmos.Client, args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	interval := fs.Duration("interval", time.Second, "refresh interval")
@@ -44,18 +43,30 @@ func cmdTop(c cosmos.Client, args []string) {
 		if *n != 1 {
 			fmt.Print("\x1b[H\x1b[2J") // home + clear: refresh in place
 		}
-		renderTop(prev, cur, now.Sub(prevAt), *nlinks)
+		renderTop(os.Stdout, prev, cur, now.Sub(prevAt), *nlinks)
 		prev, prevAt = cur, now
 	}
 }
 
-func renderTop(prev, cur cosmos.SystemStats, window time.Duration, nlinks int) {
-	feed := core.BuildCostFeed(prev, cur, window)
+// rate normalises a counter delta over the window; 0 for a degenerate
+// window.
+func rate(delta int64, window time.Duration) float64 {
+	if window <= 0 {
+		return 0
+	}
+	return float64(delta) / window.Seconds()
+}
+
+// renderTop writes one frame. A plan or link absent from prev gets its
+// full counters attributed to the window (it appeared mid-window); one
+// absent from cur is not shown.
+func renderTop(w io.Writer, prev, cur cosmos.SystemStats, window time.Duration, nlinks int) {
 	var b strings.Builder
 
 	fmt.Fprintf(&b, "cosmos top  queries=%d processors=%d  ingest=%s deliver=%s  window=%s\n",
 		cur.Queries, cur.Processors,
-		fmtRate(feed.IngestRate), fmtRate(feed.DeliverRate), window.Round(time.Millisecond))
+		fmtRate(rate(cur.Ingested-prev.Ingested, window)),
+		fmtRate(rate(cur.Delivered-prev.Delivered, window)), window.Round(time.Millisecond))
 	switch {
 	case cur.SampleEvery > 1:
 		fmt.Fprintf(&b, "latency sampled 1-in-%d\n", cur.SampleEvery)
@@ -64,22 +75,37 @@ func renderTop(prev, cur cosmos.SystemStats, window time.Duration, nlinks int) {
 	}
 
 	b.WriteString("\nSTAGE      EVENTS        RATE       P50        P99        P99.99\n")
-	curStages := map[string]int64{}
-	for _, s := range cur.Stages {
-		curStages[s.Stage] = s.Count
+	prevStages := map[string]int64{}
+	for _, s := range prev.Stages {
+		prevStages[s.Stage] = s.Count
 	}
-	for _, s := range feed.Stages {
+	for _, s := range cur.Stages {
 		fmt.Fprintf(&b, "%-10s %-13d %-10s %-10s %-10s %s\n",
-			s.Stage, curStages[s.Stage], fmtRate(s.Rate),
-			fmtDur(s.P50), fmtDur(s.P99), fmtDur(s.P9999))
+			s.Stage, s.Count, fmtRate(rate(s.Count-prevStages[s.Stage], window)),
+			fmtQuantile(s.Lat, 0.50), fmtQuantile(s.Lat, 0.99), fmtQuantile(s.Lat, 0.9999))
 	}
 
-	if len(feed.Plans) > 0 {
+	if len(cur.Plans) > 0 {
+		// The same plan ID on another processor is a different plan.
+		type planKey struct {
+			proc int
+			plan string
+		}
+		prevPlans := map[planKey]cosmos.PlanStats{}
+		for _, p := range prev.Plans {
+			prevPlans[planKey{p.Proc, p.Plan}] = p
+		}
 		b.WriteString("\nPLAN             PROC  PUSH/S     EMIT/S     SEL    P50        P99        QUERIES\n")
-		for _, p := range feed.Plans {
+		for _, p := range cur.Plans {
+			old := prevPlans[planKey{p.Proc, p.Plan}]
+			pushes, emits := p.Pushes-old.Pushes, p.Emits-old.Emits
+			sel := 0.0 // observed output/input ratio; no claim for an idle window
+			if pushes > 0 {
+				sel = float64(emits) / float64(pushes)
+			}
 			fmt.Fprintf(&b, "%-16s p%-4d %-10s %-10s %-6.2f %-10s %-10s %s\n",
-				p.Plan, p.Proc, fmtRate(p.PushRate), fmtRate(p.EmitRate),
-				p.Selectivity, fmtDur(p.PushP50), fmtDur(p.PushP99),
+				p.Plan, p.Proc, fmtRate(rate(pushes, window)), fmtRate(rate(emits, window)),
+				sel, fmtQuantile(p.PushLat, 0.50), fmtQuantile(p.PushLat, 0.99),
 				strings.Join(p.Queries, " "))
 		}
 	}
@@ -108,28 +134,47 @@ func renderTop(prev, cur cosmos.SystemStats, window time.Duration, nlinks int) {
 			cur.Wire.Bytes, cur.Wire.QueueDepth)
 	}
 
-	links := busiestLinks(feed.Links, nlinks)
+	links := busiestLinks(prev.Links, cur.Links, window, nlinks)
 	if len(links) > 0 {
 		b.WriteString("\nLINK     BYTES/S    MSGS/S     DELAY\n")
 		for _, l := range links {
 			fmt.Fprintf(&b, "%3d-%-4d %-10s %-10s %.1fms\n",
-				l.A, l.B, fmtRate(l.DataBytesPerSec), fmtRate(l.DataMsgsPerSec), l.DelayMs)
+				l.a, l.b, fmtRate(l.bytesPerSec), fmtRate(l.msgsPerSec), l.delayMs)
 		}
 	}
-	fmt.Print(b.String())
+	fmt.Fprint(w, b.String())
+}
+
+// linkRate is one overlay link's observed bandwidth over the window.
+type linkRate struct {
+	a, b                    int
+	bytesPerSec, msgsPerSec float64
+	delayMs                 float64
 }
 
 // busiestLinks keeps the n links with the highest observed bandwidth
 // this window, dropping idle ones.
-func busiestLinks(links []cost.LinkFeed, n int) []cost.LinkFeed {
-	busy := make([]cost.LinkFeed, 0, len(links))
-	for _, l := range links {
-		if l.DataBytesPerSec > 0 || l.DataMsgsPerSec > 0 {
-			busy = append(busy, l)
+func busiestLinks(prev, cur []cosmos.LinkStats, window time.Duration, n int) []linkRate {
+	type linkKey struct{ a, b int }
+	old := map[linkKey]cosmos.LinkStats{}
+	for _, l := range prev {
+		old[linkKey{l.A, l.B}] = l
+	}
+	busy := make([]linkRate, 0, len(cur))
+	for _, l := range cur {
+		p := old[linkKey{l.A, l.B}]
+		r := linkRate{
+			a: l.A, b: l.B,
+			bytesPerSec: rate(l.DataBytes-p.DataBytes, window),
+			msgsPerSec:  rate(l.DataMsgs-p.DataMsgs, window),
+			delayMs:     l.DelayMs,
+		}
+		if r.bytesPerSec > 0 || r.msgsPerSec > 0 {
+			busy = append(busy, r)
 		}
 	}
 	sort.SliceStable(busy, func(i, j int) bool {
-		return busy[i].DataBytesPerSec > busy[j].DataBytesPerSec
+		return busy[i].bytesPerSec > busy[j].bytesPerSec
 	})
 	if len(busy) > n {
 		busy = busy[:n]
@@ -152,10 +197,11 @@ func fmtRate(r float64) string {
 	}
 }
 
-// fmtDur renders a latency with magnitude-appropriate rounding; "-"
-// marks an empty histogram (nothing sampled yet).
-func fmtDur(d time.Duration) string {
-	switch {
+// fmtQuantile renders one latency quantile of a histogram snapshot with
+// magnitude-appropriate rounding; "-" marks an empty histogram (nothing
+// sampled yet).
+func fmtQuantile(h cosmos.HistSnapshot, q float64) string {
+	switch d := time.Duration(h.Quantile(q)); {
 	case d == 0:
 		return "-"
 	case d < 10*time.Microsecond:

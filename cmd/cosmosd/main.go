@@ -50,8 +50,6 @@ func main() {
 			"drop connections silent for this long (clients heartbeat every 15s; 0 disables)")
 		linger = flag.Duration("session-linger", 2*time.Minute,
 			"keep an abruptly dropped resilient session's subscriptions resumable for this long (0 disables)")
-		wire = flag.Int("wire", transport.WireMax,
-			"maximum wire format version to negotiate (1 forces the plain gob codec)")
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve /metrics (JSON), /debug/vars and /debug/pprof on this address (empty disables)")
 		sampleEvery = flag.Int("sample-every", 0,
@@ -61,9 +59,6 @@ func main() {
 		traceSeed = flag.Int64("trace-seed", 0, "phase offset for the systematic trace sampler")
 	)
 	flag.Parse()
-	if *wire < transport.WireV1 || *wire > transport.WireMax {
-		log.Fatalf("cosmosd: -wire %d out of range (this daemon speaks 1..%d)", *wire, transport.WireMax)
-	}
 
 	opts := core.Options{
 		Nodes:          *nodes,
@@ -97,8 +92,7 @@ func main() {
 	)
 	srvOpts = append(srvOpts,
 		transport.WithIdleTimeout(*idle),
-		transport.WithSessionLinger(*linger),
-		transport.WithWireVersion(*wire))
+		transport.WithSessionLinger(*linger))
 	if *sim {
 		transprt = "sim"
 		s, err := core.NewSystem(opts)

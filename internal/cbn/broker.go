@@ -10,7 +10,7 @@
 //
 // # Two-plane design
 //
-// The broker separates a rare, interpreted control plane from a hot,
+// The broker separates a rare, symbolic control plane from a hot,
 // compiled data plane:
 //
 //   - Control plane (HandleAdvertise, HandleSubscribe, Unsubscribe,
@@ -27,10 +27,15 @@
 //     lookups, and zero heap allocations for tuples that match nothing.
 //
 // Per stream, the table is compiled lazily on the first routed tuple and
-// keyed by that tuple's schema pointer; tuples carrying a different
-// schema pointer (schema drift), and filters the compiler cannot prove
-// error-free for the schema, fall back to the interpreted path, which is
-// kept bit-identical in delivery and error semantics.
+// keyed by that tuple's schema pointer. There is no second evaluator:
+// tuples arriving under a different layout (an upstream broker changed
+// its projection) recompile the entry for the schema they carry, and a
+// stream whose demand cannot be compiled for that schema — a filter the
+// compiler cannot prove error-free, a layout the catalog contradicts —
+// publishes an entry holding the error, which RouteTuple returns for
+// every tuple of the stream until the control plane changes. The
+// name-resolved routing the compiled plane must match lives in this
+// package's tests as the differential reference.
 //
 // The package separates protocol logic (Broker — synchronous, transport
 // agnostic) from transports: SimNet runs brokers over a simulated overlay
@@ -44,6 +49,7 @@
 package cbn
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -87,19 +93,14 @@ type compiledRoute struct {
 // streamTable is the compiled routing state of one stream. Immutable
 // after publication.
 type streamTable struct {
-	// schema is the schema pointer the routes were compiled against;
-	// tuples carrying any other pointer take the interpreted path.
+	// schema is the schema the routes were compiled against; tuples of
+	// any other layout recompile the entry.
 	schema *stream.Schema
-	// fallback marks streams whose demand could not be compiled (a filter
-	// or projection the compiler cannot prove error-free, or catalog
-	// drift): their tuples stay on the interpreted path, without retrying
-	// compilation per tuple.
-	fallback bool
-	// rebinds counts how often the stream's entry has been recompiled for
-	// a new schema pointer since the last control-plane invalidation;
-	// routeTupleSlow uses it to stop alternating-schema thrash.
-	rebinds uint8
-	routes  []compiledRoute
+	// err is set, and routes empty, when the stream's demand could not be
+	// compiled for schema; RouteTuple returns it for every tuple of the
+	// stream instead of retrying compilation per tuple.
+	err    error
+	routes []compiledRoute
 }
 
 // route is the lock-free data path: evaluate each route's compiled filter
@@ -161,13 +162,12 @@ type Broker struct {
 	// adverts maps stream name → interfaces through which the stream's
 	// source is reachable; guarded by mu.
 	adverts map[string]map[IfaceID]bool
-	// projCache caches projected schemas keyed by stream + attr set,
-	// for the interpreted fallback path; guarded by mu.
+	// projCache interns projected schemas keyed by stream + attr set so
+	// recompiles hand out stable pointers; guarded by mu.
 	projCache map[string]*stream.Schema
 	// catalog optionally holds the node's stream catalog; when set, a
-	// tuple schema that disagrees with the registered one is treated as
-	// drift and compiled routing is refused for the stream. Guarded by
-	// mu.
+	// tuple schema that is not a projection of the registered one is
+	// refused (see compileStreamLocked). Guarded by mu.
 	catalog *stream.Registry
 }
 
@@ -183,9 +183,10 @@ func NewBroker(id int) *Broker {
 	}
 }
 
-// SetCatalog installs the node's stream catalog as a schema-drift guard
-// for compiled routing (see package comment). Optional; a nil catalog
-// trusts the first schema pointer seen per stream.
+// SetCatalog installs the node's stream catalog as a layout guard: a
+// stream whose tuples carry attributes the registered schema lacks, or
+// under other kinds, routes to an error. Optional; a nil catalog trusts
+// the schemas tuples carry.
 func (b *Broker) SetCatalog(reg *stream.Registry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -387,10 +388,11 @@ func (b *Broker) HandleSubscribe(p *profile.Profile, from IfaceID) []Forward {
 // §3.1).
 //
 // The hot path is lock-free: a published routing table entry compiled for
-// the tuple's exact schema pointer is consulted without taking the
-// broker mutex. Everything else — first tuple of a stream, schema drift,
-// uncompilable demand — goes through the interpreted slow path, whose
-// deliveries (and errors) the compiled path reproduces exactly.
+// the tuple's schema is consulted without taking the broker mutex. The
+// first tuple of a stream after a control-plane change, or of a new
+// layout, compiles the entry under the mutex and then takes the same
+// route. The error, when there is one, is the stream's stored compile
+// error (see streamTable.err).
 //
 //cosmos:hotpath
 func (b *Broker) RouteTuple(t stream.Tuple, from IfaceID) ([]Delivery, error) {
@@ -404,17 +406,22 @@ func (b *Broker) RouteTuple(t stream.Tuple, from IfaceID) ([]Delivery, error) {
 //
 //cosmos:hotpath
 func (b *Broker) RouteTupleInto(t stream.Tuple, from IfaceID, scratch []Delivery) ([]Delivery, error) {
-	if t.Schema != nil {
-		if tbl := b.table.Load(); tbl != nil {
-			if st, ok := tbl.streams[t.Schema.Stream]; ok && !st.fallback && st.applies(t.Schema) {
-				return st.route(t, from, scratch), nil
-			}
-		}
+	if t.Schema == nil {
+		return nil, nil // no stream: no demand can cover it
 	}
-	// Deliberate cold exit: first tuple of a stream, schema drift, or
-	// uncompilable demand take the interpreted mutex path.
-	//lint:ignore hotpath slow path runs once per (stream, schema) epoch, not per tuple
-	return b.routeTupleSlow(t, from)
+	var st *streamTable
+	if tbl := b.table.Load(); tbl != nil {
+		st = tbl.streams[t.Schema.Stream]
+	}
+	if st == nil || !st.applies(t.Schema) {
+		// Deliberate cold exit: compile once per (stream, layout) epoch.
+		//lint:ignore hotpath runs once per (stream, schema) epoch, not per tuple
+		st = b.compileAndPublish(t.Schema)
+	}
+	if st.err != nil {
+		return nil, st.err
+	}
+	return st.route(t, from, scratch), nil
 }
 
 // applies reports whether the compiled entry is valid for tuples of the
@@ -429,58 +436,34 @@ func (st *streamTable) applies(s *stream.Schema) bool {
 	return st.schema == s || st.schema.Equal(s)
 }
 
-// maxSchemaRebinds caps how often a stream's entry may be recompiled for
-// a new schema pointer between control-plane invalidations. Legitimate
-// schema evolution rebinds once per epoch; publishers alternating between
-// different layouts under one stream name would otherwise recompile per
-// tuple, so past the cap the stream settles on the interpreted path.
-const maxSchemaRebinds = 8
-
-// routeTupleSlow is the mutex-protected path: it compiles and publishes
-// the stream's routing entry when the table has none — or rebinds it when
-// tuples have moved to a new schema — then routes: compiled if the entry
-// applies, interpreted otherwise.
-func (b *Broker) routeTupleSlow(t stream.Tuple, from IfaceID) ([]Delivery, error) {
+// compileAndPublish is the mutex-protected slow path: it compiles the
+// stream's routing entry for the schema arriving tuples carry — the
+// first one after an invalidation, or a new layout — and publishes it.
+func (b *Broker) compileAndPublish(s *stream.Schema) *streamTable {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if t.Schema != nil {
-		tbl := b.table.Load()
-		var st *streamTable
-		if tbl != nil {
-			st = tbl.streams[t.Schema.Stream]
-		}
-		switch {
-		case st == nil:
-			st = b.compileStreamLocked(t.Schema)
-			b.publishLocked(t.Schema.Stream, st)
-		case !st.applies(t.Schema) && st.rebinds < maxSchemaRebinds:
-			// The stream's traffic moved to a new schema (e.g. an
-			// upstream broker changed its projection while old-schema
-			// tuples were still in flight): recompile for what is
-			// actually arriving instead of pinning the stream to the
-			// interpreted path forever.
-			rebinds := st.rebinds + 1
-			st = b.compileStreamLocked(t.Schema)
-			st.rebinds = rebinds
-			b.publishLocked(t.Schema.Stream, st)
-		}
-		if !st.fallback && st.applies(t.Schema) {
-			return st.route(t, from, nil), nil
+	if tbl := b.table.Load(); tbl != nil {
+		// Another router published it while this one waited for the lock.
+		if st := tbl.streams[s.Stream]; st != nil && st.applies(s) {
+			return st
 		}
 	}
-	return b.routeInterpretedLocked(t, from)
+	st := b.compileStreamLocked(s)
+	b.publishLocked(s.Stream, st)
+	return st
 }
 
 // compileStreamLocked builds the compiled routing entry for one stream
-// against the given schema pointer. Demand that cannot be compiled
-// (because the interpreted evaluator could error for this schema) yields
-// a fallback entry instead. Callers hold b.mu.
+// against the given schema. Demand that cannot be compiled for it, or a
+// schema the catalog contradicts, yields an entry holding the error.
+// Callers hold b.mu.
 func (b *Broker) compileStreamLocked(s *stream.Schema) *streamTable {
 	st := &streamTable{schema: s}
 	if b.catalog != nil {
-		if reg, ok := b.catalog.Schema(s.Stream); ok && !reg.Equal(s) {
-			st.fallback = true // schema drift vs the catalog
-			return st
+		if reg, ok := b.catalog.Schema(s.Stream); ok {
+			if st.err = projectionOf(reg, s); st.err != nil {
+				return st
+			}
 		}
 	}
 	for _, iface := range b.ifaces {
@@ -490,7 +473,7 @@ func (b *Broker) compileStreamLocked(s *stream.Schema) *streamTable {
 		}
 		cs, err := agg.CompileFor(s)
 		if err != nil {
-			st.fallback = true
+			st.err = fmt.Errorf("cbn: broker %d cannot route %s toward iface %d: %w", b.ID, s.Stream, iface, err)
 			st.routes = nil
 			return st
 		}
@@ -503,11 +486,23 @@ func (b *Broker) compileStreamLocked(s *stream.Schema) *streamTable {
 	return st
 }
 
+// projectionOf checks that every attribute of s is an attribute of the
+// registered schema, of the same kind: true of the source's own tuples
+// and of every early projection of them a downstream broker sees.
+func projectionOf(reg, s *stream.Schema) error {
+	for _, f := range s.Fields {
+		if rf, ok := reg.FieldByName(f.Name); !ok || rf.Kind != f.Kind {
+			return fmt.Errorf("cbn: tuple layout %s contradicts the catalog's %s", s, reg)
+		}
+	}
+	return nil
+}
+
 // internProjSchema canonicalises a projected schema through projCache so
-// successive recompiles (and the interpreted path) hand out one stable
-// pointer per (stream, attr set). Downstream brokers key their own
-// compiled tables on the schema pointer of arriving tuples; minting a
-// fresh pointer on every rebuild would evict them from the fast path.
+// successive recompiles hand out one stable pointer per (stream, attr
+// set). Downstream brokers key their own compiled tables on the schema
+// pointer of arriving tuples; a fresh pointer on every rebuild would
+// send them through Schema.Equal on every tuple.
 // Callers hold b.mu.
 func (b *Broker) internProjSchema(ps *stream.Schema) *stream.Schema {
 	if ps == nil {
@@ -537,58 +532,6 @@ func (b *Broker) publishLocked(name string, st *streamTable) {
 	}
 	b.table.Store(&routeTable{streams: streams})
 }
-
-// routeInterpretedLocked is the interpreted data path: per-interface
-// aggregate profiles evaluated symbolically. It is the semantic reference
-// the compiled path must match, and serves first tuples, schema drift and
-// uncompilable demand. Callers hold b.mu.
-func (b *Broker) routeInterpretedLocked(t stream.Tuple, from IfaceID) ([]Delivery, error) {
-	var out []Delivery
-	for _, iface := range b.ifaces {
-		if iface == from {
-			continue
-		}
-		agg := b.agg[iface]
-		if agg == nil {
-			continue
-		}
-		ok, err := agg.Covers(t)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		projected, err := b.project(agg, t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Delivery{Iface: iface, Tuple: projected})
-	}
-	return out, nil
-}
-
-// project applies an aggregate profile's projection with schema caching.
-// Callers hold b.mu.
-func (b *Broker) project(agg *profile.Profile, t stream.Tuple) (stream.Tuple, error) {
-	attrs := agg.AttrsFor(t.Schema.Stream)
-	if attrs == nil {
-		return t, nil
-	}
-	key := t.Schema.Stream + "|" + strings.Join(attrs, ",")
-	ps, ok := b.projCache[key]
-	if !ok || !sameStream(ps, t.Schema) {
-		var err error
-		ps, err = t.Schema.Project(attrs)
-		if err != nil {
-			return stream.Tuple{}, err
-		}
-		b.projCache[key] = ps
-	}
-	return t.Project(ps)
-}
-
-func sameStream(a, bS *stream.Schema) bool { return a != nil && a.Stream == bS.Stream }
 
 // DemandOn returns the aggregated profile of one interface (what the far
 // side wants); nil when nothing is subscribed.

@@ -12,12 +12,40 @@ import (
 	"cosmos/internal/stream"
 )
 
-// interpretedRoute computes the reference deliveries through the
-// interpreted path, bypassing the compiled table.
-func interpretedRoute(b *Broker, t stream.Tuple, from IfaceID) ([]Delivery, error) {
+// referenceRoute computes the deliveries by name: each interface's
+// aggregate profile is matched through the name-resolved DNF evaluator
+// and projected by attribute name, ignoring the compiled table. It is
+// the semantic reference the compiled data plane must match.
+func referenceRoute(b *Broker, t stream.Tuple, from IfaceID) ([]Delivery, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.routeInterpretedLocked(t, from)
+	var out []Delivery
+	name := t.Schema.Stream
+	for _, iface := range b.ifaces {
+		agg := b.agg[iface]
+		if iface == from || agg == nil || !contains(agg.Streams, name) {
+			continue
+		}
+		ok, err := agg.FilterFor(name).Eval(t)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
+		projected := t
+		if attrs := agg.AttrsFor(name); attrs != nil {
+			ps, err := t.Schema.Project(attrs)
+			if err != nil {
+				return nil, err
+			}
+			if projected, err = t.Project(ps); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, Delivery{Iface: iface, Tuple: projected})
+	}
+	return out, nil
 }
 
 // sameDeliveries asserts two delivery lists are identical: same
@@ -44,8 +72,8 @@ func sameDeliveries(t *testing.T, got, want []Delivery, ctx string) {
 
 // TestCompiledRoutingDifferentialRandom subscribes randomized
 // querygen-derived profiles on many interfaces and asserts that the
-// compiled data plane delivers exactly what the interpreted plane
-// delivers, tuple for tuple, projection for projection.
+// compiled data plane delivers exactly what the name-resolved
+// reference delivers, tuple for tuple, projection for projection.
 func TestCompiledRoutingDifferentialRandom(t *testing.T) {
 	reg := stream.NewRegistry()
 	if err := sensordata.RegisterAll(reg); err != nil {
@@ -94,23 +122,23 @@ func TestCompiledRoutingDifferentialRandom(t *testing.T) {
 				tg := sensordata.NewGenerator(station, int64(station+1))
 				for _, tp := range tg.Take(100) {
 					from := IfaceID(rng.Intn(fanout + 1))
-					want, werr := interpretedRoute(b, tp, from)
+					want, werr := referenceRoute(b, tp, from)
 					got, gerr := b.RouteTuple(tp, from)
 					if (werr == nil) != (gerr == nil) {
-						t.Fatalf("station %d: error mismatch: compiled %v, interpreted %v",
+						t.Fatalf("station %d: error mismatch: compiled %v, reference %v",
 							station, gerr, werr)
 					}
 					sameDeliveries(t, got, want,
 						fmt.Sprintf("station %d from %d", station, from))
 				}
-				// The stream must actually be served by the compiled plane,
-				// not silently fall back.
+				// The stream must actually be served by compiled routes, not
+				// by an entry that stored a compile error.
 				tbl := b.table.Load()
 				if tbl == nil {
 					t.Fatal("no compiled table published")
 				}
 				st := tbl.streams[sensordata.StreamName(station)]
-				if st == nil || st.fallback {
+				if st == nil || st.err != nil {
 					t.Fatalf("station %d: expected a compiled entry, got %+v", station, st)
 				}
 			}
@@ -118,10 +146,12 @@ func TestCompiledRoutingDifferentialRandom(t *testing.T) {
 	}
 }
 
-// TestCompiledRoutingFallbackOnBadFilter checks that demand the compiler
-// must reject (a filter over a missing attribute) keeps the stream on the
-// interpreted path with identical results.
-func TestCompiledRoutingFallbackOnBadFilter(t *testing.T) {
+// TestCompiledRoutingBadFilterStoredError checks the stated behaviour for
+// demand the compiler must reject (a filter over a missing attribute):
+// the stream's entry stores the compile error, RouteTuple returns it for
+// every tuple without recompiling, other streams keep routing, and
+// withdrawing the bad subscription restores the stream.
+func TestCompiledRoutingBadFilterStoredError(t *testing.T) {
 	b := NewBroker(0)
 	b.AttachIface(0)
 	b.AttachIface(1)
@@ -133,25 +163,72 @@ func TestCompiledRoutingFallbackOnBadFilter(t *testing.T) {
 	})
 	b.HandleSubscribe(bad, 2)
 
-	tp := sensorTuple(1, 3, 20, 50)
-	got, gerr := b.RouteTuple(tp, 0)
-	want, werr := interpretedRoute(b, tp, 0)
-	if (gerr == nil) != (werr == nil) {
-		t.Fatalf("error mismatch: compiled %v, interpreted %v", gerr, werr)
+	if _, err := referenceRoute(b, sensorTuple(1, 3, 20, 50), 0); err == nil {
+		t.Fatal("the name-resolved reference should error on the missing attribute")
 	}
-	if gerr == nil {
-		sameDeliveries(t, got, want, "bad-filter stream")
+	out, err := b.RouteTuple(sensorTuple(1, 3, 20, 50), 0)
+	if err == nil || len(out) != 0 {
+		t.Fatalf("uncompilable demand: got %d deliveries, err %v; want the stored error", len(out), err)
 	}
-	tbl := b.table.Load()
-	if tbl == nil || tbl.streams["Sensor1"] == nil || !tbl.streams["Sensor1"].fallback {
-		t.Fatal("stream with uncompilable demand should publish a fallback entry")
+	st := b.table.Load().streams["Sensor1"]
+	if st == nil || st.err == nil || len(st.routes) != 0 {
+		t.Fatalf("entry should store the compile error and no routes, got %+v", st)
+	}
+	_, err2 := b.RouteTuple(sensorTuple(2, 3, 21, 50), 0)
+	if err2 != err {
+		t.Fatalf("second tuple: error %v, want the same stored error %v", err2, err)
+	}
+	if b.table.Load().streams["Sensor1"] != st {
+		t.Fatal("the stored error must not be recompiled per tuple")
+	}
+
+	b.Unsubscribe(bad, 2)
+	out, err = b.RouteTuple(sensorTuple(3, 3, 20, 50), 0)
+	if err != nil || len(out) != 1 || out[0].Iface != 1 {
+		t.Fatalf("after withdrawing the bad filter: %d deliveries, err %v; want 1 on iface 1", len(out), err)
+	}
+}
+
+// TestCompiledRoutingCatalogMismatch checks the catalog guard: a layout
+// the registered schema contradicts routes to the stored error, while
+// the registered layout and any projection of it route normally.
+func TestCompiledRoutingCatalogMismatch(t *testing.T) {
+	reg := stream.NewRegistry()
+	if err := reg.Register(&stream.Info{Schema: sensorSchema}); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(0)
+	b.SetCatalog(reg)
+	b.AttachIface(0)
+	b.AttachIface(1)
+	b.HandleSubscribe(tempProfile(10, nil), 1)
+
+	if out, err := b.RouteTuple(sensorTuple(1, 1, 20, 50), 0); err != nil || len(out) != 1 {
+		t.Fatalf("registered layout: %d deliveries, err %v", len(out), err)
+	}
+	narrow, err := sensorSchema.Project([]string{"temp", "station"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nt := stream.MustTuple(narrow, 2, stream.Float(20), stream.Int(1))
+	if out, err := b.RouteTuple(nt, 0); err != nil || len(out) != 1 {
+		t.Fatalf("projection of the registered layout: %d deliveries, err %v", len(out), err)
+	}
+	drifted := stream.MustSchema("Sensor1",
+		stream.Field{Name: "station", Kind: stream.KindInt},
+		stream.Field{Name: "temp", Kind: stream.KindString},
+	)
+	dt := stream.MustTuple(drifted, 3, stream.Int(1), stream.String_("hot"))
+	if out, err := b.RouteTuple(dt, 0); err == nil {
+		t.Fatalf("kind-drifted layout routed %d deliveries; want the catalog error", len(out))
 	}
 }
 
 // TestCompiledRoutingSchemaDrift checks the two pointer-mismatch cases:
-// a new pointer with identical layout stays on the compiled path (an
+// a new pointer with identical layout keeps the compiled entry (an
 // upstream rebuild must not evict downstream brokers), while a layout
-// change falls back to the interpreted path with identical deliveries.
+// change recompiles the entry for the schema the traffic now carries and
+// the next tuple of that layout is back on the lock-free path.
 func TestCompiledRoutingSchemaDrift(t *testing.T) {
 	b := NewBroker(0)
 	b.AttachIface(0)
@@ -168,37 +245,33 @@ func TestCompiledRoutingSchemaDrift(t *testing.T) {
 
 	// Equal layout, new pointer: the compiled entry still applies.
 	samelayout := sensorSchema.Rename("Sensor1")
-	if !st.applies(samelayout) {
-		t.Fatal("layout-equal schema should stay on the compiled path")
-	}
 	dt := stream.MustTuple(samelayout, 2, stream.Int(1), stream.Float(25), stream.Float(50))
 	got, err := b.RouteTuple(dt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := interpretedRoute(b, dt, 0)
+	want, err := referenceRoute(b, dt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameDeliveries(t, got, want, "layout-equal schema")
+	if b.table.Load().streams["Sensor1"] != st {
+		t.Fatal("layout-equal schema should keep the compiled entry")
+	}
 
-	// Reordered layout: the old entry's indices would be wrong, so it
-	// must not apply; the slow path rebinds the entry to the schema the
-	// traffic actually carries, still delivering identically.
+	// Reordered layout: the old entry's indices would be wrong, so the
+	// entry is recompiled for the schema the traffic actually carries.
 	reordered := stream.MustSchema("Sensor1",
 		stream.Field{Name: "temp", Kind: stream.KindFloat},
 		stream.Field{Name: "station", Kind: stream.KindInt},
 		stream.Field{Name: "humidity", Kind: stream.KindFloat},
 	)
-	if st.applies(reordered) {
-		t.Fatal("reordered schema must not use the old compiled entry")
-	}
 	rt := stream.MustTuple(reordered, 3, stream.Float(25), stream.Int(1), stream.Float(50))
 	got, err = b.RouteTuple(rt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err = interpretedRoute(b, rt, 0)
+	want, err = referenceRoute(b, rt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,53 +280,15 @@ func TestCompiledRoutingSchemaDrift(t *testing.T) {
 		t.Fatalf("reordered tuple should still be delivered, got %d", len(got))
 	}
 	cur := b.table.Load().streams["Sensor1"]
-	if cur.schema != reordered || cur.rebinds != 1 {
-		t.Fatalf("entry should rebind to the new schema (rebinds=1), got schema=%p rebinds=%d",
-			cur.schema, cur.rebinds)
+	if cur == st || cur.schema != reordered || cur.err != nil {
+		t.Fatalf("entry should be recompiled for the new schema, got %+v", cur)
 	}
-}
-
-// TestCompiledRoutingRebindThrashCap checks that publishers alternating
-// between two layouts under one stream name stop triggering per-tuple
-// recompilation: past maxSchemaRebinds the entry stays put and the
-// off-schema layout is served interpreted — still correctly.
-func TestCompiledRoutingRebindThrashCap(t *testing.T) {
-	b := NewBroker(0)
-	b.AttachIface(0)
-	b.AttachIface(1)
-	b.HandleSubscribe(tempProfile(10, nil), 1)
-	alt := stream.MustSchema("Sensor1",
-		stream.Field{Name: "temp", Kind: stream.KindFloat},
-		stream.Field{Name: "station", Kind: stream.KindInt},
-		stream.Field{Name: "humidity", Kind: stream.KindFloat},
-	)
-	for i := 0; i < 2*maxSchemaRebinds; i++ {
-		var tp stream.Tuple
-		if i%2 == 0 {
-			tp = sensorTuple(stream.Timestamp(i), 1, 20, 50)
-		} else {
-			tp = stream.MustTuple(alt, stream.Timestamp(i),
-				stream.Float(20), stream.Int(1), stream.Float(50))
-		}
-		out, err := b.RouteTuple(tp, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != 1 {
-			t.Fatalf("tuple %d: %d deliveries, want 1", i, len(out))
-		}
-	}
-	st := b.table.Load().streams["Sensor1"]
-	if st.rebinds != maxSchemaRebinds {
-		t.Fatalf("rebinds = %d, want capped at %d", st.rebinds, maxSchemaRebinds)
-	}
-	// A control-plane mutation resets the epoch.
-	b.HandleSubscribe(tempProfile(15, nil), 1)
-	if _, err := b.RouteTuple(sensorTuple(99, 1, 20, 50), 0); err != nil {
+	// The next tuple of the new layout routes from the published entry.
+	if _, err := b.RouteTuple(stream.MustTuple(reordered, 4, stream.Float(26), stream.Int(1), stream.Float(50)), 0); err != nil {
 		t.Fatal(err)
 	}
-	if st = b.table.Load().streams["Sensor1"]; st.rebinds != 0 {
-		t.Fatalf("fresh epoch should reset rebinds, got %d", st.rebinds)
+	if b.table.Load().streams["Sensor1"] != cur {
+		t.Fatal("second tuple of the new layout must not recompile")
 	}
 }
 
@@ -275,7 +310,7 @@ func TestCompiledTableSurvivesUpstreamRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	down := net.Broker(1).table.Load().streams["Sensor1"]
-	if down == nil || down.fallback {
+	if down == nil || down.err != nil {
 		t.Fatal("downstream broker should have a compiled entry")
 	}
 
@@ -295,7 +330,7 @@ func TestCompiledTableSurvivesUpstreamRebuild(t *testing.T) {
 		t.Fatal("downstream compiled entry should be untouched by the upstream rebuild")
 	}
 	up := net.Broker(0).table.Load().streams["Sensor1"]
-	if up == nil || up.fallback {
+	if up == nil || up.err != nil {
 		t.Fatal("upstream broker should have recompiled")
 	}
 	// The recompiled upstream route must emit tuples with the interned

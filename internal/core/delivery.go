@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"cosmos/internal/cql"
 	"cosmos/internal/merge"
 	"cosmos/internal/obs"
+	"cosmos/internal/predicate"
 	"cosmos/internal/profile"
 	"cosmos/internal/stream"
 )
@@ -20,7 +22,9 @@ import (
 // profile filter and the member's own projection/AS renaming before
 // invoking the user callback, so network-side slack (e.g. stale
 // aggregated subscriptions upstream after a group change) never leaks
-// foreign tuples to the user.
+// foreign tuples to the user. Both are compiled per arriving result
+// schema: the filter to a predicate.Compiled, the renaming to a column
+// index list.
 type QueryHandle struct {
 	Tag      string
 	UserNode int
@@ -43,12 +47,13 @@ type QueryHandle struct {
 	lookup       []string         // guarded by mu
 	detached     bool             // guarded by mu
 
-	// idxSchema/idxCache memoise lookup-name → column resolution for
-	// the last result schema seen, so steady-state delivery indexes by
-	// position instead of doing per-result name lookups. Both guarded
-	// by mu.
-	idxSchema *stream.Schema // guarded by mu
-	idxCache  []int          // guarded by mu
+	// idxSchema/idxCache/match memoise, for the last result schema seen,
+	// the lookup-name → column resolution and the compiled re-tightening
+	// filter, so steady-state delivery evaluates and indexes by position
+	// instead of by name. All guarded by mu.
+	idxSchema *stream.Schema      // guarded by mu
+	idxCache  []int               // guarded by mu
+	match     *predicate.Compiled // guarded by mu
 }
 
 // Query returns the analysed query this handle serves.
@@ -78,11 +83,18 @@ func (h *QueryHandle) refresh(rep *cql.Bound, resultStream string, singleton boo
 		}
 		lookup = canonicalNames(h.bound)
 	}
+	// The re-tightening filter must compile against the result stream the
+	// group registered: a filter that cannot would drop every result.
+	if schema, ok := h.sys.reg.Schema(resultStream); ok {
+		if _, err := prof.CompileFor(schema); err != nil {
+			return fmt.Errorf("re-tightening filter of %s: %w", h.Tag, err)
+		}
+	}
 	h.resultStream = resultStream
 	h.filter = prof
 	h.out = h.bound.OutSchema.Rename(h.Tag)
 	h.lookup = lookup
-	h.idxSchema, h.idxCache = nil, nil
+	h.idxSchema, h.idxCache, h.match = nil, nil, nil
 	h.client.Subscribe(prof)
 	return nil
 }
@@ -119,22 +131,11 @@ func (h *QueryHandle) deliver(t stream.Tuple) {
 	if h.detached || t.Schema == nil || t.Schema.Stream != h.resultStream {
 		return
 	}
-	if h.filter != nil {
-		ok, err := h.filter.Covers(t)
-		if err != nil || !ok {
-			return
-		}
+	if t.Schema != h.idxSchema && !h.bindLocked(t.Schema) {
+		return // group changed under us; the refresh will re-align
 	}
-	if t.Schema != h.idxSchema {
-		idx := make([]int, len(h.lookup))
-		for i, name := range h.lookup {
-			j := t.Schema.ColIndex(name)
-			if j < 0 {
-				return // group changed under us; the refresh will re-align
-			}
-			idx[i] = j
-		}
-		h.idxSchema, h.idxCache = t.Schema, idx
+	if !h.match.EvalValues(t.Values, t.Ts) {
+		return
 	}
 	values := make([]stream.Value, len(h.idxCache))
 	for i, j := range h.idxCache {
@@ -153,6 +154,26 @@ func (h *QueryHandle) deliver(t stream.Tuple) {
 		m.StageEnd(obs.StageDeliver, start)
 		m.TraceMark(int64(out.Ts), obs.StageDeliver)
 	}
+}
+
+// bindLocked compiles the re-tightening filter and the lookup columns
+// against a result schema not seen before; false when the schema lacks
+// an attribute either needs. Callers hold h.mu.
+//
+//cosmos:hotpath-ok — runs once per result-schema pointer, not per result
+func (h *QueryHandle) bindLocked(s *stream.Schema) bool {
+	match, err := predicate.Compile(h.filter.FilterFor(h.resultStream), s)
+	if err != nil {
+		return false
+	}
+	idx := make([]int, len(h.lookup))
+	for i, name := range h.lookup {
+		if idx[i] = s.ColIndex(name); idx[i] < 0 {
+			return false
+		}
+	}
+	h.idxSchema, h.idxCache, h.match = s, idx, match
+	return true
 }
 
 // detach stops delivery and withdraws the proxy's local subscription.

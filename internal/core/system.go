@@ -212,9 +212,10 @@ type SourcePort struct {
 	info   *stream.Info
 	client netClient
 	obs    *obs.Metrics
-	// errWrongStream is the rejection error for foreign tuples,
-	// precomputed so the Publish fast path never formats.
-	errWrongStream error
+	// errSchema is the rejection error for tuples that do not carry the
+	// registered schema, precomputed so the Publish fast path never
+	// formats.
+	errSchema error
 }
 
 // Stream returns the name of the stream this port publishes.
@@ -243,11 +244,11 @@ func (s *System) RegisterStream(info *stream.Info, node int) (*SourcePort, error
 		return nil, err
 	}
 	port := &SourcePort{
-		Node:           node,
-		info:           info,
-		client:         client,
-		obs:            s.obs,
-		errWrongStream: fmt.Errorf("core: tuple is not of stream %q", name),
+		Node:      node,
+		info:      info,
+		client:    client,
+		obs:       s.obs,
+		errSchema: fmt.Errorf("core: tuple does not carry the registered schema %s", info.Schema),
 	}
 	port.client.Advertise(name)
 	s.sources[name] = port
@@ -263,12 +264,16 @@ func (s *System) Source(name string) (*SourcePort, bool) {
 	return p, ok
 }
 
-// Publish injects one tuple of the port's stream.
+// Publish injects one tuple of the port's stream. This is the data
+// path's door: the tuple must carry the registered schema — the pointer,
+// or a layout-equal copy — because everything downstream (routing
+// tables, plan adapters, codecs) is compiled against that layout and has
+// no name-resolved evaluator to fall back to.
 //
 //cosmos:hotpath
 func (p *SourcePort) Publish(t stream.Tuple) error {
-	if t.Schema == nil || t.Schema.Stream != p.info.Schema.Stream {
-		return p.errWrongStream
+	if t.Schema != p.info.Schema && !p.info.Schema.Equal(t.Schema) {
+		return p.errSchema
 	}
 	// Ingest is the head of the data path: the trace sampler decides
 	// here whether this tuple is followed, and the stage timing covers

@@ -235,7 +235,53 @@ func Analyze(q *Query, cat Catalog) (*Bound, error) {
 	if err := b.buildOutSchema(); err != nil {
 		return nil, err
 	}
+	if err := b.checkExecutable(); err != nil {
+		return nil, err
+	}
 	return b, nil
+}
+
+// checkExecutable makes analysis the one place a query is refused: what
+// the layers below would refuse — a predicate the compiler cannot prove
+// error-free for the catalog's kinds (spe.Compile, Profile.CompileFor),
+// an aggregate over a join — fails here, before a plan installs or a
+// profile subscribes, and nothing below needs a second evaluator for
+// predicates that might error per tuple.
+func (b *Bound) checkExecutable() error {
+	if b.IsAggregate() && len(b.From) != 1 {
+		return fmt.Errorf("cql: aggregates over joins are not supported")
+	}
+	if err := b.compileWhere(); err != nil {
+		return fmt.Errorf("cql: WHERE cannot be evaluated: %w", err)
+	}
+	return nil
+}
+
+// compileWhere compiles every predicate the WHERE clause was split into
+// against the schemas it will be evaluated over: per-alias selections on
+// the source schema, joins and the residual on the joined namespace.
+func (b *Bound) compileWhere() error {
+	schemas := make([]*stream.Schema, len(b.From))
+	for i, ref := range b.From {
+		schemas[i] = b.Schemas[ref.Alias]
+		if _, err := predicate.Compile(b.Sel[ref.Alias], schemas[i]); err != nil {
+			return err
+		}
+	}
+	if len(b.Joins) == 0 && len(b.Residual) == 0 {
+		return nil
+	}
+	joined, err := stream.JoinSchema("joined", b.Aliases(), schemas)
+	if err != nil {
+		return err
+	}
+	if _, err := predicate.CompileAttrCmps(b.Joins, joined); err != nil {
+		return err
+	}
+	if len(b.Residual) > 0 {
+		_, err = predicate.Compile(b.Residual, joined)
+	}
+	return err
 }
 
 // AnalyzeString parses and binds in one step.

@@ -314,6 +314,11 @@ func TestAnalyzeErrors(t *testing.T) {
 		"SELECT * FROM OpenAuction [Now] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID OR O.sellerID = C.buyerID", // disjunctive joins
 		"SELECT * FROM OpenAuction [Now] WHERE 1 = 1",                                                                  // constant comparison
 		"SELECT SUM(C.buyerID) FROM OpenAuction [Now] O, ClosedAuction [Now] C WHERE O.nope = C.itemID",
+		// Refused here so that nothing below analysis has to: a plan the
+		// SPE cannot build, predicates the compiler cannot prove error-free.
+		"SELECT COUNT(*) FROM OpenAuction [Now] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID", // aggregate over join
+		"SELECT itemID FROM OpenAuction [Now] WHERE itemID > 'five'",                                // int attribute vs string literal
+		"SELECT O.itemID FROM OpenAuction [Now] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID AND O.start_price - C.buyerID = 'x'",
 	}
 	for _, text := range bad {
 		if _, err := AnalyzeString(text, cat); err == nil {

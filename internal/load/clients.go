@@ -106,7 +106,7 @@ func runClients(cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn, err := transport.DialConfig(addr, transport.Config{WireVersion: cfg.WireVersion})
+			conn, err := transport.Dial(addr)
 			if err != nil {
 				dialErrs[c] = err
 				return
@@ -204,16 +204,15 @@ func runClients(cfg Config) (*Report, error) {
 	return &Report{
 		Area: "clients",
 		Config: ReportConfig{
-			Backend:     "tcp",
-			RatePerSec:  cfg.Rate,
-			DurationS:   cfg.Duration.Seconds(),
-			Events:      events,
-			Clients:     cfg.Clients,
-			Streams:     cfg.Streams,
-			Workers:     cfg.Workers,
-			Seed:        cfg.Seed,
-			WireVersion: clients[0].conn.WireVersion(),
-			Shifts:      pacer.Shifts(),
+			Backend:    "tcp",
+			RatePerSec: cfg.Rate,
+			DurationS:  cfg.Duration.Seconds(),
+			Events:     events,
+			Clients:    cfg.Clients,
+			Streams:    cfg.Streams,
+			Workers:    cfg.Workers,
+			Seed:       cfg.Seed,
+			Shifts:     pacer.Shifts(),
 		},
 		Results: res,
 		Stages:  stageReports(statsBefore, statsAfter),

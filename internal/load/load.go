@@ -70,8 +70,6 @@ type Config struct {
 	Workers int
 	// Seed drives topology, placement and churn randomness.
 	Seed int64
-	// WireVersion caps the negotiated wire format (0 = newest).
-	WireVersion int
 	// Addr dials an external daemon instead of assembling one
 	// in-process (transport and clients scenarios). Loss accounting
 	// still works — it rides the carried sequence numbers — but

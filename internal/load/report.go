@@ -50,17 +50,16 @@ type Machine struct {
 
 // ReportConfig echoes the run's effective configuration.
 type ReportConfig struct {
-	Backend     string  `json:"backend"`
-	RatePerSec  int     `json:"rate_per_s"`
-	DurationS   float64 `json:"duration_s,omitempty"`
-	Events      int     `json:"events,omitempty"`
-	Subs        int     `json:"subscribers,omitempty"`
-	Clients     int     `json:"clients,omitempty"`
-	Streams     int     `json:"streams,omitempty"`
-	Workers     int     `json:"workers,omitempty"`
-	Seed        int64   `json:"seed"`
-	WireVersion int     `json:"wire_version,omitempty"`
-	Shifts      int     `json:"schedule_shifts,omitempty"`
+	Backend    string  `json:"backend"`
+	RatePerSec int     `json:"rate_per_s"`
+	DurationS  float64 `json:"duration_s,omitempty"`
+	Events     int     `json:"events,omitempty"`
+	Subs       int     `json:"subscribers,omitempty"`
+	Clients    int     `json:"clients,omitempty"`
+	Streams    int     `json:"streams,omitempty"`
+	Workers    int     `json:"workers,omitempty"`
+	Seed       int64   `json:"seed"`
+	Shifts     int     `json:"schedule_shifts,omitempty"`
 }
 
 // Results is the measured outcome of the run.

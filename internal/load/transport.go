@@ -38,7 +38,7 @@ func runTransport(cfg Config) (*Report, error) {
 	}
 	defer pub.close()
 
-	sub, err := transport.DialConfig(addr, transport.Config{WireVersion: cfg.WireVersion})
+	sub, err := transport.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -124,14 +124,13 @@ func runTransport(cfg Config) (*Report, error) {
 	return &Report{
 		Area: "transport",
 		Config: ReportConfig{
-			Backend:     "tcp",
-			RatePerSec:  cfg.Rate,
-			DurationS:   cfg.Duration.Seconds(),
-			Events:      events,
-			Subs:        cfg.Subs,
-			Workers:     cfg.Workers,
-			Seed:        cfg.Seed,
-			WireVersion: sub.WireVersion(),
+			Backend:    "tcp",
+			RatePerSec: cfg.Rate,
+			DurationS:  cfg.Duration.Seconds(),
+			Events:     events,
+			Subs:       cfg.Subs,
+			Workers:    cfg.Workers,
+			Seed:       cfg.Seed,
 		},
 		Results: res,
 		Stages:  stageReports(statsBefore, statsAfter),

@@ -168,17 +168,19 @@ func TestMemberProfileReTightensSelection(t *testing.T) {
 	if !strings.Contains(fs, "OpenAuction.start_price > 100") {
 		t.Errorf("member filter = %s", fs)
 	}
-	// Evaluate the member profile against result tuples.
-	tp := stream.MustTuple(rep.OutSchema.Rename("r"), 0, stream.Int(1), stream.Float(50))
-	ok, err := pa.Covers(tp)
+	// Evaluate the member profile against result tuples, compiled the
+	// way the user proxy compiles it.
+	rs := rep.OutSchema.Rename("r")
+	cs, err := pa.CompileFor(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	tp := stream.MustTuple(rs, 0, stream.Int(1), stream.Float(50))
+	if cs.Covers(tp.Values, tp.Ts) {
 		t.Error("price 50 must not reach member a")
 	}
-	tp2 := stream.MustTuple(rep.OutSchema.Rename("r"), 0, stream.Int(1), stream.Float(500))
-	if ok, _ := pa.Covers(tp2); !ok {
+	tp2 := stream.MustTuple(rs, 0, stream.Int(1), stream.Float(500))
+	if !cs.Covers(tp2.Values, tp2.Ts) {
 		t.Error("price 500 must reach member a")
 	}
 }

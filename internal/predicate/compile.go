@@ -11,10 +11,11 @@ import (
 // time (control plane), so evaluation (data plane) is a pure index walk
 // over a tuple's value slice — no name lookups, no map accesses, no
 // allocations, and no runtime errors. Compilation fails, instead of
-// deferring an error to evaluation, whenever the interpreted evaluator
-// could error at runtime (missing attribute, incomparable kinds); callers
-// fall back to the interpreted path in that case, which keeps the two
-// paths' observable semantics identical.
+// deferring an error to evaluation, whenever the name-resolved reference
+// evaluator (DNF.Eval) could error at runtime (missing attribute,
+// incomparable kinds); callers refuse the predicate in that case — at
+// query analysis, at subscribe time — so the data plane has one
+// evaluator and the reference's error cases never reach it.
 
 // tsCol is the sentinel column index resolving to the tuple's intrinsic
 // timestamp rather than a value column.
@@ -145,10 +146,9 @@ type Compiled struct {
 }
 
 // Compile resolves every attribute reference of the DNF against the schema
-// and type-checks every comparison. It returns an error whenever the
-// interpreted evaluator could raise one at runtime for a tuple of this
-// schema — callers must then keep using the interpreted path, which
-// preserves error semantics exactly.
+// and type-checks every comparison. It returns an error whenever
+// DNF.Eval could raise one at runtime for a tuple of this schema; the
+// predicate is then refused, not evaluated some other way.
 func Compile(d DNF, s *stream.Schema) (*Compiled, error) {
 	if s == nil {
 		return nil, fmt.Errorf("predicate: compile against nil schema")
@@ -220,7 +220,7 @@ func compileConstraint(con Constraint, s *stream.Schema) (compiledConstraint, er
 	return cc, nil
 }
 
-// resolveRef mirrors the interpreted resolveAttr: a schema column wins
+// resolveRef mirrors the reference resolveAttr: a schema column wins
 // over the intrinsic timestamp name.
 func resolveRef(name string, s *stream.Schema) (int, stream.Kind, error) {
 	if i := s.ColIndex(name); i >= 0 {

@@ -13,9 +13,9 @@ import (
 // joined namespace) at control-plane time and picks a comparison
 // specialisation from the declared kinds, so data-plane evaluation is a
 // pure index walk with no name lookups and no runtime errors.
-// Compilation fails whenever the interpreted AttrCmp.Eval could error at
-// runtime (missing attribute, incomparable kinds); callers then keep the
-// interpreted path, preserving error semantics exactly.
+// Compilation fails whenever the reference AttrCmp.Eval could error at
+// runtime (missing attribute, incomparable kinds); callers then refuse
+// the query.
 
 // ccMode selects the column-vs-column comparison specialisation. Each
 // mode reproduces exactly the branch Value.Compare takes for the operand
@@ -79,8 +79,8 @@ type CompiledCmps struct {
 }
 
 // CompileAttrCmps resolves every comparison of the conjunction against
-// the schema and type-checks both sides. It errors whenever interpreted
-// evaluation could error at runtime for a tuple of this schema.
+// the schema and type-checks both sides. It errors whenever AttrCmp.Eval
+// could error at runtime for a tuple of this schema.
 func CompileAttrCmps(cmps []AttrCmp, s *stream.Schema) (*CompiledCmps, error) {
 	if s == nil {
 		return nil, fmt.Errorf("predicate: compile against nil schema")

@@ -10,6 +10,15 @@
 // difference of two attributes — against a constant. The attribute
 // difference form is what lets result-splitting profiles re-tighten window
 // predicates (e.g. −3h ≤ O.timestamp − C.timestamp ≤ 0 in the paper).
+//
+// Evaluation has one production form: Compile and CompileAttrCmps
+// resolve a predicate against a schema on the control plane and the data
+// plane walks column indices. The name-resolved Eval methods (Term.Resolve,
+// Constraint/Conj/DNF.Eval, AttrCmp.Eval) define the semantics the
+// compiled forms must reproduce; they stay in this package, rather than
+// in its test files, only because the differential tests of profile, cbn
+// and spe need to reach them — no non-test code calls them (pinned by
+// TestOnePathStructure at the module root).
 package predicate
 
 import (

@@ -42,9 +42,9 @@ func (cs *CompiledStream) Apply(t stream.Tuple) stream.Tuple {
 // CompileFor compiles the profile's interest in one stream against that
 // stream's schema. It returns (nil, nil) when the profile does not
 // request the stream — a compiled router then simply has no route — and
-// an error whenever the interpreted path (Covers + Project) could error
-// at runtime for tuples of this schema, in which case callers must stay
-// on the interpreted path.
+// an error whenever name-resolved evaluation could error at runtime for
+// tuples of this schema (missing attribute, incomparable kinds): callers
+// refuse such demand, there is no other evaluator to fall back to.
 func (p *Profile) CompileFor(s *stream.Schema) (*CompiledStream, error) {
 	if s == nil || !p.hasStream(s.Stream) {
 		return nil, nil

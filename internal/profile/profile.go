@@ -18,19 +18,6 @@ import (
 	"cosmos/internal/stream"
 )
 
-// Filter is the per-stream filter of a profile: a DNF over the stream's
-// attribute namespace.
-type Filter struct {
-	Stream string
-	Pred   predicate.DNF
-}
-
-// Covers reports whether a tuple of the filter's stream satisfies the
-// filter. Errors (schema mismatch) surface as non-coverage with the error.
-func (f Filter) Covers(t stream.Tuple) (bool, error) {
-	return f.Pred.Eval(t)
-}
-
 // Profile is the data-interest profile ⟨S, P, F⟩.
 type Profile struct {
 	// Streams is S: the requested stream names, sorted.
@@ -77,40 +64,6 @@ func (p *Profile) hasStream(name string) bool {
 		}
 	}
 	return false
-}
-
-// Covers reports whether the profile covers a datagram: the datagram's
-// stream must be in S and satisfy that stream's filter (paper §3.1).
-// This is the interpreted matcher; steady-state routing uses the
-// compiled views, and the delivery proxy's defensive re-check here is
-// per-result, not per-published-tuple.
-//
-//cosmos:hotpath-ok
-func (p *Profile) Covers(t stream.Tuple) (bool, error) {
-	if t.Schema == nil || !p.hasStream(t.Schema.Stream) {
-		return false, nil
-	}
-	f, ok := p.Filters[t.Schema.Stream]
-	if !ok || f.IsTrue() {
-		return true, nil
-	}
-	return f.Eval(t)
-}
-
-// Project applies the early projection of the profile to a covered
-// datagram, returning the tuple restricted to the interest attributes.
-// The projected schema is cached by the caller in practice; this
-// convenience recomputes it.
-func (p *Profile) Project(t stream.Tuple) (stream.Tuple, error) {
-	attrs, ok := p.Attrs[t.Schema.Stream]
-	if !ok {
-		return t, nil
-	}
-	ps, err := t.Schema.Project(attrs)
-	if err != nil {
-		return stream.Tuple{}, err
-	}
-	return t.Project(ps)
 }
 
 // AttrsFor returns the projection set for a stream; nil means all.

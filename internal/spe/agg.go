@@ -20,20 +20,17 @@ import (
 // members at emission (a running float accumulator with subtract-on-
 // evict suffers catastrophic cancellation once large values leave the
 // window). Groups are keyed by canonical comparable value keys
-// (stream.Value.Key) rather than rendered strings. The same state
-// machine serves the compiled (column-index) and interpreted
-// (attribute-name) access paths, so both plan modes emit identical rows.
+// (stream.Value.Key) rather than rendered strings. Every access is by
+// the column indices resolved in newAggState; tuples reach it adapted to
+// the input schema.
 type aggState struct {
 	bound  *cql.Bound
 	schema *stream.Schema
-	// groupCols/groupIdx are the bare names and resolved columns of the
-	// grouping attributes; plainCols/plainIdx the selected grouping
-	// columns in output order.
-	groupCols []string
-	groupIdx  []int
-	plainCols []string
-	plainIdx  []int
-	specs     []aggSpec
+	// groupIdx are the resolved columns of the grouping attributes;
+	// plainIdx those of the selected grouping columns in output order.
+	groupIdx []int
+	plainIdx []int
+	specs    []aggSpec
 	// trackMembers keeps per-group member lists (MIN/MAX recompute and
 	// float SUM/AVG emission).
 	trackMembers bool
@@ -43,9 +40,8 @@ type aggState struct {
 // aggSpec is one aggregate output with its argument pre-resolved.
 type aggSpec struct {
 	fn    cql.AggFunc
-	col   string // bare argument attribute; "" for COUNT(*)
-	idx   int    // argument column in the input schema; -1 for COUNT(*)
-	exact bool   // non-float argument: exact int64 running sum
+	idx   int  // argument column in the input schema; -1 for COUNT(*)
+	exact bool // non-float argument: exact int64 running sum
 }
 
 // aggAcc is one aggregate's running accumulator within a group.
@@ -70,7 +66,6 @@ func newAggState(b *cql.Bound, schema *stream.Schema) (*aggState, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("spe: input schema lacks grouping attribute %s", g.Name)
 		}
-		a.groupCols = append(a.groupCols, g.Name)
 		a.groupIdx = append(a.groupIdx, idx)
 	}
 	for _, c := range b.SelectCols {
@@ -78,7 +73,6 @@ func newAggState(b *cql.Bound, schema *stream.Schema) (*aggState, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("spe: input schema lacks selected attribute %s", c.Name)
 		}
-		a.plainCols = append(a.plainCols, c.Name)
 		a.plainIdx = append(a.plainIdx, idx)
 	}
 	for _, spec := range b.Aggs {
@@ -89,10 +83,9 @@ func newAggState(b *cql.Bound, schema *stream.Schema) (*aggState, error) {
 			return nil, fmt.Errorf("spe: unsupported aggregate %s", spec.Func)
 		}
 		if !spec.Star {
-			s.col = spec.Arg.Name
-			s.idx = schema.ColIndex(s.col)
+			s.idx = schema.ColIndex(spec.Arg.Name)
 			if s.idx < 0 {
-				return nil, fmt.Errorf("spe: input schema lacks aggregate attribute %s", s.col)
+				return nil, fmt.Errorf("spe: input schema lacks aggregate attribute %s", spec.Arg.Name)
 			}
 			s.exact = schema.Fields[s.idx].Kind != stream.KindFloat
 		}
@@ -111,43 +104,18 @@ func newAggState(b *cql.Bound, schema *stream.Schema) (*aggState, error) {
 func (a *aggState) reset() { a.groups = map[hashKey]*groupAgg{} }
 
 // keyOf builds a tuple's canonical group key.
-func (a *aggState) keyOf(t stream.Tuple, useIdx bool) (hashKey, error) {
+func (a *aggState) keyOf(t stream.Tuple) hashKey {
 	var k hashKey
-	for i, col := range a.groupCols {
-		var v stream.Value
-		if useIdx {
-			v = t.Values[a.groupIdx[i]]
-		} else {
-			var ok bool
-			v, ok = t.Get(col)
-			if !ok {
-				return hashKey{}, fmt.Errorf("spe: tuple lacks grouping attribute %s", col)
-			}
-		}
-		k = k.with(i, v)
+	for i, col := range a.groupIdx {
+		k = k.with(i, t.Values[col])
 	}
-	return k, nil
-}
-
-// argOf resolves one aggregate's argument value.
-func (a *aggState) argOf(t stream.Tuple, s *aggSpec, useIdx bool) (stream.Value, error) {
-	if useIdx {
-		return t.Values[s.idx], nil
-	}
-	v, ok := t.Get(s.col)
-	if !ok {
-		return stream.Value{}, fmt.Errorf("spe: tuple lacks aggregate attribute %s", s.col)
-	}
-	return v, nil
+	return k
 }
 
 // admit registers one surviving input tuple with its group, updating the
 // running aggregates. It is also how snapshot restore rebuilds state.
-func (a *aggState) admit(t stream.Tuple, seq uint64, useIdx bool) (*groupAgg, error) {
-	key, err := a.keyOf(t, useIdx)
-	if err != nil {
-		return nil, err
-	}
+func (a *aggState) admit(t stream.Tuple, seq uint64) *groupAgg {
+	key := a.keyOf(t)
 	g := a.groups[key]
 	if g == nil {
 		g = &groupAgg{accs: make([]aggAcc, len(a.specs))}
@@ -159,10 +127,7 @@ func (a *aggState) admit(t stream.Tuple, seq uint64, useIdx bool) (*groupAgg, er
 		if s.fn == cql.AggCount {
 			continue
 		}
-		v, err := a.argOf(t, s, useIdx)
-		if err != nil {
-			return nil, err
-		}
+		v := t.Values[s.idx]
 		acc := &g.accs[si]
 		switch s.fn {
 		case cql.AggSum, cql.AggAvg:
@@ -184,20 +149,17 @@ func (a *aggState) admit(t stream.Tuple, seq uint64, useIdx bool) (*groupAgg, er
 	if a.trackMembers {
 		g.members = append(g.members, seq)
 	}
-	return g, nil
+	return g
 }
 
 // evictMember unwinds one expired tuple from its group's running state;
 // the plan's eviction loop calls it exactly once per expired tuple, so
 // maintenance is amortised O(1) per push.
-func (a *aggState) evictMember(t stream.Tuple, useIdx bool) error {
-	key, err := a.keyOf(t, useIdx)
-	if err != nil {
-		return err
-	}
+func (a *aggState) evictMember(t stream.Tuple) {
+	key := a.keyOf(t)
 	g := a.groups[key]
 	if g == nil {
-		return nil // unreachable: every buffered tuple was admitted
+		return // unreachable: every buffered tuple was admitted
 	}
 	g.count--
 	for si := range a.specs {
@@ -205,10 +167,7 @@ func (a *aggState) evictMember(t stream.Tuple, useIdx bool) error {
 		if s.fn == cql.AggCount {
 			continue
 		}
-		v, err := a.argOf(t, s, useIdx)
-		if err != nil {
-			return err
-		}
+		v := t.Values[s.idx]
 		acc := &g.accs[si]
 		switch s.fn {
 		case cql.AggSum, cql.AggAvg:
@@ -236,52 +195,33 @@ func (a *aggState) evictMember(t stream.Tuple, useIdx bool) error {
 	if g.count <= 0 {
 		delete(a.groups, key)
 	}
-	return nil
 }
 
 // update admits the surviving tuple and emits its group's refreshed
-// aggregate row. Rows are bound to the bound's placeholder OutSchema;
-// the plan rebinds them to its registered result stream schema.
-func (a *aggState) update(in *inputState, t stream.Tuple, seq uint64, useIdx bool) ([]stream.Tuple, error) {
-	g, err := a.admit(t, seq, useIdx)
-	if err != nil {
-		return nil, err
-	}
-	values := make([]stream.Value, 0, len(a.plainCols)+len(a.specs))
-	for i, col := range a.plainCols {
-		var v stream.Value
-		if useIdx {
-			v = t.Values[a.plainIdx[i]]
-		} else {
-			var ok bool
-			v, ok = t.Get(col)
-			if !ok {
-				return nil, fmt.Errorf("spe: tuple lacks selected grouping attribute %s", col)
-			}
-		}
-		values = append(values, v)
+// aggregate row. The row is bound to the bound's placeholder OutSchema;
+// the plan rebinds it to its registered result stream schema.
+func (a *aggState) update(in *inputState, t stream.Tuple, seq uint64) stream.Tuple {
+	g := a.admit(t, seq)
+	values := make([]stream.Value, 0, len(a.plainIdx)+len(a.specs))
+	for _, col := range a.plainIdx {
+		values = append(values, t.Values[col])
 	}
 	for si := range a.specs {
-		v, err := a.result(in, g, si, useIdx)
-		if err != nil {
-			return nil, err
-		}
-		values = append(values, v)
+		values = append(values, a.result(in, g, si))
 	}
-	out := stream.Tuple{Schema: a.bound.OutSchema, Ts: t.Ts, Values: values}
-	return []stream.Tuple{out}, nil
+	return stream.Tuple{Schema: a.bound.OutSchema, Ts: t.Ts, Values: values}
 }
 
 // result reads one aggregate's current value: running counters for
 // COUNT and exact sums, the group's live members for float sums, and
 // the cached MIN/MAX extremum, recomputed from the live members when an
 // eviction dirtied it.
-func (a *aggState) result(in *inputState, g *groupAgg, si int, useIdx bool) (stream.Value, error) {
+func (a *aggState) result(in *inputState, g *groupAgg, si int) stream.Value {
 	s := &a.specs[si]
 	acc := &g.accs[si]
 	switch s.fn {
 	case cql.AggCount:
-		return stream.Int(g.count), nil
+		return stream.Int(g.count)
 	case cql.AggSum, cql.AggAvg:
 		var sum float64
 		if s.exact {
@@ -291,38 +231,29 @@ func (a *aggState) result(in *inputState, g *groupAgg, si int, useIdx bool) (str
 			// running accumulator with subtract-on-evict cancels
 			// catastrophically once large values leave the window.
 			for _, seq := range g.members[g.mhead:] {
-				v, err := a.argOf(in.at(seq), s, useIdx)
-				if err != nil {
-					return stream.Value{}, err
-				}
-				sum += v.AsFloat()
+				sum += in.at(seq).Values[s.idx].AsFloat()
 			}
 		}
 		if s.fn == cql.AggAvg {
 			sum /= float64(g.count)
 		}
-		return stream.Float(sum), nil
+		return stream.Float(sum)
 	default: // MIN/MAX
 		if acc.dirty {
-			if err := a.recompute(in, g, si, useIdx); err != nil {
-				return stream.Value{}, err
-			}
+			a.recompute(in, g, si)
 		}
-		return acc.best, nil
+		return acc.best
 	}
 }
 
 // recompute rescans the group's live members (first-wins on ties, like a
 // fresh window scan) to refresh a dirtied MIN/MAX extremum.
-func (a *aggState) recompute(in *inputState, g *groupAgg, si int, useIdx bool) error {
+func (a *aggState) recompute(in *inputState, g *groupAgg, si int) {
 	s := &a.specs[si]
 	acc := &g.accs[si]
 	first := true
 	for _, seq := range g.members[g.mhead:] {
-		v, err := a.argOf(in.at(seq), s, useIdx)
-		if err != nil {
-			return err
-		}
+		v := in.at(seq).Values[s.idx]
 		if first {
 			acc.best, first = v, false
 			continue
@@ -333,5 +264,4 @@ func (a *aggState) recompute(in *inputState, g *groupAgg, si int, useIdx bool) e
 		}
 	}
 	acc.dirty = first // cleared unless the group had no members
-	return nil
 }

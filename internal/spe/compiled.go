@@ -8,15 +8,15 @@ import (
 	"cosmos/internal/stream"
 )
 
-// This file is the compiled half of the plan's two-plane design. At
-// Compile time every attribute reference on the per-tuple path is
-// resolved against the plan's input schemas: selections become
-// predicate.Compiled index walks, the select list becomes (slot, column)
-// pairs, join and residual predicates compile against the joined
-// namespace, and equi-join inputs get hash-partitioned buffers keyed on
-// the compiled join columns. Anything the compiler cannot prove
-// error-free stays on the interpreted path in plan.go, which the
-// compiled plane is differentially tested against.
+// This file is the plan's per-tuple path. At Compile time every
+// attribute reference on it is resolved against the plan's input
+// schemas: selections become predicate.Compiled index walks, the select
+// list becomes (slot, column) pairs, join and residual predicates
+// compile against the joined namespace, and equi-join inputs get
+// hash-partitioned buffers keyed on the compiled join columns. Anything
+// the compiler cannot prove error-free fails Compile; the name-resolved
+// executor in reference_test.go is what this path is differentially
+// tested against.
 
 // slotCol addresses one column of one input slot of a combination.
 type slotCol struct {
@@ -45,8 +45,8 @@ type compiledPlan struct {
 	combo   []stream.Tuple
 }
 
-// buildCompiled attempts to compile the whole per-tuple path. On error
-// the plan is left untouched and keeps running interpreted.
+// buildCompiled compiles the whole per-tuple path, or reports why the
+// query cannot run.
 func (p *Plan) buildCompiled(b *cql.Bound) error {
 	selC := make([]*predicate.Compiled, len(p.inputs))
 	for i, in := range p.inputs {
@@ -69,11 +69,11 @@ func (p *Plan) buildCompiled(b *cql.Bound) error {
 		for _, c := range b.SelectCols {
 			slot := p.indexOf(c.Qualifier)
 			if slot < 0 {
-				return fmt.Errorf("spe %s: unknown alias %s", p.ID, c.Qualifier)
+				return fmt.Errorf("unknown alias %s", c.Qualifier)
 			}
 			col := p.inputs[slot].schema.ColIndex(c.Name)
 			if col < 0 {
-				return fmt.Errorf("spe %s: input of %s lacks %s", p.ID, c.Qualifier, c.Name)
+				return fmt.Errorf("input of %s lacks %s", c.Qualifier, c.Name)
 			}
 			cp.emitCols = append(cp.emitCols, slotCol{slot, col})
 		}
@@ -112,52 +112,44 @@ func (p *Plan) buildCompiled(b *cql.Bound) error {
 }
 
 // adapter caches the index projection from one source schema to the
-// input's projected schema. Push rebinds it by name whenever a tuple
-// arrives under a different schema pointer (schema drift), mirroring the
-// CBN broker's routing-table rebinds.
+// input's projected schema. Push rebinds it whenever a tuple arrives
+// under a different schema pointer — an upstream broker re-projected the
+// stream — mirroring the CBN broker's routing-table recompiles.
 type adapter struct {
 	src      *stream.Schema
 	idx      []int
 	identity bool
 }
 
-// adapt normalises an incoming tuple to the input's projected schema. In
-// compiled mode the projection is a cached index copy keyed on the
-// source schema pointer; drift re-resolves by name, and a drift that
-// changes an attribute's kind degrades the whole plan to the interpreted
-// path (the compiled comparisons trust declared kinds). The interpreted
-// path projects by name per tuple, exactly as before.
-func (p *Plan) adapt(in *inputState, t stream.Tuple) (stream.Tuple, error) {
-	if p.compiled {
-		if t.Schema != in.ad.src {
-			p.rebindAdapter(in, t.Schema)
-		}
-		if p.compiled && t.Schema == in.ad.src {
-			if in.ad.identity {
-				return stream.Tuple{Schema: in.schema, Ts: t.Ts, Values: t.Values}, nil
-			}
-			return t.ProjectIdx(in.ad.idx, in.schema), nil
+// adapt normalises an incoming tuple to the input's projected schema: a
+// cached index copy keyed on the source schema pointer.
+func (in *inputState) adapt(t stream.Tuple) (stream.Tuple, error) {
+	if t.Schema != in.ad.src {
+		if err := in.rebindAdapter(t.Schema); err != nil {
+			return stream.Tuple{}, err
 		}
 	}
-	return t.Project(in.schema)
+	if in.ad.identity {
+		return stream.Tuple{Schema: in.schema, Ts: t.Ts, Values: t.Values}, nil
+	}
+	return t.ProjectIdx(in.ad.idx, in.schema), nil
 }
 
-// rebindAdapter re-resolves the input's projection against a new source
-// schema. A missing attribute leaves the adapter unbound so the caller
-// falls through to Project (whose error the interpreted path raises
-// verbatim); an attribute whose kind no longer conforms to the compiled
-// schema degrades the plan.
-func (p *Plan) rebindAdapter(in *inputState, src *stream.Schema) {
+// rebindAdapter resolves the input's projection against a new source
+// schema. A source that lacks a needed attribute, or declares it under
+// another kind than the plan compiled its comparisons for, is refused
+// and leaves the adapter as it was.
+func (in *inputState) rebindAdapter(src *stream.Schema) error {
 	idx := make([]int, len(in.schema.Fields))
 	identity := src.Arity() == len(idx)
 	for i, f := range in.schema.Fields {
 		j := src.ColIndex(f.Name)
 		if j < 0 {
-			return // missing attribute: Project reports it per tuple
+			return fmt.Errorf("stream %s: projection needs missing attribute %s", src.Stream, f.Name)
 		}
-		if !kindConforms(f.Kind, src.Fields[j].Kind) {
-			p.degrade()
-			return
+		if src.Fields[j].Kind != f.Kind {
+			return fmt.Errorf("stream %s: attribute %s is %s, the plan expects %s",
+				src.Stream, f.Name, src.Fields[j].Kind, f.Kind)
 		}
 		idx[i] = j
 		if j != i {
@@ -165,34 +157,21 @@ func (p *Plan) rebindAdapter(in *inputState, src *stream.Schema) {
 		}
 	}
 	in.ad = adapter{src: src, idx: idx, identity: identity}
+	return nil
 }
 
-// kindConforms reports whether values of a source field kind always
-// conform to a destination field kind (including the int widening
-// NewTuple admits into float and time fields).
-func kindConforms(dst, src stream.Kind) bool {
-	return dst == src ||
-		(src == stream.KindInt && (dst == stream.KindFloat || dst == stream.KindTime))
-}
-
-// pushCompiled is the index-resolved per-tuple path.
-func (p *Plan) pushCompiled(in *inputState, t stream.Tuple) ([]stream.Tuple, error) {
+// pushInput runs one adapted tuple of one input through the plan.
+func (p *Plan) pushInput(in *inputState, t stream.Tuple) ([]stream.Tuple, error) {
 	if !in.selC.IsTrue() && !in.selC.EvalValues(t.Values, t.Ts) {
 		return nil, nil
 	}
 	if p.agg != nil {
-		if err := p.evict(in); err != nil {
-			return nil, err
-		}
-		seq := in.insert(t)
-		res, err := p.agg.update(in, t, seq, true)
-		if err != nil {
-			return nil, err
-		}
-		for i := range res {
-			res[i].Schema = p.Result
-		}
-		return res, nil
+		p.evict(in)
+		row := p.agg.update(in, t, in.insert(t))
+		// Rebind from the bound's placeholder schema to the plan's
+		// registered result stream schema.
+		row.Schema = p.Result
+		return []stream.Tuple{row}, nil
 	}
 	cp := p.cp
 	if len(p.inputs) == 1 {
@@ -205,9 +184,7 @@ func (p *Plan) pushCompiled(in *inputState, t stream.Tuple) ([]stream.Tuple, err
 		return out, nil
 	}
 	for _, other := range p.inputs {
-		if err := p.evict(other); err != nil {
-			return nil, err
-		}
+		p.evict(other)
 	}
 	selfIdx := p.indexOf(in.alias)
 	cp.combo[selfIdx] = t
@@ -219,7 +196,7 @@ func (p *Plan) pushCompiled(in *inputState, t stream.Tuple) ([]stream.Tuple, err
 }
 
 // dfsCompiled enumerates join combinations depth-first in input order —
-// the same lexicographic (input, arrival) order the interpreted
+// the same lexicographic (input, arrival) order the reference executor's
 // breadth-first probe produces. Each non-self input contributes either
 // its equi-partition bucket (when every partner column is already placed
 // and hash-exact) or a scan of its live window.
@@ -243,7 +220,7 @@ func (p *Plan) dfsCompiled(i, selfIdx int, out *[]stream.Tuple) {
 			bkt := in.hash.bucket(key, liveMin)
 			ovf := in.hash.liveOverflow(liveMin)
 			// Merge bucket and overflow candidates in arrival order so
-			// emission order matches the interpreted scan.
+			// emission order matches a scan of the live window.
 			bi, oi := 0, 0
 			for bi < len(bkt) || oi < len(ovf) {
 				var seq uint64
@@ -324,7 +301,7 @@ func comboTs(combo []stream.Tuple) stream.Timestamp {
 // wholesale once evictions dominate the live window. Tuples whose key
 // values are not hash-exact (stream.Value.KeyExact) go to the overflow
 // list and are scanned on every probe, so Compare-equality corner cases
-// still join exactly as the interpreted path would.
+// still join exactly as a nested-loop scan would.
 type joinIndex struct {
 	keyCols  []int     // this input's key columns, in join-predicate order
 	partners []slotCol // matching column in the combo, per key column

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cosmos/internal/cql"
@@ -13,34 +14,31 @@ import (
 	"cosmos/internal/stream"
 )
 
-// forceInterpreted pins a plan to the name-resolved path, turning it
-// into the differential reference for a compiled twin.
-func (p *Plan) forceInterpreted() { p.degrade() }
-
-// samePush feeds one tuple to the compiled plan and its interpreted twin
-// and asserts identical emissions (count, order, timestamps, values) and
-// identical error outcomes. It returns the number of emitted tuples.
+// samePush feeds one tuple to the compiled plan and to its reference
+// twin (see reference_test.go) and asserts identical emissions (count,
+// order, timestamps, values) and identical error outcomes. It returns
+// the number of emitted tuples.
 func samePush(t *testing.T, ctx string, pc, pi *Plan, tp stream.Tuple) int {
 	t.Helper()
 	got, gerr := pc.Push(tp)
-	want, werr := pi.Push(tp)
+	want, werr := pi.pushReference(tp)
 	if (gerr == nil) != (werr == nil) {
-		t.Fatalf("%s: error mismatch: compiled %v, interpreted %v", ctx, gerr, werr)
+		t.Fatalf("%s: error mismatch: compiled %v, reference %v", ctx, gerr, werr)
 	}
 	if gerr != nil {
 		if gerr.Error() != werr.Error() {
-			t.Fatalf("%s: error text mismatch:\ncompiled:    %v\ninterpreted: %v", ctx, gerr, werr)
+			t.Fatalf("%s: error text mismatch:\ncompiled:  %v\nreference: %v", ctx, gerr, werr)
 		}
 		return 0
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d emissions, interpreted %d", ctx, len(got), len(want))
+		t.Fatalf("%s: %d emissions, reference %d", ctx, len(got), len(want))
 	}
 	for i := range got {
 		g, w := got[i], want[i]
 		if g.Ts != w.Ts || g.Schema.Stream != w.Schema.Stream ||
 			!reflect.DeepEqual(g.Values, w.Values) {
-			t.Fatalf("%s: emission %d differs:\ncompiled:    %s\ninterpreted: %s", ctx, i, g, w)
+			t.Fatalf("%s: emission %d differs:\ncompiled:  %s\nreference: %s", ctx, i, g, w)
 		}
 	}
 	return len(got)
@@ -49,8 +47,8 @@ func samePush(t *testing.T, ctx string, pc, pi *Plan, tp stream.Tuple) int {
 // TestCompiledPlanDifferentialQuerygen is the keystone differential test
 // of the compiled operator pipeline: over randomized querygen workloads
 // spanning select, self-join (equi and non-equi) and aggregate queries,
-// the compiled plan must reproduce the interpreted path's emissions —
-// tuples, order, errors — exactly.
+// the compiled plan must reproduce the name-resolved reference
+// executor's emissions — tuples, order, errors — exactly.
 func TestCompiledPlanDifferentialQuerygen(t *testing.T) {
 	reg := stream.NewRegistry()
 	if err := sensordata.RegisterAll(reg); err != nil {
@@ -94,15 +92,7 @@ func TestCompiledPlanDifferentialQuerygen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d (%s): %v", i, b.Raw, err)
 		}
-		if !pc.Compiled() {
-			t.Fatalf("query %d (%s) should compile to the index-resolved path", i, b.Raw)
-		}
-		pi, err := Compile(fmt.Sprintf("q%d", i), b, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pi.forceInterpreted()
-		pairs = append(pairs, pair{pc, pi, kind})
+		pairs = append(pairs, pair{pc, referenceTwin(t, fmt.Sprintf("q%d", i), b, res), kind})
 	}
 
 	gens := make([]*sensordata.Generator, stations)
@@ -153,7 +143,7 @@ func threeWayCatalog() *stream.Registry {
 // three streams through the compiled pipeline: every input carries a
 // hash partition, probe order determines which inputs can use theirs
 // (the chain's far end scans until its partner is placed), and the
-// emissions must match the interpreted nested loop exactly.
+// emissions must match the reference nested loop exactly.
 func TestCompiledThreeWayJoinDifferential(t *testing.T) {
 	reg := threeWayCatalog()
 	b, err := cql.AnalyzeString(
@@ -166,16 +156,12 @@ func TestCompiledThreeWayJoinDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pc.Compiled() {
-		t.Fatal("three-way chain join should compile")
-	}
 	for i, in := range pc.inputs {
 		if in.hash == nil {
 			t.Fatalf("input %d (%s) should have an equi-partition index", i, in.alias)
 		}
 	}
-	pi, _ := Compile("three", b, "res")
-	pi.forceInterpreted()
+	pi := referenceTwin(t, "three", b, "res")
 
 	saSchema, _ := reg.Schema("SA")
 	sbSchema, _ := reg.Schema("SB")
@@ -208,7 +194,7 @@ func TestCompiledThreeWayJoinDifferential(t *testing.T) {
 // TestCompiledThreeWaySelfJoinDifferential repeats one stream under two
 // aliases plus a third stream: the new tuple enters the probe at both
 // self-aliases, and the compiled enumeration order must still match the
-// interpreted path.
+// reference executor.
 func TestCompiledThreeWaySelfJoinDifferential(t *testing.T) {
 	reg := threeWayCatalog()
 	b, err := cql.AnalyzeString(
@@ -221,11 +207,7 @@ func TestCompiledThreeWaySelfJoinDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pc.Compiled() {
-		t.Fatal("three-way self-join should compile")
-	}
-	pi, _ := Compile("self3", b, "res")
-	pi.forceInterpreted()
+	pi := referenceTwin(t, "self3", b, "res")
 
 	saSchema, _ := reg.Schema("SA")
 	sbSchema, _ := reg.Schema("SB")
@@ -254,21 +236,19 @@ func TestCompiledThreeWaySelfJoinDifferential(t *testing.T) {
 const time30s = 30 * stream.Second
 
 // TestCompiledSchemaDriftLayout checks that a layout-only drift (new
-// schema pointer, reordered and widened attribute set) keeps the plan on
-// the compiled path: the adapter rebinds by name and results stay
-// identical to the interpreted reference.
+// schema pointer, reordered and widened attribute set) rebinds the
+// input's adapter by name and results stay identical to the reference.
 func TestCompiledSchemaDriftLayout(t *testing.T) {
 	reg := threeWayCatalog()
 	b, err := cql.AnalyzeString("SELECT k FROM SA [Now] WHERE v > 10", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, _ := Compile("drift", b, "res")
-	pi, _ := Compile("drift", b, "res")
-	pi.forceInterpreted()
-	if !pc.Compiled() {
-		t.Fatal("plan should compile")
+	pc, err := Compile("drift", b, "res")
+	if err != nil {
+		t.Fatal(err)
 	}
+	pi := referenceTwin(t, "drift", b, "res")
 
 	saSchema, _ := reg.Schema("SA")
 	samePush(t, "original", pc, pi, stream.MustTuple(saSchema, 1, stream.Int(7), stream.Float(20)))
@@ -284,77 +264,69 @@ func TestCompiledSchemaDriftLayout(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("layout-drifted tuple emitted %d results, want 1", n)
 	}
-	if !pc.Compiled() {
-		t.Error("layout-only drift must keep the plan compiled")
+	if pc.inputs[0].ad.src != drifted {
+		t.Error("the adapter should be rebound to the drifted schema pointer")
 	}
-	// A tuple lacking a needed attribute errors identically on both paths.
+	// A tuple lacking a needed attribute errors identically on both paths
+	// and leaves the adapter where it was.
 	narrow := stream.MustSchema("SA", stream.Field{Name: "k", Kind: stream.KindInt})
 	samePush(t, "missing attribute", pc, pi, stream.MustTuple(narrow, 3, stream.Int(9)))
-	if !pc.Compiled() {
-		t.Error("a missing attribute is a per-tuple error, not a mode change")
+	if pc.inputs[0].ad.src != drifted {
+		t.Error("a refused layout must not disturb the bound adapter")
+	}
+	if n := samePush(t, "after refusal", pc, pi,
+		stream.MustTuple(drifted, 4, stream.String_("y"), stream.Float(40), stream.Int(9))); n != 1 {
+		t.Fatalf("tuple after the refused one emitted %d results, want 1", n)
 	}
 }
 
-// TestCompiledSchemaDriftKindFallback checks the fallback trigger: a
-// mid-stream drift that changes an attribute's kind permanently degrades
-// the plan to the interpreted path, with emissions and errors matching
-// the always-interpreted reference before, during and after the drift.
-func TestCompiledSchemaDriftKindFallback(t *testing.T) {
+// TestPushRefusesKindDrift checks the stated behaviour for a mid-stream
+// drift that changes an attribute's kind: the compiled comparisons trust
+// declared kinds, so the tuple is refused with an error naming the
+// attribute, no state is touched, and traffic of the registered layout
+// keeps matching a reference that never saw the drifted tuple.
+func TestPushRefusesKindDrift(t *testing.T) {
 	reg := threeWayCatalog()
 	b, err := cql.AnalyzeString(
 		"SELECT SA.v, SB.j FROM SA [Range 1 Hour], SB [Range 1 Hour] WHERE SA.k = SB.k", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, _ := Compile("kindrift", b, "res")
-	pi, _ := Compile("kindrift", b, "res")
-	pi.forceInterpreted()
-	if !pc.Compiled() {
-		t.Fatal("join plan should compile")
+	pc, err := Compile("kindrift", b, "res")
+	if err != nil {
+		t.Fatal(err)
 	}
+	pi := referenceTwin(t, "kindrift", b, "res")
 
 	saSchema, _ := reg.Schema("SA")
 	sbSchema, _ := reg.Schema("SB")
-	emitted := 0
-	for i := 0; i < 20; i++ {
-		ts := stream.Timestamp(i) * 1000
-		emitted += samePush(t, fmt.Sprintf("warm %d", i), pc, pi,
-			stream.MustTuple(saSchema, ts, stream.Int(int64(i%3)), stream.Float(float64(i))))
-		emitted += samePush(t, fmt.Sprintf("warm sb %d", i), pc, pi,
-			stream.MustTuple(sbSchema, ts, stream.Int(int64(i%3)), stream.Int(int64(i))))
+	traffic := func(phase string, from int) int {
+		emitted := 0
+		for i := from; i < from+20; i++ {
+			ts := stream.Timestamp(i) * 1000
+			emitted += samePush(t, fmt.Sprintf("%s sa %d", phase, i), pc, pi,
+				stream.MustTuple(saSchema, ts, stream.Int(int64(i%3)), stream.Float(float64(i))))
+			emitted += samePush(t, fmt.Sprintf("%s sb %d", phase, i), pc, pi,
+				stream.MustTuple(sbSchema, ts, stream.Int(int64(i%3)), stream.Int(int64(i))))
+		}
+		return emitted
 	}
-	if emitted == 0 {
+	if traffic("warm", 0) == 0 {
 		t.Fatal("warmup emitted nothing")
 	}
 
-	// Mid-stream kind drift: SA.k becomes a string. The compiled plan
-	// must degrade and thereafter behave exactly like the interpreted
-	// reference (here: a per-tuple incomparable-kinds join error).
 	drifted := stream.MustSchema("SA",
 		stream.Field{Name: "k", Kind: stream.KindString},
 		stream.Field{Name: "v", Kind: stream.KindFloat},
 	)
-	samePush(t, "kind drift", pc, pi,
-		stream.MustTuple(drifted, 21000, stream.String_("oops"), stream.Float(1)))
-	if pc.Compiled() {
-		t.Fatal("kind drift must degrade the plan to the interpreted path")
+	out, err := pc.Push(stream.MustTuple(drifted, 21000, stream.String_("oops"), stream.Float(1)))
+	if err == nil || len(out) != 0 {
+		t.Fatalf("kind-drifted tuple: %d emissions, err %v; want a refusal", len(out), err)
 	}
-	for _, in := range pc.inputs {
-		if in.hash != nil || in.selC != nil {
-			t.Fatal("degraded plan should drop its compiled artifacts")
-		}
+	if !strings.Contains(err.Error(), "attribute k is string") {
+		t.Errorf("refusal should name the drifted attribute and kind, got: %v", err)
 	}
-	// The shared window state carries over: post-drift traffic keeps
-	// matching the reference.
-	post := 0
-	for i := 0; i < 10; i++ {
-		ts := stream.Timestamp(22+i) * 1000
-		post += samePush(t, fmt.Sprintf("post %d", i), pc, pi,
-			stream.MustTuple(saSchema, ts, stream.Int(int64(i%3)), stream.Float(float64(i))))
-		post += samePush(t, fmt.Sprintf("post sb %d", i), pc, pi,
-			stream.MustTuple(sbSchema, ts, stream.Int(int64(i%3)), stream.Int(int64(i))))
-	}
-	if post == 0 {
+	if traffic("post", 22) == 0 {
 		t.Error("post-drift traffic emitted nothing")
 	}
 }
@@ -368,9 +340,6 @@ func TestAggIncrementalEvictionState(t *testing.T) {
 	p, err := Compile("agg", b, "res")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !p.Compiled() {
-		t.Fatal("aggregate plan should compile")
 	}
 	s := stream.Timestamp(stream.Second)
 	p.Push(sensorTuple(0, 1, 30))
@@ -402,22 +371,17 @@ func TestAggIncrementalEvictionState(t *testing.T) {
 	}
 }
 
-// TestAggUpdateMissingSelectedColumnErrors pins the contract the old
+// TestAggPushMissingSelectedColumnErrors pins the contract an early
 // implementation violated: a selected grouping column missing from the
 // tuple must surface as an error, not a silently emitted zero Value.
-func TestAggUpdateMissingSelectedColumnErrors(t *testing.T) {
-	sch := stream.MustSchema("S", stream.Field{Name: "station", Kind: stream.KindInt})
-	a := &aggState{
-		bound:     &cql.Bound{},
-		schema:    sch,
-		plainCols: []string{"station"},
-		plainIdx:  []int{0},
-		groups:    map[hashKey]*groupAgg{},
+func TestAggPushMissingSelectedColumnErrors(t *testing.T) {
+	b := bind(t, "SELECT station, COUNT(*) FROM Sensor [Range 10 Second] GROUP BY station")
+	p, err := Compile("agg", b, "res")
+	if err != nil {
+		t.Fatal(err)
 	}
-	in := &inputState{schema: sch}
-	other := stream.MustSchema("S", stream.Field{Name: "temp", Kind: stream.KindFloat})
-	tp := stream.MustTuple(other, 1, stream.Float(3))
-	if _, err := a.update(in, tp, 0, false); err == nil {
+	other := stream.MustSchema("Sensor", stream.Field{Name: "temp", Kind: stream.KindFloat})
+	if _, err := p.Push(stream.MustTuple(other, 1, stream.Float(3))); err == nil {
 		t.Fatal("missing selected grouping column must error, not emit a zero Value")
 	}
 }
@@ -445,9 +409,6 @@ func TestSnapshotRestoreRebuildsCompiledState(t *testing.T) {
 	}
 	if err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
-	}
-	if !restored.Compiled() {
-		t.Fatal("restored plan should stay compiled")
 	}
 	for i := int64(0); i < 20; i++ {
 		ctx := fmt.Sprintf("close %d", i)

@@ -19,11 +19,13 @@
 // reference on the per-tuple path resolves to a column index, selections
 // and join/residual predicates evaluate through package predicate's
 // compiled forms, equi-join inputs keep hash-partitioned buffers, and
-// grouped aggregates maintain incremental per-group state. A
-// name-resolved interpreted path remains behind the same Push API; it is
-// the fallback whenever a predicate cannot be compiled or an input
-// schema drifts to incompatible kinds, and the reference the compiled
-// path is differentially tested against.
+// grouped aggregates maintain incremental per-group state. That is the
+// only execution path: a query whose predicates cannot be compiled fails
+// Compile (cql.Analyze already refuses it, so Submit is where it dies),
+// and an input tuple whose layout lacks a needed attribute, or carries it
+// under another kind, fails Push. The name-resolved nested-loop executor
+// the compiled path is differentially tested against lives in this
+// package's tests.
 //
 // The engine stands in for the single-site SPEs the paper plugs in
 // (TelegraphCQ, STREAM, Aurora, GSN): COSMOS treats the SPE as a black
@@ -67,7 +69,7 @@ type inputState struct {
 	head int
 	base uint64
 
-	// Compiled-mode state; nil/zero while the plan runs interpreted.
+	// Index-resolved state, built by Compile.
 	selC    *predicate.Compiled
 	ad      adapter
 	hash    *joinIndex
@@ -83,8 +85,8 @@ func (in *inputState) liveMin() uint64 { return in.base + uint64(in.head) }
 // at returns the live tuple with the given absolute sequence.
 func (in *inputState) at(seq uint64) stream.Tuple { return in.buf[seq-in.base] }
 
-// insert appends a tuple to the window buffer (and, in compiled join
-// mode, its equi-partition bucket), returning its absolute sequence.
+// insert appends a tuple to the window buffer (and, for an equi-join
+// input, its partition bucket), returning its absolute sequence.
 func (in *inputState) insert(t stream.Tuple) uint64 {
 	seq := in.base + uint64(len(in.buf))
 	in.buf = append(in.buf, t)
@@ -109,18 +111,13 @@ type Plan struct {
 	// (several for self-joins).
 	aliasesOf map[string][]string
 
-	joined    *stream.Schema // scratch namespace for predicate evaluation
+	joined    *stream.Schema // joined namespace the join/residual predicates compile against
 	joins     []predicate.AttrCmp
 	residual  predicate.DNF
 	agg       *aggState
 	watermark stream.Timestamp
 
-	// compiled reports whether the per-tuple path runs index-resolved;
-	// false means the name-resolved interpreted path serves this plan
-	// (uncompilable predicate, or an input schema drifted to kinds the
-	// compiled comparisons cannot trust).
-	compiled bool
-	cp       *compiledPlan
+	cp *compiledPlan
 }
 
 // Compile builds an executable plan for a bound query. resultStream is
@@ -181,31 +178,10 @@ func Compile(id string, b *cql.Bound, resultStream string) (*Plan, error) {
 		}
 		p.joined = joined
 	}
-	// Control-plane compilation of the per-tuple path. Failure is not an
-	// error: the plan runs interpreted, which preserves the runtime
-	// error semantics the compiler refused to guarantee.
-	if err := p.buildCompiled(b); err == nil {
-		p.compiled = true
+	if err := p.buildCompiled(b); err != nil {
+		return nil, fmt.Errorf("spe %s: %w", id, err)
 	}
 	return p, nil
-}
-
-// Compiled reports whether the plan's per-tuple path is index-resolved.
-// It flips to false permanently if an input schema drifts to kinds the
-// compiled comparisons cannot trust.
-func (p *Plan) Compiled() bool { return p.compiled }
-
-// degrade switches the plan to the interpreted path permanently,
-// discarding the compiled artifacts (the shared window buffers and
-// aggregate state carry over untouched).
-func (p *Plan) degrade() {
-	p.compiled = false
-	p.cp = nil
-	for _, in := range p.inputs {
-		in.selC = nil
-		in.hash = nil
-		in.ad = adapter{}
-	}
 }
 
 // InputStreams lists the distinct source stream names the plan consumes.
@@ -233,94 +209,24 @@ func (p *Plan) Push(t stream.Tuple) ([]stream.Tuple, error) {
 	if len(aliases) == 1 {
 		// Common case (no self-join): skip the cross-alias collector.
 		in := p.byAlias[aliases[0]]
-		adapted, err := p.adapt(in, t)
+		adapted, err := in.adapt(t)
 		if err != nil {
-			return nil, fmt.Errorf("spe %s: input tuple lacks needed attributes: %w", p.ID, err)
+			return nil, fmt.Errorf("spe %s: input tuple: %w", p.ID, err)
 		}
-		return p.pushAlias(in, adapted)
+		return p.pushInput(in, adapted)
 	}
 	var out []stream.Tuple
 	for _, alias := range aliases {
 		in := p.byAlias[alias]
-		adapted, err := p.adapt(in, t)
+		adapted, err := in.adapt(t)
 		if err != nil {
-			return nil, fmt.Errorf("spe %s: input tuple lacks needed attributes: %w", p.ID, err)
+			return nil, fmt.Errorf("spe %s: input tuple: %w", p.ID, err)
 		}
-		emitted, err := p.pushAlias(in, adapted)
+		emitted, err := p.pushInput(in, adapted)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, emitted...)
-	}
-	return out, nil
-}
-
-func (p *Plan) pushAlias(in *inputState, t stream.Tuple) ([]stream.Tuple, error) {
-	if p.compiled {
-		return p.pushCompiled(in, t)
-	}
-	return p.pushInterpreted(in, t)
-}
-
-// pushInterpreted is the name-resolved path: selection through the DNF
-// evaluator, nested-loop window join probes, and name lookups in the
-// shared aggregate core. It is the fallback for uncompilable predicates
-// and drifted schemas, and the differential-test reference.
-func (p *Plan) pushInterpreted(in *inputState, t stream.Tuple) ([]stream.Tuple, error) {
-	// Selection first (filter pushdown mirrors the data layer's filters;
-	// when tuples already passed CBN filters this is a cheap recheck
-	// against exactly the same DNF).
-	if in.sel != nil && !in.sel.IsTrue() {
-		ok, err := in.sel.Eval(t)
-		if err != nil {
-			return nil, fmt.Errorf("spe %s: %w", p.ID, err)
-		}
-		if !ok {
-			return nil, nil
-		}
-	}
-	if p.agg != nil {
-		if err := p.evict(in); err != nil {
-			return nil, err
-		}
-		seq := in.insert(t)
-		res, err := p.agg.update(in, t, seq, false)
-		if err != nil {
-			return nil, err
-		}
-		// Rebind from the bound's placeholder schema to the plan's
-		// registered result stream schema.
-		for i := range res {
-			res[i].Schema = p.Result
-		}
-		return res, nil
-	}
-	if len(p.inputs) == 1 {
-		// Pure select-project.
-		res, err := p.emitCombo([]stream.Tuple{t})
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	// Window join: evict, probe the other inputs, then insert.
-	for _, other := range p.inputs {
-		if err := p.evict(other); err != nil {
-			return nil, err
-		}
-	}
-	combos, err := p.probe(in, t)
-	if err != nil {
-		return nil, err
-	}
-	in.insert(t)
-	var out []stream.Tuple
-	for _, combo := range combos {
-		res, err := p.emitCombo(combo)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res...)
 	}
 	return out, nil
 }
@@ -330,13 +236,11 @@ func (p *Plan) pushInterpreted(in *inputState, t stream.Tuple) ([]stream.Tuple, 
 // watermark − ts > T (Lemma 1 upper bound on its own window). Eviction
 // advances the buffer head and unwinds incremental aggregate state; the
 // buffer compacts once the dead prefix dominates.
-func (p *Plan) evict(in *inputState) error {
+func (p *Plan) evict(in *inputState) {
 	for in.head < len(in.buf) && window.Expired(in.buf[in.head].Ts, p.watermark, in.win) {
 		t := in.buf[in.head]
 		if p.agg != nil {
-			if err := p.agg.evictMember(t, p.compiled); err != nil {
-				return err
-			}
+			p.agg.evictMember(t)
 		}
 		in.buf[in.head] = stream.Tuple{}
 		in.head++
@@ -345,7 +249,6 @@ func (p *Plan) evict(in *inputState) error {
 		}
 	}
 	in.maybeCompact()
-	return nil
 }
 
 // compactMinHead is the dead-prefix length below which eviction never
@@ -375,50 +278,6 @@ func (in *inputState) maybeCompact() {
 	}
 }
 
-// probe assembles all join combinations containing the new tuple t at
-// alias in.alias: one in-window partner from every other input, pairwise
-// Lemma 1 joinability, join predicates evaluated on the assembled tuple.
-func (p *Plan) probe(in *inputState, t stream.Tuple) ([][]stream.Tuple, error) {
-	combos := [][]stream.Tuple{make([]stream.Tuple, len(p.inputs))}
-	selfIdx := p.indexOf(in.alias)
-	combos[0][selfIdx] = t
-
-	for i, other := range p.inputs {
-		if i == selfIdx {
-			continue
-		}
-		var next [][]stream.Tuple
-		for _, combo := range combos {
-			for _, u := range other.live() {
-				if !p.pairwiseJoinable(combo, i, u, other) {
-					continue
-				}
-				extended := make([]stream.Tuple, len(combo))
-				copy(extended, combo)
-				extended[i] = u
-				next = append(next, extended)
-			}
-		}
-		combos = next
-		if len(combos) == 0 {
-			return nil, nil
-		}
-	}
-	// Join predicates + residual on the assembled namespace.
-	var out [][]stream.Tuple
-	for _, combo := range combos {
-		joined := p.assemble(combo)
-		ok, err := p.predicatesHold(joined)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, combo)
-		}
-	}
-	return out, nil
-}
-
 // pairwiseJoinable checks Lemma 1 between candidate u (for input slot i)
 // and every tuple already placed in the combo.
 func (p *Plan) pairwiseJoinable(combo []stream.Tuple, i int, u stream.Tuple, other *inputState) bool {
@@ -440,77 +299,4 @@ func (p *Plan) indexOf(alias string) int {
 		}
 	}
 	return -1
-}
-
-// assemble concatenates a combination into the joined scratch namespace.
-func (p *Plan) assemble(combo []stream.Tuple) stream.Tuple {
-	values := make([]stream.Value, 0, p.joined.Arity())
-	ts := stream.Timestamp(-1 << 62)
-	for _, t := range combo {
-		values = append(values, t.Values...)
-		if t.Ts > ts {
-			ts = t.Ts
-		}
-	}
-	return stream.Tuple{Schema: p.joined, Ts: ts, Values: values}
-}
-
-// predicatesHold evaluates join predicates and the residual DNF.
-func (p *Plan) predicatesHold(joined stream.Tuple) (bool, error) {
-	for _, j := range p.joins {
-		ok, err := j.Eval(joined)
-		if err != nil {
-			return false, fmt.Errorf("spe %s: %w", p.ID, err)
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	if len(p.residual) > 0 && !p.residual.IsTrue() {
-		ok, err := p.residual.Eval(joined)
-		if err != nil {
-			return false, fmt.Errorf("spe %s: %w", p.ID, err)
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// emitCombo projects a (possibly single-tuple) combination into the
-// result schema.
-func (p *Plan) emitCombo(combo []stream.Tuple) ([]stream.Tuple, error) {
-	b := p.Bound
-	values := make([]stream.Value, 0, p.Result.Arity())
-	ts := stream.Timestamp(-1 << 62)
-	for _, t := range combo {
-		if t.Ts > ts {
-			ts = t.Ts
-		}
-	}
-	for _, c := range b.SelectCols {
-		idx := p.indexOf(c.Qualifier)
-		if idx < 0 {
-			return nil, fmt.Errorf("spe %s: unknown alias %s", p.ID, c.Qualifier)
-		}
-		v, ok := combo[idx].Get(c.Name)
-		if !ok {
-			return nil, fmt.Errorf("spe %s: input of %s lacks %s", p.ID, c.Qualifier, c.Name)
-		}
-		values = append(values, v)
-	}
-	if b.IncludeInputTs && len(b.From) > 1 {
-		for i, ref := range b.From {
-			if ref.Window == stream.Now {
-				continue // no hidden column; ts equals the result ts
-			}
-			values = append(values, stream.Time(combo[i].Ts))
-		}
-	}
-	out, err := stream.NewTuple(p.Result, ts, values...)
-	if err != nil {
-		return nil, fmt.Errorf("spe %s: %w", p.ID, err)
-	}
-	return []stream.Tuple{out}, nil
 }

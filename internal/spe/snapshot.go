@@ -70,23 +70,19 @@ func (p *Plan) rebuildState() error {
 			in.hash.reset()
 		}
 		for i, t := range in.live() {
-			if p.compiled {
-				// Compiled access trusts the input schema layout; a
-				// snapshot from the same query restores tuples adapted
-				// to an equal layout under a different pointer.
-				if t.Schema != in.schema && !t.Schema.Equal(in.schema) {
-					return fmt.Errorf("spe: snapshot tuple of %s does not match plan %s input layout",
-						t.Schema.Stream, p.ID)
-				}
+			// Index access trusts the input schema layout; a snapshot
+			// from the same query restores tuples adapted to an equal
+			// layout under a different pointer.
+			if t.Schema != in.schema && !t.Schema.Equal(in.schema) {
+				return fmt.Errorf("spe: snapshot tuple of %s does not match plan %s input layout",
+					t.Schema.Stream, p.ID)
 			}
 			seq := in.base + uint64(in.head+i)
 			if in.hash != nil {
 				in.hash.insert(t, seq)
 			}
 			if p.agg != nil {
-				if _, err := p.agg.admit(t, seq, p.compiled); err != nil {
-					return err
-				}
+				p.agg.admit(t, seq)
 			}
 		}
 	}

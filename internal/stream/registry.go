@@ -39,10 +39,11 @@ func (in *Info) TupleWidth() int { return in.Schema.TupleWidth() + 8 }
 // Bps returns the full-rate bandwidth of the stream in bytes per second.
 func (in *Info) Bps() float64 { return in.Rate * float64(in.TupleWidth()) }
 
-// Registry is a thread-safe catalogue of stream Info records. In COSMOS the
-// schema catalogue is flooded to every node when the number of streams is
-// small, or held in a DHT keyed by stream name otherwise (paper §3); both
-// distribution mechanisms replicate into a local Registry at each node.
+// Registry is a thread-safe catalogue of stream Info records. The paper
+// (§3) floods the schema catalogue to every node when the number of
+// streams is small and proposes a DHT keyed by stream name otherwise;
+// this implementation floods only — every node of a deployment shares
+// one Registry.
 type Registry struct {
 	mu      sync.RWMutex
 	streams map[string]*Info

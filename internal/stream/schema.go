@@ -24,8 +24,8 @@ func (f Field) Width() int {
 }
 
 // Schema is the ordered attribute list of a stream. Each stream in COSMOS
-// is assigned a unique name (paper §3); the schema is disseminated either
-// by flooding or through the DHT keyed on that name.
+// is assigned a unique name (paper §3); the schema is disseminated by
+// flooding the catalogue (see Registry).
 type Schema struct {
 	// Stream is the unique stream name the schema belongs to.
 	Stream string

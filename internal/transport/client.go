@@ -38,7 +38,6 @@ type Client struct {
 	resilient bool
 	sessionID string
 	hb        time.Duration
-	reqWire   int // highest wire version this client offers in hellos
 
 	// wmu serialises gob writes and guards swapping the encoder on
 	// reconnect. It is separate from mu so a blocking Encode (full
@@ -60,7 +59,6 @@ type Client struct {
 	regs       []Request               // guarded by mu; stream registrations to replay on a fresh server
 	dropTags   []string                // guarded by mu; server tags cancelled while disconnected
 	reconnects int                     // guarded by mu
-	wireVer    int                     // guarded by mu; version the current connection's hello agreed on
 	closed     bool                    // guarded by mu
 	terminal   bool                    // guarded by mu; server announced graceful shutdown: loss is final
 	failErr    error                   // guarded by mu; permanent failure (plain-client loss, retries exhausted)
@@ -77,7 +75,7 @@ type Client struct {
 type pendingCall struct {
 	ch    chan *Response
 	sub   *clientSub
-	hello bool // the read loop switches framing when this OK arrives
+	hello bool // the read loop switches to framed reads when this OK arrives
 }
 
 // clientSub is one subscription's client-side state. The logical tag
@@ -124,10 +122,6 @@ type Config struct {
 	// machinery with the given tuning (zero fields take defaults).
 	// nil keeps the fail-fast behaviour of Dial.
 	Resilience *Resilience
-	// WireVersion caps the wire format version offered in the hello
-	// (see WireV1/WireV2). 0 offers WireMax; 1 forces the plain gob
-	// protocol. Values outside [0, WireMax] fail the dial.
-	WireVersion int
 }
 
 // Dial connects to a cosmosd server with fail-fast semantics.
@@ -140,19 +134,12 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	c := &Client{
 		addr:     addr,
 		hb:       defaultHeartbeat,
-		reqWire:  WireMax,
 		pending:  map[uint64]*pendingCall{},
 		subs:     map[string]*clientSub{},
 		byServer: map[string]*clientSub{},
 		stop:     make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	if cfg.WireVersion != 0 {
-		if cfg.WireVersion < WireV1 || cfg.WireVersion > WireMax {
-			return nil, fmt.Errorf("transport: unsupported wire version %d (this client speaks 1..%d)", cfg.WireVersion, WireMax)
-		}
-		c.reqWire = cfg.WireVersion
-	}
 	if cfg.Resilience != nil {
 		c.resilient = true
 		c.res = cfg.Resilience.withDefaults()
@@ -173,15 +160,15 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	c.readerDone = make(chan struct{})
 	c.loops.Add(1)
 	go c.readLoop(conn, c.readerDone)
-	// Every connection opens with a hello: it negotiates the wire
-	// format and, for a resilient client, announces the resumable
+	// Every connection opens with a hello: it states the wire format
+	// version and, for a resilient client, announces the resumable
 	// session identity (plain clients send an empty one).
-	hello, err, _ := c.roundTrip(&Request{Kind: MsgHello, SessionID: c.sessionID, WireVersion: c.reqWire}, nil)
+	hello, err, _ := c.roundTrip(&Request{Kind: MsgHello, SessionID: c.sessionID, WireVersion: wireVersion}, nil)
 	if err != nil {
 		_ = c.Close()
 		return nil, fmt.Errorf("transport: hello: %v", err)
 	}
-	if err := c.checkWire(hello); err != nil {
+	if err := checkWire(hello); err != nil {
 		_ = c.Close()
 		return nil, err
 	}
@@ -245,25 +232,13 @@ func (c *Client) Epoch() uint64 {
 	return c.epoch
 }
 
-// WireVersion reports the wire format version the current connection's
-// hello agreed on (0 before the first hello completes).
-func (c *Client) WireVersion() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wireVer
-}
-
-// checkWire validates a hello OK's negotiated version: the server must
-// have picked something this client offered. A violation is a protocol
-// mismatch, reported clearly instead of surfacing later as a gob
-// decode error on framed bytes.
-func (c *Client) checkWire(hello *Response) error {
-	ver := hello.WireVersion
-	if ver == 0 {
-		ver = WireV1
-	}
-	if ver < WireV1 || ver > c.reqWire {
-		return fmt.Errorf("transport: server chose wire version %d, client offered at most %d (wire version mismatch)", ver, c.reqWire)
+// checkWire validates a hello OK: the server must speak this build's
+// wire version. A violation (a server older than binary framing) is a
+// protocol mismatch, reported by name instead of surfacing later as a
+// decode error.
+func checkWire(hello *Response) error {
+	if hello.WireVersion != wireVersion {
+		return fmt.Errorf("transport: server speaks wire version %d, this client speaks version %d (wire version mismatch)", hello.WireVersion, wireVersion)
 	}
 	return nil
 }
@@ -301,166 +276,130 @@ func (c *Client) readLoop(conn net.Conn, done chan struct{}) {
 	defer c.loops.Done()
 	defer close(done)
 	// The decoder reads through an explicit bufio.Reader. gob never
-	// over-reads from an io.ByteReader, so after the hello OK switches
-	// the connection to v2 framing, the loop can strip frame markers
-	// from the same reader without losing buffered bytes — one decoder
-	// for the connection's whole life (gob type definitions are sent
-	// once per stream; restarting the decoder would desynchronise it).
+	// over-reads from an io.ByteReader, so once the hello OK has been
+	// decoded the loop can strip frame markers from the same reader
+	// without losing buffered bytes — one decoder for the connection's
+	// whole life (gob type definitions are sent once per stream;
+	// restarting the decoder would desynchronise it).
 	br := bufio.NewReaderSize(conn, 32<<10)
 	dec := gob.NewDecoder(br)
-	framed := false
-	wireSubs := map[uint32]*wireSub{}
 	var idle time.Duration
 	if c.resilient {
 		idle = 3 * c.hb
 	}
-	for {
+	// Nothing precedes the hello on a connection, and its OK is the last
+	// unframed server→client message: read bare gob until it arrives.
+	for framed := false; !framed; {
 		if idle > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		if framed {
-			marker, err := br.ReadByte()
-			if err != nil {
-				c.connLost(conn, err)
-				return
-			}
-			switch marker {
-			case frameGob:
-				// Control message: decoded by the shared gob decoder
-				// below.
-			case frameData, frameSchema:
-				if err := c.readBinaryFrame(br, marker, wireSubs); err != nil {
-					c.connLost(conn, err)
-					return
-				}
-				continue
-			default:
-				c.connLost(conn, fmt.Errorf("transport: unknown frame marker %#x (wire version mismatch?)", marker))
-				return
-			}
 		}
 		var resp Response
 		if err := dec.Decode(&resp); err != nil {
 			c.connLost(conn, err)
 			return
 		}
-		switch resp.Kind {
-		case MsgResult:
-			c.handleResult(&resp)
-			continue
-		case MsgEnd:
-			c.handleEnd(&resp)
-			continue
-		case MsgShutdown:
-			// Graceful server shutdown: terminal on the wire. The
-			// MsgEnd pushes that follow end each subscription cleanly;
-			// the client must not reconnect-loop against the dying
-			// listener.
-			c.mu.Lock()
-			c.terminal = true
-			c.cond.Broadcast()
-			c.mu.Unlock()
-			continue
-		case MsgPong:
-			continue
+		framed = c.handleControl(&resp)
+	}
+	wireSubs := map[uint32]*wireSub{}
+	for {
+		if idle > 0 {
+			_ = conn.SetReadDeadline(time.Now().Add(idle))
 		}
-		c.mu.Lock()
-		pc := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		if pc != nil && pc.hello && resp.Kind == MsgOK {
-			// The hello OK is the last unframed server→client message:
-			// flip to v2 framing here, before any later byte is read.
-			// Only versions we actually offered switch the mode — a
-			// bogus higher answer is rejected by checkWire, and
-			// misframing until then would just masquerade as loss.
-			ver := resp.WireVersion
-			if ver == 0 {
-				ver = WireV1
-			}
-			c.wireVer = ver
-			framed = ver >= WireV2 && ver <= c.reqWire
-		}
-		var lateEnd func()
-		if pc != nil && pc.sub != nil {
-			cs := pc.sub
-			switch {
-			case resp.Kind != MsgOK || resp.QueryTag == "":
-				// Submit failed; no subscription came to exist.
-			case c.closed:
-				// Close already ended every subscription; ending this
-				// one here keeps the exactly-once onEnd contract.
-				lateEnd = func() { cs.end(nil) }
-			default:
-				cs.mu.Lock()
-				if cs.logical == "" {
-					cs.logical = resp.QueryTag
-				}
-				if cs.server != "" && cs.server != resp.QueryTag {
-					delete(c.byServer, cs.server) // resubmitted under a new tag
-				}
-				cs.server = resp.QueryTag
-				// A (re)submit starts a fresh server-side sequence.
-				// Reset here, before any later frame is decoded, so
-				// the dup-guard cannot drop the new stream's first
-				// results against the old session's counter.
-				cs.lastSeq = 0
-				logical := cs.logical
-				cs.mu.Unlock()
-				c.subs[logical] = cs
-				c.byServer[resp.QueryTag] = cs
-			}
-		}
-		c.mu.Unlock()
-		if lateEnd != nil {
-			lateEnd()
-		}
-		if pc != nil {
-			r := resp
-			pc.ch <- &r
-		}
-	}
-}
-
-func (c *Client) handleResult(resp *Response) {
-	schema, err := FromWireSchema(resp.Schema)
-	if err != nil {
-		return
-	}
-	t, err := FromWireTuple(resp.Tuple, schema)
-	if err != nil {
-		return
-	}
-	tag := resp.QueryTag
-	if tag == "" {
-		tag = schema.Stream // result stream name == query tag
-	}
-	c.mu.Lock()
-	cs := c.byServer[tag]
-	c.mu.Unlock()
-	if cs == nil {
-		return
-	}
-	cs.mu.Lock()
-	if cs.ended {
-		cs.mu.Unlock()
-		return
-	}
-	if resp.Seq != 0 {
-		if resp.Seq <= cs.lastSeq {
-			// Duplicate of a frame we saw before the reconnect.
-			cs.mu.Unlock()
+		marker, err := br.ReadByte()
+		if err != nil {
+			c.connLost(conn, err)
 			return
 		}
-		cs.lastSeq = resp.Seq
-	}
-	fn := cs.onResult
-	cs.mu.Unlock()
-	if fn != nil {
-		fn(t, resp.Seq)
+		switch marker {
+		case frameGob:
+			var resp Response
+			if err := dec.Decode(&resp); err != nil {
+				c.connLost(conn, err)
+				return
+			}
+			c.handleControl(&resp)
+		case frameData, frameSchema:
+			if err := c.readBinaryFrame(br, marker, wireSubs); err != nil {
+				c.connLost(conn, err)
+				return
+			}
+		default:
+			c.connLost(conn, fmt.Errorf("transport: unknown frame marker %#x (wire version mismatch?)", marker))
+			return
+		}
 	}
 }
 
-// wireSub is the read loop's per-connection decode state for one v2
+// handleControl dispatches one gob control message: pushed ends and
+// shutdown notices, or the response a pending call waits for. It reports
+// whether the message was the OK of this connection's hello from a
+// server speaking this build's wire version — from the next byte on, the
+// stream is marker-framed.
+func (c *Client) handleControl(resp *Response) (helloOK bool) {
+	switch resp.Kind {
+	case MsgEnd:
+		c.handleEnd(resp)
+		return false
+	case MsgShutdown:
+		// Graceful server shutdown: terminal on the wire. The MsgEnd
+		// pushes that follow end each subscription cleanly; the client
+		// must not reconnect-loop against the dying listener.
+		c.mu.Lock()
+		c.terminal = true
+		c.cond.Broadcast()
+		c.mu.Unlock()
+		return false
+	case MsgPong:
+		return false
+	}
+	c.mu.Lock()
+	pc := c.pending[resp.ID]
+	delete(c.pending, resp.ID)
+	// A server older than binary framing answers with a lower version
+	// and keeps writing bare gob: stay unframed, DialConfig's checkWire
+	// reports the mismatch.
+	helloOK = pc != nil && pc.hello && resp.Kind == MsgOK && resp.WireVersion == wireVersion
+	var lateEnd func()
+	if pc != nil && pc.sub != nil {
+		cs := pc.sub
+		switch {
+		case resp.Kind != MsgOK || resp.QueryTag == "":
+			// Submit failed; no subscription came to exist.
+		case c.closed:
+			// Close already ended every subscription; ending this
+			// one here keeps the exactly-once onEnd contract.
+			lateEnd = func() { cs.end(nil) }
+		default:
+			cs.mu.Lock()
+			if cs.logical == "" {
+				cs.logical = resp.QueryTag
+			}
+			if cs.server != "" && cs.server != resp.QueryTag {
+				delete(c.byServer, cs.server) // resubmitted under a new tag
+			}
+			cs.server = resp.QueryTag
+			// A (re)submit starts a fresh server-side sequence.
+			// Reset here, before any later frame is decoded, so
+			// the dup-guard cannot drop the new stream's first
+			// results against the old session's counter.
+			cs.lastSeq = 0
+			logical := cs.logical
+			cs.mu.Unlock()
+			c.subs[logical] = cs
+			c.byServer[resp.QueryTag] = cs
+		}
+	}
+	c.mu.Unlock()
+	if lateEnd != nil {
+		lateEnd()
+	}
+	if pc != nil {
+		pc.ch <- resp
+	}
+	return helloOK
+}
+
+// wireSub is the read loop's per-connection decode state for one
 // data-frame subscription id, established by its 'S' frame. cs may be
 // nil when the subscription was cancelled concurrently — its frames
 // are then parsed (to stay in sync) and dropped.
@@ -469,7 +408,7 @@ type wireSub struct {
 	codec *tupleCodec
 }
 
-// readBinaryFrame consumes one length-prefixed v2 frame (marker
+// readBinaryFrame consumes one length-prefixed binary frame (marker
 // already read) into a pooled buffer and dispatches it. Any malformed
 // byte returns an error — treated as connection loss, never a panic.
 func (c *Client) readBinaryFrame(br *bufio.Reader, marker byte, subs map[uint32]*wireSub) error {
@@ -532,7 +471,7 @@ func (c *Client) readBinaryFrame(br *bufio.Reader, marker byte, subs map[uint32]
 }
 
 // deliverResult applies the per-subscription dup-guard and hands the
-// tuple to the callback — the v2 counterpart of handleResult's tail.
+// tuple to the callback.
 func (c *Client) deliverResult(cs *clientSub, t stream.Tuple, seq uint64) {
 	cs.mu.Lock()
 	if cs.ended || seq <= cs.lastSeq {
@@ -739,11 +678,11 @@ func (c *Client) restore(conn net.Conn) error {
 		tags[i] = ls.tag
 	}
 
-	hello, err, _ := c.roundTrip(&Request{Kind: MsgHello, SessionID: c.sessionID, ResumeTags: tags, WireVersion: c.reqWire}, nil)
+	hello, err, _ := c.roundTrip(&Request{Kind: MsgHello, SessionID: c.sessionID, ResumeTags: tags, WireVersion: wireVersion}, nil)
 	if err != nil {
 		return err
 	}
-	if err := c.checkWire(hello); err != nil {
+	if err := checkWire(hello); err != nil {
 		// A version mismatch will not heal by retrying (the server
 		// changed under us): fail the session rather than loop.
 		c.failPermanent(err)

@@ -3,6 +3,13 @@
 // request/response protocol with clients (cmd/cosmosctl or the Client
 // type) that register streams, publish tuples, and submit continuous
 // queries whose results stream back asynchronously.
+//
+// Results have one framing: binary 'S'/'D' frames written by each
+// connection's single-writer pump (wire.go, pump.go), set up by the
+// hello that opens the connection. Gob carries the control plane and —
+// until publishes get binary frames of their own — the tuples clients
+// publish (WireTuple). A peer that speaks an older result framing is
+// refused at the hello by version; nothing selects a framing.
 package transport
 
 import (

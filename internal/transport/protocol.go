@@ -3,15 +3,16 @@ package transport
 import "cosmos/internal/core"
 
 // The wire protocol: clients send Requests; the server answers each with
-// one Response carrying the same ID, and additionally pushes Response
-// messages with Kind = MsgResult for every result tuple of subscribed
-// queries and one Kind = MsgEnd when a subscription terminates
+// one Response carrying the same ID, and additionally pushes every
+// result tuple of subscribed queries as binary data frames (see wire.go)
+// and one Response with Kind = MsgEnd when a subscription terminates
 // server-side (graceful daemon shutdown). Client→server traffic is
 // always gob-encoded on the single TCP connection; the server→client
-// direction is gob under wire version 1 and marker-framed under
-// version 2 (binary batched data frames — see wire.go). The version is
-// negotiated by the MsgHello that opens every connection; the hello's
-// OK is the last unframed server→client message.
+// direction is marker-framed from the OK of the MsgHello that opens
+// every connection onwards — that OK is the only unframed
+// server→client message. The hello carries the wire format version; a
+// peer that offers less than this build's, or submits without a hello,
+// is refused with an error naming the version.
 
 // MsgKind discriminates protocol messages.
 type MsgKind uint8
@@ -27,10 +28,10 @@ const (
 	MsgCatalog                 // list the stream catalog
 	MsgQuiesce                 // run the stabilisation barrier (readouts/tests)
 	// Responses.
-	MsgOK     // generic success
-	MsgError  // Error carries the message
-	MsgResult // asynchronous result delivery (QueryTag + Tuple + Schema)
-	MsgEnd    // asynchronous subscription end (QueryTag + optional Error)
+	MsgOK    // generic success
+	MsgError // Error carries the message
+	_        // retired: wire version 1's gob result push; the number stays reserved so later kinds keep their values
+	MsgEnd   // asynchronous subscription end (QueryTag + optional Error)
 	// Resilience extensions (PR 6). Appended so kind numbers stay
 	// stable against older peers.
 	MsgHello    // announce a resumable session (SessionID + ResumeTags); OK carries Epoch + adopted Tags
@@ -59,8 +60,8 @@ type Request struct {
 	ResumeTags []string // subscriptions the client intends to resume
 	// Resume
 	LastSeq uint64 // highest result sequence the client saw for QueryTag
-	// Hello: the highest wire format version the client speaks.
-	// 0 means a pre-negotiation peer and is treated as WireV1.
+	// Hello: the highest wire format version the client speaks (0 from
+	// a peer older than the negotiation).
 	WireVersion int
 }
 
@@ -70,26 +71,21 @@ type Response struct {
 	Kind MsgKind
 	// Error (also set on MsgEnd when the subscription died abnormally)
 	Error string
-	// Submit success; also identifies pushed MsgResult/MsgEnd messages
+	// Submit success; also identifies pushed MsgEnd messages
 	QueryTag string
-	// Result push
-	Tuple  WireTuple
-	Schema WireSchema
 	// Stats
 	Stats SystemStats
 	// Catalog
 	Infos []WireInfo
-	// Resilience: per-subscription result sequence (MsgResult; on a
-	// MsgResume OK it is the resume point — the seq already assigned
-	// to the query's latest emission).
+	// Resilience: on a MsgResume OK, the resume point — the result
+	// sequence already assigned to the query's latest emission.
 	Seq uint64
 	// Session epoch, bumped on every adoption (MsgHello/MsgResume OKs).
 	Epoch uint64
 	// Subscriptions adopted from a detached session (MsgHello OK).
 	Tags []string
-	// The wire format version the server chose (MsgHello OK):
-	// min(client's announced version, server's maximum). 0 from an
-	// old server means WireV1.
+	// The wire format version the connection speaks from here on
+	// (MsgHello OK). 0 or 1 from a server older than binary framing.
 	WireVersion int
 }
 

@@ -11,7 +11,7 @@ import (
 	"cosmos/internal/stream"
 )
 
-// resultPump is one v2 connection's single writer: every server→client
+// resultPump is one connection's single writer: every server→client
 // message — results, OKs, pushes, pongs — is enqueued here and written
 // by one goroutine (Hazelcast Jet's single-writer discipline). That
 // goroutine owns the gob encoder, the bufio.Writer, the per-sub codec
@@ -123,8 +123,7 @@ func (p *resultPump) drain() {
 }
 
 // close stops the pump goroutine; entries still queued are dropped
-// (their connection is going away — the same fate v1's ignored write
-// errors gave them).
+// (their connection is going away).
 func (p *resultPump) close() {
 	p.mu.Lock()
 	p.closed = true
@@ -229,7 +228,7 @@ func (p *resultPump) writeControl(r *Response) bool {
 		p.fail(err)
 		return false
 	}
-	//lint:ignore lockguard after the v2 upgrade the pump's writer goroutine owns the shared encoder; connWriter.send routes all control frames here instead of touching enc
+	//lint:ignore lockguard after the hello's upgrade the pump's writer goroutine owns the shared encoder; connWriter.send routes all control frames here instead of touching enc
 	if err := p.w.enc.Encode(r); err != nil {
 		p.fail(err)
 		return false

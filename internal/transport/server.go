@@ -54,10 +54,6 @@ type Server struct {
 	// linger is how long a resumable session's subscriptions survive a
 	// dropped connection awaiting a resume before they are cancelled.
 	linger time.Duration
-	// maxWire caps the wire format version hellos may negotiate
-	// (WithWireVersion; cosmosd's -wire flag forces v1 for debugging
-	// or old peers).
-	maxWire int
 
 	mu       sync.Mutex
 	ln       net.Listener                // guarded by mu
@@ -133,18 +129,6 @@ func WithSessionLinger(d time.Duration) ServerOption {
 	return func(s *Server) { s.linger = d }
 }
 
-// WithWireVersion caps the wire format version the server negotiates
-// (see WireV1/WireV2). Values outside [1, WireMax] — including the
-// zero value — keep the default, WireMax. Forcing WireV1 pins every
-// connection to the plain gob protocol.
-func WithWireVersion(v int) ServerOption {
-	return func(s *Server) {
-		if v >= WireV1 && v <= WireMax {
-			s.maxWire = v
-		}
-	}
-}
-
 // NewServer wraps a system; callers own the listener lifecycle via Serve.
 func NewServer(sys *core.System, opts ...ServerOption) *Server {
 	s := &Server{
@@ -153,7 +137,6 @@ func NewServer(sys *core.System, opts ...ServerOption) *Server {
 		sessions:  map[*session]struct{}{},
 		detached:  map[string]*detachedSession{},
 		linger:    defaultSessionLinger,
-		maxWire:   WireMax,
 	}
 	s.wire.obs = sys.Obs()
 	for _, opt := range opts {
@@ -317,8 +300,8 @@ func (s *Server) stop(graceful bool) (error, bool) {
 // subscriber that stopped reading fails its write within the bound
 // instead of stalling the drain forever.
 //
-// Under wire v1 writes gob-encode directly onto the connection, as
-// ever. A v2 hello upgrades the writer: every later message routes
+// Until the connection's hello, writes gob-encode directly onto the
+// connection. The hello upgrades the writer: every later message routes
 // through the per-connection resultPump's single writer goroutine,
 // which owns the encoder from then on. One gob encoder persists across
 // the switch — gob emits type definitions once per stream, so starting
@@ -332,7 +315,7 @@ type connWriter struct {
 	mu   sync.Mutex
 	enc  *gob.Encoder               // guarded by mu
 	tgt  *gobTarget                 // guarded by mu
-	pump atomic.Pointer[resultPump] // non-nil once upgraded to v2
+	pump atomic.Pointer[resultPump] // non-nil once the hello upgraded the writer
 }
 
 // gobTarget is the persistent encoder's redirectable output.
@@ -367,33 +350,15 @@ func (w *connWriter) send(r *Response) error {
 	return w.enc.Encode(r)
 }
 
-// sendResult pushes one result tuple. v1 builds the classic gob
-// MsgResult frame; v2 enqueues the raw tuple on the pump, which
-// batches and binary-encodes it.
+// sendResult enqueues one result tuple on the pump, which batches and
+// binary-encodes it. A subscription only ever attaches to a writer whose
+// hello installed the pump (submit and resume are refused before it).
 func (w *connWriter) sendResult(st *subState, t stream.Tuple, seq uint64) error {
-	if p := w.pump.Load(); p != nil {
-		return p.sendResult(st, t, seq)
-	}
-	// v1: one gob frame per result, written synchronously here — account
-	// the wire stage around the encode+write.
-	wm := w.wire
-	wm.results.Add(1)
-	wm.batches.Add(1)
-	start := wm.obs.StageStartN(obs.StageWire, 1)
-	err := w.send(&Response{
-		Kind:     MsgResult,
-		QueryTag: t.Schema.Stream,
-		Tuple:    ToWireTuple(t),
-		Schema:   ToWireSchema(t.Schema),
-		Seq:      seq,
-	})
-	wm.obs.StageEnd(obs.StageWire, start)
-	wm.obs.TraceMark(int64(t.Ts), obs.StageWire)
-	return err
+	return w.pump.Load().sendResult(st, t, seq)
 }
 
 // upgrade writes the hello OK as the connection's last unframed
-// message and atomically installs the v2 result pump behind it, so no
+// message and atomically installs the result pump behind it, so no
 // other write can interleave between the two. Idempotent: a repeated
 // hello routes its OK through the existing pump.
 func (w *connWriter) upgrade(resp *Response) error {
@@ -416,8 +381,8 @@ func (w *connWriter) upgrade(resp *Response) error {
 	return err
 }
 
-// drain blocks until every write accepted so far reached the wire
-// (v2's pump is asynchronous; v1 writes already have).
+// drain blocks until every write accepted so far reached the wire (the
+// pump is asynchronous; a connection that never said hello has none).
 func (w *connWriter) drain() {
 	if p := w.pump.Load(); p != nil {
 		p.drain()
@@ -543,10 +508,10 @@ func (sess *session) close(graceful bool) {
 				log.Printf("cosmosd: cancel %s: %v", tag, err)
 			}
 		}
-		// The v2 pump writes asynchronously: wait until the queued
+		// The pump writes asynchronously: wait until the queued
 		// results and the MsgEnd pushes behind them are on the wire
 		// (bounded — the drain deadline kills a stuck write) before
-		// the connection drops. v1 writes already happened inline.
+		// the connection drops.
 		sess.w.drain()
 		sess.w.teardown()
 		_ = sess.conn.Close() // session is over; close errors carry no signal
@@ -671,8 +636,7 @@ type subState struct {
 }
 
 // heldResult is one result delivered while the subscription was gated,
-// kept in its raw form so the writer that eventually flushes it picks
-// the encoding (gob for v1, the pump's binary framing for v2).
+// kept in its raw form for the pump that eventually encodes it.
 type heldResult struct {
 	t   stream.Tuple
 	seq uint64
@@ -801,6 +765,9 @@ func (sess *session) dispatch(req *Request) *Response {
 		// tag. The sub starts gated: results delivered between the
 		// proxy attaching and the MsgOK write are held, so no frame for
 		// this query precedes the response announcing its tag.
+		if sess.w.pump.Load() == nil {
+			return errResp("submit before hello: results travel as wire version %d frames, which the connection's hello sets up", wireVersion)
+		}
 		st := &subState{gated: true}
 		h, err := s.sys.Submit(req.CQL, req.UserNode, st.deliver)
 		if err != nil {
@@ -866,28 +833,31 @@ func (sess *session) dispatch(req *Request) *Response {
 	}
 }
 
-// hello opens a connection's session: it negotiates the wire format
-// (the client announces the highest version it speaks, the server
-// picks min(that, its own maximum)), and — when the client sent a
-// session id — marks the session resumable under that identity and
+// hello opens a connection's session: it checks the wire format version
+// the client offers (anything below this build's is refused by name;
+// anything at or above it gets this build's), and — when the client sent
+// a session id — marks the session resumable under that identity and
 // adopts any subscriptions a previous connection with that identity
 // left parked. Parked subscriptions the client does not intend to
 // resume (cancelled while disconnected, or forgotten) are cancelled.
-// The OK reports the chosen wire version, the new epoch and the
-// adopted tags; tags absent from the reply no longer exist server-side
-// — the client resubmits those from scratch. When v2 is agreed, the OK
-// is the last unframed message on the connection: writing it and
-// installing the result pump happen atomically (connWriter.upgrade),
-// and hello returns nil so serve does not write a second response.
+// The OK reports the wire version, the new epoch and the adopted tags;
+// tags absent from the reply no longer exist server-side — the client
+// resubmits those from scratch. The OK is the last unframed message on
+// the connection: writing it and installing the result pump happen
+// atomically (connWriter.upgrade), and hello returns nil so serve does
+// not write a second response.
 func (sess *session) hello(req *Request) *Response {
 	s := sess.srv
-	wire := negotiateWire(req.WireVersion, s.maxWire)
+	if req.WireVersion < wireVersion {
+		return errResp("hello: wire version %d is not supported, this server speaks version %d", req.WireVersion, wireVersion)
+	}
 	if req.SessionID == "" {
 		// Version-only hello from a plain (non-resumable) client.
 		if len(req.ResumeTags) > 0 {
 			return errResp("hello: resume tags without a session id")
 		}
-		return sess.finishHello(req, &Response{Kind: MsgOK, WireVersion: wire}, wire)
+		sess.finishHello(req, &Response{Kind: MsgOK})
+		return nil
 	}
 	d := s.takeDetached(req.SessionID)
 	resume := make(map[string]bool, len(req.ResumeTags))
@@ -928,22 +898,17 @@ func (sess *session) hello(req *Request) *Response {
 		}
 	}
 	sort.Strings(adopted)
-	return sess.finishHello(req, &Response{Kind: MsgOK, Epoch: epoch, Tags: adopted, WireVersion: wire}, wire)
+	sess.finishHello(req, &Response{Kind: MsgOK, Epoch: epoch, Tags: adopted})
+	return nil
 }
 
-// finishHello delivers a hello's OK. Under v1 the response is returned
-// for serve's ordinary write path; under v2 it is written through
-// connWriter.upgrade so the pump installs atomically behind it, and
-// nil is returned. Adopted subscriptions are still detached at this
-// point (resume attaches them later), so no result can race the
-// switch.
-func (sess *session) finishHello(req *Request, resp *Response, wire int) *Response {
-	if wire < WireV2 {
-		return resp
-	}
-	resp.ID = req.ID
+// finishHello delivers a hello's OK through connWriter.upgrade so the
+// pump installs atomically behind it. Adopted subscriptions are still
+// detached at this point (resume attaches them later), so no result can
+// race the switch.
+func (sess *session) finishHello(req *Request, resp *Response) {
+	resp.ID, resp.WireVersion = req.ID, wireVersion
 	_ = sess.w.upgrade(resp)
-	return nil
 }
 
 // resume re-attaches an adopted subscription to this connection. The OK

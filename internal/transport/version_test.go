@@ -1,150 +1,175 @@
 package transport
 
 import (
+	"encoding/gob"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"cosmos/internal/core"
 	"cosmos/internal/stream"
 )
 
-// startServerWire spins up a system whose server negotiates at most
-// maxWire.
-func startServerWire(t *testing.T, maxWire int) (addr string, shutdown func()) {
-	t.Helper()
-	sys, err := core.NewSystem(core.Options{Nodes: 16, Seed: 3})
+// TestWireVersionAgreed: a client and a server of this build agree on
+// the one wire version in the hello and results travel end to end as
+// binary frames, values and kinds intact.
+func TestWireVersionAgreed(t *testing.T) {
+	addr, shutdown := startServer(t)
+	defer shutdown()
+
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(sys, WithWireVersion(maxWire))
+	defer c.Close()
+
+	info := auctionInfo()
+	if err := c.Register(info, 1); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var got []stream.Tuple
+	_, err = c.Submit("SELECT itemID, start_price FROM OpenAuction [Now] WHERE start_price > 100", 5,
+		func(tp stream.Tuple, _ uint64) {
+			mu.Lock()
+			got = append(got, tp)
+			mu.Unlock()
+		}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		tp := stream.MustTuple(info.Schema, stream.Timestamp(1000+i),
+			stream.Int(int64(i)), stream.Float(150.5))
+		if err := c.Publish(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n := len(got)
+		mu.Unlock()
+		if n >= 5 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("got %d/5 results", n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, tp := range got[:5] {
+		if tp.Values[0].AsInt() != int64(i) || tp.Values[1].AsFloat() != 150.5 {
+			t.Fatalf("result %d corrupted across the wire: %v", i, tp)
+		}
+		if tp.Values[1].Kind() != stream.KindFloat {
+			t.Fatalf("result %d kind mangled: %v", i, tp.Values[1].Kind())
+		}
+	}
+}
+
+// rawPeer speaks the gob control protocol by hand, the way a peer of
+// another build would.
+type rawPeer struct {
+	conn net.Conn
+	enc  *gob.Encoder
+	dec  *gob.Decoder
+}
+
+func dialRaw(t *testing.T, addr string) *rawPeer {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawPeer{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+}
+
+// call sends one request and reads the (unframed) response.
+func (p *rawPeer) call(t *testing.T, req *Request) *Response {
+	t.Helper()
+	if err := p.enc.Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	_ = p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var resp Response
+	if err := p.dec.Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	return &resp
+}
+
+// TestWireVersionOlderOfferRefused: a peer whose hello offers version 1
+// (gob result pushes) or none at all (a peer older than the negotiation)
+// is recognised and refused with an error naming both versions; the
+// connection stays usable for control traffic.
+func TestWireVersionOlderOfferRefused(t *testing.T) {
+	addr, shutdown := startServer(t)
+	defer shutdown()
+	for _, offer := range []int{0, 1} {
+		p := dialRaw(t, addr)
+		resp := p.call(t, &Request{ID: 1, Kind: MsgHello, WireVersion: offer})
+		if resp.Kind != MsgError {
+			t.Fatalf("offer %d: hello answered kind %d, want a refusal", offer, resp.Kind)
+		}
+		want := fmt.Sprintf("wire version %d is not supported, this server speaks version %d", offer, wireVersion)
+		if !strings.Contains(resp.Error, want) {
+			t.Fatalf("offer %d: refusal %q does not name the versions (%q)", offer, resp.Error, want)
+		}
+		if resp := p.call(t, &Request{ID: 2, Kind: MsgCatalog}); resp.Kind != MsgOK {
+			t.Fatalf("offer %d: control request after the refusal answered kind %d (%s)", offer, resp.Kind, resp.Error)
+		}
+	}
+}
+
+// TestSubmitWithoutHelloRefused: results have one framing, set up by the
+// hello, so a submit on a connection that never said hello is refused —
+// by name — and leaves no query behind. Control requests need no hello.
+func TestSubmitWithoutHelloRefused(t *testing.T) {
+	addr, shutdown := startServer(t)
+	defer shutdown()
+	p := dialRaw(t, addr)
+	if resp := p.call(t, &Request{ID: 1, Kind: MsgRegister, Info: ToWireInfo(auctionInfo()), Node: 1}); resp.Kind != MsgOK {
+		t.Fatalf("register without hello: %s", resp.Error)
+	}
+	resp := p.call(t, &Request{ID: 2, Kind: MsgSubmit, CQL: "SELECT itemID FROM OpenAuction [Now]", UserNode: 5})
+	if resp.Kind != MsgError || !strings.Contains(resp.Error, fmt.Sprintf("wire version %d", wireVersion)) {
+		t.Fatalf("submit without hello answered kind %d %q; want a refusal naming the wire version", resp.Kind, resp.Error)
+	}
+	stats := p.call(t, &Request{ID: 3, Kind: MsgStats})
+	if stats.Kind != MsgOK || stats.Stats.Queries != 0 {
+		t.Fatalf("refused submit left %d queries behind (%s)", stats.Stats.Queries, stats.Error)
+	}
+}
+
+// TestClientRefusesOlderServer: a server that answers the hello with a
+// lower version (it would go on to push gob results) fails the dial with
+// a version message, not a hung or garbled connection.
+func TestClientRefusesOlderServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
+	defer ln.Close()
 	go func() {
-		defer close(done)
-		if err := srv.Serve(ln); err != nil {
-			t.Errorf("serve: %v", err)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
 		}
+		defer conn.Close()
+		var req Request
+		if gob.NewDecoder(conn).Decode(&req) == nil {
+			_ = gob.NewEncoder(conn).Encode(&Response{ID: req.ID, Kind: MsgOK, WireVersion: 1})
+		}
+		_, _ = conn.Read(make([]byte, 1)) // hold the connection until the client gives up
 	}()
-	return ln.Addr().String(), func() {
-		srv.Close()
-		<-done
-	}
-}
-
-// TestWireVersionCompatMatrix: every client offer × server cap
-// combination must negotiate min(offer, cap) and still deliver results
-// end-to-end — a v1 peer on either side falls the whole connection back
-// to plain gob.
-func TestWireVersionCompatMatrix(t *testing.T) {
-	cases := []struct {
-		name           string
-		clientOffer    int // Config.WireVersion (0 = newest)
-		serverMax      int
-		wantNegotiated int
-	}{
-		{"v2-client/v2-server", 0, WireMax, WireV2},
-		{"v1-client/v2-server", WireV1, WireMax, WireV1},
-		{"v2-client/v1-server", 0, WireV1, WireV1},
-		{"v1-client/v1-server", WireV1, WireV1, WireV1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			addr, shutdown := startServerWire(t, tc.serverMax)
-			defer shutdown()
-
-			c, err := DialConfig(addr, Config{WireVersion: tc.clientOffer})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if got := c.WireVersion(); got != tc.wantNegotiated {
-				t.Fatalf("negotiated wire version %d, want %d", got, tc.wantNegotiated)
-			}
-
-			info := auctionInfo()
-			if err := c.Register(info, 1); err != nil {
-				t.Fatal(err)
-			}
-			var mu sync.Mutex
-			var got []stream.Tuple
-			_, err = c.Submit("SELECT itemID, start_price FROM OpenAuction [Now] WHERE start_price > 100", 5,
-				func(tp stream.Tuple, _ uint64) {
-					mu.Lock()
-					got = append(got, tp)
-					mu.Unlock()
-				}, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 5; i++ {
-				tp := stream.MustTuple(info.Schema, stream.Timestamp(1000+i),
-					stream.Int(int64(i)), stream.Float(150.5))
-				if err := c.Publish(tp); err != nil {
-					t.Fatal(err)
-				}
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				mu.Lock()
-				n := len(got)
-				mu.Unlock()
-				if n >= 5 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("got %d/5 results over negotiated v%d", n, tc.wantNegotiated)
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for i, tp := range got[:5] {
-				if tp.Values[0].AsInt() != int64(i) || tp.Values[1].AsFloat() != 150.5 {
-					t.Fatalf("result %d corrupted across v%d wire: %v", i, tc.wantNegotiated, tp)
-				}
-				if tp.Values[1].Kind() != stream.KindFloat {
-					t.Fatalf("result %d kind mangled: %v", i, tp.Values[1].Kind())
-				}
-			}
-		})
-	}
-}
-
-// TestWireVersionInvalidOffer: out-of-range client configs fail fast at
-// dial time with a version message, not a hung or garbled connection.
-func TestWireVersionInvalidOffer(t *testing.T) {
-	addr, shutdown := startServerWire(t, WireMax)
-	defer shutdown()
-	for _, bad := range []int{-1, WireMax + 1} {
-		if _, err := DialConfig(addr, Config{WireVersion: bad}); err == nil {
-			t.Fatalf("WireVersion %d accepted", bad)
-		} else if !strings.Contains(err.Error(), "wire version") {
-			t.Fatalf("WireVersion %d error %q does not mention wire version", bad, err)
-		}
-	}
-}
-
-// TestServerWireCapOption pins WithWireVersion validation.
-func TestServerWireCapOption(t *testing.T) {
-	sys, err := core.NewSystem(core.Options{Nodes: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []int{WireV1, WireMax} {
-		srv := NewServer(sys, WithWireVersion(v))
-		if srv.maxWire != v {
-			t.Fatalf("WithWireVersion(%d) left maxWire %d", v, srv.maxWire)
-		}
-	}
-	// Out-of-range caps are clamped to the supported range rather than
-	// silently disabling framing negotiation.
-	if srv := NewServer(sys, WithWireVersion(0)); srv.maxWire < WireV1 || srv.maxWire > WireMax {
-		t.Fatalf("WithWireVersion(0) produced maxWire %d", srv.maxWire)
+	_, err = Dial(ln.Addr().String())
+	if err == nil || !strings.Contains(err.Error(), "wire version") {
+		t.Fatalf("dial against a version-1 server: err %v, want a wire version mismatch", err)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"cosmos/internal/stream"
 )
 
-// Wire format v2: the data plane of the TCP protocol.
+// The wire format: the data plane of the TCP protocol.
 //
 // The control plane (requests, OKs, errors, session management) stays
 // gob — it is cold and self-describing. The data plane (result tuples,
@@ -20,16 +20,16 @@ import (
 // then encode/decode tuples with zero reflection and zero per-value
 // allocation.
 //
-// After the MsgHello negotiation agrees on v2, every server→client
+// After the MsgHello that opens a connection, every server→client
 // message carries a one-byte frame marker:
 //
 //	'G' | gob-encoded Response                 (control; self-delimiting)
 //	'S' | u32 len | subID tag schema           (announce a subscription's layout)
 //	'D' | u32 len | subID count firstSeq tuples (a batch of results)
 //
-// The client→server direction stays pure gob on every version: request
-// traffic is cold, and keeping it untouched means the server's read
-// loop never changes shape.
+// The client→server direction is pure gob: request traffic is cold
+// (publishes included, until they get binary framing of their own), and
+// the server's read loop has one shape.
 //
 // 'D' payload layout (all integers little-endian):
 //
@@ -56,16 +56,14 @@ import (
 // keeps a per-connection subID table, so reconnects (fresh connection,
 // fresh pump) re-announce naturally.
 
-// Wire format versions, negotiated in MsgHello: the client sends the
-// highest version it speaks, the server answers with min(client, max).
-// A pre-negotiation peer (no hello, or WireVersion 0) is v1.
-const (
-	WireV1  = 1 // every message gob-encoded, one frame per result
-	WireV2  = 2 // gob control plane + binary batched data frames
-	WireMax = WireV2
-)
+// wireVersion is the one wire format version this build speaks: gob
+// control, binary 'S'/'D' result frames. Every MsgHello carries it; a
+// peer offering less (version 1 pushed results as gob, one frame each),
+// or one that submits without a hello, is refused by name — there is no
+// second result framing to fall back to.
+const wireVersion = 2
 
-// Frame markers (v2 server→client stream).
+// Frame markers (server→client stream, after the hello OK).
 const (
 	frameGob    byte = 'G'
 	frameData   byte = 'D'
@@ -73,8 +71,8 @@ const (
 )
 
 // maxFramePayload bounds a declared frame length on the read side: a
-// longer prefix means a corrupt stream (or a gob peer misread as v2),
-// not a legitimate frame, and must error before allocating.
+// longer prefix means a corrupt stream (or an unframed gob peer), not a
+// legitimate frame, and must error before allocating.
 const maxFramePayload = 64 << 20
 
 // batchSoftBytes flushes a growing batch frame before it exceeds this
@@ -83,17 +81,6 @@ const batchSoftBytes = 56 << 10
 
 // maxBatchTuples caps tuples per 'D' frame (count is a u16).
 const maxBatchTuples = 4096
-
-// negotiateWire picks the version a hello agrees on.
-func negotiateWire(client, max int) int {
-	if client <= 0 {
-		return WireV1
-	}
-	if client > max {
-		return max
-	}
-	return client
-}
 
 // framePool recycles frame payload buffers between the per-connection
 // result pumps (encode side) and client frame readers (decode side).

@@ -300,20 +300,3 @@ func TestDecodeFastPathAllocs(t *testing.T) {
 		t.Fatalf("decode allocates %.1f/tuple, want <= 1 (the value slice)", allocs)
 	}
 }
-
-// TestWireNegotiation pins the min(client, server) rule.
-func TestWireNegotiation(t *testing.T) {
-	cases := []struct{ client, max, want int }{
-		{0, WireMax, WireV1}, // pre-negotiation peer
-		{1, WireMax, WireV1},
-		{2, WireMax, WireV2},
-		{2, 1, WireV1}, // server capped to v1
-		{99, WireMax, WireMax},
-		{-3, WireMax, WireV1},
-	}
-	for _, tc := range cases {
-		if got := negotiateWire(tc.client, tc.max); got != tc.want {
-			t.Errorf("negotiateWire(%d, %d) = %d, want %d", tc.client, tc.max, got, tc.want)
-		}
-	}
-}

@@ -1,0 +1,76 @@
+package cosmos_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestOnePathStructure pins, over the module's non-test sources, that the
+// data path has one implementation: nothing outside test files calls the
+// name-resolved predicate evaluators (they are the differential tests'
+// reference; production evaluates predicate.Compiled only), the profile
+// package declares no name-resolved matcher, and the selectors of the
+// retired second paths — broker fallback, plan degradation, wire version
+// negotiation — are not declared or used anywhere.
+func TestOnePathStructure(t *testing.T) {
+	retired := map[string]bool{}
+	for _, name := range []string{
+		"fallback", "rebinds", "maxSchemaRebinds", "routeInterpretedLocked", "pushInterpreted",
+		"degrade", "kindConforms", "negotiateWire", "WireV1", "handleResult", "WithWireVersion",
+	} {
+		retired[name] = true
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch name := d.Name(); {
+			case path == "benchmark", name == "testdata", name != "." && strings.HasPrefix(name, "."):
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		// The Eval methods call each other where they are defined.
+		evalHome := filepath.ToSlash(path) == "internal/predicate/predicate.go"
+		inProfile := filepath.ToSlash(filepath.Dir(path)) == "internal/profile"
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if retired[n.Name] {
+					t.Errorf("%s: retired identifier %s", fset.Position(n.Pos()), n.Name)
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Eval" && !evalHome {
+					t.Errorf("%s: non-test call of a name-resolved Eval", fset.Position(n.Pos()))
+				}
+			case *ast.FuncDecl:
+				if inProfile && n.Recv != nil && (n.Name.Name == "Covers" || n.Name.Name == "Project") {
+					if star, ok := n.Recv.List[0].Type.(*ast.StarExpr); ok {
+						if id, ok := star.X.(*ast.Ident); ok && id.Name == "Profile" {
+							t.Errorf("%s: Profile.%s belongs in the package's test files", fset.Position(n.Pos()), n.Name.Name)
+						}
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
