@@ -2,6 +2,8 @@ package cosmos_test
 
 import (
 	"context"
+	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,9 +96,9 @@ func runChaosDifferential(t *testing.T, faults faultnet.Config) {
 	defer proxy.Close()
 
 	// Control path: registration and publishing run on a direct,
-	// non-proxied session. The resilient client's publish retry is
-	// at-least-once, which would corrupt the differential reference;
-	// only the subscription side goes through the chaos proxy.
+	// non-proxied session; this differential is about the subscription
+	// side, which alone goes through the chaos proxy (the publish-side
+	// twin is TestChaosPublish*).
 	control, err := cosmos.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -151,15 +153,18 @@ func runChaosDifferential(t *testing.T, faults faultnet.Config) {
 		t.Fatal(err)
 	}
 
+	// One barrier per tuple: pipelined publishes would otherwise reach
+	// the server in a few frames and the results leave it in a few writes,
+	// too few for the proxy's kill budgets to land at varied positions.
 	for round := 0; round < diffRounds; round++ {
 		for i, src := range sources {
 			if err := src.Publish(diffTuple(i, round)); err != nil {
 				t.Fatal(err)
 			}
+			if err := control.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if err := control.Quiesce(); err != nil {
-		t.Fatal(err)
 	}
 
 	// Everything is delivered or counted server-side now. Let the
@@ -231,6 +236,136 @@ func runChaosDifferential(t *testing.T, faults faultnet.Config) {
 	}
 	if err := subcli.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChaosPublishKills puts the *publisher* behind the fault proxy: a
+// resilient session publishes a numbered sequence while the proxy kills
+// its connection every few dozen server→client writes — the acks and
+// control replies it is waiting for. Against the surviving server the
+// subscriber's ledger must show every number exactly once, in order:
+// the reconnect resends from the server's applied sequence, no more.
+func TestChaosPublishKills(t *testing.T) {
+	runChaosPublish(t, func(addr string) (*faultnet.Proxy, error) {
+		return faultnet.NewProxy(addr, faultnet.Config{Seed: 5, KillEveryWrites: 24, MidFrameFraction: 0.5})
+	})
+}
+
+// TestChaosPublishMidFrameCuts severs the publish direction itself: the
+// proxy truncates a client→server write partway — inside a 'D' frame or
+// a control request — and kills the connection. The server drops the
+// partial frame with the session; nothing of it may be applied, and
+// nothing before it twice.
+func TestChaosPublishMidFrameCuts(t *testing.T) {
+	runChaosPublish(t, func(addr string) (*faultnet.Proxy, error) {
+		return faultnet.NewUpstreamProxy(addr, faultnet.Config{Seed: 9, KillEveryWrites: 24, MidFrameFraction: 1})
+	})
+}
+
+func runChaosPublish(t *testing.T, newProxy func(addr string) (*faultnet.Proxy, error)) {
+	if testing.Short() {
+		t.Skip("publish chaos is slow; skipped in -short")
+	}
+	addr := startDiffServer(t, 2, 8)
+	proxy, err := newProxy(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	info := &cosmos.StreamInfo{Schema: cosmos.MustSchema("Numbered",
+		cosmos.Field{Name: "seq", Kind: cosmos.KindInt},
+		cosmos.Field{Name: "pad", Kind: cosmos.KindString, AvgLen: 32},
+	), Rate: 100}
+
+	pub, err := transport.DialConfig(proxy.Addr(), transport.Config{
+		Resilience: &transport.Resilience{
+			MinBackoff:        2 * time.Millisecond,
+			MaxBackoff:        20 * time.Millisecond,
+			HeartbeatInterval: 250 * time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	if err := pub.Register(info, 1); err != nil {
+		t.Fatal(err)
+	}
+	src, err := pub.Source("Numbered")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The subscriber sits on a direct connection: what it records is what
+	// the server applied, in order.
+	sub, err := transport.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	var mu sync.Mutex
+	var got []int64
+	if _, err := sub.Submit("SELECT seq FROM Numbered [Now]", 5,
+		func(tp cosmos.Tuple, _ uint64) {
+			mu.Lock()
+			got = append(got, tp.Values[0].AsInt())
+			mu.Unlock()
+		}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Bursts of varied size, each closed by the publish barrier, so kills
+	// land on windows holding anything from one tuple to a few dozen.
+	const total = 6000
+	rng := rand.New(rand.NewSource(3))
+	pad := strings.Repeat("x", 32)
+	for next := int64(1); next <= total; {
+		for burst := 1 + rng.Intn(60); burst > 0 && next <= total; burst-- {
+			tp := cosmos.MustTuple(info.Schema, cosmos.Timestamp(next), cosmos.Int(next), cosmos.String(pad))
+			if err := src.Publish(tp); err != nil {
+				t.Fatalf("publish %d: %v", next, err)
+			}
+			next++
+		}
+		if err := pub.Quiesce(); err != nil {
+			t.Fatalf("quiesce before %d: %v", next, err)
+		}
+	}
+	proxy.DisableFaults()
+	if err := pub.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		mu.Lock()
+		n := len(got)
+		mu.Unlock()
+		if n >= total || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if pub.Reconnects() == 0 {
+		t.Error("no reconnects happened; the chaos proxy injected no faults")
+	}
+	t.Logf("publish chaos: %d reconnects, %d proxy kills", pub.Reconnects(), proxy.Kills())
+	mu.Lock()
+	defer mu.Unlock()
+	for i, seq := range got {
+		if seq != int64(i+1) {
+			t.Fatalf("result %d carries %d: the ledger has a loss or a duplicate (%d results for %d published)",
+				i, seq, len(got), total)
+		}
+	}
+	if len(got) != total {
+		t.Fatalf("%d results for %d published tuples", len(got), total)
+	}
+	if err := pub.Close(); err != nil {
+		t.Errorf("close after a fully acknowledged run: %v", err)
 	}
 }
 

@@ -62,12 +62,17 @@ type Client interface {
 	// readouts and control-plane settling (subscription propagation is
 	// asynchronous on concurrent transports) — never a data-path step:
 	// results stream continuously without it. Only meaningful while no
-	// source is concurrently publishing.
+	// source is concurrently publishing. It is also the publish barrier
+	// of the client it is called on: what that client's sources accepted
+	// before the call has been applied when it returns (see
+	// Source.Publish).
 	Quiesce() error
 
 	// Close ends every subscription opened through this client (their
 	// Results channels close after draining) and releases the client's
-	// resources. Idempotent.
+	// resources. Over Dial it first waits for the daemon to acknowledge
+	// what Source.Publish accepted, and returns an error if the daemon
+	// refused a tuple or some stayed unacknowledged. Idempotent.
 	Close() error
 }
 
@@ -81,7 +86,23 @@ type Source interface {
 	// Schema returns the stream's schema — what Publish validates
 	// tuples against and what callers need to build them.
 	Schema() *Schema
-	// Publish injects one tuple of the source's stream.
+	// Publish injects one tuple of the source's stream. A tuple of
+	// another layout than Schema's is refused by the call itself, on
+	// every backend. Beyond that, a nil return means accepted, and how
+	// far accepted reaches is the backend's: on Embed the routing
+	// cascade has already run; on EmbedLive the tuple is in the source
+	// node's inbox (Publish blocks while the node's ingress credits are
+	// exhausted); over Dial it is encoded into the connection's publish
+	// window, to be sent in order and acknowledged by the daemon later
+	// (Publish blocks while the window is full — the daemon's pushback).
+	// There a refusal by the daemon cannot fail the call that carried
+	// the tuple: it is returned by the next Publish, by Quiesce and by
+	// Close on that client, and sticks. Quiesce on the publishing
+	// client is the barrier after which every accepted tuple has been
+	// applied; Close waits for the acknowledgements too. With
+	// WithResilience, accepted tuples survive a reconnect and are
+	// applied exactly once by a daemon that still holds the session (at
+	// most one window of them twice by one that restarted).
 	Publish(t Tuple) error
 }
 

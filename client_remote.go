@@ -2,7 +2,6 @@ package cosmos
 
 import (
 	"context"
-	"fmt"
 
 	"cosmos/internal/transport"
 )
@@ -72,53 +71,27 @@ type remoteClient struct {
 	tc *transport.Client
 }
 
-// remoteSource publishes one registered stream through the connection.
-type remoteSource struct {
-	tc     *transport.Client
-	schema *Schema
-	// errSchema is the precomputed refusal for tuples of another layout.
-	errSchema error
-}
-
-func newRemoteSource(tc *transport.Client, schema *Schema) remoteSource {
-	return remoteSource{tc: tc, schema: schema,
-		errSchema: fmt.Errorf("cosmos: tuple does not carry the registered schema %s", schema)}
-}
-
-func (s remoteSource) Stream() string  { return s.schema.Stream }
-func (s remoteSource) Schema() *Schema { return s.schema }
-
-// Publish applies the same door as the embedded backends before the
-// tuple leaves the process: publish frames carry values, not attribute
-// names, so the daemon can check arity and kinds but only this side can
-// tell a reordered layout from the registered one.
-func (s remoteSource) Publish(t Tuple) error {
-	if t.Schema != s.schema && !s.schema.Equal(t.Schema) {
-		return s.errSchema
-	}
-	return s.tc.Publish(t)
-}
+// The remote backend's Source is the transport's own: its Publish checks
+// the tuple's layout against the source's schema before anything leaves
+// the process, then accepts it into the connection's publish window (see
+// Source.Publish in client.go).
 
 func (c *remoteClient) RegisterStream(info *StreamInfo, node int) (Source, error) {
 	if err := c.tc.Register(info, node); err != nil {
 		return nil, err
 	}
-	return newRemoteSource(c.tc, info.Schema), nil
+	return c.Source(info.Schema.Stream) // opened by the register: no second round trip
 }
 
 func (c *remoteClient) Source(name string) (Source, error) {
-	// One catalog round trip resolves existence and the schema at once,
-	// matching the embedded backends' prompt unknown-stream error.
-	infos, err := c.tc.Catalog()
+	// One control round trip resolves existence, opens the source on this
+	// connection and fetches its schema, matching the embedded backends'
+	// prompt unknown-stream error.
+	src, err := c.tc.Source(name)
 	if err != nil {
 		return nil, err
 	}
-	for _, info := range infos {
-		if info.Schema.Stream == name {
-			return newRemoteSource(c.tc, info.Schema), nil
-		}
-	}
-	return nil, fmt.Errorf("cosmos: stream %q not registered", name)
+	return src, nil
 }
 
 func (c *remoteClient) Submit(ctx context.Context, cql string, userNode int) (*Subscription, error) {
@@ -140,7 +113,13 @@ func (c *remoteClient) Submit(ctx context.Context, cql string, userNode int) (*S
 
 func (c *remoteClient) Catalog() ([]*StreamInfo, error) { return c.tc.Catalog() }
 
-func (c *remoteClient) Stats() (SystemStats, error) { return c.tc.Stats() }
+func (c *remoteClient) Stats() (SystemStats, error) {
+	st, err := c.tc.Stats()
+	if err == nil && st.Wire != nil {
+		st.Wire.PublishWindow = c.tc.PublishWindow()
+	}
+	return st, err
+}
 
 func (c *remoteClient) Quiesce() error { return c.tc.Quiesce() }
 

@@ -178,6 +178,11 @@ func cmdPublish(c cosmos.Client, args []string) {
 	if err := src.Publish(t); err != nil {
 		fail("%v", err)
 	}
+	// Publish only accepted the tuple into the connection's window; Close
+	// waits for the daemon's acknowledgement and reports a refusal.
+	if err := c.Close(); err != nil {
+		fail("%v", err)
+	}
 	fmt.Println("published", t)
 }
 

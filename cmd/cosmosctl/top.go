@@ -132,6 +132,21 @@ func renderTop(w io.Writer, prev, cur cosmos.SystemStats, window time.Duration, 
 		fmt.Fprintf(&b, "WIRE      conns=%d results=%d batches=%d bytes=%d queued=%d\n",
 			cur.Wire.Connections, cur.Wire.Results, cur.Wire.Batches,
 			cur.Wire.Bytes, cur.Wire.QueueDepth)
+		// Both directions over the window, a frame's fill beside its rate.
+		var old cosmos.WireStats
+		if prev.Wire != nil {
+			old = *prev.Wire
+		}
+		perFrame := func(tuples, frames int64) float64 {
+			if frames == 0 {
+				return 0 // no claim for an idle window
+			}
+			return float64(tuples) / float64(frames)
+		}
+		results, ingest := cur.Wire.Results-old.Results, cur.Wire.IngestTuples-old.IngestTuples
+		fmt.Fprintf(&b, "          results/s=%s (%.1f per frame)  ingest/s=%s (%.1f per frame)\n",
+			fmtRate(rate(results, window)), perFrame(results, cur.Wire.Batches-old.Batches),
+			fmtRate(rate(ingest, window)), perFrame(ingest, cur.Wire.IngestFrames-old.IngestFrames))
 	}
 
 	links := busiestLinks(prev.Links, cur.Links, window, nlinks)

@@ -251,11 +251,14 @@ func (l *Listener) DisableFaults() { l.in.disabled.Store(true) }
 
 // Proxy is a TCP proxy that forwards between clients and a target
 // address, injecting faults on the server→client path (where result
-// frames flow). Dial the proxy's Addr instead of the real server.
+// frames and publish acks flow) — or, built by NewUpstreamProxy, on the
+// client→server path (where publish frames flow). Dial the proxy's Addr
+// instead of the real server.
 type Proxy struct {
-	in     *injector
-	ln     net.Listener
-	target string
+	in       *injector
+	ln       net.Listener
+	target   string
+	upstream bool // faults apply to client→server writes
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{} // guarded by mu; live client- and server-side conns
@@ -266,12 +269,19 @@ type Proxy struct {
 // NewProxy listens on 127.0.0.1:0 and forwards every accepted
 // connection to target with cfg's fault profile applied to the
 // server→client byte stream.
-func NewProxy(target string, cfg Config) (*Proxy, error) {
+func NewProxy(target string, cfg Config) (*Proxy, error) { return newProxy(target, cfg, false) }
+
+// NewUpstreamProxy is NewProxy with cfg's fault profile applied to the
+// client→server byte stream instead: kills count the client's writes and
+// cuts land inside what it sends — a publisher's frames.
+func NewUpstreamProxy(target string, cfg Config) (*Proxy, error) { return newProxy(target, cfg, true) }
+
+func newProxy(target string, cfg Config, upstream bool) (*Proxy, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	p := &Proxy{in: newInjector(cfg), ln: ln, target: target, conns: map[net.Conn]struct{}{}}
+	p := &Proxy{in: newInjector(cfg), ln: ln, target: target, upstream: upstream, conns: map[net.Conn]struct{}{}}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -345,13 +355,18 @@ func (p *Proxy) acceptLoop() {
 		p.conns[client] = struct{}{}
 		p.conns[server] = struct{}{}
 		p.mu.Unlock()
-		// Faults apply to the server→client direction: the injector
-		// wraps the client-side conn, and the pipe from server to
-		// client writes through it.
-		faulty := wrapConn(client, p.in)
+		// Faults apply to one direction: the injector wraps the conn
+		// that direction's pipe writes to (the client-side conn for
+		// server→client, the server-side one for an upstream proxy).
+		var toClient, toServer io.Writer = client, server
+		if p.upstream {
+			toServer = wrapConn(server, p.in)
+		} else {
+			toClient = wrapConn(client, p.in)
+		}
 		p.wg.Add(2)
-		go p.pipe(faulty, server, client, server) // server → client (faulty)
-		go p.pipe(server, client, client, server) // client → server (clean)
+		go p.pipe(toClient, server, client, server)
+		go p.pipe(toServer, client, client, server)
 	}
 }
 

@@ -330,3 +330,56 @@ func TestProxyCutAtExactByteOffset(t *testing.T) {
 		t.Fatalf("kills = %d, want 1", p.Kills())
 	}
 }
+
+// TestProxyUpstreamCutAtExactByteOffset: behind NewUpstreamProxy the same
+// cut lands in the client→server stream — the server receives an exact
+// prefix of what the client sent, which is how a test truncates a
+// publisher's frame.
+func TestProxyUpstreamCutAtExactByteOffset(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	received := make(chan []byte, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		got, _ := io.ReadAll(c) // until the injected kill closes the conn
+		received <- got
+	}()
+	const cut = 3137
+	p, err := NewUpstreamProxy(ln.Addr().String(), Config{Seed: 1, CutAtBytes: cut})
+	if err != nil {
+		t.Fatalf("proxy: %v", err)
+	}
+	defer p.Close()
+	conn, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	pattern := make([]byte, 10000)
+	for i := range pattern {
+		pattern[i] = byte(i * 31)
+	}
+	for off := 0; off < len(pattern); off += 613 {
+		if _, err := conn.Write(pattern[off:min(off+613, len(pattern))]); err != nil {
+			break // the cut reached this side
+		}
+	}
+	select {
+	case got := <-received:
+		if !bytes.Equal(got, pattern[:cut]) {
+			t.Fatalf("server received %d bytes, want exactly the %d-byte prefix", len(got), cut)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server's connection never ended")
+	}
+	if p.Kills() != 1 {
+		t.Fatalf("kills = %d, want 1", p.Kills())
+	}
+}

@@ -291,17 +291,31 @@ func (m *Metrics) StageSnapshots() []StageStats {
 	return out
 }
 
-// WireStats is the TCP transport's result-path series, filled by the
-// daemon-side server (nil in embedded backends).
+// WireStats is the TCP transport's series, filled by the daemon-side
+// server (nil in embedded backends).
 type WireStats struct {
 	// Connections is the number of live client sessions.
 	Connections int
-	// Results / Batches / Bytes count result tuples, 'D' frames, and
-	// frame payload bytes written since start.
+	// Results / Batches / Bytes count result tuples, result 'D' frames,
+	// and their payload bytes written since start. Bytes is the result
+	// path alone: what clients publish counts below.
 	Results int64
 	Batches int64
 	Bytes   int64
 	// QueueDepth is the instantaneous sum of pending results across all
 	// session result pumps.
 	QueueDepth int
+	// IngestTuples / IngestFrames / IngestBytes count the tuples clients
+	// published over TCP and the server handed to their source ports,
+	// the publish 'D' frames that carried them, and those frames'
+	// payload bytes; AckBytes is what the acks answering them cost on the
+	// way back.
+	IngestTuples int64
+	IngestFrames int64
+	IngestBytes  int64
+	AckBytes     int64
+	// PublishWindow is the calling connection's own gauge, filled in by a
+	// remote Client.Stats (a daemon-side snapshot leaves it zero): encoded
+	// bytes Publish accepted that the server has not acknowledged yet.
+	PublishWindow int
 }

@@ -3,12 +3,10 @@ package transport
 import (
 	"bufio"
 	crand "crypto/rand"
-	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"strings"
@@ -23,6 +21,8 @@ import (
 // Result tuples arrive asynchronously on per-query callbacks; a
 // per-query end callback fires exactly once when the subscription
 // terminates (local cancel, server shutdown, or connection loss).
+// Publishing is pipelined through the connection's publish window — see
+// Source.Publish for what its nil return means.
 //
 // A plain client (Dial) is fail-fast: connection loss ends every
 // subscription with the error. A resilient client (DialConfig with a
@@ -31,7 +31,8 @@ import (
 // delivery gap on each — see Resilience. Calls made during an outage
 // park until the connection is back (or the retry budget is spent);
 // a call whose connection died mid-flight is retried on the next
-// connection, so Publish under resilience is at-least-once.
+// connection (at-least-once), while published tuples are resent from the
+// server's applied sequence — exactly-once against a surviving server.
 type Client struct {
 	addr      string
 	res       Resilience
@@ -39,16 +40,15 @@ type Client struct {
 	sessionID string
 	hb        time.Duration
 
-	// wmu serialises gob writes and guards swapping the encoder on
-	// reconnect. It is separate from mu so a blocking Encode (full
-	// client→server TCP buffer) never holds the state lock the read
-	// loop needs — the split the server's connWriter makes.
-	wmu sync.Mutex
-	enc *gob.Encoder // guarded by wmu
+	// pub is the publish window. It has its own lock: Publish never
+	// touches mu, and a Publish blocked on a full window never holds the
+	// state lock the read loop needs.
+	pub pubWindow
 
 	mu         sync.Mutex
 	cond       *sync.Cond              // broadcast on any state flip (up/terminal/failed/closed)
 	conn       net.Conn                // guarded by mu
+	w          *requestPump            // guarded by mu; the current connection's single writer
 	readerDone chan struct{}           // guarded by mu; closed when the current connection's read loop exits
 	up         bool                    // guarded by mu
 	epoch      uint64                  // guarded by mu
@@ -57,6 +57,8 @@ type Client struct {
 	subs       map[string]*clientSub   // guarded by mu; by logical (first-assigned) tag
 	byServer   map[string]*clientSub   // guarded by mu; by current server-side tag
 	regs       []Request               // guarded by mu; stream registrations to replay on a fresh server
+	sources    map[string]*Source      // guarded by mu; opened sources by stream name
+	nextSrc    uint32                  // guarded by mu; last source id handed out
 	dropTags   []string                // guarded by mu; server tags cancelled while disconnected
 	reconnects int                     // guarded by mu
 	closed     bool                    // guarded by mu
@@ -66,6 +68,7 @@ type Client struct {
 	stop      chan struct{} // closed by Close: aborts backoff waits and the pinger
 	loops     sync.WaitGroup
 	closeOnce sync.Once
+	closeErr  error // written inside closeOnce
 }
 
 // pendingCall is one in-flight request. For a Submit, sub is registered
@@ -137,9 +140,11 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		pending:  map[uint64]*pendingCall{},
 		subs:     map[string]*clientSub{},
 		byServer: map[string]*clientSub{},
+		sources:  map[string]*Source{},
 		stop:     make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
+	c.pub.cond = sync.NewCond(&c.pub.mu)
 	if cfg.Resilience != nil {
 		c.resilient = true
 		c.res = cfg.Resilience.withDefaults()
@@ -155,7 +160,7 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		return nil, err
 	}
 	c.conn = conn
-	c.enc = gob.NewEncoder(conn)
+	c.w = newRequestPump(conn, &c.pub)
 	c.up = true
 	c.readerDone = make(chan struct{})
 	c.loops.Add(1)
@@ -172,6 +177,7 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		_ = c.Close()
 		return nil, err
 	}
+	c.pub.attach(c.w, hello.Seq)
 	if c.resilient {
 		c.mu.Lock()
 		c.epoch = 1
@@ -185,10 +191,16 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 }
 
 // Close terminates the client; outstanding calls fail and every live
-// subscription ends cleanly (onEnd(nil)). A close during a reconnect
-// backoff aborts the retry loop promptly. Idempotent.
+// subscription ends cleanly (onEnd(nil)). It first waits for the server
+// to acknowledge what Publish accepted — for as long as the current
+// connection can still deliver that; it does not wait out a reconnect —
+// and returns an error if the server refused a published tuple or some
+// stayed unacknowledged. A close during a reconnect backoff aborts the
+// retry loop promptly. Idempotent.
 func (c *Client) Close() error {
 	c.closeOnce.Do(func() {
+		c.closeErr = c.pub.drain()
+		c.pub.fail(errClientClosed)
 		c.mu.Lock()
 		c.closed = true
 		subs := c.subs
@@ -198,7 +210,7 @@ func (c *Client) Close() error {
 			delete(c.pending, id)
 			close(pc.ch)
 		}
-		conn := c.conn
+		conn, w := c.conn, c.w
 		c.cond.Broadcast()
 		c.mu.Unlock()
 		close(c.stop)
@@ -208,12 +220,11 @@ func (c *Client) Close() error {
 		for _, cs := range subs {
 			cs.end(nil)
 		}
-		if conn != nil {
-			_ = conn.Close() // already tearing down; FIN errors are uninformative
-		}
+		_ = conn.Close() // already tearing down; FIN errors are uninformative
+		w.stop()
 		c.loops.Wait()
 	})
-	return nil
+	return c.closeErr
 }
 
 // Reconnects reports how many times the client has re-established its
@@ -243,11 +254,13 @@ func checkWire(hello *Response) error {
 	return nil
 }
 
-// write encodes one request on the current connection.
+// write queues one request on the current connection's writer, behind
+// everything this client sent before it.
 func (c *Client) write(req *Request) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.enc.Encode(req)
+	c.mu.Lock()
+	w := c.w
+	c.mu.Unlock()
+	return w.enqueue(requestEntry{req: req})
 }
 
 // pinger sends a keepalive on the heartbeat interval while connected.
@@ -318,7 +331,7 @@ func (c *Client) readLoop(conn net.Conn, done chan struct{}) {
 				return
 			}
 			c.handleControl(&resp)
-		case frameData, frameSchema:
+		case frameData, frameSchema, frameAck:
 			if err := c.readBinaryFrame(br, marker, wireSubs); err != nil {
 				c.connLost(conn, err)
 				return
@@ -348,6 +361,7 @@ func (c *Client) handleControl(resp *Response) (helloOK bool) {
 		c.terminal = true
 		c.cond.Broadcast()
 		c.mu.Unlock()
+		c.pub.fail(errServerShutdown)
 		return false
 	case MsgPong:
 		return false
@@ -412,25 +426,21 @@ type wireSub struct {
 // already read) into a pooled buffer and dispatches it. Any malformed
 // byte returns an error — treated as connection loss, never a panic.
 func (c *Client) readBinaryFrame(br *bufio.Reader, marker byte, subs map[uint32]*wireSub) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFramePayload {
-		return fmt.Errorf("transport: frame length %d exceeds limit (wire version mismatch?)", n)
-	}
 	bufp := getFrameBuf()
 	defer putFrameBuf(bufp)
-	if cap(*bufp) < int(n) {
-		*bufp = make([]byte, n)
-	}
-	b := (*bufp)[:n]
-	*bufp = b
-	if _, err := io.ReadFull(br, b); err != nil {
+	b, err := readFrame(br, bufp)
+	if err != nil {
 		return err
 	}
-	if marker == frameSchema {
+	switch marker {
+	case frameAck:
+		applied, refusal, err := decodeAck(b)
+		if err != nil {
+			return err
+		}
+		c.pub.ack(applied, refusal)
+		return nil
+	case frameSchema:
 		subID, tag, schema, err := decodeSchemaFrame(b)
 		if err != nil {
 			return err
@@ -450,10 +460,11 @@ func (c *Client) readBinaryFrame(br *bufio.Reader, marker byte, subs map[uint32]
 		return fmt.Errorf("transport: data frame for unannounced sub %d", subID)
 	}
 	pos := dataHeaderSize
-	// One value arena per frame: each tuple hands its sub-slice to the
-	// user callback, so the backing array lives as long as they do.
 	arity := ws.codec.arity
-	arena := make([]stream.Value, count*arity)
+	arena, err := ws.codec.frameArena(count, len(b)-pos)
+	if err != nil {
+		return err
+	}
 	for i := 0; i < count; i++ {
 		t, next, err := ws.codec.decodeTupleInto(b, pos, arena[i*arity:(i+1)*arity:(i+1)*arity])
 		if err != nil {
@@ -521,9 +532,17 @@ func (c *Client) connLost(conn net.Conn, err error) {
 	}
 	wasUp := c.up
 	c.up = false
+	// Whatever made the read fail, this connection is over: closing it
+	// unblocks a writer stuck on a dead peer, and the writer goes with it.
+	_ = conn.Close()
+	c.w.close()
+	c.pub.detach()
 	retryable := c.resilient && !c.closed && !c.terminal && c.failErr == nil
 	if !retryable && !c.closed && !c.terminal && c.failErr == nil {
 		c.failErr = fmt.Errorf("transport: connection lost: %v", err)
+	}
+	if c.failErr != nil {
+		c.pub.fail(c.failErr)
 	}
 	for id, pc := range c.pending {
 		delete(c.pending, id)
@@ -564,6 +583,7 @@ func (c *Client) failPermanent(err error) {
 		return
 	}
 	c.failErr = err
+	c.pub.fail(err)
 	var ended []*clientSub
 	for tag, cs := range c.subs {
 		delete(c.subs, tag)
@@ -621,10 +641,11 @@ func (c *Client) reconnectLoop() {
 
 // restore runs the re-establishment protocol on a fresh connection:
 // hello (adopt whatever the server still has of the session), replay
-// stream registrations when the server is fresh, then per subscription
-// either resume (gap = last seen → resume point) or resubmit from
-// scratch (gap unknown). Any failure aborts the whole attempt; the
-// reconnect loop retries it.
+// stream registrations when the server is fresh, re-open the sources and
+// resend the publish window from the server's applied sequence, then per
+// subscription either resume (gap = last seen → resume point) or
+// resubmit from scratch (gap unknown). Any failure aborts the whole
+// attempt; the reconnect loop retries it.
 func (c *Client) restore(conn net.Conn) error {
 	// Wait out the previous connection's read loop first. The gob
 	// decoder reads through its own buffer, so a read loop can keep
@@ -634,11 +655,12 @@ func (c *Client) restore(conn net.Conn) error {
 	// once inside the reported gap. The drain is bounded: the socket is
 	// closed (or dead), so only the finite buffer remains.
 	c.mu.Lock()
-	prev := c.readerDone
+	prev, prevW := c.readerDone, c.w
 	c.mu.Unlock()
-	if prev != nil {
-		<-prev
-	}
+	<-prev
+	// The previous writer too: it reads the publish window's chunks, which
+	// are about to be handed to the new one.
+	prevW.stop()
 	done := make(chan struct{})
 	c.mu.Lock()
 	if c.closed || c.terminal {
@@ -647,11 +669,10 @@ func (c *Client) restore(conn net.Conn) error {
 	}
 	c.conn = conn
 	c.readerDone = done
-	c.mu.Unlock()
-	c.wmu.Lock()
-	c.enc = gob.NewEncoder(conn)
-	c.wmu.Unlock()
+	w := newRequestPump(conn, &c.pub)
+	c.w = w
 	c.loops.Add(1)
+	c.mu.Unlock()
 	go c.readLoop(conn, done)
 
 	c.mu.Lock()
@@ -671,6 +692,10 @@ func (c *Client) restore(conn net.Conn) error {
 		}
 		cs.mu.Unlock()
 	}
+	sources := make([]*Source, 0, len(c.sources))
+	for _, src := range c.sources {
+		sources = append(sources, src)
+	}
 	c.mu.Unlock()
 	sort.Slice(live, func(i, j int) bool { return live[i].tag < live[j].tag })
 	tags := make([]string, len(live))
@@ -678,7 +703,8 @@ func (c *Client) restore(conn net.Conn) error {
 		tags[i] = ls.tag
 	}
 
-	hello, err, _ := c.roundTrip(&Request{Kind: MsgHello, SessionID: c.sessionID, ResumeTags: tags, WireVersion: wireVersion}, nil)
+	hello, err, _ := c.roundTrip(&Request{Kind: MsgHello, SessionID: c.sessionID, ResumeTags: tags,
+		LastSeq: c.pub.ackedSeq(), WireVersion: wireVersion}, nil)
 	if err != nil {
 		return err
 	}
@@ -707,6 +733,16 @@ func (c *Client) restore(conn net.Conn) error {
 			}
 		}
 	}
+	// Source ids are per connection server-side: bind them again, then let
+	// the window go out from where the server says it stands. A stream
+	// some other client has yet to re-register fails the attempt, like a
+	// resubmit below; the loop retries.
+	for _, src := range sources {
+		if _, err, _ := c.roundTrip(&Request{Kind: MsgOpenSource, Stream: src.Stream(), Source: src.id}, nil); err != nil {
+			return err
+		}
+	}
+	c.pub.attach(w, hello.Seq)
 	var gaps []func()
 	for _, ls := range live {
 		cs := ls.cs
@@ -879,40 +915,91 @@ func (c *Client) callSub(req *Request, sub *clientSub) (*Response, error) {
 	}
 }
 
-// Register announces a source stream hosted at an overlay node. A
-// resilient client records it for replay: after a reconnect to a fresh
-// server the registration is repeated before anything is resubmitted.
+// Register announces a source stream hosted at an overlay node and, in
+// the same round trip, opens it for publishing on this connection:
+// Source(name) afterwards costs nothing. A resilient client records the
+// registration for replay: after a reconnect to a fresh server it is
+// repeated before anything is resubmitted.
 func (c *Client) Register(info *stream.Info, node int) error {
-	req := &Request{Kind: MsgRegister, Info: ToWireInfo(info), Node: node}
+	name := info.Schema.Stream
+	req := &Request{Kind: MsgRegister, Info: ToWireInfo(info), Node: node, Source: c.newSourceID()}
 	if _, err := c.call(req); err != nil {
 		return err
 	}
+	c.mu.Lock()
+	c.sources[name] = newSource(c, req.Source, info.Schema)
 	if c.resilient {
-		c.mu.Lock()
+		reg := Request{Kind: MsgRegister, Info: req.Info, Node: node, Source: req.Source}
 		replaced := false
 		for i := range c.regs {
-			if c.regs[i].Info.Schema.Stream == req.Info.Schema.Stream {
-				c.regs[i] = Request{Kind: MsgRegister, Info: req.Info, Node: node}
+			if c.regs[i].Info.Schema.Stream == name {
+				c.regs[i] = reg
 				replaced = true
 				break
 			}
 		}
 		if !replaced {
-			c.regs = append(c.regs, Request{Kind: MsgRegister, Info: req.Info, Node: node})
+			c.regs = append(c.regs, reg)
 		}
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
 	return nil
 }
 
-// Publish sends one tuple of a registered stream. Under resilience a
-// publish whose connection died mid-flight is retried on the next
-// connection: at-least-once. Pipelines that need exactly-once publish
-// must deduplicate upstream or avoid -retry on the publishing path.
-func (c *Client) Publish(t stream.Tuple) error {
-	_, err := c.call(&Request{Kind: MsgPublish, Tuple: ToWireTuple(t)})
-	return err
+func (c *Client) newSourceID() uint32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.nextSrc++
+	return c.nextSrc
 }
+
+// Source returns the publish port of a registered stream: the one
+// Register opened, or — for a stream another session registered — one
+// opened now by a control round trip that fetches the catalog's schema.
+// An unknown stream fails here, promptly, not on a later Publish.
+func (c *Client) Source(name string) (*Source, error) {
+	c.mu.Lock()
+	src := c.sources[name]
+	c.mu.Unlock()
+	if src != nil {
+		return src, nil
+	}
+	id := c.newSourceID()
+	resp, err := c.call(&Request{Kind: MsgOpenSource, Stream: name, Source: id})
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.Infos) != 1 {
+		return nil, fmt.Errorf("transport: open source %q: server sent %d catalog entries", name, len(resp.Infos))
+	}
+	info, err := FromWireInfo(resp.Infos[0])
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if src := c.sources[name]; src != nil {
+		return src, nil // a concurrent open won; the spare id stays unused
+	}
+	src = newSource(c, id, info.Schema)
+	c.sources[name] = src
+	return src, nil
+}
+
+// Publish publishes one tuple on the source of its stream, opening it on
+// first use: the one-shot form of Source(name) followed by
+// Source.Publish, whose semantics it has.
+func (c *Client) Publish(t stream.Tuple) error {
+	src, err := c.Source(t.Schema.Stream)
+	if err != nil {
+		return err
+	}
+	return src.Publish(t)
+}
+
+// PublishWindow gauges the encoded bytes Publish has accepted that the
+// server has not acknowledged yet.
+func (c *Client) PublishWindow() int { return c.pub.depth() }
 
 // Submit registers a continuous query for a user at an overlay node;
 // results stream into onResult (which runs on the client's read-loop
@@ -1000,10 +1087,16 @@ func (c *Client) Catalog() ([]*stream.Info, error) {
 }
 
 // Quiesce runs the server-side stabilisation barrier: it returns after
-// no tuple is in flight anywhere in the deployment. Meaningful only
-// while no client is concurrently publishing; meant for tests and
-// readouts, never the steady-state path.
+// no tuple is in flight anywhere in the deployment. On the publishing
+// connection it is also the publish barrier: the request travels behind
+// everything Publish accepted before it, the server applies frames in
+// connection order, and the acks precede the OK — so a nil return means
+// those tuples were all applied, and a refusal among them is returned
+// here. Meaningful only while no client is concurrently publishing;
+// meant for tests and readouts, never the steady-state path.
 func (c *Client) Quiesce() error {
-	_, err := c.call(&Request{Kind: MsgQuiesce})
-	return err
+	if _, err := c.call(&Request{Kind: MsgQuiesce}); err != nil {
+		return err
+	}
+	return c.pub.refusal()
 }

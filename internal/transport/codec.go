@@ -4,65 +4,17 @@
 // type) that register streams, publish tuples, and submit continuous
 // queries whose results stream back asynchronously.
 //
-// Results have one framing: binary 'S'/'D' frames written by each
-// connection's single-writer pump (wire.go, pump.go), set up by the
-// hello that opens the connection. Gob carries the control plane and —
-// until publishes get binary frames of their own — the tuples clients
-// publish (WireTuple). A peer that speaks an older result framing is
-// refused at the hello by version; nothing selects a framing.
+// Tuples have one framing, the same in both directions: binary 'D'
+// frames written by each side's single-writer pump (wire.go, pump.go),
+// set up by the hello that opens the connection. Gob carries the control
+// plane only. Publishing is pipelined: Source.Publish encodes into the
+// connection's publish window and returns; the server applies frames in
+// connection order and answers with cumulative acks (publish.go). A peer
+// that speaks an older framing is refused at the hello by version;
+// nothing selects a framing.
 package transport
 
-import (
-	"fmt"
-
-	"cosmos/internal/stream"
-)
-
-// WireValue is the gob-encodable form of stream.Value.
-type WireValue struct {
-	Kind uint8
-	N    int64
-	F    float64
-	S    string
-}
-
-// ToWireValue converts a value for transmission.
-func ToWireValue(v stream.Value) WireValue {
-	w := WireValue{Kind: uint8(v.Kind())}
-	switch v.Kind() {
-	case stream.KindInt:
-		w.N = v.AsInt()
-	case stream.KindFloat:
-		w.F = v.AsFloat()
-	case stream.KindString:
-		w.S = v.AsString()
-	case stream.KindBool:
-		if v.AsBool() {
-			w.N = 1
-		}
-	case stream.KindTime:
-		w.N = int64(v.AsTime())
-	}
-	return w
-}
-
-// FromWireValue reconstructs a value.
-func FromWireValue(w WireValue) (stream.Value, error) {
-	switch stream.Kind(w.Kind) {
-	case stream.KindInt:
-		return stream.Int(w.N), nil
-	case stream.KindFloat:
-		return stream.Float(w.F), nil
-	case stream.KindString:
-		return stream.String_(w.S), nil
-	case stream.KindBool:
-		return stream.Bool(w.N != 0), nil
-	case stream.KindTime:
-		return stream.Time(stream.Timestamp(w.N)), nil
-	default:
-		return stream.Value{}, fmt.Errorf("transport: unknown value kind %d", w.Kind)
-	}
-}
+import "cosmos/internal/stream"
 
 // WireField describes one schema attribute.
 type WireField struct {
@@ -93,40 +45,6 @@ func FromWireSchema(w WireSchema) (*stream.Schema, error) {
 		fields[i] = stream.Field{Name: f.Name, Kind: stream.Kind(f.Kind), AvgLen: f.AvgLen}
 	}
 	return stream.NewSchema(w.Stream, fields...)
-}
-
-// WireTuple is the gob-encodable form of stream.Tuple. The schema is
-// referenced by stream name; both sides resolve it against their
-// catalogues (schemas are flooded/registered before data flows).
-type WireTuple struct {
-	Stream string
-	Ts     int64
-	Values []WireValue
-}
-
-// ToWireTuple converts a tuple.
-func ToWireTuple(t stream.Tuple) WireTuple {
-	out := WireTuple{Stream: t.Schema.Stream, Ts: int64(t.Ts), Values: make([]WireValue, len(t.Values))}
-	for i, v := range t.Values {
-		out.Values[i] = ToWireValue(v)
-	}
-	return out
-}
-
-// FromWireTuple reconstructs a tuple against a known schema.
-func FromWireTuple(w WireTuple, schema *stream.Schema) (stream.Tuple, error) {
-	if schema == nil {
-		return stream.Tuple{}, fmt.Errorf("transport: no schema for stream %q", w.Stream)
-	}
-	values := make([]stream.Value, len(w.Values))
-	for i, wv := range w.Values {
-		v, err := FromWireValue(wv)
-		if err != nil {
-			return stream.Tuple{}, err
-		}
-		values[i] = v
-	}
-	return stream.NewTuple(schema, stream.Timestamp(w.Ts), values...)
 }
 
 // WireStats carries per-attribute statistics.

@@ -289,6 +289,9 @@ func TestServerShutdownDrainsAndEnds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Publish is pipelined: the shutdown owes subscribers what the server
+	// acknowledged, so wait for the acks — not for the results.
+	waitFor(t, 5*time.Second, "publishes to be acknowledged", func() bool { return c.PublishWindow() == 0 })
 	shutdown() // graceful: drains, pushes MsgEnd, closes the system
 	select {
 	case err := <-endCh:
@@ -304,5 +307,75 @@ func TestServerShutdownDrainsAndEnds(t *testing.T) {
 	// The connection is gone: calls fail rather than hang.
 	if _, err := c.Stats(); err == nil {
 		t.Error("Stats after server shutdown should fail")
+	}
+}
+
+// TestConcurrentPublishers: several goroutines publish into two sources
+// of one connection at once while the writer drains the window and the
+// read loop releases it. Every tuple must arrive exactly once, and each
+// goroutine's tuples in the order it published them — whatever frames
+// and chunks the interleaving produced. Run with -race in CI.
+func TestConcurrentPublishers(t *testing.T) {
+	addr, sys, shutdown := startLiveServer(t, 2)
+	defer shutdown()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const publishers, perPublisher = 4, 3000
+	var mu sync.Mutex
+	last := map[int64]int64{} // publisher → last n seen
+	var total, disorder atomic.Int64
+	sources := make([]*Source, 2)
+	for si, name := range []string{"Left", "Right"} {
+		info := &stream.Info{Schema: stream.MustSchema(name,
+			stream.Field{Name: "publisher", Kind: stream.KindInt},
+			stream.Field{Name: "n", Kind: stream.KindInt},
+		), Rate: 100}
+		if err := c.Register(info, 1+si); err != nil {
+			t.Fatal(err)
+		}
+		if sources[si], err = c.Source(name); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Submit("SELECT publisher, n FROM "+name+" [Now]", 5, func(tp stream.Tuple) {
+			p, n := tp.Values[0].AsInt(), tp.Values[1].AsInt()
+			mu.Lock()
+			if n != last[p]+1 {
+				disorder.Add(1)
+			}
+			last[p] = n
+			mu.Unlock()
+			total.Add(1)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for p := int64(0); p < publishers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src := sources[p%2] // two publishers per source: frames keep switching
+			for n := int64(1); n <= perPublisher; n++ {
+				if err := src.Publish(stream.MustTuple(src.Schema(), stream.Timestamp(n), stream.Int(p), stream.Int(n))); err != nil {
+					t.Errorf("publisher %d: %v", p, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := c.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if got := total.Load(); got != publishers*perPublisher || disorder.Load() != 0 {
+		t.Fatalf("%d of %d tuples arrived, %d out of order", got, publishers*perPublisher, disorder.Load())
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -11,31 +12,196 @@ import (
 	"cosmos/internal/stream"
 )
 
-// resultPump is one connection's single writer: every server→client
-// message — results, OKs, pushes, pongs — is enqueued here and written
-// by one goroutine (Hazelcast Jet's single-writer discipline). That
-// goroutine owns the gob encoder, the bufio.Writer, the per-sub codec
-// table and the scratch buffers, so the steady-state data path takes
-// one short mutex hop (the enqueue) and then runs lock-free: batches
-// of consecutive results for one subscription coalesce into a single
-// 'D' frame, built in a pooled buffer and flushed on a bufio boundary
-// or when the queue drains.
-type resultPump struct {
-	w      *connWriter   // shared gob encoder (control frames) + conn
-	bw     *bufio.Writer // all frame bytes funnel through here
-	stripe int           // obs counter stripe: pumps must not share one
+// pump is one connection's single writer for one direction: everything
+// that side sends is enqueued here and written by one goroutine
+// (Hazelcast Jet's single-writer discipline). The goroutine swaps the
+// queue against a recycled spare, hands the batch to process — which
+// owns the gob encoder and the frame scratch, and so runs lock-free —
+// and flushes the bufio.Writer only when the queue runs dry: whatever
+// accumulated while the previous write was in flight forms the next
+// batch. There is no linger timer and no batch-size setting. The server
+// instantiates it with result/control/ack entries (resultPump), the
+// client with request/publish entries (requestPump); the direction
+// lives entirely in process.
+type pump[E any] struct {
+	bw *bufio.Writer // all frame bytes funnel through here
+	// process writes one swapped-out batch onto bw and reports whether
+	// any bytes were written; it calls fail on a write error. Set once,
+	// before run starts.
+	process func(batch []E) bool
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []pumpEntry // guarded by mu
-	spare  []pumpEntry // guarded by mu; recycled second buffer; swap keeps enqueue alloc-free
-	err    error       // guarded by mu; first write error; the pump is dead after
-	closed bool        // guarded by mu
-	idle   bool        // guarded by mu; queue empty AND everything flushed — drain's barrier
+	queue  []E   // guarded by mu
+	err    error // guarded by mu; first write error; the pump is dead after
+	closed bool  // guarded by mu
+	idle   bool  // guarded by mu; queue empty AND everything flushed — drain's barrier
+
+	hdr  [frameHeaderSize]byte // writeFrame's scratch (a local would escape through bw.Write)
+	done chan struct{}         // closed when run returns
+}
+
+// Queue slices keep the capacity of the largest burst they carried. The
+// pump drops them — so a warm-up burst does not pin its high-water mark
+// for the connection's life — once it has gone idle pumpShrinkAfter
+// times in a row without carrying, between two idles, a batch of even a
+// pumpShrinkRatio-th of that capacity (slices of up to pumpKeepCap
+// entries are always kept). Waiting that long is what keeps recurring
+// bursts from dropping and regrowing the slices between each other,
+// which costs more than the capacity it frees.
+const (
+	pumpShrinkRatio = 8
+	pumpKeepCap     = 64
+	pumpShrinkAfter = 1024
+)
+
+func newPump[E any](w io.Writer, bufSize int) *pump[E] {
+	p := &pump[E]{bw: bufio.NewWriterSize(w, bufSize), done: make(chan struct{})}
+	p.cond = sync.NewCond(&p.mu)
+	return p
+}
+
+func (p *pump[E]) enqueue(e E) error {
+	p.mu.Lock()
+	if p.err != nil || p.closed {
+		err := p.err
+		p.mu.Unlock()
+		if err == nil {
+			err = net.ErrClosed
+		}
+		return err
+	}
+	p.queue = append(p.queue, e)
+	p.cond.Broadcast()
+	p.mu.Unlock()
+	return nil
+}
+
+// drain blocks until everything enqueued so far is on the wire (or the
+// pump died). Used by the graceful shutdown after the final MsgEnd
+// pushes, before the connection closes.
+func (p *pump[E]) drain() {
+	p.mu.Lock()
+	// idle alone is not enough: it can be stale-true from before the
+	// pump woke up to take a just-enqueued batch. The queue must also
+	// be empty (once the pump swaps a batch out it clears idle before
+	// releasing the lock, so empty+idle really means flushed).
+	for (len(p.queue) > 0 || !p.idle) && p.err == nil && !p.closed {
+		p.cond.Wait()
+	}
+	p.mu.Unlock()
+}
+
+// close stops the pump goroutine; entries still queued are dropped
+// (their connection is going away).
+func (p *pump[E]) close() {
+	p.mu.Lock()
+	p.closed = true
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+func (p *pump[E]) fail(err error) {
+	p.mu.Lock()
+	if p.err == nil {
+		p.err = err
+	}
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+func (p *pump[E]) dead() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.err != nil || p.closed
+}
+
+// depth gauges the pump's pending-entry backlog.
+func (p *pump[E]) depth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.queue)
+}
+
+// run is the single writer. It swaps the queue against a recycled
+// spare (no allocation at steady state), writes the batch, and flushes
+// only when the queue goes dry — back-to-back entries ride the bufio
+// boundary instead.
+func (p *pump[E]) run() {
+	defer close(p.done)
+	var spare []E  // the batch written last, recycled as the next queue
+	dirty := false // bytes sit in bw since the last flush
+	peak := 0      // longest batch since the pump last went idle
+	slack := 0     // consecutive idles that found the slices oversized
+	for {
+		p.mu.Lock()
+		for len(p.queue) == 0 {
+			if p.closed || p.err != nil {
+				p.mu.Unlock()
+				return
+			}
+			if dirty {
+				p.mu.Unlock()
+				err := p.bw.Flush()
+				dirty = false
+				if err != nil {
+					p.fail(err)
+				}
+				p.mu.Lock()
+				continue // something may have arrived during the flush
+			}
+			if keep := max(pumpShrinkRatio*peak, pumpKeepCap); cap(p.queue) <= keep && cap(spare) <= keep {
+				slack = 0
+			} else if slack++; slack == pumpShrinkAfter {
+				p.queue, spare, slack = nil, nil, 0
+			}
+			peak = 0
+			p.idle = true
+			p.cond.Broadcast()
+			p.cond.Wait()
+			p.idle = false
+		}
+		batch := p.queue
+		p.queue = spare[:0]
+		p.mu.Unlock()
+		if p.process(batch) {
+			dirty = true
+		}
+		peak = max(peak, len(batch))
+		clear(batch) // drop tuple/request refs before recycling
+		spare = batch
+	}
+}
+
+// writeFrame emits marker + u32 length + payload onto bw.
+func (p *pump[E]) writeFrame(marker byte, payload []byte) bool {
+	putFrameHeader(p.hdr[:], marker, len(payload))
+	if _, err := p.bw.Write(p.hdr[:]); err != nil {
+		p.fail(err)
+		return false
+	}
+	if _, err := p.bw.Write(payload); err != nil {
+		p.fail(err)
+		return false
+	}
+	return true
+}
+
+// resultPump is the server side of a connection: every server→client
+// message — results, OKs, pushes, pongs, publish acks — goes through
+// it. Its goroutine owns the gob encoder, the per-sub codec table and
+// the scratch buffers: batches of consecutive results for one
+// subscription coalesce into a single 'D' frame, built in a pooled
+// buffer.
+type resultPump struct {
+	*pump[pumpEntry]
+	w      *connWriter // shared gob encoder (control frames) + conn
+	stripe int         // obs counter stripe: pumps must not share one
 
 	// Single-writer state below: touched only by run()'s goroutine.
 	subs   map[*subState]*pumpSub
 	nextID uint32
+	ackBuf [ackHeaderSize]byte // writeAck's scratch
 }
 
 // pumpSub is the pump's per-subscription encode state.
@@ -45,13 +211,16 @@ type pumpSub struct {
 	codec  *tupleCodec
 }
 
-// pumpEntry is one queued write: either a control Response (resp set)
-// or one result tuple (st set).
+// pumpEntry is one queued write: a control Response (resp set), one
+// result tuple (st set), or a cumulative publish ack (ack set: seq is
+// the session's applied publish sequence, resp — when also set — carries
+// the refusal).
 type pumpEntry struct {
 	resp *Response
 	st   *subState
 	t    stream.Tuple
 	seq  uint64
+	ack  bool
 }
 
 // pumpWriter applies the graceful-drain write bound to the bytes the
@@ -72,12 +241,12 @@ var pumpSeq atomic.Int64
 
 func newResultPump(w *connWriter) *resultPump {
 	p := &resultPump{
+		pump:   newPump[pumpEntry](pumpWriter{w: w}, 32<<10),
 		w:      w,
-		bw:     bufio.NewWriterSize(pumpWriter{w: w}, 32<<10),
 		stripe: int(pumpSeq.Add(1)),
 		subs:   map[*subState]*pumpSub{},
 	}
-	p.cond = sync.NewCond(&p.mu)
+	p.process = p.writeEntries
 	return p
 }
 
@@ -91,118 +260,54 @@ func (p *resultPump) sendResult(st *subState, t stream.Tuple, seq uint64) error 
 	return p.enqueue(pumpEntry{st: st, t: t, seq: seq})
 }
 
-func (p *resultPump) enqueue(e pumpEntry) error {
-	p.mu.Lock()
-	if p.err != nil || p.closed {
-		err := p.err
-		p.mu.Unlock()
-		if err == nil {
-			err = net.ErrClosed
-		}
-		return err
+// sendAck enqueues a cumulative publish ack; refusal, when non-empty,
+// makes it the sticky error the client's next Publish returns.
+func (p *resultPump) sendAck(applied uint64, refusal string) error {
+	e := pumpEntry{ack: true, seq: applied}
+	if refusal != "" {
+		e.resp = &Response{Kind: MsgError, Error: refusal}
 	}
-	p.queue = append(p.queue, e)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	return nil
+	return p.enqueue(e)
 }
 
-// drain blocks until everything enqueued so far is on the wire (or the
-// pump died). Used by the graceful shutdown after the final MsgEnd
-// pushes, before the connection closes.
-func (p *resultPump) drain() {
-	p.mu.Lock()
-	// idle alone is not enough: it can be stale-true from before the
-	// pump woke up to take a just-enqueued batch. The queue must also
-	// be empty (once the pump swaps a batch out it clears idle before
-	// releasing the lock, so empty+idle really means flushed).
-	for (len(p.queue) > 0 || !p.idle) && p.err == nil && !p.closed {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-}
-
-// close stops the pump goroutine; entries still queued are dropped
-// (their connection is going away).
-func (p *resultPump) close() {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-func (p *resultPump) fail(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// run is the single writer. It swaps the queue against a recycled
-// spare (no allocation at steady state), writes the batch, and flushes
-// only when the queue goes dry — back-to-back deliveries ride the
-// bufio boundary instead.
-func (p *resultPump) run() {
-	dirty := false // bytes sit in bw since the last flush
-	for {
-		p.mu.Lock()
-		for len(p.queue) == 0 {
-			if p.closed || p.err != nil {
-				p.mu.Unlock()
-				return
-			}
-			if dirty {
-				p.mu.Unlock()
-				err := p.bw.Flush()
-				dirty = false
-				if err != nil {
-					p.fail(err)
-				}
-				p.mu.Lock()
-				continue // something may have arrived during the flush
-			}
-			p.idle = true
-			p.cond.Broadcast()
-			p.cond.Wait()
-			p.idle = false
-		}
-		batch := p.queue
-		p.queue = p.spare[:0]
-		p.mu.Unlock()
-		if p.process(batch) {
-			dirty = true
-		}
-		for i := range batch {
-			batch[i] = pumpEntry{} // drop tuple/Response refs before recycling
-		}
-		p.spare = batch[:0]
-	}
-}
-
-// process writes one swapped-out batch; reports whether any bytes were
-// written. Consecutive results for one subscription with contiguous
+// writeEntries writes one swapped-out batch; reports whether any bytes
+// were written. Consecutive results for one subscription with contiguous
 // sequences and the same schema coalesce into one 'D' frame.
-func (p *resultPump) process(batch []pumpEntry) bool {
-	wrote := false
+func (p *resultPump) writeEntries(batch []pumpEntry) bool {
+	wrote, coalesced := false, false
 	i := 0
 	for i < len(batch) {
 		if p.dead() {
 			return wrote
 		}
 		e := &batch[i]
-		if e.resp != nil {
+		if e.ack && !coalesced {
+			// Only a publisher's connection carries acks: batches
+			// without one never pay for the pass.
+			coalesceAcks(batch[i:])
+			coalesced = true
+		}
+		switch {
+		case e.ack:
+			if p.writeAck(e) {
+				wrote = true
+			}
+			i++
+			continue
+		case e.resp != nil:
 			if p.writeControl(e.resp) {
 				wrote = true
 			}
 			i++
 			continue
+		case e.st == nil:
+			i++ // a superseded ack
+			continue
 		}
 		j := i + 1
 		for j < len(batch) && j-i < maxBatchTuples {
 			n := &batch[j]
-			if n.resp != nil || n.st != e.st || n.t.Schema != e.t.Schema || n.seq != batch[j-1].seq+1 {
+			if n.st != e.st || n.t.Schema != e.t.Schema || n.seq != batch[j-1].seq+1 {
 				break
 			}
 			j++
@@ -215,10 +320,23 @@ func (p *resultPump) process(batch []pumpEntry) bool {
 	return wrote
 }
 
-func (p *resultPump) dead() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err != nil || p.closed
+// coalesceAcks blanks every plain ack that another follows before the
+// next control frame: acks are cumulative, so the later one says it all,
+// but none may move behind a later response — a Quiesce OK vouches for
+// every ack before it. Refusals are never dropped.
+func coalesceAcks(batch []pumpEntry) {
+	later := false // a plain ack follows before the next control frame
+	for i := len(batch) - 1; i >= 0; i-- {
+		switch e := &batch[i]; {
+		case e.ack && e.resp == nil:
+			if later {
+				*e = pumpEntry{}
+			}
+			later = true
+		case e.resp != nil:
+			later = false
+		}
+	}
 }
 
 // writeControl emits a 'G' frame: marker + one gob Response through
@@ -234,6 +352,18 @@ func (p *resultPump) writeControl(r *Response) bool {
 		return false
 	}
 	return true
+}
+
+// writeAck emits an 'A' frame: the applied sequence, then the refusal
+// text if there is one.
+func (p *resultPump) writeAck(e *pumpEntry) bool {
+	refusal := ""
+	if e.resp != nil {
+		refusal = e.resp.Error
+	}
+	payload := appendAck(p.ackBuf[:0], e.seq, refusal)
+	p.w.wire.ackBytes.Add(int64(len(payload)))
+	return p.writeFrame(frameAck, payload)
 }
 
 // writeBatch emits one 'D' frame for run (all same sub, same schema,
@@ -296,30 +426,4 @@ func (p *resultPump) writeBatch(run []pumpEntry) bool {
 		run = run[n:]
 	}
 	return wrote
-}
-
-// depth gauges the pump's pending-entry backlog.
-func (p *resultPump) depth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
-
-// writeFrame emits marker + u32 length + payload onto bw.
-func (p *resultPump) writeFrame(marker byte, payload []byte) bool {
-	var hdr [5]byte
-	hdr[0] = marker
-	hdr[1] = byte(len(payload))
-	hdr[2] = byte(len(payload) >> 8)
-	hdr[3] = byte(len(payload) >> 16)
-	hdr[4] = byte(len(payload) >> 24)
-	if _, err := p.bw.Write(hdr[:]); err != nil {
-		p.fail(err)
-		return false
-	}
-	if _, err := p.bw.Write(payload); err != nil {
-		p.fail(err)
-		return false
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -58,32 +59,42 @@ type Server struct {
 	mu       sync.Mutex
 	ln       net.Listener                // guarded by mu
 	sessions map[*session]struct{}       // guarded by mu
+	byID     map[string]*session         // guarded by mu; the live session holding each resumable identity
 	detached map[string]*detachedSession // guarded by mu
 	stopped  bool                        // guarded by mu
 	wg       sync.WaitGroup
 
-	// wire aggregates result-path counters across every session's
-	// writer; snapshotted into SystemStats.Wire by MsgStats.
+	// wire aggregates wire-path counters across every session;
+	// snapshotted into SystemStats.Wire by MsgStats.
 	wire wireMetrics
 }
 
 // wireMetrics is the server-wide wire-stage accounting shared by every
-// connection writer: lock-free counters plus the hosted system's obs
-// hub (for StageWire sampling and trace marks).
+// connection: lock-free counters plus the hosted system's obs hub (for
+// StageWire sampling and trace marks). Results and publishes count
+// apart: bytes is result 'D' payload only.
 type wireMetrics struct {
-	results atomic.Int64
-	batches atomic.Int64
-	bytes   atomic.Int64
-	obs     *obs.Metrics
+	results      atomic.Int64
+	batches      atomic.Int64
+	bytes        atomic.Int64
+	ingestTuples atomic.Int64
+	ingestFrames atomic.Int64
+	ingestBytes  atomic.Int64
+	ackBytes     atomic.Int64
+	obs          *obs.Metrics
 }
 
-// WireStats snapshots the server's result-path series: counters plus
-// the instantaneous pump backlog and session count.
+// WireStats snapshots the server's wire series: counters plus the
+// instantaneous pump backlog and session count.
 func (s *Server) WireStats() obs.WireStats {
 	ws := obs.WireStats{
-		Results: s.wire.results.Load(),
-		Batches: s.wire.batches.Load(),
-		Bytes:   s.wire.bytes.Load(),
+		Results:      s.wire.results.Load(),
+		Batches:      s.wire.batches.Load(),
+		Bytes:        s.wire.bytes.Load(),
+		IngestTuples: s.wire.ingestTuples.Load(),
+		IngestFrames: s.wire.ingestFrames.Load(),
+		IngestBytes:  s.wire.ingestBytes.Load(),
+		AckBytes:     s.wire.ackBytes.Load(),
 	}
 	s.mu.Lock()
 	ws.Connections = len(s.sessions)
@@ -135,6 +146,7 @@ func NewServer(sys *core.System, opts ...ServerOption) *Server {
 		sys:       sys,
 		serialize: !sys.Live(),
 		sessions:  map[*session]struct{}{},
+		byID:      map[string]*session{},
 		detached:  map[string]*detachedSession{},
 		linger:    defaultSessionLinger,
 	}
@@ -169,12 +181,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		sess := &session{
-			srv:  s,
-			conn: conn,
-			w:    newConnWriter(conn, &s.wire),
-			subs: map[string]*subState{},
-		}
+		sess := s.newSession(conn)
 		s.mu.Lock()
 		if s.stopped {
 			s.mu.Unlock()
@@ -187,11 +194,36 @@ func (s *Server) Serve(ln net.Listener) error {
 		go func() {
 			defer s.wg.Done()
 			sess.serve()
-			s.mu.Lock()
-			delete(s.sessions, sess)
-			s.mu.Unlock()
+			s.retire(sess)
 		}()
 	}
+}
+
+func (s *Server) newSession(conn net.Conn) *session {
+	return &session{
+		srv:  s,
+		conn: conn,
+		w:    newConnWriter(conn, &s.wire),
+		subs: map[string]*subState{},
+		srcs: map[uint32]*ingestSource{},
+		done: make(chan struct{}),
+	}
+}
+
+// retire forgets a session whose serve loop returned; a hello waiting to
+// take over its identity proceeds.
+func (s *Server) retire(sess *session) {
+	s.mu.Lock()
+	delete(s.sessions, sess)
+	for id, holder := range s.byID {
+		// By value, not by sess.id: a hello that claimed the identity and
+		// then lost to a shutdown never recorded it on the session.
+		if holder == sess {
+			delete(s.byID, id)
+		}
+	}
+	s.mu.Unlock()
+	close(sess.done)
 }
 
 // Close stops accepting, drops every connection, and waits for the
@@ -408,30 +440,52 @@ func (w *connWriter) bound() {
 }
 
 // session is one client connection's server-side state: the serialised
-// writer and the subscriptions the connection owns. A plain session
-// (no MsgHello) cancels its queries when the connection drops; a
-// resumable one parks them in the server's detached registry for the
-// linger window instead.
+// writer, the subscriptions the connection owns and the sources it
+// publishes into. A plain session (no session id in its MsgHello)
+// cancels its queries when the connection drops; a resumable one parks
+// them — and its applied publish sequence — in the server's detached
+// registry for the linger window instead.
 type session struct {
 	srv  *Server
 	conn net.Conn
 	w    *connWriter
+	done chan struct{} // closed once serve returned and the session's state is parked or gone
 
-	mu    sync.Mutex
-	id    string               // guarded by mu; client-chosen resumable identity; "" = plain session
-	epoch uint64               // guarded by mu; bumped on every adoption of this identity
-	subs  map[string]*subState // guarded by mu
-	ended bool                 // guarded by mu
+	// Publish state of the serve goroutine alone: the sources the
+	// connection opened, by client-chosen id, the sticky refusal, and the
+	// last publish sequence a well-formed frame carried — what the next
+	// frame must continue. It runs ahead of applied once a refusal stops
+	// tuples being applied: a pipelining client has sent further frames
+	// before it sees the refusal ack, and those are not malformed.
+	srcs     map[uint32]*ingestSource
+	refused  string
+	received uint64
+
+	mu      sync.Mutex
+	id      string               // guarded by mu; client-chosen resumable identity; "" = plain session
+	epoch   uint64               // guarded by mu; bumped on every adoption of this identity
+	subs    map[string]*subState // guarded by mu
+	applied uint64               // guarded by mu; session publish sequence handed to the source ports so far
+	ended   bool                 // guarded by mu
 }
 
-// detachedSession holds the parked subscriptions of a resumable session
-// whose connection dropped, until a resume adopts them or the linger
-// timer cancels them.
+// ingestSource is one opened source: the port its tuples go to and the
+// codec compiled against the catalog's own schema — decoded tuples carry
+// that pointer, so the port's door takes its pointer-equal fast path.
+type ingestSource struct {
+	port  *core.SourcePort
+	codec *tupleCodec
+}
+
+// detachedSession holds what a resumable session whose connection
+// dropped left behind — its subscriptions and how far its publishes were
+// applied — until a resume adopts it or the linger timer drops it.
 type detachedSession struct {
-	id    string
-	epoch uint64
-	subs  map[string]*subState
-	timer *time.Timer
+	id      string
+	epoch   uint64
+	subs    map[string]*subState
+	applied uint64
+	timer   *time.Timer
 }
 
 func (sess *session) serve() {
@@ -444,16 +498,55 @@ func (sess *session) serve() {
 			log.Printf("cosmosd: session panic (contained): %v\n%s", r, debug.Stack())
 		}
 	}()
-	dec := gob.NewDecoder(sess.conn)
+	sess.readLoop()
+}
+
+// readLoop reads and dispatches what the client sends until the
+// connection ends or sends something that does not parse.
+func (sess *session) readLoop() {
+	// One bufio.Reader (sized like gob's own) under the one gob decoder:
+	// gob never over-reads from an io.ByteReader, so once the hello is
+	// in, the loop strips frame markers from the same reader — the
+	// mirror image of Client.readLoop.
+	br := bufio.NewReaderSize(sess.conn, 4096)
+	dec := gob.NewDecoder(br)
 	idle := sess.srv.idleTimeout
+	framed := false // set by this connection's accepted hello
 	for {
 		if idle > 0 {
 			_ = sess.conn.SetReadDeadline(time.Now().Add(idle))
 		}
+		if framed {
+			marker, err := br.ReadByte()
+			if err != nil {
+				sess.logReadErr(err)
+				return
+			}
+			switch marker {
+			case frameGob:
+			case frameData:
+				if ioErr, err := sess.readPublishFrame(br); ioErr {
+					// The connection died inside the frame: nothing of it
+					// is applied, and a resumed session sends it again.
+					sess.logReadErr(err)
+					return
+				} else if err != nil {
+					sess.refuseAndDrop("publish frame", err)
+					return
+				}
+				continue
+			default:
+				sess.refuseAndDrop("frame", fmt.Errorf("unknown frame marker %#x", marker))
+				return
+			}
+		}
 		var req Request
 		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				log.Printf("cosmosd: decode: %v", err)
+			sess.logReadErr(err)
+			if !framed && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				// Most likely a peer that skipped the hello: tell it
+				// what this end expected before hanging up.
+				_ = sess.w.send(errResp("undecodable request before hello (%v): binary frames need the wire version %d hello first", err, wireVersion))
 			}
 			return
 		}
@@ -466,14 +559,131 @@ func (sess *session) serve() {
 			continue
 		}
 		resp := sess.dispatch(&req)
+		framed = sess.w.pump.Load() != nil
 		if resp == nil {
-			continue // dispatch responded itself (MsgSubmit/MsgResume ordering)
+			continue // dispatch responded itself (MsgHello/MsgSubmit/MsgResume ordering)
 		}
 		resp.ID = req.ID
 		if err := sess.w.send(resp); err != nil {
 			return
 		}
 	}
+}
+
+func (sess *session) logReadErr(err error) {
+	if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+		log.Printf("cosmosd: session %s: read: %v", sess.conn.RemoteAddr(), err)
+	}
+}
+
+// refuseAndDrop ends a session whose peer sent bytes that do not parse:
+// the reason is logged and sent as a refusal ack (so a publisher's next
+// call reports it), the write is bounded like a shutdown drain's, and
+// serve's deferred close drops the connection. Other sessions never
+// notice.
+func (sess *session) refuseAndDrop(what string, err error) {
+	log.Printf("cosmosd: session %s: malformed %s, dropping the connection: %v", sess.conn.RemoteAddr(), what, err)
+	sess.mu.Lock()
+	applied := sess.applied
+	sess.mu.Unlock()
+	_ = sess.w.pump.Load().sendAck(applied, fmt.Sprintf("malformed %s: %v", what, err))
+	sess.w.bound()
+	sess.w.drain()
+}
+
+// readPublishFrame consumes one client→server 'D' frame (marker already
+// read) into a pooled buffer and applies it. ioErr says the error is the
+// connection's, not the frame's.
+func (sess *session) readPublishFrame(br *bufio.Reader) (ioErr bool, err error) {
+	bufp := getFrameBuf()
+	defer putFrameBuf(bufp)
+	b, err := readFrame(br, bufp)
+	if err != nil {
+		return !errors.Is(err, errFrameTooLong), err
+	}
+	return false, sess.applyPublishFrame(b)
+}
+
+// applyPublishFrame decodes one publish 'D' payload into a single value
+// arena and hands each tuple to its source port, in order, then answers
+// with the cumulative ack. An error means the bytes were malformed and
+// the session must end; a refusal (shutdown, a port that no longer
+// accepts) is answered in the ack and is not an error, and the frames a
+// pipelining client had already sent behind the refused one are each
+// answered with it too. Sequences must continue what the session has
+// received; tuples at or below the applied count — the overlap a client
+// resends after a reconnect — are decoded and skipped, which is what
+// makes a resumed publish exactly-once. The port's Publish
+// blocks on the deployment's ingress credits: that wait, with TCP's own
+// flow control behind it, is the pushback a fast publisher feels as a
+// full window.
+func (sess *session) applyPublishFrame(b []byte) error {
+	srcID, count, firstSeq, err := decodeDataHeader(b)
+	if err != nil {
+		return err
+	}
+	src := sess.srcs[srcID]
+	if src == nil {
+		return fmt.Errorf("transport: publish frame for unopened source %d", srcID)
+	}
+	if count == 0 || firstSeq == 0 || firstSeq > sess.received+1 {
+		return fmt.Errorf("transport: publish frame of %d tuples from sequence %d does not continue received sequence %d", count, firstSeq, sess.received)
+	}
+	sess.mu.Lock()
+	applied := sess.applied
+	sess.mu.Unlock()
+	arity := src.codec.arity
+	arena, err := src.codec.frameArena(count, len(b)-dataHeaderSize)
+	if err != nil {
+		return err
+	}
+	s := sess.srv
+	// Hold the dispatch gate for the whole frame, as dispatch does for a
+	// register or submit: once stop() proceeds, every acknowledged tuple
+	// has landed in the system and the drain covers it.
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
+	if s.closed && sess.refused == "" {
+		sess.refused = "server shutting down"
+	}
+	if s.serialize {
+		s.opMu.Lock()
+		defer s.opMu.Unlock()
+	}
+	pos := dataHeaderSize
+	taken := 0
+	for i := 0; i < count; i++ {
+		t, next, err := src.codec.decodeTupleInto(b, pos, arena[i*arity:(i+1)*arity:(i+1)*arity])
+		if err != nil {
+			return err
+		}
+		pos = next
+		seq := firstSeq + uint64(i)
+		if seq <= applied || sess.refused != "" {
+			continue
+		}
+		if err := src.port.Publish(t); err != nil {
+			// Nothing after a refused tuple is applied: the stream's
+			// order would have a hole. The client sees it on its next
+			// call.
+			sess.refused = fmt.Sprintf("stream %s: %v", src.port.Stream(), err)
+			continue
+		}
+		applied = seq
+		taken++
+	}
+	if pos != len(b) {
+		return fmt.Errorf("transport: %d trailing bytes in publish frame", len(b)-pos)
+	}
+	sess.received = max(sess.received, firstSeq+uint64(count)-1)
+	sess.mu.Lock()
+	sess.applied = applied
+	sess.mu.Unlock()
+	s.wire.ingestTuples.Add(int64(taken))
+	s.wire.ingestFrames.Add(1)
+	s.wire.ingestBytes.Add(int64(len(b)))
+	_ = sess.w.pump.Load().sendAck(applied, sess.refused)
+	return nil
 }
 
 // close tears the session down. Graceful closes push MsgShutdown (so
@@ -484,8 +694,9 @@ func (sess *session) serve() {
 // shutdown. An abrupt close of a resumable session parks its
 // subscriptions in the detached registry — deliveries keep advancing
 // each sequence counter (counted, dropped) so a later resume reports
-// the exact gap. Idempotent (serve's deferred abrupt close after a
-// graceful shutdown is a no-op).
+// the exact gap — along with its applied publish sequence, so the
+// resumed publisher resends exactly what never arrived. Idempotent
+// (serve's deferred abrupt close after a graceful shutdown is a no-op).
 func (sess *session) close(graceful bool) {
 	if graceful {
 		sess.w.bound()
@@ -498,7 +709,7 @@ func (sess *session) close(graceful bool) {
 	sess.ended = true
 	subs := sess.subs
 	sess.subs = map[string]*subState{}
-	id, epoch := sess.id, sess.epoch
+	id, epoch, applied := sess.id, sess.epoch, sess.applied
 	sess.mu.Unlock()
 	if graceful {
 		_ = sess.w.send(&Response{Kind: MsgShutdown})
@@ -518,11 +729,11 @@ func (sess *session) close(graceful bool) {
 		return
 	}
 	sess.w.teardown()
-	if id != "" && len(subs) > 0 {
+	if id != "" && (len(subs) > 0 || applied > 0) {
 		for _, st := range subs {
 			st.detach()
 		}
-		if sess.srv.parkDetached(id, epoch, subs) {
+		if sess.srv.parkDetached(id, epoch, subs, applied) {
 			_ = sess.conn.Close() // parked for resume; the conn itself is dead weight
 			return
 		}
@@ -536,10 +747,11 @@ func (sess *session) close(graceful bool) {
 	_ = sess.conn.Close() // session is over; close errors carry no signal
 }
 
-// parkDetached stores a dropped resumable session's subscriptions for
-// the linger window. Reports false when the server is stopping or
-// resumption is disabled — the caller then cancels the queries.
-func (s *Server) parkDetached(id string, epoch uint64, subs map[string]*subState) bool {
+// parkDetached stores a dropped resumable session's subscriptions and
+// applied publish sequence for the linger window. Reports false when the
+// server is stopping or resumption is disabled — the caller then cancels
+// the queries.
+func (s *Server) parkDetached(id string, epoch uint64, subs map[string]*subState, applied uint64) bool {
 	if s.linger <= 0 {
 		return false
 	}
@@ -556,7 +768,7 @@ func (s *Server) parkDetached(id string, epoch uint64, subs map[string]*subState
 		old.timer.Stop()
 		evicted = old
 	}
-	d := &detachedSession{id: id, epoch: epoch, subs: subs}
+	d := &detachedSession{id: id, epoch: epoch, subs: subs, applied: applied}
 	d.timer = time.AfterFunc(s.linger, func() { s.expireDetached(id, d) })
 	s.detached[id] = d
 	s.mu.Unlock()
@@ -695,6 +907,23 @@ func (st *subState) detach() {
 	st.mu.Unlock()
 }
 
+// openSource binds a client-chosen source id to a port for this
+// connection's publish frames. Re-opening an id on the same stream (a
+// replayed register followed by an open) is a no-op.
+func (sess *session) openSource(id uint32, port *core.SourcePort) error {
+	if id == 0 {
+		return fmt.Errorf("source id 0 is reserved")
+	}
+	if old := sess.srcs[id]; old != nil {
+		if old.port == port {
+			return nil
+		}
+		return fmt.Errorf("source id %d already names stream %q", id, old.port.Stream())
+	}
+	sess.srcs[id] = &ingestSource{port: port, codec: newTupleCodec(port.Schema())}
+	return nil
+}
+
 func (sess *session) dispatch(req *Request) *Response {
 	s := sess.srv
 	switch req.Kind {
@@ -712,11 +941,11 @@ func (sess *session) dispatch(req *Request) *Response {
 			return sess.hello(req)
 		}
 		return sess.resume(req)
-	case MsgRegister, MsgPublish, MsgSubmit:
-		// Hold the dispatch gate for the whole operation: stop() flips
-		// closed under the write side, so a request that passes this
-		// check has fully landed in the system before the shutdown
-		// drain begins — no acknowledged tuple can slip past Quiesce.
+	case MsgRegister, MsgSubmit:
+		// Hold the dispatch gate for the whole operation (publish frames
+		// do the same): stop() flips closed under the write side, so a
+		// request that passes this check has fully landed in the system
+		// before the shutdown drain begins.
 		s.stateMu.RLock()
 		defer s.stateMu.RUnlock()
 		if s.closed {
@@ -733,28 +962,35 @@ func (sess *session) dispatch(req *Request) *Response {
 		if err != nil {
 			return errResp("bad stream info: %v", err)
 		}
-		if _, err := s.sys.RegisterStream(info, req.Node); err != nil {
+		port, err := s.sys.RegisterStream(info, req.Node)
+		if err != nil {
 			return errResp("%v", err)
+		}
+		// The registering session usually publishes the stream: its
+		// register opens the source in the same round trip.
+		if req.Source != 0 && sess.w.pump.Load() != nil {
+			if err := sess.openSource(req.Source, port); err != nil {
+				return errResp("%v", err)
+			}
 		}
 		return &Response{Kind: MsgOK}
 
-	case MsgPublish:
-		port, ok := s.sys.Source(req.Tuple.Stream)
+	case MsgOpenSource:
+		if sess.w.pump.Load() == nil {
+			return errResp("open source before hello: published tuples travel as wire version %d frames, which the connection's hello sets up", wireVersion)
+		}
+		port, ok := s.sys.Source(req.Stream)
 		if !ok {
-			return errResp("stream %q not registered", req.Tuple.Stream)
+			return errResp("stream %q not registered", req.Stream)
 		}
-		schema, ok := s.sys.Catalog().Schema(req.Tuple.Stream)
+		info, ok := s.sys.Catalog().Lookup(req.Stream)
 		if !ok {
-			return errResp("no schema for %q", req.Tuple.Stream)
+			return errResp("no catalog entry for %q", req.Stream)
 		}
-		t, err := FromWireTuple(req.Tuple, schema)
-		if err != nil {
-			return errResp("bad tuple: %v", err)
-		}
-		if err := port.Publish(t); err != nil {
+		if err := sess.openSource(req.Source, port); err != nil {
 			return errResp("%v", err)
 		}
-		return &Response{Kind: MsgOK}
+		return &Response{Kind: MsgOK, Infos: []WireInfo{ToWireInfo(info)}}
 
 	case MsgSubmit:
 		// The result callback runs on the query proxy's delivery
@@ -840,12 +1076,18 @@ func (sess *session) dispatch(req *Request) *Response {
 // adopts any subscriptions a previous connection with that identity
 // left parked. Parked subscriptions the client does not intend to
 // resume (cancelled while disconnected, or forgotten) are cancelled.
-// The OK reports the wire version, the new epoch and the adopted tags;
-// tags absent from the reply no longer exist server-side — the client
-// resubmits those from scratch. The OK is the last unframed message on
-// the connection: writing it and installing the result pump happen
-// atomically (connWriter.upgrade), and hello returns nil so serve does
-// not write a second response.
+// A previous connection of that identity that the server has not seen
+// die yet is dropped and waited out first: the client holds one
+// connection at a time, so the old one is dead to it, and its state —
+// the publishes it is still applying included — must be parked before
+// the new connection can resume from it. The OK reports the wire
+// version, the new epoch, the adopted tags and the applied publish
+// sequence (the parked one, or the client's own acknowledged count when
+// this server never held the session); tags absent from the reply no
+// longer exist server-side — the client resubmits those from scratch.
+// The OK is the last unframed message on the connection: writing it and
+// installing the result pump happen atomically (connWriter.upgrade), and
+// hello returns nil so serve does not write a second response.
 func (sess *session) hello(req *Request) *Response {
 	s := sess.srv
 	if req.WireVersion < wireVersion {
@@ -859,16 +1101,24 @@ func (sess *session) hello(req *Request) *Response {
 		sess.finishHello(req, &Response{Kind: MsgOK})
 		return nil
 	}
+	s.mu.Lock()
+	old := s.byID[req.SessionID]
+	s.byID[req.SessionID] = sess
+	s.mu.Unlock()
+	if old != nil && old != sess {
+		_ = old.conn.Close() // superseded; its serve loop parks what it holds
+		<-old.done
+	}
 	d := s.takeDetached(req.SessionID)
 	resume := make(map[string]bool, len(req.ResumeTags))
 	for _, tag := range req.ResumeTags {
 		resume[tag] = true
 	}
-	epoch := uint64(1)
+	epoch, applied := uint64(1), req.LastSeq
 	var adopted []string
 	var orphans []*subState
 	if d != nil {
-		epoch = d.epoch + 1
+		epoch, applied = d.epoch+1, max(d.applied, applied)
 		for tag, st := range d.subs {
 			if resume[tag] {
 				adopted = append(adopted, tag)
@@ -888,6 +1138,8 @@ func (sess *session) hello(req *Request) *Response {
 	}
 	sess.id = req.SessionID
 	sess.epoch = epoch
+	sess.applied = applied
+	sess.received = applied // hello runs on the serve goroutine, which owns received
 	for _, tag := range adopted {
 		sess.subs[tag] = d.subs[tag]
 	}
@@ -898,7 +1150,7 @@ func (sess *session) hello(req *Request) *Response {
 		}
 	}
 	sort.Strings(adopted)
-	sess.finishHello(req, &Response{Kind: MsgOK, Epoch: epoch, Tags: adopted})
+	sess.finishHello(req, &Response{Kind: MsgOK, Epoch: epoch, Tags: adopted, Seq: applied})
 	return nil
 }
 

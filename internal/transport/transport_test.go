@@ -10,36 +10,7 @@ import (
 	"cosmos/internal/stream"
 )
 
-func wireRoundTripValue(t *testing.T, v stream.Value) stream.Value {
-	t.Helper()
-	out, err := FromWireValue(ToWireValue(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func TestValueCodecRoundTrip(t *testing.T) {
-	values := []stream.Value{
-		stream.Int(-42),
-		stream.Float(3.25),
-		stream.String_("hello 'world'"),
-		stream.Bool(true),
-		stream.Bool(false),
-		stream.Time(123456),
-	}
-	for _, v := range values {
-		got := wireRoundTripValue(t, v)
-		if !got.Equal(v) || got.Kind() != v.Kind() {
-			t.Errorf("round trip %v -> %v", v, got)
-		}
-	}
-	if _, err := FromWireValue(WireValue{Kind: 99}); err == nil {
-		t.Error("unknown kind should fail")
-	}
-}
-
-func TestSchemaAndTupleCodec(t *testing.T) {
+func TestSchemaCodec(t *testing.T) {
 	sch := stream.MustSchema("S",
 		stream.Field{Name: "a", Kind: stream.KindInt},
 		stream.Field{Name: "b", Kind: stream.KindString, AvgLen: 24},
@@ -50,18 +21,6 @@ func TestSchemaAndTupleCodec(t *testing.T) {
 	}
 	if !got.Equal(sch) {
 		t.Errorf("schema round trip: %v vs %v", got, sch)
-	}
-	tp := stream.MustTuple(sch, 77, stream.Int(1), stream.String_("x"))
-	wt := ToWireTuple(tp)
-	back, err := FromWireTuple(wt, sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(tp) {
-		t.Errorf("tuple round trip: %v vs %v", back, tp)
-	}
-	if _, err := FromWireTuple(wt, nil); err == nil {
-		t.Error("nil schema should fail")
 	}
 }
 

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 
@@ -12,30 +15,35 @@ import (
 // The wire format: the data plane of the TCP protocol.
 //
 // The control plane (requests, OKs, errors, session management) stays
-// gob — it is cold and self-describing. The data plane (result tuples,
-// by far the hottest server→client traffic) is re-encoded as
-// length-prefixed binary frames using a codec compiled once per result
-// schema, the same compile-at-control-plane trick predicate.Compile
-// plays: resolve the column layout when the subscription is announced,
-// then encode/decode tuples with zero reflection and zero per-value
-// allocation.
+// gob — it is cold and self-describing. The data plane — the tuples
+// sources publish and the results subscriptions receive, by far the
+// hottest traffic in either direction — travels as length-prefixed
+// binary frames using a codec compiled once per schema, the same
+// compile-at-control-plane trick predicate.Compile plays: resolve the
+// column layout when the subscription is announced or the source is
+// opened, then encode/decode tuples with zero reflection and zero
+// per-value allocation.
 //
-// After the MsgHello that opens a connection, every server→client
-// message carries a one-byte frame marker:
+// The MsgHello that opens a connection and its OK are the only unframed
+// messages. After them every message, in both directions, carries a
+// one-byte frame marker:
 //
-//	'G' | gob-encoded Response                 (control; self-delimiting)
-//	'S' | u32 len | subID tag schema           (announce a subscription's layout)
-//	'D' | u32 len | subID count firstSeq tuples (a batch of results)
-//
-// The client→server direction is pure gob: request traffic is cold
-// (publishes included, until they get binary framing of their own), and
-// the server's read loop has one shape.
+//	'G' | gob-encoded Request or Response       (control; self-delimiting)
+//	'D' | u32 len | id count firstSeq tuples    (a batch of tuples)
+//	'S' | u32 len | subID tag schema            (server→client: a subscription's layout)
+//	'A' | u32 len | appliedSeq [refusal]        (server→client: cumulative publish ack)
 //
 // 'D' payload layout (all integers little-endian):
 //
-//	u32  subID      pump-assigned per-connection subscription id
+//	u32  id         server→client: the pump-assigned subscription id its
+//	                'S' frame announced; client→server: the source id the
+//	                client chose when it opened (or registered) the source
 //	u16  count      number of tuples in the batch
-//	u64  firstSeq   sequence of the first tuple; tuple i has firstSeq+i
+//	u64  firstSeq   sequence of the first tuple; tuple i has firstSeq+i.
+//	                Results count per subscription; published tuples count
+//	                per session, across its sources — one connection's
+//	                publishes are totally ordered, and the server applies
+//	                them in that order
 //	tuple × count
 //
 // Each tuple is: i64 ts, then one value per schema column. Values
@@ -54,21 +62,46 @@ import (
 // The pump emits an 'S' frame before a subscription's first 'D' frame
 // and again whenever the result schema pointer changes; the client
 // keeps a per-connection subID table, so reconnects (fresh connection,
-// fresh pump) re-announce naturally.
+// fresh pump) re-announce naturally. The publish direction needs no 'S'
+// frame: opening a source is a control round trip (MsgOpenSource, or the
+// MsgRegister that created the stream) that binds the id to the
+// catalog's own schema, and the client checks each tuple's layout
+// against that schema before encoding it.
+//
+// 'A' payload layout: u64 appliedSeq — every published tuple up to it has
+// been handed to its source port — followed, when the server refused a
+// frame, by the reason as raw bytes to the end of the payload. Acks are
+// cumulative; the client retains what it sent until an ack covers it
+// (publish.go).
 
 // wireVersion is the one wire format version this build speaks: gob
-// control, binary 'S'/'D' result frames. Every MsgHello carries it; a
-// peer offering less (version 1 pushed results as gob, one frame each),
-// or one that submits without a hello, is refused by name — there is no
-// second result framing to fall back to.
-const wireVersion = 2
+// control, binary data frames both ways. Every MsgHello carries it; a
+// peer offering less (version 1 pushed results as gob, version 2
+// published tuples as gob requests), or one that submits or publishes
+// without a hello, is refused by name — there is no second framing to
+// fall back to.
+const wireVersion = 3
 
-// Frame markers (server→client stream, after the hello OK).
+// Frame markers (both directions, after the hello and its OK).
 const (
 	frameGob    byte = 'G'
 	frameData   byte = 'D'
 	frameSchema byte = 'S'
+	frameAck    byte = 'A'
 )
+
+// frameHeaderSize is the marker plus the u32 payload length that open
+// every binary frame.
+const frameHeaderSize = 5
+
+// putFrameHeader writes a binary frame's marker and payload length into
+// hdr[:frameHeaderSize].
+//
+//cosmos:hotpath
+func putFrameHeader(hdr []byte, marker byte, payloadLen int) {
+	hdr[0] = marker
+	binary.LittleEndian.PutUint32(hdr[1:frameHeaderSize], uint32(payloadLen))
+}
 
 // maxFramePayload bounds a declared frame length on the read side: a
 // longer prefix means a corrupt stream (or an unframed gob peer), not a
@@ -82,8 +115,8 @@ const batchSoftBytes = 56 << 10
 // maxBatchTuples caps tuples per 'D' frame (count is a u16).
 const maxBatchTuples = 4096
 
-// framePool recycles frame payload buffers between the per-connection
-// result pumps (encode side) and client frame readers (decode side).
+// framePool recycles frame buffers between the per-connection pumps and
+// publish windows (encode side) and the frame readers (decode side).
 var framePool = sync.Pool{
 	New: func() interface{} { b := make([]byte, 0, 4096); return &b },
 }
@@ -92,6 +125,7 @@ var framePool = sync.Pool{
 // from pinning memory in the pool forever.
 const maxPooledFrame = 1 << 20
 
+//cosmos:hotpath-ok — a pool hit; a miss allocates once and is amortised over the buffer's reuse
 func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
 
 func putFrameBuf(b *[]byte) {
@@ -101,8 +135,51 @@ func putFrameBuf(b *[]byte) {
 	}
 }
 
-// tupleCodec is a result schema's compiled encoder/decoder. Compiling
-// is a control-plane act (once per 'S' frame); the encode/decode
+var errFrameTooLong = errors.New("transport: frame length exceeds limit")
+
+// readFrame reads one binary frame's length prefix and payload (the
+// marker is already consumed) into *bufp, growing it on demand. Untrusted
+// input: a declared length beyond maxFramePayload errors before anything
+// is allocated for it.
+func readFrame(br *bufio.Reader, bufp *[]byte) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n > maxFramePayload {
+		return nil, fmt.Errorf("%w: %d bytes declared (wire version mismatch?)", errFrameTooLong, n)
+	}
+	if cap(*bufp) < int(n) {
+		*bufp = make([]byte, n)
+	}
+	b := (*bufp)[:n]
+	*bufp = b
+	if _, err := io.ReadFull(br, b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// ackHeaderSize is the fixed part of an 'A' payload: appliedSeq.
+const ackHeaderSize = 8
+
+// appendAck builds an 'A' payload.
+func appendAck(buf []byte, applied uint64, refusal string) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, applied)
+	return append(buf, refusal...)
+}
+
+// decodeAck parses an 'A' payload.
+func decodeAck(b []byte) (applied uint64, refusal string, err error) {
+	if len(b) < ackHeaderSize {
+		return 0, "", fmt.Errorf("transport: truncated ack frame")
+	}
+	return binary.LittleEndian.Uint64(b), string(b[ackHeaderSize:]), nil
+}
+
+// tupleCodec is a schema's compiled encoder/decoder. Compiling is a
+// control-plane act (once per 'S' frame or opened source); the encode/decode
 // methods run per tuple on the data plane with zero reflection —
 // encode allocates nothing, decode allocates only the value slice and
 // string copies.
@@ -234,6 +311,18 @@ func (c *tupleCodec) decodeTupleInto(b []byte, pos int, values []stream.Value) (
 		return stream.Tuple{}, 0, fmt.Errorf("transport: decoded tuple rejected: %v", err)
 	}
 	return t, pos, nil
+}
+
+// frameArena allocates the one value arena a 'D' frame's tuples share —
+// each decoded tuple keeps its sub-slice, so the backing array lives as
+// long as they do. The declared count is first checked against the bytes
+// actually present (the smallest encoded tuple is a timestamp plus two
+// bytes per value), so a lying count cannot size the allocation.
+func (c *tupleCodec) frameArena(count, tupleBytes int) ([]stream.Value, error) {
+	if count*(8+2*c.arity) > tupleBytes {
+		return nil, fmt.Errorf("transport: data frame declares %d tuples in %d bytes", count, tupleBytes)
+	}
+	return make([]stream.Value, count*c.arity), nil
 }
 
 // appendString encodes a uvarint-length-prefixed string.

@@ -96,9 +96,9 @@ func TestTupleCodecRoundTripEdgeCases(t *testing.T) {
 	}
 }
 
-// randomWireTuple draws a schema-conforming tuple from rng, exercising
+// randomTuple draws a schema-conforming tuple from rng, exercising
 // the int-widens-to-float/time corner on occasion.
-func randomWireTuple(t testing.TB, rng *rand.Rand, schema *stream.Schema, i int) stream.Tuple {
+func randomTuple(t testing.TB, rng *rand.Rand, schema *stream.Schema, i int) stream.Tuple {
 	vals := make([]stream.Value, len(schema.Fields))
 	for j, f := range schema.Fields {
 		switch f.Kind {
@@ -136,7 +136,7 @@ func TestTupleCodecRandomRoundTrip(t *testing.T) {
 	var buf []byte
 	tuples := make([]stream.Tuple, 500)
 	for i := range tuples {
-		tuples[i] = randomWireTuple(t, rng, schema, i)
+		tuples[i] = randomTuple(t, rng, schema, i)
 		buf = codec.appendTuple(buf, tuples[i])
 	}
 	pos := 0
@@ -220,24 +220,32 @@ func FuzzTupleDecode(f *testing.F) {
 	f.Add(codec.appendTuple(nil, tp))
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		got, pos, err := codec.decodeTuple(b, 0)
-		if err != nil {
-			return
-		}
-		if pos <= 0 || pos > len(b) {
-			t.Fatalf("decode reported position %d for %d input bytes", pos, len(b))
-		}
-		// Whatever decodes must survive a re-encode round trip (byte
-		// equality is too strong: Uvarint accepts non-minimal varints).
-		again, _, err := codec.decodeTuple(codec.appendTuple(nil, got), 0)
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded tuple: %v", err)
-		}
-		if !tuplesBitEqual(again, got) {
-			t.Fatalf("re-encode round trip changed the tuple")
-		}
-	})
+	f.Fuzz(func(t *testing.T, b []byte) { checkTupleRoundTrip(t, codec, b, 0) })
+}
+
+// checkTupleRoundTrip is the tuple codec's property on untrusted bytes,
+// in either direction of the wire: b[pos:] decodes to an error (ok is
+// false) or to a tuple that ends inside b and survives a re-encode round
+// trip.
+func checkTupleRoundTrip(t *testing.T, codec *tupleCodec, b []byte, pos int) (next int, ok bool) {
+	t.Helper()
+	got, next, err := codec.decodeTuple(b, pos)
+	if err != nil {
+		return 0, false
+	}
+	if next <= pos || next > len(b) {
+		t.Fatalf("decode from %d reported position %d for %d input bytes", pos, next, len(b))
+	}
+	// Whatever decodes must survive a re-encode round trip (byte
+	// equality is too strong: Uvarint accepts non-minimal varints).
+	again, _, err := codec.decodeTuple(codec.appendTuple(nil, got), 0)
+	if err != nil {
+		t.Fatalf("re-decode of re-encoded tuple: %v", err)
+	}
+	if !tuplesBitEqual(again, got) {
+		t.Fatalf("re-encode round trip changed the tuple")
+	}
+	return next, true
 }
 
 // tuplesBitEqual is Tuple.Equal with bit-exact float comparison, so NaN

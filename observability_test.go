@@ -112,7 +112,47 @@ func TestObservabilityDifferential(t *testing.T) {
 			t.Error("remote stats: wire stage count is zero after a remote differential")
 		}
 		if st.Wire == nil || st.Wire.Results == 0 {
-			t.Errorf("remote stats: Wire series missing or empty: %+v", st.Wire)
+			t.Fatalf("remote stats: Wire series missing or empty: %+v", st.Wire)
+		}
+		// The differential published over TCP: the ingest series counted
+		// every tuple, in no more frames than tuples.
+		if st.Wire.IngestTuples != int64(diffRounds*diffStreams) {
+			t.Errorf("remote stats: IngestTuples %d, want %d", st.Wire.IngestTuples, diffRounds*diffStreams)
+		}
+		if st.Wire.IngestFrames == 0 || st.Wire.IngestFrames > st.Wire.IngestTuples || st.Wire.IngestBytes == 0 || st.Wire.AckBytes == 0 {
+			t.Errorf("remote stats: ingest series did not move with the tuples: %+v", st.Wire)
+		}
+		// Publishing into a stream nobody reads moves the ingest series and
+		// nothing else: Bytes stays the result path's own.
+		quiet, err := probe.RegisterStream(tradesInfo(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if err := quiet.Publish(cosmos.MustTuple(quiet.Schema(), cosmos.Timestamp(i),
+				cosmos.String("q"), cosmos.Float(1), cosmos.Float(2))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := probe.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := probe.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.Wire.IngestTuples - st.Wire.IngestTuples; got != 10 {
+			t.Errorf("IngestTuples moved by %d for 10 published tuples", got)
+		}
+		if after.Wire.IngestBytes <= st.Wire.IngestBytes || after.Wire.IngestFrames <= st.Wire.IngestFrames {
+			t.Errorf("ingest bytes/frames did not move: %+v → %+v", st.Wire, after.Wire)
+		}
+		if after.Wire.Bytes != st.Wire.Bytes || after.Wire.Results != st.Wire.Results {
+			t.Errorf("the result series counted ingest: Bytes %d → %d, Results %d → %d",
+				st.Wire.Bytes, after.Wire.Bytes, st.Wire.Results, after.Wire.Results)
+		}
+		if after.Wire.PublishWindow != 0 {
+			t.Errorf("PublishWindow %d after the publish barrier, want 0", after.Wire.PublishWindow)
 		}
 	})
 }

@@ -16,7 +16,8 @@ import (
 // reference; production evaluates predicate.Compiled only), the profile
 // package declares no name-resolved matcher, and the selectors of the
 // retired second paths — broker fallback, plan degradation, wire version
-// negotiation — are not declared or used anywhere.
+// negotiation, the gob tuple codec publishes travelled in — are not
+// declared or used anywhere.
 func TestOnePathStructure(t *testing.T) {
 	retired := map[string]bool{}
 	for _, name := range []string{
@@ -25,6 +26,14 @@ func TestOnePathStructure(t *testing.T) {
 	} {
 		retired[name] = true
 	}
+	// The gob tuple codec's names are spelled in halves: the grep that
+	// must find them nowhere in the Go sources reads this file too.
+	for _, half := range []string{"Tuple", "Value"} {
+		for _, prefix := range []string{"", "To", "From"} {
+			retired[prefix+"Wire"+half] = true
+		}
+	}
+	retired["Msg"+"Publish"] = true
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {

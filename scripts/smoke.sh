@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke over a real socket: start cosmosd (LiveSystem by
 # default), drive it with cosmosctl — explain, register, catalog,
-# publish, submit (streaming results), stats, top, quiesce — assert the
-# streamed results and the -metrics-addr HTTP surface (live tuple
-# counts, pprof), then shut the daemon down gracefully with SIGTERM.
+# publish (accepted and refused), submit (streaming results), stats, top,
+# quiesce — assert the streamed results and the -metrics-addr HTTP
+# surface (live tuple counts, pprof), then shut the daemon down
+# gracefully with SIGTERM.
 # CI runs this; it is also handy locally: ./scripts/smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -128,9 +129,16 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -n "$up" ] || { echo "restarted cosmosd never came up"; cat "$bin/cosmosd2.log"; exit 1; }
-# The fresh daemon has an empty catalog: re-register, then keep
-# publishing until the resumed subscription reaches its -count and the
-# client exits 0 — proving the -retry session rode out the restart.
+# The fresh daemon has an empty catalog, so it refuses this tuple: a
+# refused publish must exit non-zero and say why, not report "published".
+if ctl publish -stream Trades -ts 150000 -values "ACME,350" >"$bin/refused.txt" 2>&1; then
+  echo "publish into an unregistered stream exited 0"; cat "$bin/refused.txt"; exit 1
+fi
+grep -q 'not registered' "$bin/refused.txt" \
+  || { echo "refused publish gave no reason"; cat "$bin/refused.txt"; exit 1; }
+# Re-register, then keep publishing until the resumed subscription
+# reaches its -count and the client exits 0 — proving the -retry session
+# rode out the restart.
 ctl register -stream 'Trades(symbol string, price float)' -rate 100 -node 1
 i=0
 while kill -0 "$retry_pid" 2>/dev/null && [ "$i" -lt 100 ]; do
