@@ -95,7 +95,7 @@ func renderTop(w io.Writer, prev, cur cosmos.SystemStats, window time.Duration, 
 		for _, p := range prev.Plans {
 			prevPlans[planKey{p.Proc, p.Plan}] = p
 		}
-		b.WriteString("\nPLAN             PROC  PUSH/S     EMIT/S     SEL    P50        P99        QUERIES\n")
+		b.WriteString("\nPLAN             PROC  PUSH/S     EMIT/S     SEL    P50        P99        ROWS     STATE      QUERIES\n")
 		for _, p := range cur.Plans {
 			old := prevPlans[planKey{p.Proc, p.Plan}]
 			pushes, emits := p.Pushes-old.Pushes, p.Emits-old.Emits
@@ -103,10 +103,10 @@ func renderTop(w io.Writer, prev, cur cosmos.SystemStats, window time.Duration, 
 			if pushes > 0 {
 				sel = float64(emits) / float64(pushes)
 			}
-			fmt.Fprintf(&b, "%-16s p%-4d %-10s %-10s %-6.2f %-10s %-10s %s\n",
+			fmt.Fprintf(&b, "%-16s p%-4d %-10s %-10s %-6.2f %-10s %-10s %-8d %-10s %s\n",
 				p.Plan, p.Proc, fmtRate(rate(pushes, window)), fmtRate(rate(emits, window)),
 				sel, fmtQuantile(p.PushLat, 0.50), fmtQuantile(p.PushLat, 0.99),
-				strings.Join(p.Queries, " "))
+				p.WindowRows, fmtBytes(p.WindowBytes), strings.Join(p.Queries, " "))
 		}
 	}
 
@@ -209,6 +209,18 @@ func fmtRate(r float64) string {
 		return fmt.Sprintf("%.0f/s", r)
 	default:
 		return fmt.Sprintf("%.1f/s", r)
+	}
+}
+
+// fmtBytes renders a gauge of resident bytes.
+func fmtBytes(n int64) string {
+	switch {
+	case n >= 1<<20:
+		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
+	case n >= 1<<10:
+		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
+	default:
+		return fmt.Sprintf("%dB", n)
 	}
 }
 

@@ -145,3 +145,27 @@ func TestRenderTopLinkDeltas(t *testing.T) {
 		t.Errorf("new link %+v, want its full counters over the window", l)
 	}
 }
+
+// The plan table shows each plan's resident window state — live rows and
+// the bytes holding them — as gauges of the later snapshot.
+func TestRenderTopWindowState(t *testing.T) {
+	join, sel := planStats(0, "join", 10, 5), planStats(0, "sel", 10, 10)
+	join.WindowRows, join.WindowBytes = 90000, 9<<20+1<<19
+	join.Queries = []string{"q1"}
+	prev := cosmos.SystemStats{Plans: []cosmos.PlanStats{planStats(0, "join", 0, 0)}}
+	out, rows := frame(t, prev, cosmos.SystemStats{Plans: []cosmos.PlanStats{join, sel}}, time.Second)
+	if !strings.Contains(out, "ROWS     STATE") {
+		t.Errorf("plan header lacks the window columns:\n%s", out)
+	}
+	if r := rows["join"]; len(r) != 10 || r[7] != "90000" || r[8] != "9.5MiB" || r[9] != "q1" {
+		t.Errorf("join row %v, want 90000 rows in 9.5MiB before its queries", r)
+	}
+	if r := rows["sel"]; len(r) != 9 || r[7] != "0" || r[8] != "0B" {
+		t.Errorf("selection row %v, want no window state", r)
+	}
+	for n, want := range map[int64]string{512: "512B", 1536: "1.5KiB", 3 << 20: "3.0MiB"} {
+		if got := fmtBytes(n); got != want {
+			t.Errorf("fmtBytes(%d) = %q, want %q", n, got, want)
+		}
+	}
+}

@@ -621,3 +621,46 @@ func TestCloseDropsWork(t *testing.T) {
 	}
 	rt.Barrier() // must not hang
 }
+
+// TestStatsSnapshotWindowGauges: a plan's WindowRows/WindowBytes are its
+// resident window state as the plan itself reports it — a [Now]
+// selection holds none, an aggregate's range holds its live rows.
+func TestStatsSnapshotWindowGauges(t *testing.T) {
+	reg := stream.NewRegistry()
+	if err := sensordata.RegisterAll(reg); err != nil {
+		t.Fatal(err)
+	}
+	rt := exec.New(exec.Config{})
+	defer rt.Close()
+	for id, q := range map[string]string{
+		"agg": "SELECT station, MAX(temperature) FROM Sensor00 [Range 1 Hour] GROUP BY station",
+		"sel": "SELECT station FROM Sensor00 [Now]",
+	} {
+		b, err := cql.AnalyzeString(q, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Install(id, b, "res"+id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen := sensordata.NewGenerator(0, 7)
+	const pushed = 40
+	for i := 0; i < pushed; i++ {
+		rt.Consume(gen.Next())
+	}
+	plans, _ := rt.StatsSnapshot()
+	if len(plans) != 2 || plans[0].Plan != "agg" || plans[1].Plan != "sel" {
+		t.Fatalf("plans = %+v", plans)
+	}
+	var rows int
+	var bytes int64
+	rt.WithPlan("agg", func(p *spe.Plan) { rows, bytes = p.WindowStats() })
+	if agg := plans[0]; agg.WindowRows != rows || agg.WindowBytes != bytes || rows != pushed || bytes == 0 {
+		t.Errorf("agg gauges %d rows / %d B, plan reports %d / %d after %d pushes",
+			agg.WindowRows, agg.WindowBytes, rows, bytes, pushed)
+	}
+	if sel := plans[1]; sel.WindowRows != 0 || sel.WindowBytes != 0 {
+		t.Errorf("[Now] selection holds %d rows / %d B, want none", sel.WindowRows, sel.WindowBytes)
+	}
+}

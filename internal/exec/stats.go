@@ -20,6 +20,11 @@ type PlanStats struct {
 	Pushes int64
 	Emits  int64
 	Errors int64
+	// WindowRows / WindowBytes gauge the plan's resident window state:
+	// live rows over its inputs, and the bytes their rings and join
+	// indexes occupy (see spe.Plan.WindowStats).
+	WindowRows  int
+	WindowBytes int64
 	// PushLat is the sampled push latency (plan execution + emission
 	// into the sink, under the plan lock). Empty when latency sampling
 	// is off or no push has been sampled yet.
@@ -59,6 +64,9 @@ func (r *Runtime) StatsSnapshot() ([]PlanStats, []WorkerStats) {
 			Pushes: s.pushes,
 			Emits:  s.emits,
 			Errors: s.errs,
+		}
+		if s.plan != nil { // nil once a concurrent Remove got there first
+			ps.WindowRows, ps.WindowBytes = s.plan.WindowStats()
 		}
 		if s.lat != nil {
 			ps.PushLat = s.lat.Snapshot()

@@ -21,8 +21,9 @@ import (
 // evict suffers catastrophic cancellation once large values leave the
 // window). Groups are keyed by canonical comparable value keys
 // (stream.Value.Key) rather than rendered strings. Every access is by
-// the column indices resolved in newAggState; tuples reach it adapted to
-// the input schema.
+// the column indices resolved in newAggState; rows reach it in the
+// input's projected layout, and a group's live members are a chain of
+// row ordinals threaded through the input's store.
 type aggState struct {
 	bound  *cql.Bound
 	schema *stream.Schema
@@ -31,7 +32,7 @@ type aggState struct {
 	groupIdx []int
 	plainIdx []int
 	specs    []aggSpec
-	// trackMembers keeps per-group member lists (MIN/MAX recompute and
+	// trackMembers keeps per-group member chains (MIN/MAX recompute and
 	// float SUM/AVG emission).
 	trackMembers bool
 	groups       map[hashKey]*groupAgg
@@ -55,8 +56,7 @@ type aggAcc struct {
 type groupAgg struct {
 	count   int64
 	accs    []aggAcc
-	members []uint64 // live member sequences in arrival order
-	mhead   int
+	members chain // live member rows in arrival order
 }
 
 func newAggState(b *cql.Bound, schema *stream.Schema) (*aggState, error) {
@@ -103,19 +103,20 @@ func newAggState(b *cql.Bound, schema *stream.Schema) (*aggState, error) {
 // reset drops all group state (snapshot restore rebuilds it).
 func (a *aggState) reset() { a.groups = map[hashKey]*groupAgg{} }
 
-// keyOf builds a tuple's canonical group key.
-func (a *aggState) keyOf(t stream.Tuple) hashKey {
+// keyOf builds a row's canonical group key.
+func (a *aggState) keyOf(vals []stream.Value) hashKey {
 	var k hashKey
 	for i, col := range a.groupIdx {
-		k = k.with(i, t.Values[col])
+		k = k.with(i, vals[col])
 	}
 	return k
 }
 
-// admit registers one surviving input tuple with its group, updating the
-// running aggregates. It is also how snapshot restore rebuilds state.
-func (a *aggState) admit(t stream.Tuple, seq uint64) *groupAgg {
-	key := a.keyOf(t)
+// admit registers one surviving input row, just appended to the store
+// as ord, with its group, updating the running aggregates. It is also
+// how snapshot restore rebuilds state.
+func (a *aggState) admit(st *rowStore, vals []stream.Value, ord uint64) *groupAgg {
+	key := a.keyOf(vals)
 	g := a.groups[key]
 	if g == nil {
 		g = &groupAgg{accs: make([]aggAcc, len(a.specs))}
@@ -127,14 +128,14 @@ func (a *aggState) admit(t stream.Tuple, seq uint64) *groupAgg {
 		if s.fn == cql.AggCount {
 			continue
 		}
-		v := t.Values[s.idx]
+		v := vals[s.idx]
 		acc := &g.accs[si]
 		switch s.fn {
 		case cql.AggSum, cql.AggAvg:
 			if s.exact {
 				acc.sumI += v.AsInt()
 			}
-			// Float sums are computed from the member list at emission.
+			// Float sums are computed from the member chain at emission.
 		default: // MIN/MAX
 			if g.count == 1 {
 				acc.best, acc.dirty = v, false
@@ -147,16 +148,16 @@ func (a *aggState) admit(t stream.Tuple, seq uint64) *groupAgg {
 		}
 	}
 	if a.trackMembers {
-		g.members = append(g.members, seq)
+		st.link(&g.members, ord)
 	}
 	return g
 }
 
-// evictMember unwinds one expired tuple from its group's running state;
-// the plan's eviction loop calls it exactly once per expired tuple, so
-// maintenance is amortised O(1) per push.
-func (a *aggState) evictMember(t stream.Tuple) {
-	key := a.keyOf(t)
+// evictMember unwinds the store's oldest row (vals) from its group's
+// running state; the plan's eviction loop calls it exactly once per
+// expired row, so maintenance is amortised O(1) per push.
+func (a *aggState) evictMember(st *rowStore, vals []stream.Value) {
+	key := a.keyOf(vals)
 	g := a.groups[key]
 	if g == nil {
 		return // unreachable: every buffered tuple was admitted
@@ -167,7 +168,7 @@ func (a *aggState) evictMember(t stream.Tuple) {
 		if s.fn == cql.AggCount {
 			continue
 		}
-		v := t.Values[s.idx]
+		v := vals[s.idx]
 		acc := &g.accs[si]
 		switch s.fn {
 		case cql.AggSum, cql.AggAvg:
@@ -185,38 +186,33 @@ func (a *aggState) evictMember(t stream.Tuple) {
 	}
 	if a.trackMembers {
 		// Members expire in arrival order, so the front is the evictee.
-		g.mhead++
-		if g.mhead >= compactMinHead && g.mhead*2 >= len(g.members) {
-			n := copy(g.members, g.members[g.mhead:])
-			g.members = g.members[:n]
-			g.mhead = 0
-		}
+		st.unlinkFirst(&g.members)
 	}
 	if g.count <= 0 {
 		delete(a.groups, key)
 	}
 }
 
-// update admits the surviving tuple and emits its group's refreshed
+// update admits the surviving row and emits its group's refreshed
 // aggregate row. The row is bound to the bound's placeholder OutSchema;
 // the plan rebinds it to its registered result stream schema.
-func (a *aggState) update(in *inputState, t stream.Tuple, seq uint64) stream.Tuple {
-	g := a.admit(t, seq)
+func (a *aggState) update(st *rowStore, vals []stream.Value, ts stream.Timestamp, ord uint64) stream.Tuple {
+	g := a.admit(st, vals, ord)
 	values := make([]stream.Value, 0, len(a.plainIdx)+len(a.specs))
 	for _, col := range a.plainIdx {
-		values = append(values, t.Values[col])
+		values = append(values, vals[col])
 	}
 	for si := range a.specs {
-		values = append(values, a.result(in, g, si))
+		values = append(values, a.result(st, g, si))
 	}
-	return stream.Tuple{Schema: a.bound.OutSchema, Ts: t.Ts, Values: values}
+	return stream.Tuple{Schema: a.bound.OutSchema, Ts: ts, Values: values}
 }
 
 // result reads one aggregate's current value: running counters for
 // COUNT and exact sums, the group's live members for float sums, and
 // the cached MIN/MAX extremum, recomputed from the live members when an
 // eviction dirtied it.
-func (a *aggState) result(in *inputState, g *groupAgg, si int) stream.Value {
+func (a *aggState) result(st *rowStore, g *groupAgg, si int) stream.Value {
 	s := &a.specs[si]
 	acc := &g.accs[si]
 	switch s.fn {
@@ -230,9 +226,7 @@ func (a *aggState) result(in *inputState, g *groupAgg, si int) stream.Value {
 			// Summed fresh over the live members in arrival order: a
 			// running accumulator with subtract-on-evict cancels
 			// catastrophically once large values leave the window.
-			for _, seq := range g.members[g.mhead:] {
-				sum += in.at(seq).Values[s.idx].AsFloat()
-			}
+			sum = st.sumFloat(s.idx, g.members)
 		}
 		if s.fn == cql.AggAvg {
 			sum /= float64(g.count)
@@ -240,7 +234,7 @@ func (a *aggState) result(in *inputState, g *groupAgg, si int) stream.Value {
 		return stream.Float(sum)
 	default: // MIN/MAX
 		if acc.dirty {
-			a.recompute(in, g, si)
+			a.recompute(st, g, si)
 		}
 		return acc.best
 	}
@@ -248,12 +242,12 @@ func (a *aggState) result(in *inputState, g *groupAgg, si int) stream.Value {
 
 // recompute rescans the group's live members (first-wins on ties, like a
 // fresh window scan) to refresh a dirtied MIN/MAX extremum.
-func (a *aggState) recompute(in *inputState, g *groupAgg, si int) {
+func (a *aggState) recompute(st *rowStore, g *groupAgg, si int) {
 	s := &a.specs[si]
 	acc := &g.accs[si]
 	first := true
-	for _, seq := range g.members[g.mhead:] {
-		v := in.at(seq).Values[s.idx]
+	for ord := g.members.first; ord != 0; ord = st.next[ord&st.mask] {
+		v := st.value(s.idx, ord)
 		if first {
 			acc.best, first = v, false
 			continue

@@ -12,11 +12,11 @@ import (
 // attribute reference on it is resolved against the plan's input
 // schemas: selections become predicate.Compiled index walks, the select
 // list becomes (slot, column) pairs, join and residual predicates
-// compile against the joined namespace, and equi-join inputs get
-// hash-partitioned buffers keyed on the compiled join columns. Anything
-// the compiler cannot prove error-free fails Compile; the name-resolved
-// executor in reference_test.go is what this path is differentially
-// tested against.
+// compile against the joined namespace, and equi-join inputs get a hash
+// index over their row store (store.go) keyed on the compiled join
+// columns. Anything the compiler cannot prove error-free fails Compile;
+// the name-resolved executor in reference_test.go is what this path is
+// differentially tested against.
 
 // slotCol addresses one column of one input slot of a combination.
 type slotCol struct {
@@ -35,14 +35,20 @@ type compiledPlan struct {
 	cmps    *predicate.CompiledCmps
 	resid   *predicate.Compiled
 	trivial bool
-	// offsets[i] is input i's value offset in the joined namespace;
-	// scratch and combo are reusable per-push buffers (Push is
+	// offsets[i] is input i's value offset in the joined namespace, with
+	// the namespace's arity as a final entry. scratch is the joined value
+	// slice the predicates evaluate. The combination under assembly is
+	// placed/rows/ts per slot: rows[i] is the pushed tuple's values for
+	// the probing slot and, for a window row, slot i's segment of scratch
+	// filled from its store. All are reusable per-push buffers (Push is
 	// serialised per plan — under the engine lock in spe.Engine, under
 	// the plan's slot lock in the exec runtime; emitted tuples never
 	// alias them).
 	offsets []int
 	scratch []stream.Value
-	combo   []stream.Tuple
+	placed  []bool
+	rows    [][]stream.Value
+	ts      []stream.Timestamp
 }
 
 // buildCompiled compiles the whole per-tuple path, or reports why the
@@ -58,24 +64,27 @@ func (p *Plan) buildCompiled(b *cql.Bound) error {
 	}
 	var cp *compiledPlan
 	if p.agg == nil {
-		cp = &compiledPlan{combo: make([]stream.Tuple, len(p.inputs))}
-		off := 0
-		cp.offsets = make([]int, len(p.inputs))
-		for i, in := range p.inputs {
-			cp.offsets[i] = off
-			off += in.schema.Arity()
+		n := len(p.inputs)
+		cp = &compiledPlan{
+			offsets: make([]int, n+1),
+			placed:  make([]bool, n),
+			rows:    make([][]stream.Value, n),
+			ts:      make([]stream.Timestamp, n),
 		}
-		cp.scratch = make([]stream.Value, off)
+		for i, in := range p.inputs {
+			cp.offsets[i+1] = cp.offsets[i] + in.schema.Arity()
+		}
+		cp.scratch = make([]stream.Value, cp.offsets[n])
 		for _, c := range b.SelectCols {
-			slot := p.indexOf(c.Qualifier)
-			if slot < 0 {
+			in, ok := p.byAlias[c.Qualifier]
+			if !ok {
 				return fmt.Errorf("unknown alias %s", c.Qualifier)
 			}
-			col := p.inputs[slot].schema.ColIndex(c.Name)
+			col := in.schema.ColIndex(c.Name)
 			if col < 0 {
 				return fmt.Errorf("input of %s lacks %s", c.Qualifier, c.Name)
 			}
-			cp.emitCols = append(cp.emitCols, slotCol{slot, col})
+			cp.emitCols = append(cp.emitCols, slotCol{in.slot, col})
 		}
 		if b.IncludeInputTs && len(b.From) > 1 {
 			for i, ref := range b.From {
@@ -101,11 +110,11 @@ func (p *Plan) buildCompiled(b *cql.Bound) error {
 	// Commit only after every piece compiled.
 	for i, in := range p.inputs {
 		in.selC = selC[i]
-	}
-	if cp != nil && len(p.inputs) > 1 {
-		for i, in := range p.inputs {
+		if cp != nil && len(p.inputs) > 1 {
 			in.hash = p.buildJoinIndex(cp, i)
 		}
+		linked := in.hash != nil || (p.agg != nil && p.agg.trackMembers)
+		in.store = newRowStore(in.schema, linked)
 	}
 	p.cp = cp
 	return nil
@@ -121,18 +130,23 @@ type adapter struct {
 	identity bool
 }
 
-// adapt normalises an incoming tuple to the input's projected schema: a
-// cached index copy keyed on the source schema pointer.
-func (in *inputState) adapt(t stream.Tuple) (stream.Tuple, error) {
+// adapt normalises an incoming tuple's values to the input's projected
+// layout through the index map cached for its source schema pointer: the
+// tuple's own slice when the map is the identity, the input's reusable
+// row otherwise.
+func (in *inputState) adapt(t stream.Tuple) ([]stream.Value, error) {
 	if t.Schema != in.ad.src {
 		if err := in.rebindAdapter(t.Schema); err != nil {
-			return stream.Tuple{}, err
+			return nil, err
 		}
 	}
 	if in.ad.identity {
-		return stream.Tuple{Schema: in.schema, Ts: t.Ts, Values: t.Values}, nil
+		return t.Values, nil
 	}
-	return t.ProjectIdx(in.ad.idx, in.schema), nil
+	for i, j := range in.ad.idx {
+		in.vals[i] = t.Values[j]
+	}
+	return in.vals, nil
 }
 
 // rebindAdapter resolves the input's projection against a new source
@@ -160,152 +174,162 @@ func (in *inputState) rebindAdapter(src *stream.Schema) error {
 	return nil
 }
 
-// pushInput runs one adapted tuple of one input through the plan.
+// pushInput runs one tuple through one input of the plan.
 func (p *Plan) pushInput(in *inputState, t stream.Tuple) ([]stream.Tuple, error) {
-	if !in.selC.IsTrue() && !in.selC.EvalValues(t.Values, t.Ts) {
+	vals, err := in.adapt(t)
+	if err != nil {
+		return nil, fmt.Errorf("spe %s: input tuple: %w", p.ID, err)
+	}
+	if !in.selC.IsTrue() && !in.selC.EvalValues(vals, t.Ts) {
 		return nil, nil
 	}
 	if p.agg != nil {
 		p.evict(in)
-		row := p.agg.update(in, t, in.insert(t))
+		row := p.agg.update(&in.store, vals, t.Ts, in.insert(vals, t.Ts))
 		// Rebind from the bound's placeholder schema to the plan's
 		// registered result stream schema.
 		row.Schema = p.Result
 		return []stream.Tuple{row}, nil
 	}
 	cp := p.cp
-	if len(p.inputs) == 1 {
-		cp.combo[0] = t
-		var out []stream.Tuple
-		if cp.accept(cp.combo) {
-			out = append(out, cp.emit(p, cp.combo))
-		}
-		cp.combo[0] = stream.Tuple{}
-		return out, nil
+	cp.place(in.slot, vals, t.Ts)
+	if !cp.trivial {
+		copy(cp.scratch[cp.offsets[in.slot]:], vals)
 	}
-	for _, other := range p.inputs {
-		p.evict(other)
-	}
-	selfIdx := p.indexOf(in.alias)
-	cp.combo[selfIdx] = t
 	var out []stream.Tuple
-	p.dfsCompiled(0, selfIdx, &out)
-	cp.combo[selfIdx] = stream.Tuple{}
-	in.insert(t)
+	if len(p.inputs) == 1 {
+		if cp.accept() {
+			out = append(out, cp.emit(p))
+		}
+	} else {
+		for _, other := range p.inputs {
+			p.evict(other)
+		}
+		p.dfsCompiled(0, &out)
+		in.insert(vals, t.Ts)
+	}
+	cp.unplace(in.slot)
 	return out, nil
 }
 
 // dfsCompiled enumerates join combinations depth-first in input order —
 // the same lexicographic (input, arrival) order the reference executor's
-// breadth-first probe produces. Each non-self input contributes either
-// its equi-partition bucket (when every partner column is already placed
-// and hash-exact) or a scan of its live window.
-func (p *Plan) dfsCompiled(i, selfIdx int, out *[]stream.Tuple) {
+// breadth-first probe produces. The slot found placed is the pushed
+// tuple's; every other input contributes either its equi-join bucket
+// (when every partner column is already placed and hash-exact) or a scan
+// of its live window.
+func (p *Plan) dfsCompiled(i int, out *[]stream.Tuple) {
 	cp := p.cp
 	if i == len(p.inputs) {
-		if cp.accept(cp.combo) {
-			*out = append(*out, cp.emit(p, cp.combo))
+		if cp.accept() {
+			*out = append(*out, cp.emit(p))
 		}
 		return
 	}
-	if i == selfIdx {
-		p.dfsCompiled(i+1, selfIdx, out)
+	if cp.placed[i] {
+		p.dfsCompiled(i+1, out)
 		return
 	}
 	in := p.inputs[i]
-	combo := cp.combo
-	if in.hash != nil {
-		if key, ok := in.hash.probeKey(combo); ok {
-			liveMin := in.liveMin()
-			bkt := in.hash.bucket(key, liveMin)
-			ovf := in.hash.liveOverflow(liveMin)
-			// Merge bucket and overflow candidates in arrival order so
-			// emission order matches a scan of the live window.
-			bi, oi := 0, 0
-			for bi < len(bkt) || oi < len(ovf) {
-				var seq uint64
-				if oi == len(ovf) || (bi < len(bkt) && bkt[bi] < ovf[oi]) {
-					seq = bkt[bi]
-					bi++
-				} else {
-					seq = ovf[oi]
-					oi++
+	s := &in.store
+	if h, ok := in.hash.probe(cp); ok {
+		// Merge bucket and overflow candidates in arrival order so
+		// emission order matches a scan of the live window.
+		ord, ovf := in.hash.first(s, h), in.hash.overflow
+		for ord != 0 || len(ovf) > 0 {
+			if len(ovf) == 0 || (ord != 0 && ord < ovf[0]) {
+				cand := ord
+				ord = s.next[ord&s.mask]
+				if in.hash.matches(s, cand, cp) {
+					p.tryRow(in, cand, out)
 				}
-				u := in.at(seq)
-				if !p.pairwiseJoinable(combo, i, u, in) {
-					continue
-				}
-				combo[i] = u
-				p.dfsCompiled(i+1, selfIdx, out)
+			} else {
+				p.tryRow(in, ovf[0], out)
+				ovf = ovf[1:]
 			}
-			combo[i] = stream.Tuple{}
-			return
+		}
+	} else {
+		for ord := s.head; ord < s.tail; ord++ {
+			p.tryRow(in, ord, out)
 		}
 	}
-	for _, u := range in.live() {
-		if !p.pairwiseJoinable(combo, i, u, in) {
-			continue
-		}
-		combo[i] = u
-		p.dfsCompiled(i+1, selfIdx, out)
+	cp.unplace(i)
+}
+
+// tryRow extends the combination with one window row of input in, if
+// Lemma 1 admits it beside the rows already placed, and recurses.
+func (p *Plan) tryRow(in *inputState, ord uint64, out *[]stream.Tuple) {
+	ts := in.store.tsAt(ord)
+	if !p.pairwiseJoinable(in, ts) {
+		return
 	}
-	combo[i] = stream.Tuple{}
+	cp := p.cp
+	row := cp.scratch[cp.offsets[in.slot]:cp.offsets[in.slot+1]]
+	in.store.read(ord, row)
+	cp.place(in.slot, row, ts)
+	p.dfsCompiled(in.slot+1, out)
+}
+
+func (cp *compiledPlan) place(slot int, vals []stream.Value, ts stream.Timestamp) {
+	cp.placed[slot], cp.rows[slot], cp.ts[slot] = true, vals, ts
+}
+
+// unplace empties a slot, dropping its reference to a pushed tuple.
+func (cp *compiledPlan) unplace(slot int) {
+	cp.placed[slot], cp.rows[slot] = false, nil
 }
 
 // accept evaluates the compiled join predicates and residual over a full
-// combination, assembling the joined value slice into the reusable
-// scratch buffer.
-func (cp *compiledPlan) accept(combo []stream.Tuple) bool {
+// combination, which pushInput and tryRow assembled in scratch.
+func (cp *compiledPlan) accept() bool {
 	if cp.trivial {
 		return true
-	}
-	for s, t := range combo {
-		copy(cp.scratch[cp.offsets[s]:], t.Values)
 	}
 	if !cp.cmps.EvalValues(cp.scratch) {
 		return false
 	}
-	if cp.resid != nil && !cp.resid.EvalValues(cp.scratch, comboTs(combo)) {
-		return false
-	}
-	return true
+	return cp.resid == nil || cp.resid.EvalValues(cp.scratch, cp.comboTs())
 }
 
-// emit projects a combination into the result schema through the
+// emit projects the combination into the result schema through the
 // pre-resolved (slot, column) pairs. Kinds were validated at compile
 // time, so the tuple is built directly.
-func (cp *compiledPlan) emit(p *Plan, combo []stream.Tuple) stream.Tuple {
+func (cp *compiledPlan) emit(p *Plan) stream.Tuple {
 	values := make([]stream.Value, 0, p.Result.Arity())
 	for _, sc := range cp.emitCols {
-		values = append(values, combo[sc.slot].Values[sc.col])
+		values = append(values, cp.rows[sc.slot][sc.col])
 	}
 	for _, s := range cp.tsSlots {
-		values = append(values, stream.Time(combo[s].Ts))
+		values = append(values, stream.Time(cp.ts[s]))
 	}
-	return stream.Tuple{Schema: p.Result, Ts: comboTs(combo), Values: values}
+	return stream.Tuple{Schema: p.Result, Ts: cp.comboTs(), Values: values}
 }
 
-func comboTs(combo []stream.Tuple) stream.Timestamp {
+// comboTs is a full combination's timestamp: its newest row's.
+func (cp *compiledPlan) comboTs() stream.Timestamp {
 	ts := stream.Timestamp(-1 << 62)
-	for _, t := range combo {
-		if t.Ts > ts {
-			ts = t.Ts
+	for _, t := range cp.ts {
+		if t > ts {
+			ts = t
 		}
 	}
 	return ts
 }
 
-// joinIndex hash-partitions one join input's window buffer on its
-// compiled equi-join columns. Buckets hold absolute tuple sequences in
-// arrival order; expired prefixes are trimmed lazily on probe and swept
-// wholesale once evictions dominate the live window. Tuples whose key
-// values are not hash-exact (stream.Value.KeyExact) go to the overflow
-// list and are scanned on every probe, so Compare-equality corner cases
-// still join exactly as a nested-loop scan would.
+// joinIndex hashes one join input's rows on its compiled equi-join
+// columns: buckets has the ring's capacity, a row's bucket is its key
+// hash under the ring's mask, and a bucket chains its rows in arrival
+// order through the store's next column — rows of colliding keys
+// included, so a probe verifies candidates against the key columns. The
+// evictee heads its chain, which keeps the index exact in O(1) per
+// eviction. Rows whose key values are not hash-exact
+// (stream.Value.KeyExact) go to the overflow list, also in arrival
+// order, and are scanned on every probe, so Compare-equality corner
+// cases still join exactly as a nested-loop scan would.
 type joinIndex struct {
 	keyCols  []int     // this input's key columns, in join-predicate order
-	partners []slotCol // matching column in the combo, per key column
-	buckets  map[hashKey][]uint64
+	partners []slotCol // matching column in the combination, per key column
+	buckets  []chain
 	overflow []uint64
 }
 
@@ -334,12 +358,12 @@ func (p *Plan) buildJoinIndex(cp *compiledPlan, i int) *joinIndex {
 	if len(keyCols) == 0 {
 		return nil
 	}
-	return &joinIndex{keyCols: keyCols, partners: partners, buckets: map[hashKey][]uint64{}}
+	return &joinIndex{keyCols: keyCols, partners: partners}
 }
 
 // locate maps a joined-namespace column index to its (slot, column).
 func (cp *compiledPlan) locate(col int) (int, int) {
-	for s := len(cp.offsets) - 1; s >= 0; s-- {
+	for s := len(cp.offsets) - 2; s >= 0; s-- {
 		if col >= cp.offsets[s] {
 			return s, col - cp.offsets[s]
 		}
@@ -347,102 +371,100 @@ func (cp *compiledPlan) locate(col int) (int, int) {
 	return 0, col
 }
 
-// insert files a buffered tuple under its equi-key bucket, or in the
-// overflow list when any key value is not hash-exact.
-func (j *joinIndex) insert(t stream.Tuple, seq uint64) {
-	var k hashKey
-	for m, c := range j.keyCols {
-		v := t.Values[c]
-		if !v.KeyExact() {
-			j.overflow = append(j.overflow, seq)
-			return
-		}
-		k = k.with(m, v)
+// mixKey folds one key column's value into a key hash; ok is false for a
+// value that is not hash-exact.
+func mixKey(h uint64, v stream.Value) (uint64, bool) {
+	if !v.KeyExact() {
+		return 0, false
 	}
-	j.buckets[k] = append(j.buckets[k], seq)
+	return h*0x9e3779b97f4a7c15 + v.Key().Hash(), true
 }
 
-// probeKey builds the probe key from the partner columns already placed
-// in the combo. ok is false when a partner is not yet placed or a value
-// is not hash-exact; the caller then scans the live window instead.
-func (j *joinIndex) probeKey(combo []stream.Tuple) (hashKey, bool) {
-	var k hashKey
+// hash is the key hash of a row in the input's layout; exact is false
+// when the row belongs on the overflow list.
+func (j *joinIndex) hash(vals []stream.Value) (h uint64, exact bool) {
+	for _, c := range j.keyCols {
+		if h, exact = mixKey(h, vals[c]); !exact {
+			return 0, false
+		}
+	}
+	return h, true
+}
+
+// probe hashes the partner columns already placed in the combination. ok
+// is false when the input has no index, a partner is not yet placed or a
+// value is not hash-exact; the caller then scans the live window instead.
+func (j *joinIndex) probe(cp *compiledPlan) (h uint64, ok bool) {
+	if j == nil {
+		return 0, false
+	}
+	for _, pt := range j.partners {
+		if !cp.placed[pt.slot] {
+			return 0, false
+		}
+		if h, ok = mixKey(h, cp.rows[pt.slot][pt.col]); !ok {
+			return 0, false
+		}
+	}
+	return h, true
+}
+
+// first is the oldest row of a key hash's bucket, 0 when it is empty.
+func (j *joinIndex) first(s *rowStore, h uint64) uint64 {
+	if len(j.buckets) == 0 {
+		return 0
+	}
+	return j.buckets[h&s.mask].first
+}
+
+// matches verifies a bucket candidate against the probe's key values.
+func (j *joinIndex) matches(s *rowStore, ord uint64, cp *compiledPlan) bool {
 	for m, pt := range j.partners {
-		t := combo[pt.slot]
-		if t.Schema == nil {
-			return hashKey{}, false
+		if !s.value(j.keyCols[m], ord).Equal(cp.rows[pt.slot][pt.col]) {
+			return false
 		}
-		v := t.Values[pt.col]
-		if !v.KeyExact() {
-			return hashKey{}, false
-		}
-		k = k.with(m, v)
 	}
-	return k, true
+	return true
 }
 
-// bucket returns the live sequences filed under a key, trimming the
-// expired prefix in place.
-func (j *joinIndex) bucket(k hashKey, liveMin uint64) []uint64 {
-	bkt, ok := j.buckets[k]
-	if !ok {
-		return nil
-	}
-	n := 0
-	for n < len(bkt) && bkt[n] < liveMin {
-		n++
-	}
-	if n == len(bkt) {
-		delete(j.buckets, k)
-		return nil
-	}
-	if n > 0 {
-		bkt = bkt[n:]
-		j.buckets[k] = bkt
-	}
-	return bkt
-}
-
-// liveOverflow returns the live overflow sequences, trimming the expired
-// prefix in place.
-func (j *joinIndex) liveOverflow(liveMin uint64) []uint64 {
-	n := 0
-	for n < len(j.overflow) && j.overflow[n] < liveMin {
-		n++
-	}
-	if n > 0 {
-		j.overflow = j.overflow[n:]
-	}
-	return j.overflow
-}
-
-// sweep drops every expired sequence and compacts the retained slices,
-// bounding memory for buckets that are never probed again.
-func (j *joinIndex) sweep(liveMin uint64) {
-	for k, bkt := range j.buckets {
-		n := 0
-		for n < len(bkt) && bkt[n] < liveMin {
-			n++
-		}
-		if n == len(bkt) {
-			delete(j.buckets, k)
-			continue
-		}
-		if n > 0 {
-			j.buckets[k] = append(bkt[:0:0], bkt[n:]...)
-		}
-	}
-	n := 0
-	for n < len(j.overflow) && j.overflow[n] < liveMin {
-		n++
-	}
-	if n > 0 {
-		j.overflow = append(j.overflow[:0:0], j.overflow[n:]...)
+// insert chains a row just appended to the store into its bucket, or
+// lists it as overflow.
+func (j *joinIndex) insert(s *rowStore, vals []stream.Value, ord uint64) {
+	if h, exact := j.hash(vals); exact {
+		s.link(&j.buckets[h&s.mask], ord)
+	} else {
+		j.overflow = append(j.overflow, ord)
 	}
 }
 
-// reset clears all hash state (used when rebuilding from a snapshot).
+// evict unfiles the store's oldest row (vals), which heads its bucket's
+// chain or the overflow list.
+func (j *joinIndex) evict(s *rowStore, vals []stream.Value) {
+	if h, exact := j.hash(vals); exact {
+		s.unlinkFirst(&j.buckets[h&s.mask])
+	} else {
+		j.overflow = j.overflow[1:]
+	}
+}
+
+// rebuild rechains every live row after the ring grew (the mask, and
+// with it every row's bucket, changed). The overflow list holds
+// ordinals and stands. row is a scratch row in the input's layout.
+func (j *joinIndex) rebuild(s *rowStore, row []stream.Value) {
+	j.buckets = make([]chain, len(s.ts))
+	for ord := s.head; ord < s.tail; ord++ {
+		s.read(ord, row)
+		if h, exact := j.hash(row); exact {
+			s.next[ord&s.mask] = 0
+			s.link(&j.buckets[h&s.mask], ord)
+		}
+	}
+}
+
+// reset empties the index (a snapshot restore refills it).
 func (j *joinIndex) reset() {
-	j.buckets = map[hashKey][]uint64{}
+	clear(j.buckets)
 	j.overflow = nil
 }
+
+func (j *joinIndex) bytes() int64 { return int64(16*len(j.buckets) + 8*cap(j.overflow)) }

@@ -18,7 +18,7 @@ import (
 // twin (see reference_test.go) and asserts identical emissions (count,
 // order, timestamps, values) and identical error outcomes. It returns
 // the number of emitted tuples.
-func samePush(t *testing.T, ctx string, pc, pi *Plan, tp stream.Tuple) int {
+func samePush(t *testing.T, ctx string, pc *Plan, pi *refPlan, tp stream.Tuple) int {
 	t.Helper()
 	got, gerr := pc.Push(tp)
 	want, werr := pi.pushReference(tp)
@@ -74,8 +74,9 @@ func TestCompiledPlanDifferentialQuerygen(t *testing.T) {
 	}
 
 	type pair struct {
-		pc, pi *Plan
-		kind   string
+		pc   *Plan
+		pi   *refPlan
+		kind string
 	}
 	emitted := map[string]int{}
 	var pairs []pair
@@ -449,10 +450,11 @@ func TestSnapshotRestoreRebuildsCompiledState(t *testing.T) {
 	}
 }
 
-// TestCompiledHashBucketsBounded checks that equi-partition buckets do
-// not accumulate dead sequences: after heavy churn the total filed
-// sequences stay proportional to the live window.
-func TestCompiledHashBucketsBounded(t *testing.T) {
+// TestCompiledJoinIndexExactUnderChurn checks that eviction keeps the
+// equi-join index exact: after heavy churn the bucket chains hold the
+// live rows and nothing else, each under the bucket its key hashes to,
+// in arrival order.
+func TestCompiledJoinIndexExactUnderChurn(t *testing.T) {
 	b := bind(t, `SELECT O.itemID FROM OpenAuction [Range 1 Second] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID`)
 	p, err := Compile("q", b, "res")
 	if err != nil {
@@ -460,22 +462,41 @@ func TestCompiledHashBucketsBounded(t *testing.T) {
 	}
 	in := p.byAlias["OpenAuction"]
 	if in.hash == nil {
-		t.Fatal("equi-join input should be hash partitioned")
+		t.Fatal("equi-join input should be hash indexed")
 	}
 	for i := 0; i < 20000; i++ {
-		// Distinct items so every bucket holds few entries; the sweep
-		// must still reclaim expired ones.
+		// Distinct items, so every row is filed under a key of its own.
 		if _, err := p.Push(openTuple(stream.Timestamp(i*10), int64(i), 1, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	total := len(in.hash.overflow)
-	for _, bkt := range in.hash.buckets {
-		total += len(bkt)
+	s := &in.store
+	if len(in.hash.buckets) != len(s.ts) {
+		t.Fatalf("%d buckets over a ring of %d", len(in.hash.buckets), len(s.ts))
 	}
-	live := len(in.live())
-	if total > 2*live+2*compactMinHead {
-		t.Errorf("hash index holds %d sequences for %d live tuples", total, live)
+	row := make([]stream.Value, in.schema.Arity())
+	chained := 0
+	for bi, bkt := range in.hash.buckets {
+		prev := uint64(0)
+		for ord := bkt.first; ord != 0; ord = s.next[ord&s.mask] {
+			if ord < s.head || ord >= s.tail {
+				t.Fatalf("bucket %d chains dead row %d (live [%d, %d))", bi, ord, s.head, s.tail)
+			}
+			if ord <= prev {
+				t.Fatalf("bucket %d out of arrival order: %d after %d", bi, ord, prev)
+			}
+			s.read(ord, row)
+			if h, exact := in.hash.hash(row); !exact || h&s.mask != uint64(bi) {
+				t.Fatalf("row %d filed under bucket %d, hashes to %d", ord, bi, h&s.mask)
+			}
+			if prev = ord; s.next[ord&s.mask] == 0 && bkt.last != ord {
+				t.Fatalf("bucket %d: last = %d, chain ends at %d", bi, bkt.last, ord)
+			}
+			chained++
+		}
+	}
+	if chained != s.len() || len(in.hash.overflow) != 0 {
+		t.Errorf("index chains %d rows (+%d overflow) for %d live", chained, len(in.hash.overflow), s.len())
 	}
 }
 

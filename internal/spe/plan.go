@@ -18,8 +18,10 @@
 // way the CBN broker compiles aggregate profiles: every attribute
 // reference on the per-tuple path resolves to a column index, selections
 // and join/residual predicates evaluate through package predicate's
-// compiled forms, equi-join inputs keep hash-partitioned buffers, and
-// grouped aggregates maintain incremental per-group state. That is the
+// compiled forms, every window is a typed row store (store.go: a ring of
+// per-column slabs in the kinds the input schema fixes), equi-join inputs
+// index theirs by key hash, and grouped aggregates maintain incremental
+// per-group state. That is the
 // only execution path: a query whose predicates cannot be compiled fails
 // Compile (cql.Analyze already refuses it, so Submit is where it dies),
 // and an input tuple whose layout lacks a needed attribute, or carries it
@@ -52,48 +54,44 @@ import (
 	"cosmos/internal/window"
 )
 
-// inputState tracks one FROM stream's filter, window and live buffer.
+// inputState tracks one FROM stream's filter, window and live rows.
 type inputState struct {
 	alias  string
 	stream string
+	slot   int // position in Plan.inputs and in a join combination
 	win    stream.Duration
 	sel    predicate.DNF
 	schema *stream.Schema
 
-	// buf[head:] holds the in-window tuples in arrival order (timestamps
-	// non-decreasing per stream). Eviction advances head instead of
-	// copying the suffix down on every push; base is the absolute
-	// sequence number of buf[0], so hash buckets and group member lists
-	// can reference tuples across compactions.
-	buf  []stream.Tuple
-	head int
-	base uint64
+	// store holds the in-window rows in arrival order (timestamps
+	// non-decreasing per stream) under absolute ordinals, which is what
+	// join buckets and group member chains reference.
+	store rowStore
 
-	// Index-resolved state, built by Compile.
+	// Index-resolved state, built by Compile. vals and evictee are
+	// reusable rows in the input's projected layout: the pushed tuple
+	// when the adapter is not the identity, and the row being evicted.
 	selC    *predicate.Compiled
 	ad      adapter
 	hash    *joinIndex
-	evicted int // evictions since the last hash-index sweep
+	vals    []stream.Value
+	evictee []stream.Value
 }
 
-// live returns the in-window tuples in arrival order.
-func (in *inputState) live() []stream.Tuple { return in.buf[in.head:] }
-
-// liveMin returns the absolute sequence of the oldest live tuple.
-func (in *inputState) liveMin() uint64 { return in.base + uint64(in.head) }
-
-// at returns the live tuple with the given absolute sequence.
-func (in *inputState) at(seq uint64) stream.Tuple { return in.buf[seq-in.base] }
-
-// insert appends a tuple to the window buffer (and, for an equi-join
-// input, its partition bucket), returning its absolute sequence.
-func (in *inputState) insert(t stream.Tuple) uint64 {
-	seq := in.base + uint64(len(in.buf))
-	in.buf = append(in.buf, t)
-	if in.hash != nil {
-		in.hash.insert(t, seq)
+// insert appends a row to the window (and, for an equi-join input, its
+// bucket chain), returning its ordinal.
+func (in *inputState) insert(vals []stream.Value, ts stream.Timestamp) uint64 {
+	if in.store.full() {
+		in.store.grow()
+		if in.hash != nil {
+			in.hash.rebuild(&in.store, in.evictee)
+		}
 	}
-	return seq
+	ord := in.store.append(vals, ts)
+	if in.hash != nil {
+		in.hash.insert(&in.store, vals, ord)
+	}
+	return ord
 }
 
 // Plan is one compiled continuous query.
@@ -107,9 +105,9 @@ type Plan struct {
 
 	inputs  []*inputState
 	byAlias map[string]*inputState
-	// aliasesOf maps a source stream name to the aliases consuming it
+	// byStream maps a source stream name to the inputs consuming it
 	// (several for self-joins).
-	aliasesOf map[string][]string
+	byStream map[string][]*inputState
 
 	joined    *stream.Schema // joined namespace the join/residual predicates compile against
 	joins     []predicate.AttrCmp
@@ -128,7 +126,7 @@ func Compile(id string, b *cql.Bound, resultStream string) (*Plan, error) {
 		Bound:     b,
 		Result:    b.OutSchema.Rename(resultStream),
 		byAlias:   map[string]*inputState{},
-		aliasesOf: map[string][]string{},
+		byStream:  map[string][]*inputState{},
 		joins:     b.Joins,
 		residual:  b.Residual,
 		watermark: -1 << 62,
@@ -144,15 +142,18 @@ func Compile(id string, b *cql.Bound, resultStream string) (*Plan, error) {
 			return nil, fmt.Errorf("spe: %w", err)
 		}
 		in := &inputState{
-			alias:  ref.Alias,
-			stream: ref.Stream,
-			win:    ref.Window,
-			sel:    b.Sel[ref.Alias],
-			schema: inSchema,
+			alias:   ref.Alias,
+			stream:  ref.Stream,
+			slot:    len(p.inputs),
+			win:     ref.Window,
+			sel:     b.Sel[ref.Alias],
+			schema:  inSchema,
+			vals:    make([]stream.Value, inSchema.Arity()),
+			evictee: make([]stream.Value, inSchema.Arity()),
 		}
 		p.inputs = append(p.inputs, in)
 		p.byAlias[ref.Alias] = in
-		p.aliasesOf[ref.Stream] = append(p.aliasesOf[ref.Stream], ref.Alias)
+		p.byStream[ref.Stream] = append(p.byStream[ref.Stream], in)
 	}
 	if b.IsAggregate() {
 		if len(b.From) != 1 {
@@ -186,8 +187,8 @@ func Compile(id string, b *cql.Bound, resultStream string) (*Plan, error) {
 
 // InputStreams lists the distinct source stream names the plan consumes.
 func (p *Plan) InputStreams() []string {
-	out := make([]string, 0, len(p.aliasesOf))
-	for s := range p.aliasesOf {
+	out := make([]string, 0, len(p.byStream))
+	for s := range p.byStream {
 		out = append(out, s)
 	}
 	return out
@@ -199,30 +200,20 @@ func (p *Plan) InputStreams() []string {
 //
 //cosmos:hotpath-ok — SPE boundary: operator graphs allocate by design; budget pinned by the spe benchmarks
 func (p *Plan) Push(t stream.Tuple) ([]stream.Tuple, error) {
-	aliases, ok := p.aliasesOf[t.Schema.Stream]
+	ins, ok := p.byStream[t.Schema.Stream]
 	if !ok {
 		return nil, nil // not an input of this plan
 	}
 	if t.Ts > p.watermark {
 		p.watermark = t.Ts
 	}
-	if len(aliases) == 1 {
+	if len(ins) == 1 {
 		// Common case (no self-join): skip the cross-alias collector.
-		in := p.byAlias[aliases[0]]
-		adapted, err := in.adapt(t)
-		if err != nil {
-			return nil, fmt.Errorf("spe %s: input tuple: %w", p.ID, err)
-		}
-		return p.pushInput(in, adapted)
+		return p.pushInput(ins[0], t)
 	}
 	var out []stream.Tuple
-	for _, alias := range aliases {
-		in := p.byAlias[alias]
-		adapted, err := in.adapt(t)
-		if err != nil {
-			return nil, fmt.Errorf("spe %s: input tuple: %w", p.ID, err)
-		}
-		emitted, err := p.pushInput(in, adapted)
+	for _, in := range ins {
+		emitted, err := p.pushInput(in, t)
 		if err != nil {
 			return nil, err
 		}
@@ -231,72 +222,51 @@ func (p *Plan) Push(t stream.Tuple) ([]stream.Tuple, error) {
 	return out, nil
 }
 
-// evict drops tuples that can no longer join anything given the
-// watermark: a tuple of a stream with window T is dead once
+// evict drops rows that can no longer join anything given the
+// watermark: a row of a stream with window T is dead once
 // watermark − ts > T (Lemma 1 upper bound on its own window). Eviction
-// advances the buffer head and unwinds incremental aggregate state; the
-// buffer compacts once the dead prefix dominates.
+// advances the ring's head and unwinds the evictee from its group's
+// running aggregates or its join bucket, whose chain it heads.
 func (p *Plan) evict(in *inputState) {
-	for in.head < len(in.buf) && window.Expired(in.buf[in.head].Ts, p.watermark, in.win) {
-		t := in.buf[in.head]
-		if p.agg != nil {
-			p.agg.evictMember(t)
+	s := &in.store
+	for s.head < s.tail && window.Expired(s.tsAt(s.head), p.watermark, in.win) {
+		if p.agg != nil || in.hash != nil {
+			s.read(s.head, in.evictee)
+			if p.agg != nil {
+				p.agg.evictMember(s, in.evictee)
+			} else {
+				in.hash.evict(s, in.evictee)
+			}
 		}
-		in.buf[in.head] = stream.Tuple{}
-		in.head++
+		s.popFront()
+	}
+}
+
+// WindowStats reports the plan's resident window state: live rows over
+// all inputs, and the bytes their rings and join indexes occupy
+// (capacity, not fill). Like Push it needs the plan quiescent.
+func (p *Plan) WindowStats() (rows int, bytes int64) {
+	for _, in := range p.inputs {
+		rows += in.store.len()
+		bytes += in.store.bytes()
 		if in.hash != nil {
-			in.evicted++
+			bytes += in.hash.bytes()
 		}
 	}
-	in.maybeCompact()
+	return rows, bytes
 }
 
-// compactMinHead is the dead-prefix length below which eviction never
-// copies the buffer down; beyond it, compaction runs once the dead
-// prefix reaches half the buffer (amortised O(1) per push).
-const compactMinHead = 32
-
-func (in *inputState) maybeCompact() {
-	if in.head == len(in.buf) {
-		// Fully drained: reset in place, reusing capacity (slots were
-		// zeroed during eviction).
-		in.base += uint64(in.head)
-		in.buf = in.buf[:0]
-		in.head = 0
-	} else if in.head >= compactMinHead && in.head*2 >= len(in.buf) {
-		n := copy(in.buf, in.buf[in.head:])
-		for i := n; i < len(in.buf); i++ {
-			in.buf[i] = stream.Tuple{}
-		}
-		in.base += uint64(in.head)
-		in.buf = in.buf[:n]
-		in.head = 0
-	}
-	if in.hash != nil && in.evicted > (len(in.buf)-in.head)+compactMinHead {
-		in.hash.sweep(in.liveMin())
-		in.evicted = 0
-	}
-}
-
-// pairwiseJoinable checks Lemma 1 between candidate u (for input slot i)
-// and every tuple already placed in the combo.
-func (p *Plan) pairwiseJoinable(combo []stream.Tuple, i int, u stream.Tuple, other *inputState) bool {
-	for j, placed := range combo {
-		if placed.Schema == nil || j == i {
+// pairwiseJoinable checks Lemma 1 between a candidate row of input other
+// (timestamp ts) and every row already placed in the combination.
+func (p *Plan) pairwiseJoinable(other *inputState, ts stream.Timestamp) bool {
+	cp := p.cp
+	for j, placed := range cp.placed {
+		if !placed || j == other.slot {
 			continue
 		}
-		if !window.Joinable(placed.Ts, u.Ts, p.inputs[j].win, other.win) {
+		if !window.Joinable(cp.ts[j], ts, p.inputs[j].win, other.win) {
 			return false
 		}
 	}
 	return true
-}
-
-func (p *Plan) indexOf(alias string) int {
-	for i, in := range p.inputs {
-		if in.alias == alias {
-			return i
-		}
-	}
-	return -1
 }

@@ -6,19 +6,28 @@ import (
 
 	"cosmos/internal/cql"
 	"cosmos/internal/stream"
+	"cosmos/internal/window"
 )
 
 // This file is the name-resolved reference executor the compiled plan is
 // differentially tested against: selection through the DNF evaluator,
 // nested-loop window-join probes over assembled tuples, select lists and
 // aggregate arguments fetched by attribute name, aggregates recomputed
-// from a rescan of the group's live window on every tuple. It shares the
-// plan's window buffers and watermark and nothing of its compiled state.
+// from a rescan of the group's live window on every tuple. Its windows
+// are plain slices of tuples of its own; it shares nothing of the plan's
+// row stores or compiled state.
 
-// referenceTwin compiles a second plan of the same query to be driven
-// through pushReference only. Its compiled artifacts are dropped so the
+// refPlan is a second plan of the same query, driven through
+// pushReference only. Of the embedded Plan it reads the query's parts
+// (inputs' alias, window, filter and projected schema, join predicates,
+// residual, result schema); its compiled artifacts are dropped so the
 // reference cannot reach them by accident.
-func referenceTwin(t *testing.T, id string, b *cql.Bound, result string) *Plan {
+type refPlan struct {
+	*Plan
+	bufs [][]stream.Tuple // per input, the live window in arrival order
+}
+
+func referenceTwin(t *testing.T, id string, b *cql.Bound, result string) *refPlan {
 	t.Helper()
 	p, err := Compile(id, b, result)
 	if err != nil {
@@ -26,29 +35,45 @@ func referenceTwin(t *testing.T, id string, b *cql.Bound, result string) *Plan {
 	}
 	p.cp, p.agg = nil, nil
 	for _, in := range p.inputs {
-		in.selC, in.hash = nil, nil
+		in.selC, in.hash, in.store = nil, nil, rowStore{}
 	}
-	return p
+	return &refPlan{Plan: p, bufs: make([][]stream.Tuple, len(p.inputs))}
+}
+
+func (p *refPlan) indexOf(alias string) int {
+	for i, in := range p.inputs {
+		if in.alias == alias {
+			return i
+		}
+	}
+	return -1
+}
+
+// evict drops the tuples of input i that the watermark expired.
+func (p *refPlan) evict(i int) {
+	buf := p.bufs[i]
+	for len(buf) > 0 && window.Expired(buf[0].Ts, p.watermark, p.inputs[i].win) {
+		buf = buf[1:]
+	}
+	p.bufs[i] = buf
 }
 
 // pushReference is Push on the reference path: tuples are adapted to
 // each input by name and run through the name-resolved operators.
-func (p *Plan) pushReference(t stream.Tuple) ([]stream.Tuple, error) {
-	aliases, ok := p.aliasesOf[t.Schema.Stream]
-	if !ok {
-		return nil, nil
-	}
-	if t.Ts > p.watermark {
-		p.watermark = t.Ts
-	}
+func (p *refPlan) pushReference(t stream.Tuple) ([]stream.Tuple, error) {
 	var out []stream.Tuple
-	for _, alias := range aliases {
-		in := p.byAlias[alias]
+	for i, in := range p.inputs {
+		if in.stream != t.Schema.Stream {
+			continue
+		}
+		if t.Ts > p.watermark {
+			p.watermark = t.Ts
+		}
 		adapted, err := t.Project(in.schema)
 		if err != nil {
 			return nil, fmt.Errorf("spe %s: input tuple: %w", p.ID, err)
 		}
-		emitted, err := p.pushInterpreted(in, adapted)
+		emitted, err := p.pushInterpreted(i, adapted)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +83,8 @@ func (p *Plan) pushReference(t stream.Tuple) ([]stream.Tuple, error) {
 }
 
 // pushInterpreted is the name-resolved per-input path.
-func (p *Plan) pushInterpreted(in *inputState, t stream.Tuple) ([]stream.Tuple, error) {
+func (p *refPlan) pushInterpreted(self int, t stream.Tuple) ([]stream.Tuple, error) {
+	in := p.inputs[self]
 	if in.sel != nil && !in.sel.IsTrue() {
 		ok, err := in.sel.Eval(t)
 		if err != nil {
@@ -69,22 +95,22 @@ func (p *Plan) pushInterpreted(in *inputState, t stream.Tuple) ([]stream.Tuple, 
 		}
 	}
 	if p.Bound.IsAggregate() {
-		p.evict(in)
-		in.insert(t)
-		return p.aggregateByRescan(in, t)
+		p.evict(self)
+		p.bufs[self] = append(p.bufs[self], t)
+		return p.aggregateByRescan(self, t)
 	}
 	if len(p.inputs) == 1 {
 		return p.emitCombo([]stream.Tuple{t})
 	}
 	// Window join: evict, probe the other inputs, then insert.
-	for _, other := range p.inputs {
-		p.evict(other)
+	for i := range p.inputs {
+		p.evict(i)
 	}
-	combos, err := p.probe(in, t)
+	combos, err := p.probe(self, t)
 	if err != nil {
 		return nil, err
 	}
-	in.insert(t)
+	p.bufs[self] = append(p.bufs[self], t)
 	var out []stream.Tuple
 	for _, combo := range combos {
 		res, err := p.emitCombo(combo)
@@ -99,8 +125,8 @@ func (p *Plan) pushInterpreted(in *inputState, t stream.Tuple) ([]stream.Tuple, 
 // aggregateByRescan emits the aggregate row of the new tuple's group by
 // scanning the live window (which already holds t): the Istream-per-
 // update definition, with none of the incremental state.
-func (p *Plan) aggregateByRescan(in *inputState, t stream.Tuple) ([]stream.Tuple, error) {
-	b := p.Bound
+func (p *refPlan) aggregateByRescan(self int, t stream.Tuple) ([]stream.Tuple, error) {
+	b, in := p.Bound, p.inputs[self]
 	keyOf := func(u stream.Tuple) (hashKey, error) {
 		var k hashKey
 		for i, g := range b.GroupBy {
@@ -117,7 +143,7 @@ func (p *Plan) aggregateByRescan(in *inputState, t stream.Tuple) ([]stream.Tuple
 		return nil, err
 	}
 	var members []stream.Tuple
-	for _, u := range in.live() {
+	for _, u := range p.bufs[self] {
 		ku, err := keyOf(u)
 		if err != nil {
 			return nil, err
@@ -179,11 +205,10 @@ func (p *Plan) aggregateByRescan(in *inputState, t stream.Tuple) ([]stream.Tuple
 }
 
 // probe assembles all join combinations containing the new tuple t at
-// alias in.alias: one in-window partner from every other input, pairwise
+// input self: one in-window partner from every other input, pairwise
 // Lemma 1 joinability, join predicates evaluated on the assembled tuple.
-func (p *Plan) probe(in *inputState, t stream.Tuple) ([][]stream.Tuple, error) {
+func (p *refPlan) probe(selfIdx int, t stream.Tuple) ([][]stream.Tuple, error) {
 	combos := [][]stream.Tuple{make([]stream.Tuple, len(p.inputs))}
-	selfIdx := p.indexOf(in.alias)
 	combos[0][selfIdx] = t
 
 	for i, other := range p.inputs {
@@ -192,7 +217,7 @@ func (p *Plan) probe(in *inputState, t stream.Tuple) ([][]stream.Tuple, error) {
 		}
 		var next [][]stream.Tuple
 		for _, combo := range combos {
-			for _, u := range other.live() {
+			for _, u := range p.bufs[i] {
 				if !p.pairwiseJoinable(combo, i, u, other) {
 					continue
 				}
@@ -222,8 +247,22 @@ func (p *Plan) probe(in *inputState, t stream.Tuple) ([][]stream.Tuple, error) {
 	return out, nil
 }
 
+// pairwiseJoinable checks Lemma 1 between candidate u (for input slot i)
+// and every tuple already placed in the combo.
+func (p *refPlan) pairwiseJoinable(combo []stream.Tuple, i int, u stream.Tuple, other *inputState) bool {
+	for j, placed := range combo {
+		if placed.Schema == nil || j == i {
+			continue
+		}
+		if !window.Joinable(placed.Ts, u.Ts, p.inputs[j].win, other.win) {
+			return false
+		}
+	}
+	return true
+}
+
 // assemble concatenates a combination into the joined scratch namespace.
-func (p *Plan) assemble(combo []stream.Tuple) stream.Tuple {
+func (p *refPlan) assemble(combo []stream.Tuple) stream.Tuple {
 	values := make([]stream.Value, 0, p.joined.Arity())
 	ts := stream.Timestamp(-1 << 62)
 	for _, t := range combo {
@@ -236,7 +275,7 @@ func (p *Plan) assemble(combo []stream.Tuple) stream.Tuple {
 }
 
 // predicatesHold evaluates join predicates and the residual DNF by name.
-func (p *Plan) predicatesHold(joined stream.Tuple) (bool, error) {
+func (p *refPlan) predicatesHold(joined stream.Tuple) (bool, error) {
 	for _, j := range p.joins {
 		ok, err := j.Eval(joined)
 		if err != nil {
@@ -260,7 +299,7 @@ func (p *Plan) predicatesHold(joined stream.Tuple) (bool, error) {
 
 // emitCombo projects a (possibly single-tuple) combination into the
 // result schema, fetching the select list by name.
-func (p *Plan) emitCombo(combo []stream.Tuple) ([]stream.Tuple, error) {
+func (p *refPlan) emitCombo(combo []stream.Tuple) ([]stream.Tuple, error) {
 	b := p.Bound
 	values := make([]stream.Value, 0, p.Result.Arity())
 	ts := stream.Timestamp(-1 << 62)

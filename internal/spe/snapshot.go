@@ -10,7 +10,7 @@ import (
 // and the watermark — for query-layer fault tolerance (paper §2: the
 // query-layer module "is responsible for recovering the processing of
 // queries from failures"). A restored plan continues exactly where the
-// snapshot was taken; derived state (hash partitions, incremental
+// snapshot was taken; derived state (join buckets, incremental
 // aggregate accumulators) is rebuilt from the buffers on restore rather
 // than exported.
 type Snapshot struct {
@@ -20,8 +20,8 @@ type Snapshot struct {
 	Buffers map[string][]stream.Tuple
 }
 
-// Snapshot exports the plan's current state. Tuples are shared, not
-// copied; they are immutable by convention.
+// Snapshot exports the plan's current state, materialising each
+// input's live rows as tuples of its projected schema.
 func (p *Plan) Snapshot() *Snapshot {
 	s := &Snapshot{
 		PlanID:    p.ID,
@@ -29,14 +29,14 @@ func (p *Plan) Snapshot() *Snapshot {
 		Buffers:   map[string][]stream.Tuple{},
 	}
 	for _, in := range p.inputs {
-		s.Buffers[in.alias] = append([]stream.Tuple(nil), in.live()...)
+		s.Buffers[in.alias] = in.store.tuples(in.schema)
 	}
 	return s
 }
 
 // Restore loads a snapshot into a freshly compiled plan of the same
-// query, rebuilding the derived per-plan state (equi-join partitions,
-// per-group aggregate accumulators) from the restored buffers. It errors
+// query, refilling the row stores and with them the derived per-plan
+// state (equi-join buckets, per-group aggregate accumulators). It errors
 // when the snapshot's aliases do not match the plan, or when a restored
 // tuple's layout does not match the plan's input schema.
 func (p *Plan) Restore(s *Snapshot) error {
@@ -46,43 +46,30 @@ func (p *Plan) Restore(s *Snapshot) error {
 		}
 	}
 	for _, in := range p.inputs {
-		buf, ok := s.Buffers[in.alias]
-		if !ok {
+		if _, ok := s.Buffers[in.alias]; !ok {
 			return fmt.Errorf("spe: snapshot lacks alias %q", in.alias)
 		}
-		for i := len(buf); i < len(in.buf); i++ {
-			in.buf[i] = stream.Tuple{} // release refs beyond the restored length
-		}
-		in.buf = append(in.buf[:0], buf...)
-		in.head, in.base, in.evicted = 0, 0, 0
 	}
 	p.watermark = s.Watermark
-	return p.rebuildState()
-}
-
-// rebuildState reconstructs the derived state from the live buffers.
-func (p *Plan) rebuildState() error {
 	if p.agg != nil {
 		p.agg.reset()
 	}
 	for _, in := range p.inputs {
+		in.store.reset()
 		if in.hash != nil {
 			in.hash.reset()
 		}
-		for i, t := range in.live() {
-			// Index access trusts the input schema layout; a snapshot
-			// from the same query restores tuples adapted to an equal
-			// layout under a different pointer.
+		for _, t := range s.Buffers[in.alias] {
+			// The stores trust the input schema layout; a snapshot from
+			// the same query restores tuples adapted to an equal layout
+			// under a different pointer.
 			if t.Schema != in.schema && !t.Schema.Equal(in.schema) {
 				return fmt.Errorf("spe: snapshot tuple of %s does not match plan %s input layout",
 					t.Schema.Stream, p.ID)
 			}
-			seq := in.base + uint64(in.head+i)
-			if in.hash != nil {
-				in.hash.insert(t, seq)
-			}
+			ord := in.insert(t.Values, t.Ts)
 			if p.agg != nil {
-				p.agg.admit(t, seq)
+				p.agg.admit(&in.store, t.Values, ord)
 			}
 		}
 	}

@@ -435,12 +435,12 @@ func TestWindowEvictionBoundsMemory(t *testing.T) {
 	}
 	// 1-second window over 10ms-spaced tuples keeps ~100 tuples.
 	in := p.byAlias["OpenAuction"]
-	if n := len(in.live()); n > 150 {
+	if n := in.store.len(); n > 150 {
 		t.Errorf("live window grew to %d", n)
 	}
-	// Head-index eviction may retain a dead prefix, but compaction
-	// bounds the backing buffer to roughly twice the live window.
-	if n := len(in.buf); n > 2*150+compactMinHead {
-		t.Errorf("backing buffer grew to %d (head %d)", n, in.head)
+	// The ring doubles only when full of live rows, so its capacity is
+	// a power of two below twice the peak live window.
+	if n := len(in.store.ts); n >= 2*150 || n&(n-1) != 0 {
+		t.Errorf("ring capacity grew to %d", n)
 	}
 }

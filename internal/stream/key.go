@@ -75,6 +75,31 @@ func (k ValueKey) String() string {
 	}
 }
 
+// Hash returns a 64-bit hash of the key: equal keys hash equally, so a
+// table addressed by it finds every Compare-equal KeyExact partner. The
+// function is fixed (no per-process seed); callers that chain colliding
+// rows verify candidates against the key columns.
+//
+//cosmos:hotpath
+func (k ValueKey) Hash() uint64 {
+	h := uint64(k.n)
+	switch k.kind {
+	case KindFloat:
+		h = math.Float64bits(k.f) // 0 for the canonical NaN key
+	case KindString:
+		h = 14695981039346656037 // FNV-1a
+		for i := 0; i < len(k.s); i++ {
+			h = (h ^ uint64(k.s[i])) * 1099511628211
+		}
+	}
+	// splitmix64 finaliser over the payload offset by the kind, so
+	// sequential integers spread over a power-of-two table.
+	h += uint64(k.kind) * 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
 // KeyExact reports whether key equality coincides with Compare equality
 // for this value against every possible partner. It is false only in the
 // corners where float64 rounding makes Compare coarser than the key:

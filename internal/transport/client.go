@@ -60,6 +60,7 @@ type Client struct {
 	sources    map[string]*Source      // guarded by mu; opened sources by stream name
 	nextSrc    uint32                  // guarded by mu; last source id handed out
 	dropTags   []string                // guarded by mu; server tags cancelled while disconnected
+	owedGaps   []owedGap               // guarded by mu; gap reports learned by restore attempts, owed until one completes
 	reconnects int                     // guarded by mu
 	closed     bool                    // guarded by mu
 	terminal   bool                    // guarded by mu; server announced graceful shutdown: loss is final
@@ -69,6 +70,14 @@ type Client struct {
 	loops     sync.WaitGroup
 	closeOnce sync.Once
 	closeErr  error // written inside closeOnce
+}
+
+// owedGap is a delivery gap a restore attempt learned — the resume or
+// resubmit that revealed it has already moved the subscription on, so a
+// later attempt cannot learn it again.
+type owedGap struct {
+	cs  *clientSub
+	gap Gap
 }
 
 // pendingCall is one in-flight request. For a Submit, sub is registered
@@ -645,7 +654,8 @@ func (c *Client) reconnectLoop() {
 // resend the publish window from the server's applied sequence, then per
 // subscription either resume (gap = last seen → resume point) or
 // resubmit from scratch (gap unknown). Any failure aborts the whole
-// attempt; the reconnect loop retries it.
+// attempt; the reconnect loop retries it, and the gaps the aborted
+// attempt learned stay owed to the attempt that completes.
 func (c *Client) restore(conn net.Conn) error {
 	// Wait out the previous connection's read loop first. The gob
 	// decoder reads through its own buffer, so a read loop can keep
@@ -743,7 +753,11 @@ func (c *Client) restore(conn net.Conn) error {
 		}
 	}
 	c.pub.attach(w, hello.Seq)
-	var gaps []func()
+	oweGap := func(cs *clientSub, gap Gap) {
+		c.mu.Lock()
+		c.owedGaps = append(c.owedGaps, owedGap{cs, gap})
+		c.mu.Unlock()
+	}
 	for _, ls := range live {
 		cs := ls.cs
 		cs.mu.Lock()
@@ -768,9 +782,7 @@ func (c *Client) restore(conn net.Conn) error {
 					cs.lastSeq = ok.Seq
 				}
 				cs.mu.Unlock()
-				cs := cs
-				gap := Gap{Epoch: epoch, From: lastSeq + 1, To: ok.Seq}
-				gaps = append(gaps, func() { c.applyGap(cs, gap) })
+				oweGap(cs, Gap{Epoch: epoch, From: lastSeq + 1, To: ok.Seq})
 			}
 		} else {
 			if _, err, _ := c.roundTrip(&Request{Kind: MsgSubmit, CQL: cs.cql, UserNode: cs.userNode}, cs); err != nil {
@@ -780,23 +792,22 @@ func (c *Client) restore(conn net.Conn) error {
 			}
 			// lastSeq was reset by the read loop when it processed the
 			// submit OK, before any of the new stream's frames.
-			cs := cs
-			gap := Gap{Epoch: epoch, Unknown: true}
-			gaps = append(gaps, func() { c.applyGap(cs, gap) })
+			oweGap(cs, Gap{Epoch: epoch, Unknown: true})
 		}
 	}
 	c.mu.Lock()
 	c.epoch = epoch
 	c.up = true
 	c.reconnects++
-	drops := c.dropTags
-	c.dropTags = nil
+	drops, gaps := c.dropTags, c.owedGaps
+	c.dropTags, c.owedGaps = nil, nil
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	// Gap callbacks and the cleanup of tags cancelled while down run
-	// after the session is up (they may issue calls of their own).
-	for _, fire := range gaps {
-		fire()
+	// Gap callbacks — this attempt's and those a failed attempt left
+	// owed — and the cleanup of tags cancelled while down run after the
+	// session is up (they may issue calls of their own).
+	for _, g := range gaps {
+		c.applyGap(g.cs, g.gap)
 	}
 	for _, tag := range drops {
 		// Best-effort: the hello already cancelled unresumed tags, so

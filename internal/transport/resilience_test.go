@@ -1,8 +1,12 @@
 package transport
 
 import (
+	"bufio"
+	"encoding/gob"
+	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"runtime/metrics"
 	"strings"
@@ -798,5 +802,141 @@ func TestRetireForgetsEveryClaimedIdentity(t *testing.T) {
 		if left != 0 {
 			t.Errorf("%s: %d identities still indexed after retire", tc.name, left)
 		}
+	}
+}
+
+// scriptedServer speaks just enough of the protocol to script a restore
+// attempt by attempt: it adopts every tag a hello offers, tags submits
+// t1, t2, …, answers pings, and asks resume for each MsgResume's resume
+// point — or, with ok false, cuts the connection instead of answering.
+// conn counts accepted connections from 1. cut severs the current one.
+func scriptedServer(t *testing.T, resume func(conn int, req *Request) (seq uint64, ok bool)) (addr string, cut func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var cur net.Conn
+	tags := 0
+	serve := func(conn net.Conn, n int) {
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		dec, enc := gob.NewDecoder(br), gob.NewEncoder(conn)
+		for framed := false; ; framed = true {
+			if framed {
+				if m, err := br.ReadByte(); err != nil || m != frameGob {
+					return
+				}
+			}
+			var req Request
+			if err := dec.Decode(&req); err != nil {
+				return
+			}
+			resp := Response{ID: req.ID, Kind: MsgOK}
+			switch req.Kind {
+			case MsgHello:
+				resp.Epoch, resp.Tags, resp.WireVersion = uint64(n), req.ResumeTags, wireVersion
+			case MsgSubmit:
+				mu.Lock()
+				tags++
+				resp.QueryTag = fmt.Sprintf("t%d", tags)
+				mu.Unlock()
+			case MsgResume:
+				seq, ok := resume(n, &req)
+				if !ok {
+					return
+				}
+				resp.Seq, resp.QueryTag = seq, req.QueryTag
+			case MsgPing:
+				resp.Kind = MsgPong
+			}
+			if framed {
+				if _, err := conn.Write([]byte{frameGob}); err != nil {
+					return
+				}
+			}
+			if err := enc.Encode(&resp); err != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for n := 1; ; n++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			cur = conn
+			mu.Unlock()
+			go serve(conn, n)
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		cut()
+	})
+	return ln.Addr().String(), func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if cur != nil {
+			_ = cur.Close()
+		}
+	}
+}
+
+// TestFailedRestoreKeepsGapOwed: a restore attempt that resumes one
+// subscription (learning its gap, advancing its lastSeq) and then fails
+// on the next must not lose that gap — the attempt that completes
+// cannot learn it again, so it is owed until then and reported exactly
+// once.
+func TestFailedRestoreKeepsGapOwed(t *testing.T) {
+	var mu sync.Mutex
+	var resumes []string
+	addr, cut := scriptedServer(t, func(conn int, req *Request) (uint64, bool) {
+		mu.Lock()
+		resumes = append(resumes, fmt.Sprintf("conn%d %s last=%d", conn, req.QueryTag, req.LastSeq))
+		mu.Unlock()
+		switch {
+		case req.QueryTag == "t1":
+			return 3, true // results 1..3 were emitted while the client was away
+		case conn == 2:
+			return 0, false // the first attempt dies on the second subscription
+		default:
+			return 0, true
+		}
+	})
+	sub, err := DialConfig(addr, Config{Resilience: fastResilience()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	var rec1, rec2 subRecorder
+	for _, rec := range []*subRecorder{&rec1, &rec2} {
+		if _, err := sub.Submit("SELECT itemID FROM OpenAuction [Now]", 0, rec.onResult, rec.onEnd, rec.onGap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut()
+	waitFor(t, 10*time.Second, "the second restore attempt to complete", func() bool {
+		return sub.Reconnects() == 1
+	})
+	// Close waits out the reconnect loop, and with it the gap callbacks.
+	if err := sub.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{"conn2 t1 last=0", "conn2 t2 last=0", "conn3 t1 last=3", "conn3 t2 last=0"}
+	if !reflect.DeepEqual(resumes, want) {
+		t.Fatalf("resumes = %v, want %v", resumes, want)
+	}
+	_, gaps1, _ := rec1.snapshot()
+	if len(gaps1) != 1 || gaps1[0] != (Gap{Epoch: 2, From: 1, To: 3}) {
+		t.Errorf("first subscription's gaps = %+v, want exactly the one the failed attempt learned (epoch 2, lost 1..3)", gaps1)
+	}
+	if _, gaps2, _ := rec2.snapshot(); len(gaps2) != 0 {
+		t.Errorf("second subscription's gaps = %+v, want none", gaps2)
 	}
 }

@@ -16,13 +16,15 @@ import (
 // reference; production evaluates predicate.Compiled only), the profile
 // package declares no name-resolved matcher, and the selectors of the
 // retired second paths — broker fallback, plan degradation, wire version
-// negotiation, the gob tuple codec publishes travelled in — are not
+// negotiation, the gob tuple codec publishes travelled in, the tuple-slice
+// window buffers' compaction and the join buckets' lazy trim — are not
 // declared or used anywhere.
 func TestOnePathStructure(t *testing.T) {
 	retired := map[string]bool{}
 	for _, name := range []string{
 		"fallback", "rebinds", "maxSchemaRebinds", "routeInterpretedLocked", "pushInterpreted",
 		"degrade", "kindConforms", "negotiateWire", "WireV1", "handleResult", "WithWireVersion",
+		"maybeCompact", "compactMinHead", "liveOverflow", "liveMin", "mhead", "probeKey", "rebuildState", "aliasesOf",
 	} {
 		retired[name] = true
 	}
