@@ -1,6 +1,6 @@
 // Fanout: drive many continuous queries over one hot stream through the
-// sharded execution runtime (internal/exec) and contrast it with the
-// sequential engine — per-plan locking, worker pinning, micro-batched
+// execution runtime (internal/exec) in synchronous mode and sharded
+// across a worker pool — per-plan locking, worker pinning, micro-batched
 // ingestion, and checkpoint capture that quiesces one plan instead of
 // stopping the world.
 //
@@ -27,7 +27,14 @@ const (
 	batch   = 64
 )
 
-func install(install func(id string, b *cql.Bound, res string) (*spe.Plan, error), reg *stream.Registry) {
+// newRuntime builds a runtime with nPlans selections over Sensor07,
+// counting results.
+func newRuntime(workers int, reg *stream.Registry, results *atomic.Int64) *exec.Runtime {
+	rt := exec.New(exec.Config{
+		Workers: workers,
+		Emit:    func(stream.Tuple) { results.Add(1) },
+		OnError: func(plan string, err error) { log.Printf("plan %s: %v", plan, err) },
+	})
 	for i := 0; i < nPlans; i++ {
 		text := fmt.Sprintf(
 			"SELECT station, temperature, humidity FROM Sensor07 [Now] WHERE temperature >= %d AND humidity <= %d",
@@ -36,10 +43,11 @@ func install(install func(id string, b *cql.Bound, res string) (*spe.Plan, error
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := install(fmt.Sprintf("q%d", i), b, fmt.Sprintf("res%d", i)); err != nil {
+		if _, err := rt.Install(fmt.Sprintf("q%d", i), b, fmt.Sprintf("res%d", i)); err != nil {
 			log.Fatal(err)
 		}
 	}
+	return rt
 }
 
 func main() {
@@ -51,31 +59,26 @@ func main() {
 	fmt.Printf("%d plans x 1 stream, %d tuples, GOMAXPROCS=%d\n\n",
 		nPlans, nTuples, runtime.GOMAXPROCS(0))
 
-	// Baseline: the sequential engine — every plan under one lock.
+	// Baseline: synchronous mode — every plan on the caller's goroutine,
+	// in plan-ID order.
 	var seqResults atomic.Int64
-	eng := spe.NewEngine(func(stream.Tuple) { seqResults.Add(1) })
-	install(eng.Install, reg)
+	seq := newRuntime(0, reg, &seqResults)
 	start := time.Now()
 	for _, t := range tuples {
-		if err := eng.Consume(t); err != nil {
+		if err := seq.Consume(t); err != nil {
 			log.Fatal(err)
 		}
 	}
 	seqDur := time.Since(start)
-	fmt.Printf("sequential engine: %8.0f tuples/s  (%d results)\n",
+	fmt.Printf("synchronous runtime: %8.0f tuples/s  (%d results)\n",
 		float64(nTuples)/seqDur.Seconds(), seqResults.Load())
 
-	// The sharded runtime: plans pinned across a worker pool, tuples
-	// micro-batched through the channel adapter. Per-plan result order is
-	// identical to the sequential engine; cross-plan order is free.
+	// Sharded: plans pinned across a worker pool, tuples micro-batched
+	// through the channel adapter. Per-plan result order is identical to
+	// the synchronous mode; cross-plan order is free.
 	var rtResults atomic.Int64
-	rt := exec.New(exec.Config{
-		Workers: 4,
-		Emit:    func(stream.Tuple) { rtResults.Add(1) },
-		OnError: func(plan string, err error) { log.Printf("plan %s: %v", plan, err) },
-	})
+	rt := newRuntime(4, reg, &rtResults)
 	defer rt.Close()
-	install(rt.Install, reg)
 	ba := exec.NewBatcher(rt, 4096, batch)
 	start = time.Now()
 	for _, t := range tuples {
@@ -85,7 +88,7 @@ func main() {
 	rt.Barrier()
 	rtDur := time.Since(start)
 	ba.Close()
-	fmt.Printf("sharded runtime:   %8.0f tuples/s  (%d results, %d workers, batch %d)\n",
+	fmt.Printf("sharded runtime:     %8.0f tuples/s  (%d results, %d workers, batch %d)\n",
 		float64(nTuples)/rtDur.Seconds(), rtResults.Load(), rt.Workers(), batch)
 
 	// Snapshot one plan while the others keep running: WithPlan drains

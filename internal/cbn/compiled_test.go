@@ -146,6 +146,31 @@ func TestCompiledRoutingDifferentialRandom(t *testing.T) {
 	}
 }
 
+// TestRouteNoMatchAllocationFree: a tuple no subscription covers costs
+// zero allocations on the compiled routing path — the pure per-tuple
+// filtering cost across 32 subscribed interfaces.
+func TestRouteNoMatchAllocationFree(t *testing.T) {
+	b := NewBroker(0)
+	b.AttachIface(0)
+	for i := 1; i <= 32; i++ {
+		b.AttachIface(IfaceID(i))
+		p := profile.New()
+		p.AddStream("Sensor07", []string{"station"}, predicate.DNF{
+			{predicate.C("station", predicate.EQ, stream.Int(int64(100+i)))},
+		})
+		b.HandleSubscribe(p, IfaceID(i))
+	}
+	tp := sensordata.NewGenerator(7, 1).Next() // station 7: matches nothing
+	b.RouteTuple(tp, 0)                        // the first tuple compiles the table
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if out, err := b.RouteTuple(tp, 0); err != nil || len(out) != 0 {
+			t.Fatalf("route = %v, %v; want no deliveries", out, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("no-match RouteTuple allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // TestCompiledRoutingBadFilterStoredError checks the stated behaviour for
 // demand the compiler must reject (a filter over a missing attribute):
 // the stream's entry stores the compile error, RouteTuple returns it for

@@ -1,10 +1,9 @@
 // Package exec is the execution runtime of a COSMOS processor: it owns
 // tuple dispatch between the data wrapper and the compiled plans of the
-// stream processing engine (paper Figure 2). Where spe.Engine runs every
-// plan of a stream sequentially under one engine lock, the runtime
-// shards execution so a multi-core processor saturates its cores the way
-// the cooperative worker pools of modern stream engines do (Hazelcast
-// Jet), while the data path amortises dispatch over micro-batches.
+// stream processing engine (paper Figure 2). It shards execution so a
+// multi-core processor saturates its cores the way the cooperative
+// worker pools of modern stream engines do (Hazelcast Jet), while the
+// data path amortises dispatch over micro-batches.
 //
 // # Architecture
 //
@@ -45,10 +44,10 @@
 //
 // With Workers == 0 the runtime is synchronous: Consume pushes to every
 // plan of the stream in ascending plan-ID order on the caller's
-// goroutine and reproduces the sequential spe.Engine byte for byte —
-// emissions, order, and error returns — which keeps it the differential
-// reference for the sharded mode. Workers == 1 yields the same global
-// order, delivered asynchronously.
+// goroutine — emissions, order and error returns byte-identical to a
+// plain sequential Plan.Push loop (runtime_test.go's reference) — which
+// keeps it the ordering reference for the sharded mode. Workers == 1
+// yields the same global order, delivered asynchronously.
 //
 // # Emission sinks and backpressure
 //
@@ -66,9 +65,8 @@
 // tuples unboundedly. Other workers keep running.
 //
 // Plan execution errors are reported through Config.OnError in both
-// modes; the synchronous mode additionally returns the first error and,
-// like the sequential engine, stops dispatching the tuple to the
-// remaining plans.
+// modes; the synchronous mode additionally returns the first error and
+// stops dispatching the tuple to the remaining plans.
 package exec
 
 import (
@@ -85,8 +83,7 @@ import (
 	"cosmos/internal/stream"
 )
 
-// errNoSchema mirrors the sequential engine's rejection of schema-less
-// tuples.
+// errNoSchema rejects schema-less tuples.
 var errNoSchema = errors.New("exec: tuple without schema")
 
 // PanicError reports a plan that panicked during execution. The runtime
@@ -264,8 +261,7 @@ func (r *Runtime) reportError(planID string, err error) {
 // representative query widens) and keeps its worker pinning; a new ID is
 // pinned round-robin. In sharded mode the old plan's worker queue is
 // drained before the swap, so tuples enqueued before the replacement
-// still reach the old plan — the sequential engine's replacement
-// semantics.
+// still reach the old plan, as they would in synchronous mode.
 func (r *Runtime) Install(id string, b *cql.Bound, resultStream string) (*spe.Plan, error) {
 	p, err := spe.Compile(id, b, resultStream)
 	if err != nil {
@@ -455,8 +451,7 @@ func (r *Runtime) Close() {
 
 // Consume feeds one tuple to every plan registered for its stream. In
 // synchronous mode plans run in ascending plan-ID order and the first
-// plan error is returned (remaining plans are skipped, matching the
-// sequential engine); in sharded mode the tuple is queued to the owning
+// plan error is returned (remaining plans are skipped); in sharded mode the tuple is queued to the owning
 // workers and errors surface through OnError only.
 func (r *Runtime) Consume(t stream.Tuple) error {
 	if t.Schema == nil {
@@ -532,7 +527,7 @@ func (r *Runtime) ConsumeBatch(ts []stream.Tuple) error {
 }
 
 // pushAll is the synchronous dispatch loop (plan-ID order, first error
-// aborts — the sequential engine's contract).
+// aborts).
 func (r *Runtime) pushAll(slots []*planSlot, t stream.Tuple) error {
 	for _, s := range slots {
 		if err := s.push(r, r.emit, t); err != nil {

@@ -65,19 +65,42 @@ func buildWorkload(t *testing.T, queries, rounds int) *workload {
 
 func planID(i int) string { return fmt.Sprintf("q%03d", i) }
 
-// runReference drives the sequential spe.Engine over the workload and
-// returns the rendered global emission sequence.
-func runReference(t *testing.T, w *workload) []string {
-	t.Helper()
-	var out []string
-	eng := spe.NewEngine(func(tp stream.Tuple) { out = append(out, tp.String()) })
-	for i, b := range w.bounds {
-		if _, err := eng.Install(planID(i), b, "res"+planID(i)); err != nil {
-			t.Fatalf("install %d (%s): %v", i, b.Raw, err)
+// sequential is the independent reference the runtime is differentially
+// checked against: each tuple pushed through every plan in plan-ID order
+// on the caller's goroutine (Plan.Push ignores a stream the plan does
+// not consume), the first error aborting the tuple. It shares nothing
+// with the runtime's dispatch table, worker pinning or locking.
+type sequential []*spe.Plan
+
+func (ref sequential) consume(t stream.Tuple, emit func(stream.Tuple)) error {
+	for _, p := range ref {
+		out, err := p.Push(t)
+		if err != nil {
+			return err
+		}
+		for _, r := range out {
+			emit(r)
 		}
 	}
+	return nil
+}
+
+// runReference drives the sequential reference over the workload and
+// returns the rendered global emission sequence. planID order is
+// install order.
+func runReference(t *testing.T, w *workload) []string {
+	t.Helper()
+	ref := make(sequential, len(w.bounds))
+	for i, b := range w.bounds {
+		p, err := spe.Compile(planID(i), b, "res"+planID(i))
+		if err != nil {
+			t.Fatalf("compile %d (%s): %v", i, b.Raw, err)
+		}
+		ref[i] = p
+	}
+	var out []string
 	for _, tp := range w.tuples {
-		if err := eng.Consume(tp); err != nil {
+		if err := ref.consume(tp, func(r stream.Tuple) { out = append(out, r.String()) }); err != nil {
 			t.Fatalf("reference consume: %v", err)
 		}
 	}
@@ -139,7 +162,7 @@ func byPlan(seq []string) map[string][]string {
 
 // TestRuntimeDifferentialQuerygen is the keystone differential test of
 // the execution runtime: over a randomized querygen workload the
-// runtime must reproduce the pre-existing sequential engine —
+// runtime must reproduce the sequential reference —
 // byte-identical globally in synchronous and single-worker modes, and
 // byte-identical per plan in sharded mode, at batch sizes 1, 16 and 64.
 func TestRuntimeDifferentialQuerygen(t *testing.T) {
@@ -182,7 +205,7 @@ func TestRuntimeDifferentialQuerygen(t *testing.T) {
 	}
 
 	// One worker: all plans share a FIFO shard, so even the global
-	// emission order must reproduce the sequential engine.
+	// emission order must reproduce the sequential reference.
 	t.Run("workers1", func(t *testing.T) {
 		var c collector
 		rt := exec.New(exec.Config{Workers: 1, Emit: c.emit})
@@ -237,7 +260,7 @@ func TestRuntimeDifferentialQuerygen(t *testing.T) {
 
 // TestRuntimeErrorParity: a tuple whose schema drifted under a stream
 // name (missing a needed attribute) must produce the same error as the
-// sequential engine in synchronous mode, and surface through OnError —
+// sequential reference in synchronous mode, and surface through OnError —
 // with the failing plan's ID — in both modes.
 func TestRuntimeErrorParity(t *testing.T) {
 	reg := stream.NewRegistry()
@@ -256,13 +279,13 @@ func TestRuntimeErrorParity(t *testing.T) {
 	drifted := stream.MustSchema("S", stream.Field{Name: "a", Kind: stream.KindInt})
 	bad := stream.MustTuple(drifted, 1, stream.Int(1))
 
-	eng := spe.NewEngine(nil)
-	if _, err := eng.Install("p0", b, "res"); err != nil {
+	p0, err := spe.Compile("p0", b, "res")
+	if err != nil {
 		t.Fatal(err)
 	}
-	refErr := eng.Consume(bad)
+	refErr := sequential{p0}.consume(bad, nil)
 	if refErr == nil {
-		t.Fatal("reference engine accepted drifted tuple")
+		t.Fatal("reference accepted drifted tuple")
 	}
 
 	var gotPlan string
@@ -416,25 +439,57 @@ func TestDispatchNoMatchAllocationFree(t *testing.T) {
 		}
 		rt.Close()
 	}
+}
 
-	// The sequential engine's dispatch is equally allocation-free now
-	// that the per-stream plan lists are maintained at Install time.
-	eng := spe.NewEngine(nil)
-	if _, err := eng.Install("p0", b, "r0"); err != nil {
+// TestInstallReplaceRemove: a tuple reaches every plan of its stream,
+// re-installing an ID swaps the plan in place, and a removed plan stops
+// emitting and leaves Plans.
+func TestInstallReplaceRemove(t *testing.T) {
+	reg := stream.NewRegistry()
+	if err := sensordata.RegisterAll(reg); err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if err := eng.Consume(noMatch); err != nil {
+	var got []string
+	rt := exec.New(exec.Config{Emit: func(tp stream.Tuple) { got = append(got, tp.Schema.Stream) }})
+	defer rt.Close()
+	install := func(id, where string) {
+		b, err := cql.AnalyzeString("SELECT station FROM Sensor00 [Now]"+where, reg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Errorf("engine: no-match Consume allocates %.1f/op, want 0", allocs)
+		if _, err := rt.Install(id, b, "res"+id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen := sensordata.NewGenerator(0, 1)
+	consume := func() string {
+		got = nil
+		if err := rt.Consume(gen.Next()); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(got, ",")
+	}
+	install("q1", "")
+	install("q2", "")
+	if out := consume(); out != "resq1,resq2" {
+		t.Fatalf("two plans emitted %q", out)
+	}
+	install("q1", " WHERE temperature > 1000") // replaced by a plan that never matches
+	if out := consume(); out != "resq2" {
+		t.Fatalf("after replace: %q", out)
+	}
+	rt.Remove("q2")
+	if out := consume(); out != "" {
+		t.Fatalf("after remove: %q", out)
+	}
+	if plans := rt.Plans(); len(plans) != 1 || plans[0] != "q1" {
+		t.Fatalf("plans = %v", plans)
 	}
 }
 
 // TestReplaceDrainsQueuedTuples: replacing a plan in sharded mode must
 // drain the plan's worker queue first, so tuples enqueued before the
-// replacement reach the OLD plan — the sequential engine's semantics.
+// replacement reach the OLD plan — synchronous mode's semantics.
 func TestReplaceDrainsQueuedTuples(t *testing.T) {
 	reg := stream.NewRegistry()
 	if err := sensordata.RegisterAll(reg); err != nil {

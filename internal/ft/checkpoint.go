@@ -5,13 +5,14 @@ import (
 	"sync"
 
 	"cosmos/internal/cql"
+	"cosmos/internal/exec"
 	"cosmos/internal/spe"
 )
 
 // Checkpointer retains the latest snapshot of every registered plan —
 // the query-layer recovery state (paper §2). In a distributed
 // deployment snapshots would be replicated to a standby; here they live
-// in memory and the Failover helper replays them onto a survivor engine.
+// in memory and the Failover helper replays them onto a survivor runtime.
 type Checkpointer struct {
 	mu    sync.Mutex
 	snaps map[string]*spe.Snapshot // guarded by mu
@@ -64,21 +65,14 @@ func (c *Checkpointer) Drop(id string) {
 	delete(c.queries, id)
 }
 
-// Engine is the minimal engine surface Failover recovers onto. Both the
-// sequential spe.Engine and the sharded exec.Runtime implement it;
-// WithPlan must quiesce the named plan while fn runs, so restoration
-// cannot race concurrent pushes.
-type Engine interface {
-	Install(id string, b *cql.Bound, resultStream string) (*spe.Plan, error)
-	WithPlan(id string, fn func(*spe.Plan)) bool
-}
-
-// Failover recompiles every checkpointed plan onto the survivor engine
-// and restores the captured state, returning the recovered plan IDs.
-// Plans without a snapshot restart cold (empty windows). Tuples the
-// survivor consumes between a plan's Install and its Restore are
-// superseded by the snapshot — the recovery point is the checkpoint.
-func (c *Checkpointer) Failover(survivor Engine) ([]string, error) {
+// Failover recompiles every checkpointed plan onto the survivor runtime
+// and restores the captured state under WithPlan (which quiesces the
+// plan, so restoration cannot race concurrent pushes), returning the
+// recovered plan IDs. Plans without a snapshot restart cold (empty
+// windows). Tuples the survivor consumes between a plan's Install and
+// its Restore are superseded by the snapshot — the recovery point is the
+// checkpoint.
+func (c *Checkpointer) Failover(survivor *exec.Runtime) ([]string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var recovered []string

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cosmos/internal/cql"
+	"cosmos/internal/exec"
 	"cosmos/internal/overlay"
 	"cosmos/internal/spe"
 	"cosmos/internal/stream"
@@ -165,8 +166,7 @@ func TestCheckpointFailoverResumesExactly(t *testing.T) {
 	}
 
 	// Primary runs and checkpoints after buffering opens.
-	var primaryOut []stream.Tuple
-	primary := spe.NewEngine(func(t stream.Tuple) { primaryOut = append(primaryOut, t) })
+	primary := exec.New(exec.Config{})
 	plan, err := primary.Install("g1", b, "res")
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestCheckpointFailoverResumesExactly(t *testing.T) {
 
 	// Primary fails here. Survivor takes over from the checkpoint.
 	var survivorOut []stream.Tuple
-	survivor := spe.NewEngine(func(t stream.Tuple) { survivorOut = append(survivorOut, t) })
+	survivor := exec.New(exec.Config{Emit: func(t stream.Tuple) { survivorOut = append(survivorOut, t) }})
 	recovered, err := cp.Failover(survivor)
 	if err != nil {
 		t.Fatal(err)
@@ -193,17 +193,15 @@ func TestCheckpointFailoverResumesExactly(t *testing.T) {
 	if len(survivorOut) != 1 || survivorOut[0].MustGet("OpenAuction.itemID").AsInt() != 1 {
 		t.Fatalf("survivor out = %v", survivorOut)
 	}
-	// Reference: an engine without the checkpoint would miss the join.
-	cold := spe.NewEngine(nil)
+	// Reference: a runtime without the checkpoint misses the join.
+	var coldOut int
+	cold := exec.New(exec.Config{Emit: func(stream.Tuple) { coldOut++ }})
 	if _, err := cold.Install("g1", b, "res"); err != nil {
 		t.Fatal(err)
 	}
-	var coldOut int
-	cold2 := spe.NewEngine(func(stream.Tuple) { coldOut++ })
-	cold2.Install("g1", b, "res")
-	cold2.Consume(closedT(300, 1))
+	cold.Consume(closedT(300, 1))
 	if coldOut != 0 {
-		t.Error("cold engine should have no state")
+		t.Error("cold runtime should have no state")
 	}
 }
 
@@ -212,8 +210,7 @@ func TestCheckpointDrop(t *testing.T) {
 	cat := catalog()
 	b, _ := cql.AnalyzeString("SELECT itemID FROM OpenAuction [Now]", cat)
 	cp.Register("q", b, "r")
-	e := spe.NewEngine(nil)
-	p, _ := e.Install("q", b, "r")
+	p, _ := exec.New(exec.Config{}).Install("q", b, "r")
 	cp.Capture(p)
 	if _, ok := cp.Snapshot("q"); !ok {
 		t.Fatal("snapshot missing")
@@ -222,8 +219,7 @@ func TestCheckpointDrop(t *testing.T) {
 	if _, ok := cp.Snapshot("q"); ok {
 		t.Error("snapshot survived drop")
 	}
-	survivor := spe.NewEngine(nil)
-	recovered, err := cp.Failover(survivor)
+	recovered, err := cp.Failover(exec.New(exec.Config{}))
 	if err != nil || len(recovered) != 0 {
 		t.Errorf("failover after drop = %v, %v", recovered, err)
 	}

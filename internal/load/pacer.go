@@ -1,3 +1,11 @@
+// Package load holds the open-loop driver and the delivery ledger that
+// benchmark/ measures with: Pacer offers arrivals on a schedule fixed at
+// start and records how late each tick ran; Recorder accounts for every
+// delivery per subscription (loss, duplication) and measures latency
+// from the intended publish offset, so a stall cannot hide as a slower
+// offered rate (pacer_test.go pins this). The package's own churn and
+// clients tests drive live deployments with both and assert exact
+// ledgers.
 package load
 
 import (
@@ -62,16 +70,13 @@ func (p *Pacer) Tick() time.Duration {
 
 // Shift re-anchors the schedule so the next tick is due now. It exists
 // for deliberate control-plane pauses (a failover barrier in the churn
-// scenario): the pause is an announced amendment to the schedule, not a
+// ledger test): the pause is an announced amendment to the schedule, not a
 // silent omission, so it is excluded from lag/latency accounting while
-// genuine backlog remains visible. The number of shifts is reported.
+// genuine backlog remains visible. Shifts counts them.
 func (p *Pacer) Shift() {
 	p.base = time.Now().Add(-time.Duration(p.n) * p.interval)
 	p.shifts++
 }
-
-// Ticks returns the number of ticks issued so far.
-func (p *Pacer) Ticks() int64 { return p.n }
 
 // Shifts returns how many times the schedule was re-anchored.
 func (p *Pacer) Shifts() int { return p.shifts }
@@ -79,12 +84,6 @@ func (p *Pacer) Shifts() int { return p.shifts }
 // Start returns the run's epoch: intended offsets returned by Tick and
 // delivery timestamps are both measured against it.
 func (p *Pacer) Start() time.Time { return p.start }
-
-// Elapsed returns the time since the run started.
-func (p *Pacer) Elapsed() time.Duration { return time.Since(p.start) }
-
-// Offered returns the scheduled arrival rate in ticks per second.
-func (p *Pacer) Offered() float64 { return float64(time.Second) / float64(p.interval) }
 
 // LagSnapshot returns the scheduling-lag histogram: one observation per
 // tick, zero when the tick fired on time.

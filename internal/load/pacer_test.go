@@ -15,12 +15,6 @@ func TestPacerHoldsSchedule(t *testing.T) {
 			t.Fatalf("tick %d: intended offset %v, want %v", i, got, want)
 		}
 	}
-	if p.Ticks() != 200 {
-		t.Fatalf("Ticks() = %d, want 200", p.Ticks())
-	}
-	if got := p.Offered(); got != 100000 {
-		t.Fatalf("Offered() = %v, want 100000", got)
-	}
 	if lag := p.LagSnapshot(); lag.Count != 200 {
 		t.Fatalf("lag histogram holds %d observations, want one per tick", lag.Count)
 	}

@@ -8,7 +8,7 @@ import (
 	"cosmos/internal/obs"
 )
 
-// Recorder is the delivery-side ledger of a load run: per-subscription
+// Recorder is the delivery-side ledger of a paced run: per-subscription
 // sequence tracking (loss, duplication, reordering) plus the shared
 // end-to-end latency histogram. Latency is measured from each tuple's
 // *intended* publish offset (stamped by the pacer), so scheduling
@@ -45,9 +45,7 @@ type Track struct {
 	started   bool  // guarded by mu
 	hasExpect bool  // guarded by mu
 	expect    int64 // guarded by mu
-	first     int64 // guarded by mu
 	last      int64 // guarded by mu
-	received  int64 // guarded by mu
 	dups      int64 // guarded by mu
 	holes     int64 // guarded by mu
 	closed    bool  // guarded by mu
@@ -95,10 +93,8 @@ func (r *Recorder) Observe(t *Track, seq, pubNanos, actNanos int64) {
 func (t *Track) record(seq int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.received++
 	if !t.started {
 		t.started = true
-		t.first = seq
 		t.last = seq
 		// A declared first due sequence turns a late-starting stream
 		// into accounted loss instead of a free pass.
@@ -143,21 +139,6 @@ func (t *Track) Close() {
 	t.mu.Lock()
 	t.closed = true
 	t.mu.Unlock()
-}
-
-// Last returns the highest sequence seen (ok=false before the first
-// delivery).
-func (t *Track) Last() (seq int64, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.last, t.started
-}
-
-// Received returns the track's delivery count.
-func (t *Track) Received() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.received
 }
 
 // Closed reports whether the track was cancelled.
@@ -222,13 +203,6 @@ func (r *Recorder) Totals() (lost, dups int64) {
 		t.mu.Unlock()
 	}
 	return lost, dups
-}
-
-// Tracks snapshots the registered tracks.
-func (r *Recorder) Tracks() []*Track {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*Track(nil), r.tracks...)
 }
 
 // LatencySnapshot returns the end-to-end latency histogram (measured

@@ -26,8 +26,8 @@ func TestTrackInOrder(t *testing.T) {
 	tr := r.NewTrack(1).Expect(0)
 	feed(r, tr, 0, 1, 2, 3, 4)
 	wantTotals(t, r, 0, 0)
-	if r.Delivered() != 5 || tr.Received() != 5 {
-		t.Fatalf("delivered %d / received %d, want 5 / 5", r.Delivered(), tr.Received())
+	if r.Delivered() != 5 {
+		t.Fatalf("delivered %d, want 5", r.Delivered())
 	}
 	if !tr.Settled(4) || tr.Settled(5) {
 		t.Fatalf("Settled(4)=%v Settled(5)=%v, want true/false", tr.Settled(4), tr.Settled(5))
@@ -46,9 +46,8 @@ func TestTrackHole(t *testing.T) {
 	tr := r.NewTrack(1)
 	feed(r, tr, 0, 1, 4) // 2 and 3 skipped
 	wantTotals(t, r, 2, 0)
-	if last, ok := tr.Last(); !ok || last != 4 {
-		t.Fatalf("Last() = (%d, %v), want (4, true)", last, ok)
-	}
+	feed(r, tr, 5) // the ledger resumes from the jump
+	wantTotals(t, r, 2, 0)
 }
 
 // A jump that is not a stride multiple still rounds to at least one

@@ -163,15 +163,6 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	return s.Max
 }
 
-// Mean returns the exact mean of the observations (Sum is exact, not
-// bucketed).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // String renders the classic monitoring line: count and p50/p99/p99.99
 // as durations.
 func (s HistSnapshot) String() string {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -170,6 +171,35 @@ func TestTracerCapEviction(t *testing.T) {
 	}
 	if traces[0].Key != 8 || traces[2].Key != 10 {
 		t.Fatalf("FIFO eviction kept %d..%d", traces[0].Key, traces[2].Key)
+	}
+}
+
+// TestTraceMarksInTimeOrder: concurrent marks on one key — a broker
+// routing a result while the processor that emitted it marks exec —
+// land in the trace in time order.
+func TestTraceMarksInTimeOrder(t *testing.T) {
+	m := New(Options{TraceEvery: 1})
+	m.TraceSample(7, "s")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(s Stage) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				m.TraceMark(7, s)
+			}
+		}(StageRoute + Stage(g%2))
+	}
+	wg.Wait()
+	events := m.Traces()[0].Events
+	if len(events) != 8*500 {
+		t.Fatalf("%d events, want %d", len(events), 8*500)
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].At < events[i-1].At {
+			t.Fatalf("event %d (%s) at %d precedes event %d (%s) at %d",
+				i, events[i].Stage, events[i].At, i-1, events[i-1].Stage, events[i-1].At)
+		}
 	}
 }
 

@@ -114,7 +114,10 @@ func (m *Metrics) TraceSample(key int64, stream string) {
 
 // TraceMark records stage s on the trace of the tuple keyed by key, if
 // that tuple is being traced. When tracing is off this is one field
-// test — cheap enough for every hot-path call site.
+// test — cheap enough for every hot-path call site. The mark is stamped
+// under the tracer lock, so a trace's events are in time order even when
+// two goroutines mark the same key at once (a downstream broker routing
+// a result while the processor that emitted it marks exec).
 //
 //cosmos:hotpath
 func (m *Metrics) TraceMark(key int64, s Stage) {
@@ -122,10 +125,9 @@ func (m *Metrics) TraceMark(key int64, s Stage) {
 		return
 	}
 	tr := &m.tracer
-	now := Now()
 	tr.mu.Lock()
 	if t := tr.active[key]; t != nil {
-		t.Events = append(t.Events, TraceEvent{Stage: s.String(), At: now})
+		t.Events = append(t.Events, TraceEvent{Stage: s.String(), At: Now()})
 	}
 	tr.mu.Unlock()
 }

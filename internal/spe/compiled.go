@@ -41,9 +41,8 @@ type compiledPlan struct {
 	// placed/rows/ts per slot: rows[i] is the pushed tuple's values for
 	// the probing slot and, for a window row, slot i's segment of scratch
 	// filled from its store. All are reusable per-push buffers (Push is
-	// serialised per plan — under the engine lock in spe.Engine, under
-	// the plan's slot lock in the exec runtime; emitted tuples never
-	// alias them).
+	// serialised per plan, under the plan's slot lock in the exec
+	// runtime; emitted tuples never alias them).
 	offsets []int
 	scratch []stream.Value
 	placed  []bool

@@ -126,30 +126,3 @@ func TestPushProjectedInputTuples(t *testing.T) {
 		t.Error("missing needed attribute should error")
 	}
 }
-
-func TestSnapshotAcrossEngineReplace(t *testing.T) {
-	// Replacing a plan drops state; a snapshot taken before the replace
-	// can rehydrate the new plan only if the query shape matches.
-	e := NewEngine(nil)
-	b := bind(t, "SELECT O.itemID FROM OpenAuction [Range 1 Hour] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID")
-	p1, err := e.Install("g", b, "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Consume(openTuple(1, 1, 1, 1))
-	snap := p1.Snapshot()
-	p2, err := e.Install("g", b.Clone(), "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	var out []stream.Tuple
-	e2 := NewEngine(func(t stream.Tuple) { out = append(out, t) })
-	// Ensure WithPlan sees installed plans only.
-	if ok := e2.WithPlan("missing", func(*Plan) {}); ok {
-		t.Error("WithPlan on missing id should report false")
-	}
-	_ = out
-}

@@ -1,7 +1,7 @@
 // Package spe is the stream processing engine of a COSMOS processor
 // (paper §2). Any CQL-subset query bound by package cql compiles into an
-// executable Plan; an Engine hosts many plans and feeds them the tuples
-// the data layer delivers, emitting result-stream tuples.
+// executable Plan; internal/exec hosts many plans and feeds them the
+// tuples the data layer delivers, emitting result-stream tuples.
 //
 // Semantics follow CQL time-based sliding windows over application
 // timestamps:
@@ -31,18 +31,14 @@
 //
 // The engine stands in for the single-site SPEs the paper plugs in
 // (TelegraphCQ, STREAM, Aurora, GSN): COSMOS treats the SPE as a black
-// box behind query/data wrappers, which is exactly the interface Engine
-// exposes.
+// box behind query/data wrappers, which is exactly the interface Plan
+// exposes (Compile, Push, Snapshot/Restore).
 //
-// The two-plane design now extends to execution: spe.Engine runs every
-// plan of a stream sequentially under one lock and is the ordering and
-// semantics reference, while internal/exec shards the same plans across
-// a worker pool with per-plan locking and micro-batched ingestion. The
-// contract between them is the emit callback: a plan's emission sequence
-// is a total order (identical on both runtimes); cross-plan order is
-// guaranteed only by the sequential engine and the runtime's synchronous
-// mode. Plan.Push assumes single-threaded access per plan — whoever
-// hosts a plan must serialise its pushes, which both runtimes do.
+// A plan's emission sequence is a total order over its pushes; order
+// across plans is the host's business (exec.Runtime runs plans in
+// plan-ID order synchronously, or shards them across a worker pool).
+// Plan.Push assumes single-threaded access per plan — whoever hosts a
+// plan must serialise its pushes, which exec does under a per-plan lock.
 package spe
 
 import (

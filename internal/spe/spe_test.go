@@ -244,64 +244,6 @@ func TestAggregateMinMaxSum(t *testing.T) {
 	}
 }
 
-func TestEngineDispatchAndReplace(t *testing.T) {
-	var emitted []stream.Tuple
-	e := NewEngine(func(t stream.Tuple) { emitted = append(emitted, t) })
-	b1 := bind(t, "SELECT itemID FROM OpenAuction [Now] WHERE start_price > 100")
-	b2 := bind(t, "SELECT itemID FROM OpenAuction [Now]")
-	if _, err := e.Install("q1", b1, "r1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Install("q2", b2, "r2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Consume(openTuple(1, 7, 1, 500)); err != nil {
-		t.Fatal(err)
-	}
-	if len(emitted) != 2 {
-		t.Fatalf("emitted = %d", len(emitted))
-	}
-	// Replace q1 with a narrower plan; old state is dropped.
-	if _, err := e.Install("q1", bind(t, "SELECT itemID FROM OpenAuction [Now] WHERE start_price > 1000"), "r1"); err != nil {
-		t.Fatal(err)
-	}
-	emitted = nil
-	e.Consume(openTuple(2, 7, 1, 500))
-	if len(emitted) != 1 || emitted[0].Schema.Stream != "r2" {
-		t.Fatalf("after replace: %v", emitted)
-	}
-	e.Remove("q2")
-	emitted = nil
-	e.Consume(openTuple(3, 7, 1, 2000))
-	if len(emitted) != 1 || emitted[0].Schema.Stream != "r1" {
-		t.Fatalf("after remove: %v", emitted)
-	}
-	if got := e.Plans(); len(got) != 1 || got[0] != "q1" {
-		t.Errorf("plans = %v", got)
-	}
-}
-
-func TestEngineRunPipeline(t *testing.T) {
-	var emitted []stream.Tuple
-	e := NewEngine(func(t stream.Tuple) { emitted = append(emitted, t) })
-	if _, err := e.Install("q", bind(t, "SELECT itemID FROM OpenAuction [Now]"), "r"); err != nil {
-		t.Fatal(err)
-	}
-	in := make(chan stream.Tuple, 8)
-	errs := make(chan error, 1)
-	go e.Run(in, errs)
-	for i := 0; i < 5; i++ {
-		in <- openTuple(stream.Timestamp(i), int64(i), 1, 10)
-	}
-	close(in)
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	if len(emitted) != 5 {
-		t.Errorf("pipeline emitted %d", len(emitted))
-	}
-}
-
 // TestMergedExecutionEquivalence is the keystone integration test of the
 // paper's technique: executing the representative query and splitting its
 // result stream with the members' re-tightening profiles yields EXACTLY

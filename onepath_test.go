@@ -1,10 +1,12 @@
 package cosmos_test
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -17,14 +19,20 @@ import (
 // package declares no name-resolved matcher, and the selectors of the
 // retired second paths — broker fallback, plan degradation, wire version
 // negotiation, the gob tuple codec publishes travelled in, the tuple-slice
-// window buffers' compaction and the join buckets' lazy trim — are not
-// declared or used anywhere.
+// window buffers' compaction and the join buckets' lazy trim, the
+// sequential spe.Engine beside exec.Runtime, and the load harness's
+// second instrument (its report writer and transport/auction scenarios)
+// — are not declared or used anywhere, and cmd/cosmosbench is gone.
 func TestOnePathStructure(t *testing.T) {
+	if _, err := os.Stat("cmd/cosmosbench"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("cmd/cosmosbench exists (stat: %v); benchmark/ is the one instrument", err)
+	}
 	retired := map[string]bool{}
 	for _, name := range []string{
 		"fallback", "rebinds", "maxSchemaRebinds", "routeInterpretedLocked", "pushInterpreted",
 		"degrade", "kindConforms", "negotiateWire", "WireV1", "handleResult", "WithWireVersion",
 		"maybeCompact", "compactMinHead", "liveOverflow", "liveMin", "mhead", "probeKey", "rebuildState", "aliasesOf",
+		"NewEngine", "WriteReport", "splitHistory", "runTransport", "runAuction",
 	} {
 		retired[name] = true
 	}
