@@ -126,3 +126,50 @@ func TestPushProjectedInputTuples(t *testing.T) {
 		t.Error("missing needed attribute should error")
 	}
 }
+
+func TestSnapshotAcrossEngineReplace(t *testing.T) {
+	// Replacing a plan (recompiling it under the same id, as the runtime
+	// does on a merge or re-tighten) drops state; a snapshot taken before
+	// the replace rehydrates the new plan only if the query shape matches.
+	b := bind(t, "SELECT O.itemID FROM OpenAuction [Range 1 Hour] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID")
+	p1, err := Compile("g", b, "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p1.Push(openTuple(1, 1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	snap := p1.Snapshot()
+
+	fresh, err := Compile("g", b.Clone(), "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, _ := fresh.Push(closedTuple(2, 1, 9)); len(out) != 0 {
+		t.Fatalf("replaced plan without restore kept state: %v", out)
+	}
+
+	p2, err := Compile("g", b.Clone(), "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	out, err := p2.Push(closedTuple(2, 1, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0].MustGet("OpenAuction.itemID").AsInt() != 1 {
+		t.Fatalf("restored plan should join the snapshotted open: %v", out)
+	}
+
+	other := bind(t, "SELECT O.itemID FROM OpenAuction [Range 1 Hour] O")
+	p3, err := Compile("g", other, "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p3.Restore(snap); err == nil {
+		t.Error("restoring into a differently-shaped plan should error")
+	}
+}
