@@ -461,26 +461,29 @@ func TestInstallReplaceRemove(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gen := sensordata.NewGenerator(0, 1)
-	consume := func() string {
+	schema, _ := reg.Schema(sensordata.StreamName(0))
+	var ts stream.Timestamp
+	consume := func(temp float64) string {
 		got = nil
-		if err := rt.Consume(gen.Next()); err != nil {
+		ts++
+		tp := stream.MustTuple(schema, ts, stream.Int(0), stream.Float(temp), stream.Float(50), stream.Float(0), stream.Float(4))
+		if err := rt.Consume(tp); err != nil {
 			t.Fatal(err)
 		}
 		return strings.Join(got, ",")
 	}
 	install("q1", "")
 	install("q2", "")
-	if out := consume(); out != "resq1,resq2" {
+	if out := consume(20); out != "resq1,resq2" {
 		t.Fatalf("two plans emitted %q", out)
 	}
-	install("q1", " WHERE temperature > 1000") // replaced by a plan that never matches
-	if out := consume(); out != "resq2" {
+	install("q1", " WHERE temperature > 30") // replaced by a narrower plan
+	if out := consume(20); out != "resq2" {
 		t.Fatalf("after replace: %q", out)
 	}
 	rt.Remove("q2")
-	if out := consume(); out != "" {
-		t.Fatalf("after remove: %q", out)
+	if out := consume(40); out != "resq1" {
+		t.Fatalf("after remove, the new q1 emitted %q", out)
 	}
 	if plans := rt.Plans(); len(plans) != 1 || plans[0] != "q1" {
 		t.Fatalf("plans = %v", plans)

@@ -8,9 +8,6 @@
 # runs agreed exactly; the allocation-derived cbn.route_allocs and
 # spe.push_allocs, and net_bytes_per_event on the two TCP workloads, do
 # not, and are left out.
-#
-#	scripts/determinism.sh           # compare against the baseline
-#	scripts/determinism.sh -update   # rewrite the baseline
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 baseline="$root/scripts/determinism_baseline.txt"
@@ -45,11 +42,7 @@ for w in fanout_tcp sensor_merge auction_join remote_churn; do
 	esac
 done >"$got"
 
-if [ "${1:-}" = "-update" ]; then
-	cp "$got" "$baseline"
-	exit 0
-fi
 diff -u "$baseline" "$got" || {
-	echo "determinism.sh: seed-determined counts moved; if intended, rerun with -update and say why" >&2
+	echo "determinism.sh: seed-determined counts moved; if the change means to move them, apply the diff's '+' lines to scripts/determinism_baseline.txt and say why in CHANGES.md" >&2
 	exit 1
 }
