@@ -128,7 +128,7 @@ func runChaosDifferential(t *testing.T, faults faultnet.Config) {
 	for i, q := range queries {
 		rec := &chaosRecorder{}
 		recs[i] = rec
-		_, err := subcli.Submit(q, 3+i%8,
+		_, err := subcli.Submit(q, diffNode(i),
 			func(tp cosmos.Tuple, seq uint64) {
 				rec.mu.Lock()
 				rec.seqs = append(rec.seqs, seq)
@@ -233,6 +233,41 @@ func runChaosDifferential(t *testing.T, faults faultnet.Config) {
 					q, s, covered[s], seqs, gaps)
 			}
 		}
+	}
+
+	// The pair's match sets were partial, and it really shares a delivery:
+	// one more tuple for both crosses the wire as one frame carrying both
+	// results, which one delivery id names.
+	p0, p1 := diffPairAt[0], diffPairAt[1]
+	if len(want[p0]) == 0 || len(want[p1]) == 0 || len(want[p0]) == len(want[p1]) {
+		t.Fatalf("pair results %d and %d: want partial overlap", len(want[p0]), len(want[p1]))
+	}
+	before, err := control.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := cosmos.MustTuple(sensordata.Schema(2), cosmos.Timestamp(diffRounds)*cosmos.Timestamp(30*cosmos.Second),
+		cosmos.Int(2), cosmos.Float(20), cosmos.Float(30), cosmos.Float(0), cosmos.Float(0))
+	if err := sources[2].Publish(both); err != nil {
+		t.Fatal(err)
+	}
+	if err := control.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range diffPairAt {
+		for !recs[q].settled(len(want[q]) + 1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("pair member %d never got the shared result", q)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	after, err := control.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results, frames := after.Wire.Results-before.Wire.Results, after.Wire.Batches-before.Wire.Batches; results != 2 || frames != 1 {
+		t.Fatalf("the pair's shared result took %d frames for %d results, want 1 for 2", frames, results)
 	}
 	if err := subcli.Close(); err != nil {
 		t.Fatal(err)

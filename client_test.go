@@ -55,7 +55,34 @@ func diffWorkloadQueries(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gen.Batch(diffQueries)
+	// The batch shares a delivery proxy only by chance; diffPair does by
+	// construction. Round-robin placement alternates over diffOptions'
+	// two processors, so the batch's last query goes between the pair's
+	// members to put both on one processor, and so in one group.
+	batch := gen.Batch(diffQueries)
+	return append(batch[:diffPairAt[0]:diffPairAt[0]], diffPair[0], batch[diffPairAt[0]], diffPair[1])
+}
+
+// diffPair is diffWorkloadQueries' explicit pair of queries that share a
+// delivery proxy: one stream, [Now], one user node, and filters that make
+// a result one member's, the other's, or both. Their results cross a Dial
+// connection as one body.
+var diffPair = [2]string{
+	"SELECT station, temperature FROM Sensor02 [Now] WHERE temperature > 10",
+	"SELECT station, humidity FROM Sensor02 [Now] WHERE humidity < 50",
+}
+
+// diffPairAt is where diffWorkloadQueries puts diffPair's members.
+var diffPairAt = [2]int{diffQueries - 1, diffQueries + 1}
+
+// diffNode is the user node of diffWorkloadQueries' i-th query: the
+// queries spread over nodes 3..10, and the pair's second member sits with
+// its first.
+func diffNode(i int) int {
+	if i == diffPairAt[1] {
+		i = diffPairAt[0]
+	}
+	return 3 + i%8
 }
 
 // driveClient runs the differential workload through one Client: it
@@ -75,7 +102,7 @@ func driveClient(t *testing.T, client cosmos.Client, queries []string) [][]strin
 	}
 	subs := make([]*cosmos.Subscription, len(queries))
 	for i, q := range queries {
-		sub, err := client.Submit(context.Background(), q, 3+i%8)
+		sub, err := client.Submit(context.Background(), q, diffNode(i))
 		if err != nil {
 			t.Fatalf("submit %q: %v", q, err)
 		}

@@ -117,8 +117,12 @@ const (
 
 // Annot returns the directive annotations on obj's declaration, or 0.
 // Declarations of every loaded package are indexed, so a hotpath
-// function in one package can vouch for its callees in another.
+// function in one package can vouch for its callees in another; a call
+// through a generic instantiation resolves to the generic declaration.
 func (prog *Program) Annot(obj types.Object) Annot {
+	if f, ok := obj.(*types.Func); ok {
+		obj = f.Origin()
+	}
 	if obj == nil {
 		return 0
 	}

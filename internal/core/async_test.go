@@ -25,15 +25,14 @@ func driveWorkload(t *testing.T, opts Options) map[string][]string {
 		{"SELECT itemID, buyerID FROM ClosedAuction [Now]", 7},
 	}
 	for _, q := range queries {
-		q := q
-		h, err := sys.Submit(q.text, q.node, nil)
+		var tag string // set before anything is published
+		h, err := sys.Submit(q.text, q.node, func(tp stream.Tuple) {
+			results[tag] = append(results[tag], tp.String())
+		})
 		if err != nil {
 			t.Fatalf("submit %q: %v", q.text, err)
 		}
-		tag := h.Tag
-		h.onResult = func(tp stream.Tuple) {
-			results[tag] = append(results[tag], tp.String())
-		}
+		tag = h.Tag
 	}
 	info := auctionInfos()
 	for i := 0; i < 120; i++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"cosmos/internal/cql"
@@ -12,48 +13,85 @@ import (
 	"cosmos/internal/stream"
 )
 
-// QueryHandle is the user-side proxy of one continuous query (paper §2:
-// "a user first connects to a broker/processor which works as the proxy
-// for the user and is responsible for retrieving the result stream from
-// the network and sending it back to the user").
-//
-// The proxy subscribes to the group's representative result stream with
-// the member's re-tightening profile and — defensively — re-applies the
-// profile filter and the member's own projection/AS renaming before
-// invoking the user callback, so network-side slack (e.g. stale
-// aggregated subscriptions upstream after a group change) never leaks
-// foreign tuples to the user. Both are compiled per arriving result
-// schema: the filter to a predicate.Compiled, the renaming to a column
-// index list.
+// A delivery proxy is the user side of a group's result stream (paper
+// §2), one per (sink, group, user node). Its network client subscribes
+// the union of its members' re-tightening profiles, so the network
+// delivers each result once; the proxy re-applies every member's filter
+// (network-side slack never reaches a user) and hands its sink the tuple
+// with the match set.
+
+// Sink is a subscriber whose queries share delivery proxies.
+type Sink interface {
+	// Open is called under the system lock when SubmitTo creates a
+	// proxy for the sink; the receiver gets that proxy's results.
+	Open() Receiver
+}
+
+// Receiver takes one delivery proxy's results.
+type Receiver interface {
+	// Deliver hands over a delivered tuple and the members it matched
+	// (match[i] is lay.Members[i]'s), serially, under the proxy's lock:
+	// it must not block, call into the System, or keep match.
+	//
+	//cosmos:hotpath-ok — the subscriber's hand-off, a subscription pump enqueue (Submit) or the wire enqueue (a TCP session)
+	Deliver(lay *Layout, t stream.Tuple, match []bool)
+}
+
+// Layout is a proxy's immutable binding to one delivered schema and one
+// membership. Cols lists the delivered tuple's columns that form the
+// body: the members' output columns in member order, shared where an
+// earlier member has the column, so a lone member's body is its row.
+type Layout struct {
+	Cols    []int
+	Members []Member
+
+	schema *stream.Schema
+}
+
+// Member is one query's share of a Layout.
+type Member struct {
+	Out *stream.Schema // the query's output schema, named by its tag
+	Idx []int          // per Out column, the body column carrying it
+	Sub any            // the sink's state for the query, as given to SubmitTo
+}
+
+// proxyKey names a proxy; a group's plan ID outlives versions and failover.
+type proxyKey struct {
+	sink  Sink
+	group string
+	node  int
+}
+
+type proxy struct {
+	key    proxyKey
+	sys    *System
+	client netClient
+	recv   Receiver
+
+	mu      sync.Mutex
+	stream  string                // guarded by mu; the group's current result stream
+	members []*QueryHandle        // guarded by mu
+	lay     *Layout               // guarded by mu; nil until a tuple binds one
+	match   []*predicate.Compiled // guarded by mu; per lay member
+	hits    []bool                // guarded by mu; the match set handed to Deliver
+}
+
+// QueryHandle is one continuous query as its submitter sees it.
 type QueryHandle struct {
 	Tag      string
 	UserNode int
 
-	sys    *System
-	proc   *Processor
-	bound  *cql.Bound
-	client netClient
-	// onResult is the subscriber callback: on the client API it is a
-	// subscription pump enqueue, on the daemon the wire enqueue — both
-	// audited non-blocking hand-offs pinned by their own benchmarks.
-	//
-	//cosmos:hotpath-ok
-	onResult func(stream.Tuple)
+	sys   *System
+	proc  *Processor
+	bound *cql.Bound
+	sink  Sink
+	sub   any
+	px    *proxy // set by the first refresh, under the system lock
 
-	mu           sync.Mutex
-	resultStream string           // guarded by mu
-	filter       *profile.Profile // guarded by mu
-	out          *stream.Schema   // guarded by mu
-	lookup       []string         // guarded by mu
-	detached     bool             // guarded by mu
-
-	// idxSchema/idxCache/match memoise, for the last result schema seen,
-	// the lookup-name → column resolution and the compiled re-tightening
-	// filter, so steady-state delivery evaluates and indexes by position
-	// instead of by name. All guarded by mu.
-	idxSchema *stream.Schema      // guarded by mu
-	idxCache  []int               // guarded by mu
-	match     *predicate.Compiled // guarded by mu
+	// What the proxy binds for the query, read and written under px.mu.
+	filter *profile.Profile
+	out    *stream.Schema
+	lookup []string
 }
 
 // Query returns the analysed query this handle serves.
@@ -62,12 +100,53 @@ func (h *QueryHandle) Query() *cql.Bound { return h.bound }
 // Processor returns the processor executing (the group of) this query.
 func (h *QueryHandle) Processor() *Processor { return h.proc }
 
+// Demand returns the aggregated profile on the query's proxy interface.
+func (h *QueryHandle) Demand() *profile.Profile {
+	h.sys.mu.Lock()
+	defer h.sys.mu.Unlock()
+	return h.sys.net.Broker(h.UserNode).DemandOn(h.px.client.Iface())
+}
+
+// proxyForLocked returns the proxy of h's sink, group and user node,
+// creating it on first use. Called under the system lock.
+func (s *System) proxyForLocked(h *QueryHandle, group string) (*proxy, error) {
+	key := proxyKey{sink: h.sink, group: group, node: h.UserNode}
+	if px := s.proxies[key]; px != nil {
+		return px, nil
+	}
+	client, err := s.net.AttachClient(h.UserNode)
+	if err != nil {
+		return nil, err
+	}
+	px := &proxy{key: key, sys: s, client: client, recv: h.sink.Open()}
+	client.SetOnTuple(px.deliver)
+	s.proxies[key] = px
+	return px, nil
+}
+
+// leaveProxyLocked takes h out of its proxy and withdraws its profile;
+// the last member out closes the proxy. Called under the system lock.
+func (s *System) leaveProxyLocked(h *QueryHandle) {
+	px := h.px
+	px.mu.Lock()
+	px.members = slices.DeleteFunc(px.members, func(m *QueryHandle) bool { return m == h })
+	px.lay = nil
+	// Equal profiles go too: the refresh after a cancel restores them.
+	s.net.Broker(h.UserNode).Unsubscribe(h.filter, px.client.Iface())
+	empty := len(px.members) == 0
+	px.mu.Unlock()
+	if empty {
+		delete(s.proxies, px.key)
+		px.client.Close()
+	}
+}
+
 // refresh (re)binds the handle to its group's representative: builds the
-// re-tightening profile, the output schema, and the value lookup table,
-// then subscribes.
-func (h *QueryHandle) refresh(rep *cql.Bound, resultStream string, singleton bool) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// re-tightening profile, the output schema and the value lookup table,
+// then subscribes through the proxy, which a new query joins here.
+// Called under the system lock.
+func (h *QueryHandle) refresh(gs *groupState, singleton bool) error {
+	resultStream := gs.resultStream
 	var prof *profile.Profile
 	var lookup []string
 	if singleton {
@@ -77,7 +156,7 @@ func (h *QueryHandle) refresh(rep *cql.Bound, resultStream string, singleton boo
 		lookup = outputNames(h.bound)
 	} else {
 		var err error
-		prof, err = merge.BuildMemberProfile(h.bound, rep, resultStream)
+		prof, err = merge.BuildMemberProfile(h.bound, gs.rep, resultStream)
 		if err != nil {
 			return err
 		}
@@ -90,12 +169,21 @@ func (h *QueryHandle) refresh(rep *cql.Bound, resultStream string, singleton boo
 			return fmt.Errorf("re-tightening filter of %s: %w", h.Tag, err)
 		}
 	}
-	h.resultStream = resultStream
-	h.filter = prof
-	h.out = h.bound.OutSchema.Rename(h.Tag)
-	h.lookup = lookup
-	h.idxSchema, h.idxCache, h.match = nil, nil, nil
-	h.client.Subscribe(prof)
+	px := h.px
+	if px == nil {
+		var err error
+		if px, err = h.sys.proxyForLocked(h, gs.plan); err != nil {
+			return err
+		}
+	}
+	px.mu.Lock()
+	defer px.mu.Unlock()
+	if h.px == nil {
+		h.px, px.members = px, append(px.members, h)
+	}
+	px.stream, px.lay = resultStream, nil
+	h.filter, h.out, h.lookup = prof, h.bound.OutSchema.Rename(h.Tag), lookup
+	px.client.Subscribe(prof)
 	return nil
 }
 
@@ -122,66 +210,94 @@ func canonicalNames(b *cql.Bound) []string {
 	return names
 }
 
-// deliver handles one tuple arriving at the user proxy.
+// deliver handles one tuple arriving at the proxy.
 //
 //cosmos:hotpath
-func (h *QueryHandle) deliver(t stream.Tuple) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.detached || t.Schema == nil || t.Schema.Stream != h.resultStream {
+func (p *proxy) deliver(t stream.Tuple) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if t.Schema == nil || t.Schema.Stream != p.stream {
 		return
 	}
-	if t.Schema != h.idxSchema && !h.bindLocked(t.Schema) {
-		return // group changed under us; the refresh will re-align
+	if p.lay == nil || t.Schema != p.lay.schema {
+		//lint:ignore hotpath binds once per delivered schema pointer or membership, not per result
+		p.bindLocked(t.Schema)
 	}
-	if !h.match.EvalValues(t.Values, t.Ts) {
-		return
-	}
-	values := make([]stream.Value, len(h.idxCache))
-	for i, j := range h.idxCache {
-		values[i] = t.Values[j]
-	}
-	out := stream.Tuple{Schema: h.out, Ts: t.Ts, Values: values}
-	if h.onResult != nil {
-		// Deliver counts results actually handed to the subscriber; the
-		// sampled timing covers the user callback (a subscription pump
-		// enqueue on the client API, the wire enqueue on the daemon).
-		// Proxies deliver concurrently (one pump per subscriber): stripe
-		// the count by the proxy's node so they never share a counter line.
-		m := h.sys.obs
-		start := m.StageStartAt(obs.StageDeliver, h.UserNode)
-		h.onResult(out)
-		m.StageEnd(obs.StageDeliver, start)
-		m.TraceMark(int64(out.Ts), obs.StageDeliver)
-	}
-}
-
-// bindLocked compiles the re-tightening filter and the lookup columns
-// against a result schema not seen before; false when the schema lacks
-// an attribute either needs. Callers hold h.mu.
-//
-//cosmos:hotpath-ok — runs once per result-schema pointer, not per result
-func (h *QueryHandle) bindLocked(s *stream.Schema) bool {
-	match, err := predicate.Compile(h.filter.FilterFor(h.resultStream), s)
-	if err != nil {
-		return false
-	}
-	idx := make([]int, len(h.lookup))
-	for i, name := range h.lookup {
-		if idx[i] = s.ColIndex(name); idx[i] < 0 {
-			return false
+	n := 0
+	for i, m := range p.match {
+		if p.hits[i] = m.EvalValues(t.Values, t.Ts); p.hits[i] {
+			n++
 		}
 	}
-	h.idxSchema, h.idxCache, h.match = s, idx, match
-	return true
+	if n == 0 {
+		return
+	}
+	// One result per matched member; the sampled timing covers the sink's
+	// hand-off. Proxies deliver concurrently: stripe by the user node.
+	m := p.sys.obs
+	start := m.StageStartNAt(obs.StageDeliver, int64(n), p.key.node)
+	p.recv.Deliver(p.lay, t, p.hits)
+	m.StageEnd(obs.StageDeliver, start)
+	m.TraceMark(int64(t.Ts), obs.StageDeliver)
 }
 
-// detach stops delivery and withdraws the proxy's local subscription.
-func (h *QueryHandle) detach() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.detached = true
-	if h.filter != nil {
-		h.sys.net.Broker(h.UserNode).Unsubscribe(h.filter, h.client.Iface())
+// bindLocked compiles every member's filter and output columns against a
+// delivered schema not seen before. A member the schema cannot serve —
+// its group changed under it, and the refresh will re-align — is left
+// out. Callers hold p.mu.
+func (p *proxy) bindLocked(s *stream.Schema) {
+	lay := &Layout{schema: s}
+	p.match = p.match[:0]
+	for _, h := range p.members {
+		match, err := predicate.Compile(h.filter.FilterFor(p.stream), s)
+		ok := err == nil
+		idx := make([]int, len(h.lookup))
+		for i, name := range h.lookup {
+			if idx[i] = s.ColIndex(name); idx[i] < 0 {
+				ok = false
+			}
+		}
+		if !ok {
+			continue
+		}
+		// Each column takes the body position of an earlier member's
+		// same column that this member has not taken yet, or a new one.
+		for i, col := range idx {
+			pos := len(lay.Cols)
+			for j, c := range lay.Cols {
+				if c == col && !slices.Contains(idx[:i], j) {
+					pos = j
+					break
+				}
+			}
+			if pos == len(lay.Cols) {
+				lay.Cols = append(lay.Cols, col)
+			}
+			idx[i] = pos
+		}
+		lay.Members = append(lay.Members, Member{Out: h.out, Idx: idx, Sub: h.sub})
+		p.match = append(p.match, match)
 	}
+	p.lay, p.hits = lay, make([]bool, len(p.match))
+}
+
+// funcSink is Submit's subscriber: a proxy of its own, results copied out.
+type funcSink struct {
+	//cosmos:hotpath-ok — the caller's result callback
+	fn func(stream.Tuple)
+}
+
+func (f *funcSink) Open() Receiver { return f }
+
+//cosmos:hotpath
+func (f *funcSink) Deliver(lay *Layout, t stream.Tuple, _ []bool) {
+	if f.fn == nil {
+		return
+	}
+	m := &lay.Members[0]
+	values := make([]stream.Value, len(m.Idx))
+	for i, j := range m.Idx {
+		values[i] = t.Values[lay.Cols[j]]
+	}
+	f.fn(stream.Tuple{Schema: m.Out, Ts: t.Ts, Values: values})
 }

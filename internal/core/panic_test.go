@@ -25,16 +25,16 @@ func TestPlanPanicDegradesOnlyThatQuery(t *testing.T) {
 	// adopted into one shared plan group are one failure domain by
 	// design (the group IS a single plan).
 	var victimGot, bystanderGot int
-	victim, err := sys.Submit("SELECT itemID FROM OpenAuction [Now] WHERE start_price > 0", 3, nil)
+	victim, err := sys.Submit("SELECT itemID FROM OpenAuction [Now] WHERE start_price > 0", 3,
+		func(stream.Tuple) { victimGot++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim.onResult = func(stream.Tuple) { victimGot++ }
-	bystander, err := sys.Submit("SELECT itemID, buyerID FROM ClosedAuction [Now]", 4, nil)
+	bystander, err := sys.Submit("SELECT itemID, buyerID FROM ClosedAuction [Now]", 4,
+		func(stream.Tuple) { bystanderGot++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	bystander.onResult = func(stream.Tuple) { bystanderGot++ }
 
 	info := auctionInfos()
 	pub := func(n int) {

@@ -131,7 +131,7 @@ func TestResultStreamVersioning(t *testing.T) {
 
 // resultStreamName exposes the handle's current binding for tests.
 func (h *QueryHandle) resultStreamName() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.resultStream
+	h.px.mu.Lock()
+	defer h.px.mu.Unlock()
+	return h.px.stream
 }

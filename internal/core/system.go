@@ -105,6 +105,7 @@ type System struct {
 	procs   []*Processor
 	sources map[string]*SourcePort  // guarded by mu
 	queries map[string]*QueryHandle // guarded by mu
+	proxies map[proxyKey]*proxy     // guarded by mu
 	nextQID int                     // guarded by mu
 }
 
@@ -143,6 +144,7 @@ func newSystem(opts Options, live bool) (*System, error) {
 		rng:     rand.New(rand.NewSource(opts.Seed + 17)),
 		sources: map[string]*SourcePort{},
 		queries: map[string]*QueryHandle{},
+		proxies: map[proxyKey]*proxy{},
 	}
 	if live {
 		s.live = cbn.NewLiveNetFromTree(tree)
@@ -292,8 +294,15 @@ func (p *SourcePort) Publish(t stream.Tuple) error {
 // schema (stream name = the returned handle's tag). The query is routed
 // to a processor by the distribution policy, merged into a query group
 // when beneficial, and its results re-tightened from the group's
-// representative stream.
+// representative stream. It is SubmitTo with a sink of the query's own.
 func (s *System) Submit(text string, userNode int, onResult func(stream.Tuple)) (*QueryHandle, error) {
+	return s.SubmitTo(text, userNode, &funcSink{fn: onResult}, nil)
+}
+
+// SubmitTo is Submit for a sink whose queries share delivery proxies:
+// the query's results reach sink through the proxy of (sink, its group,
+// userNode), where sub is handed back as the query's Member.Sub.
+func (s *System) SubmitTo(text string, userNode int, sink Sink, sub any) (*QueryHandle, error) {
 	if userNode < 0 || userNode >= s.opts.Nodes {
 		return nil, fmt.Errorf("core: user node %d out of range", userNode)
 	}
@@ -310,26 +319,20 @@ func (s *System) Submit(text string, userNode int, onResult func(stream.Tuple)) 
 	if proc == nil {
 		return nil, fmt.Errorf("core: no processor alive")
 	}
-	client, err := s.net.AttachClient(userNode)
-	if err != nil {
-		return nil, err
-	}
 	h := &QueryHandle{
 		Tag:      tag,
 		UserNode: userNode,
 		sys:      s,
 		proc:     proc,
 		bound:    bound,
-		onResult: onResult,
-		client:   client,
+		sink:     sink,
+		sub:      sub,
 	}
-	h.client.SetOnTuple(h.deliver)
 	s.queries[tag] = h
 
 	gs, err := proc.accept(tag, bound)
 	if err != nil {
 		delete(s.queries, tag)
-		h.client.Close()
 		return nil, err
 	}
 	if err := s.refreshGroupLocked(proc, gs); err != nil {
@@ -347,7 +350,7 @@ func (s *System) refreshGroupLocked(proc *Processor, gs *groupState) error {
 		if !ok {
 			continue
 		}
-		if err := h.refresh(gs.rep, gs.resultStream, singleton); err != nil {
+		if err := h.refresh(gs, singleton); err != nil {
 			return fmt.Errorf("core: refreshing %s: %w", tag, err)
 		}
 	}
@@ -363,8 +366,7 @@ func (s *System) Cancel(h *QueryHandle) error {
 		return fmt.Errorf("core: unknown query %s", h.Tag)
 	}
 	delete(s.queries, h.Tag)
-	h.detach()
-	h.client.Close()
+	s.leaveProxyLocked(h)
 	gs, err := h.proc.remove(h.Tag)
 	if err != nil {
 		return err

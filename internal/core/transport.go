@@ -7,7 +7,7 @@ import (
 )
 
 // netClient is the client surface of the data layer a system component
-// (source port, processor, query proxy) holds — satisfied by both
+// (source port, processor, delivery proxy) holds — satisfied by both
 // cbn.SimClient (synchronous, deterministic) and cbn.LiveClient
 // (concurrent). Publish must be safe for concurrent use on the live
 // transport; on the simulated transport the single-threaded network

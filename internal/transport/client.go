@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	crand "crypto/rand"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
@@ -423,12 +424,10 @@ func (c *Client) handleControl(resp *Response) (helloOK bool) {
 }
 
 // wireSub is the read loop's per-connection decode state for one
-// data-frame subscription id, established by its 'S' frame. cs may be
-// nil when the subscription was cancelled concurrently — its frames
-// are then parsed (to stay in sync) and dropped.
+// delivery id, established by its 'S' frame.
 type wireSub struct {
-	cs    *clientSub
-	codec *tupleCodec
+	arity   int
+	members []wireMember
 }
 
 // readBinaryFrame consumes one length-prefixed binary frame (marker
@@ -450,38 +449,86 @@ func (c *Client) readBinaryFrame(br *bufio.Reader, marker byte, subs map[uint32]
 		c.pub.ack(applied, refusal)
 		return nil
 	case frameSchema:
-		subID, tag, schema, err := decodeSchemaFrame(b)
+		id, arity, members, err := decodeSchemaFrame(b)
 		if err != nil {
 			return err
 		}
-		c.mu.Lock()
-		cs := c.byServer[tag]
-		c.mu.Unlock()
-		subs[subID] = &wireSub{cs: cs, codec: newTupleCodec(schema)}
+		subs[id] = &wireSub{arity: arity, members: members}
 		return nil
 	}
-	subID, count, firstSeq, err := decodeDataHeader(b)
+	return c.readResults(b, subs)
+}
+
+// readResults decodes a result 'D' payload: each body once, into the
+// frame's value arena, then each member it is for, aliasing the body's
+// values or copied out (wireMember.lo) and checked against the member's
+// schema before it is delivered.
+func (c *Client) readResults(b []byte, subs map[uint32]*wireSub) error {
+	id, count, _, err := decodeDataHeader(b)
 	if err != nil {
 		return err
 	}
-	ws := subs[subID]
+	ws := subs[id]
 	if ws == nil {
-		return fmt.Errorf("transport: data frame for unannounced sub %d", subID)
+		return fmt.Errorf("transport: data frame for unannounced delivery %d", id)
 	}
-	pos := dataHeaderSize
-	arity := ws.codec.arity
-	arena, err := ws.codec.frameArena(count, len(b)-pos)
+	k := len(ws.members)
+	pos := dataSeqAt + 8*k
+	if len(b) < pos {
+		return fmt.Errorf("transport: truncated data frame header")
+	}
+	mapBytes := bitmapBytes(k)
+	arena, err := frameArena(count, ws.arity, mapBytes, len(b)-pos)
 	if err != nil {
 		return err
 	}
+	var copied []stream.Value
 	for i := 0; i < count; i++ {
-		t, next, err := ws.codec.decodeTupleInto(b, pos, arena[i*arity:(i+1)*arity:(i+1)*arity])
+		if len(b)-pos < mapBytes {
+			return fmt.Errorf("transport: truncated match bitmap")
+		}
+		hits := b[pos : pos+mapBytes]
+		if k > 1 && hits[mapBytes-1]>>((k-1)%8+1) != 0 {
+			return fmt.Errorf("transport: match bitmap names members beyond the delivery's %d", k)
+		}
+		values := arena[i*ws.arity : (i+1)*ws.arity : (i+1)*ws.arity]
+		ts, next, err := decodeValues(b, pos+mapBytes, values)
 		if err != nil {
 			return err
 		}
 		pos = next
-		if ws.cs != nil {
-			c.deliverResult(ws.cs, t, firstSeq+uint64(i))
+		for j := range ws.members {
+			if k > 1 && hits[j/8]&(1<<(j%8)) == 0 {
+				continue
+			}
+			// The header's firstSeqs count on as the members' results go.
+			m, next := &ws.members[j], b[dataSeqAt+8*j:]
+			seq := binary.LittleEndian.Uint64(next)
+			binary.LittleEndian.PutUint64(next, seq+1)
+			var vals []stream.Value
+			if m.lo >= 0 {
+				vals = values[m.lo : m.lo+len(m.idx) : m.lo+len(m.idx)]
+			} else {
+				from := len(copied)
+				for _, col := range m.idx {
+					copied = append(copied, values[col])
+				}
+				vals = copied[from:len(copied):len(copied)]
+			}
+			t, err := stream.NewTuple(m.schema, ts, vals...)
+			if err != nil {
+				return fmt.Errorf("transport: decoded result rejected: %v", err)
+			}
+			if m.cs == nil {
+				// An 'S' frame can precede the submit OK naming its tag; the
+				// first result cannot. None found: cancelled meanwhile.
+				c.mu.Lock()
+				m.cs = c.byServer[m.tag]
+				c.mu.Unlock()
+			}
+			if m.cs != nil {
+				c.deliverResult(m.cs, t, seq)
+			}
 		}
 	}
 	if pos != len(b) {

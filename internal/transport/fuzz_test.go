@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -8,6 +9,7 @@ import (
 	"log"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -79,10 +81,10 @@ func silenceLog(f *testing.F) {
 }
 
 // publishFrame builds a publish 'D' payload.
-func publishFrame(codec *tupleCodec, srcID uint32, firstSeq uint64, tuples ...stream.Tuple) []byte {
+func publishFrame(srcID uint32, firstSeq uint64, tuples ...stream.Tuple) []byte {
 	b := appendDataHeader(nil, srcID, firstSeq)
 	for _, t := range tuples {
-		b = codec.appendTuple(b, t)
+		b = appendTuple(b, t)
 	}
 	patchDataCount(b, len(tuples))
 	return b
@@ -93,33 +95,32 @@ func publishFrame(codec *tupleCodec, srcID uint32, firstSeq uint64, tuples ...st
 // Fuzz and whose applied sequence is 10.
 func publishFrameSeeds(t testing.TB) [][]byte {
 	schema := fuzzSchema(t)
-	codec := newTupleCodec(schema)
 	tp := func(i int64, s string) stream.Tuple {
 		return stream.MustTuple(schema, stream.Timestamp(i), stream.Int(i), stream.String_(s), stream.Float(float64(i)/2))
 	}
-	valid := publishFrame(codec, 1, 11, tp(1, "one"), tp(2, ""), tp(3, strings.Repeat("three", 40)))
-	narrow := newTupleCodec(stream.MustSchema("Fuzz", stream.Field{Name: "i", Kind: stream.KindInt}))
-	wrongArity := publishFrame(narrow, 1, 11, stream.MustTuple(narrow.schema, 1, stream.Int(1)))
-	unknownKind := publishFrame(codec, 1, 11, tp(1, "kind"))
+	valid := publishFrame(1, 11, tp(1, "one"), tp(2, ""), tp(3, strings.Repeat("three", 40)))
+	narrow := stream.MustSchema("Fuzz", stream.Field{Name: "i", Kind: stream.KindInt})
+	wrongArity := publishFrame(1, 11, stream.MustTuple(narrow, 1, stream.Int(1)))
+	unknownKind := publishFrame(1, 11, tp(1, "kind"))
 	unknownKind[dataHeaderSize+8] = 0xEE
-	truncatedString := publishFrame(codec, 1, 11, tp(1, "a string the frame ends inside of"))
+	truncatedString := publishFrame(1, 11, tp(1, "a string the frame ends inside of"))
 	truncatedString = truncatedString[:len(truncatedString)-20]
-	countLie := publishFrame(codec, 1, 11, tp(1, "lie"))
+	countLie := publishFrame(1, 11, tp(1, "lie"))
 	binary.LittleEndian.PutUint16(countLie[4:6], math.MaxUint16)
-	lengthLie := publishFrame(codec, 1, 11, tp(1, "lie"))
+	lengthLie := publishFrame(1, 11, tp(1, "lie"))
 	lengthLie[dataHeaderSize+8+9+1] = 0xFF // the string's uvarint length
 	return [][]byte{
 		valid,
-		publishFrame(codec, 1, 5, tp(1, "resent"), tp(2, "overlap")), // at or below applied: skipped, not refused
+		publishFrame(1, 5, tp(1, "resent"), tp(2, "overlap")), // at or below applied: skipped, not refused
 		wrongArity,
 		unknownKind,
 		truncatedString,
-		publishFrame(codec, 7, 11, tp(1, "unopened source")),
+		publishFrame(7, 11, tp(1, "unopened source")),
 		countLie,
 		lengthLie,
-		publishFrame(codec, 1, 13, tp(1, "skips 11 and 12")),
-		publishFrame(codec, 1, 0, tp(1, "sequence zero")),
-		publishFrame(codec, 1, 11),
+		publishFrame(1, 13, tp(1, "skips 11 and 12")),
+		publishFrame(1, 0, tp(1, "sequence zero")),
+		publishFrame(1, 11),
 		append(append([]byte(nil), valid...), 0),
 		valid[:dataHeaderSize-1],
 		{},
@@ -136,7 +137,7 @@ func FuzzPublishFrame(f *testing.F) {
 		f.Add(seed)
 	}
 	srv, port := fuzzServer(f)
-	codec := newTupleCodec(port.Schema())
+	schema := port.Schema()
 	silenceLog(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sess := newScriptSession(srv, nil)
@@ -162,7 +163,7 @@ func FuzzPublishFrame(f *testing.F) {
 			return
 		}
 		for pos, i := dataHeaderSize, 0; i < count; i++ {
-			next, ok := checkTupleRoundTrip(t, codec, b, pos)
+			next, ok := checkTupleRoundTrip(t, schema, b, pos)
 			if !ok {
 				break
 			}
@@ -211,16 +212,15 @@ func (s *requestScript) bytes() []byte { return s.buf.Bytes() }
 // wrong part-way.
 func requestScriptSeeds(t testing.TB) [][]byte {
 	schema := fuzzSchema(t)
-	codec := newTupleCodec(schema)
 	tp := stream.MustTuple(schema, 1, stream.Int(1), stream.String_("x"), stream.Float(1))
 	hello := Request{ID: 1, Kind: MsgHello, WireVersion: wireVersion}
 	other := &stream.Info{Schema: stream.MustSchema("Other", stream.Field{Name: "a", Kind: stream.KindInt}), Rate: 1}
 	publisher := newRequestScript().
 		request(t, hello).
 		request(t, Request{ID: 2, Kind: MsgOpenSource, Stream: "Fuzz", Source: 1}).
-		frame(frameData, publishFrame(codec, 1, 1, tp, tp)).
+		frame(frameData, publishFrame(1, 1, tp, tp)).
 		request(t, Request{ID: 3, Kind: MsgQuiesce}).
-		frame(frameData, publishFrame(codec, 1, 3, tp)).
+		frame(frameData, publishFrame(1, 3, tp)).
 		request(t, Request{ID: 4, Kind: MsgPing})
 	subscriber := newRequestScript().
 		request(t, Request{ID: 1, Kind: MsgHello, SessionID: "abc", WireVersion: wireVersion}).
@@ -240,10 +240,10 @@ func requestScriptSeeds(t testing.TB) [][]byte {
 	badMarker := newRequestScript().request(t, hello).frame('Z', []byte("what"))
 	badFrame := newRequestScript().request(t, hello).
 		request(t, Request{ID: 2, Kind: MsgOpenSource, Stream: "Fuzz", Source: 1}).
-		frame(frameData, publishFrame(codec, 9, 1, tp))
+		frame(frameData, publishFrame(9, 1, tp))
 	hugeFrame := newRequestScript().request(t, hello)
 	hugeFrame.buf.Write([]byte{frameData, 0xFF, 0xFF, 0xFF, 0xFF})
-	frameFirst := newRequestScript().frame(frameData, publishFrame(codec, 1, 1, tp))
+	frameFirst := newRequestScript().frame(frameData, publishFrame(1, 1, tp))
 	return [][]byte{
 		publisher.bytes(),
 		subscriber.bytes(),
@@ -279,6 +279,180 @@ func FuzzRequestDecode(f *testing.F) {
 			t.Fatalf("%d queries left behind by a session that ended", n)
 		}
 	})
+}
+
+// Result-direction layouts over a source row (itemID, price): a pair of
+// subscriptions sharing a delivery, and one alone.
+var (
+	fuzzSource = stream.MustSchema("Src",
+		stream.Field{Name: "itemID", Kind: stream.KindInt},
+		stream.Field{Name: "price", Kind: stream.KindFloat})
+	fuzzWide   = stream.MustSchema("q1", fuzzSource.Fields...)
+	fuzzNarrow = stream.MustSchema("q2", fuzzSource.Fields[0])
+	fuzzPair   = &core.Layout{Cols: []int{0, 1}, Members: []core.Member{
+		{Out: fuzzWide, Idx: []int{0, 1}},
+		{Out: fuzzNarrow, Idx: []int{0}},
+	}}
+	fuzzSolo = &core.Layout{Cols: []int{1, 0}, Members: []core.Member{
+		{Out: stream.MustSchema("q3", fuzzSource.Fields[1], fuzzSource.Fields[0]), Idx: []int{0, 1}},
+	}}
+)
+
+// resultFrame builds a result 'D' payload of delivery id under lay: row
+// i carries the member sequences seqs[i].
+func resultFrame(id uint32, lay *core.Layout, seqs [][]uint64) []byte {
+	b, results := appendResultHeader(nil, id, len(lay.Members)), 0
+	for i, s := range seqs {
+		row := stream.MustTuple(fuzzSource, stream.Timestamp(i+1), stream.Int(int64(i+1)), stream.Float(float64(i)/2))
+		b = appendResult(b, &pumpEntry{lay: lay, t: row, seqs: s}, &results)
+	}
+	patchDataCount(b, len(seqs))
+	return b
+}
+
+// resultStreamSeeds are whole server→client byte streams past the hello:
+// a well-formed exchange, and each way its 'S' and 'D' frames can lie.
+func resultStreamSeeds() map[string][]byte {
+	frames := func(fs ...[]byte) []byte { return bytes.Join(fs, nil) }
+	schema := func(id uint32, lay *core.Layout) []byte {
+		return appendFrame(nil, frameSchema, appendSchemaFrame(nil, id, lay))
+	}
+	data := func(payload []byte) []byte { return appendFrame(nil, frameData, payload) }
+	pairRows := resultFrame(1, fuzzPair, [][]uint64{{1, 1}, {2, 0}, {3, 2}})
+
+	beyondBody := appendSchemaFrame(nil, 1, &core.Layout{Cols: []int{0}, Members: []core.Member{
+		{Out: fuzzNarrow, Idx: []int{1}}, // the body has one column
+	}})
+	memberLie := binary.LittleEndian.AppendUint32(nil, 1)
+	memberLie = binary.AppendUvarint(memberLie, 2)
+	memberLie = binary.AppendUvarint(memberLie, 1<<40)
+	noMembers := binary.AppendUvarint(binary.AppendUvarint(binary.LittleEndian.AppendUint32(nil, 1), 2), 0)
+	bitsBeyond := slices.Clone(pairRows)
+	bitsBeyond[dataSeqAt+2*8] |= 1 << 2 // the first row's bitmap names a third member
+	countLie := slices.Clone(pairRows)
+	binary.LittleEndian.PutUint16(countLie[4:], math.MaxUint16)
+	kindLie := appendSchemaFrame(nil, 1, &core.Layout{Cols: []int{0, 1}, Members: []core.Member{
+		{Out: stream.MustSchema("q1", stream.Field{Name: "itemID", Kind: stream.KindString}), Idx: []int{0}},
+		{Out: fuzzNarrow, Idx: []int{0}},
+	}})
+	return map[string][]byte{
+		"valid": frames(schema(1, fuzzPair), data(pairRows), schema(2, fuzzSolo),
+			data(resultFrame(2, fuzzSolo, [][]uint64{{1}, {2}})), appendFrame(nil, frameAck, appendAck(nil, 4, ""))),
+		"layout-change":        frames(schema(1, fuzzPair), data(pairRows), schema(1, fuzzSolo), data(resultFrame(1, fuzzSolo, [][]uint64{{1}}))),
+		"column-beyond-body":   appendFrame(nil, frameSchema, beyondBody),
+		"member-count-lie":     appendFrame(nil, frameSchema, memberLie),
+		"no-members":           appendFrame(nil, frameSchema, noMembers),
+		"bitmap-beyond-k":      frames(schema(1, fuzzPair), data(bitsBeyond)),
+		"count-lie":            frames(schema(1, fuzzPair), data(countLie)),
+		"kind-lie":             frames(appendFrame(nil, frameSchema, kindLie), data(pairRows)),
+		"short-header":         frames(schema(1, fuzzPair), data(pairRows[:dataHeaderSize])),
+		"trailing-byte":        frames(schema(1, fuzzPair), data(append(slices.Clone(pairRows), 0))),
+		"unannounced-delivery": data(pairRows),
+		"length-lie":           {frameData, 0xFF, 0xFF, 0xFF, 0x03},
+		"empty":                {},
+	}
+}
+
+// resultClient is a client that never dialled, holding subscriptions
+// q1, q2 and q3 whose results land in recs.
+func resultClient(recs map[string]*subRecorder) *Client {
+	c := &Client{subs: map[string]*clientSub{}, byServer: map[string]*clientSub{}}
+	c.cond = sync.NewCond(&c.mu)
+	c.pub.cond = sync.NewCond(&c.pub.mu)
+	for tag, rec := range recs {
+		cs := &clientSub{onResult: rec.onResult, logical: tag, server: tag}
+		c.subs[tag], c.byServer[tag] = cs, cs
+	}
+	return c
+}
+
+// FuzzResultFrames feeds a client's read loop an arbitrary byte stream as
+// everything its server sends after the hello — 'S', 'D' and 'A' frames
+// — through Client.readBinaryFrame. A malformed frame must end the stream
+// with an error, never a panic and never an allocation its bytes do not
+// back (frameArena, decodeSchemaFrame and readFrame check counts and
+// lengths against the bytes present first). Whatever is delivered is a
+// result of a known subscription, in strictly increasing sequence, that
+// obeys FuzzTupleDecode's round-trip property under its own schema.
+func FuzzResultFrames(f *testing.F) {
+	for _, seed := range resultStreamSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		recs := map[string]*subRecorder{"q1": {}, "q2": {}, "q3": {}}
+		c := resultClient(recs)
+		br := bufio.NewReader(bytes.NewReader(script))
+		deliveries := map[uint32]*wireSub{}
+		for {
+			marker, err := br.ReadByte()
+			if err != nil || (marker != frameData && marker != frameSchema && marker != frameAck) {
+				break
+			}
+			if c.readBinaryFrame(br, marker, deliveries) != nil {
+				break
+			}
+		}
+		for tag, rec := range recs {
+			var last uint64
+			for i, row := range rec.rows {
+				if rec.seqs[i] <= last {
+					t.Fatalf("%s: sequence %d after %d", tag, rec.seqs[i], last)
+				}
+				last = rec.seqs[i]
+				if row.Schema.Stream != tag {
+					t.Fatalf("%s received a row of %s", tag, row.Schema.Stream)
+				}
+				enc := appendTuple(nil, row)
+				if next, ok := checkTupleRoundTrip(t, row.Schema, enc, 0); !ok || next != len(enc) {
+					t.Fatalf("%s: delivered %v does not decode under its own schema", tag, row)
+				}
+			}
+		}
+	})
+}
+
+// TestResultStreamSeeds pins what the seeds of FuzzResultFrames deliver.
+func TestResultStreamSeeds(t *testing.T) {
+	seeds := resultStreamSeeds()
+	for name, want := range map[string]map[string]int{
+		"valid":         {"q1": 3, "q2": 2, "q3": 2},
+		"layout-change": {"q1": 3, "q2": 2, "q3": 1},
+		"kind-lie":      {}, // the first row's q1 result is rejected
+	} {
+		recs := map[string]*subRecorder{"q1": {}, "q2": {}, "q3": {}}
+		c := resultClient(recs)
+		br := bufio.NewReader(bytes.NewReader(seeds[name]))
+		deliveries := map[uint32]*wireSub{}
+		var err error
+		for err == nil {
+			var marker byte
+			if marker, err = br.ReadByte(); err == nil {
+				err = c.readBinaryFrame(br, marker, deliveries)
+			}
+		}
+		for tag, rec := range recs {
+			if got := rec.count(); got != want[tag] {
+				t.Errorf("%s: %s got %d results, want %d (stream ended: %v)", name, tag, got, want[tag], err)
+			}
+		}
+	}
+	for _, name := range []string{"column-beyond-body", "member-count-lie", "no-members", "bitmap-beyond-k",
+		"count-lie", "short-header", "trailing-byte", "unannounced-delivery", "length-lie"} {
+		c := resultClient(map[string]*subRecorder{})
+		br := bufio.NewReader(bytes.NewReader(seeds[name]))
+		deliveries := map[uint32]*wireSub{}
+		var frameErr error
+		for frameErr == nil {
+			marker, err := br.ReadByte()
+			if err != nil {
+				break
+			}
+			frameErr = c.readBinaryFrame(br, marker, deliveries)
+		}
+		if frameErr == nil {
+			t.Errorf("%s: every frame was accepted", name)
+		}
+	}
 }
 
 // TestMalformedPublishFrameEndsOnlyThatSession: a session that sends a
@@ -326,13 +500,12 @@ func TestMalformedPublishFrameEndsOnlyThatSession(t *testing.T) {
 	if resp := bad.call(t, &Request{ID: 2, Kind: MsgOpenSource, Stream: "OpenAuction", Source: 1}); resp.Kind != MsgOK {
 		t.Fatalf("open source: %s", resp.Error)
 	}
-	codec := newTupleCodec(info.Schema)
 	tp := stream.MustTuple(info.Schema, 99, stream.Int(99), stream.Float(1))
-	bad.sendFrame(t, frameData, publishFrame(codec, 1, 1, tp))
+	bad.sendFrame(t, frameData, publishFrame(1, 1, tp))
 	if applied, refusal := bad.readAck(t); applied != 1 || refusal != "" {
 		t.Fatalf("a well-formed frame was answered (%d, %q)", applied, refusal)
 	}
-	bad.sendFrame(t, frameData, publishFrame(codec, 2, 2, tp)) // source 2 was never opened
+	bad.sendFrame(t, frameData, publishFrame(2, 2, tp)) // source 2 was never opened
 	applied, refusal := bad.readAck(t)
 	if applied != 1 || !strings.Contains(refusal, "malformed publish frame") || !strings.Contains(refusal, "unopened source 2") {
 		t.Fatalf("the malformed frame was answered (%d, %q), want applied 1 and the reason", applied, refusal)

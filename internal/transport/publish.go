@@ -32,13 +32,12 @@ type Source struct {
 	c      *Client
 	id     uint32 // client-chosen, per session; names the source in 'D' frames
 	schema *stream.Schema
-	codec  *tupleCodec
 	// errSchema is the precomputed refusal for tuples of another layout.
 	errSchema error
 }
 
 func newSource(c *Client, id uint32, schema *stream.Schema) *Source {
-	return &Source{c: c, id: id, schema: schema, codec: newTupleCodec(schema),
+	return &Source{c: c, id: id, schema: schema,
 		errSchema: fmt.Errorf("transport: tuple does not carry the registered schema %s", schema)}
 }
 
@@ -131,7 +130,7 @@ func (p *pubWindow) publish(s *Source, t stream.Tuple) error {
 		buf = append(buf, frameData, 0, 0, 0, 0) // length patched when the frame is sealed
 		buf = appendDataHeader(buf, s.id, p.seq+1)
 	}
-	buf = s.codec.appendTuple(buf, t)
+	buf = appendTuple(buf, t)
 	*c.buf = buf
 	p.frameN++
 	p.seq++

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cosmos/internal/core"
 	"cosmos/internal/obs"
 	"cosmos/internal/stream"
 )
@@ -61,6 +62,7 @@ func newPump[E any](w io.Writer, bufSize int) *pump[E] {
 	return p
 }
 
+//cosmos:hotpath
 func (p *pump[E]) enqueue(e E) error {
 	p.mu.Lock()
 	if p.err != nil || p.closed {
@@ -189,36 +191,37 @@ func (p *pump[E]) writeFrame(marker byte, payload []byte) bool {
 
 // resultPump is the server side of a connection: every server→client
 // message — results, OKs, pushes, pongs, publish acks — goes through
-// it. Its goroutine owns the gob encoder, the per-sub codec table and
-// the scratch buffers: batches of consecutive results for one
-// subscription coalesce into a single 'D' frame, built in a pooled
-// buffer.
+// it. Its goroutine owns the gob encoder, the per-delivery id table and
+// the scratch buffers: batches of consecutive results of one delivery
+// coalesce into a single 'D' frame, built in a pooled buffer.
 type resultPump struct {
 	*pump[pumpEntry]
 	w      *connWriter // shared gob encoder (control frames) + conn
 	stripe int         // obs counter stripe: pumps must not share one
 
 	// Single-writer state below: touched only by run()'s goroutine.
-	subs   map[*subState]*pumpSub
-	nextID uint32
-	ackBuf [ackHeaderSize]byte // writeAck's scratch
+	deliveries map[*delivery]*pumpDelivery
+	nextID     uint32
+	ackBuf     [ackHeaderSize]byte // writeAck's scratch
 }
 
-// pumpSub is the pump's per-subscription encode state.
-type pumpSub struct {
-	id     uint32
-	schema *stream.Schema
-	codec  *tupleCodec
+// pumpDelivery is a delivery's id on this connection and its last layout.
+type pumpDelivery struct {
+	id  uint32
+	lay *core.Layout
 }
 
 // pumpEntry is one queued write: a control Response (resp set), one
-// result tuple (st set), or a cumulative publish ack (ack set: seq is
-// the session's applied publish sequence, resp — when also set — carries
-// the refusal).
+// result tuple (dl set: seqs holds, per member of lay, the sequence of
+// its result, 0 for a member it is not for), or a cumulative publish ack
+// (ack set: seq is the session's applied publish sequence, resp — when
+// also set — carries the refusal).
 type pumpEntry struct {
 	resp *Response
-	st   *subState
+	dl   *delivery
+	lay  *core.Layout
 	t    stream.Tuple
+	seqs []uint64
 	seq  uint64
 	ack  bool
 }
@@ -241,10 +244,10 @@ var pumpSeq atomic.Int64
 
 func newResultPump(w *connWriter) *resultPump {
 	p := &resultPump{
-		pump:   newPump[pumpEntry](pumpWriter{w: w}, 32<<10),
-		w:      w,
-		stripe: int(pumpSeq.Add(1)),
-		subs:   map[*subState]*pumpSub{},
+		pump:       newPump[pumpEntry](pumpWriter{w: w}, 32<<10),
+		w:          w,
+		stripe:     int(pumpSeq.Add(1)),
+		deliveries: map[*delivery]*pumpDelivery{},
 	}
 	p.process = p.writeEntries
 	return p
@@ -253,11 +256,6 @@ func newResultPump(w *connWriter) *resultPump {
 // sendControl enqueues a control Response.
 func (p *resultPump) sendControl(r *Response) error {
 	return p.enqueue(pumpEntry{resp: r})
-}
-
-// sendResult enqueues one result tuple for st.
-func (p *resultPump) sendResult(st *subState, t stream.Tuple, seq uint64) error {
-	return p.enqueue(pumpEntry{st: st, t: t, seq: seq})
 }
 
 // sendAck enqueues a cumulative publish ack; refusal, when non-empty,
@@ -271,8 +269,9 @@ func (p *resultPump) sendAck(applied uint64, refusal string) error {
 }
 
 // writeEntries writes one swapped-out batch; reports whether any bytes
-// were written. Consecutive results for one subscription with contiguous
-// sequences and the same schema coalesce into one 'D' frame.
+// were written. Consecutive results of one delivery and layout coalesce
+// into one 'D' frame: on one connection a member's sequences have no
+// holes (held while gated; detached, a member is off the connection).
 func (p *resultPump) writeEntries(batch []pumpEntry) bool {
 	wrote, coalesced := false, false
 	i := 0
@@ -300,16 +299,12 @@ func (p *resultPump) writeEntries(batch []pumpEntry) bool {
 			}
 			i++
 			continue
-		case e.st == nil:
+		case e.dl == nil:
 			i++ // a superseded ack
 			continue
 		}
 		j := i + 1
-		for j < len(batch) && j-i < maxBatchTuples {
-			n := &batch[j]
-			if n.st != e.st || n.t.Schema != e.t.Schema || n.seq != batch[j-1].seq+1 {
-				break
-			}
+		for j < len(batch) && j-i < maxBatchTuples && batch[j].dl == e.dl && batch[j].lay == e.lay {
 			j++
 		}
 		if p.writeBatch(batch[i:j]) {
@@ -366,26 +361,24 @@ func (p *resultPump) writeAck(e *pumpEntry) bool {
 	return p.writeFrame(frameAck, payload)
 }
 
-// writeBatch emits one 'D' frame for run (all same sub, same schema,
-// contiguous seqs), preceded by an 'S' frame when the subscription is
-// new to this connection or its schema changed. The payload is built
-// in a pooled buffer; at steady state the whole path allocates
+// writeBatch emits one 'D' frame for run (one delivery and layout,
+// contiguous sequences per member), preceded by an 'S' frame when the
+// delivery is new to this connection or its layout changed. The payload
+// is built in a pooled buffer; at steady state the whole path allocates
 // nothing.
 func (p *resultPump) writeBatch(run []pumpEntry) bool {
-	st := run[0].st
-	ps := p.subs[st]
-	schema := run[0].t.Schema
+	dl, lay := run[0].dl, run[0].lay
+	pd := p.deliveries[dl]
 	wrote := false
-	if ps == nil {
+	if pd == nil {
 		p.nextID++
-		ps = &pumpSub{id: p.nextID}
-		p.subs[st] = ps
+		pd = &pumpDelivery{id: p.nextID}
+		p.deliveries[dl] = pd
 	}
-	if ps.schema != schema {
-		ps.schema = schema
-		ps.codec = newTupleCodec(schema)
+	if pd.lay != lay {
+		pd.lay = lay
 		bufp := getFrameBuf()
-		*bufp = appendSchemaFrame((*bufp)[:0], ps.id, st.tag, schema)
+		*bufp = appendSchemaFrame((*bufp)[:0], pd.id, lay)
 		ok := p.writeFrame(frameSchema, *bufp)
 		putFrameBuf(bufp)
 		if !ok {
@@ -398,20 +391,21 @@ func (p *resultPump) writeBatch(run []pumpEntry) bool {
 	bufp := getFrameBuf()
 	defer putFrameBuf(bufp)
 	for len(run) > 0 {
-		buf := appendDataHeader((*bufp)[:0], ps.id, run[0].seq)
-		n := 0
+		buf := appendResultHeader((*bufp)[:0], pd.id, len(lay.Members))
+		n, results := 0, 0
 		for n < len(run) && (n == 0 || len(buf) < batchSoftBytes) {
-			buf = ps.codec.appendTuple(buf, run[n].t)
+			buf = appendResult(buf, &run[n], &results)
 			n++
 		}
 		patchDataCount(buf, n)
 		*bufp = buf
-		// Wire-stage accounting per frame: n results, one batch, the
-		// payload bytes; the sampled timing covers the buffered write.
-		wm.results.Add(int64(n))
+		// Wire-stage accounting per frame: the subscription results it
+		// carries, one batch, the payload bytes; the sampled timing covers
+		// the buffered write.
+		wm.results.Add(int64(results))
 		wm.batches.Add(1)
 		wm.bytes.Add(int64(len(buf)))
-		start := wm.obs.StageStartNAt(obs.StageWire, int64(n), p.stripe)
+		start := wm.obs.StageStartNAt(obs.StageWire, int64(results), p.stripe)
 		ok := p.writeFrame(frameData, buf)
 		wm.obs.StageEnd(obs.StageWire, start)
 		if wm.obs.TraceOn() {

@@ -22,7 +22,7 @@ import (
 // Server exposes a core deployment over TCP. The hosted system is
 // usually a LiveSystem (cmd/cosmosd's default): subscription results
 // then reach the wire through the per-worker direct-publish data path —
-// each query proxy's delivery pump writes result frames as they arrive,
+// each delivery proxy's pump hands its session results as they arrive,
 // with no stabilisation barrier on the steady-state path.
 type Server struct {
 	sys      *core.System
@@ -205,7 +205,7 @@ func (s *Server) newSession(conn net.Conn) *session {
 		conn: conn,
 		w:    newConnWriter(conn, &s.wire),
 		subs: map[string]*subState{},
-		srcs: map[uint32]*ingestSource{},
+		srcs: map[uint32]*core.SourcePort{},
 		done: make(chan struct{}),
 	}
 }
@@ -305,9 +305,9 @@ func (s *Server) stop(graceful bool) (error, bool) {
 	}
 	if graceful {
 		// Flush results already accepted by the system onto the wire:
-		// query-proxy pumps write result frames from their own
+		// delivery-proxy pumps enqueue results from their own
 		// goroutines, and Quiesce returns only after those deliveries
-		// (callback included) complete. This converges because the
+		// (the hand-off included) complete. This converges because the
 		// gate above stopped further publishes — only the finite
 		// backlog drains. On a synchronous system the barrier
 		// serialises with any in-flight dispatch.
@@ -382,11 +382,13 @@ func (w *connWriter) send(r *Response) error {
 	return w.enc.Encode(r)
 }
 
-// sendResult enqueues one result tuple on the pump, which batches and
+// sendResult enqueues one result entry on the pump, which batches and
 // binary-encodes it. A subscription only ever attaches to a writer whose
 // hello installed the pump (submit and resume are refused before it).
-func (w *connWriter) sendResult(st *subState, t stream.Tuple, seq uint64) error {
-	return w.pump.Load().sendResult(st, t, seq)
+//
+//cosmos:hotpath
+func (w *connWriter) sendResult(e pumpEntry) error {
+	return w.pump.Load().enqueue(e)
 }
 
 // upgrade writes the hello OK as the connection's last unframed
@@ -457,7 +459,7 @@ type session struct {
 	// frame must continue. It runs ahead of applied once a refusal stops
 	// tuples being applied: a pipelining client has sent further frames
 	// before it sees the refusal ack, and those are not malformed.
-	srcs     map[uint32]*ingestSource
+	srcs     map[uint32]*core.SourcePort
 	refused  string
 	received uint64
 
@@ -467,14 +469,6 @@ type session struct {
 	subs    map[string]*subState // guarded by mu
 	applied uint64               // guarded by mu; session publish sequence handed to the source ports so far
 	ended   bool                 // guarded by mu
-}
-
-// ingestSource is one opened source: the port its tuples go to and the
-// codec compiled against the catalog's own schema — decoded tuples carry
-// that pointer, so the port's door takes its pointer-equal fast path.
-type ingestSource struct {
-	port  *core.SourcePort
-	codec *tupleCodec
 }
 
 // detachedSession holds what a resumable session whose connection
@@ -632,8 +626,10 @@ func (sess *session) applyPublishFrame(b []byte) error {
 	sess.mu.Lock()
 	applied := sess.applied
 	sess.mu.Unlock()
-	arity := src.codec.arity
-	arena, err := src.codec.frameArena(count, len(b)-dataHeaderSize)
+	// Tuples carry the catalog's own schema: the door's fast path.
+	schema := src.Schema()
+	arity := schema.Arity()
+	arena, err := frameArena(count, arity, 0, len(b)-dataHeaderSize)
 	if err != nil {
 		return err
 	}
@@ -653,20 +649,25 @@ func (sess *session) applyPublishFrame(b []byte) error {
 	pos := dataHeaderSize
 	taken := 0
 	for i := 0; i < count; i++ {
-		t, next, err := src.codec.decodeTupleInto(b, pos, arena[i*arity:(i+1)*arity:(i+1)*arity])
+		values := arena[i*arity : (i+1)*arity : (i+1)*arity]
+		ts, next, err := decodeValues(b, pos, values)
 		if err != nil {
 			return err
+		}
+		t, err := stream.NewTuple(schema, ts, values...)
+		if err != nil {
+			return fmt.Errorf("transport: decoded tuple rejected: %v", err)
 		}
 		pos = next
 		seq := firstSeq + uint64(i)
 		if seq <= applied || sess.refused != "" {
 			continue
 		}
-		if err := src.port.Publish(t); err != nil {
+		if err := src.Publish(t); err != nil {
 			// Nothing after a refused tuple is applied: the stream's
 			// order would have a hole. The client sees it on its next
 			// call.
-			sess.refused = fmt.Sprintf("stream %s: %v", src.port.Stream(), err)
+			sess.refused = fmt.Sprintf("stream %s: %v", src.Stream(), err)
 			continue
 		}
 		applied = seq
@@ -828,10 +829,65 @@ func errResp(format string, args ...interface{}) *Response {
 	return &Response{Kind: MsgError, Error: fmt.Sprintf(format, args...)}
 }
 
+// Open makes the session a core.Sink: its subscriptions in one group at
+// one user node share a proxy, a delivery id and one body per result.
+func (sess *session) Open() core.Receiver { return &delivery{} }
+
+// delivery receives one proxy's results, on the proxy's goroutine alone.
+// Entries' member sequences are cut from slab, allocated deliverySlab
+// results at a time and never reused (queued entries keep their slots).
+type delivery struct{ slab []uint64 }
+
+const deliverySlab = 64
+
+//cosmos:hotpath
+func (d *delivery) cut(k int) []uint64 {
+	if len(d.slab) < k {
+		d.slab = make([]uint64, deliverySlab*k)
+	}
+	s := d.slab[:k:k]
+	d.slab = d.slab[k:]
+	return s
+}
+
+// Deliver numbers the tuple for each matched member — every delivery
+// advances a member's sequence, connected or not — and enqueues one
+// entry for the members the connection can take now; a gated member
+// holds its own entry until the gate opens.
+//
+//cosmos:hotpath
+func (d *delivery) Deliver(lay *core.Layout, t stream.Tuple, match []bool) {
+	k := len(match)
+	seqs := d.cut(k)
+	var w *connWriter
+	for i, hit := range match {
+		if !hit {
+			continue
+		}
+		st := lay.Members[i].Sub.(*subState)
+		st.mu.Lock()
+		st.seq++
+		switch {
+		case st.gated:
+			held := d.cut(k)
+			held[i] = st.seq
+			st.held = append(st.held, pumpEntry{dl: d, lay: lay, t: t, seqs: held})
+		case st.w != nil:
+			// A proxy's open members share one connection: one session
+			// submitted them, and a resume adopts them together.
+			seqs[i], w = st.seq, st.w
+		}
+		st.mu.Unlock()
+	}
+	if w != nil {
+		_ = w.sendResult(pumpEntry{dl: d, lay: lay, t: t, seqs: seqs})
+	}
+}
+
 // subState is one subscription's server-side delivery state. It owns
 // the per-subscription result sequence — every delivery increments seq
-// whether or not a connection is attached — and a gate that buffers
-// frames while a response announcing the subscription (submit OK,
+// whether or not a connection is attached — and a gate that holds
+// results while a response announcing the subscription (submit OK,
 // resume OK) is being written, so the client never sees a result frame
 // before the response that explains it. While detached (w == nil, a
 // resumable session's connection dropped), deliveries are counted and
@@ -841,35 +897,10 @@ type subState struct {
 	h   *core.QueryHandle
 
 	mu    sync.Mutex
-	seq   uint64       // guarded by mu
-	w     *connWriter  // guarded by mu; nil while detached
-	gated bool         // guarded by mu
-	held  []heldResult // guarded by mu
-}
-
-// heldResult is one result delivered while the subscription was gated,
-// kept in its raw form for the pump that eventually encodes it.
-type heldResult struct {
-	t   stream.Tuple
-	seq uint64
-}
-
-// deliver is the query's result callback; it runs on the query proxy's
-// delivery goroutine (one pump per query, so calls are serial).
-func (st *subState) deliver(t stream.Tuple) {
-	st.mu.Lock()
-	st.seq++
-	seq := st.seq
-	if st.gated {
-		st.held = append(st.held, heldResult{t: t, seq: seq})
-		st.mu.Unlock()
-		return
-	}
-	w := st.w
-	st.mu.Unlock()
-	if w != nil {
-		_ = w.sendResult(st, t, seq)
-	}
+	seq   uint64      // guarded by mu
+	w     *connWriter // guarded by mu; nil while detached
+	gated bool        // guarded by mu
+	held  []pumpEntry // guarded by mu
 }
 
 // gate holds deliveries and reports the current sequence — the resume
@@ -887,8 +918,8 @@ func (st *subState) gate() uint64 {
 // cannot overtake a held frame.
 func (st *subState) open(w *connWriter) {
 	st.mu.Lock()
-	for _, r := range st.held {
-		_ = w.sendResult(st, r.t, r.seq)
+	for _, e := range st.held {
+		_ = w.sendResult(e)
 	}
 	st.held = nil
 	st.gated = false
@@ -915,12 +946,12 @@ func (sess *session) openSource(id uint32, port *core.SourcePort) error {
 		return fmt.Errorf("source id 0 is reserved")
 	}
 	if old := sess.srcs[id]; old != nil {
-		if old.port == port {
+		if old == port {
 			return nil
 		}
-		return fmt.Errorf("source id %d already names stream %q", id, old.port.Stream())
+		return fmt.Errorf("source id %d already names stream %q", id, old.Stream())
 	}
-	sess.srcs[id] = &ingestSource{port: port, codec: newTupleCodec(port.Schema())}
+	sess.srcs[id] = port
 	return nil
 }
 
@@ -993,19 +1024,16 @@ func (sess *session) dispatch(req *Request) *Response {
 		return &Response{Kind: MsgOK, Infos: []WireInfo{ToWireInfo(info)}}
 
 	case MsgSubmit:
-		// The result callback runs on the query proxy's delivery
-		// goroutine (the LiveClient pump on a live system) and writes
-		// the frame onto the shared connection writer — per query, wire
-		// order is delivery order. The result stream name IS the query
-		// tag, so the closure needs no capture of the not-yet-known
-		// tag. The sub starts gated: results delivered between the
-		// proxy attaching and the MsgOK write are held, so no frame for
-		// this query precedes the response announcing its tag.
+		// The session is the query's sink; its proxy's goroutine
+		// enqueues results on the connection writer, so per query wire
+		// order is delivery order. The sub starts gated: results before
+		// the MsgOK is written are held, so no frame for this query
+		// precedes the response announcing its tag.
 		if sess.w.pump.Load() == nil {
 			return errResp("submit before hello: results travel as wire version %d frames, which the connection's hello sets up", wireVersion)
 		}
 		st := &subState{gated: true}
-		h, err := s.sys.Submit(req.CQL, req.UserNode, st.deliver)
+		h, err := s.sys.SubmitTo(req.CQL, req.UserNode, sess, st)
 		if err != nil {
 			return errResp("%v", err)
 		}

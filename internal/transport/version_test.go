@@ -168,15 +168,15 @@ func (p *rawPeer) readAck(t *testing.T) (applied uint64, refusal string) {
 	return applied, refusal
 }
 
-// TestWireVersionOlderOfferRefused: a peer whose hello offers version 2
-// (gob publish requests), version 1 (gob result pushes) or none at all (a
-// peer older than the negotiation) is recognised and refused with an
-// error naming both versions; the connection stays usable for control
-// traffic.
+// TestWireVersionOlderOfferRefused: a peer whose hello offers version 3
+// (results framed per subscription), version 2 (gob publish requests),
+// version 1 (gob result pushes) or none at all (a peer older than the
+// negotiation) is recognised and refused with an error naming both
+// versions; the connection stays usable for control traffic.
 func TestWireVersionOlderOfferRefused(t *testing.T) {
 	addr, shutdown := startServer(t)
 	defer shutdown()
-	for _, offer := range []int{0, 1, 2} {
+	for _, offer := range []int{0, 1, 2, 3} {
 		p := dialRaw(t, addr)
 		resp := p.call(t, &Request{ID: 1, Kind: MsgHello, WireVersion: offer})
 		if resp.Kind != MsgError {
@@ -229,9 +229,8 @@ func TestPublishFrameBeforeHelloRefused(t *testing.T) {
 		t.Fatalf("open source without hello answered kind %d %q; want a refusal naming the wire version", resp.Kind, resp.Error)
 	}
 
-	codec := newTupleCodec(auctionInfo().Schema)
 	frame := appendDataHeader(nil, 1, 1)
-	frame = codec.appendTuple(frame, stream.MustTuple(auctionInfo().Schema, 1, stream.Int(1), stream.Float(1)))
+	frame = appendTuple(frame, stream.MustTuple(auctionInfo().Schema, 1, stream.Int(1), stream.Float(1)))
 	patchDataCount(frame, 1)
 	p.sendFrame(t, frameData, frame)
 	// Half-close: whatever the gob decoder makes of the frame's bytes, it

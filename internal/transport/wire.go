@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
+	"cosmos/internal/core"
 	"cosmos/internal/stream"
 )
 
@@ -18,55 +20,60 @@ import (
 // gob — it is cold and self-describing. The data plane — the tuples
 // sources publish and the results subscriptions receive, by far the
 // hottest traffic in either direction — travels as length-prefixed
-// binary frames using a codec compiled once per schema, the same
-// compile-at-control-plane trick predicate.Compile plays: resolve the
-// column layout when the subscription is announced or the source is
-// opened, then encode/decode tuples with zero reflection and zero
-// per-value allocation.
+// binary frames whose column layout is fixed at a control-plane moment,
+// the same trick predicate.Compile plays: the source's open, or the
+// delivery's 'S' frame. Tuples then encode and decode with zero
+// reflection and zero per-value allocation.
 //
 // The MsgHello that opens a connection and its OK are the only unframed
 // messages. After them every message, in both directions, carries a
 // one-byte frame marker:
 //
 //	'G' | gob-encoded Request or Response       (control; self-delimiting)
-//	'D' | u32 len | id count firstSeq tuples    (a batch of tuples)
-//	'S' | u32 len | subID tag schema            (server→client: a subscription's layout)
+//	'D' | u32 len | id count firstSeq… tuples   (a batch of tuples)
+//	'S' | u32 len | id arity members            (server→client: a delivery's layout)
 //	'A' | u32 len | appliedSeq [refusal]        (server→client: cumulative publish ack)
+//
+// Results travel per delivery: a session's subscriptions in one query
+// group at one user node share a delivery proxy (core.SubmitTo), and a
+// result crosses the wire once, as a body — the union of their output
+// columns — behind a bitmap of the k members it is for (none when k = 1,
+// where the body is exactly the subscription's row).
 //
 // 'D' payload layout (all integers little-endian):
 //
-//	u32  id         server→client: the pump-assigned subscription id its
-//	                'S' frame announced; client→server: the source id the
-//	                client chose when it opened (or registered) the source
+//	u32  id         server→client: the delivery id an 'S' frame
+//	                announced; client→server: the source id the client
+//	                chose when it opened (or registered) the source
 //	u16  count      number of tuples in the batch
-//	u64  firstSeq   sequence of the first tuple; tuple i has firstSeq+i.
-//	                Results count per subscription; published tuples count
-//	                per session, across its sources — one connection's
-//	                publishes are totally ordered, and the server applies
-//	                them in that order
-//	tuple × count
+//	u64  firstSeq   × k (1 publishing): per member, the sequence of its
+//	                first tuple in the batch, the next ones following on.
+//	                Results count per subscription; published tuples per
+//	                session, across its sources, in the order the server
+//	                applies them
+//	tuple × count   each behind a ⌈k/8⌉-byte bitmap when k > 1: bit i (of
+//	                byte i/8, LSB first) set if it is member i's result
 //
-// Each tuple is: i64 ts, then one value per schema column. Values
-// carry a one-byte kind tag before their payload — the data model lets
-// an int populate a float or time column (see stream.NewTuple's
-// widening), so the schema alone does not pin the value kind and a
-// faithful round trip must preserve it. Payloads are fixed-width
-// 8-byte slots for int/float/time, one byte for bool, and
+// Each tuple is: i64 ts, then one value per column (of the body, or of
+// the source's schema). Values carry a one-byte kind tag before their
+// payload — the data model lets an int populate a float or time column
+// (see stream.NewTuple's widening), so the schema alone does not pin the
+// value kind and a faithful round trip must preserve it. Payloads are
+// fixed-width 8-byte slots for int/float/time, one byte for bool, and
 // uvarint-length-prefixed bytes for strings.
 //
 // 'S' payload layout:
 //
-//	u32 subID, str tag, str streamName, uvarint nfields,
-//	then per field: str name, u8 kind, uvarint avgLen
+//	u32 id, uvarint arity (body columns), uvarint k,
+//	then per member: str tag, uvarint nfields,
+//	then per field: str name, u8 kind, uvarint avgLen, uvarint bodyColumn
 //
-// The pump emits an 'S' frame before a subscription's first 'D' frame
-// and again whenever the result schema pointer changes; the client
-// keeps a per-connection subID table, so reconnects (fresh connection,
-// fresh pump) re-announce naturally. The publish direction needs no 'S'
-// frame: opening a source is a control round trip (MsgOpenSource, or the
-// MsgRegister that created the stream) that binds the id to the
-// catalog's own schema, and the client checks each tuple's layout
-// against that schema before encoding it.
+// A member's fields form its output schema, named by its tag. The pump
+// emits an 'S' frame before a delivery's first 'D' frame and whenever
+// its layout changes; ids are per connection, so a reconnect re-announces
+// naturally. Publishing needs no 'S' frame: opening a source (a control
+// round trip) binds the id to the catalog's own schema, and the client
+// checks each tuple's layout against it before encoding.
 //
 // 'A' payload layout: u64 appliedSeq — every published tuple up to it has
 // been handed to its source port — followed, when the server refused a
@@ -75,12 +82,13 @@ import (
 // (publish.go).
 
 // wireVersion is the one wire format version this build speaks: gob
-// control, binary data frames both ways. Every MsgHello carries it; a
-// peer offering less (version 1 pushed results as gob, version 2
-// published tuples as gob requests), or one that submits or publishes
-// without a hello, is refused by name — there is no second framing to
-// fall back to.
-const wireVersion = 3
+// control, binary data frames both ways, results per delivery. Every
+// MsgHello carries it; a peer offering less (version 1 pushed results as
+// gob, version 2 published tuples as gob requests, version 3 framed
+// results per subscription), or one that submits or publishes without a
+// hello, is refused by name — there is no second framing to fall back
+// to.
+const wireVersion = 4
 
 // Frame markers (both directions, after the hello and its OK).
 const (
@@ -138,26 +146,31 @@ func putFrameBuf(b *[]byte) {
 var errFrameTooLong = errors.New("transport: frame length exceeds limit")
 
 // readFrame reads one binary frame's length prefix and payload (the
-// marker is already consumed) into *bufp, growing it on demand. Untrusted
-// input: a declared length beyond maxFramePayload errors before anything
-// is allocated for it.
+// marker is already consumed) into *bufp. Untrusted input: a declared
+// length beyond maxFramePayload errors before anything is allocated for
+// it, and below it the buffer grows with the bytes that actually arrive.
 func readFrame(br *bufio.Reader, bufp *[]byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n > maxFramePayload {
 		return nil, fmt.Errorf("%w: %d bytes declared (wire version mismatch?)", errFrameTooLong, n)
 	}
-	if cap(*bufp) < int(n) {
-		*bufp = make([]byte, n)
+	b := (*bufp)[:0]
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(n-len(b), max(len(b), 4096)))
+		}
+		m, err := io.ReadFull(br, b[len(b):min(cap(b), n)])
+		b = b[:len(b)+m]
+		if err != nil {
+			*bufp = b
+			return nil, err
+		}
 	}
-	b := (*bufp)[:n]
 	*bufp = b
-	if _, err := io.ReadFull(br, b); err != nil {
-		return nil, err
-	}
 	return b, nil
 }
 
@@ -178,102 +191,82 @@ func decodeAck(b []byte) (applied uint64, refusal string, err error) {
 	return binary.LittleEndian.Uint64(b), string(b[ackHeaderSize:]), nil
 }
 
-// tupleCodec is a schema's compiled encoder/decoder. Compiling is a
-// control-plane act (once per 'S' frame or opened source); the encode/decode
-// methods run per tuple on the data plane with zero reflection —
-// encode allocates nothing, decode allocates only the value slice and
-// string copies.
-type tupleCodec struct {
-	schema   *stream.Schema
-	arity    int
-	sizeHint int // estimated encoded bytes per tuple, for buffer growth
-}
-
-func newTupleCodec(s *stream.Schema) *tupleCodec {
-	c := &tupleCodec{schema: s, arity: s.Arity(), sizeHint: 8}
-	for _, f := range s.Fields {
-		switch f.Kind {
-		case stream.KindString:
-			c.sizeHint += 1 + 2 + f.AvgLen
-		case stream.KindBool:
-			c.sizeHint += 2
-		default:
-			c.sizeHint += 9
-		}
-	}
-	return c
-}
-
-// appendTuple encodes t onto buf. The caller guarantees t.Schema is
-// the codec's schema (batches are grouped by schema pointer), which
-// pins the arity; value kinds are self-tagged.
+// appendTuple encodes t onto buf: its timestamp, then every value.
 //
 //cosmos:hotpath
-func (c *tupleCodec) appendTuple(buf []byte, t stream.Tuple) []byte {
+func appendTuple(buf []byte, t stream.Tuple) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(t.Ts)))
 	for _, v := range t.Values {
-		switch v.Kind() {
-		case stream.KindInt:
-			buf = append(buf, byte(stream.KindInt))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.AsInt()))
-		case stream.KindFloat:
-			buf = append(buf, byte(stream.KindFloat))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.AsFloat()))
-		case stream.KindString:
-			s := v.AsString()
-			buf = append(buf, byte(stream.KindString))
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
-		case stream.KindBool:
-			b := byte(0)
-			if v.AsBool() {
-				b = 1
-			}
-			buf = append(buf, byte(stream.KindBool), b)
-		case stream.KindTime:
-			buf = append(buf, byte(stream.KindTime))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v.AsTime())))
-		default:
-			// Invalid values cannot legally appear in a tuple
-			// (stream.NewTuple rejects them); encode the tag so the
-			// decoder errors instead of desynchronising.
-			buf = append(buf, byte(v.Kind()))
-		}
+		buf = appendValue(buf, v)
 	}
 	return buf
 }
 
-// decodeTuple decodes one tuple starting at b[pos], returning it and
-// the position one past its end. Untrusted input: every read is
-// bounds-checked and malformed bytes return an error, never panic.
-func (c *tupleCodec) decodeTuple(b []byte, pos int) (stream.Tuple, int, error) {
-	return c.decodeTupleInto(b, pos, nil)
+// appendBody encodes a result body onto buf: t's timestamp and the
+// values of the columns cols lists, straight from the delivered tuple.
+//
+//cosmos:hotpath
+func appendBody(buf []byte, t stream.Tuple, cols []int) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(t.Ts)))
+	for _, j := range cols {
+		buf = appendValue(buf, t.Values[j])
+	}
+	return buf
 }
 
-// decodeTupleInto is decodeTuple with a caller-provided value slice
-// (len >= arity), letting batch decoders amortise the per-tuple value
-// allocation across a whole frame. The tuple keeps the slice.
-func (c *tupleCodec) decodeTupleInto(b []byte, pos int, values []stream.Value) (stream.Tuple, int, error) {
+// appendValue encodes one value: its kind tag, then its payload.
+//
+//cosmos:hotpath
+func appendValue(buf []byte, v stream.Value) []byte {
+	switch v.Kind() {
+	case stream.KindInt:
+		buf = append(buf, byte(stream.KindInt))
+		return binary.LittleEndian.AppendUint64(buf, uint64(v.AsInt()))
+	case stream.KindFloat:
+		buf = append(buf, byte(stream.KindFloat))
+		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.AsFloat()))
+	case stream.KindString:
+		s := v.AsString()
+		buf = append(buf, byte(stream.KindString))
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		return append(buf, s...)
+	case stream.KindBool:
+		b := byte(0)
+		if v.AsBool() {
+			b = 1
+		}
+		return append(buf, byte(stream.KindBool), b)
+	case stream.KindTime:
+		buf = append(buf, byte(stream.KindTime))
+		return binary.LittleEndian.AppendUint64(buf, uint64(int64(v.AsTime())))
+	default:
+		// Invalid values cannot legally appear in a tuple
+		// (stream.NewTuple rejects them); encode the tag so the
+		// decoder errors instead of desynchronising.
+		return append(buf, byte(v.Kind()))
+	}
+}
+
+// decodeValues decodes the timestamp and len(values) values of one
+// encoded tuple at b[pos] into values and returns the position one past
+// its end; checking the kinds against a schema is the caller's. Untrusted
+// input: every read is bounds-checked, malformed bytes return an error.
+func decodeValues(b []byte, pos int, values []stream.Value) (stream.Timestamp, int, error) {
 	if pos+8 > len(b) {
-		return stream.Tuple{}, 0, fmt.Errorf("transport: truncated tuple timestamp")
+		return 0, 0, fmt.Errorf("transport: truncated tuple timestamp")
 	}
 	ts := stream.Timestamp(int64(binary.LittleEndian.Uint64(b[pos:])))
 	pos += 8
-	if len(values) < c.arity {
-		values = make([]stream.Value, c.arity)
-	} else {
-		values = values[:c.arity]
-	}
-	for i := 0; i < c.arity; i++ {
+	for i := range values {
 		if pos >= len(b) {
-			return stream.Tuple{}, 0, fmt.Errorf("transport: truncated tuple value %d", i)
+			return 0, 0, fmt.Errorf("transport: truncated tuple value %d", i)
 		}
 		kind := stream.Kind(b[pos])
 		pos++
 		switch kind {
 		case stream.KindInt, stream.KindTime:
 			if pos+8 > len(b) {
-				return stream.Tuple{}, 0, fmt.Errorf("transport: truncated %v value", kind)
+				return 0, 0, fmt.Errorf("transport: truncated %v value", kind)
 			}
 			n := int64(binary.LittleEndian.Uint64(b[pos:]))
 			pos += 8
@@ -284,45 +277,41 @@ func (c *tupleCodec) decodeTupleInto(b []byte, pos int, values []stream.Value) (
 			}
 		case stream.KindFloat:
 			if pos+8 > len(b) {
-				return stream.Tuple{}, 0, fmt.Errorf("transport: truncated float value")
+				return 0, 0, fmt.Errorf("transport: truncated float value")
 			}
 			values[i] = stream.Float(math.Float64frombits(binary.LittleEndian.Uint64(b[pos:])))
 			pos += 8
 		case stream.KindBool:
 			if pos >= len(b) {
-				return stream.Tuple{}, 0, fmt.Errorf("transport: truncated bool value")
+				return 0, 0, fmt.Errorf("transport: truncated bool value")
 			}
 			values[i] = stream.Bool(b[pos] != 0)
 			pos++
 		case stream.KindString:
 			n, w := binary.Uvarint(b[pos:])
 			if w <= 0 || n > uint64(len(b)-pos-w) {
-				return stream.Tuple{}, 0, fmt.Errorf("transport: truncated string value")
+				return 0, 0, fmt.Errorf("transport: truncated string value")
 			}
 			pos += w
 			values[i] = stream.String_(string(b[pos : pos+int(n)]))
 			pos += int(n)
 		default:
-			return stream.Tuple{}, 0, fmt.Errorf("transport: unknown value kind %d", kind)
+			return 0, 0, fmt.Errorf("transport: unknown value kind %d", kind)
 		}
 	}
-	t, err := stream.NewTuple(c.schema, ts, values...)
-	if err != nil {
-		return stream.Tuple{}, 0, fmt.Errorf("transport: decoded tuple rejected: %v", err)
-	}
-	return t, pos, nil
+	return ts, pos, nil
 }
 
-// frameArena allocates the one value arena a 'D' frame's tuples share —
-// each decoded tuple keeps its sub-slice, so the backing array lives as
-// long as they do. The declared count is first checked against the bytes
-// actually present (the smallest encoded tuple is a timestamp plus two
-// bytes per value), so a lying count cannot size the allocation.
-func (c *tupleCodec) frameArena(count, tupleBytes int) ([]stream.Value, error) {
-	if count*(8+2*c.arity) > tupleBytes {
+// frameArena allocates the value arena a 'D' frame's tuples of arity
+// values share (each keeps its sub-slice). The declared count is first
+// checked against the tupleBytes present — the smallest encoded tuple is
+// its prefix, a timestamp and two bytes per value — so a lying count
+// cannot size the allocation.
+func frameArena(count, arity, prefix, tupleBytes int) ([]stream.Value, error) {
+	if count*(prefix+8+2*arity) > tupleBytes {
 		return nil, fmt.Errorf("transport: data frame declares %d tuples in %d bytes", count, tupleBytes)
 	}
-	return make([]stream.Value, count*c.arity), nil
+	return make([]stream.Value, count*arity), nil
 }
 
 // appendString encodes a uvarint-length-prefixed string.
@@ -343,95 +332,170 @@ func readString(b []byte, pos int) (string, int, error) {
 	return string(b[pos : pos+int(n)]), pos + int(n), nil
 }
 
-// appendSchemaFrame builds an 'S' payload announcing subID's layout.
-func appendSchemaFrame(buf []byte, subID uint32, tag string, s *stream.Schema) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, subID)
-	buf = appendString(buf, tag)
-	buf = appendString(buf, s.Stream)
-	buf = binary.AppendUvarint(buf, uint64(len(s.Fields)))
-	for _, f := range s.Fields {
-		buf = appendString(buf, f.Name)
-		buf = append(buf, byte(f.Kind))
-		buf = binary.AppendUvarint(buf, uint64(f.AvgLen))
+// appendSchemaFrame builds an 'S' payload announcing delivery id's layout.
+func appendSchemaFrame(buf []byte, id uint32, lay *core.Layout) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, id)
+	buf = binary.AppendUvarint(buf, uint64(len(lay.Cols)))
+	buf = binary.AppendUvarint(buf, uint64(len(lay.Members)))
+	for _, m := range lay.Members {
+		buf = appendString(buf, m.Out.Stream)
+		buf = binary.AppendUvarint(buf, uint64(len(m.Out.Fields)))
+		for i, f := range m.Out.Fields {
+			buf = appendString(buf, f.Name)
+			buf = append(buf, byte(f.Kind))
+			buf = binary.AppendUvarint(buf, uint64(f.AvgLen))
+			buf = binary.AppendUvarint(buf, uint64(m.Idx[i]))
+		}
 	}
 	return buf
 }
 
-// decodeSchemaFrame parses an 'S' payload. The schema is rebuilt
-// through stream.NewSchema so a corrupt frame fails validation instead
-// of producing a half-formed schema.
-func decodeSchemaFrame(b []byte) (subID uint32, tag string, schema *stream.Schema, err error) {
-	if len(b) < 4 {
-		return 0, "", nil, fmt.Errorf("transport: truncated schema frame")
-	}
-	subID = binary.LittleEndian.Uint32(b)
-	pos := 4
-	if tag, pos, err = readString(b, pos); err != nil {
-		return 0, "", nil, err
-	}
-	var name string
-	if name, pos, err = readString(b, pos); err != nil {
-		return 0, "", nil, err
-	}
-	nf, w := binary.Uvarint(b[pos:])
-	if w <= 0 || nf > uint64(len(b)-pos) {
-		return 0, "", nil, fmt.Errorf("transport: truncated schema field count")
-	}
-	pos += w
-	fields := make([]stream.Field, nf)
-	for i := range fields {
-		var fname string
-		if fname, pos, err = readString(b, pos); err != nil {
-			return 0, "", nil, err
-		}
-		if pos >= len(b) {
-			return 0, "", nil, fmt.Errorf("transport: truncated schema field kind")
-		}
-		kind := stream.Kind(b[pos])
-		pos++
-		avg, w := binary.Uvarint(b[pos:])
-		if w <= 0 {
-			return 0, "", nil, fmt.Errorf("transport: truncated schema field avglen")
-		}
-		pos += w
-		fields[i] = stream.Field{Name: fname, Kind: kind, AvgLen: int(avg)}
-	}
-	if pos != len(b) {
-		return 0, "", nil, fmt.Errorf("transport: %d trailing bytes in schema frame", len(b)-pos)
-	}
-	schema, err = stream.NewSchema(name, fields...)
-	if err != nil {
-		return 0, "", nil, fmt.Errorf("transport: decoded schema rejected: %v", err)
-	}
-	return subID, tag, schema, nil
+// wireMember is one member of a delivery as its 'S' frame announced it:
+// the subscription's tag, its output schema, and per output column the
+// body column carrying it.
+type wireMember struct {
+	tag    string
+	schema *stream.Schema
+	idx    []int
+	lo     int        // where idx runs contiguously through the body, or -1
+	cs     *clientSub // resolved by tag on first use
 }
 
-// dataHeaderSize is the fixed prefix of a 'D' payload: subID + count +
-// firstSeq.
-const dataHeaderSize = 4 + 2 + 8
+// decodeSchemaFrame parses an 'S' payload. Untrusted input: counts are
+// checked against the bytes present before they size anything, members
+// name at most the body's arity of its columns, and output schemas are
+// rebuilt through stream.NewSchema.
+func decodeSchemaFrame(b []byte) (id uint32, arity int, members []wireMember, err error) {
+	bad := fmt.Errorf("transport: malformed schema frame")
+	if len(b) < 4 {
+		return 0, 0, nil, bad
+	}
+	id, pos := binary.LittleEndian.Uint32(b), 4
+	// uvarint reads the next uvarint, which must not exceed limit.
+	uvarint := func(limit int) (int, bool) {
+		n, w := binary.Uvarint(b[pos:])
+		if w <= 0 || n > uint64(limit) {
+			return 0, false
+		}
+		pos += w
+		return int(n), true
+	}
+	arity, ok := uvarint(maxFramePayload / 2) // a body value takes two bytes at least
+	k, ok2 := uvarint(len(b) - pos)           // a member takes two bytes at least
+	if !ok || !ok2 || k == 0 {
+		return 0, 0, nil, bad
+	}
+	members = make([]wireMember, k)
+	for i := range members {
+		m := &members[i]
+		if m.tag, pos, err = readString(b, pos); err != nil {
+			return 0, 0, nil, err
+		}
+		nf, ok := uvarint(min(arity, len(b)-pos))
+		if !ok {
+			return 0, 0, nil, bad
+		}
+		fields, avgOK, colOK := make([]stream.Field, nf), true, true
+		m.idx = make([]int, nf)
+		for j := range fields {
+			if fields[j].Name, pos, err = readString(b, pos); err != nil {
+				return 0, 0, nil, err
+			}
+			if pos >= len(b) {
+				return 0, 0, nil, bad
+			}
+			fields[j].Kind, pos = stream.Kind(b[pos]), pos+1
+			fields[j].AvgLen, avgOK = uvarint(math.MaxInt32)
+			m.idx[j], colOK = uvarint(arity - 1)
+			if !avgOK || !colOK {
+				return 0, 0, nil, bad
+			}
+			if j == 0 {
+				m.lo = m.idx[0]
+			} else if m.lo >= 0 && m.idx[j] != m.lo+j {
+				m.lo = -1
+			}
+		}
+		if m.schema, err = stream.NewSchema(m.tag, fields...); err != nil {
+			return 0, 0, nil, fmt.Errorf("transport: decoded schema rejected: %v", err)
+		}
+	}
+	if pos != len(b) {
+		return 0, 0, nil, fmt.Errorf("transport: %d trailing bytes in schema frame", len(b)-pos)
+	}
+	return id, arity, members, nil
+}
+
+// dataHeaderSize is the prefix of a 'D' payload with one firstSeq: id,
+// count, firstSeq. A k-member delivery's frame carries k firstSeqs, the
+// i-th at dataSeqAt+8i.
+const (
+	dataHeaderSize = dataSeqAt + 8
+	dataSeqAt      = 4 + 2
+)
 
 // appendDataHeader writes the batch header; count is patched in by
 // patchDataCount once the batch is sealed.
 //
 //cosmos:hotpath
-func appendDataHeader(buf []byte, subID uint32, firstSeq uint64) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, subID)
+func appendDataHeader(buf []byte, id uint32, firstSeq uint64) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, id)
 	buf = append(buf, 0, 0) // count placeholder
 	return binary.LittleEndian.AppendUint64(buf, firstSeq)
 }
 
 //cosmos:hotpath
 func patchDataCount(buf []byte, count int) {
-	binary.LittleEndian.PutUint16(buf[4:6], uint16(count))
+	binary.LittleEndian.PutUint16(buf[4:dataSeqAt], uint16(count))
 }
 
-// decodeDataHeader parses a 'D' payload prefix.
-func decodeDataHeader(b []byte) (subID uint32, count int, firstSeq uint64, err error) {
+// appendResultHeader writes a k-member delivery's batch header, to be
+// patched as the batch fills.
+//
+//cosmos:hotpath
+func appendResultHeader(buf []byte, id uint32, k int) []byte {
+	buf = appendDataHeader(buf, id, 0)
+	for i := 1; i < k; i++ {
+		buf = binary.LittleEndian.AppendUint64(buf, 0)
+	}
+	return buf
+}
+
+// appendResult encodes one result entry — its bitmap if k > 1, then the
+// body — onto its batch, stamps the firstSeq of each member it is the
+// batch's first result for, and counts its subscription results.
+//
+//cosmos:hotpath
+func appendResult(buf []byte, e *pumpEntry, results *int) []byte {
+	k, at := len(e.seqs), len(buf)
+	buf = append(buf, make([]byte, bitmapBytes(k))...)
+	for i, s := range e.seqs {
+		if s == 0 {
+			continue
+		}
+		*results++
+		if k > 1 {
+			buf[at+i/8] |= 1 << (i % 8)
+		}
+		if first := buf[dataSeqAt+8*i:]; binary.LittleEndian.Uint64(first) == 0 {
+			binary.LittleEndian.PutUint64(first, s)
+		}
+	}
+	return appendBody(buf, e.t, e.lay.Cols)
+}
+
+// bitmapBytes is the size of a k-member delivery's match bitmap.
+//
+//cosmos:hotpath
+func bitmapBytes(k int) int { return (k + 7) / 8 * min(k-1, 1) }
+
+// decodeDataHeader parses a 'D' payload prefix up to its first firstSeq.
+func decodeDataHeader(b []byte) (id uint32, count int, firstSeq uint64, err error) {
 	if len(b) < dataHeaderSize {
 		return 0, 0, 0, fmt.Errorf("transport: truncated data frame header")
 	}
-	subID = binary.LittleEndian.Uint32(b)
-	count = int(binary.LittleEndian.Uint16(b[4:6]))
-	firstSeq = binary.LittleEndian.Uint64(b[6:14])
-	return subID, count, firstSeq, nil
+	id = binary.LittleEndian.Uint32(b)
+	count = int(binary.LittleEndian.Uint16(b[4:dataSeqAt]))
+	firstSeq = binary.LittleEndian.Uint64(b[dataSeqAt:dataHeaderSize])
+	return id, count, firstSeq, nil
 }

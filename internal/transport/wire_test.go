@@ -3,9 +3,11 @@ package transport
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"cosmos/internal/core"
 	"cosmos/internal/stream"
 )
 
@@ -43,7 +45,6 @@ func fixedWireSchema(t testing.TB) *stream.Schema {
 // (NaN, ±Inf, integers past 2^53) and empty/huge strings.
 func TestTupleCodecRoundTripEdgeCases(t *testing.T) {
 	schema := wireTestSchema(t)
-	codec := newTupleCodec(schema)
 	cases := []struct {
 		name string
 		ts   stream.Timestamp
@@ -67,8 +68,8 @@ func TestTupleCodecRoundTripEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			buf := codec.appendTuple(nil, orig)
-			got, pos, err := codec.decodeTuple(buf, 0)
+			buf := appendTuple(nil, orig)
+			got, pos, err := decodeOne(schema, buf, 0)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -131,17 +132,16 @@ func randomTuple(t testing.TB, rng *rand.Rand, schema *stream.Schema, i int) str
 // tuples, decoded from a concatenated buffer like a real batch.
 func TestTupleCodecRandomRoundTrip(t *testing.T) {
 	schema := wireTestSchema(t)
-	codec := newTupleCodec(schema)
 	rng := rand.New(rand.NewSource(42))
 	var buf []byte
 	tuples := make([]stream.Tuple, 500)
 	for i := range tuples {
 		tuples[i] = randomTuple(t, rng, schema, i)
-		buf = codec.appendTuple(buf, tuples[i])
+		buf = appendTuple(buf, tuples[i])
 	}
 	pos := 0
 	for i, want := range tuples {
-		got, next, err := codec.decodeTuple(buf, pos)
+		got, next, err := decodeOne(schema, buf, pos)
 		if err != nil {
 			t.Fatalf("tuple %d: %v", i, err)
 		}
@@ -159,15 +159,14 @@ func TestTupleCodecRandomRoundTrip(t *testing.T) {
 // encoding must decode to an error, never a panic or a phantom tuple.
 func TestTupleCodecTruncationNeverPanics(t *testing.T) {
 	schema := wireTestSchema(t)
-	codec := newTupleCodec(schema)
 	tp, err := stream.NewTuple(schema, 77,
 		stream.Int(123), stream.Float(4.5), stream.String_("truncate me"), stream.Bool(true), stream.Time(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := codec.appendTuple(nil, tp)
+	buf := appendTuple(nil, tp)
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := codec.decodeTuple(buf[:cut], 0); err == nil {
+		if _, _, err := decodeOne(schema, buf[:cut], 0); err == nil {
 			t.Fatalf("decode of %d/%d-byte prefix succeeded", cut, len(buf))
 		}
 	}
@@ -176,11 +175,10 @@ func TestTupleCodecTruncationNeverPanics(t *testing.T) {
 // TestTupleCodecCorruptKind: a bad kind tag errors cleanly.
 func TestTupleCodecCorruptKind(t *testing.T) {
 	schema := fixedWireSchema(t)
-	codec := newTupleCodec(schema)
 	tp, _ := stream.NewTuple(schema, 1, stream.Int(1), stream.Float(2))
-	buf := codec.appendTuple(nil, tp)
+	buf := appendTuple(nil, tp)
 	buf[8] = 0xEE // first value's kind tag
-	if _, _, err := codec.decodeTuple(buf, 0); err == nil {
+	if _, _, err := decodeOne(schema, buf, 0); err == nil {
 		t.Fatal("corrupt kind tag decoded successfully")
 	}
 }
@@ -188,14 +186,24 @@ func TestTupleCodecCorruptKind(t *testing.T) {
 // TestSchemaFrameRoundTripAndCorruption: 'S' payloads round-trip, and
 // every truncation of one errors instead of panicking.
 func TestSchemaFrameRoundTripAndCorruption(t *testing.T) {
-	schema := wireTestSchema(t)
-	buf := appendSchemaFrame(nil, 7, "Q3", schema)
-	subID, tag, got, err := decodeSchemaFrame(buf)
+	q3 := wireTestSchema(t).Rename("Q3")
+	q4 := stream.MustSchema("Q4", q3.Fields[2], q3.Fields[0])
+	lay := &core.Layout{Cols: []int{4, 0, 1, 2, 3, 9}, Members: []core.Member{
+		{Out: q3, Idx: []int{0, 1, 2, 3, 4}},
+		{Out: q4, Idx: []int{3, 0}},
+	}}
+	buf := appendSchemaFrame(nil, 7, lay)
+	id, arity, got, err := decodeSchemaFrame(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if subID != 7 || tag != "Q3" || !got.Equal(schema) {
-		t.Fatalf("round trip mismatch: %d %q %v", subID, tag, got)
+	if id != 7 || arity != 6 || len(got) != 2 {
+		t.Fatalf("round trip mismatch: id %d, arity %d, %d members", id, arity, len(got))
+	}
+	for i, m := range lay.Members {
+		if got[i].tag != m.Out.Stream || !got[i].schema.Equal(m.Out) || !reflect.DeepEqual(got[i].idx, m.Idx) {
+			t.Fatalf("member %d: got %q %v %v, want %q %v %v", i, got[i].tag, got[i].schema, got[i].idx, m.Out.Stream, m.Out, m.Idx)
+		}
 	}
 	for cut := 0; cut < len(buf); cut++ {
 		if _, _, _, err := decodeSchemaFrame(buf[:cut]); err == nil {
@@ -215,21 +223,20 @@ func FuzzTupleDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	codec := newTupleCodec(schema)
 	tp, _ := stream.NewTuple(schema, 5, stream.Int(-9), stream.String_("seed"), stream.Float(math.Pi))
-	f.Add(codec.appendTuple(nil, tp))
+	f.Add(appendTuple(nil, tp))
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Fuzz(func(t *testing.T, b []byte) { checkTupleRoundTrip(t, codec, b, 0) })
+	f.Fuzz(func(t *testing.T, b []byte) { checkTupleRoundTrip(t, schema, b, 0) })
 }
 
 // checkTupleRoundTrip is the tuple codec's property on untrusted bytes,
 // in either direction of the wire: b[pos:] decodes to an error (ok is
 // false) or to a tuple that ends inside b and survives a re-encode round
 // trip.
-func checkTupleRoundTrip(t *testing.T, codec *tupleCodec, b []byte, pos int) (next int, ok bool) {
+func checkTupleRoundTrip(t *testing.T, schema *stream.Schema, b []byte, pos int) (next int, ok bool) {
 	t.Helper()
-	got, next, err := codec.decodeTuple(b, pos)
+	got, next, err := decodeOne(schema, b, pos)
 	if err != nil {
 		return 0, false
 	}
@@ -238,7 +245,7 @@ func checkTupleRoundTrip(t *testing.T, codec *tupleCodec, b []byte, pos int) (ne
 	}
 	// Whatever decodes must survive a re-encode round trip (byte
 	// equality is too strong: Uvarint accepts non-minimal varints).
-	again, _, err := codec.decodeTuple(codec.appendTuple(nil, got), 0)
+	again, _, err := decodeOne(schema, appendTuple(nil, got), 0)
 	if err != nil {
 		t.Fatalf("re-decode of re-encoded tuple: %v", err)
 	}
@@ -246,6 +253,18 @@ func checkTupleRoundTrip(t *testing.T, codec *tupleCodec, b []byte, pos int) (ne
 		t.Fatalf("re-encode round trip changed the tuple")
 	}
 	return next, true
+}
+
+// decodeOne decodes one tuple of s at b[pos] into a value slice of its
+// own.
+func decodeOne(s *stream.Schema, b []byte, pos int) (stream.Tuple, int, error) {
+	values := make([]stream.Value, s.Arity())
+	ts, next, err := decodeValues(b, pos, values)
+	if err != nil {
+		return stream.Tuple{}, 0, err
+	}
+	t, err := stream.NewTuple(s, ts, values...)
+	return t, next, err
 }
 
 // tuplesBitEqual is Tuple.Equal with bit-exact float comparison, so NaN
@@ -274,7 +293,6 @@ func tuplesBitEqual(a, b stream.Tuple) bool {
 // appendTuple into a pre-grown buffer — allocates nothing per tuple.
 func TestEncodeFastPathAllocs(t *testing.T) {
 	schema := wireTestSchema(t)
-	codec := newTupleCodec(schema)
 	tp, err := stream.NewTuple(schema, 3,
 		stream.Int(7), stream.Float(2.5), stream.String_("steady"), stream.Bool(true), stream.Time(11))
 	if err != nil {
@@ -282,7 +300,7 @@ func TestEncodeFastPathAllocs(t *testing.T) {
 	}
 	buf := make([]byte, 0, 4096)
 	allocs := testing.AllocsPerRun(1000, func() {
-		buf = codec.appendTuple(buf[:0], tp)
+		buf = appendTuple(buf[:0], tp)
 	})
 	if allocs != 0 {
 		t.Fatalf("encode allocates %.1f/tuple, want 0", allocs)
@@ -293,14 +311,13 @@ func TestEncodeFastPathAllocs(t *testing.T) {
 // schema, only the value slice itself (1 alloc) per tuple.
 func TestDecodeFastPathAllocs(t *testing.T) {
 	schema := fixedWireSchema(t)
-	codec := newTupleCodec(schema)
 	tp, err := stream.NewTuple(schema, 3, stream.Int(7), stream.Float(2.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := codec.appendTuple(nil, tp)
+	buf := appendTuple(nil, tp)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, err := codec.decodeTuple(buf, 0); err != nil {
+		if _, _, err := decodeOne(schema, buf, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
