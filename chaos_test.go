@@ -88,7 +88,7 @@ func runChaosDifferential(t *testing.T, faults faultnet.Config) {
 	}
 	want := driveClient(t, cosmos.Embed(sys), queries)
 
-	addr := startDiffServer(t, 2, 8)
+	addr := startDiffServer(t, 2)
 	proxy, err := faultnet.NewProxy(addr, faults)
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func runChaosPublish(t *testing.T, newProxy func(addr string) (*faultnet.Proxy, 
 	if testing.Short() {
 		t.Skip("publish chaos is slow; skipped in -short")
 	}
-	addr := startDiffServer(t, 2, 8)
+	addr := startDiffServer(t, 2)
 	proxy, err := newProxy(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -169,11 +169,10 @@ func diffOptions() core.Options {
 
 // startDiffServer hosts a LiveSystem behind a transport.Server on an
 // ephemeral port — the cosmosd assembly — and returns its address.
-func startDiffServer(t *testing.T, workers, batch int) string {
+func startDiffServer(t *testing.T, workers int) string {
 	t.Helper()
 	opts := diffOptions()
 	opts.ExecWorkers = workers
-	opts.IngestBatch = batch
 	return startServerWith(t, opts)
 }
 
@@ -229,12 +228,10 @@ func TestClientThreeWayDifferential(t *testing.T) {
 		t.Fatalf("only %d of %d queries produced results; workload too weak", nonEmpty, len(want))
 	}
 
-	for _, cfg := range []struct{ workers, batch int }{{1, 1}, {2, 8}, {4, 32}} {
-		cfg := cfg
-		t.Run(fmt.Sprintf("live-workers%d", cfg.workers), func(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("live-workers%d", workers), func(t *testing.T) {
 			opts := diffOptions()
-			opts.ExecWorkers = cfg.workers
-			opts.IngestBatch = cfg.batch
+			opts.ExecWorkers = workers
 			ls, err := core.NewLiveSystem(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -243,8 +240,8 @@ func TestClientThreeWayDifferential(t *testing.T) {
 			got := driveClient(t, cosmos.EmbedLive(ls), queries)
 			compareBackendSequences(t, got, want)
 		})
-		t.Run(fmt.Sprintf("remote-workers%d", cfg.workers), func(t *testing.T) {
-			addr := startDiffServer(t, cfg.workers, cfg.batch)
+		t.Run(fmt.Sprintf("remote-workers%d", workers), func(t *testing.T) {
+			addr := startDiffServer(t, workers)
 			client, err := cosmos.Dial(addr)
 			if err != nil {
 				t.Fatal(err)
@@ -318,7 +315,7 @@ func TestClientStatsAndCatalogAcrossBackends(t *testing.T) {
 		check(t, cosmos.EmbedLive(ls))
 	})
 	t.Run("remote", func(t *testing.T) {
-		addr := startDiffServer(t, 2, 8)
+		addr := startDiffServer(t, 2)
 		client, err := cosmos.Dial(addr)
 		if err != nil {
 			t.Fatal(err)

@@ -143,14 +143,16 @@ var (
 // NewSystem builds an in-process COSMOS deployment: a power-law overlay
 // topology, an MST dissemination tree, the CBN, and the processors. The
 // network is the deterministic single-threaded simulator (the paper's
-// evaluation substrate); see NewLiveSystem for the concurrent transport.
+// evaluation substrate) and plans run inline, so Options.ExecWorkers > 0
+// is refused; see NewLiveSystem for the concurrent transport.
 func NewSystem(opts Options) (*System, error) { return core.NewSystem(opts) }
 
 // NewLiveSystem builds the same deployment over the concurrent
 // transport: one goroutine per broker, sharded execution runtimes on
-// the processors (Options.ExecWorkers), and workers publishing results
-// straight into the network — results reach subscribers while ingest
-// continues. Per query, result sequences match the synchronous System.
+// the processors (Options.ExecWorkers) fed directly by their network
+// delivery pumps, and workers publishing results straight into the
+// network — results reach subscribers while ingest continues. Per
+// query, result sequences match the synchronous System.
 // Call Close to release the network and runtime goroutines; Quiesce is
 // a stabilisation barrier for tests and readouts, not a data-path step.
 func NewLiveSystem(opts Options) (*LiveSystem, error) { return core.NewLiveSystem(opts) }

@@ -30,7 +30,7 @@ func eachBackend(t *testing.T, fn func(t *testing.T, c cosmos.Client)) {
 		fn(t, cosmos.EmbedLive(ls))
 	})
 	t.Run("remote", func(t *testing.T) {
-		c, err := cosmos.Dial(startDiffServer(t, 2, 8))
+		c, err := cosmos.Dial(startDiffServer(t, 2))
 		if err != nil {
 			t.Fatal(err)
 		}

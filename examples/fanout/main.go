@@ -1,8 +1,8 @@
 // Fanout: drive many continuous queries over one hot stream through the
 // execution runtime (internal/exec) in synchronous mode and sharded
-// across a worker pool — per-plan locking, worker pinning, micro-batched
-// ingestion, and checkpoint capture that quiesces one plan instead of
-// stopping the world.
+// across a worker pool — per-plan locking, worker pinning, one Consume
+// call per tuple, and checkpoint capture that quiesces one plan instead
+// of stopping the world.
 //
 //	go run ./examples/fanout
 package main
@@ -24,7 +24,6 @@ import (
 const (
 	nPlans  = 8
 	nTuples = 200_000
-	batch   = 64
 )
 
 // newRuntime builds a runtime with nPlans selections over Sensor07,
@@ -73,23 +72,22 @@ func main() {
 	fmt.Printf("synchronous runtime: %8.0f tuples/s  (%d results)\n",
 		float64(nTuples)/seqDur.Seconds(), seqResults.Load())
 
-	// Sharded: plans pinned across a worker pool, tuples micro-batched
-	// through the channel adapter. Per-plan result order is identical to
-	// the synchronous mode; cross-plan order is free.
+	// Sharded: plans pinned across a worker pool; Consume queues each
+	// tuple to the workers owning its stream's plans. Per-plan result
+	// order is identical to the synchronous mode; cross-plan order is free.
 	var rtResults atomic.Int64
 	rt := newRuntime(4, reg, &rtResults)
 	defer rt.Close()
-	ba := exec.NewBatcher(rt, 4096, batch)
 	start = time.Now()
 	for _, t := range tuples {
-		ba.Put(t)
+		if err := rt.Consume(t); err != nil {
+			log.Fatal(err)
+		}
 	}
-	ba.Flush()
 	rt.Barrier()
 	rtDur := time.Since(start)
-	ba.Close()
-	fmt.Printf("sharded runtime:     %8.0f tuples/s  (%d results, %d workers, batch %d)\n",
-		float64(nTuples)/rtDur.Seconds(), rtResults.Load(), rt.Workers(), batch)
+	fmt.Printf("sharded runtime:     %8.0f tuples/s  (%d results, %d workers)\n",
+		float64(nTuples)/rtDur.Seconds(), rtResults.Load(), rt.Workers())
 
 	// Snapshot one plan while the others keep running: WithPlan drains
 	// and locks only q3.

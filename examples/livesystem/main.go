@@ -2,7 +2,7 @@
 // goroutine per broker routes tuples through the content-based network
 // while each processor's sharded execution runtime (4 workers here)
 // runs the compiled plans and publishes results straight back into the
-// network through per-worker clients — no outbox, no world-stop:
+// network through per-worker clients — no world-stop on the data path:
 // results stream to the user proxies while ingestion continues.
 // Quiesce appears exactly once, at the end, as the readout barrier.
 //
@@ -31,7 +31,6 @@ func main() {
 		Processors:  2,
 		Placement:   cosmos.RoundRobin,
 		ExecWorkers: 4,
-		IngestBatch: 16,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -29,7 +29,6 @@ func main() {
 		Processors:  2,
 		Placement:   cosmos.RoundRobin,
 		ExecWorkers: 4,
-		IngestBatch: 16,
 		Obs: cosmos.ObsOptions{
 			SampleEvery: 1,   // histogram every event (default: every 512th)
 			TraceEvery:  200, // follow every 200th tuple end to end

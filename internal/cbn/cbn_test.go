@@ -361,7 +361,7 @@ func TestLiveNetEndToEnd(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("live deliveries = %d, want 4", len(got))
 	}
-	if net.DataBytes() == 0 {
+	if net.TotalDataBytes() == 0 {
 		t.Error("no data bytes accounted")
 	}
 }

@@ -83,8 +83,6 @@ type LiveNet struct {
 	injected atomic.Int64
 	idle     chan struct{}
 
-	dataBytes atomic.Int64
-
 	// metrics, when non-nil, observes the route stage (nil-safe).
 	metrics *obs.Metrics
 }
@@ -678,10 +676,8 @@ func (n *LiveNet) emit(node int, iface IfaceID, m liveMsg) {
 	// mirroring SimNet's per-link data/control split.
 	switch m.kind {
 	case 0:
-		sz := int64(m.tuple.WireSize() + DataHeaderBytes)
-		n.dataBytes.Add(sz)
 		ep.link.dataMsgs.Add(1)
-		ep.link.dataBytes.Add(sz)
+		ep.link.dataBytes.Add(int64(m.tuple.WireSize() + DataHeaderBytes))
 	case 1:
 		ep.link.ctrlMsgs.Add(1)
 		ep.link.ctrlBytes.Add(int64(profileWireSize(m.prof)))
@@ -791,12 +787,15 @@ func (n *LiveNet) Stats() []*LinkStats {
 	return out
 }
 
-// DataBytes reports total tuple bytes moved across overlay links.
-func (n *LiveNet) DataBytes() int64 { return n.dataBytes.Load() }
-
-// TotalDataBytes is DataBytes under the name the System surface uses,
-// mirroring SimNet.
-func (n *LiveNet) TotalDataBytes() int64 { return n.dataBytes.Load() }
+// TotalDataBytes sums tuple traffic over all overlay links, as
+// SimNet.TotalDataBytes does; like Stats, it is exact after a Quiesce.
+func (n *LiveNet) TotalDataBytes() int64 {
+	var total int64
+	for _, l := range n.links {
+		total += l.dataBytes.Load()
+	}
+	return total
+}
 
 // Broker exposes a node's broker.
 func (n *LiveNet) Broker(node int) *Broker { return n.brokers[node] }

@@ -361,16 +361,6 @@ func (n *SimNet) TotalDataBytes() int64 {
 	return total
 }
 
-// WeightedDataCost sums bytes × link delay over all links: the
-// communication cost metric of the evaluation.
-func (n *SimNet) WeightedDataCost() float64 {
-	total := 0.0
-	for _, ls := range n.links {
-		total += float64(ls.DataBytes) * ls.DelayMs
-	}
-	return total
-}
-
 // profileWireSize estimates a subscription message's size.
 func profileWireSize(p *profile.Profile) int {
 	size := SubscribeBaseSize

@@ -52,7 +52,7 @@ func (s *System) FailProcessor(procID int) error {
 	failed.alive = false
 	failed.mu.Unlock()
 	failed.client.SetOnTuple(nil)
-	failed.shutdownExec()
+	failed.rt.Close()
 
 	// Recompile + restore every checkpointed plan on the survivor.
 	if _, err := failed.cp.Failover(backup.rt); err != nil {

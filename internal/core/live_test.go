@@ -178,13 +178,10 @@ func TestLiveSystemMatchesSynchronous(t *testing.T) {
 	if nonEmpty < 4 {
 		t.Fatalf("only %d queries produced results; workload too weak", nonEmpty)
 	}
-	for _, cfg := range []struct {
-		workers, batch int
-	}{{1, 1}, {2, 8}, {4, 32}} {
-		t.Run(fmt.Sprintf("workers%d-batch%d", cfg.workers, cfg.batch), func(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			opts := base
-			opts.ExecWorkers = cfg.workers
-			opts.IngestBatch = cfg.batch
+			opts.ExecWorkers = workers
 			got := driveTransportWorkload(t, opts, true, -1)
 			compareSequences(t, got, want)
 		})
@@ -212,7 +209,6 @@ func TestLiveSystemFailoverMatchesSynchronous(t *testing.T) {
 	}
 	opts := base
 	opts.ExecWorkers = 2
-	opts.IngestBatch = 8
 	got := driveTransportWorkload(t, opts, true, 0)
 	compareSequences(t, got, want)
 }
@@ -222,7 +218,7 @@ func TestLiveSystemFailoverMatchesSynchronous(t *testing.T) {
 // one plan; ingest, other plans and the network keep running) must
 // restore onto a fresh engine to exactly the captured state.
 func TestLiveCheckpointRestoreUnderLoad(t *testing.T) {
-	opts := Options{Nodes: 16, Seed: 3, ExecWorkers: 2, IngestBatch: 4, CheckpointEvery: 5}
+	opts := Options{Nodes: 16, Seed: 3, ExecWorkers: 2, CheckpointEvery: 5}
 	ls, err := NewLiveSystem(opts)
 	if err != nil {
 		t.Fatal(err)

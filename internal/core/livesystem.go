@@ -3,10 +3,11 @@ package core
 import "cosmos/internal/cbn"
 
 // LiveSystem is a System deployed over the concurrent cbn.LiveNet: one
-// goroutine per broker, sharded execution runtimes on the processors
-// (Options.ExecWorkers), and workers publishing results straight into
-// the network through thread-safe per-worker clients — no outbox, no
-// world-stop on the data path. Emissions reach subscribers while ingest
+// goroutine per broker, each processor's delivery pump feeding its
+// sharded execution runtime (Options.ExecWorkers) directly, and workers
+// publishing results straight into the network through thread-safe
+// per-worker clients — no world-stop on the data path. Emissions reach
+// subscribers while ingest
 // continues; Quiesce remains available as a stabilisation barrier for
 // tests, experiment readouts and checkpoint boundaries.
 //
@@ -43,7 +44,7 @@ func (ls *LiveSystem) Net() *cbn.LiveNet { return ls.live }
 // dropped; call Quiesce first for a graceful drain. Idempotent.
 func (ls *LiveSystem) Close() {
 	for _, p := range ls.procs {
-		p.shutdownExec()
+		p.rt.Close()
 	}
 	ls.live.Stop()
 }

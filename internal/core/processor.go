@@ -37,22 +37,8 @@ type Processor struct {
 	est    cost.Estimator
 	cp     *ft.Checkpointer
 
-	// live marks a processor deployed over the concurrent transport:
-	// emissions publish straight into the network (the client is
-	// thread-safe) instead of buffering until a world-stop.
-	live bool
-	// batcher decouples data-layer delivery from plan execution when the
-	// processor runs the sharded runtime (Options.ExecWorkers > 0); nil
-	// in the synchronous (deterministic) mode.
-	batcher *exec.Batcher
 	// planErrs counts plan execution failures surfaced by the runtime.
 	planErrs atomic.Int64
-	// outbox buffers sharded-mode emissions on the SIMULATED transport
-	// only, where the single-threaded network cannot accept publishes
-	// from worker goroutines; System.Quiesce flushes it. Unused (nil) on
-	// the live transport.
-	outMu  sync.Mutex
-	outbox []stream.Tuple // guarded by outMu
 
 	mu sync.Mutex
 	// groups tracks installed representative queries by group ID.
@@ -103,7 +89,6 @@ func newProcessor(s *System, id, node int) (*Processor, error) {
 		Node:   node,
 		sys:    s,
 		client: client,
-		live:   s.live != nil,
 		opt: merge.NewOptimizer(merge.Options{
 			Mode:          s.opts.Mode,
 			MaxCandidates: s.opts.MaxCandidates,
@@ -115,13 +100,17 @@ func newProcessor(s *System, id, node int) (*Processor, error) {
 		alive:           true,
 		checkpointEvery: s.opts.CheckpointEvery,
 	}
+	// Results go back into the data layer through the processor's client;
+	// a Publish error (routing failure, stopped network) drops the
+	// result, as in any CBN. Per-plan order holds because the runtime
+	// emits under the plan lock.
 	cfg := exec.Config{
 		Workers: s.opts.ExecWorkers,
-		Emit:    p.emit,
+		Emit:    func(t stream.Tuple) { _ = client.Publish(t) },
 		OnError: p.onPlanError,
 		Metrics: s.obs,
 	}
-	if p.live && s.opts.ExecWorkers > 0 {
+	if s.opts.ExecWorkers > 0 { // live only: NewSystem refuses workers
 		// Each worker publishes through its own network client, so a
 		// plan's results enter the network on its owning worker's
 		// connection — per-plan emission order carries end to end, and a
@@ -140,15 +129,15 @@ func newProcessor(s *System, id, node int) (*Processor, error) {
 		}
 	}
 	p.rt = exec.New(cfg)
-	if s.opts.ExecWorkers > 0 {
-		p.batcher = exec.NewBatcher(p.rt, 0, s.opts.IngestBatch)
-	}
 	p.client.SetOnTuple(p.consume)
 	return p, nil
 }
 
 // consume feeds data-layer deliveries into the SPE and drives periodic
-// checkpointing.
+// checkpointing. It runs on the client's delivery goroutine — the
+// LiveClient pump on the live transport — and hands each tuple straight
+// to the runtime: inline with no workers, onto the owning workers'
+// queues otherwise (a full queue blocks the pump: backpressure).
 func (p *Processor) consume(t stream.Tuple) {
 	p.mu.Lock()
 	if !p.alive {
@@ -162,11 +151,7 @@ func (p *Processor) consume(t stream.Tuple) {
 	// installed plans; the runtime surfaces them through onPlanError (the
 	// error counter and Options.OnPlanError) rather than crashing the
 	// data path.
-	if p.batcher != nil {
-		p.batcher.Put(t)
-	} else {
-		_ = p.rt.Consume(t)
-	}
+	_ = p.rt.Consume(t)
 	if capture {
 		p.captureAll()
 	}
@@ -223,63 +208,13 @@ func (p *Processor) planQueries(planID string) (tags []string, resultStream stri
 	return nil, ""
 }
 
-// quiesce drains the sharded ingest path and publishes buffered results
-// into the (simulated) data layer, reporting whether anything was
-// published. A no-op (false) for synchronous processors. Live
-// processors have no outbox — see drainExec.
-func (p *Processor) quiesce() bool {
-	if p.batcher == nil || !p.Alive() {
-		return false
-	}
-	p.batcher.Flush()
-	p.rt.Barrier()
-	p.outMu.Lock()
-	out := p.outbox
-	p.outbox = nil
-	p.outMu.Unlock()
-	for _, t := range out {
-		_ = p.client.Publish(t)
-	}
-	return len(out) > 0
-}
-
-// drainExec blocks until every tuple already accepted by this
-// processor's ingest queue has been processed by its plans (emissions,
-// on the live transport, are published into the network by the workers
-// themselves before this returns). Part of the LiveSystem stabilisation
-// barrier.
-func (p *Processor) drainExec() {
-	if !p.Alive() {
-		return
-	}
-	if p.batcher != nil {
-		p.batcher.Flush()
-	}
-	p.rt.Barrier()
-}
-
-// shutdownExec stops the processor's execution runtime (crash
-// simulation): queued ingest and buffered results are dropped.
-func (p *Processor) shutdownExec() {
-	if p.batcher != nil {
-		p.batcher.Close()
-	}
-	p.rt.Close()
-	p.outMu.Lock()
-	p.outbox = nil
-	p.outMu.Unlock()
-}
-
 // captureAll snapshots every live plan into the checkpoint store. The
-// ingest queue is flushed first so the checkpoint cut is deterministic:
-// it reflects exactly the tuples delivered to this processor before the
-// trigger, in both synchronous and sharded modes. WithPlan then
-// quiesces one plan at a time — capture under live traffic never stops
-// the world.
+// cut is deterministic: WithPlan drains the plan's worker queue, which
+// is FIFO behind the triggering tuple, so each snapshot reflects exactly
+// the tuples delivered to this processor up to the trigger, in both
+// synchronous and sharded modes. It quiesces one plan at a time —
+// capture under live traffic never stops the world.
 func (p *Processor) captureAll() {
-	if p.batcher != nil {
-		p.batcher.Flush()
-	}
 	p.mu.Lock()
 	plans := make([]string, 0, len(p.groups)+len(p.adopted))
 	for _, gs := range p.groups {
@@ -292,28 +227,6 @@ func (p *Processor) captureAll() {
 	for _, id := range plans {
 		p.rt.WithPlan(id, func(plan *spe.Plan) { p.cp.Capture(plan) })
 	}
-}
-
-// emit publishes SPE results back into the data layer. On the live
-// transport the client is thread-safe and results go straight into the
-// network (sharded workers normally bypass this via their per-worker
-// egress clients; this path serves the synchronous live mode). On the
-// simulated transport, sharded-mode emissions arrive on worker
-// goroutines and must buffer until quiesce, because the simulated
-// network is single-threaded. Per-plan order is preserved in every mode
-// (the runtime emits under the plan's lock).
-func (p *Processor) emit(t stream.Tuple) {
-	if p.live {
-		_ = p.client.Publish(t)
-		return
-	}
-	if p.batcher != nil {
-		p.outMu.Lock()
-		p.outbox = append(p.outbox, t)
-		p.outMu.Unlock()
-		return
-	}
-	_ = p.client.Publish(t)
 }
 
 // accept runs the query-management path for one new query: group it,

@@ -44,10 +44,8 @@ type SystemStats struct {
 	// Workers holds one entry per exec worker across all processors
 	// (empty for synchronous runtimes).
 	Workers []WorkerStats
-	// PlanErrsPerProc / IngestQueuePerProc gauge, per processor, the
-	// plan-failure count and the pending ingest micro-batch backlog.
-	PlanErrsPerProc    []int64
-	IngestQueuePerProc []int
+	// PlanErrsPerProc counts, per processor, plan execution failures.
+	PlanErrsPerProc []int64
 	// BrokerQueues gauges each broker node's mailbox backlog (live
 	// transport only; nil on the simulated one, which has no mailboxes).
 	BrokerQueues []int
@@ -89,11 +87,6 @@ func (s *System) StatsSnapshot() SystemStats {
 		st.GroupsPerProc = append(st.GroupsPerProc, p.Groups())
 		st.LoadPerProc = append(st.LoadPerProc, p.Load())
 		st.PlanErrsPerProc = append(st.PlanErrsPerProc, p.PlanErrors())
-		pending := 0
-		if p.batcher != nil {
-			pending = p.batcher.Pending()
-		}
-		st.IngestQueuePerProc = append(st.IngestQueuePerProc, pending)
 
 		plans, workers := p.rt.StatsSnapshot()
 		for _, ps := range plans {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -44,20 +45,14 @@ type Options struct {
 	// checkpoints (FailProcessor then restarts plans cold).
 	CheckpointEvery int
 	// ExecWorkers sets each processor's execution-runtime worker-pool
-	// size. 0 (default) runs plans synchronously on the data-delivery
-	// goroutine — deterministic, as the synchronous simulated network
-	// expects. > 0 runs the sharded runtime: delivery enqueues into a
-	// micro-batching ingest queue and plans execute on the pool. What
-	// happens to results then depends on the transport: on the simulated
-	// network they buffer until System.Quiesce flushes them into the
-	// single-threaded data layer, while a LiveSystem's workers publish
-	// them straight into the concurrent network with no barrier on the
-	// data path. Per-plan (hence per-query) result order is preserved
-	// either way; cross-query interleaving is not.
+	// size on a LiveSystem. 0 (default) runs plans inline on the
+	// data-delivery goroutine — the only mode NewSystem accepts, since
+	// the simulated network is single-threaded. > 0 runs the sharded
+	// runtime: the processor's delivery pump enqueues each tuple on the
+	// owning workers' queues, and the workers publish results straight
+	// into the network. Per-plan (hence per-query) result order is
+	// preserved; cross-query interleaving is not.
 	ExecWorkers int
-	// IngestBatch bounds the ingest micro-batch when ExecWorkers > 0
-	// (default 16).
-	IngestBatch int
 	// OnPlanError observes plan execution failures (schema drift between
 	// the data layer and an installed plan); may be nil, and must be safe
 	// for concurrent use when ExecWorkers > 0. Each processor also counts
@@ -109,11 +104,20 @@ type System struct {
 	nextQID int                     // guarded by mu
 }
 
+// ErrSyncWorkers is NewSystem's refusal of Options.ExecWorkers > 0: the
+// synchronous System runs every plan inline, and a worker pool needs the
+// concurrent network of NewLiveSystem.
+var ErrSyncWorkers = errors.New("core: the synchronous System runs plans inline; ExecWorkers needs NewLiveSystem")
+
 // NewSystem builds the overlay (power-law topology, MST dissemination
 // tree), the simulated CBN, and the processors. The result is
 // deterministic and single-threaded — the differential reference for
-// LiveSystem.
+// LiveSystem. Plans run inline, so ExecWorkers > 0 is refused with
+// ErrSyncWorkers.
 func NewSystem(opts Options) (*System, error) {
+	if opts.ExecWorkers > 0 {
+		return nil, ErrSyncWorkers
+	}
 	return newSystem(opts, false)
 }
 
@@ -164,7 +168,7 @@ func newSystem(opts Options, live bool) (*System, error) {
 	fail := func(err error) (*System, error) {
 		// Release what partial assembly started (client pumps, runtimes).
 		for _, p := range s.procs {
-			p.shutdownExec()
+			p.rt.Close()
 		}
 		if s.live != nil {
 			s.live.Stop()
@@ -407,71 +411,36 @@ func (s *System) InjectPlanPanic(tag string) bool {
 }
 
 // Quiesce is the system-wide stabilisation barrier: it blocks until no
-// tuple is in flight anywhere — ingest queues, worker pools, the
-// network, delivery pumps. Call it when no source is concurrently
-// publishing; it is meant for tests, checkpoint boundaries and
-// experiment readouts, never for the steady-state data path (a
-// LiveSystem delivers results continuously without it).
+// tuple is in flight anywhere — the network, delivery pumps, worker
+// queues. Call it when no source is concurrently publishing; it is
+// meant for tests, checkpoint boundaries and experiment readouts, never
+// for the steady-state data path (a LiveSystem delivers results
+// continuously without it). On the simulated transport every publish
+// has finished its cascade by the time it returns, so there is nothing
+// to wait for.
 //
-// On the simulated transport the network itself is synchronous, so the
-// barrier reduces to draining the sharded processors and publishing
-// their buffered results from the calling goroutine (results may feed
-// other processors, so it loops until a full pass publishes nothing); a
-// no-op for synchronous systems (ExecWorkers == 0). On the live
-// transport results were already published by the workers, so the
-// barrier just waits until the network and every runtime stop moving.
+// On the live transport each pass waits for the network to go idle and
+// then drains every worker pool. An idle network means every delivery
+// callback has returned, so each tuple a processor was handed sits on a
+// worker queue the drain empties; any result it produced was injected
+// before the drain returned. A pass that injected nothing new (the
+// Injected count is unchanged) therefore ends with no tuple anywhere.
 func (s *System) Quiesce() {
-	if s.live != nil {
-		s.liveQuiesce()
+	if s.live == nil {
 		return
 	}
-	for {
-		progress := false
-		for _, p := range s.procs {
-			if p.quiesce() {
-				progress = true
-			}
-		}
-		if !progress {
-			return
-		}
-	}
-}
-
-// liveQuiesce stabilises a live system: each pass drains every
-// processor's ingest queue and worker pool (publishing any resulting
-// emissions into the network) and then waits for the network to go
-// idle. The system is stable when a full pass accepted no new network
-// injection (the Injected count is unchanged) and every ingest queue is
-// empty — at that point no tuple exists anywhere in the pipeline.
-func (s *System) liveQuiesce() {
 	prev := int64(-1)
 	for {
-		for _, p := range s.procs {
-			p.drainExec()
-		}
 		s.live.Quiesce()
+		for _, p := range s.procs {
+			p.rt.Barrier()
+		}
 		cur := s.live.Injected()
-		if cur == prev && s.procsIdle() {
+		if cur == prev {
 			return
 		}
 		prev = cur
 	}
-}
-
-// procsIdle reports whether every live processor's ingest queue is
-// empty. Crashed processors are skipped: their batchers dropped queued
-// tuples at shutdown, so their pending counts never settle.
-func (s *System) procsIdle() bool {
-	for _, p := range s.procs {
-		if !p.Alive() {
-			continue
-		}
-		if p.batcher != nil && p.batcher.Pending() > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // NetStats exposes per-link CBN counters, sorted by (A, B). Both

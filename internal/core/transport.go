@@ -11,8 +11,8 @@ import (
 // cbn.SimClient (synchronous, deterministic) and cbn.LiveClient
 // (concurrent). Publish must be safe for concurrent use on the live
 // transport; on the simulated transport the single-threaded network
-// imposes single-caller discipline, which System's sharded mode honours
-// by buffering emissions until Quiesce.
+// imposes single-caller discipline, which System honours by running
+// every plan inline on the publishing goroutine.
 type netClient interface {
 	Advertise(streamName string)
 	Subscribe(p *profile.Profile)

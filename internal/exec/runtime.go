@@ -2,8 +2,8 @@
 // tuple dispatch between the data wrapper and the compiled plans of the
 // stream processing engine (paper Figure 2). It shards execution so a
 // multi-core processor saturates its cores the way the cooperative
-// worker pools of modern stream engines do (Hazelcast Jet), while the
-// data path amortises dispatch over micro-batches.
+// worker pools of modern stream engines do (Hazelcast Jet). The caller
+// feeds it one tuple at a time; the worker queues are its only buffer.
 //
 // # Architecture
 //
@@ -15,11 +15,10 @@
 //     dispatch table — per stream, the plans consuming it sorted by plan
 //     ID, pre-partitioned by owning worker — and publishes it through an
 //     atomic.Pointer.
-//   - Data plane (Consume, ConsumeBatch): loads the table lock-free; one
-//     map lookup per tuple (or per same-stream run of a batch), no
-//     per-tuple sorting, no allocation on the dispatch path. A tuple of a
-//     stream no plan consumes costs one pointer load and one map lookup,
-//     and allocates nothing.
+//   - Data plane (Consume): loads the table lock-free; one map lookup
+//     per tuple, no per-tuple sorting, no allocation on the dispatch
+//     path. A tuple of a stream no plan consumes costs one pointer load
+//     and one map lookup, and allocates nothing.
 //
 // Plan state is guarded by a per-plan mutex, not an engine-wide one:
 // Push only touches plan-local state, so two plans never contend, and
@@ -34,10 +33,9 @@
 // contract is:
 //
 //   - Per-plan total order: every plan observes the tuples of all of its
-//     input streams in exactly the order they were passed to
-//     Consume/ConsumeBatch, and its emissions preserve that order. This
-//     holds because a plan lives on exactly one worker and the worker
-//     queue is FIFO.
+//     input streams in exactly the order they were passed to Consume,
+//     and its emissions preserve that order. This holds because a plan
+//     lives on exactly one worker and the worker queue is FIFO.
 //   - No cross-plan order: emissions of different plans interleave
 //     arbitrarily, and Emit may be invoked concurrently (it must be safe
 //     for concurrent use when Workers > 0).
@@ -60,8 +58,8 @@
 //
 // Sinks may block — that is the backpressure path. A sink publishing
 // into a full broker channel stalls exactly its worker; the worker's
-// bounded queue then stalls dispatch (Consume/ConsumeBatch block on the
-// queue send), throttling ingestion instead of dropping or buffering
+// bounded queue then stalls dispatch (Consume blocks on the queue
+// send), throttling ingestion instead of dropping or buffering
 // tuples unboundedly. Other workers keep running.
 //
 // Plan execution errors are reported through Config.OnError in both
@@ -198,14 +196,12 @@ type shard struct {
 	slots []*planSlot
 }
 
-// task is one unit of worker work: a tuple (or micro-batch) against the
-// worker's slots for one stream, or a drain barrier.
+// task is one unit of worker work: a tuple against the worker's slots
+// for its stream, or a drain barrier.
 type task struct {
-	slots  []*planSlot
-	tuples []stream.Tuple // micro-batch; nil for a single tuple
-	one    stream.Tuple
-	single bool
-	done   chan struct{} // barrier marker; all other fields empty
+	slots []*planSlot
+	t     stream.Tuple
+	done  chan struct{} // barrier marker; all other fields empty
 }
 
 type worker struct {
@@ -451,8 +447,9 @@ func (r *Runtime) Close() {
 
 // Consume feeds one tuple to every plan registered for its stream. In
 // synchronous mode plans run in ascending plan-ID order and the first
-// plan error is returned (remaining plans are skipped); in sharded mode the tuple is queued to the owning
-// workers and errors surface through OnError only.
+// plan error is returned (remaining plans are skipped); in sharded mode
+// the tuple is queued to the owning workers and errors surface through
+// OnError only. Either way a failing tuple never affects the next one.
 func (r *Runtime) Consume(t stream.Tuple) error {
 	if t.Schema == nil {
 		r.reportError("", errNoSchema)
@@ -471,59 +468,9 @@ func (r *Runtime) Consume(t stream.Tuple) error {
 	}
 	for i := range e.shards {
 		sh := &e.shards[i]
-		sh.w.send(task{slots: sh.slots, one: t, single: true})
+		sh.w.send(task{slots: sh.slots, t: t})
 	}
 	return nil
-}
-
-// ConsumeBatch feeds a micro-batch, amortising the dispatch-table lookup
-// and queue sends over runs of same-stream tuples. Semantically it
-// equals calling Consume per tuple in order: a tuple's failure (reported
-// through OnError) never drops the tuples after it, and the first error
-// is returned. In sharded mode the runtime borrows the batch until its
-// tuples are processed: callers must not reuse the backing array before
-// a Barrier (the Batcher adapter hands over ownership per batch).
-func (r *Runtime) ConsumeBatch(ts []stream.Tuple) error {
-	tbl := r.table.Load()
-	var firstErr error
-	record := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	i := 0
-	for i < len(ts) {
-		if ts[i].Schema == nil {
-			r.reportError("", errNoSchema)
-			record(errNoSchema)
-			i++
-			continue
-		}
-		name := ts[i].Schema.Stream
-		j := i + 1
-		for j < len(ts) && ts[j].Schema != nil && ts[j].Schema.Stream == name {
-			j++
-		}
-		if tbl != nil {
-			if e := tbl.streams[name]; e != nil {
-				run := ts[i:j]
-				if len(r.workers) == 0 {
-					for _, t := range run {
-						if err := r.pushAll(e.slots, t); err != nil {
-							record(err)
-						}
-					}
-				} else {
-					for k := range e.shards {
-						sh := &e.shards[k]
-						sh.w.send(task{slots: sh.slots, tuples: run})
-					}
-				}
-			}
-		}
-		i = j
-	}
-	return firstErr
 }
 
 // pushAll is the synchronous dispatch loop (plan-ID order, first error
@@ -664,17 +611,8 @@ func (w *worker) exec(tk task) {
 		close(tk.done)
 		return
 	}
-	if tk.single {
-		w.tuples.Add(1)
-		for _, s := range tk.slots {
-			_ = s.push(w.r, w.emit, tk.one) // error already reported; plans are independent
-		}
-		return
-	}
-	w.tuples.Add(int64(len(tk.tuples)))
-	for _, t := range tk.tuples {
-		for _, s := range tk.slots {
-			_ = s.push(w.r, w.emit, t)
-		}
+	w.tuples.Add(1)
+	for _, s := range tk.slots {
+		_ = s.push(w.r, w.emit, tk.t) // error already reported; plans are independent
 	}
 }

@@ -164,7 +164,7 @@ func byPlan(seq []string) map[string][]string {
 // the execution runtime: over a randomized querygen workload the
 // runtime must reproduce the sequential reference —
 // byte-identical globally in synchronous and single-worker modes, and
-// byte-identical per plan in sharded mode, at batch sizes 1, 16 and 64.
+// byte-identical per plan in sharded mode.
 func TestRuntimeDifferentialQuerygen(t *testing.T) {
 	w := buildWorkload(t, 40, 90)
 	want := runReference(t, w)
@@ -185,25 +185,6 @@ func TestRuntimeDifferentialQuerygen(t *testing.T) {
 		diffSequences(t, "sync", c.rendered(), want)
 	})
 
-	for _, batch := range []int{16, 64} {
-		t.Run(fmt.Sprintf("sync-batch%d", batch), func(t *testing.T) {
-			var c collector
-			rt := exec.New(exec.Config{Emit: c.emit})
-			defer rt.Close()
-			installAll(t, rt, w)
-			for i := 0; i < len(w.tuples); i += batch {
-				j := i + batch
-				if j > len(w.tuples) {
-					j = len(w.tuples)
-				}
-				if err := rt.ConsumeBatch(w.tuples[i:j]); err != nil {
-					t.Fatalf("consume batch: %v", err)
-				}
-			}
-			diffSequences(t, "sync-batch", c.rendered(), want)
-		})
-	}
-
 	// One worker: all plans share a FIFO shard, so even the global
 	// emission order must reproduce the sequential reference.
 	t.Run("workers1", func(t *testing.T) {
@@ -222,22 +203,16 @@ func TestRuntimeDifferentialQuerygen(t *testing.T) {
 
 	// Sharded: per-plan sequences must match the reference exactly;
 	// cross-plan interleaving is unconstrained.
-	for _, cfg := range []struct {
-		workers, batch int
-	}{{3, 1}, {3, 16}, {4, 64}} {
-		name := fmt.Sprintf("workers%d-batch%d", cfg.workers, cfg.batch)
+	for _, workers := range []int{3, 4} {
+		name := fmt.Sprintf("workers%d", workers)
 		t.Run(name, func(t *testing.T) {
 			var c collector
-			rt := exec.New(exec.Config{Workers: cfg.workers, Emit: c.emit})
+			rt := exec.New(exec.Config{Workers: workers, Emit: c.emit})
 			defer rt.Close()
 			installAll(t, rt, w)
-			for i := 0; i < len(w.tuples); i += cfg.batch {
-				j := i + cfg.batch
-				if j > len(w.tuples) {
-					j = len(w.tuples)
-				}
-				if err := rt.ConsumeBatch(w.tuples[i:j]); err != nil {
-					t.Fatalf("consume batch: %v", err)
+			for _, tp := range w.tuples {
+				if err := rt.Consume(tp); err != nil {
+					t.Fatalf("consume: %v", err)
 				}
 			}
 			rt.Barrier()
@@ -551,10 +526,11 @@ func TestReplaceDrainsQueuedTuples(t *testing.T) {
 	}
 }
 
-// TestConsumeBatchContinuesPastErrors: a failing tuple inside a batch
-// must not drop the tuples after it — ConsumeBatch matches per-tuple
-// Consume semantics, returning the first error.
-func TestConsumeBatchContinuesPastErrors(t *testing.T) {
+// TestConsumeContinuesPastErrors: a failing tuple must not drop the
+// tuples after it, in either mode. Synchronous Consume returns each
+// tuple's error; sharded Consume queues the plan failure to the worker,
+// which reports it through OnError and processes the next tuple.
+func TestConsumeContinuesPastErrors(t *testing.T) {
 	reg := stream.NewRegistry()
 	full := stream.MustSchema("S",
 		stream.Field{Name: "a", Kind: stream.KindInt},
@@ -571,35 +547,49 @@ func TestConsumeBatchContinuesPastErrors(t *testing.T) {
 	good := func(ts int64) stream.Tuple {
 		return stream.MustTuple(full, stream.Timestamp(ts), stream.Int(1), stream.Int(1))
 	}
-	var c collector
-	var errMu sync.Mutex
-	var errIDs []string
-	rt := exec.New(exec.Config{Emit: c.emit, OnError: func(id string, err error) {
-		errMu.Lock()
-		errIDs = append(errIDs, id)
-		errMu.Unlock()
-	}})
-	defer rt.Close()
-	if _, err := rt.Install("p0", bound, "res"); err != nil {
-		t.Fatal(err)
-	}
-	batch := []stream.Tuple{
+	trace := []stream.Tuple{
 		{}, // schema-less
 		good(1),
 		stream.MustTuple(drifted, 2, stream.Int(1)), // plan error (missing b)
 		good(3),
 	}
-	err = rt.ConsumeBatch(batch)
-	if err == nil {
-		t.Fatal("batch with failing tuples returned nil")
-	}
-	if got := c.rendered(); len(got) != 2 {
-		t.Fatalf("emitted %d results, want 2 (the two good tuples)", len(got))
-	}
-	errMu.Lock()
-	defer errMu.Unlock()
-	if len(errIDs) != 2 || errIDs[0] != "" || errIDs[1] != "p0" {
-		t.Fatalf("OnError ids = %v, want [\"\" p0]", errIDs)
+	for _, workers := range []int{0, 2} {
+		var c collector
+		var errMu sync.Mutex
+		var errIDs []string
+		rt := exec.New(exec.Config{Workers: workers, Emit: c.emit, OnError: func(id string, err error) {
+			errMu.Lock()
+			errIDs = append(errIDs, id)
+			errMu.Unlock()
+		}})
+		if _, err := rt.Install("p0", bound, "res"); err != nil {
+			t.Fatal(err)
+		}
+		failed := 0
+		for _, tp := range trace {
+			if rt.Consume(tp) != nil {
+				failed++
+			}
+		}
+		rt.Barrier()
+		// The schema-less tuple fails at dispatch in both modes; the plan
+		// error is returned only when the plan runs on the caller.
+		want := 1
+		if workers == 0 {
+			want = 2
+		}
+		if failed != want {
+			t.Errorf("workers=%d: %d Consume calls returned an error, want %d", workers, failed, want)
+		}
+		if got := c.rendered(); len(got) != 2 {
+			t.Errorf("workers=%d: emitted %d results, want 2 (the two good tuples)", workers, len(got))
+		}
+		errMu.Lock()
+		if len(errIDs) != 2 || errIDs[0] != "" || errIDs[1] != "p0" {
+			t.Errorf("workers=%d: OnError ids = %v, want [\"\" p0]", workers, errIDs)
+		}
+		errMu.Unlock()
+		rt.Close()
 	}
 }
 

@@ -42,7 +42,6 @@ func TestScenarioChurn(t *testing.T) {
 		ProcessorNodes:  []int{2, 11, 19},
 		Placement:       core.RoundRobin,
 		ExecWorkers:     2,
-		IngestBatch:     1,
 		CheckpointEvery: 16,
 	})
 	if err != nil {

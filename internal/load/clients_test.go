@@ -30,7 +30,7 @@ func TestScenarioClients(t *testing.T) {
 		clients = 16
 		feeds   = 2
 	)
-	ls, err := core.NewLiveSystem(core.Options{Nodes: nodes, Seed: 5, ExecWorkers: 2, IngestBatch: 1})
+	ls, err := core.NewLiveSystem(core.Options{Nodes: nodes, Seed: 5, ExecWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

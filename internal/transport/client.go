@@ -843,6 +843,14 @@ func (c *Client) restore(conn net.Conn) error {
 		}
 	}
 	c.mu.Lock()
+	if w.dead() {
+		// The connection died after the last round trip. Its read loop
+		// saw the session still coming up and left the retry to this
+		// loop, so the attempt fails instead of reporting a dead session
+		// up; what it learned stays owed to the next one.
+		c.mu.Unlock()
+		return errors.New("transport: connection lost while resuming")
+	}
 	c.epoch = epoch
 	c.up = true
 	c.reconnects++

@@ -98,7 +98,7 @@ func TestConcurrentClients(t *testing.T) {
 func startLiveServer(t *testing.T, workers int) (addr string, sys *core.System, shutdown func()) {
 	t.Helper()
 	ls, err := core.NewLiveSystem(core.Options{
-		Nodes: 16, Seed: 3, ExecWorkers: workers, IngestBatch: 4,
+		Nodes: 16, Seed: 3, ExecWorkers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -805,12 +805,21 @@ func TestRetireForgetsEveryClaimedIdentity(t *testing.T) {
 	}
 }
 
+// scriptedReply is what scriptedServer does with one MsgResume.
+type scriptedReply int
+
+const (
+	answer        scriptedReply = iota // answer with the resume point
+	cutInstead                         // sever the connection instead of answering
+	answerThenCut                      // answer, then sever the connection
+)
+
 // scriptedServer speaks just enough of the protocol to script a restore
 // attempt by attempt: it adopts every tag a hello offers, tags submits
 // t1, t2, …, answers pings, and asks resume for each MsgResume's resume
-// point — or, with ok false, cuts the connection instead of answering.
-// conn counts accepted connections from 1. cut severs the current one.
-func scriptedServer(t *testing.T, resume func(conn int, req *Request) (seq uint64, ok bool)) (addr string, cut func()) {
+// point and reply. conn counts accepted connections from 1. cut severs
+// the current one.
+func scriptedServer(t *testing.T, resume func(conn int, req *Request) (seq uint64, reply scriptedReply)) (addr string, cut func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -834,6 +843,7 @@ func scriptedServer(t *testing.T, resume func(conn int, req *Request) (seq uint6
 				return
 			}
 			resp := Response{ID: req.ID, Kind: MsgOK}
+			reply := answer
 			switch req.Kind {
 			case MsgHello:
 				resp.Epoch, resp.Tags, resp.WireVersion = uint64(n), req.ResumeTags, wireVersion
@@ -843,8 +853,8 @@ func scriptedServer(t *testing.T, resume func(conn int, req *Request) (seq uint6
 				resp.QueryTag = fmt.Sprintf("t%d", tags)
 				mu.Unlock()
 			case MsgResume:
-				seq, ok := resume(n, &req)
-				if !ok {
+				var seq uint64
+				if seq, reply = resume(n, &req); reply == cutInstead {
 					return
 				}
 				resp.Seq, resp.QueryTag = seq, req.QueryTag
@@ -856,7 +866,7 @@ func scriptedServer(t *testing.T, resume func(conn int, req *Request) (seq uint6
 					return
 				}
 			}
-			if err := enc.Encode(&resp); err != nil {
+			if err := enc.Encode(&resp); err != nil || reply == answerThenCut {
 				return
 			}
 		}
@@ -894,17 +904,17 @@ func scriptedServer(t *testing.T, resume func(conn int, req *Request) (seq uint6
 func TestFailedRestoreKeepsGapOwed(t *testing.T) {
 	var mu sync.Mutex
 	var resumes []string
-	addr, cut := scriptedServer(t, func(conn int, req *Request) (uint64, bool) {
+	addr, cut := scriptedServer(t, func(conn int, req *Request) (uint64, scriptedReply) {
 		mu.Lock()
 		resumes = append(resumes, fmt.Sprintf("conn%d %s last=%d", conn, req.QueryTag, req.LastSeq))
 		mu.Unlock()
 		switch {
 		case req.QueryTag == "t1":
-			return 3, true // results 1..3 were emitted while the client was away
+			return 3, answer // results 1..3 were emitted while the client was away
 		case conn == 2:
-			return 0, false // the first attempt dies on the second subscription
+			return 0, cutInstead // the first attempt dies on the second subscription
 		default:
-			return 0, true
+			return 0, answer
 		}
 	})
 	sub, err := DialConfig(addr, Config{Resilience: fastResilience()})
@@ -938,5 +948,41 @@ func TestFailedRestoreKeepsGapOwed(t *testing.T) {
 	}
 	if _, gaps2, _ := rec2.snapshot(); len(gaps2) != 0 {
 		t.Errorf("second subscription's gaps = %+v, want none", gaps2)
+	}
+}
+
+// TestConnLostAfterLastResumeRetries: a connection that dies right after
+// answering the last resume must not leave the client reporting the
+// session up with no connection under it. The read loop sees the loss
+// while the session is still coming up and leaves the retry to the
+// reconnect loop, so the restore attempt has to notice and fail. Each of
+// several attempts is cut this way; the client must keep retrying until
+// a connection stays.
+func TestConnLostAfterLastResumeRetries(t *testing.T) {
+	const cutConns = 20 // connections 2..21 die after the resume OK
+	var stayed atomic.Bool
+	addr, cut := scriptedServer(t, func(conn int, req *Request) (uint64, scriptedReply) {
+		if conn <= cutConns+1 {
+			return 0, answerThenCut
+		}
+		stayed.Store(true)
+		return 0, answer
+	})
+	sub, err := DialConfig(addr, Config{Resilience: fastResilience()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	var rec subRecorder
+	if _, err := sub.Submit("SELECT itemID FROM OpenAuction [Now]", 0, rec.onResult, rec.onEnd, rec.onGap); err != nil {
+		t.Fatal(err)
+	}
+	cut()
+	waitFor(t, 20*time.Second, "a restore on a connection that stays up", stayed.Load)
+	if err := sub.Quiesce(); err != nil {
+		t.Fatalf("round trip after the restore: %v", err)
+	}
+	if _, _, ends := rec.snapshot(); len(ends) != 0 {
+		t.Fatalf("subscription ended: %v", ends)
 	}
 }

@@ -55,7 +55,6 @@ func TestObservabilityDifferential(t *testing.T) {
 	t.Run("live", func(t *testing.T) {
 		opts := diffOptions()
 		opts.ExecWorkers = 2
-		opts.IngestBatch = 8
 		opts.Obs = fullObs()
 		ls, err := core.NewLiveSystem(opts)
 		if err != nil {
@@ -68,7 +67,6 @@ func TestObservabilityDifferential(t *testing.T) {
 	t.Run("remote", func(t *testing.T) {
 		opts := diffOptions()
 		opts.ExecWorkers = 2
-		opts.IngestBatch = 8
 		opts.Obs = fullObs()
 		addr := startServerWith(t, opts)
 		client, err := cosmos.Dial(addr)

@@ -20,9 +20,12 @@ import (
 // retired second paths — broker fallback, plan degradation, wire version
 // negotiation, the gob tuple codec publishes travelled in, the tuple-slice
 // window buffers' compaction and the join buckets' lazy trim, the
-// sequential spe.Engine beside exec.Runtime, and the load harness's
-// second instrument (its report writer and transport/auction scenarios)
-// — are not declared or used anywhere, and cmd/cosmosbench is gone.
+// sequential spe.Engine beside exec.Runtime, the load harness's second
+// instrument (its report writer and transport/auction scenarios), the
+// micro-batching ingest hop between a processor's network pump and its
+// runtime, the SimNet-only outbox of worker emissions, and the unused
+// delay-weighted byte sum — are not declared or used anywhere, and
+// cmd/cosmosbench is gone.
 func TestOnePathStructure(t *testing.T) {
 	if _, err := os.Stat("cmd/cosmosbench"); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("cmd/cosmosbench exists (stat: %v); benchmark/ is the one instrument", err)
@@ -33,6 +36,8 @@ func TestOnePathStructure(t *testing.T) {
 		"degrade", "kindConforms", "negotiateWire", "WireV1", "handleResult", "WithWireVersion",
 		"maybeCompact", "compactMinHead", "liveOverflow", "liveMin", "mhead", "probeKey", "rebuildState", "aliasesOf",
 		"NewEngine", "WriteReport", "splitHistory", "runTransport", "runAuction",
+		"Batcher", "NewBatcher", "ConsumeBatch", "IngestBatch", "IngestQueuePerProc", "outbox", "procsIdle",
+		"WeightedDataCost",
 	} {
 		retired[name] = true
 	}
