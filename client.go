@@ -20,8 +20,7 @@ import (
 // sequences for the same workload.
 //
 // A Client is safe for concurrent use on every backend (the
-// synchronous SimNet backend serialises its session operations
-// internally to honour the single-threaded network's discipline).
+// synchronous System behind Embed serialises its own operations).
 // Close tears down the client's sessions
 // (every Subscription ends, every Source stops accepting); it
 // does not stop an embedded deployment, whose owner keeps that
@@ -77,9 +76,7 @@ type Client interface {
 }
 
 // Source publishes one registered source stream into the data layer.
-// Implementations are safe for concurrent use when the underlying
-// transport is (LiveNet, TCP); on the synchronous SimNet the
-// single-threaded network imposes single-caller discipline.
+// Implementations are safe for concurrent use on every backend.
 type Source interface {
 	// Stream returns the source's stream name.
 	Stream() string

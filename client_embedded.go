@@ -11,17 +11,11 @@ import (
 // Embed returns a Client session over an in-process synchronous System
 // (SimNet): deterministic, single-threaded, the differential reference
 // for the other backends. The caller keeps ownership of the system;
-// Close tears down only this client's subscriptions.
-//
-// The synchronous network imposes single-caller discipline, so this
-// backend serialises the session's operations (Publish, Submit, Cancel,
-// context-driven teardown, Quiesce) behind one lock — the Client
-// contract's concurrent-use safety holds, at the cost of publishing
-// throughput the deterministic transport never had anyway. Direct use
-// of the underlying System alongside a concurrently-used session is not
-// serialised.
+// Close tears down only this client's subscriptions. The System
+// serialises its own operations, so the session is safe for concurrent
+// use like the others, at the publishing throughput of one thread.
 func Embed(sys *System) Client {
-	return &embeddedClient{sys: sys, sync: true, subs: map[*Subscription]*core.QueryHandle{}}
+	return &embeddedClient{sys: sys, subs: map[*Subscription]*core.QueryHandle{}}
 }
 
 // EmbedLive returns a Client session over an in-process LiveSystem
@@ -29,41 +23,21 @@ func Embed(sys *System) Client {
 // the per-worker direct-publish data path beneath. The caller keeps
 // ownership of the system — Close tears down this client's
 // subscriptions, not the deployment (call LiveSystem.Close for that).
-func EmbedLive(ls *LiveSystem) Client {
-	return &embeddedClient{sys: ls.System, subs: map[*Subscription]*core.QueryHandle{}}
-}
+func EmbedLive(ls *LiveSystem) Client { return Embed(ls.System) }
 
 // embeddedClient implements Client directly over core.System — one
 // implementation for both in-process transports, since LiveSystem is a
 // System deployed over the concurrent network.
 type embeddedClient struct {
 	sys *System
-	// sync marks the SimNet backend; session operations then serialise
-	// on opMu to honour the single-threaded network's single-caller
-	// discipline (a context watcher cancelling mid-Publish would
-	// otherwise race the synchronous routing cascade).
-	sync bool
-	opMu sync.Mutex
 
 	mu     sync.Mutex
 	subs   map[*Subscription]*core.QueryHandle
 	closed bool
 }
 
-// lock serialises one session operation on the synchronous backend; a
-// no-op (nil unlock) on the live backend, whose system is thread-safe.
-func (c *embeddedClient) lock() func() {
-	if !c.sync {
-		return func() {}
-	}
-	c.opMu.Lock()
-	return c.opMu.Unlock
-}
-
 // embeddedSource wraps a source port into the session: publishes stop
-// once the client closes (matching the remote backend), and on the
-// synchronous backend they serialise with the session's other
-// operations.
+// once the client closes, matching the remote backend.
 type embeddedSource struct {
 	c    *embeddedClient
 	port *core.SourcePort
@@ -78,7 +52,6 @@ func (s embeddedSource) Publish(t Tuple) error {
 	if closed {
 		return fmt.Errorf("cosmos: client closed")
 	}
-	defer s.c.lock()()
 	return s.port.Publish(t)
 }
 
@@ -89,7 +62,6 @@ func (c *embeddedClient) RegisterStream(info *StreamInfo, node int) (Source, err
 	if closed {
 		return nil, fmt.Errorf("cosmos: client closed")
 	}
-	defer c.lock()()
 	port, err := c.sys.RegisterStream(info, node)
 	if err != nil {
 		return nil, err
@@ -113,9 +85,7 @@ func (c *embeddedClient) Submit(ctx context.Context, cql string, userNode int) (
 		return nil, fmt.Errorf("cosmos: client closed")
 	}
 	sub := newSubscription()
-	unlock := c.lock()
 	h, err := c.sys.Submit(cql, userNode, sub.push)
-	unlock()
 	if err != nil {
 		sub.end(err)
 		return nil, err
@@ -126,7 +96,7 @@ func (c *embeddedClient) Submit(ctx context.Context, cql string, userNode int) (
 	if c.closed {
 		// Lost the race with Close: undo immediately.
 		c.mu.Unlock()
-		c.cancelInSystem(h)
+		_ = c.sys.Cancel(h) // the query is ours alone; nothing else can have cancelled it
 		sub.end(nil)
 		return nil, fmt.Errorf("cosmos: client closed")
 	}
@@ -146,11 +116,6 @@ func (c *embeddedClient) remove(sub *Subscription, inSystem bool) error {
 	if !ok || !inSystem {
 		return nil
 	}
-	return c.cancelInSystem(h)
-}
-
-func (c *embeddedClient) cancelInSystem(h *core.QueryHandle) error {
-	defer c.lock()()
 	return c.sys.Cancel(h)
 }
 
@@ -166,12 +131,10 @@ func (c *embeddedClient) Catalog() ([]*StreamInfo, error) {
 }
 
 func (c *embeddedClient) Stats() (SystemStats, error) {
-	defer c.lock()()
 	return c.sys.StatsSnapshot(), nil
 }
 
 func (c *embeddedClient) Quiesce() error {
-	defer c.lock()()
 	c.sys.Quiesce()
 	return nil
 }
@@ -187,7 +150,7 @@ func (c *embeddedClient) Close() error {
 	c.subs = map[*Subscription]*core.QueryHandle{}
 	c.mu.Unlock()
 	for sub, h := range subs {
-		_ = c.cancelInSystem(h)
+		_ = c.sys.Cancel(h)
 		sub.end(nil)
 	}
 	return nil

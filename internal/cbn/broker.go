@@ -38,9 +38,10 @@
 // package's tests as the differential reference.
 //
 // The package separates protocol logic (Broker — synchronous, transport
-// agnostic) from transports: SimNet runs brokers over a simulated overlay
-// with deterministic FIFO delivery and per-link byte accounting (how the
-// paper evaluates, §5), while LiveNet runs each broker on its own
+// agnostic) and the overlay it runs on (Fabric: interface tables, links,
+// per-link byte accounting, the per-message step) from scheduling:
+// SimNet drains the fabric's messages in deterministic FIFO order (how
+// the paper evaluates, §5), while LiveNet runs each broker on its own
 // goroutine with elastic mailboxes between brokers, credit-bounded
 // client ingress (backpressure) and per-client delivery pumps; LiveNet
 // brokers route concurrently against the same published table without

@@ -468,7 +468,7 @@ func TestSimNetQueueCompaction(t *testing.T) {
 // must be zeroed, and the no-op case must not disturb anything.
 func TestCompactQueueBookkeeping(t *testing.T) {
 	n := NewSimNet(1)
-	mk := func(name string) event { return event{kind: 2, name: name} }
+	mk := func(name string) event { return event{message: message{kind: msgAdvertise, name: name}} }
 
 	// No-op when nothing has been consumed.
 	n.queue = []event{mk("a"), mk("b")}

@@ -1,0 +1,301 @@
+package cbn
+
+import (
+	"sort"
+	"sync"
+	"sync/atomic"
+
+	"cosmos/internal/obs"
+	"cosmos/internal/profile"
+	"cosmos/internal/stream"
+)
+
+// Assumed wire overheads (bytes) for message accounting; the simulator is
+// what the paper itself used to evaluate the CBN ("The CBN is simulated
+// in the experiments", §5), and LiveNet charges the same sizes.
+const (
+	DataHeaderBytes   = 16
+	AdvertBytes       = 32
+	SubscribeBaseSize = 48
+	ConstraintBytes   = 24
+	AttrNameBytes     = 12
+)
+
+// LinkStats is a snapshot of one undirected overlay link's traffic.
+type LinkStats struct {
+	A, B    int
+	DelayMs float64
+	// DataBytes / DataMsgs count tuple traffic; CtrlBytes / CtrlMsgs
+	// count advertisements and subscriptions.
+	DataBytes int64
+	DataMsgs  int64
+	CtrlBytes int64
+	CtrlMsgs  int64
+}
+
+// Message kinds.
+const (
+	msgData = iota
+	msgSubscribe
+	msgAdvertise
+)
+
+// message is one CBN message at a broker: a tuple, a subscription or an
+// advertisement, and the interface it arrived on.
+type message struct {
+	from  IfaceID
+	kind  int
+	tuple stream.Tuple
+	prof  *profile.Profile
+	name  string
+}
+
+// receiver is a client endpoint as its broker sees it: a SimClient runs
+// its callback on the spot, a LiveClient queues the tuple for its pump.
+type receiver interface{ receive(t stream.Tuple) }
+
+// hop is where one broker interface leads: a client endpoint, or an
+// overlay link whose far end is interface peerIface of node peer.
+type hop struct {
+	client    receiver // nil for an overlay link
+	peer      int
+	peerIface IfaceID
+	link      *linkCounters
+}
+
+// linkCounters accumulates one undirected link's traffic. On LiveNet the
+// brokers at both ends add concurrently, hence the atomics.
+type linkCounters struct {
+	a, b      int
+	delayMs   float64
+	dataBytes atomic.Int64
+	dataMsgs  atomic.Int64
+	ctrlBytes atomic.Int64
+	ctrlMsgs  atomic.Int64
+}
+
+// Fabric is the overlay both transports run: a Broker per node, each
+// node's interface table (client endpoints and overlay links), the
+// per-link counters, and the step that takes one message through a
+// broker and passes each consequence on to its next hop. SimNet and
+// LiveNet differ only in how they schedule those hops — one FIFO queue
+// drained on the caller's goroutine, or a mailbox per node drained by a
+// goroutine per broker — so what a message does, and what it costs on
+// which link, is decided here once.
+type Fabric struct {
+	brokers []*Broker
+	tables  []ifaceTable
+	links   []*linkCounters // complete before traffic flows
+	// metrics, when non-nil, observes the route stage (nil-safe).
+	metrics *obs.Metrics
+}
+
+// ifaceTable is one node's interfaces. Clients attach and detach while
+// brokers route (LiveNet), hence the lock.
+type ifaceTable struct {
+	mu   sync.RWMutex
+	hops map[IfaceID]hop // guarded by mu
+	next IfaceID         // guarded by mu
+}
+
+func newFabric(n int) Fabric {
+	f := Fabric{brokers: make([]*Broker, n), tables: make([]ifaceTable, n)}
+	for i := range f.brokers {
+		f.brokers[i] = NewBroker(i)
+		f.tables[i].hops = map[IfaceID]hop{}
+	}
+	return f
+}
+
+// SetMetrics attaches the observability hub; each broker routing hop
+// counts one route-stage event (sampled for latency) against it. Call
+// before traffic flows.
+func (f *Fabric) SetMetrics(m *obs.Metrics) { f.metrics = m }
+
+// NumNodes returns the broker count.
+func (f *Fabric) NumNodes() int { return len(f.brokers) }
+
+// Broker exposes a node's broker.
+func (f *Fabric) Broker(node int) *Broker { return f.brokers[node] }
+
+// attach claims the next interface of node for h.
+func (f *Fabric) attach(node int, h hop) IfaceID {
+	tb := &f.tables[node]
+	tb.mu.Lock()
+	id := tb.next
+	tb.next++
+	tb.hops[id] = h
+	tb.mu.Unlock()
+	f.brokers[node].AttachIface(id)
+	return id
+}
+
+// detach forgets an interface: the broker's deliveries to it are dropped
+// from then on.
+func (f *Fabric) detach(node int, iface IfaceID) {
+	tb := &f.tables[node]
+	tb.mu.Lock()
+	delete(tb.hops, iface)
+	tb.mu.Unlock()
+}
+
+// addLink joins two brokers with an undirected overlay link; a pair
+// already linked keeps its one link.
+func (f *Fabric) addLink(a, b int, delayMs float64) {
+	if a > b {
+		a, b = b, a
+	}
+	for _, l := range f.links {
+		if l.a == a && l.b == b {
+			return
+		}
+	}
+	l := &linkCounters{a: a, b: b, delayMs: delayMs}
+	f.links = append(f.links, l)
+	ia := f.attach(a, hop{peer: b, link: l})
+	ib := f.attach(b, hop{peer: a, peerIface: ia, link: l})
+	tb := &f.tables[a]
+	tb.mu.Lock()
+	tb.hops[ia] = hop{peer: b, peerIface: ib, link: l}
+	tb.mu.Unlock()
+}
+
+// step takes one message through node's broker. A routed tuple for a
+// local client goes to its receiver; a message for a neighbour is charged
+// on the link and handed to forward with the interface it arrives on.
+// Routing recycles *scratch when scratch is non-nil, which only a caller
+// that cannot re-enter step for this node while the deliveries are being
+// passed on may ask for. The error is the broker's routing error for a
+// tuple, which then goes nowhere.
+func (f *Fabric) step(node int, m message, scratch *[]Delivery, forward func(peer int, m message)) error {
+	b := f.brokers[node]
+	switch m.kind {
+	case msgData:
+		var buf []Delivery
+		if scratch != nil {
+			buf = *scratch
+		}
+		// Brokers route concurrently on LiveNet: stripe the count by node
+		// so the counting stays uncontended.
+		start := f.metrics.StageStartAt(obs.StageRoute, node)
+		deliveries, err := b.RouteTupleInto(m.tuple, m.from, buf)
+		f.metrics.StageEnd(obs.StageRoute, start)
+		f.metrics.TraceMark(int64(m.tuple.Ts), obs.StageRoute)
+		if err != nil {
+			return err
+		}
+		for _, d := range deliveries {
+			f.send(node, d.Iface, message{kind: msgData, tuple: d.Tuple}, forward)
+		}
+		if scratch != nil && deliveries != nil {
+			clear(deliveries) // drop tuple refs before recycling
+			*scratch = deliveries
+		}
+	case msgSubscribe:
+		for _, fw := range b.HandleSubscribe(m.prof, m.from) {
+			f.send(node, fw.Iface, message{kind: msgSubscribe, prof: fw.Prof}, forward)
+		}
+	case msgAdvertise:
+		adverts, subs := b.HandleAdvertise(m.name, m.from)
+		for _, a := range adverts {
+			f.send(node, a.Iface, message{kind: msgAdvertise, name: a.Stream}, forward)
+		}
+		for _, fw := range subs {
+			f.send(node, fw.Iface, message{kind: msgSubscribe, prof: fw.Prof}, forward)
+		}
+	}
+	return nil
+}
+
+// send passes one message on through interface iface of node. Clients
+// take tuples only; an interface detached meanwhile drops the message.
+func (f *Fabric) send(node int, iface IfaceID, m message, forward func(peer int, m message)) {
+	tb := &f.tables[node]
+	tb.mu.RLock()
+	h, ok := tb.hops[iface]
+	tb.mu.RUnlock()
+	switch {
+	case !ok:
+	case h.client != nil:
+		if m.kind == msgData {
+			h.client.receive(m.tuple)
+		}
+	default:
+		switch m.kind {
+		case msgData:
+			h.link.dataMsgs.Add(1)
+			h.link.dataBytes.Add(int64(m.tuple.WireSize() + DataHeaderBytes))
+		case msgSubscribe:
+			h.link.ctrlMsgs.Add(1)
+			h.link.ctrlBytes.Add(int64(profileWireSize(m.prof)))
+		case msgAdvertise:
+			h.link.ctrlMsgs.Add(1)
+			h.link.ctrlBytes.Add(int64(AdvertBytes + len(m.name)))
+		}
+		m.from = h.peerIface
+		forward(h.peer, m)
+	}
+}
+
+// SetCatalog installs a stream catalog on every broker as the
+// schema-drift guard for compiled routing.
+func (f *Fabric) SetCatalog(reg *stream.Registry) {
+	for _, b := range f.brokers {
+		b.SetCatalog(reg)
+	}
+}
+
+// PruneStream garbage-collects a retired stream's state on every broker
+// (the TTL expiry of a long-running deployment); safe while brokers
+// route, the broker control plane being locked.
+func (f *Fabric) PruneStream(name string) {
+	for _, b := range f.brokers {
+		b.PruneStream(name)
+	}
+}
+
+// Stats returns per-link counters sorted by (A, B). Each counter is read
+// atomically, but while LiveNet carries traffic the snapshot is not a
+// consistent cut across links; quiesce first for exact readouts.
+func (f *Fabric) Stats() []*LinkStats {
+	out := make([]*LinkStats, 0, len(f.links))
+	for _, l := range f.links {
+		out = append(out, &LinkStats{
+			A: l.a, B: l.b, DelayMs: l.delayMs,
+			DataBytes: l.dataBytes.Load(), DataMsgs: l.dataMsgs.Load(),
+			CtrlBytes: l.ctrlBytes.Load(), CtrlMsgs: l.ctrlMsgs.Load(),
+		})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].A != out[j].A {
+			return out[i].A < out[j].A
+		}
+		return out[i].B < out[j].B
+	})
+	return out
+}
+
+// TotalDataBytes sums tuple traffic over all overlay links; like Stats,
+// exact once the network is quiet.
+func (f *Fabric) TotalDataBytes() int64 {
+	var total int64
+	for _, l := range f.links {
+		total += l.dataBytes.Load()
+	}
+	return total
+}
+
+// profileWireSize estimates a subscription message's size.
+func profileWireSize(p *profile.Profile) int {
+	size := SubscribeBaseSize
+	for _, s := range p.Streams {
+		size += len(s)
+		if attrs := p.AttrsFor(s); attrs != nil {
+			size += AttrNameBytes * len(attrs)
+		}
+		for _, cj := range p.FilterFor(s) {
+			size += ConstraintBytes * len(cj)
+		}
+	}
+	return size
+}

@@ -4,21 +4,18 @@ import (
 	"fmt"
 	"log"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"cosmos/internal/obs"
 	"cosmos/internal/overlay"
 	"cosmos/internal/profile"
 	"cosmos/internal/stream"
 )
 
-// LiveNet runs each broker on its own goroutine — the concurrent
-// counterpart of SimNet used by core.LiveSystem and the examples.
-// Protocol behaviour is identical: both drive the same Broker logic, so
-// SimNet remains the deterministic differential reference for
-// everything LiveNet delivers.
+// LiveNet runs each broker of a Fabric on its own goroutine — the
+// concurrent counterpart of SimNet used by core.LiveSystem and the
+// examples. Both schedule the same Fabric, so SimNet remains the
+// deterministic differential reference for everything LiveNet delivers.
 //
 // # Ingress, egress and backpressure
 //
@@ -57,8 +54,11 @@ import (
 // subscriber in publish order. No order holds between different
 // publishers.
 type LiveNet struct {
-	brokers []*Broker
-	nodes   []*liveNode
+	Fabric
+	nodes []*liveNode
+	// forward queues a message on a peer's mailbox; built once, so
+	// routing allocates no closure per message.
+	forward func(peer int, m message)
 
 	inboxCap int
 
@@ -71,10 +71,6 @@ type LiveNet struct {
 
 	stopping atomic.Bool
 
-	// links holds one atomic counter block per undirected overlay link,
-	// shared by both direction endpoints; Stats snapshots them.
-	links []*liveLinkStats
-
 	// pending counts messages accepted but not yet fully processed —
 	// including client deliveries queued on a pump. injected counts every
 	// client injection ever accepted; together they let Quiesce callers
@@ -82,15 +78,7 @@ type LiveNet struct {
 	pending  atomic.Int64
 	injected atomic.Int64
 	idle     chan struct{}
-
-	// metrics, when non-nil, observes the route stage (nil-safe).
-	metrics *obs.Metrics
 }
-
-// SetMetrics attaches the observability hub; each broker routing hop
-// counts one route-stage event (sampled for latency) against it. Call
-// before Start.
-func (n *LiveNet) SetMetrics(m *obs.Metrics) { n.metrics = m }
 
 // QueueDepths gauges each node's mailbox backlog at snapshot time.
 func (n *LiveNet) QueueDepths() []int {
@@ -103,21 +91,12 @@ func (n *LiveNet) QueueDepths() []int {
 	return out
 }
 
-// liveNode is one node's mailbox and attachment state.
+// liveNode is one node's mailbox.
 type liveNode struct {
 	net *LiveNet
 
-	// epMu guards the attachment maps so clients can attach while broker
-	// goroutines route concurrently.
-	epMu      sync.RWMutex
-	endpoints map[IfaceID]liveEndpoint // guarded by epMu
-	// reverse maps an outgoing iface to the arrival iface on the peer.
-	// Guarded by epMu.
-	reverse   map[IfaceID]IfaceID
-	nextIface IfaceID // guarded by epMu
-
-	// scratch is the delivery buffer RouteTupleInto recycles; owned by
-	// the node's single event-loop goroutine, never shared.
+	// scratch is the delivery buffer routing recycles; owned by the
+	// node's single event-loop goroutine, never shared.
 	scratch []Delivery
 
 	// mu/cond guard the elastic mailbox the node's broker drains.
@@ -133,6 +112,14 @@ type liveNode struct {
 	// credits bounds the node's backlog of client-injected messages:
 	// inject acquires, the broker releases after processing.
 	credits chan struct{}
+}
+
+// liveMsg is a message in a node's mailbox; credit marks a
+// client-injected one, whose ingress credit the broker returns after
+// processing it.
+type liveMsg struct {
+	message
+	credit bool
 }
 
 // push appends to the node's mailbox and wakes its broker; never blocks.
@@ -152,37 +139,6 @@ func (nd *liveNode) push(m liveMsg) {
 	nd.queue = append(nd.queue, m)
 	nd.cond.Signal()
 	nd.mu.Unlock()
-}
-
-type liveEndpoint struct {
-	isClient bool
-	client   *LiveClient
-	peerNode int
-	// link is the undirected counter block of the overlay link this
-	// endpoint sends over; nil for client endpoints.
-	link *liveLinkStats
-}
-
-// liveLinkStats accumulates one undirected link's traffic counters.
-// Brokers on both ends increment concurrently, hence the atomics; Stats
-// snapshots them into the LinkStats shape SimNet reports.
-type liveLinkStats struct {
-	a, b      int
-	dataBytes atomic.Int64
-	dataMsgs  atomic.Int64
-	ctrlBytes atomic.Int64
-	ctrlMsgs  atomic.Int64
-}
-
-type liveMsg struct {
-	from  IfaceID
-	kind  int // 0 data, 1 subscribe, 2 advertise
-	tuple stream.Tuple
-	prof  *profile.Profile
-	name  string
-	// credit marks a client-injected message whose ingress credit the
-	// broker returns after processing.
-	credit bool
 }
 
 // LiveClient is a client endpoint of a LiveNet: a source, a processor
@@ -227,8 +183,8 @@ func (c *LiveClient) ensurePumpLocked() {
 // withdraw subscriptions via Broker.Unsubscribe.
 func (c *LiveClient) Iface() IfaceID { return c.iface }
 
-// enqueue hands a delivery to the client's pump.
-func (c *LiveClient) enqueue(t stream.Tuple) {
+// receive hands a delivery to the client's pump.
+func (c *LiveClient) receive(t stream.Tuple) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -281,9 +237,7 @@ func (c *LiveClient) pump() {
 			}
 			c.net.done()
 		}
-		for i := range batch {
-			batch[i] = stream.Tuple{} // drop refs before recycling
-		}
+		clear(batch) // drop refs before recycling
 		spare = batch[:0]
 	}
 }
@@ -311,10 +265,7 @@ func (c *LiveClient) fail() {
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
-	nd := c.net.nodes[c.Node]
-	nd.epMu.Lock()
-	delete(nd.endpoints, c.iface)
-	nd.epMu.Unlock()
+	c.net.detach(c.Node, c.iface)
 }
 
 // shutdown closes the client, dropping queued deliveries. When wait is
@@ -352,9 +303,6 @@ func (c *LiveClient) shutdown(wait bool) {
 	}
 }
 
-// stop shuts the pump down and waits for it; used by LiveNet.Stop.
-func (c *LiveClient) stop() { c.shutdown(true) }
-
 // Close detaches the client: the broker stops delivering to it, its
 // pump (if any) winds down, and queued deliveries are dropped. It does
 // not wait for an in-flight delivery callback, so it is safe to call
@@ -362,10 +310,7 @@ func (c *LiveClient) stop() { c.shutdown(true) }
 // still works until the network stops; idempotent and safe while
 // brokers route concurrently.
 func (c *LiveClient) Close() {
-	nd := c.net.nodes[c.Node]
-	nd.epMu.Lock()
-	delete(nd.endpoints, c.iface)
-	nd.epMu.Unlock()
+	c.net.detach(c.Node, c.iface)
 	c.shutdown(false)
 }
 
@@ -387,7 +332,7 @@ func WithInboxCap(c int) LiveNetOption {
 // NewLiveNet builds a network of n brokers with no links.
 func NewLiveNet(n int, opts ...LiveNetOption) *LiveNet {
 	net := &LiveNet{
-		brokers:  make([]*Broker, n),
+		Fabric:   newFabric(n),
 		nodes:    make([]*liveNode, n),
 		inboxCap: 1024,
 		quit:     make(chan struct{}),
@@ -396,44 +341,29 @@ func NewLiveNet(n int, opts ...LiveNetOption) *LiveNet {
 	for _, opt := range opts {
 		opt(net)
 	}
-	for i := 0; i < n; i++ {
-		net.brokers[i] = NewBroker(i)
-		nd := &liveNode{
-			net:       net,
-			endpoints: map[IfaceID]liveEndpoint{},
-			reverse:   map[IfaceID]IfaceID{},
-			credits:   make(chan struct{}, net.inboxCap),
-		}
+	for i := range net.nodes {
+		nd := &liveNode{net: net, credits: make(chan struct{}, net.inboxCap)}
 		nd.cond = sync.NewCond(&nd.mu)
 		net.nodes[i] = nd
+	}
+	net.forward = func(peer int, m message) {
+		net.pending.Add(1)
+		net.nodes[peer].push(liveMsg{message: m})
 	}
 	return net
 }
 
 // NewLiveNetFromTree builds a network whose links mirror a dissemination
-// tree's edges — the live counterpart of NewSimNetFromTree (LiveNet does
-// not model link delays).
+// tree's edges, delays included — the live counterpart of
+// NewSimNetFromTree.
 func NewLiveNetFromTree(t *overlay.Tree, opts ...LiveNetOption) *LiveNet {
 	net := NewLiveNet(t.NumNodes(), opts...)
 	for v := 0; v < t.NumNodes(); v++ {
 		if v != t.Root {
-			// Links precede Start by construction; the error is impossible.
-			_ = net.AddLink(v, t.Parent[v])
+			net.addLink(v, t.Parent[v], t.LinkDelay[v])
 		}
 	}
 	return net
-}
-
-// NumNodes returns the broker count.
-func (n *LiveNet) NumNodes() int { return len(n.brokers) }
-
-// allocIface claims the next interface on a node. Callers hold nd.epMu.
-func (n *LiveNet) allocIface(node int) IfaceID {
-	nd := n.nodes[node]
-	id := nd.nextIface
-	nd.nextIface++
-	n.brokers[node].AttachIface(id)
-	return id
 }
 
 // AddLink joins two brokers; links are topology and must be in place
@@ -444,50 +374,25 @@ func (n *LiveNet) AddLink(a, b int) error {
 	if n.started {
 		return fmt.Errorf("cbn: cannot add links after Start")
 	}
-	na, nb := n.nodes[a], n.nodes[b]
-	na.epMu.Lock()
-	ia := n.allocIface(a)
-	na.epMu.Unlock()
-	nb.epMu.Lock()
-	ib := n.allocIface(b)
-	nb.epMu.Unlock()
-	ls := &liveLinkStats{a: a, b: b}
-	if ls.a > ls.b {
-		ls.a, ls.b = ls.b, ls.a
-	}
-	n.links = append(n.links, ls)
-	na.epMu.Lock()
-	na.endpoints[ia] = liveEndpoint{peerNode: b, link: ls}
-	na.reverse[ia] = ib
-	na.epMu.Unlock()
-	nb.epMu.Lock()
-	nb.endpoints[ib] = liveEndpoint{peerNode: a, link: ls}
-	nb.reverse[ib] = ia
-	nb.epMu.Unlock()
+	n.addLink(a, b, 0)
 	return nil
 }
 
 // AttachClient attaches a client endpoint at a node; safe before or
 // after Start, and while brokers route concurrently.
 func (n *LiveNet) AttachClient(node int) (*LiveClient, error) {
-	if node < 0 || node >= len(n.brokers) {
+	if node < 0 || node >= n.NumNodes() {
 		return nil, fmt.Errorf("cbn: node %d out of range", node)
 	}
 	c := &LiveClient{net: n, Node: node, stopped: make(chan struct{})}
 	c.cond = sync.NewCond(&c.mu)
-	nd := n.nodes[node]
-	nd.epMu.Lock()
-	c.iface = n.allocIface(node)
-	nd.endpoints[c.iface] = liveEndpoint{isClient: true, client: c}
-	nd.epMu.Unlock()
+	c.iface = n.attach(node, hop{client: c})
 	// The stopped check and the registration share one critical section,
 	// so a client either lands in the list Stop tears down or is refused.
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
-		nd.epMu.Lock()
-		delete(nd.endpoints, c.iface)
-		nd.epMu.Unlock()
+		n.detach(node, c.iface)
 		return nil, fmt.Errorf("cbn: live network stopped")
 	}
 	n.clients = append(n.clients, c)
@@ -503,7 +408,7 @@ func (n *LiveNet) Start() {
 		return
 	}
 	n.started = true
-	for i := range n.brokers {
+	for i := range n.nodes {
 		n.wg.Add(1)
 		go n.run(i)
 	}
@@ -529,7 +434,7 @@ func (n *LiveNet) Stop() {
 	}
 	n.wg.Wait()
 	for _, c := range clients {
-		c.stop()
+		c.shutdown(true)
 	}
 }
 
@@ -537,7 +442,6 @@ func (n *LiveNet) Stop() {
 // returning ingress credits as client-injected messages complete.
 func (n *LiveNet) run(node int) {
 	defer n.wg.Done()
-	b := n.brokers[node]
 	nd := n.nodes[node]
 	// Double-buffer the mailbox: each drained batch is zeroed and
 	// swapped back as the next fill buffer, so steady-state routing
@@ -556,7 +460,7 @@ func (n *LiveNet) run(node int) {
 		nd.queue = spare
 		nd.mu.Unlock()
 		for i, m := range batch {
-			if !n.processSafe(b, node, m) {
+			if !n.stepSafe(node, m.message) {
 				n.failNode(node, batch[i:])
 				return
 			}
@@ -565,23 +469,23 @@ func (n *LiveNet) run(node int) {
 			}
 			n.done()
 		}
-		for i := range batch {
-			batch[i] = liveMsg{} // drop refs before recycling
-		}
+		clear(batch) // drop refs before recycling
 		spare = batch[:0]
 	}
 }
 
-// processSafe runs one message through the broker, containing panics:
-// a panicking broker reports false instead of taking the process down.
-func (n *LiveNet) processSafe(b *Broker, node int, m liveMsg) (ok bool) {
+// stepSafe runs one message through the node's broker, containing
+// panics: a panicking broker reports false instead of taking the process
+// down. A routing error drops the tuple, as in any CBN: routing is
+// asynchronous, so there is no caller to return it to.
+func (n *LiveNet) stepSafe(node int, m message) (ok bool) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			log.Printf("cbn: broker %d panicked (node failed): %v\n%s",
 				node, rec, debug.Stack())
 		}
 	}()
-	n.process(b, node, m)
+	_ = n.step(node, m, &n.nodes[node].scratch, n.forward)
 	return true
 }
 
@@ -613,83 +517,6 @@ func (n *LiveNet) failNode(node int, unsettled []liveMsg) {
 	}
 }
 
-// process runs one message through the node's broker and forwards the
-// consequences.
-func (n *LiveNet) process(b *Broker, node int, m liveMsg) {
-	switch m.kind {
-	case 0:
-		// The node's event loop is single-threaded, so the delivery
-		// scratch slice is recycled across tuples: steady-state routing
-		// allocates only the projected tuples themselves.
-		nd := n.nodes[node]
-		// Every broker loop records route events concurrently: stripe the
-		// count by node so the counting stays uncontended.
-		start := n.metrics.StageStartAt(obs.StageRoute, node)
-		deliveries, err := b.RouteTupleInto(m.tuple, m.from, nd.scratch)
-		n.metrics.StageEnd(obs.StageRoute, start)
-		n.metrics.TraceMark(int64(m.tuple.Ts), obs.StageRoute)
-		if err == nil {
-			for _, d := range deliveries {
-				n.emit(node, d.Iface, liveMsg{kind: 0, tuple: d.Tuple})
-			}
-		}
-		for i := range deliveries {
-			deliveries[i] = Delivery{} // drop tuple refs before recycling
-		}
-		if deliveries != nil {
-			nd.scratch = deliveries
-		}
-	case 1:
-		for _, fw := range b.HandleSubscribe(m.prof, m.from) {
-			n.emit(node, fw.Iface, liveMsg{kind: 1, prof: fw.Prof})
-		}
-	case 2:
-		adverts, subs := b.HandleAdvertise(m.name, m.from)
-		for _, a := range adverts {
-			n.emit(node, a.Iface, liveMsg{kind: 2, name: a.Stream})
-		}
-		for _, fw := range subs {
-			n.emit(node, fw.Iface, liveMsg{kind: 1, prof: fw.Prof})
-		}
-	}
-}
-
-// emit routes an outgoing message to the proper peer mailbox or client
-// pump; never blocks (both surfaces are elastic), so a broker always
-// makes progress.
-func (n *LiveNet) emit(node int, iface IfaceID, m liveMsg) {
-	nd := n.nodes[node]
-	nd.epMu.RLock()
-	ep, ok := nd.endpoints[iface]
-	rev := nd.reverse[iface]
-	nd.epMu.RUnlock()
-	if !ok {
-		return
-	}
-	if ep.isClient {
-		if m.kind == 0 {
-			ep.client.enqueue(m.tuple)
-		}
-		return
-	}
-	// Broker-to-broker hop: account the message on its overlay link,
-	// mirroring SimNet's per-link data/control split.
-	switch m.kind {
-	case 0:
-		ep.link.dataMsgs.Add(1)
-		ep.link.dataBytes.Add(int64(m.tuple.WireSize() + DataHeaderBytes))
-	case 1:
-		ep.link.ctrlMsgs.Add(1)
-		ep.link.ctrlBytes.Add(int64(profileWireSize(m.prof)))
-	case 2:
-		ep.link.ctrlMsgs.Add(1)
-		ep.link.ctrlBytes.Add(int64(AdvertBytes + len(m.name)))
-	}
-	m.from = rev
-	n.pending.Add(1)
-	n.nodes[ep.peerNode].push(m)
-}
-
 // done marks one message as fully processed and signals idleness.
 func (n *LiveNet) done() {
 	if n.pending.Add(-1) == 0 {
@@ -703,7 +530,7 @@ func (n *LiveNet) done() {
 // inject submits a client-originated message, blocking while the node's
 // ingress credits are exhausted (backpressure). It reports false once
 // the net stops.
-func (n *LiveNet) inject(node int, iface IfaceID, m liveMsg) bool {
+func (n *LiveNet) inject(node int, m message) bool {
 	nd := n.nodes[node]
 	nd.mu.Lock()
 	dead := nd.dead
@@ -720,11 +547,9 @@ func (n *LiveNet) inject(node int, iface IfaceID, m liveMsg) bool {
 	case <-n.quit:
 		return false
 	}
-	m.from = iface
-	m.credit = true
 	n.injected.Add(1)
 	n.pending.Add(1)
-	nd.push(m)
+	nd.push(liveMsg{message: m, credit: true})
 	return true
 }
 
@@ -748,66 +573,14 @@ func (n *LiveNet) Quiesce() {
 // core.LiveSystem.Quiesce.
 func (n *LiveNet) Injected() int64 { return n.injected.Load() }
 
-// SetCatalog installs a stream catalog on every broker as the
-// schema-drift guard for compiled routing.
-func (n *LiveNet) SetCatalog(reg *stream.Registry) {
-	for _, b := range n.brokers {
-		b.SetCatalog(reg)
-	}
-}
-
-// PruneStream garbage-collects a retired stream's state on every broker;
-// safe while the network runs (the broker control plane is locked).
-func (n *LiveNet) PruneStream(name string) {
-	for _, b := range n.brokers {
-		b.PruneStream(name)
-	}
-}
-
-// Stats returns per-link counters sorted by (A, B) — the live
-// counterpart of SimNet.Stats (LiveNet models no link delays, so DelayMs
-// is zero). Each counter is read atomically, but the snapshot is not a
-// consistent cut across links while traffic flows; call it after a
-// Quiesce for exact readouts.
-func (n *LiveNet) Stats() []*LinkStats {
-	out := make([]*LinkStats, 0, len(n.links))
-	for _, l := range n.links {
-		out = append(out, &LinkStats{
-			A: l.a, B: l.b,
-			DataBytes: l.dataBytes.Load(), DataMsgs: l.dataMsgs.Load(),
-			CtrlBytes: l.ctrlBytes.Load(), CtrlMsgs: l.ctrlMsgs.Load(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// TotalDataBytes sums tuple traffic over all overlay links, as
-// SimNet.TotalDataBytes does; like Stats, it is exact after a Quiesce.
-func (n *LiveNet) TotalDataBytes() int64 {
-	var total int64
-	for _, l := range n.links {
-		total += l.dataBytes.Load()
-	}
-	return total
-}
-
-// Broker exposes a node's broker.
-func (n *LiveNet) Broker(node int) *Broker { return n.brokers[node] }
-
 // Advertise announces a stream from the client's node.
 func (c *LiveClient) Advertise(streamName string) {
-	c.net.inject(c.Node, c.iface, liveMsg{kind: 2, name: streamName})
+	c.net.inject(c.Node, message{from: c.iface, kind: msgAdvertise, name: streamName})
 }
 
 // Subscribe submits a profile from the client's node.
 func (c *LiveClient) Subscribe(p *profile.Profile) {
-	c.net.inject(c.Node, c.iface, liveMsg{kind: 1, prof: p})
+	c.net.inject(c.Node, message{from: c.iface, kind: msgSubscribe, prof: p})
 }
 
 // Publish injects a datagram, blocking while the node's ingress credits
@@ -815,7 +588,7 @@ func (c *LiveClient) Subscribe(p *profile.Profile) {
 // asynchronous, so routing failures surface as dropped tuples, as in
 // any CBN.
 func (c *LiveClient) Publish(t stream.Tuple) error {
-	if !c.net.inject(c.Node, c.iface, liveMsg{kind: 0, tuple: t}) {
+	if !c.net.inject(c.Node, message{from: c.iface, kind: msgData, tuple: t}) {
 		return fmt.Errorf("cbn: live network stopped")
 	}
 	return nil

@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"cosmos/internal/stream"
@@ -51,5 +54,71 @@ func TestProcessorSurfacesPlanErrors(t *testing.T) {
 	}
 	if calls != 1 || cbProc != proc.ID || cbPlan == "" || cbErr == nil {
 		t.Fatalf("callback = (%d calls, proc %d, plan %q, err %v)", calls, cbProc, cbPlan, cbErr)
+	}
+}
+
+// TestSyncSystemSerialisesItself drives one synchronous System from
+// several goroutines at once — publishers on two ports, a goroutine
+// submitting and cancelling queries, one reading stats — with no lock of
+// the caller's. A query submitted first must see every matching tuple
+// exactly once and in publish order (run with -race).
+func TestSyncSystemSerialisesItself(t *testing.T) {
+	sys, openPort, closedPort := newAuctionSystem(t, Options{Nodes: 16, Seed: 4})
+	infos := auctionInfos()
+	var got []int64 // appended inside the publish cascade, under the System's lock
+	if _, err := sys.Submit("SELECT itemID FROM OpenAuction [Now] WHERE start_price > 50", 5,
+		func(tp stream.Tuple) { got = append(got, tp.Values[0].AsInt()) }); err != nil {
+		t.Fatal(err)
+	}
+	const n = 500
+	var wg sync.WaitGroup
+	wg.Add(4)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			if err := openPort.Publish(openT(infos[0], stream.Timestamp(i), int64(i), 1, float64(i%100))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			if err := closedPort.Publish(closedT(infos[1], stream.Timestamp(i), int64(i), 2)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			h, err := sys.Submit(fmt.Sprintf("SELECT buyerID FROM ClosedAuction [Now] WHERE buyerID = %d", i), 7, func(stream.Tuple) {})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := sys.Cancel(h); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			sys.StatsSnapshot()
+		}
+	}()
+	wg.Wait()
+	var want []int64
+	for i := 0; i < n; i++ {
+		if i%100 > 50 {
+			want = append(want, int64(i))
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("standing query got %d results, want %d in publish order", len(got), len(want))
 	}
 }

@@ -114,7 +114,7 @@ func (s *System) proxyForLocked(h *QueryHandle, group string) (*proxy, error) {
 	if px := s.proxies[key]; px != nil {
 		return px, nil
 	}
-	client, err := s.net.AttachClient(h.UserNode)
+	client, err := s.attach(h.UserNode)
 	if err != nil {
 		return nil, err
 	}

@@ -80,7 +80,7 @@ func newProcessor(s *System, id, node int) (*Processor, error) {
 		// "Non-Share" baseline.
 		minBenefit = 1e308
 	}
-	client, err := s.net.AttachClient(node)
+	client, err := s.attach(node)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func newProcessor(s *System, id, node int) (*Processor, error) {
 		// full broker channel throttles exactly that worker.
 		egress := make([]netClient, s.opts.ExecWorkers)
 		for i := range egress {
-			c, err := s.net.AttachClient(node)
+			c, err := s.attach(node)
 			if err != nil {
 				return nil, err
 			}

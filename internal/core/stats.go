@@ -22,7 +22,7 @@ type SystemStats struct {
 	// TotalDataBytes sums tuple traffic over all overlay links.
 	TotalDataBytes int64
 	// Links holds per-link counters, sorted by (A, B). Both transports
-	// account them: SimNet synchronously, LiveNet with per-link atomics.
+	// account them through the one cbn.Fabric's per-link counters.
 	Links []cbn.LinkStats
 
 	// Ingested / Delivered count tuples accepted from sources and

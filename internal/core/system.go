@@ -11,6 +11,7 @@ import (
 	"cosmos/internal/merge"
 	"cosmos/internal/obs"
 	"cosmos/internal/overlay"
+	"cosmos/internal/profile"
 	"cosmos/internal/stream"
 	"cosmos/internal/topology"
 )
@@ -81,21 +82,31 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// System is an in-process COSMOS deployment. The data layer is either
-// the deterministic single-threaded SimNet (NewSystem) or the concurrent
-// LiveNet (NewLiveSystem); all query management, distribution, merging
-// and delivery components are shared between the two transports.
+// System is an in-process COSMOS deployment. The data layer is one
+// cbn.Fabric scheduled either by the deterministic single-threaded
+// SimNet (NewSystem) or by the concurrent LiveNet (NewLiveSystem); all
+// query management, distribution, merging and delivery components are
+// shared between the two transports.
+//
+// Every method is safe for concurrent use on either transport. The
+// synchronous System serialises itself: a Publish runs its whole cascade
+// — routing, plans, deliveries — under the lock its control operations
+// hold, so callers need no lock of their own. Delivery callbacks run
+// inside that cascade and must not call back into the System.
 type System struct {
 	mu   sync.Mutex
 	opts Options
 	reg  *stream.Registry
 	topo *topology.Graph
 	tree *overlay.Tree
-	net  transport
-	sim  *cbn.SimNet  // non-nil for the simulated transport
-	live *cbn.LiveNet // non-nil for the concurrent transport
-	obs  *obs.Metrics // the system-wide observability hub, never nil
-	rng  *rand.Rand
+	// net is the overlay under either transport and attach hands out its
+	// clients; live is the concurrent transport, nil on the synchronous
+	// System.
+	net    *cbn.Fabric
+	attach func(node int) (netClient, error)
+	live   *cbn.LiveNet
+	obs    *obs.Metrics // the system-wide observability hub, never nil
+	rng    *rand.Rand
 
 	procs   []*Processor
 	sources map[string]*SourcePort  // guarded by mu
@@ -152,13 +163,14 @@ func newSystem(opts Options, live bool) (*System, error) {
 	}
 	if live {
 		s.live = cbn.NewLiveNetFromTree(tree)
-		s.live.SetMetrics(s.obs)
-		s.net = liveTransport{s.live}
+		s.net = &s.live.Fabric
+		s.attach = func(node int) (netClient, error) { return s.live.AttachClient(node) }
 	} else {
-		s.sim = cbn.NewSimNetFromTree(tree)
-		s.sim.SetMetrics(s.obs)
-		s.net = simTransport{s.sim}
+		sim := cbn.NewSimNetFromTree(tree)
+		s.net = &sim.Fabric
+		s.attach = func(node int) (netClient, error) { return sim.AttachClient(node), nil }
 	}
+	s.net.SetMetrics(s.obs)
 	nodes := opts.ProcessorNodes
 	if len(nodes) == 0 {
 		for i := 0; i < opts.Processors; i++ {
@@ -194,13 +206,6 @@ func newSystem(opts Options, live bool) (*System, error) {
 // Catalog exposes the flooded schema registry.
 func (s *System) Catalog() *stream.Registry { return s.reg }
 
-// Live reports whether the system is deployed over the concurrent
-// transport. A false return means the single-threaded SimNet carries
-// the data: callers driving the system from multiple goroutines (e.g.
-// the TCP server's connection handlers) must serialise Publish/Submit/
-// Cancel/Quiesce themselves.
-func (s *System) Live() bool { return s.live != nil }
-
 // Tree exposes the dissemination tree (for inspection and examples).
 func (s *System) Tree() *overlay.Tree { return s.tree }
 
@@ -212,12 +217,40 @@ func (s *System) Processors() []*Processor { return s.procs }
 // it — the retained tuple traces.
 func (s *System) Obs() *obs.Metrics { return s.obs }
 
+// netClient is the client surface of the data layer a system component
+// (source port, processor, delivery proxy) holds — satisfied by both
+// cbn.SimClient (synchronous, deterministic) and cbn.LiveClient
+// (concurrent). Publish must be safe for concurrent use on the live
+// transport; on the simulated transport the single-threaded network
+// imposes single-caller discipline, which System honours by running
+// every plan inline on the publishing goroutine, under its lock.
+type netClient interface {
+	Advertise(streamName string)
+	Subscribe(p *profile.Profile)
+	// Publish hands one tuple into the network. Both implementations
+	// are audited ingest boundaries: SimClient routes synchronously
+	// through the (hotpath-checked) broker, LiveClient enqueues on the
+	// ingress ring under its credit budget.
+	//
+	//cosmos:hotpath-ok
+	Publish(t stream.Tuple) error
+	SetOnTuple(fn func(stream.Tuple))
+	Iface() cbn.IfaceID
+	// Close releases the attachment (delivery stops; on the live
+	// transport the pump goroutine and broker endpoint are reclaimed).
+	Close()
+}
+
 // SourcePort publishes one source stream into the data layer.
 type SourcePort struct {
 	Node   int
 	info   *stream.Info
 	client netClient
 	obs    *obs.Metrics
+	// serial is the synchronous System's lock, nil on the live one: a
+	// publish there runs the network cascade and the plans inline, so it
+	// serialises with every other operation that drives them.
+	serial *sync.Mutex
 	// errSchema is the rejection error for tuples that do not carry the
 	// registered schema, precomputed so the Publish fast path never
 	// formats.
@@ -245,7 +278,7 @@ func (s *System) RegisterStream(info *stream.Info, node int) (*SourcePort, error
 	if err := s.reg.Register(info); err != nil {
 		return nil, err
 	}
-	client, err := s.net.AttachClient(node)
+	client, err := s.attach(node)
 	if err != nil {
 		return nil, err
 	}
@@ -255,6 +288,9 @@ func (s *System) RegisterStream(info *stream.Info, node int) (*SourcePort, error
 		client:    client,
 		obs:       s.obs,
 		errSchema: fmt.Errorf("core: tuple does not carry the registered schema %s", info.Schema),
+	}
+	if s.live == nil {
+		port.serial = &s.mu
 	}
 	port.client.Advertise(name)
 	s.sources[name] = port
@@ -280,6 +316,10 @@ func (s *System) Source(name string) (*SourcePort, bool) {
 func (p *SourcePort) Publish(t stream.Tuple) error {
 	if t.Schema != p.info.Schema && !p.info.Schema.Equal(t.Schema) {
 		return p.errSchema
+	}
+	if p.serial != nil {
+		p.serial.Lock()
+		defer p.serial.Unlock()
 	}
 	// Ingest is the head of the data path: the trace sampler decides
 	// here whether this tuple is followed, and the stage timing covers
@@ -443,16 +483,10 @@ func (s *System) Quiesce() {
 	}
 }
 
-// NetStats exposes per-link CBN counters, sorted by (A, B). Both
-// transports account them: SimNet synchronously on its single thread,
-// LiveNet with per-link atomics (snapshotted here; Quiesce first for an
-// exact cut).
-func (s *System) NetStats() []*cbn.LinkStats {
-	if s.sim != nil {
-		return s.sim.Stats()
-	}
-	return s.live.Stats()
-}
+// NetStats exposes per-link CBN counters, sorted by (A, B) — the same
+// fabric counters on both transports (on the live one Quiesce first for
+// an exact cut).
+func (s *System) NetStats() []*cbn.LinkStats { return s.net.Stats() }
 
 // TotalDataBytes sums tuple traffic over all overlay links.
 func (s *System) TotalDataBytes() int64 { return s.net.TotalDataBytes() }

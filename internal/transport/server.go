@@ -23,21 +23,11 @@ import (
 // usually a LiveSystem (cmd/cosmosd's default): subscription results
 // then reach the wire through the per-worker direct-publish data path —
 // each delivery proxy's pump hands its session results as they arrive,
-// with no stabilisation barrier on the steady-state path.
+// with no stabilisation barrier on the steady-state path. A synchronous
+// System (-sim) serialises the sessions' operations itself.
 type Server struct {
 	sys      *core.System
 	closeSys func()
-	// serialize marks a hosted synchronous (SimNet) system: its
-	// single-threaded network cannot take concurrent publishes, so
-	// dispatch from the per-connection goroutines funnels through opMu.
-	// Live systems skip it — their surfaces are thread-safe. The price
-	// of emulating a single-threaded network faithfully is that one
-	// session's blocking write inside a publish cascade stalls the
-	// others' system operations; -sim is the replay/debug mode, and a
-	// graceful shutdown still terminates because it bounds every
-	// writer first.
-	serialize bool
-	opMu      sync.Mutex
 
 	// stateMu orders dispatch against shutdown: work-accepting requests
 	// (register/publish/submit) hold the read side for their whole
@@ -143,12 +133,11 @@ func WithSessionLinger(d time.Duration) ServerOption {
 // NewServer wraps a system; callers own the listener lifecycle via Serve.
 func NewServer(sys *core.System, opts ...ServerOption) *Server {
 	s := &Server{
-		sys:       sys,
-		serialize: !sys.Live(),
-		sessions:  map[*session]struct{}{},
-		byID:      map[string]*session{},
-		detached:  map[string]*detachedSession{},
-		linger:    defaultSessionLinger,
+		sys:      sys,
+		sessions: map[*session]struct{}{},
+		byID:     map[string]*session{},
+		detached: map[string]*detachedSession{},
+		linger:   defaultSessionLinger,
 	}
 	s.wire.obs = sys.Obs()
 	for _, opt := range opts {
@@ -309,15 +298,8 @@ func (s *Server) stop(graceful bool) (error, bool) {
 		// goroutines, and Quiesce returns only after those deliveries
 		// (the hand-off included) complete. This converges because the
 		// gate above stopped further publishes — only the finite
-		// backlog drains. On a synchronous system the barrier
-		// serialises with any in-flight dispatch.
-		if s.serialize {
-			s.opMu.Lock()
-		}
+		// backlog drains.
 		s.sys.Quiesce()
-		if s.serialize {
-			s.opMu.Unlock()
-		}
 	}
 	for _, sess := range sessions {
 		sess.close(graceful)
@@ -546,7 +528,7 @@ func (sess *session) readLoop() {
 		}
 		if req.Kind == MsgPing {
 			// Keepalive: answer outside dispatch so a ping never waits
-			// behind the synchronous backend's serialisation.
+			// behind a system operation.
 			if err := sess.w.send(&Response{ID: req.ID, Kind: MsgPong}); err != nil {
 				return
 			}
@@ -642,10 +624,6 @@ func (sess *session) applyPublishFrame(b []byte) error {
 	if s.closed && sess.refused == "" {
 		sess.refused = "server shutting down"
 	}
-	if s.serialize {
-		s.opMu.Lock()
-		defer s.opMu.Unlock()
-	}
 	pos := dataHeaderSize
 	taken := 0
 	for i := 0; i < count; i++ {
@@ -716,7 +694,7 @@ func (sess *session) close(graceful bool) {
 		_ = sess.w.send(&Response{Kind: MsgShutdown})
 		for tag, st := range subs {
 			_ = sess.w.send(&Response{Kind: MsgEnd, QueryTag: tag})
-			if err := sess.srv.cancelQuery(st.h); err != nil {
+			if err := sess.srv.sys.Cancel(st.h); err != nil {
 				log.Printf("cosmosd: cancel %s: %v", tag, err)
 			}
 		}
@@ -741,7 +719,7 @@ func (sess *session) close(graceful bool) {
 		// Server stopping or linger disabled: fall through and cancel.
 	}
 	for tag, st := range subs {
-		if err := sess.srv.cancelQuery(st.h); err != nil {
+		if err := sess.srv.sys.Cancel(st.h); err != nil {
 			log.Printf("cosmosd: cancel %s: %v", tag, err)
 		}
 	}
@@ -808,21 +786,10 @@ func (s *Server) expireDetached(id string, d *detachedSession) {
 // dropDetached cancels every query of a parked session.
 func (s *Server) dropDetached(d *detachedSession) {
 	for tag, st := range d.subs {
-		if err := s.cancelQuery(st.h); err != nil {
+		if err := s.sys.Cancel(st.h); err != nil {
 			log.Printf("cosmosd: cancel detached %s: %v", tag, err)
 		}
 	}
-}
-
-// cancelQuery removes a query from the hosted system, honouring the
-// synchronous backend's serialisation (a dropped connection's teardown
-// must not race another session's dispatch into the SimNet).
-func (s *Server) cancelQuery(h *core.QueryHandle) error {
-	if s.serialize {
-		s.opMu.Lock()
-		defer s.opMu.Unlock()
-	}
-	return s.sys.Cancel(h)
 }
 
 func errResp(format string, args ...interface{}) *Response {
@@ -959,9 +926,8 @@ func (sess *session) dispatch(req *Request) *Response {
 	s := sess.srv
 	switch req.Kind {
 	case MsgHello, MsgResume:
-		// Session management: handled before the synchronous backend's
-		// serialisation lock (hello may cancel orphaned queries, and
-		// cancelQuery takes that lock itself).
+		// Session management: outside the dispatch gate, since a hello
+		// may wait out an older connection of its identity.
 		s.stateMu.RLock()
 		closed := s.closed
 		s.stateMu.RUnlock()
@@ -982,10 +948,6 @@ func (sess *session) dispatch(req *Request) *Response {
 		if s.closed {
 			return errResp("server shutting down")
 		}
-	}
-	if s.serialize {
-		s.opMu.Lock()
-		defer s.opMu.Unlock()
 	}
 	switch req.Kind {
 	case MsgRegister:
@@ -1173,7 +1135,7 @@ func (sess *session) hello(req *Request) *Response {
 	}
 	sess.mu.Unlock()
 	for _, st := range orphans {
-		if err := s.cancelQuery(st.h); err != nil {
+		if err := s.sys.Cancel(st.h); err != nil {
 			log.Printf("cosmosd: cancel %s: %v", st.tag, err)
 		}
 	}

@@ -24,8 +24,10 @@ import (
 // instrument (its report writer and transport/auction scenarios), the
 // micro-batching ingest hop between a processor's network pump and its
 // runtime, the SimNet-only outbox of worker emissions, and the unused
-// delay-weighted byte sum — are not declared or used anywhere, and
-// cmd/cosmosbench is gone.
+// delay-weighted byte sum, the transport adapters and endpoint/link
+// tables SimNet and LiveNet each kept beside one shared cbn.Fabric, and
+// the server's own lock around a synchronous System — are not declared
+// or used anywhere, and cmd/cosmosbench is gone.
 func TestOnePathStructure(t *testing.T) {
 	if _, err := os.Stat("cmd/cosmosbench"); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("cmd/cosmosbench exists (stat: %v); benchmark/ is the one instrument", err)
@@ -38,6 +40,7 @@ func TestOnePathStructure(t *testing.T) {
 		"NewEngine", "WriteReport", "splitHistory", "runTransport", "runAuction",
 		"Batcher", "NewBatcher", "ConsumeBatch", "IngestBatch", "IngestQueuePerProc", "outbox", "procsIdle",
 		"WeightedDataCost",
+		"simTransport", "liveTransport", "liveEndpoint", "liveLinkStats", "allocIface", "cancelQuery",
 	} {
 		retired[name] = true
 	}
