@@ -52,7 +52,10 @@ import (
 )
 
 // System is an in-process COSMOS deployment: an overlay of brokers and
-// processors connected by a content-based network.
+// processors connected by a content-based network. A System from
+// NewSystem runs a publish, and the result callbacks and
+// Options.OnPlanError it triggers, under its own lock: those callbacks
+// must not call back into it (see core.System.Submit).
 type System = core.System
 
 // LiveSystem is a System deployed over the concurrent goroutine-per-

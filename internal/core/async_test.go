@@ -122,3 +122,35 @@ func TestSyncSystemSerialisesItself(t *testing.T) {
 		t.Fatalf("standing query got %d results, want %d in publish order", len(got), len(want))
 	}
 }
+
+// TestSyncCallbackHandsOffCancel: a result callback on the synchronous
+// System runs under the System lock, so one that wants its query gone
+// hands the Cancel to another goroutine, which runs once the publish
+// returns; no result reaches the callback after that.
+func TestSyncCallbackHandsOffCancel(t *testing.T) {
+	sys, openPort, _ := newAuctionSystem(t, Options{Nodes: 16, Seed: 4})
+	infos := auctionInfos()
+	var h *QueryHandle
+	cancelled := make(chan error, 1)
+	calls := 0
+	h, err := sys.Submit("SELECT itemID FROM OpenAuction [Now] WHERE start_price > 50", 5, func(stream.Tuple) {
+		if calls++; calls == 1 {
+			go func() { cancelled <- sys.Cancel(h) }()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := openPort.Publish(openT(infos[0], 1, 1, 1, 60)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-cancelled; err != nil {
+		t.Fatalf("Cancel from the handed-off goroutine: %v", err)
+	}
+	if err := openPort.Publish(openT(infos[0], 2, 2, 1, 70)); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || sys.Queries() != 0 {
+		t.Fatalf("after the hand-off: %d callback calls, %d queries; want 1 and 0", calls, sys.Queries())
+	}
+}

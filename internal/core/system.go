@@ -57,7 +57,10 @@ type Options struct {
 	// OnPlanError observes plan execution failures (schema drift between
 	// the data layer and an installed plan); may be nil, and must be safe
 	// for concurrent use when ExecWorkers > 0. Each processor also counts
-	// them (Processor.PlanErrors).
+	// them (Processor.PlanErrors). On the synchronous System it runs
+	// inside a publish cascade, under the System lock, so it must not
+	// call the System (FailProcessor included): that deadlocks. Hand such
+	// work to another goroutine.
 	OnPlanError func(procID int, planID string, err error)
 	// Obs configures the observability plane shared by every component
 	// of the system (stage counters, sampled latency histograms, tuple
@@ -91,8 +94,11 @@ func (o Options) withDefaults() Options {
 // Every method is safe for concurrent use on either transport. The
 // synchronous System serialises itself: a Publish runs its whole cascade
 // — routing, plans, deliveries — under the lock its control operations
-// hold, so callers need no lock of their own. Delivery callbacks run
-// inside that cascade and must not call back into the System.
+// hold, so callers need no lock of their own. Result callbacks and
+// Options.OnPlanError run inside that cascade, so on the synchronous
+// System they must not call back into it: sync.Mutex is not re-entrant,
+// and such a call deadlocks. On a LiveSystem they run on pump or worker
+// goroutines that hold no System lock.
 type System struct {
 	mu   sync.Mutex
 	opts Options
@@ -339,13 +345,22 @@ func (p *SourcePort) Publish(t stream.Tuple) error {
 // to a processor by the distribution policy, merged into a query group
 // when beneficial, and its results re-tightened from the group's
 // representative stream. It is SubmitTo with a sink of the query's own.
+//
+// onResult is called serially, under the query's delivery-proxy lock, so
+// it must not cancel or submit a query of its own group on either
+// transport. On the synchronous System it also runs under the System
+// lock inside the publishing call, so it must not call the System at
+// all (Cancel, Submit, Demand, a SourcePort's Publish, ...): that
+// deadlocks. Hand such work to another goroutine; it runs once the
+// publish returns.
 func (s *System) Submit(text string, userNode int, onResult func(stream.Tuple)) (*QueryHandle, error) {
 	return s.SubmitTo(text, userNode, &funcSink{fn: onResult}, nil)
 }
 
 // SubmitTo is Submit for a sink whose queries share delivery proxies:
 // the query's results reach sink through the proxy of (sink, its group,
-// userNode), where sub is handed back as the query's Member.Sub.
+// userNode), where sub is handed back as the query's Member.Sub. The
+// sink's Receiver obeys Submit's callback restrictions (see Receiver).
 func (s *System) SubmitTo(text string, userNode int, sink Sink, sub any) (*QueryHandle, error) {
 	if userNode < 0 || userNode >= s.opts.Nodes {
 		return nil, fmt.Errorf("core: user node %d out of range", userNode)
