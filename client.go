@@ -234,7 +234,12 @@ func (s *Subscription) Cancel() error {
 
 // Gaps reports the delivery gaps a resilient connection (Dial with
 // WithResilience) recorded on this subscription: one entry per
-// reconnect that lost results. Always empty on embedded backends and
+// reconnect that lost results. A daemon that still holds the session
+// resends whatever the outage kept from the subscriber, so results are
+// exactly-once and no gap is recorded; results are lost — and a gap
+// recorded — only when the daemon dropped them (more than a window of
+// results while the session was away) or no longer knew the session (a
+// restart, or its linger expired). Always empty on embedded backends and
 // fail-fast connections. Safe to call at any time; the slice is a
 // snapshot in reconnect order.
 func (s *Subscription) Gaps() []Gap {

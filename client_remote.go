@@ -10,20 +10,20 @@ import (
 // pass it via WithResilience. See the field docs for defaults.
 type Resilience = transport.Resilience
 
-// GapPolicy is the client's reaction to a delivery gap after a resume.
+// GapPolicy is the client's reaction to results lost across a reconnect.
 type GapPolicy = transport.GapPolicy
 
 // Gap policies.
 const (
 	// GapResume (default) records the gap on the Subscription and
-	// keeps streaming from the resume point.
+	// keeps streaming.
 	GapResume = transport.GapResume
 	// GapError ends the Subscription with an error describing the gap.
 	GapError = transport.GapError
 )
 
-// Gap describes results lost across a reconnect; Subscription.Gaps
-// reports them.
+// Gap describes results lost across a reconnect — only ever results the
+// daemon no longer had; Subscription.Gaps reports them.
 type Gap = transport.Gap
 
 // DialOption configures Dial.
@@ -36,11 +36,13 @@ type dialConfig struct {
 // WithResilience opts the connection into the reconnecting session
 // machinery: on connection loss the client retries with exponential
 // backoff + jitter, re-registers its streams when the server turned out
-// to be fresh, resumes every live Subscription at the server's new
-// session epoch, and records the delivery gap on the Subscription
-// instead of killing it. Without this option (the zero state) a lost
-// connection ends every subscription — the historical fail-fast
-// behaviour.
+// to be fresh, and resumes the session at the server's new epoch: both
+// directions — what Publish accepted, the results the subscriptions are
+// owed — are exactly-once against a daemon that still holds the
+// session, and what a daemon no longer had is recorded as a Gap on the
+// Subscription instead of killing it. Without this option (the zero
+// state) a lost connection ends every subscription — the historical
+// fail-fast behaviour.
 func WithResilience(r Resilience) DialOption {
 	return func(c *dialConfig) { c.resilience = &r }
 }
@@ -99,8 +101,7 @@ func (c *remoteClient) Submit(ctx context.Context, cql string, userNode int) (*S
 	// The callbacks run on the connection's read loop: push never
 	// blocks (elastic buffer), so a slow consumer cannot stall other
 	// subscriptions sharing the connection.
-	onResult := func(t Tuple, seq uint64) { sub.push(t) }
-	tag, err := c.tc.Submit(cql, userNode, onResult, sub.end, sub.addGap)
+	tag, err := c.tc.Submit(cql, userNode, sub.push, sub.end, sub.addGap)
 	if err != nil {
 		sub.end(err)
 		return nil, err

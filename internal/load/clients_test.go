@@ -73,7 +73,7 @@ func TestScenarioClients(t *testing.T) {
 	subscribe := func(cl *client, firstDue int64) error {
 		track := rec.NewTrack(1).Expect(firstDue)
 		tag, err := cl.conn.Submit(ledgerQuery(schemas[cl.feed].Stream), cl.feed%nodes,
-			func(t stream.Tuple, _ uint64) { observe(rec, track, t) }, nil, nil)
+			func(t stream.Tuple) { observe(rec, track, t) }, nil, nil)
 		if err != nil {
 			return err
 		}

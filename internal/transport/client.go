@@ -3,13 +3,13 @@ package transport
 import (
 	"bufio"
 	crand "crypto/rand"
-	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -27,13 +27,16 @@ import (
 //
 // A plain client (Dial) is fail-fast: connection loss ends every
 // subscription with the error. A resilient client (DialConfig with a
-// Resilience) instead reconnects with backoff, resumes its
-// subscriptions at the server's new session epoch, and reports the
-// delivery gap on each — see Resilience. Calls made during an outage
-// park until the connection is back (or the retry budget is spent);
-// a call whose connection died mid-flight is retried on the next
-// connection (at-least-once), while published tuples are resent from the
-// server's applied sequence — exactly-once against a surviving server.
+// Resilience) instead reconnects with backoff and resumes its session at
+// the server's new epoch — see Resilience. Calls made during an outage
+// park until the connection is back (or the retry budget is spent); a
+// call whose connection died mid-flight is retried on the next
+// connection (at-least-once). Both data streams are exactly-once against
+// a server that still holds the session: published tuples are resent
+// from the server's applied sequence, results from the client's last
+// contiguous one. Only a server that lost the session (a restart, the
+// linger expired) or a window that overflowed while detached loses
+// results, and each subscription reports that as a Gap.
 type Client struct {
 	addr      string
 	res       Resilience
@@ -61,24 +64,22 @@ type Client struct {
 	sources    map[string]*Source      // guarded by mu; opened sources by stream name
 	nextSrc    uint32                  // guarded by mu; last source id handed out
 	dropTags   []string                // guarded by mu; server tags cancelled while disconnected
-	owedGaps   []owedGap               // guarded by mu; gap reports learned by restore attempts, owed until one completes
+	owedGaps   []func()                // guarded by mu; gap reports a restore attempt learned, owed until one completes
 	reconnects int                     // guarded by mu
 	closed     bool                    // guarded by mu
 	terminal   bool                    // guarded by mu; server announced graceful shutdown: loss is final
 	failErr    error                   // guarded by mu; permanent failure (plain-client loss, retries exhausted)
 
+	// The result stream as the read loop decodes it. Read loops run one
+	// at a time (restore waits out the previous one), and the state
+	// persists across them: delivery ids and sequences are per session.
+	wireSubs   map[uint32]*wireSub // the read loop's alone
+	lastResult uint64              // the read loop's alone; last contiguous result sequence
+
 	stop      chan struct{} // closed by Close: aborts backoff waits and the pinger
 	loops     sync.WaitGroup
 	closeOnce sync.Once
 	closeErr  error // written inside closeOnce
-}
-
-// owedGap is a delivery gap a restore attempt learned — the resume or
-// resubmit that revealed it has already moved the subscription on, so a
-// later attempt cannot learn it again.
-type owedGap struct {
-	cs  *clientSub
-	gap Gap
 }
 
 // pendingCall is one in-flight request. For a Submit, sub is registered
@@ -97,14 +98,13 @@ type pendingCall struct {
 type clientSub struct {
 	cql      string
 	userNode int
-	onResult func(stream.Tuple, uint64)
+	onResult func(stream.Tuple)
 	onEnd    func(error)
 	onGap    func(Gap)
 
 	mu      sync.Mutex
 	logical string // guarded by mu
 	server  string // guarded by mu
-	lastSeq uint64 // guarded by mu
 	ended   bool   // guarded by mu
 }
 
@@ -151,6 +151,7 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		subs:     map[string]*clientSub{},
 		byServer: map[string]*clientSub{},
 		sources:  map[string]*Source{},
+		wireSubs: map[uint32]*wireSub{},
 		stop:     make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -174,7 +175,7 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	c.up = true
 	c.readerDone = make(chan struct{})
 	c.loops.Add(1)
-	go c.readLoop(conn, c.readerDone)
+	go c.readLoop(conn, c.w, c.readerDone)
 	// Every connection opens with a hello: it states the wire format
 	// version and, for a resilient client, announces the resumable
 	// session identity (plain clients send an empty one).
@@ -213,13 +214,8 @@ func (c *Client) Close() error {
 		c.pub.fail(errClientClosed)
 		c.mu.Lock()
 		c.closed = true
-		subs := c.subs
-		c.subs = map[string]*clientSub{}
-		c.byServer = map[string]*clientSub{}
-		for id, pc := range c.pending {
-			delete(c.pending, id)
-			close(pc.ch)
-		}
+		subs := c.dropSubsLocked()
+		c.failPendingLocked()
 		conn, w := c.conn, c.w
 		c.cond.Broadcast()
 		c.mu.Unlock()
@@ -295,7 +291,9 @@ func (c *Client) pinger() {
 	}
 }
 
-func (c *Client) readLoop(conn net.Conn, done chan struct{}) {
+// readLoop decodes what the server sends on conn, acknowledging results
+// through w whenever it has read all that arrived.
+func (c *Client) readLoop(conn net.Conn, w *requestPump, done chan struct{}) {
 	defer c.loops.Done()
 	defer close(done)
 	// The decoder reads through an explicit bufio.Reader. gob never
@@ -311,43 +309,38 @@ func (c *Client) readLoop(conn net.Conn, done chan struct{}) {
 		idle = 3 * c.hb
 	}
 	// Nothing precedes the hello on a connection, and its OK is the last
-	// unframed server→client message: read bare gob until it arrives.
-	for framed := false; !framed; {
-		if idle > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		var resp Response
-		if err := dec.Decode(&resp); err != nil {
-			c.connLost(conn, err)
-			return
-		}
-		framed = c.handleControl(&resp)
-	}
-	wireSubs := map[uint32]*wireSub{}
+	// unframed server→client message: bare gob until it arrives, marked
+	// frames after.
+	framed, acked := false, c.lastResult
 	for {
+		if br.Buffered() == 0 && c.lastResult > acked {
+			// About to block: acknowledge what arrived.
+			acked = c.lastResult
+			w.ack(acked)
+		}
 		if idle > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(idle))
 		}
-		marker, err := br.ReadByte()
+		marker, err := frameGob, error(nil)
+		if framed {
+			marker, err = br.ReadByte()
+		}
+		switch {
+		case err != nil:
+		case marker == frameGob:
+			var resp Response
+			if err = dec.Decode(&resp); err == nil && c.handleControl(&resp) && !framed {
+				framed = true
+				c.resumeResults(&resp)
+				acked = c.lastResult
+			}
+		case marker == frameData || marker == frameSchema || marker == frameAck:
+			err = c.readBinaryFrame(br, marker)
+		default:
+			err = fmt.Errorf("transport: unknown frame marker %#x (wire version mismatch?)", marker)
+		}
 		if err != nil {
 			c.connLost(conn, err)
-			return
-		}
-		switch marker {
-		case frameGob:
-			var resp Response
-			if err := dec.Decode(&resp); err != nil {
-				c.connLost(conn, err)
-				return
-			}
-			c.handleControl(&resp)
-		case frameData, frameSchema, frameAck:
-			if err := c.readBinaryFrame(br, marker, wireSubs); err != nil {
-				c.connLost(conn, err)
-				return
-			}
-		default:
-			c.connLost(conn, fmt.Errorf("transport: unknown frame marker %#x (wire version mismatch?)", marker))
 			return
 		}
 	}
@@ -402,11 +395,6 @@ func (c *Client) handleControl(resp *Response) (helloOK bool) {
 				delete(c.byServer, cs.server) // resubmitted under a new tag
 			}
 			cs.server = resp.QueryTag
-			// A (re)submit starts a fresh server-side sequence.
-			// Reset here, before any later frame is decoded, so
-			// the dup-guard cannot drop the new stream's first
-			// results against the old session's counter.
-			cs.lastSeq = 0
 			logical := cs.logical
 			cs.mu.Unlock()
 			c.subs[logical] = cs
@@ -423,8 +411,22 @@ func (c *Client) handleControl(resp *Response) (helloOK bool) {
 	return helloOK
 }
 
-// wireSub is the read loop's per-connection decode state for one
-// delivery id, established by its 'S' frame.
+// resumeResults picks the result stream up where this connection's hello
+// OK says it goes on: a server that did not hold the session starts a
+// fresh stream, one that did resends from the client's last contiguous
+// result or, when its window overflowed while detached, from the first
+// it still holds.
+func (c *Client) resumeResults(hello *Response) {
+	switch {
+	case hello.Epoch <= 1:
+		c.lastResult, c.wireSubs = 0, map[uint32]*wireSub{}
+	case hello.ResultSeq > c.lastResult+1:
+		c.lastResult = hello.ResultSeq - 1
+	}
+}
+
+// wireSub is the read loop's decode state for one delivery id,
+// established by its 'S' frame.
 type wireSub struct {
 	arity   int
 	members []wireMember
@@ -433,7 +435,7 @@ type wireSub struct {
 // readBinaryFrame consumes one length-prefixed binary frame (marker
 // already read) into a pooled buffer and dispatches it. Any malformed
 // byte returns an error — treated as connection loss, never a panic.
-func (c *Client) readBinaryFrame(br *bufio.Reader, marker byte, subs map[uint32]*wireSub) error {
+func (c *Client) readBinaryFrame(br *bufio.Reader, marker byte) error {
 	bufp := getFrameBuf()
 	defer putFrameBuf(bufp)
 	b, err := readFrame(br, bufp)
@@ -453,30 +455,38 @@ func (c *Client) readBinaryFrame(br *bufio.Reader, marker byte, subs map[uint32]
 		if err != nil {
 			return err
 		}
-		subs[id] = &wireSub{arity: arity, members: members}
+		c.wireSubs[id] = &wireSub{arity: arity, members: members}
 		return nil
 	}
-	return c.readResults(b, subs)
+	return c.readResults(b)
 }
 
 // readResults decodes a result 'D' payload: each body once, into the
 // frame's value arena, then each member it is for, aliasing the body's
 // values or copied out (wireMember.lo) and checked against the member's
-// schema before it is delivered.
-func (c *Client) readResults(b []byte, subs map[uint32]*wireSub) error {
-	id, count, _, err := decodeDataHeader(b)
+// schema before it is delivered. A frame that arrived before — a resend
+// after a reconnect — is skipped whole; any other must continue the
+// session's sequence.
+func (c *Client) readResults(b []byte) error {
+	id, count, first, err := decodeDataHeader(b)
 	if err != nil {
 		return err
 	}
-	ws := subs[id]
+	if count == 0 {
+		return fmt.Errorf("transport: empty data frame")
+	}
+	if first+uint64(count)-1 <= c.lastResult {
+		return nil
+	}
+	if first != c.lastResult+1 {
+		return fmt.Errorf("transport: result sequence %d does not continue %d", first, c.lastResult)
+	}
+	ws := c.wireSubs[id]
 	if ws == nil {
 		return fmt.Errorf("transport: data frame for unannounced delivery %d", id)
 	}
 	k := len(ws.members)
-	pos := dataSeqAt + 8*k
-	if len(b) < pos {
-		return fmt.Errorf("transport: truncated data frame header")
-	}
+	pos := dataHeaderSize
 	mapBytes := bitmapBytes(k)
 	arena, err := frameArena(count, ws.arity, mapBytes, len(b)-pos)
 	if err != nil {
@@ -501,10 +511,7 @@ func (c *Client) readResults(b []byte, subs map[uint32]*wireSub) error {
 			if k > 1 && hits[j/8]&(1<<(j%8)) == 0 {
 				continue
 			}
-			// The header's firstSeqs count on as the members' results go.
-			m, next := &ws.members[j], b[dataSeqAt+8*j:]
-			seq := binary.LittleEndian.Uint64(next)
-			binary.LittleEndian.PutUint64(next, seq+1)
+			m := &ws.members[j]
 			var vals []stream.Value
 			if m.lo >= 0 {
 				vals = values[m.lo : m.lo+len(m.idx) : m.lo+len(m.idx)]
@@ -527,9 +534,10 @@ func (c *Client) readResults(b []byte, subs map[uint32]*wireSub) error {
 				c.mu.Unlock()
 			}
 			if m.cs != nil {
-				c.deliverResult(m.cs, t, seq)
+				m.cs.deliver(t)
 			}
 		}
+		c.lastResult++
 	}
 	if pos != len(b) {
 		return fmt.Errorf("transport: %d trailing bytes in data frame", len(b)-pos)
@@ -537,20 +545,13 @@ func (c *Client) readResults(b []byte, subs map[uint32]*wireSub) error {
 	return nil
 }
 
-// deliverResult applies the per-subscription dup-guard and hands the
-// tuple to the callback.
-func (c *Client) deliverResult(cs *clientSub, t stream.Tuple, seq uint64) {
+// deliver hands a result to the callback unless the subscription ended.
+func (cs *clientSub) deliver(t stream.Tuple) {
 	cs.mu.Lock()
-	if cs.ended || seq <= cs.lastSeq {
-		// Ended, or a duplicate of a frame seen before a reconnect.
-		cs.mu.Unlock()
-		return
-	}
-	cs.lastSeq = seq
-	fn := cs.onResult
+	ended, fn := cs.ended, cs.onResult
 	cs.mu.Unlock()
-	if fn != nil {
-		fn(t, seq)
+	if !ended && fn != nil {
+		fn(t)
 	}
 }
 
@@ -558,11 +559,7 @@ func (c *Client) handleEnd(resp *Response) {
 	c.mu.Lock()
 	cs := c.byServer[resp.QueryTag]
 	if cs != nil {
-		delete(c.byServer, resp.QueryTag)
-		cs.mu.Lock()
-		logical := cs.logical
-		cs.mu.Unlock()
-		delete(c.subs, logical)
+		c.forgetLocked(cs)
 	}
 	c.mu.Unlock()
 	if cs == nil {
@@ -600,18 +597,11 @@ func (c *Client) connLost(conn net.Conn, err error) {
 	if c.failErr != nil {
 		c.pub.fail(c.failErr)
 	}
-	for id, pc := range c.pending {
-		delete(c.pending, id)
-		close(pc.ch)
-	}
+	c.failPendingLocked()
 	var ended []*clientSub
 	clean := c.closed || c.terminal
 	if !retryable {
-		for tag, cs := range c.subs {
-			delete(c.subs, tag)
-			ended = append(ended, cs)
-		}
-		c.byServer = map[string]*clientSub{}
+		ended = c.dropSubsLocked()
 	}
 	if retryable && wasUp {
 		// First observer of this outage: start the reconnect loop.
@@ -640,17 +630,46 @@ func (c *Client) failPermanent(err error) {
 	}
 	c.failErr = err
 	c.pub.fail(err)
-	var ended []*clientSub
-	for tag, cs := range c.subs {
-		delete(c.subs, tag)
-		ended = append(ended, cs)
-	}
-	c.byServer = map[string]*clientSub{}
+	ended := c.dropSubsLocked()
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	for _, cs := range ended {
 		cs.end(err)
 	}
+}
+
+// dropSubsLocked forgets every subscription and returns them, to be
+// ended outside the lock. Callers hold c.mu.
+func (c *Client) dropSubsLocked() []*clientSub {
+	subs := slices.Collect(maps.Values(c.subs))
+	c.subs, c.byServer = map[string]*clientSub{}, map[string]*clientSub{}
+	return subs
+}
+
+// failPendingLocked fails every call in flight. Callers hold c.mu.
+func (c *Client) failPendingLocked() {
+	for id, pc := range c.pending {
+		delete(c.pending, id)
+		close(pc.ch)
+	}
+}
+
+// forget drops cs from the subscription indexes and returns its server
+// tag.
+func (c *Client) forget(cs *clientSub) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.forgetLocked(cs)
+}
+
+// forgetLocked is forget for callers that hold c.mu.
+func (c *Client) forgetLocked(cs *clientSub) string {
+	cs.mu.Lock()
+	server, logical := cs.server, cs.logical
+	cs.mu.Unlock()
+	delete(c.subs, logical)
+	delete(c.byServer, server)
+	return server
 }
 
 // reconnectLoop re-establishes the session after a loss: exponential
@@ -695,22 +714,19 @@ func (c *Client) reconnectLoop() {
 	}
 }
 
-// restore runs the re-establishment protocol on a fresh connection:
-// hello (adopt whatever the server still has of the session), replay
-// stream registrations when the server is fresh, re-open the sources and
-// resend the publish window from the server's applied sequence, then per
-// subscription either resume (gap = last seen → resume point) or
-// resubmit from scratch (gap unknown). Any failure aborts the whole
+// restore runs the re-establishment protocol on a fresh connection: the
+// hello (adopt whatever the server still has of the session, and resend
+// both streams from where the other end stands), replay stream
+// registrations when the server is fresh, re-open the sources and
+// resend the publish window, then resubmit every subscription the
+// server no longer holds (gap unknown). Any failure aborts the whole
 // attempt; the reconnect loop retries it, and the gaps the aborted
 // attempt learned stay owed to the attempt that completes.
 func (c *Client) restore(conn net.Conn) error {
-	// Wait out the previous connection's read loop first. The gob
-	// decoder reads through its own buffer, so a read loop can keep
-	// draining already-buffered result frames after its connection was
-	// closed; a delivery landing between this attempt's lastSeq
-	// snapshot and the resume would be counted twice — once delivered,
-	// once inside the reported gap. The drain is bounded: the socket is
-	// closed (or dead), so only the finite buffer remains.
+	// Wait out the previous connection's read loop first: it may still be
+	// decoding buffered frames, and the hello below reports how far the
+	// result stream got. The drain is bounded: the socket is closed (or
+	// dead), so only the finite buffer remains.
 	c.mu.Lock()
 	prev, prevW := c.readerDone, c.w
 	c.mu.Unlock()
@@ -718,6 +734,7 @@ func (c *Client) restore(conn net.Conn) error {
 	// The previous writer too: it reads the publish window's chunks, which
 	// are about to be handed to the new one.
 	prevW.stop()
+	last := c.lastResult // no read loop runs: restore may read it
 	done := make(chan struct{})
 	c.mu.Lock()
 	if c.closed || c.terminal {
@@ -729,39 +746,23 @@ func (c *Client) restore(conn net.Conn) error {
 	w := newRequestPump(conn, &c.pub)
 	c.w = w
 	c.loops.Add(1)
-	c.mu.Unlock()
-	go c.readLoop(conn, done)
-
-	c.mu.Lock()
-	regs := make([]Request, len(c.regs))
-	copy(regs, c.regs)
-	// Snapshot each live sub's server tag under its lock; the sort and
-	// the hello below use the snapshot, not the (re-lockable) field.
-	type liveSub struct {
-		cs  *clientSub
-		tag string
-	}
-	var live []liveSub
+	regs := slices.Clone(c.regs)
+	var live []*clientSub
+	var tags []string
 	for _, cs := range c.subs {
 		cs.mu.Lock()
 		if !cs.ended && cs.server != "" {
-			live = append(live, liveSub{cs: cs, tag: cs.server})
+			live = append(live, cs)
+			tags = append(tags, cs.server)
 		}
 		cs.mu.Unlock()
 	}
-	sources := make([]*Source, 0, len(c.sources))
-	for _, src := range c.sources {
-		sources = append(sources, src)
-	}
+	sources := slices.Collect(maps.Values(c.sources))
 	c.mu.Unlock()
-	sort.Slice(live, func(i, j int) bool { return live[i].tag < live[j].tag })
-	tags := make([]string, len(live))
-	for i, ls := range live {
-		tags[i] = ls.tag
-	}
+	go c.readLoop(conn, w, done)
 
 	hello, err, _ := c.roundTrip(&Request{Kind: MsgHello, SessionID: c.sessionID, ResumeTags: tags,
-		LastSeq: c.pub.ackedSeq(), WireVersion: wireVersion}, nil)
+		LastSeq: c.pub.ackedSeq(), ResultSeq: last, WireVersion: wireVersion}, nil)
 	if err != nil {
 		return err
 	}
@@ -776,6 +777,12 @@ func (c *Client) restore(conn net.Conn) error {
 	for _, tag := range hello.Tags {
 		adopted[tag] = true
 	}
+	// The read loop has taken up the result stream where the OK says;
+	// what lay between is gone for every subscription the hello adopted.
+	var gap *Gap
+	if epoch > 1 && hello.ResultSeq > last+1 {
+		gap = &Gap{Epoch: epoch, From: last + 1, To: hello.ResultSeq - 1}
+	}
 	if len(adopted) == 0 {
 		// Nothing survived server-side (fresh server, or the session
 		// lingered out): replay stream registrations so resubmits and
@@ -783,8 +790,7 @@ func (c *Client) restore(conn net.Conn) error {
 		// means the stream survived (same server, session expired) or
 		// another client re-registered it first — both fine.
 		for i := range regs {
-			req := regs[i]
-			if _, err, _ := c.roundTrip(&req, nil); err != nil &&
+			if _, err, _ := c.roundTrip(&regs[i], nil); err != nil &&
 				!strings.Contains(err.Error(), "already registered") {
 				return err
 			}
@@ -800,47 +806,27 @@ func (c *Client) restore(conn net.Conn) error {
 		}
 	}
 	c.pub.attach(w, hello.Seq)
+	// The hello or resubmit that reveals a gap moves the session on, so
+	// a later attempt cannot learn it again: it is owed until one
+	// completes.
 	oweGap := func(cs *clientSub, gap Gap) {
 		c.mu.Lock()
-		c.owedGaps = append(c.owedGaps, owedGap{cs, gap})
+		c.owedGaps = append(c.owedGaps, func() { c.applyGap(cs, gap) })
 		c.mu.Unlock()
 	}
-	for _, ls := range live {
-		cs := ls.cs
-		cs.mu.Lock()
-		server, lastSeq, ended := cs.server, cs.lastSeq, cs.ended
-		cs.mu.Unlock()
-		if ended {
+	for i, cs := range live {
+		if adopted[tags[i]] {
+			if gap != nil {
+				oweGap(cs, *gap)
+			}
 			continue
 		}
-		if adopted[server] {
-			ok, err, _ := c.roundTrip(&Request{Kind: MsgResume, QueryTag: server, LastSeq: lastSeq}, nil)
-			if err != nil {
-				return err
-			}
-			if ok.Seq > lastSeq {
-				// Advance, never regress: the new connection's read
-				// loop may already have delivered flushed frames past
-				// the resume point before we processed the OK, and
-				// stamping the older ok.Seq back would let the next
-				// reconnect re-report those frames inside a gap.
-				cs.mu.Lock()
-				if ok.Seq > cs.lastSeq {
-					cs.lastSeq = ok.Seq
-				}
-				cs.mu.Unlock()
-				oweGap(cs, Gap{Epoch: epoch, From: lastSeq + 1, To: ok.Seq})
-			}
-		} else {
-			if _, err, _ := c.roundTrip(&Request{Kind: MsgSubmit, CQL: cs.cql, UserNode: cs.userNode}, cs); err != nil {
-				// Retryable too: after a server restart another client
-				// may not have re-registered the streams yet.
-				return err
-			}
-			// lastSeq was reset by the read loop when it processed the
-			// submit OK, before any of the new stream's frames.
-			oweGap(cs, Gap{Epoch: epoch, Unknown: true})
+		if _, err, _ := c.roundTrip(&Request{Kind: MsgSubmit, CQL: cs.cql, UserNode: cs.userNode}, cs); err != nil {
+			// Retryable too: after a server restart another client
+			// may not have re-registered the streams yet.
+			return err
 		}
+		oweGap(cs, Gap{Epoch: epoch, Unknown: true})
 	}
 	c.mu.Lock()
 	if w.dead() {
@@ -861,8 +847,8 @@ func (c *Client) restore(conn net.Conn) error {
 	// Gap callbacks — this attempt's and those a failed attempt left
 	// owed — and the cleanup of tags cancelled while down run after the
 	// session is up (they may issue calls of their own).
-	for _, g := range gaps {
-		c.applyGap(g.cs, g.gap)
+	for _, report := range gaps {
+		report()
 	}
 	for _, tag := range drops {
 		// Best-effort: the hello already cancelled unresumed tags, so
@@ -880,14 +866,7 @@ func (c *Client) applyGap(cs *clientSub, gap Gap) {
 	if c.res.OnGap != GapError {
 		return
 	}
-	cs.mu.Lock()
-	server, logical := cs.server, cs.logical
-	cs.mu.Unlock()
-	c.mu.Lock()
-	delete(c.subs, logical)
-	delete(c.byServer, server)
-	c.mu.Unlock()
-	_, _, _ = c.roundTrip(&Request{Kind: MsgCancel, QueryTag: server}, nil)
+	_, _, _ = c.roundTrip(&Request{Kind: MsgCancel, QueryTag: c.forget(cs)}, nil)
 	cs.end(fmt.Errorf("transport: delivery %s", gap))
 }
 
@@ -896,6 +875,12 @@ func (c *Client) applyGap(cs *clientSub, gap Gap) {
 func (c *Client) stateErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.stateErrLocked(errConnLost)
+}
+
+// stateErrLocked is stateErr with up, when the state is not final,
+// reported as that. Callers hold c.mu.
+func (c *Client) stateErrLocked(up error) error {
 	switch {
 	case c.closed:
 		return errClientClosed
@@ -903,9 +888,8 @@ func (c *Client) stateErr() error {
 		return errServerShutdown
 	case c.failErr != nil:
 		return c.failErr
-	default:
-		return errConnLost
 	}
+	return up
 }
 
 // waitReady parks until the session is usable, or reports the terminal
@@ -913,19 +897,10 @@ func (c *Client) stateErr() error {
 func (c *Client) waitReady() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
-		switch {
-		case c.closed:
-			return errClientClosed
-		case c.terminal:
-			return errServerShutdown
-		case c.failErr != nil:
-			return c.failErr
-		case c.up:
-			return nil
-		}
+	for !c.up && c.stateErrLocked(nil) == nil {
 		c.cond.Wait()
 	}
+	return c.stateErrLocked(nil)
 }
 
 // roundTrip sends one request on the current connection and waits for
@@ -996,15 +971,9 @@ func (c *Client) Register(info *stream.Info, node int) error {
 	c.sources[name] = newSource(c, req.Source, info.Schema)
 	if c.resilient {
 		reg := Request{Kind: MsgRegister, Info: req.Info, Node: node, Source: req.Source}
-		replaced := false
-		for i := range c.regs {
-			if c.regs[i].Info.Schema.Stream == name {
-				c.regs[i] = reg
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
+		if i := slices.IndexFunc(c.regs, func(r Request) bool { return r.Info.Schema.Stream == name }); i >= 0 {
+			c.regs[i] = reg
+		} else {
 			c.regs = append(c.regs, reg)
 		}
 	}
@@ -1070,16 +1039,14 @@ func (c *Client) PublishWindow() int { return c.pub.depth() }
 // Submit registers a continuous query for a user at an overlay node;
 // results stream into onResult (which runs on the client's read-loop
 // goroutine — per query, call order is wire order) until the
-// subscription ends. seq is the server-side result sequence number,
-// strictly increasing per subscription and restarting from 1 when a
-// reconnect had to resubmit from scratch (Gap.Unknown reports that).
-// onEnd, which may be nil, fires exactly once: after a local Cancel or
-// Close (nil error), a server-side end such as a graceful daemon
-// shutdown (nil error), or an unrecoverable connection loss (the
-// error). onGap, which may be nil, fires after every reconnect that
-// lost results (see Gap); under GapError the subscription then ends
-// with an error instead of continuing.
-func (c *Client) Submit(cqlText string, userNode int, onResult func(stream.Tuple, uint64), onEnd func(error), onGap func(Gap)) (string, error) {
+// subscription ends, each exactly once while the server holds the
+// session. onEnd, which may be nil, fires exactly once: after a local
+// Cancel or Close (nil error), a server-side end such as a graceful
+// daemon shutdown (nil error), or an unrecoverable connection loss (the
+// error). onGap, which may be nil, fires after every reconnect that lost
+// results (see Gap); under GapError the subscription then ends with an
+// error instead of continuing.
+func (c *Client) Submit(cqlText string, userNode int, onResult func(stream.Tuple), onEnd func(error), onGap func(Gap)) (string, error) {
 	cs := &clientSub{cql: cqlText, userNode: userNode, onResult: onResult, onEnd: onEnd, onGap: onGap}
 	resp, err := c.callSub(&Request{Kind: MsgSubmit, CQL: cqlText, UserNode: userNode}, cs)
 	if err != nil {
@@ -1097,31 +1064,23 @@ func (c *Client) Submit(cqlText string, userNode int, onResult func(stream.Tuple
 func (c *Client) Cancel(tag string) error {
 	c.mu.Lock()
 	cs := c.subs[tag]
-	var server string
-	if cs != nil {
-		cs.mu.Lock()
-		server = cs.server
-		cs.mu.Unlock()
-		if !c.up && c.resilient && !c.closed && !c.terminal && c.failErr == nil {
-			// Down: cancel locally without parking behind the backoff.
-			delete(c.subs, tag)
-			delete(c.byServer, server)
-			c.dropTags = append(c.dropTags, server)
-			c.mu.Unlock()
-			cs.end(nil)
-			return nil
-		}
+	if cs != nil && !c.up && c.resilient && c.stateErrLocked(nil) == nil {
+		// Down: cancel locally without parking behind the backoff.
+		c.dropTags = append(c.dropTags, c.forgetLocked(cs))
+		c.mu.Unlock()
+		cs.end(nil)
+		return nil
 	}
 	c.mu.Unlock()
 	if cs == nil {
 		_, err := c.call(&Request{Kind: MsgCancel, QueryTag: tag})
 		return err
 	}
+	cs.mu.Lock()
+	server := cs.server
+	cs.mu.Unlock()
 	_, err := c.call(&Request{Kind: MsgCancel, QueryTag: server})
-	c.mu.Lock()
-	delete(c.subs, tag)
-	delete(c.byServer, server)
-	c.mu.Unlock()
+	c.forget(cs)
 	cs.end(nil)
 	return err
 }

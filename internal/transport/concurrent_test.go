@@ -43,7 +43,7 @@ func TestConcurrentClients(t *testing.T) {
 		defer c.Close()
 		// Each subscriber has a different threshold.
 		q := fmt.Sprintf("SELECT itemID FROM OpenAuction [Now] WHERE start_price > %d", i*100)
-		if _, err := c.Submit(q, (i+3)%16, func(stream.Tuple, uint64) {
+		if _, err := c.Submit(q, (i+3)%16, func(stream.Tuple) {
 			delivered.Add(1)
 		}, nil, nil); err != nil {
 			t.Fatal(err)
@@ -178,7 +178,7 @@ func TestConcurrentSubscribeCancelMidStream(t *testing.T) {
 				endCh := make(chan error, 1)
 				q := fmt.Sprintf("SELECT itemID FROM OpenAuction [Now] WHERE start_price > %d", (s*50)%300)
 				tag, err := c.Submit(q, (s+3)%16,
-					func(stream.Tuple, uint64) { got.Add(1) },
+					func(stream.Tuple) { got.Add(1) },
 					func(err error) { endCh <- err }, nil)
 				if err != nil {
 					t.Errorf("submit: %v", err)
@@ -274,7 +274,7 @@ func TestServerShutdownDrainsAndEnds(t *testing.T) {
 	var got atomic.Int64
 	endCh := make(chan error, 1)
 	if _, err := c.Submit("SELECT itemID FROM OpenAuction [Now] WHERE start_price > 100", 5,
-		func(stream.Tuple, uint64) { got.Add(1) },
+		func(stream.Tuple) { got.Add(1) },
 		func(err error) { endCh <- err }, nil); err != nil {
 		t.Fatal(err)
 	}

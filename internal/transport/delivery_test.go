@@ -84,7 +84,7 @@ func submitRec(t *testing.T, c *Client, q string, node int) (string, *subRecorde
 func (r *subRecorder) count() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.seqs)
+	return len(r.rows)
 }
 
 // wireDelta publishes one tuple and returns how the server's result
@@ -112,9 +112,9 @@ func wireDelta(t *testing.T, srv *Server, pub *Client, item int64, price float64
 // one connection, in one query group, at one user node. They cost one
 // body per result plus a match bitmap; the same pair at two nodes, or on
 // two connections, costs two bodies. Cancelling one member leaves the
-// other's sequences contiguous and withdraws its interest from the
-// proxy's broker interface, and a delivery of one subscription is framed
-// exactly as wire version 3 framed a subscription.
+// other's results whole and withdraws its interest from the proxy's
+// broker interface, and a delivery of one subscription is framed exactly
+// as wire version 3 framed a subscription.
 func TestDeliverySharingScope(t *testing.T) {
 	t.Run("one connection, group and node", func(t *testing.T) {
 		_, srv, addr, pub := shareServer(t)
@@ -126,7 +126,7 @@ func TestDeliverySharingScope(t *testing.T) {
 		_, wide := submitRec(t, c, shareWide, 5)
 		_, narrow := submitRec(t, c, shareNarrow, 5)
 		results, batches, n := wireDelta(t, srv, pub, 1, 150, 2, wide, narrow)
-		frame := int64(dataSeqAt + 2*8 + 1 + wideBody) // two firstSeqs, one bitmap byte, one body
+		frame := int64(6 + 8 + 1 + wideBody) // id and count, one firstSeq, one bitmap byte, one body
 		if results != 2 || batches != 1 || n != frame {
 			t.Fatalf("a result of both: %d results, %d frames, %d bytes; want 2, 1, %d", results, batches, n, frame)
 		}
@@ -184,11 +184,8 @@ func TestDeliverySharingScope(t *testing.T) {
 		}
 		wireDelta(t, srv, pub, 3, 150, 1, wide)
 		wireDelta(t, srv, pub, 4, 60, 1, wide)
-		wide.mu.Lock()
-		seqs := slices.Clone(wide.seqs)
-		wide.mu.Unlock()
-		if !slices.Equal(seqs, []uint64{1, 2, 3, 4}) {
-			t.Fatalf("survivor's sequences %v, want 1..4", seqs)
+		if items := wide.items(); !slices.Equal(items, []int64{1, 2, 3, 4}) {
+			t.Fatalf("survivor's items %v, want 1..4", items)
 		}
 		// Alone in its group, the survivor subscribes its group's whole
 		// result stream; nothing of the cancelled member's filter or
@@ -217,7 +214,7 @@ func TestDeliverySharingScope(t *testing.T) {
 			t.Fatalf("%d members announced, want 1", len(announced))
 		}
 		got, _, _ := readRawFrame(t, p, frameData)
-		// Version 3: id, count, firstSeq, then the subscription's own row.
+		// As version 3: id, count, firstSeq, then the subscription's own row.
 		out := announced[0].schema
 		want := appendDataHeader(nil, 1, 1)
 		want = appendTuple(want, stream.MustTuple(out, 7, stream.Int(7)))

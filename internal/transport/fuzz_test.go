@@ -141,7 +141,7 @@ func FuzzPublishFrame(f *testing.F) {
 	silenceLog(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sess := newScriptSession(srv, nil)
-		sess.w.pump.Store(newResultPump(sess.w)) // never run: acks just queue
+		defer sess.close(false)
 		if err := sess.openSource(1, port); err != nil {
 			t.Fatal(err)
 		}
@@ -226,10 +226,18 @@ func requestScriptSeeds(t testing.TB) [][]byte {
 		request(t, Request{ID: 1, Kind: MsgHello, SessionID: "abc", WireVersion: wireVersion}).
 		request(t, Request{ID: 2, Kind: MsgRegister, Info: ToWireInfo(other), Node: 2, Source: 2}).
 		request(t, Request{ID: 3, Kind: MsgSubmit, CQL: "SELECT i FROM Fuzz [Now] WHERE i > 3", UserNode: 4}).
-		request(t, Request{ID: 4, Kind: MsgResume, QueryTag: "q00000", LastSeq: 2}).
-		request(t, Request{ID: 5, Kind: MsgCancel, QueryTag: "q00000"}).
-		request(t, Request{ID: 6, Kind: MsgStats}).
-		request(t, Request{ID: 7, Kind: MsgCatalog})
+		frame(frameAck, binary.LittleEndian.AppendUint64(nil, 0)).
+		request(t, Request{ID: 4, Kind: MsgCancel, QueryTag: "q00000"}).
+		request(t, Request{ID: 5, Kind: MsgStats}).
+		request(t, Request{ID: 6, Kind: MsgCatalog})
+	// Client→server result acks that do not parse: each ends its session.
+	ack := func(payload []byte) []byte {
+		return newRequestScript().request(t, hello).frame(frameAck, payload).
+			request(t, Request{ID: 2, Kind: MsgCatalog}).bytes()
+	}
+	ackShort := ack([]byte{1, 0, 0})
+	ackTrailing := ack(append(binary.LittleEndian.AppendUint64(nil, 0), 0))
+	ackBeyond := ack(binary.LittleEndian.AppendUint64(nil, 5)) // nothing was sent
 	noHello := newRequestScript().
 		request(t, Request{ID: 1, Kind: MsgCatalog}).
 		request(t, Request{ID: 2, Kind: MsgSubmit, CQL: "SELECT i FROM Fuzz [Now]", UserNode: 4}).
@@ -254,6 +262,9 @@ func requestScriptSeeds(t testing.TB) [][]byte {
 		hugeFrame.bytes(),
 		frameFirst.bytes(),
 		publisher.bytes()[:len(publisher.bytes())/2],
+		ackShort,
+		ackTrailing,
+		ackBeyond,
 		{},
 	}
 }
@@ -298,15 +309,22 @@ var (
 	}}
 )
 
-// resultFrame builds a result 'D' payload of delivery id under lay: row
-// i carries the member sequences seqs[i].
-func resultFrame(id uint32, lay *core.Layout, seqs [][]uint64) []byte {
-	b, results := appendResultHeader(nil, id, len(lay.Members)), 0
-	for i, s := range seqs {
+// resultFrame builds a result 'D' payload of delivery id under lay from
+// session sequence first: row i is a result of the members hits[i] sets.
+func resultFrame(id uint32, lay *core.Layout, first uint64, hits [][]bool) []byte {
+	b, k := appendDataHeader(nil, id, first), len(lay.Members)
+	for i, h := range hits {
+		at := len(b)
+		b = append(b, make([]byte, bitmapBytes(k))...)
+		for j, hit := range h {
+			if hit && k > 1 {
+				b[at+j/8] |= 1 << (j % 8)
+			}
+		}
 		row := stream.MustTuple(fuzzSource, stream.Timestamp(i+1), stream.Int(int64(i+1)), stream.Float(float64(i)/2))
-		b = appendResult(b, &pumpEntry{lay: lay, t: row, seqs: s}, &results)
+		b = appendBody(b, row, lay.Cols)
 	}
-	patchDataCount(b, len(seqs))
+	patchDataCount(b, len(hits))
 	return b
 }
 
@@ -318,7 +336,8 @@ func resultStreamSeeds() map[string][]byte {
 		return appendFrame(nil, frameSchema, appendSchemaFrame(nil, id, lay))
 	}
 	data := func(payload []byte) []byte { return appendFrame(nil, frameData, payload) }
-	pairRows := resultFrame(1, fuzzPair, [][]uint64{{1, 1}, {2, 0}, {3, 2}})
+	pairRows := resultFrame(1, fuzzPair, 1, [][]bool{{true, true}, {true, false}, {true, true}})
+	soloRows := resultFrame(2, fuzzSolo, 4, [][]bool{{true}, {true}})
 
 	beyondBody := appendSchemaFrame(nil, 1, &core.Layout{Cols: []int{0}, Members: []core.Member{
 		{Out: fuzzNarrow, Idx: []int{1}}, // the body has one column
@@ -328,7 +347,7 @@ func resultStreamSeeds() map[string][]byte {
 	memberLie = binary.AppendUvarint(memberLie, 1<<40)
 	noMembers := binary.AppendUvarint(binary.AppendUvarint(binary.LittleEndian.AppendUint32(nil, 1), 2), 0)
 	bitsBeyond := slices.Clone(pairRows)
-	bitsBeyond[dataSeqAt+2*8] |= 1 << 2 // the first row's bitmap names a third member
+	bitsBeyond[dataHeaderSize] |= 1 << 2 // the first row's bitmap names a third member
 	countLie := slices.Clone(pairRows)
 	binary.LittleEndian.PutUint16(countLie[4:], math.MaxUint16)
 	kindLie := appendSchemaFrame(nil, 1, &core.Layout{Cols: []int{0, 1}, Members: []core.Member{
@@ -336,9 +355,15 @@ func resultStreamSeeds() map[string][]byte {
 		{Out: fuzzNarrow, Idx: []int{0}},
 	}})
 	return map[string][]byte{
-		"valid": frames(schema(1, fuzzPair), data(pairRows), schema(2, fuzzSolo),
-			data(resultFrame(2, fuzzSolo, [][]uint64{{1}, {2}})), appendFrame(nil, frameAck, appendAck(nil, 4, ""))),
-		"layout-change":        frames(schema(1, fuzzPair), data(pairRows), schema(1, fuzzSolo), data(resultFrame(1, fuzzSolo, [][]uint64{{1}}))),
+		"valid": frames(schema(1, fuzzPair), data(pairRows), schema(2, fuzzSolo), data(soloRows),
+			appendFrame(nil, frameAck, appendAck(nil, 4, ""))),
+		"layout-change": frames(schema(1, fuzzPair), data(pairRows), schema(1, fuzzSolo),
+			data(resultFrame(1, fuzzSolo, 4, [][]bool{{true}}))),
+		// A resend replays what arrived: skipped whole, 'S' frames rebound.
+		"resent": frames(schema(1, fuzzPair), data(pairRows), schema(1, fuzzPair), data(pairRows),
+			schema(2, fuzzSolo), data(soloRows)),
+		"sequence-hole":        frames(schema(1, fuzzPair), data(pairRows), schema(2, fuzzSolo), data(resultFrame(2, fuzzSolo, 6, [][]bool{{true}}))),
+		"sequence-backwards":   frames(schema(1, fuzzPair), data(pairRows), data(resultFrame(1, fuzzPair, 2, [][]bool{{true, false}, {true, false}, {true, false}}))),
 		"column-beyond-body":   appendFrame(nil, frameSchema, beyondBody),
 		"member-count-lie":     appendFrame(nil, frameSchema, memberLie),
 		"no-members":           appendFrame(nil, frameSchema, noMembers),
@@ -356,7 +381,7 @@ func resultStreamSeeds() map[string][]byte {
 // resultClient is a client that never dialled, holding subscriptions
 // q1, q2 and q3 whose results land in recs.
 func resultClient(recs map[string]*subRecorder) *Client {
-	c := &Client{subs: map[string]*clientSub{}, byServer: map[string]*clientSub{}}
+	c := &Client{subs: map[string]*clientSub{}, byServer: map[string]*clientSub{}, wireSubs: map[uint32]*wireSub{}}
 	c.cond = sync.NewCond(&c.mu)
 	c.pub.cond = sync.NewCond(&c.pub.mu)
 	for tag, rec := range recs {
@@ -371,9 +396,10 @@ func resultClient(recs map[string]*subRecorder) *Client {
 // — through Client.readBinaryFrame. A malformed frame must end the stream
 // with an error, never a panic and never an allocation its bytes do not
 // back (frameArena, decodeSchemaFrame and readFrame check counts and
-// lengths against the bytes present first). Whatever is delivered is a
-// result of a known subscription, in strictly increasing sequence, that
-// obeys FuzzTupleDecode's round-trip property under its own schema.
+// lengths against the bytes present first). The session's result
+// sequence only moves forward, and whatever is delivered is a result of a
+// known subscription that obeys FuzzTupleDecode's round-trip property
+// under its own schema.
 func FuzzResultFrames(f *testing.F) {
 	for _, seed := range resultStreamSeeds() {
 		f.Add(seed)
@@ -382,23 +408,22 @@ func FuzzResultFrames(f *testing.F) {
 		recs := map[string]*subRecorder{"q1": {}, "q2": {}, "q3": {}}
 		c := resultClient(recs)
 		br := bufio.NewReader(bytes.NewReader(script))
-		deliveries := map[uint32]*wireSub{}
 		for {
 			marker, err := br.ReadByte()
 			if err != nil || (marker != frameData && marker != frameSchema && marker != frameAck) {
 				break
 			}
-			if c.readBinaryFrame(br, marker, deliveries) != nil {
+			last := c.lastResult
+			err = c.readBinaryFrame(br, marker)
+			if c.lastResult < last {
+				t.Fatalf("result sequence went back from %d to %d", last, c.lastResult)
+			}
+			if err != nil {
 				break
 			}
 		}
 		for tag, rec := range recs {
-			var last uint64
-			for i, row := range rec.rows {
-				if rec.seqs[i] <= last {
-					t.Fatalf("%s: sequence %d after %d", tag, rec.seqs[i], last)
-				}
-				last = rec.seqs[i]
+			for _, row := range rec.rows {
 				if row.Schema.Stream != tag {
 					t.Fatalf("%s received a row of %s", tag, row.Schema.Stream)
 				}
@@ -415,19 +440,21 @@ func FuzzResultFrames(f *testing.F) {
 func TestResultStreamSeeds(t *testing.T) {
 	seeds := resultStreamSeeds()
 	for name, want := range map[string]map[string]int{
-		"valid":         {"q1": 3, "q2": 2, "q3": 2},
-		"layout-change": {"q1": 3, "q2": 2, "q3": 1},
-		"kind-lie":      {}, // the first row's q1 result is rejected
+		"valid":              {"q1": 3, "q2": 2, "q3": 2},
+		"layout-change":      {"q1": 3, "q2": 2, "q3": 1},
+		"resent":             {"q1": 3, "q2": 2, "q3": 2},
+		"sequence-hole":      {"q1": 3, "q2": 2},
+		"sequence-backwards": {"q1": 3, "q2": 2},
+		"kind-lie":           {}, // the first row's q1 result is rejected
 	} {
 		recs := map[string]*subRecorder{"q1": {}, "q2": {}, "q3": {}}
 		c := resultClient(recs)
 		br := bufio.NewReader(bytes.NewReader(seeds[name]))
-		deliveries := map[uint32]*wireSub{}
 		var err error
 		for err == nil {
 			var marker byte
 			if marker, err = br.ReadByte(); err == nil {
-				err = c.readBinaryFrame(br, marker, deliveries)
+				err = c.readBinaryFrame(br, marker)
 			}
 		}
 		for tag, rec := range recs {
@@ -437,17 +464,17 @@ func TestResultStreamSeeds(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"column-beyond-body", "member-count-lie", "no-members", "bitmap-beyond-k",
-		"count-lie", "short-header", "trailing-byte", "unannounced-delivery", "length-lie"} {
+		"count-lie", "short-header", "trailing-byte", "unannounced-delivery", "length-lie",
+		"sequence-hole", "sequence-backwards"} {
 		c := resultClient(map[string]*subRecorder{})
 		br := bufio.NewReader(bytes.NewReader(seeds[name]))
-		deliveries := map[uint32]*wireSub{}
 		var frameErr error
 		for frameErr == nil {
 			marker, err := br.ReadByte()
 			if err != nil {
 				break
 			}
-			frameErr = c.readBinaryFrame(br, marker, deliveries)
+			frameErr = c.readBinaryFrame(br, marker)
 		}
 		if frameErr == nil {
 			t.Errorf("%s: every frame was accepted", name)
@@ -477,7 +504,7 @@ func TestMalformedPublishFrameEndsOnlyThatSession(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []int64
-	if _, err := good.Submit("SELECT itemID FROM OpenAuction [Now]", 5, func(tp stream.Tuple, _ uint64) {
+	if _, err := good.Submit("SELECT itemID FROM OpenAuction [Now]", 5, func(tp stream.Tuple) {
 		mu.Lock()
 		got = append(got, tp.Values[0].AsInt())
 		mu.Unlock()

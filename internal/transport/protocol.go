@@ -9,12 +9,15 @@ import "cosmos/internal/core"
 // (graceful daemon shutdown). Requests and Responses are gob-encoded on
 // the single TCP connection; tuples never are — published tuples travel
 // client→server in the same binary 'D' frames results travel back in
-// (wire.go), answered by cumulative 'A' acks instead of Responses. Both
-// directions are marker-framed from the MsgHello that opens every
-// connection onwards: the hello and its OK are the only unframed
-// messages. The hello carries the wire format version; a peer that
-// offers less than this build's, or submits or publishes without a
-// hello, is refused with an error naming the version.
+// (wire.go), and each direction's receiver answers with cumulative 'A'
+// acks instead of Responses. Both directions are marker-framed from the
+// MsgHello that opens every connection onwards: the hello and its OK are
+// the only unframed messages. The hello carries the wire format version;
+// a peer that offers less than this build's, or submits or publishes
+// without a hello, is refused with an error naming the version. For a
+// resumable session the hello is also the whole resume: it carries how
+// far each direction's stream arrived, and its OK how far the other
+// end's did.
 
 // MsgKind discriminates protocol messages.
 type MsgKind uint8
@@ -36,8 +39,8 @@ const (
 	MsgEnd   // asynchronous subscription end (QueryTag + optional Error)
 	// Resilience extensions (PR 6). Appended so kind numbers stay
 	// stable against older peers.
-	MsgHello    // announce a resumable session (SessionID + ResumeTags); OK carries Epoch + adopted Tags
-	MsgResume   // resume a subscription after reconnect (QueryTag + LastSeq); OK carries Seq + Epoch
+	MsgHello    // open the connection (WireVersion), resuming a session (SessionID, ResumeTags, LastSeq, ResultSeq); OK carries Epoch, adopted Tags, Seq, ResultSeq
+	_           // retired: wire version 4's per-subscription resume; the number stays reserved so later kinds keep their values
 	MsgPing     // keepalive probe; answered with MsgPong
 	MsgPong     // keepalive answer
 	MsgShutdown // pushed on graceful server shutdown: loss is terminal, do not reconnect
@@ -61,16 +64,20 @@ type Request struct {
 	// Submit
 	CQL      string
 	UserNode int
-	// Cancel / Resume
+	// Cancel
 	QueryTag string
 	// Hello
-	SessionID  string   // client-chosen stable identity of a resumable session
-	ResumeTags []string // subscriptions the client intends to resume
-	// Resume: the highest result sequence the client saw for QueryTag.
+	SessionID string // client-chosen stable identity of a resumable session
+	// The subscriptions the client holds: the hello adopts these and
+	// cancels the session's others (a submit whose OK a cut lost).
+	ResumeTags []string
 	// Hello: the highest publish sequence a server has acknowledged to
 	// this session — a server that no longer holds the session resumes
 	// its publish count from here.
 	LastSeq uint64
+	// Hello: the session's last contiguous result sequence the client
+	// received; the server resends what lies beyond it.
+	ResultSeq uint64
 	// Hello: the highest wire format version the client speaks (0 from
 	// a peer older than the negotiation).
 	WireVersion int
@@ -88,12 +95,16 @@ type Response struct {
 	Stats SystemStats
 	// Catalog; OpenSource (the one opened stream)
 	Infos []WireInfo
-	// Resilience: on a MsgResume OK, the resume point — the result
-	// sequence already assigned to the query's latest emission. On a
-	// MsgHello OK, the session's applied publish sequence: the client
+	// MsgHello OK: the session's applied publish sequence; the client
 	// resends only what it published beyond it.
 	Seq uint64
-	// Session epoch, bumped on every adoption (MsgHello/MsgResume OKs).
+	// MsgHello OK: the first result sequence the session's window still
+	// holds. Above the client's last contiguous result by more than one,
+	// the window overflowed while detached and the results between are
+	// gone.
+	ResultSeq uint64
+	// Session epoch (MsgHello OK): 1 for a session the server did not
+	// hold, bumped on every adoption.
 	Epoch uint64
 	// Subscriptions adopted from a detached session (MsgHello OK).
 	Tags []string

@@ -2,15 +2,12 @@ package transport
 
 import (
 	"bufio"
+	"encoding/gob"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"cosmos/internal/core"
-	"cosmos/internal/obs"
-	"cosmos/internal/stream"
 )
 
 // pump is one connection's single writer for one direction: everything
@@ -21,9 +18,9 @@ import (
 // and flushes the bufio.Writer only when the queue runs dry: whatever
 // accumulated while the previous write was in flight forms the next
 // batch. There is no linger timer and no batch-size setting. The server
-// instantiates it with result/control/ack entries (resultPump), the
-// client with request/publish entries (requestPump); the direction
-// lives entirely in process.
+// instantiates it with control/result-flush/ack entries (resultPump), the
+// client with request/publish-flush/ack entries (requestPump); the
+// direction lives entirely in process.
 type pump[E any] struct {
 	bw *bufio.Writer // all frame bytes funnel through here
 	// process writes one swapped-out batch onto bw and reports whether
@@ -176,248 +173,215 @@ func (p *pump[E]) run() {
 }
 
 // writeFrame emits marker + u32 length + payload onto bw.
-func (p *pump[E]) writeFrame(marker byte, payload []byte) bool {
+func (p *pump[E]) writeFrame(marker byte, payload []byte) error {
 	putFrameHeader(p.hdr[:], marker, len(payload))
 	if _, err := p.bw.Write(p.hdr[:]); err != nil {
-		p.fail(err)
-		return false
+		return err
 	}
-	if _, err := p.bw.Write(payload); err != nil {
-		p.fail(err)
-		return false
-	}
-	return true
+	_, err := p.bw.Write(payload)
+	return err
+}
+
+// acker coalesces a connection's cumulative acks of the other direction:
+// the reading side records the sequence and queues one ack entry until
+// the writer takes it, and the writer sends the latest. An entry queued
+// ahead of a response thus acks at least what was received before it.
+type acker struct {
+	seq    atomic.Uint64
+	queued atomic.Bool
+}
+
+// set records seq and reports whether an ack entry must be queued.
+//
+//cosmos:hotpath
+func (a *acker) set(seq uint64) bool {
+	a.seq.Store(seq)
+	return !a.queued.Swap(true)
+}
+
+// take is the writer's: the sequence its ack entry sends.
+func (a *acker) take() uint64 {
+	a.queued.Store(false)
+	return a.seq.Load()
 }
 
 // resultPump is the server side of a connection: every server→client
-// message — results, OKs, pushes, pongs, publish acks — goes through
-// it. Its goroutine owns the gob encoder, the per-delivery id table and
-// the scratch buffers: batches of consecutive results of one delivery
-// coalesce into a single 'D' frame, built in a pooled buffer.
+// message — OKs, pushes, pongs, publish acks, result chunks — goes
+// through it from the connection's first byte. Its goroutine owns the
+// gob encoder: one encoder for the connection's life, since gob emits
+// type definitions once per stream. Control frames travel bare until the
+// hello OK, which is the last unframed message; results reach the pump
+// already encoded, as the session's result window (results.go). Once
+// bounded (graceful shutdown), every write refreshes a per-write
+// deadline: a healthy-but-slow drain keeps extending it, while a
+// subscriber that stopped reading fails its write within the bound
+// instead of stalling the drain forever.
 type resultPump struct {
 	*pump[pumpEntry]
-	w      *connWriter // shared gob encoder (control frames) + conn
-	stripe int         // obs counter stripe: pumps must not share one
-
-	// Single-writer state below: touched only by run()'s goroutine.
-	deliveries map[*delivery]*pumpDelivery
-	nextID     uint32
-	ackBuf     [ackHeaderSize]byte // writeAck's scratch
+	conn    *boundedConn
+	enc     *gob.Encoder
+	wire    *wireMetrics                 // server-wide wire accounting; never nil
+	win     atomic.Pointer[resultWindow] // the session's results, set by the hello
+	framed  bool                         // the writer's: the hello OK is written
+	chunks  [][]byte                     // takeUnsent's scratch
+	acks    acker                        // the session's applied publish sequence
+	refusal atomic.Pointer[string]
+	ackBuf  [ackHeaderSize]byte
 }
 
-// pumpDelivery is a delivery's id on this connection and its last layout.
-type pumpDelivery struct {
-	id  uint32
-	lay *core.Layout
-}
-
-// pumpEntry is one queued write: a control Response (resp set), one
-// result tuple (dl set: seqs holds, per member of lay, the sequence of
-// its result, 0 for a member it is not for), or a cumulative publish ack
-// (ack set: seq is the session's applied publish sequence, resp — when
-// also set — carries the refusal).
+// pumpEntry is one queued write: a control Response (resp set; hello
+// marks the hello OK), the result window's unsent chunks as of when the
+// writer gets to it (flush), or the publish ack (ack).
 type pumpEntry struct {
-	resp *Response
-	dl   *delivery
-	lay  *core.Layout
-	t    stream.Tuple
-	seqs []uint64
-	seq  uint64
-	ack  bool
+	resp  *Response
+	hello bool
+	flush bool
+	ack   bool
 }
 
-// pumpWriter applies the graceful-drain write bound to the bytes the
-// bufio.Writer pushes down, mirroring connWriter.send's deadline.
-type pumpWriter struct {
-	w *connWriter
+// writeBound is the per-write deadline applied during a graceful drain.
+const writeBound = 5 * time.Second
+
+// boundedConn applies the graceful-drain write bound to the bytes the
+// bufio.Writer pushes down.
+type boundedConn struct {
+	net.Conn
+	bounded atomic.Bool
 }
 
-func (pw pumpWriter) Write(b []byte) (int, error) {
-	if pw.w.bounded.Load() {
-		_ = pw.w.conn.SetWriteDeadline(time.Now().Add(writeBound))
+func (c *boundedConn) Write(b []byte) (int, error) {
+	if c.bounded.Load() {
+		_ = c.SetWriteDeadline(time.Now().Add(writeBound))
 	}
-	return pw.w.conn.Write(b)
+	return c.Conn.Write(b)
 }
 
-// pumpSeq hands each pump a distinct obs counter stripe.
-var pumpSeq atomic.Int64
-
-func newResultPump(w *connWriter) *resultPump {
-	p := &resultPump{
-		pump:       newPump[pumpEntry](pumpWriter{w: w}, 32<<10),
-		w:          w,
-		stripe:     int(pumpSeq.Add(1)),
-		deliveries: map[*delivery]*pumpDelivery{},
-	}
+func newResultPump(conn net.Conn, wire *wireMetrics) *resultPump {
+	bc := &boundedConn{Conn: conn}
+	p := &resultPump{pump: newPump[pumpEntry](bc, 32<<10), conn: bc, wire: wire}
+	p.enc = gob.NewEncoder(p.bw)
 	p.process = p.writeEntries
+	go p.run()
 	return p
 }
 
-// sendControl enqueues a control Response.
-func (p *resultPump) sendControl(r *Response) error {
+// send enqueues a control Response. Results encoded from here on travel
+// behind it: a submit's OK precedes its first result.
+func (p *resultPump) send(r *Response) error {
+	w := p.win.Load()
+	if w == nil {
+		return p.enqueue(pumpEntry{resp: r})
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.fence()
 	return p.enqueue(pumpEntry{resp: r})
 }
 
-// sendAck enqueues a cumulative publish ack; refusal, when non-empty,
-// makes it the sticky error the client's next Publish returns.
+// sendHello enqueues the hello OK and attaches the session's result
+// window behind it, resending what lies beyond last. Callers hold w.mu.
+func (p *resultPump) sendHello(ok *Response, w *resultWindow, last uint64) {
+	p.win.Store(w)
+	_ = p.enqueue(pumpEntry{resp: ok, hello: true})
+	w.attach(p.queueFlush, min(last, w.through))
+}
+
+// queueFlush is the result window's flush hook while p is attached.
+func (p *resultPump) queueFlush() { _ = p.enqueue(pumpEntry{flush: true}) }
+
+// bound switches the writer to per-write deadlines and stamps an
+// immediate absolute one, which also unblocks a Write already stuck on
+// a full TCP buffer (deadlines apply to in-flight I/O).
+func (p *resultPump) bound() {
+	p.conn.bounded.Store(true)
+	_ = p.conn.SetWriteDeadline(time.Now().Add(writeBound))
+}
+
+// wait returns once the writer goroutine has exited: it holds none of
+// the result window's chunks from then on. Callers closed the pump and
+// the connection, so a write in flight fails promptly.
+func (p *resultPump) wait() { <-p.done }
+
+// sendAck acknowledges the publishes applied so far; refusal, when
+// non-empty, becomes the sticky error every later ack carries and the
+// client's next Publish returns.
 func (p *resultPump) sendAck(applied uint64, refusal string) error {
-	e := pumpEntry{ack: true, seq: applied}
 	if refusal != "" {
-		e.resp = &Response{Kind: MsgError, Error: refusal}
+		r := refusal // a copy, so only a refusal moves to the heap
+		p.refusal.Store(&r)
 	}
-	return p.enqueue(e)
+	if p.acks.set(applied) {
+		return p.enqueue(pumpEntry{ack: true})
+	}
+	return nil
 }
 
 // writeEntries writes one swapped-out batch; reports whether any bytes
-// were written. Consecutive results of one delivery and layout coalesce
-// into one 'D' frame: on one connection a member's sequences have no
-// holes (held while gated; detached, a member is off the connection).
+// were written.
 func (p *resultPump) writeEntries(batch []pumpEntry) bool {
-	wrote, coalesced := false, false
-	i := 0
-	for i < len(batch) {
-		if p.dead() {
-			return wrote
-		}
-		e := &batch[i]
-		if e.ack && !coalesced {
-			// Only a publisher's connection carries acks: batches
-			// without one never pay for the pass.
-			coalesceAcks(batch[i:])
-			coalesced = true
-		}
-		switch {
+	wrote := false
+	for i := 0; i < len(batch) && !p.dead(); i++ {
+		switch e := &batch[i]; {
 		case e.ack:
-			if p.writeAck(e) {
-				wrote = true
-			}
-			i++
-			continue
+			wrote = p.writeAck() || wrote
 		case e.resp != nil:
-			if p.writeControl(e.resp) {
-				wrote = true
-			}
-			i++
-			continue
-		case e.dl == nil:
-			i++ // a superseded ack
-			continue
+			wrote = p.writeControl(e) || wrote
+		case e.flush:
+			wrote = p.writeResults() || wrote
 		}
-		j := i + 1
-		for j < len(batch) && j-i < maxBatchTuples && batch[j].dl == e.dl && batch[j].lay == e.lay {
-			j++
-		}
-		if p.writeBatch(batch[i:j]) {
-			wrote = true
-		}
-		i = j
+	}
+	if p.dead() {
+		// A failed write ends the connection: the serve loop's read then
+		// fails too, and the session detaches its window.
+		_ = p.conn.Close()
 	}
 	return wrote
 }
 
-// coalesceAcks blanks every plain ack that another follows before the
-// next control frame: acks are cumulative, so the later one says it all,
-// but none may move behind a later response — a Quiesce OK vouches for
-// every ack before it. Refusals are never dropped.
-func coalesceAcks(batch []pumpEntry) {
-	later := false // a plain ack follows before the next control frame
-	for i := len(batch) - 1; i >= 0; i-- {
-		switch e := &batch[i]; {
-		case e.ack && e.resp == nil:
-			if later {
-				*e = pumpEntry{}
-			}
-			later = true
-		case e.resp != nil:
-			later = false
+// writeControl emits a control message: a 'G' frame — marker + one gob
+// Response — or, up to the hello OK, the bare gob.
+func (p *resultPump) writeControl(e *pumpEntry) bool {
+	if p.framed {
+		if err := p.bw.WriteByte(frameGob); err != nil {
+			p.fail(err)
+			return false
 		}
 	}
-}
-
-// writeControl emits a 'G' frame: marker + one gob Response through
-// the shared encoder (which targets bw after the upgrade).
-func (p *resultPump) writeControl(r *Response) bool {
-	if err := p.bw.WriteByte(frameGob); err != nil {
+	if err := p.enc.Encode(e.resp); err != nil {
 		p.fail(err)
 		return false
 	}
-	//lint:ignore lockguard after the hello's upgrade the pump's writer goroutine owns the shared encoder; connWriter.send routes all control frames here instead of touching enc
-	if err := p.w.enc.Encode(r); err != nil {
-		p.fail(err)
-		return false
-	}
+	p.framed = p.framed || e.hello
 	return true
 }
 
 // writeAck emits an 'A' frame: the applied sequence, then the refusal
 // text if there is one.
-func (p *resultPump) writeAck(e *pumpEntry) bool {
+func (p *resultPump) writeAck() bool {
 	refusal := ""
-	if e.resp != nil {
-		refusal = e.resp.Error
+	if r := p.refusal.Load(); r != nil {
+		refusal = *r
 	}
-	payload := appendAck(p.ackBuf[:0], e.seq, refusal)
-	p.w.wire.ackBytes.Add(int64(len(payload)))
-	return p.writeFrame(frameAck, payload)
+	payload := appendAck(p.ackBuf[:0], p.acks.take(), refusal)
+	p.wire.ackBytes.Add(int64(len(payload)))
+	if err := p.writeFrame(frameAck, payload); err != nil {
+		p.fail(err)
+		return false
+	}
+	return true
 }
 
-// writeBatch emits one 'D' frame for run (one delivery and layout,
-// contiguous sequences per member), preceded by an 'S' frame when the
-// delivery is new to this connection or its layout changed. The payload
-// is built in a pooled buffer; at steady state the whole path allocates
-// nothing.
-func (p *resultPump) writeBatch(run []pumpEntry) bool {
-	dl, lay := run[0].dl, run[0].lay
-	pd := p.deliveries[dl]
-	wrote := false
-	if pd == nil {
-		p.nextID++
-		pd = &pumpDelivery{id: p.nextID}
-		p.deliveries[dl] = pd
+// writeResults writes the result chunks a flush entry carries.
+func (p *resultPump) writeResults() bool {
+	w := p.win.Load()
+	p.chunks = w.takeUnsent(p.chunks[:0])
+	defer clear(p.chunks)
+	for _, chunk := range p.chunks {
+		if _, err := p.bw.Write(chunk); err != nil {
+			p.fail(err)
+			return false
+		}
 	}
-	if pd.lay != lay {
-		pd.lay = lay
-		bufp := getFrameBuf()
-		*bufp = appendSchemaFrame((*bufp)[:0], pd.id, lay)
-		ok := p.writeFrame(frameSchema, *bufp)
-		putFrameBuf(bufp)
-		if !ok {
-			return wrote
-		}
-		wrote = true
-	}
-	// Build 'D' frames, splitting on the soft byte cap.
-	wm := p.w.wire
-	bufp := getFrameBuf()
-	defer putFrameBuf(bufp)
-	for len(run) > 0 {
-		buf := appendResultHeader((*bufp)[:0], pd.id, len(lay.Members))
-		n, results := 0, 0
-		for n < len(run) && (n == 0 || len(buf) < batchSoftBytes) {
-			buf = appendResult(buf, &run[n], &results)
-			n++
-		}
-		patchDataCount(buf, n)
-		*bufp = buf
-		// Wire-stage accounting per frame: the subscription results it
-		// carries, one batch, the payload bytes; the sampled timing covers
-		// the buffered write.
-		wm.results.Add(int64(results))
-		wm.batches.Add(1)
-		wm.bytes.Add(int64(len(buf)))
-		start := wm.obs.StageStartNAt(obs.StageWire, int64(results), p.stripe)
-		ok := p.writeFrame(frameData, buf)
-		wm.obs.StageEnd(obs.StageWire, start)
-		if wm.obs.TraceOn() {
-			for i := 0; i < n; i++ {
-				wm.obs.TraceMark(int64(run[i].t.Ts), obs.StageWire)
-			}
-		}
-		if !ok {
-			return wrote
-		}
-		wrote = true
-		run = run[n:]
-	}
-	return wrote
+	w.wrote()
+	return len(p.chunks) > 0
 }

@@ -10,10 +10,14 @@ import (
 // Resilience config (DialConfig with a non-nil Resilience) announces a
 // resumable session to the server and, on connection loss, retries
 // with exponential backoff + jitter, re-registers its streams when the
-// server turns out to be fresh, resumes (or resubmits) its active
-// subscriptions at the new session epoch, and reports the delivery gap
-// on each subscription instead of killing it. The zero value of every
-// field picks the documented default.
+// server turns out to be fresh, and resumes the session at the new
+// epoch in one hello. Against a server that still holds the session both
+// directions are exactly-once: the published tuples and the results
+// each end still holds are resent from where the other end stands.
+// Subscriptions the server lost are resubmitted, and results the server
+// no longer had are reported as a Gap on each subscription instead of
+// killing it. The zero value of every field picks the documented
+// default.
 type Resilience struct {
 	// MaxRetries bounds consecutive failed reconnect attempts per
 	// outage; once exhausted the client fails permanently and every
@@ -31,35 +35,40 @@ type Resilience struct {
 	// server is detected even when no results flow.
 	HeartbeatInterval time.Duration
 
-	// OnGap says what to do when a resume reveals lost results.
+	// OnGap says what to do when a reconnect reveals lost results.
 	OnGap GapPolicy
 }
 
-// GapPolicy is the client's reaction to a delivery gap after a resume.
+// GapPolicy is the client's reaction to results lost across a
+// reconnect — only ever results the server no longer had.
 type GapPolicy int
 
 const (
 	// GapResume (default) reports the gap on the subscription and
-	// keeps streaming from the resume point.
+	// keeps streaming.
 	GapResume GapPolicy = iota
 	// GapError ends the subscription with an error describing the gap
 	// (exactly-once consumers resubscribe and rebuild instead).
 	GapError
 )
 
-// Gap describes results lost across a reconnect: the server kept
-// counting deliveries while the client was away, so [From, To] is the
-// exact sequence range that fell into the hole. Unknown marks the
+// Gap describes results lost across a reconnect. A server that still
+// holds the session resends what the outage kept from the client, so a
+// gap means data is truly gone. [From, To] is the range of the session's
+// result sequence that the server dropped while the client was away —
+// more than a window of results — and, the sequence counting the
+// results of every subscription of the session, it bounds from above
+// what this subscription lost (Lost is that bound). Unknown marks the
 // harsher case — the server no longer knew the session (restart or
 // linger expiry) and the subscription was resubmitted from scratch, so
-// the loss cannot be quantified and sequence numbering restarts at 1.
+// the loss cannot be quantified.
 type Gap struct {
 	Epoch    uint64 // session epoch after the reconnect that revealed the gap
-	From, To uint64 // lost sequence range, inclusive (zero when Unknown)
+	From, To uint64 // dropped session sequence range, inclusive (zero when Unknown)
 	Unknown  bool   // resubmitted from scratch; loss unquantifiable
 }
 
-// Lost is the number of results known to be lost (0 when Unknown).
+// Lost bounds the number of results lost from above (0 when Unknown).
 func (g Gap) Lost() uint64 {
 	if g.Unknown || g.To < g.From {
 		return 0
@@ -87,10 +96,7 @@ func (r Resilience) withDefaults() Resilience {
 		r.MinBackoff = defaultMinBackoff
 	}
 	if r.MaxBackoff < r.MinBackoff {
-		r.MaxBackoff = defaultMaxBackoff
-		if r.MaxBackoff < r.MinBackoff {
-			r.MaxBackoff = r.MinBackoff
-		}
+		r.MaxBackoff = max(defaultMaxBackoff, r.MinBackoff)
 	}
 	if r.HeartbeatInterval <= 0 {
 		r.HeartbeatInterval = defaultHeartbeat
@@ -104,9 +110,7 @@ func (r Resilience) backoff(attempt int) time.Duration {
 	for i := 1; i < attempt && d < r.MaxBackoff; i++ {
 		d *= 2
 	}
-	if d > r.MaxBackoff {
-		d = r.MaxBackoff
-	}
+	d = min(d, r.MaxBackoff)
 	// Jitter in [50%, 150%) so a fleet of clients does not hammer a
 	// recovering server in lockstep.
 	return d/2 + time.Duration(rand.Int63n(int64(d)))

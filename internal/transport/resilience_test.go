@@ -2,13 +2,15 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
-	"reflect"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,15 +31,13 @@ func fastResilience() *Resilience {
 // events.
 type subRecorder struct {
 	mu   sync.Mutex
-	seqs []uint64
 	rows []stream.Tuple
 	gaps []Gap
 	ends []error
 }
 
-func (r *subRecorder) onResult(t stream.Tuple, seq uint64) {
+func (r *subRecorder) onResult(t stream.Tuple) {
 	r.mu.Lock()
-	r.seqs = append(r.seqs, seq)
 	r.rows = append(r.rows, t)
 	r.mu.Unlock()
 }
@@ -51,10 +51,20 @@ func (r *subRecorder) onGap(g Gap) {
 	r.gaps = append(r.gaps, g)
 	r.mu.Unlock()
 }
-func (r *subRecorder) snapshot() ([]uint64, []Gap, []error) {
+func (r *subRecorder) snapshot() ([]stream.Tuple, []Gap, []error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]uint64(nil), r.seqs...), append([]Gap(nil), r.gaps...), append([]error(nil), r.ends...)
+	return append([]stream.Tuple(nil), r.rows...), append([]Gap(nil), r.gaps...), append([]error(nil), r.ends...)
+}
+
+// items is the itemID column of the rows, in arrival order.
+func (r *subRecorder) items() []int64 {
+	rows, _, _ := r.snapshot()
+	items := make([]int64, len(rows))
+	for i, row := range rows {
+		items[i] = row.Values[0].AsInt()
+	}
+	return items
 }
 
 // waitFor polls until cond holds or the deadline passes.
@@ -70,9 +80,10 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestResumeAfterPartition: a partition severs the resilient
-// subscriber; results emitted while it is away are reported as one gap
-// with exact bounds, and delivery continues seamlessly — no duplicates,
-// no reordering — at the next epoch after the partition heals.
+// subscriber; the results emitted while it is away wait in the server's
+// window for the session, and the resume at the next epoch delivers them
+// and everything after — every result exactly once, in order, with no
+// gap.
 func TestResumeAfterPartition(t *testing.T) {
 	addr, shutdown := startServer(t)
 	defer shutdown()
@@ -105,19 +116,21 @@ func TestResumeAfterPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	next := int64(1)
 	publish := func(n int) {
-		for i := 0; i < n; i++ {
-			tp := stream.MustTuple(info.Schema, stream.Timestamp(i), stream.Int(int64(i)), stream.Float(500))
+		for ; n > 0; n-- {
+			tp := stream.MustTuple(info.Schema, stream.Timestamp(next), stream.Int(next), stream.Float(500))
 			if err := pub.Publish(tp); err != nil {
 				t.Fatal(err)
 			}
+			next++
+		}
+		if err := pub.Quiesce(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	publish(5)
-	waitFor(t, 5*time.Second, "first 5 results", func() bool {
-		seqs, _, _ := rec.snapshot()
-		return len(seqs) == 5
-	})
+	waitFor(t, 5*time.Second, "first 5 results", func() bool { return rec.count() == 5 })
 
 	proxy.Partition()
 	waitFor(t, 5*time.Second, "client to notice the partition", func() bool {
@@ -125,30 +138,18 @@ func TestResumeAfterPartition(t *testing.T) {
 		defer sub.mu.Unlock()
 		return !sub.up
 	})
-	publish(3) // lost: the subscriber is away; seqs 6..8 become the gap
+	publish(3) // held in the session's window while the subscriber is away
 	proxy.Heal()
-	waitFor(t, 10*time.Second, "resume with gap", func() bool {
-		_, gaps, _ := rec.snapshot()
-		return len(gaps) == 1
-	})
+	waitFor(t, 10*time.Second, "the held results after the resume", func() bool { return rec.count() == 8 })
 	publish(2)
-	waitFor(t, 5*time.Second, "post-resume results", func() bool {
-		seqs, _, _ := rec.snapshot()
-		return len(seqs) == 7
-	})
+	waitFor(t, 5*time.Second, "post-resume results", func() bool { return rec.count() == 10 })
 
-	seqs, gaps, ends := rec.snapshot()
-	wantSeqs := []uint64{1, 2, 3, 4, 5, 9, 10}
-	for i, s := range seqs {
-		if s != wantSeqs[i] {
-			t.Fatalf("seqs = %v, want %v", seqs, wantSeqs)
-		}
+	_, gaps, ends := rec.snapshot()
+	if got, want := rec.items(), []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}; !slices.Equal(got, want) {
+		t.Fatalf("items %v, want %v", got, want)
 	}
-	if gaps[0].Unknown || gaps[0].From != 6 || gaps[0].To != 8 || gaps[0].Epoch != 2 {
-		t.Errorf("gap = %+v, want epoch 2 lost 6..8", gaps[0])
-	}
-	if gaps[0].Lost() != 3 {
-		t.Errorf("gap.Lost() = %d, want 3", gaps[0].Lost())
+	if len(gaps) != 0 {
+		t.Errorf("gaps %v against a server that held the session", gaps)
 	}
 	if len(ends) != 0 {
 		t.Errorf("subscription ended (%v) during a survivable partition", ends)
@@ -303,7 +304,7 @@ type seqLedger struct {
 	seqs []int64
 }
 
-func (l *seqLedger) onResult(t stream.Tuple, _ uint64) {
+func (l *seqLedger) onResult(t stream.Tuple) {
 	l.mu.Lock()
 	l.seqs = append(l.seqs, t.Values[0].AsInt())
 	l.mu.Unlock()
@@ -528,7 +529,7 @@ func TestPublishResumeAfterServerRestart(t *testing.T) {
 		repeated++
 	}
 	const tupleBytes = 8 + 9 + 2 + len("pad") // ts, int, string
-	if limit := pubWindowBytes / tupleBytes; repeated > limit {
+	if limit := windowBytes / tupleBytes; repeated > limit {
 		t.Errorf("%d tuples reached both servers; a window holds at most %d", repeated, limit)
 	}
 	t.Logf("acknowledged through %d at the outage; %d tuples reached both servers", acked, repeated)
@@ -605,8 +606,8 @@ func TestPublishBlocksWhileSourceHeld(t *testing.T) {
 	if stalledAt == total {
 		t.Fatalf("all %d tuples were accepted against a held source: nothing pushed back", total)
 	}
-	if w := c.PublishWindow(); w < pubWindowBytes {
-		t.Errorf("Publish blocked with %d bytes in the window, below the %d limit", w, pubWindowBytes)
+	if w := c.PublishWindow(); w < windowBytes {
+		t.Errorf("Publish blocked with %d bytes in the window, below the %d limit", w, windowBytes)
 	}
 	heap := func() uint64 {
 		runtime.GC()
@@ -793,7 +794,7 @@ func TestRetireForgetsEveryClaimedIdentity(t *testing.T) {
 				t.Fatalf("%s: hello(%q) returned %+v", tc.name, id, resp)
 			}
 		}
-		sess.w.teardown()
+		sess.w.close()
 		srv.retire(sess)
 		client.Close()
 		srv.mu.Lock()
@@ -805,21 +806,21 @@ func TestRetireForgetsEveryClaimedIdentity(t *testing.T) {
 	}
 }
 
-// scriptedReply is what scriptedServer does with one MsgResume.
+// scriptedReply is what scriptedServer does with one MsgHello.
 type scriptedReply int
 
 const (
-	answer        scriptedReply = iota // answer with the resume point
-	cutInstead                         // sever the connection instead of answering
-	answerThenCut                      // answer, then sever the connection
+	answer        scriptedReply = iota // answer, then write what the script returns
+	answerThenCut                      // answer, write what the script returns, then sever the connection
 )
 
 // scriptedServer speaks just enough of the protocol to script a restore
 // attempt by attempt: it adopts every tag a hello offers, tags submits
-// t1, t2, …, answers pings, and asks resume for each MsgResume's resume
-// point and reply. conn counts accepted connections from 1. cut severs
-// the current one.
-func scriptedServer(t *testing.T, resume func(conn int, req *Request) (seq uint64, reply scriptedReply)) (addr string, cut func()) {
+// t1, t2, …, answers pings, reads and ignores result acks, and asks
+// hello how to answer each MsgHello — it may fill in resp and return
+// frames to write behind the OK. conn counts accepted connections from
+// 1. cut severs the current one.
+func scriptedServer(t *testing.T, hello func(conn int, req *Request, resp *Response) ([]byte, scriptedReply)) (addr string, cut func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -834,7 +835,14 @@ func scriptedServer(t *testing.T, resume func(conn int, req *Request) (seq uint6
 		dec, enc := gob.NewDecoder(br), gob.NewEncoder(conn)
 		for framed := false; ; framed = true {
 			if framed {
-				if m, err := br.ReadByte(); err != nil || m != frameGob {
+				m, err := br.ReadByte()
+				for err == nil && m == frameAck {
+					var buf []byte
+					if _, err = readFrame(br, &buf); err == nil {
+						m, err = br.ReadByte()
+					}
+				}
+				if err != nil || m != frameGob {
 					return
 				}
 			}
@@ -843,21 +851,16 @@ func scriptedServer(t *testing.T, resume func(conn int, req *Request) (seq uint6
 				return
 			}
 			resp := Response{ID: req.ID, Kind: MsgOK}
-			reply := answer
+			reply, after := answer, []byte(nil)
 			switch req.Kind {
 			case MsgHello:
-				resp.Epoch, resp.Tags, resp.WireVersion = uint64(n), req.ResumeTags, wireVersion
+				resp.Epoch, resp.Tags, resp.WireVersion, resp.ResultSeq = uint64(n), req.ResumeTags, wireVersion, 1
+				after, reply = hello(n, &req, &resp)
 			case MsgSubmit:
 				mu.Lock()
 				tags++
 				resp.QueryTag = fmt.Sprintf("t%d", tags)
 				mu.Unlock()
-			case MsgResume:
-				var seq uint64
-				if seq, reply = resume(n, &req); reply == cutInstead {
-					return
-				}
-				resp.Seq, resp.QueryTag = seq, req.QueryTag
 			case MsgPing:
 				resp.Kind = MsgPong
 			}
@@ -866,7 +869,10 @@ func scriptedServer(t *testing.T, resume func(conn int, req *Request) (seq uint6
 					return
 				}
 			}
-			if err := enc.Encode(&resp); err != nil || reply == answerThenCut {
+			if err := enc.Encode(&resp); err != nil {
+				return
+			}
+			if _, err := conn.Write(after); err != nil || reply == answerThenCut {
 				return
 			}
 		}
@@ -896,77 +902,100 @@ func scriptedServer(t *testing.T, resume func(conn int, req *Request) (seq uint6
 	}
 }
 
-// TestFailedRestoreKeepsGapOwed: a restore attempt that resumes one
-// subscription (learning its gap, advancing its lastSeq) and then fails
-// on the next must not lose that gap — the attempt that completes
-// cannot learn it again, so it is owed until then and reported exactly
-// once.
-func TestFailedRestoreKeepsGapOwed(t *testing.T) {
+// scriptedResults is a session's result stream as a scripted server's
+// window holds it: delivery 1 is subscription t1's, announced by one 'S'
+// frame, and result seq (from 1) is the 'D' frame of item seq.
+func scriptedResults(n int) (announce []byte, frame func(seq uint64) []byte) {
+	out := stream.MustSchema("t1", stream.Field{Name: "itemID", Kind: stream.KindInt})
+	lay := &core.Layout{Cols: []int{0}, Members: []core.Member{{Out: out, Idx: []int{0}}}}
+	announce = appendFrame(nil, frameSchema, appendSchemaFrame(nil, 1, lay))
+	return announce, func(seq uint64) []byte {
+		b := appendDataHeader(nil, 1, seq)
+		b = appendTuple(b, stream.MustTuple(out, stream.Timestamp(seq), stream.Int(int64(seq))))
+		patchDataCount(b, 1)
+		return appendFrame(nil, frameData, b)
+	}
+}
+
+// TestFailedRestoreResendsExactlyOnce: the resend behind a hello is cut
+// half-way — inside a frame — so the attempt fails after its hello
+// learned that the server's window overflowed. The next attempt resumes
+// from what the cut one delivered: every held result arrives exactly
+// once, in order, and the overflow's gap, owed by the failed attempt, is
+// reported exactly once.
+func TestFailedRestoreResendsExactlyOnce(t *testing.T) {
+	const dropped, total = 2, 40 // results 1..2 overflowed while detached
+	announce, frame := scriptedResults(total)
 	var mu sync.Mutex
-	var resumes []string
-	addr, cut := scriptedServer(t, func(conn int, req *Request) (uint64, scriptedReply) {
+	var lasts []uint64 // per hello, the client's last contiguous result
+	addr, cut := scriptedServer(t, func(conn int, req *Request, resp *Response) ([]byte, scriptedReply) {
 		mu.Lock()
-		resumes = append(resumes, fmt.Sprintf("conn%d %s last=%d", conn, req.QueryTag, req.LastSeq))
+		lasts = append(lasts, req.ResultSeq)
 		mu.Unlock()
-		switch {
-		case req.QueryTag == "t1":
-			return 3, answer // results 1..3 were emitted while the client was away
-		case conn == 2:
-			return 0, cutInstead // the first attempt dies on the second subscription
-		default:
-			return 0, answer
+		if conn == 1 {
+			return nil, answer
 		}
+		resp.ResultSeq = dropped + 1
+		resend := slices.Clone(announce)
+		for seq := max(req.ResultSeq, dropped) + 1; seq <= total; seq++ {
+			resend = append(resend, frame(seq)...)
+		}
+		if conn == 2 {
+			return resend[:len(resend)/2], answerThenCut
+		}
+		return resend, answer
 	})
 	sub, err := DialConfig(addr, Config{Resilience: fastResilience()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	var rec1, rec2 subRecorder
-	for _, rec := range []*subRecorder{&rec1, &rec2} {
-		if _, err := sub.Submit("SELECT itemID FROM OpenAuction [Now]", 0, rec.onResult, rec.onEnd, rec.onGap); err != nil {
-			t.Fatal(err)
-		}
+	var rec subRecorder
+	if _, err := sub.Submit("SELECT itemID FROM OpenAuction [Now]", 0, rec.onResult, rec.onEnd, rec.onGap); err != nil {
+		t.Fatal(err)
 	}
 	cut()
-	waitFor(t, 10*time.Second, "the second restore attempt to complete", func() bool {
-		return sub.Reconnects() == 1
-	})
+	waitFor(t, 10*time.Second, "every held result", func() bool { return rec.count() == total-dropped })
+	waitFor(t, 10*time.Second, "the session up", func() bool { return sub.Reconnects() >= 1 })
 	// Close waits out the reconnect loop, and with it the gap callbacks.
 	if err := sub.Close(); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	want := []string{"conn2 t1 last=0", "conn2 t2 last=0", "conn3 t1 last=3", "conn3 t2 last=0"}
-	if !reflect.DeepEqual(resumes, want) {
-		t.Fatalf("resumes = %v, want %v", resumes, want)
+	if len(lasts) < 3 || lasts[1] != 0 || lasts[2] <= dropped {
+		t.Fatalf("hellos reported %v: want the third to resume past what the cut second delivered", lasts)
 	}
-	_, gaps1, _ := rec1.snapshot()
-	if len(gaps1) != 1 || gaps1[0] != (Gap{Epoch: 2, From: 1, To: 3}) {
-		t.Errorf("first subscription's gaps = %+v, want exactly the one the failed attempt learned (epoch 2, lost 1..3)", gaps1)
+	for i, item := range rec.items() {
+		if item != int64(dropped+1+i) {
+			t.Fatalf("result %d is item %d: a held result was lost or delivered twice (%v)", i, item, rec.items())
+		}
 	}
-	if _, gaps2, _ := rec2.snapshot(); len(gaps2) != 0 {
-		t.Errorf("second subscription's gaps = %+v, want none", gaps2)
+	_, gaps, _ := rec.snapshot()
+	if want := (Gap{Epoch: 2, From: 1, To: dropped}); len(gaps) != 1 || gaps[0] != want {
+		t.Errorf("gaps %+v, want exactly %+v", gaps, want)
 	}
 }
 
-// TestConnLostAfterLastResumeRetries: a connection that dies right after
-// answering the last resume must not leave the client reporting the
-// session up with no connection under it. The read loop sees the loss
-// while the session is still coming up and leaves the retry to the
-// reconnect loop, so the restore attempt has to notice and fail. Each of
-// several attempts is cut this way; the client must keep retrying until
-// a connection stays.
-func TestConnLostAfterLastResumeRetries(t *testing.T) {
-	const cutConns = 20 // connections 2..21 die after the resume OK
+// TestConnLostAfterHelloRetries: a connection that dies right after
+// answering the hello — the last round trip when every subscription is
+// adopted — must not leave the client reporting the session up with no
+// connection under it. The read loop sees the loss while the session is
+// still coming up and leaves the retry to the reconnect loop, so the
+// restore attempt has to notice and fail. Each of several attempts is
+// cut this way; the client must keep retrying until a connection stays.
+func TestConnLostAfterHelloRetries(t *testing.T) {
+	const cutConns = 20 // connections 2..21 die after the hello OK
 	var stayed atomic.Bool
-	addr, cut := scriptedServer(t, func(conn int, req *Request) (uint64, scriptedReply) {
+	addr, cut := scriptedServer(t, func(conn int, req *Request, resp *Response) ([]byte, scriptedReply) {
+		if conn == 1 {
+			return nil, answer
+		}
 		if conn <= cutConns+1 {
-			return 0, answerThenCut
+			return nil, answerThenCut
 		}
 		stayed.Store(true)
-		return 0, answer
+		return nil, answer
 	})
 	sub, err := DialConfig(addr, Config{Resilience: fastResilience()})
 	if err != nil {
@@ -984,5 +1013,188 @@ func TestConnLostAfterLastResumeRetries(t *testing.T) {
 	}
 	if _, _, ends := rec.snapshot(); len(ends) != 0 {
 		t.Fatalf("subscription ended: %v", ends)
+	}
+}
+
+// TestDetachedWindowOverflow: a resilient subscriber holding two
+// subscriptions is detached while more than a window of results is
+// produced. The parked window never holds more than windowBytes — it
+// drops what it holds instead — and the resume reports the dropped
+// session range as exactly one gap on each adopted subscription; every
+// result after the range arrives exactly once, in order.
+func TestDetachedWindowOverflow(t *testing.T) {
+	_, srv, addr, pub := shareServer(t)
+	info := numberedInfo()
+	if err := pub.Register(info, 1); err != nil {
+		t.Fatal(err)
+	}
+	proxy, err := faultnet.NewProxy(addr, faultnet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	sub, err := DialConfig(proxy.Addr(), Config{Resilience: fastResilience()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	// Two user nodes: two deliveries, so their results interleave on the
+	// session's one sequence.
+	var recs [2]subRecorder
+	for i := range recs {
+		if _, err := sub.Submit("SELECT seq, pad FROM Numbered [Now]", 5+i, recs[i].onResult, recs[i].onEnd, recs[i].onGap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pad := strings.Repeat("p", 1000)
+	next := int64(1)
+	publish := func(n int, each func()) {
+		t.Helper()
+		for ; n > 0; n-- {
+			if err := pub.Publish(numberedTuple(info.Schema, next, pad)); err != nil {
+				t.Fatal(err)
+			}
+			if err := pub.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			next++
+			each()
+		}
+	}
+	delivered := func() int { return recs[0].count() + recs[1].count() }
+	publish(5, func() {})
+	waitFor(t, 5*time.Second, "the results before the partition", func() bool { return delivered() == 10 })
+
+	proxy.Partition()
+	waitFor(t, 5*time.Second, "the server to park the session", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.parked) == 1
+	})
+	var parked *resultWindow
+	srv.mu.Lock()
+	for _, p := range srv.parked {
+		parked = p.res
+	}
+	srv.mu.Unlock()
+	peak := 0
+	publish(300, func() { // about 600 KiB of results: more than two windows
+		if n := parked.depth(); n > windowBytes {
+			t.Fatalf("the parked window holds %d bytes, above its %d", n, windowBytes)
+		} else {
+			peak = max(peak, n)
+		}
+	})
+	parked.mu.Lock()
+	dropped, total := parked.dropped, parked.seq
+	parked.mu.Unlock()
+	if dropped <= 10 {
+		t.Fatalf("the window dropped through %d after %d results: it never overflowed", dropped, total)
+	}
+	proxy.Heal()
+	waitFor(t, 10*time.Second, "the results after the dropped range", func() bool {
+		return uint64(delivered()) == 10+total-dropped
+	})
+	if err := sub.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	want := Gap{Epoch: 2, From: 11, To: dropped}
+	for i := range recs {
+		_, gaps, ends := recs[i].snapshot()
+		if len(ends) != 0 {
+			t.Fatalf("subscription %d ended: %v", i, ends)
+		}
+		if len(gaps) != 1 || gaps[0] != want {
+			t.Errorf("subscription %d reported %+v, want exactly %+v", i, gaps, want)
+		}
+		// Items 1..5, then a run that ends at the last item published.
+		items := recs[i].items()
+		for j, item := range items {
+			if j < 5 && item != int64(j+1) || j >= 5 && item != next-int64(len(items)-j) {
+				t.Fatalf("subscription %d items %v: not 1..5 followed by a run to %d", i, items, next-1)
+			}
+		}
+	}
+	t.Logf("dropped session results 11..%d of %d; the parked window peaked at %d bytes", dropped, total, peak)
+}
+
+// TestSplitCutResumesLayout cuts a session's result stream between an
+// 'S' frame that changes a delivery's layout and the 'D' frame behind
+// it. The client has bound the new layout, but nothing under it arrived;
+// the resend from its last contiguous result replays the old layout's
+// frames (skipped as already delivered) and the new 'S' frame, so the
+// results behind it decode under the right layout and none is lost.
+func TestSplitCutResumesLayout(t *testing.T) {
+	w := newResultWindow(&wireMetrics{})
+	flushes := 0
+	w.mu.Lock()
+	w.attach(func() { flushes++ }, 0)
+	w.mu.Unlock()
+	q1, q2 := &subState{}, &subState{}
+	solo := &core.Layout{Cols: []int{0, 1}, Members: []core.Member{{Out: fuzzWide, Idx: []int{0, 1}, Sub: q1}}}
+	pair := &core.Layout{Cols: []int{0, 1}, Members: []core.Member{
+		{Out: fuzzWide, Idx: []int{0, 1}, Sub: q1},
+		{Out: fuzzNarrow, Idx: []int{0}, Sub: q2},
+	}}
+	d := &delivery{win: w}
+	row := func(i int64) stream.Tuple {
+		return stream.MustTuple(fuzzSource, stream.Timestamp(i), stream.Int(i), stream.Float(float64(i)))
+	}
+	w.mu.Lock()
+	w.add(d, solo, row(1), []bool{true})
+	w.add(d, solo, row(2), []bool{true})
+	w.add(d, pair, row(3), []bool{true, true}) // the layout changes: a new 'S' frame
+	w.add(d, pair, row(4), []bool{false, true})
+	w.mu.Unlock()
+	wire := bytes.Join(w.takeUnsent(nil), nil)
+	w.wrote()
+
+	// The cut: just past the second 'S' frame.
+	cut, schemas := 0, 0
+	for schemas < 2 {
+		if wire[cut] == frameSchema {
+			schemas++
+		}
+		cut += frameHeaderSize + int(binary.LittleEndian.Uint32(wire[cut+1:]))
+	}
+	if wire[cut] != frameData {
+		t.Fatalf("frame %q follows the layout change, want its 'D' frame", wire[cut])
+	}
+	recs := map[string]*subRecorder{"q1": {}, "q2": {}}
+	c := resultClient(recs)
+	feed := func(b []byte) {
+		br := bufio.NewReader(bytes.NewReader(b))
+		for {
+			marker, err := br.ReadByte()
+			if err != nil {
+				return
+			}
+			if err := c.readBinaryFrame(br, marker); err != nil {
+				if err == io.ErrUnexpectedEOF || err == io.EOF {
+					return
+				}
+				t.Fatal(err)
+			}
+		}
+	}
+	feed(wire[:cut+3]) // and a few bytes into the next frame
+	if c.lastResult != 2 {
+		t.Fatalf("the client's last contiguous result is %d before the cut, want 2", c.lastResult)
+	}
+
+	// The reconnect: the window resends from the client's sequence.
+	w.detach()
+	w.mu.Lock()
+	w.attach(func() { flushes++ }, c.lastResult)
+	w.mu.Unlock()
+	feed(bytes.Join(w.takeUnsent(nil), nil))
+	if got, want := recs["q1"].items(), []int64{1, 2, 3}; !slices.Equal(got, want) {
+		t.Errorf("q1 items %v, want %v", got, want)
+	}
+	if got, want := recs["q2"].items(), []int64{3, 4}; !slices.Equal(got, want) {
+		t.Errorf("q2 items %v, want %v", got, want)
+	}
+	if rows, _, _ := recs["q2"].snapshot(); len(rows) > 0 && rows[0].Schema.Arity() != 1 {
+		t.Errorf("q2 decoded under the wrong layout: %v", rows[0])
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -47,11 +48,11 @@ type Server struct {
 	linger time.Duration
 
 	mu       sync.Mutex
-	ln       net.Listener                // guarded by mu
-	sessions map[*session]struct{}       // guarded by mu
-	byID     map[string]*session         // guarded by mu; the live session holding each resumable identity
-	detached map[string]*detachedSession // guarded by mu
-	stopped  bool                        // guarded by mu
+	ln       net.Listener          // guarded by mu
+	sessions map[*session]struct{} // guarded by mu
+	byID     map[string]*session   // guarded by mu; the live session holding each resumable identity
+	parked   map[string]*session   // guarded by mu; dropped resumable sessions awaiting a hello
+	stopped  bool                  // guarded by mu
 	wg       sync.WaitGroup
 
 	// wire aggregates wire-path counters across every session;
@@ -87,16 +88,10 @@ func (s *Server) WireStats() obs.WireStats {
 		AckBytes:     s.wire.ackBytes.Load(),
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	ws.Connections = len(s.sessions)
-	sessions := make([]*session, 0, len(s.sessions))
 	for sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	for _, sess := range sessions {
-		if p := sess.w.pump.Load(); p != nil {
-			ws.QueueDepth += p.depth()
-		}
+		ws.QueueDepth += sess.w.depth()
 	}
 	return ws
 }
@@ -123,7 +118,10 @@ func WithIdleTimeout(d time.Duration) ServerOption {
 }
 
 // WithSessionLinger sets how long a resumable session's subscriptions
-// are retained after its connection drops, awaiting a resume. Zero or
+// are retained after its connection drops, awaiting a resume. Within it
+// the session resumes exactly-once in both directions: its result window
+// keeps the subscriptions' results (up to a window of them) and its
+// applied publish sequence tells the client what to resend. Zero or
 // negative disables resumption: a drop cancels the queries immediately,
 // as for plain sessions.
 func WithSessionLinger(d time.Duration) ServerOption {
@@ -136,7 +134,7 @@ func NewServer(sys *core.System, opts ...ServerOption) *Server {
 		sys:      sys,
 		sessions: map[*session]struct{}{},
 		byID:     map[string]*session{},
-		detached: map[string]*detachedSession{},
+		parked:   map[string]*session{},
 		linger:   defaultSessionLinger,
 	}
 	s.wire.obs = sys.Obs()
@@ -192,7 +190,7 @@ func (s *Server) newSession(conn net.Conn) *session {
 	return &session{
 		srv:  s,
 		conn: conn,
-		w:    newConnWriter(conn, &s.wire),
+		w:    newResultPump(conn, &s.wire),
 		subs: map[string]*subState{},
 		srcs: map[uint32]*core.SourcePort{},
 		done: make(chan struct{}),
@@ -279,18 +277,16 @@ func (s *Server) stop(graceful bool) (error, bool) {
 	if ln != nil {
 		err = ln.Close()
 	}
-	// Detached sessions can no longer be resumed (stopped is set, so
-	// none can be parked after this either): drop their queries.
+	// Parked sessions can no longer be resumed (stopped is set, so none
+	// can be parked after this either): drop their queries.
 	s.mu.Lock()
-	det := make([]*detachedSession, 0, len(s.detached))
-	for id, d := range s.detached {
-		delete(s.detached, id)
-		d.timer.Stop()
-		det = append(det, d)
+	var parked []*session
+	for id := range s.parked {
+		parked = append(parked, s.takeParkedLocked(id))
 	}
 	s.mu.Unlock()
-	for _, d := range det {
-		s.dropDetached(d)
+	for _, p := range parked {
+		p.cancelAll()
 	}
 	if graceful {
 		// Flush results already accepted by the system onto the wire:
@@ -308,132 +304,19 @@ func (s *Server) stop(graceful bool) (error, bool) {
 	return err, true
 }
 
-// connWriter serialises server→client writes on one connection. Once
-// bounded (graceful shutdown), every write refreshes a per-write
-// deadline: a healthy-but-slow drain keeps extending it, while a
-// subscriber that stopped reading fails its write within the bound
-// instead of stalling the drain forever.
-//
-// Until the connection's hello, writes gob-encode directly onto the
-// connection. The hello upgrades the writer: every later message routes
-// through the per-connection resultPump's single writer goroutine,
-// which owns the encoder from then on. One gob encoder persists across
-// the switch — gob emits type definitions once per stream, so starting
-// a second encoder mid-connection would desynchronise the peer — and
-// its output target flips from the raw conn to the pump's buffer.
-type connWriter struct {
-	conn    net.Conn
-	bounded atomic.Bool
-	wire    *wireMetrics // server-wide result-path accounting; never nil
-
-	mu   sync.Mutex
-	enc  *gob.Encoder               // guarded by mu
-	tgt  *gobTarget                 // guarded by mu
-	pump atomic.Pointer[resultPump] // non-nil once the hello upgraded the writer
-}
-
-// gobTarget is the persistent encoder's redirectable output.
-type gobTarget struct{ w io.Writer }
-
-func (g *gobTarget) Write(b []byte) (int, error) { return g.w.Write(b) }
-
-func newConnWriter(conn net.Conn, wire *wireMetrics) *connWriter {
-	w := &connWriter{conn: conn, wire: wire}
-	w.tgt = &gobTarget{w: conn}
-	w.enc = gob.NewEncoder(w.tgt)
-	return w
-}
-
-// writeBound is the per-write deadline applied during a graceful drain.
-const writeBound = 5 * time.Second
-
-func (w *connWriter) send(r *Response) error {
-	if p := w.pump.Load(); p != nil {
-		return p.sendControl(r)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if p := w.pump.Load(); p != nil {
-		// Upgraded while we waited for the lock: the pump owns the
-		// encoder now.
-		return p.sendControl(r)
-	}
-	if w.bounded.Load() {
-		_ = w.conn.SetWriteDeadline(time.Now().Add(writeBound))
-	}
-	return w.enc.Encode(r)
-}
-
-// sendResult enqueues one result entry on the pump, which batches and
-// binary-encodes it. A subscription only ever attaches to a writer whose
-// hello installed the pump (submit and resume are refused before it).
-//
-//cosmos:hotpath
-func (w *connWriter) sendResult(e pumpEntry) error {
-	return w.pump.Load().enqueue(e)
-}
-
-// upgrade writes the hello OK as the connection's last unframed
-// message and atomically installs the result pump behind it, so no
-// other write can interleave between the two. Idempotent: a repeated
-// hello routes its OK through the existing pump.
-func (w *connWriter) upgrade(resp *Response) error {
-	w.mu.Lock()
-	if p := w.pump.Load(); p != nil {
-		w.mu.Unlock()
-		return p.sendControl(resp)
-	}
-	if w.bounded.Load() {
-		_ = w.conn.SetWriteDeadline(time.Now().Add(writeBound))
-	}
-	err := w.enc.Encode(resp)
-	if err == nil {
-		p := newResultPump(w)
-		w.tgt.w = p.bw // the persistent encoder now feeds the pump's buffer
-		w.pump.Store(p)
-		go p.run()
-	}
-	w.mu.Unlock()
-	return err
-}
-
-// drain blocks until every write accepted so far reached the wire (the
-// pump is asynchronous; a connection that never said hello has none).
-func (w *connWriter) drain() {
-	if p := w.pump.Load(); p != nil {
-		p.drain()
-	}
-}
-
-// teardown stops the pump goroutine, if any. Safe to call more than
-// once; the connection close follows it.
-func (w *connWriter) teardown() {
-	if p := w.pump.Load(); p != nil {
-		p.close()
-	}
-}
-
-// bound switches the writer to per-write deadlines and stamps an
-// immediate absolute one, which also unblocks a Write already stuck on
-// a full TCP buffer (deadlines apply to in-flight I/O). Lock-free on
-// purpose: taking w.mu here would wait behind exactly the stuck write
-// this exists to cut short.
-func (w *connWriter) bound() {
-	w.bounded.Store(true)
-	_ = w.conn.SetWriteDeadline(time.Now().Add(writeBound))
-}
-
 // session is one client connection's server-side state: the serialised
 // writer, the subscriptions the connection owns and the sources it
 // publishes into. A plain session (no session id in its MsgHello)
 // cancels its queries when the connection drops; a resumable one parks
-// them — and its applied publish sequence — in the server's detached
-// registry for the linger window instead.
+// itself, with them, for the linger window instead.
 type session struct {
 	srv  *Server
 	conn net.Conn
-	w    *connWriter
+	w    *resultPump
 	done chan struct{} // closed once serve returned and the session's state is parked or gone
+	// framed is the serve goroutine's: the hello OK is queued, and binary
+	// frames flow both ways from here on.
+	framed bool
 
 	// Publish state of the serve goroutine alone: the sources the
 	// connection opened, by client-chosen id, the sticky refusal, and the
@@ -450,18 +333,10 @@ type session struct {
 	epoch   uint64               // guarded by mu; bumped on every adoption of this identity
 	subs    map[string]*subState // guarded by mu
 	applied uint64               // guarded by mu; session publish sequence handed to the source ports so far
+	res     *resultWindow        // guarded by mu; set by the hello
 	ended   bool                 // guarded by mu
-}
 
-// detachedSession holds what a resumable session whose connection
-// dropped left behind — its subscriptions and how far its publishes were
-// applied — until a resume adopts it or the linger timer drops it.
-type detachedSession struct {
-	id      string
-	epoch   uint64
-	subs    map[string]*subState
-	applied uint64
-	timer   *time.Timer
+	timer *time.Timer // under srv.mu; the linger while parked
 }
 
 func (sess *session) serve() {
@@ -487,12 +362,11 @@ func (sess *session) readLoop() {
 	br := bufio.NewReaderSize(sess.conn, 4096)
 	dec := gob.NewDecoder(br)
 	idle := sess.srv.idleTimeout
-	framed := false // set by this connection's accepted hello
 	for {
 		if idle > 0 {
 			_ = sess.conn.SetReadDeadline(time.Now().Add(idle))
 		}
-		if framed {
+		if sess.framed {
 			marker, err := br.ReadByte()
 			if err != nil {
 				sess.logReadErr(err)
@@ -500,14 +374,14 @@ func (sess *session) readLoop() {
 			}
 			switch marker {
 			case frameGob:
-			case frameData:
-				if ioErr, err := sess.readPublishFrame(br); ioErr {
+			case frameData, frameAck:
+				if ioErr, err := sess.readBinaryFrame(br, marker); ioErr {
 					// The connection died inside the frame: nothing of it
 					// is applied, and a resumed session sends it again.
 					sess.logReadErr(err)
 					return
 				} else if err != nil {
-					sess.refuseAndDrop("publish frame", err)
+					sess.refuseAndDrop(frameName[marker], err)
 					return
 				}
 				continue
@@ -519,10 +393,12 @@ func (sess *session) readLoop() {
 		var req Request
 		if err := dec.Decode(&req); err != nil {
 			sess.logReadErr(err)
-			if !framed && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			if !sess.framed && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				// Most likely a peer that skipped the hello: tell it
 				// what this end expected before hanging up.
 				_ = sess.w.send(errResp("undecodable request before hello (%v): binary frames need the wire version %d hello first", err, wireVersion))
+				sess.w.bound()
+				sess.w.drain()
 			}
 			return
 		}
@@ -535,9 +411,8 @@ func (sess *session) readLoop() {
 			continue
 		}
 		resp := sess.dispatch(&req)
-		framed = sess.w.pump.Load() != nil
 		if resp == nil {
-			continue // dispatch responded itself (MsgHello/MsgSubmit/MsgResume ordering)
+			continue // dispatch responded itself (MsgHello/MsgSubmit ordering)
 		}
 		resp.ID = req.ID
 		if err := sess.w.send(resp); err != nil {
@@ -562,20 +437,33 @@ func (sess *session) refuseAndDrop(what string, err error) {
 	sess.mu.Lock()
 	applied := sess.applied
 	sess.mu.Unlock()
-	_ = sess.w.pump.Load().sendAck(applied, fmt.Sprintf("malformed %s: %v", what, err))
+	_ = sess.w.sendAck(applied, fmt.Sprintf("malformed %s: %v", what, err))
 	sess.w.bound()
 	sess.w.drain()
 }
 
-// readPublishFrame consumes one client→server 'D' frame (marker already
-// read) into a pooled buffer and applies it. ioErr says the error is the
-// connection's, not the frame's.
-func (sess *session) readPublishFrame(br *bufio.Reader) (ioErr bool, err error) {
+// frameName names a client→server binary frame in a refusal.
+var frameName = map[byte]string{frameData: "publish frame", frameAck: "result ack"}
+
+// readBinaryFrame consumes one client→server binary frame (marker
+// already read) into a pooled buffer and applies it: a 'D' frame's
+// published tuples, or an 'A' frame's cumulative result ack. ioErr says
+// the error is the connection's, not the frame's.
+func (sess *session) readBinaryFrame(br *bufio.Reader, marker byte) (ioErr bool, err error) {
 	bufp := getFrameBuf()
 	defer putFrameBuf(bufp)
 	b, err := readFrame(br, bufp)
 	if err != nil {
 		return !errors.Is(err, errFrameTooLong), err
+	}
+	if marker == frameAck {
+		if len(b) != ackHeaderSize {
+			return false, fmt.Errorf("transport: result ack of %d bytes, want %d", len(b), ackHeaderSize)
+		}
+		sess.mu.Lock()
+		res := sess.res
+		sess.mu.Unlock()
+		return false, res.ack(binary.LittleEndian.Uint64(b))
 	}
 	return false, sess.applyPublishFrame(b)
 }
@@ -661,7 +549,7 @@ func (sess *session) applyPublishFrame(b []byte) error {
 	s.wire.ingestTuples.Add(int64(taken))
 	s.wire.ingestFrames.Add(1)
 	s.wire.ingestBytes.Add(int64(len(b)))
-	_ = sess.w.pump.Load().sendAck(applied, sess.refused)
+	_ = sess.w.sendAck(applied, sess.refused)
 	return nil
 }
 
@@ -670,12 +558,12 @@ func (sess *session) applyPublishFrame(b []byte) error {
 // and then a MsgEnd per live subscription before the queries are
 // cancelled and the connection drops; those pushes inherit the drain's
 // per-write deadline, so an unresponsive subscriber cannot block the
-// shutdown. An abrupt close of a resumable session parks its
-// subscriptions in the detached registry — deliveries keep advancing
-// each sequence counter (counted, dropped) so a later resume reports
-// the exact gap — along with its applied publish sequence, so the
-// resumed publisher resends exactly what never arrived. Idempotent
-// (serve's deferred abrupt close after a graceful shutdown is a no-op).
+// shutdown. An abrupt close of a resumable session parks it: its
+// subscriptions, its result window — which keeps accepting their
+// results, so a resume resends them — and its applied publish sequence,
+// so the resumed publisher resends exactly what never arrived.
+// Idempotent (serve's deferred abrupt close after a graceful shutdown is
+// a no-op).
 func (sess *session) close(graceful bool) {
 	if graceful {
 		sess.w.bound()
@@ -687,8 +575,7 @@ func (sess *session) close(graceful bool) {
 	}
 	sess.ended = true
 	subs := sess.subs
-	sess.subs = map[string]*subState{}
-	id, epoch, applied := sess.id, sess.epoch, sess.applied
+	id, applied, res := sess.id, sess.applied, sess.res
 	sess.mu.Unlock()
 	if graceful {
 		_ = sess.w.send(&Response{Kind: MsgShutdown})
@@ -703,91 +590,78 @@ func (sess *session) close(graceful bool) {
 		// (bounded — the drain deadline kills a stuck write) before
 		// the connection drops.
 		sess.w.drain()
-		sess.w.teardown()
+		sess.w.close()
 		_ = sess.conn.Close() // session is over; close errors carry no signal
 		return
 	}
-	sess.w.teardown()
-	if id != "" && (len(subs) > 0 || applied > 0) {
-		for _, st := range subs {
-			st.detach()
-		}
-		if sess.srv.parkDetached(id, epoch, subs, applied) {
-			_ = sess.conn.Close() // parked for resume; the conn itself is dead weight
-			return
-		}
-		// Server stopping or linger disabled: fall through and cancel.
+	sess.w.close()
+	_ = sess.conn.Close() // the session is over or parked; close errors carry no signal
+	sess.w.wait()
+	if res != nil {
+		res.detach()
 	}
-	for tag, st := range subs {
-		if err := sess.srv.sys.Cancel(st.h); err != nil {
-			log.Printf("cosmosd: cancel %s: %v", tag, err)
-		}
+	if id == "" || len(subs) == 0 && applied == 0 || !sess.srv.park(id, sess) {
+		// Not resumable, server stopping or linger disabled: cancel.
+		sess.cancelAll()
 	}
-	_ = sess.conn.Close() // session is over; close errors carry no signal
 }
 
-// parkDetached stores a dropped resumable session's subscriptions and
-// applied publish sequence for the linger window. Reports false when the
-// server is stopping or resumption is disabled — the caller then cancels
-// the queries.
-func (s *Server) parkDetached(id string, epoch uint64, subs map[string]*subState, applied uint64) bool {
+// park stores a dropped resumable session — its subscriptions, applied
+// publish sequence and result window, still accepting — for the linger
+// window, until a hello adopts it or the timer drops it. Reports false
+// when the server is stopping or resumption is disabled — the caller
+// then cancels the queries.
+func (s *Server) park(id string, sess *session) bool {
 	if s.linger <= 0 {
 		return false
 	}
-	var evicted *detachedSession
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
 		return false
 	}
-	if old := s.detached[id]; old != nil {
-		// A second connection claimed this identity and detached before
-		// the first parked: newest state wins, the older queries die.
-		delete(s.detached, id)
-		old.timer.Stop()
-		evicted = old
-	}
-	d := &detachedSession{id: id, epoch: epoch, subs: subs, applied: applied}
-	d.timer = time.AfterFunc(s.linger, func() { s.expireDetached(id, d) })
-	s.detached[id] = d
+	// A second connection claimed this identity and detached before the
+	// first parked: newest state wins, the older queries die.
+	evicted := s.takeParkedLocked(id)
+	sess.timer = time.AfterFunc(s.linger, func() {
+		s.mu.Lock()
+		parked := s.parked[id] == sess // not resumed or replaced meanwhile
+		if parked {
+			delete(s.parked, id)
+		}
+		s.mu.Unlock()
+		if parked {
+			sess.cancelAll()
+		}
+	})
+	s.parked[id] = sess
 	s.mu.Unlock()
 	if evicted != nil {
-		s.dropDetached(evicted)
+		evicted.cancelAll()
 	}
 	return true
 }
 
-// takeDetached removes and returns the parked session for id, if any.
-func (s *Server) takeDetached(id string) *detachedSession {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := s.detached[id]
-	if d == nil {
-		return nil
+// takeParkedLocked removes and returns the parked session for id, if
+// any. Callers hold s.mu.
+func (s *Server) takeParkedLocked(id string) *session {
+	p := s.parked[id]
+	if p != nil {
+		delete(s.parked, id)
+		p.timer.Stop()
 	}
-	delete(s.detached, id)
-	d.timer.Stop()
-	return d
+	return p
 }
 
-// expireDetached is the linger timer's callback: the client never came
-// back, so its queries are cancelled.
-func (s *Server) expireDetached(id string, d *detachedSession) {
-	s.mu.Lock()
-	if s.detached[id] != d {
-		s.mu.Unlock()
-		return // resumed (or replaced) in the meantime
-	}
-	delete(s.detached, id)
-	s.mu.Unlock()
-	s.dropDetached(d)
-}
-
-// dropDetached cancels every query of a parked session.
-func (s *Server) dropDetached(d *detachedSession) {
-	for tag, st := range d.subs {
-		if err := s.sys.Cancel(st.h); err != nil {
-			log.Printf("cosmosd: cancel detached %s: %v", tag, err)
+// cancelAll cancels every query the session holds.
+func (sess *session) cancelAll() {
+	sess.mu.Lock()
+	subs := sess.subs
+	sess.subs = map[string]*subState{}
+	sess.mu.Unlock()
+	for tag, st := range subs {
+		if err := sess.srv.sys.Cancel(st.h); err != nil {
+			log.Printf("cosmosd: cancel %s: %v", tag, err)
 		}
 	}
 }
@@ -797,112 +671,12 @@ func errResp(format string, args ...interface{}) *Response {
 }
 
 // Open makes the session a core.Sink: its subscriptions in one group at
-// one user node share a proxy, a delivery id and one body per result.
-func (sess *session) Open() core.Receiver { return &delivery{} }
-
-// delivery receives one proxy's results, on the proxy's goroutine alone.
-// Entries' member sequences are cut from slab, allocated deliverySlab
-// results at a time and never reused (queued entries keep their slots).
-type delivery struct{ slab []uint64 }
-
-const deliverySlab = 64
-
-//cosmos:hotpath
-func (d *delivery) cut(k int) []uint64 {
-	if len(d.slab) < k {
-		d.slab = make([]uint64, deliverySlab*k)
-	}
-	s := d.slab[:k:k]
-	d.slab = d.slab[k:]
-	return s
-}
-
-// Deliver numbers the tuple for each matched member — every delivery
-// advances a member's sequence, connected or not — and enqueues one
-// entry for the members the connection can take now; a gated member
-// holds its own entry until the gate opens.
-//
-//cosmos:hotpath
-func (d *delivery) Deliver(lay *core.Layout, t stream.Tuple, match []bool) {
-	k := len(match)
-	seqs := d.cut(k)
-	var w *connWriter
-	for i, hit := range match {
-		if !hit {
-			continue
-		}
-		st := lay.Members[i].Sub.(*subState)
-		st.mu.Lock()
-		st.seq++
-		switch {
-		case st.gated:
-			held := d.cut(k)
-			held[i] = st.seq
-			st.held = append(st.held, pumpEntry{dl: d, lay: lay, t: t, seqs: held})
-		case st.w != nil:
-			// A proxy's open members share one connection: one session
-			// submitted them, and a resume adopts them together.
-			seqs[i], w = st.seq, st.w
-		}
-		st.mu.Unlock()
-	}
-	if w != nil {
-		_ = w.sendResult(pumpEntry{dl: d, lay: lay, t: t, seqs: seqs})
-	}
-}
-
-// subState is one subscription's server-side delivery state. It owns
-// the per-subscription result sequence — every delivery increments seq
-// whether or not a connection is attached — and a gate that holds
-// results while a response announcing the subscription (submit OK,
-// resume OK) is being written, so the client never sees a result frame
-// before the response that explains it. While detached (w == nil, a
-// resumable session's connection dropped), deliveries are counted and
-// dropped: the hole left behind is exactly the gap a resume reports.
-type subState struct {
-	tag string
-	h   *core.QueryHandle
-
-	mu    sync.Mutex
-	seq   uint64      // guarded by mu
-	w     *connWriter // guarded by mu; nil while detached
-	gated bool        // guarded by mu
-	held  []pumpEntry // guarded by mu
-}
-
-// gate holds deliveries and reports the current sequence — the resume
-// point a MsgResume OK announces.
-func (st *subState) gate() uint64 {
-	st.mu.Lock()
-	st.gated = true
-	seq := st.seq
-	st.mu.Unlock()
-	return seq
-}
-
-// open flushes held frames to w and lets subsequent deliveries write
-// directly. The flush happens under the lock so a concurrent delivery
-// cannot overtake a held frame.
-func (st *subState) open(w *connWriter) {
-	st.mu.Lock()
-	for _, e := range st.held {
-		_ = w.sendResult(e)
-	}
-	st.held = nil
-	st.gated = false
-	st.w = w
-	st.mu.Unlock()
-}
-
-// detach stops writing without losing count: deliveries while detached
-// advance seq and vanish. Held frames already carry sequences, so
-// dropping them is covered by the same gap.
-func (st *subState) detach() {
-	st.mu.Lock()
-	st.w = nil
-	st.gated = false
-	st.held = nil
-	st.mu.Unlock()
+// one user node share a proxy, a delivery id and one body per result,
+// encoded into the session's result window.
+func (sess *session) Open() core.Receiver {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return &delivery{win: sess.res}
 }
 
 // openSource binds a client-chosen source id to a port for this
@@ -925,7 +699,7 @@ func (sess *session) openSource(id uint32, port *core.SourcePort) error {
 func (sess *session) dispatch(req *Request) *Response {
 	s := sess.srv
 	switch req.Kind {
-	case MsgHello, MsgResume:
+	case MsgHello:
 		// Session management: outside the dispatch gate, since a hello
 		// may wait out an older connection of its identity.
 		s.stateMu.RLock()
@@ -934,10 +708,7 @@ func (sess *session) dispatch(req *Request) *Response {
 		if closed {
 			return errResp("server shutting down")
 		}
-		if req.Kind == MsgHello {
-			return sess.hello(req)
-		}
-		return sess.resume(req)
+		return sess.hello(req)
 	case MsgRegister, MsgSubmit:
 		// Hold the dispatch gate for the whole operation (publish frames
 		// do the same): stop() flips closed under the write side, so a
@@ -961,7 +732,7 @@ func (sess *session) dispatch(req *Request) *Response {
 		}
 		// The registering session usually publishes the stream: its
 		// register opens the source in the same round trip.
-		if req.Source != 0 && sess.w.pump.Load() != nil {
+		if req.Source != 0 && sess.framed {
 			if err := sess.openSource(req.Source, port); err != nil {
 				return errResp("%v", err)
 			}
@@ -969,7 +740,7 @@ func (sess *session) dispatch(req *Request) *Response {
 		return &Response{Kind: MsgOK}
 
 	case MsgOpenSource:
-		if sess.w.pump.Load() == nil {
+		if !sess.framed {
 			return errResp("open source before hello: published tuples travel as wire version %d frames, which the connection's hello sets up", wireVersion)
 		}
 		port, ok := s.sys.Source(req.Stream)
@@ -987,11 +758,11 @@ func (sess *session) dispatch(req *Request) *Response {
 
 	case MsgSubmit:
 		// The session is the query's sink; its proxy's goroutine
-		// enqueues results on the connection writer, so per query wire
+		// encodes results into the session's window, so per query wire
 		// order is delivery order. The sub starts gated: results before
-		// the MsgOK is written are held, so no frame for this query
+		// the MsgOK is queued are held, so no frame for this query
 		// precedes the response announcing its tag.
-		if sess.w.pump.Load() == nil {
+		if !sess.framed {
 			return errResp("submit before hello: results travel as wire version %d frames, which the connection's hello sets up", wireVersion)
 		}
 		st := &subState{gated: true}
@@ -999,7 +770,7 @@ func (sess *session) dispatch(req *Request) *Response {
 		if err != nil {
 			return errResp("%v", err)
 		}
-		st.tag, st.h = h.Tag, h
+		st.h = h
 		sess.mu.Lock()
 		if sess.ended {
 			// Lost the race with a shutdown: don't leak the query.
@@ -1008,14 +779,13 @@ func (sess *session) dispatch(req *Request) *Response {
 			return errResp("server shutting down")
 		}
 		sess.subs[h.Tag] = st
-		// Write the OK and open the gate while holding the session
+		// Queue the OK and open the gate while holding the session
 		// lock: a concurrent graceful close (which takes the lock
 		// before writing MsgEnd) can then neither interleave this
 		// subscription's MsgEnd before the response announcing its tag
 		// nor before the results delivered while the submit was in
 		// flight.
-		_ = sess.w.send(&Response{ID: req.ID, Kind: MsgOK, QueryTag: h.Tag})
-		st.open(sess.w)
+		st.open(sess.w, &Response{ID: req.ID, Kind: MsgOK, QueryTag: h.Tag})
 		sess.mu.Unlock()
 		return nil
 
@@ -1063,21 +833,23 @@ func (sess *session) dispatch(req *Request) *Response {
 // the client offers (anything below this build's is refused by name;
 // anything at or above it gets this build's), and — when the client sent
 // a session id — marks the session resumable under that identity and
-// adopts any subscriptions a previous connection with that identity
-// left parked. Parked subscriptions the client does not intend to
-// resume (cancelled while disconnected, or forgotten) are cancelled.
-// A previous connection of that identity that the server has not seen
-// die yet is dropped and waited out first: the client holds one
-// connection at a time, so the old one is dead to it, and its state —
-// the publishes it is still applying included — must be parked before
-// the new connection can resume from it. The OK reports the wire
-// version, the new epoch, the adopted tags and the applied publish
-// sequence (the parked one, or the client's own acknowledged count when
-// this server never held the session); tags absent from the reply no
-// longer exist server-side — the client resubmits those from scratch.
-// The OK is the last unframed message on the connection: writing it and
-// installing the result pump happen atomically (connWriter.upgrade), and
-// hello returns nil so serve does not write a second response.
+// adopts what a previous connection with that identity left parked: the
+// subscriptions the client names in ResumeTags (the others — cancelled
+// while disconnected, or submitted by a request whose OK the cut lost —
+// are cancelled), the applied publish sequence and the result window. A
+// previous connection of that identity that the server has not seen die
+// yet is dropped and waited out first: the client holds one connection
+// at a time, so the old one is dead to it, and its state — the publishes
+// it is still applying included — must be parked before the new
+// connection can resume from it. The OK reports the wire version, the
+// new epoch, the adopted tags, the applied publish sequence (the parked
+// one, or the client's own acknowledged count when this server never
+// held the session) and the first result sequence the window still
+// holds; tags absent from the reply no longer exist server-side — the
+// client resubmits those from scratch. The OK is the last unframed
+// message on the connection, the window's resend queues behind it
+// (finishHello), and hello returns nil so serve does not write a second
+// response.
 func (sess *session) hello(req *Request) *Response {
 	s := sess.srv
 	if req.WireVersion < wireVersion {
@@ -1088,7 +860,7 @@ func (sess *session) hello(req *Request) *Response {
 		if len(req.ResumeTags) > 0 {
 			return errResp("hello: resume tags without a session id")
 		}
-		sess.finishHello(req, &Response{Kind: MsgOK})
+		sess.finishHello(req, &Response{Kind: MsgOK}, nil)
 		return nil
 	}
 	s.mu.Lock()
@@ -1099,78 +871,70 @@ func (sess *session) hello(req *Request) *Response {
 		_ = old.conn.Close() // superseded; its serve loop parks what it holds
 		<-old.done
 	}
-	d := s.takeDetached(req.SessionID)
-	resume := make(map[string]bool, len(req.ResumeTags))
-	for _, tag := range req.ResumeTags {
-		resume[tag] = true
-	}
+	s.mu.Lock()
+	p := s.takeParkedLocked(req.SessionID)
+	s.mu.Unlock()
 	epoch, applied := uint64(1), req.LastSeq
+	var res *resultWindow
 	var adopted []string
-	var orphans []*subState
-	if d != nil {
-		epoch, applied = d.epoch+1, max(d.applied, applied)
-		for tag, st := range d.subs {
-			if resume[tag] {
-				adopted = append(adopted, tag)
-			} else {
-				orphans = append(orphans, st)
+	sess.mu.Lock()
+	ended := sess.ended
+	if p != nil {
+		p.mu.Lock()
+		epoch, applied = p.epoch+1, max(p.applied, applied)
+		// A repeated hello on a connection keeps the connection's stream:
+		// a parked window cannot join it, so neither can its subscriptions.
+		if sess.res == nil && !ended {
+			res = p.res
+			for _, tag := range req.ResumeTags {
+				if st := p.subs[tag]; st != nil {
+					adopted = append(adopted, tag)
+					sess.subs[tag] = st
+					delete(p.subs, tag)
+				}
 			}
 		}
+		p.mu.Unlock()
 	}
-	sess.mu.Lock()
-	if sess.ended {
-		// Lost the race with a shutdown: nothing can be adopted.
-		sess.mu.Unlock()
-		if d != nil {
-			s.dropDetached(d)
-		}
-		return errResp("server shutting down")
-	}
-	sess.id = req.SessionID
-	sess.epoch = epoch
-	sess.applied = applied
-	sess.received = applied // hello runs on the serve goroutine, which owns received
-	for _, tag := range adopted {
-		sess.subs[tag] = d.subs[tag]
+	if !ended {
+		sess.id, sess.epoch, sess.applied = req.SessionID, epoch, applied
+		sess.received = applied // hello runs on the serve goroutine, which owns received
 	}
 	sess.mu.Unlock()
-	for _, st := range orphans {
-		if err := s.sys.Cancel(st.h); err != nil {
-			log.Printf("cosmosd: cancel %s: %v", st.tag, err)
-		}
+	if p != nil {
+		p.cancelAll() // what the client does not hold any more
 	}
-	sort.Strings(adopted)
-	sess.finishHello(req, &Response{Kind: MsgOK, Epoch: epoch, Tags: adopted, Seq: applied})
-	return nil
-}
-
-// finishHello delivers a hello's OK through connWriter.upgrade so the
-// pump installs atomically behind it. Adopted subscriptions are still
-// detached at this point (resume attaches them later), so no result can
-// race the switch.
-func (sess *session) finishHello(req *Request, resp *Response) {
-	resp.ID, resp.WireVersion = req.ID, wireVersion
-	_ = sess.w.upgrade(resp)
-}
-
-// resume re-attaches an adopted subscription to this connection. The OK
-// carries the current sequence — the resume point; everything between
-// the client's last-seen sequence and that point was delivered into the
-// void while detached and is the gap the client reports. The response
-// is written under the session lock, before the gate opens, so no
-// resumed frame precedes it.
-func (sess *session) resume(req *Request) *Response {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.ended {
+	if ended {
+		// Lost the race with a shutdown: nothing can be adopted.
 		return errResp("server shutting down")
 	}
-	st := sess.subs[req.QueryTag]
-	if st == nil {
-		return errResp("unknown query %q", req.QueryTag)
-	}
-	seq := st.gate()
-	_ = sess.w.send(&Response{ID: req.ID, Kind: MsgOK, QueryTag: req.QueryTag, Seq: seq, Epoch: sess.epoch})
-	st.open(sess.w)
+	sort.Strings(adopted)
+	sess.finishHello(req, &Response{Kind: MsgOK, Epoch: epoch, Tags: adopted, Seq: applied}, res)
 	return nil
+}
+
+// finishHello queues a hello's OK — the connection's last unframed
+// message — and attaches the session's result window behind it: res when
+// adopted, a fresh one otherwise, resending what lies beyond the client's
+// last contiguous result. The window's lock is held throughout, so the
+// OK reports the first sequence the window holds as of the attach.
+func (sess *session) finishHello(req *Request, resp *Response, res *resultWindow) {
+	resp.ID, resp.WireVersion = req.ID, wireVersion
+	if sess.framed {
+		// A repeated hello: the connection's stream goes on.
+		_ = sess.w.send(resp)
+		return
+	}
+	last := req.ResultSeq
+	if res == nil {
+		res, last = newResultWindow(&sess.srv.wire), 0
+	}
+	sess.mu.Lock()
+	sess.res = res
+	sess.mu.Unlock()
+	sess.framed = true
+	res.mu.Lock()
+	defer res.mu.Unlock()
+	resp.ResultSeq = res.dropped + 1
+	sess.w.sendHello(resp, res, last)
 }

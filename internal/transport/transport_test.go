@@ -88,7 +88,7 @@ func TestClientServerEndToEnd(t *testing.T) {
 	var mu sync.Mutex
 	var got []stream.Tuple
 	tag, err := c.Submit("SELECT itemID FROM OpenAuction [Now] WHERE start_price > 100", 5,
-		func(tp stream.Tuple, _ uint64) {
+		func(tp stream.Tuple) {
 			mu.Lock()
 			got = append(got, tp)
 			mu.Unlock()

@@ -33,7 +33,7 @@ func TestWireVersionAgreed(t *testing.T) {
 	var mu sync.Mutex
 	var got []stream.Tuple
 	_, err = c.Submit("SELECT itemID, start_price FROM OpenAuction [Now] WHERE start_price > 100", 5,
-		func(tp stream.Tuple, _ uint64) {
+		func(tp stream.Tuple) {
 			mu.Lock()
 			got = append(got, tp)
 			mu.Unlock()
@@ -168,15 +168,16 @@ func (p *rawPeer) readAck(t *testing.T) (applied uint64, refusal string) {
 	return applied, refusal
 }
 
-// TestWireVersionOlderOfferRefused: a peer whose hello offers version 3
-// (results framed per subscription), version 2 (gob publish requests),
+// TestWireVersionOlderOfferRefused: a peer whose hello offers version 4
+// (results numbered per subscription), version 3 (results framed per
+// subscription), version 2 (gob publish requests),
 // version 1 (gob result pushes) or none at all (a peer older than the
 // negotiation) is recognised and refused with an error naming both
 // versions; the connection stays usable for control traffic.
 func TestWireVersionOlderOfferRefused(t *testing.T) {
 	addr, shutdown := startServer(t)
 	defer shutdown()
-	for _, offer := range []int{0, 1, 2, 3} {
+	for _, offer := range []int{0, 1, 2, 3, 4} {
 		p := dialRaw(t, addr)
 		resp := p.call(t, &Request{ID: 1, Kind: MsgHello, WireVersion: offer})
 		if resp.Kind != MsgError {

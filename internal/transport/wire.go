@@ -30,9 +30,14 @@ import (
 // one-byte frame marker:
 //
 //	'G' | gob-encoded Request or Response       (control; self-delimiting)
-//	'D' | u32 len | id count firstSeq… tuples   (a batch of tuples)
+//	'D' | u32 len | id count firstSeq tuples    (a batch of tuples)
 //	'S' | u32 len | id arity members            (server→client: a delivery's layout)
-//	'A' | u32 len | appliedSeq [refusal]        (server→client: cumulative publish ack)
+//	'A' | u32 len | seq [refusal]               (a cumulative ack of the other direction)
+//
+// Each direction is one stream, numbered by one sequence per session and
+// held by its sender until the receiver's 'A' covers it (window.go):
+// publishes client→server, results server→client. After a reconnect the
+// hello carries how far each arrived and only the rest is sent again.
 //
 // Results travel per delivery: a session's subscriptions in one query
 // group at one user node share a delivery proxy (core.SubmitTo), and a
@@ -46,11 +51,10 @@ import (
 //	                announced; client→server: the source id the client
 //	                chose when it opened (or registered) the source
 //	u16  count      number of tuples in the batch
-//	u64  firstSeq   × k (1 publishing): per member, the sequence of its
-//	                first tuple in the batch, the next ones following on.
-//	                Results count per subscription; published tuples per
-//	                session, across its sources, in the order the server
-//	                applies them
+//	u64  firstSeq   the session sequence of the batch's first tuple, the
+//	                next ones following on: published tuples across the
+//	                session's sources in the order the server applies
+//	                them, results across its deliveries
 //	tuple × count   each behind a ⌈k/8⌉-byte bitmap when k > 1: bit i (of
 //	                byte i/8, LSB first) set if it is member i's result
 //
@@ -68,27 +72,32 @@ import (
 //	then per member: str tag, uvarint nfields,
 //	then per field: str name, u8 kind, uvarint avgLen, uvarint bodyColumn
 //
-// A member's fields form its output schema, named by its tag. The pump
-// emits an 'S' frame before a delivery's first 'D' frame and whenever
-// its layout changes; ids are per connection, so a reconnect re-announces
-// naturally. Publishing needs no 'S' frame: opening a source (a control
-// round trip) binds the id to the catalog's own schema, and the client
-// checks each tuple's layout against it before encoding.
+// A member's fields form its output schema, named by its tag. The server
+// encodes an 'S' frame before a delivery's first 'D' frame and whenever
+// its layout changes, in the same chunk of the session's result stream.
+// Delivery ids are per session on both ends, so a resend that replays an
+// 'S' frame rebinds the id to the layout it already had, and the 'D'
+// frames behind it decode as they did the first time; a window that
+// overflowed while detached announces every layout again. Publishing
+// needs no 'S' frame: opening a source (a control round trip) binds the
+// id to the catalog's own schema, and the client checks each tuple's
+// layout against it before encoding.
 //
-// 'A' payload layout: u64 appliedSeq — every published tuple up to it has
-// been handed to its source port — followed, when the server refused a
-// frame, by the reason as raw bytes to the end of the payload. Acks are
-// cumulative; the client retains what it sent until an ack covers it
-// (publish.go).
+// 'A' payload layout: u64 seq — every tuple of the acknowledged
+// direction up to it arrived (server→client: was handed to its source
+// port) — followed, only server→client and when the server refused a
+// frame, by the reason as raw bytes to the end of the payload. A
+// client→server 'A' is exactly its 8 bytes.
 
 // wireVersion is the one wire format version this build speaks: gob
-// control, binary data frames both ways, results per delivery. Every
-// MsgHello carries it; a peer offering less (version 1 pushed results as
-// gob, version 2 published tuples as gob requests, version 3 framed
-// results per subscription), or one that submits or publishes without a
-// hello, is refused by name — there is no second framing to fall back
-// to.
-const wireVersion = 4
+// control, binary data frames both ways, results per delivery on one
+// session sequence, acks both ways. Every MsgHello carries it; a peer
+// offering less (version 1 pushed results as gob, version 2 published
+// tuples as gob requests, version 3 framed results per subscription,
+// version 4 numbered results per subscription and resumed each with a
+// round trip), or one that submits or publishes without a hello, is
+// refused by name — there is no second framing to fall back to.
+const wireVersion = 5
 
 // Frame markers (both directions, after the hello and its OK).
 const (
@@ -123,8 +132,8 @@ const batchSoftBytes = 56 << 10
 // maxBatchTuples caps tuples per 'D' frame (count is a u16).
 const maxBatchTuples = 4096
 
-// framePool recycles frame buffers between the per-connection pumps and
-// publish windows (encode side) and the frame readers (decode side).
+// framePool recycles frame buffers between the windows (encode side) and
+// the frame readers (decode side).
 var framePool = sync.Pool{
 	New: func() interface{} { b := make([]byte, 0, 4096); return &b },
 }
@@ -174,7 +183,7 @@ func readFrame(br *bufio.Reader, bufp *[]byte) ([]byte, error) {
 	return b, nil
 }
 
-// ackHeaderSize is the fixed part of an 'A' payload: appliedSeq.
+// ackHeaderSize is the fixed part of an 'A' payload: its sequence.
 const ackHeaderSize = 8
 
 // appendAck builds an 'A' payload.
@@ -426,13 +435,8 @@ func decodeSchemaFrame(b []byte) (id uint32, arity int, members []wireMember, er
 	return id, arity, members, nil
 }
 
-// dataHeaderSize is the prefix of a 'D' payload with one firstSeq: id,
-// count, firstSeq. A k-member delivery's frame carries k firstSeqs, the
-// i-th at dataSeqAt+8i.
-const (
-	dataHeaderSize = dataSeqAt + 8
-	dataSeqAt      = 4 + 2
-)
+// dataHeaderSize is the prefix of a 'D' payload: id, count, firstSeq.
+const dataHeaderSize = 4 + 2 + 8
 
 // appendDataHeader writes the batch header; count is patched in by
 // patchDataCount once the batch is sealed.
@@ -446,42 +450,7 @@ func appendDataHeader(buf []byte, id uint32, firstSeq uint64) []byte {
 
 //cosmos:hotpath
 func patchDataCount(buf []byte, count int) {
-	binary.LittleEndian.PutUint16(buf[4:dataSeqAt], uint16(count))
-}
-
-// appendResultHeader writes a k-member delivery's batch header, to be
-// patched as the batch fills.
-//
-//cosmos:hotpath
-func appendResultHeader(buf []byte, id uint32, k int) []byte {
-	buf = appendDataHeader(buf, id, 0)
-	for i := 1; i < k; i++ {
-		buf = binary.LittleEndian.AppendUint64(buf, 0)
-	}
-	return buf
-}
-
-// appendResult encodes one result entry — its bitmap if k > 1, then the
-// body — onto its batch, stamps the firstSeq of each member it is the
-// batch's first result for, and counts its subscription results.
-//
-//cosmos:hotpath
-func appendResult(buf []byte, e *pumpEntry, results *int) []byte {
-	k, at := len(e.seqs), len(buf)
-	buf = append(buf, make([]byte, bitmapBytes(k))...)
-	for i, s := range e.seqs {
-		if s == 0 {
-			continue
-		}
-		*results++
-		if k > 1 {
-			buf[at+i/8] |= 1 << (i % 8)
-		}
-		if first := buf[dataSeqAt+8*i:]; binary.LittleEndian.Uint64(first) == 0 {
-			binary.LittleEndian.PutUint64(first, s)
-		}
-	}
-	return appendBody(buf, e.t, e.lay.Cols)
+	binary.LittleEndian.PutUint16(buf[4:6], uint16(count))
 }
 
 // bitmapBytes is the size of a k-member delivery's match bitmap.
@@ -489,13 +458,13 @@ func appendResult(buf []byte, e *pumpEntry, results *int) []byte {
 //cosmos:hotpath
 func bitmapBytes(k int) int { return (k + 7) / 8 * min(k-1, 1) }
 
-// decodeDataHeader parses a 'D' payload prefix up to its first firstSeq.
+// decodeDataHeader parses a 'D' payload's header.
 func decodeDataHeader(b []byte) (id uint32, count int, firstSeq uint64, err error) {
 	if len(b) < dataHeaderSize {
 		return 0, 0, 0, fmt.Errorf("transport: truncated data frame header")
 	}
 	id = binary.LittleEndian.Uint32(b)
-	count = int(binary.LittleEndian.Uint16(b[4:dataSeqAt]))
-	firstSeq = binary.LittleEndian.Uint64(b[dataSeqAt:dataHeaderSize])
+	count = int(binary.LittleEndian.Uint16(b[4:6]))
+	firstSeq = binary.LittleEndian.Uint64(b[6:dataHeaderSize])
 	return id, count, firstSeq, nil
 }

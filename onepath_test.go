@@ -25,9 +25,10 @@ import (
 // micro-batching ingest hop between a processor's network pump and its
 // runtime, the SimNet-only outbox of worker emissions, and the unused
 // delay-weighted byte sum, the transport adapters and endpoint/link
-// tables SimNet and LiveNet each kept beside one shared cbn.Fabric, and
-// the server's own lock around a synchronous System — are not declared
-// or used anywhere, and cmd/cosmosbench is gone.
+// tables SimNet and LiveNet each kept beside one shared cbn.Fabric, the
+// server's own lock around a synchronous System, and the per-subscription
+// result resume with its per-member sequence slabs —
+// are not declared or used anywhere, and cmd/cosmosbench is gone.
 func TestOnePathStructure(t *testing.T) {
 	if _, err := os.Stat("cmd/cosmosbench"); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("cmd/cosmosbench exists (stat: %v); benchmark/ is the one instrument", err)
@@ -41,6 +42,7 @@ func TestOnePathStructure(t *testing.T) {
 		"Batcher", "NewBatcher", "ConsumeBatch", "IngestBatch", "IngestQueuePerProc", "outbox", "procsIdle",
 		"WeightedDataCost",
 		"simTransport", "liveTransport", "liveEndpoint", "liveLinkStats", "allocIface", "cancelQuery",
+		"deliverySlab",
 	} {
 		retired[name] = true
 	}
@@ -52,6 +54,7 @@ func TestOnePathStructure(t *testing.T) {
 		}
 	}
 	retired["Msg"+"Publish"] = true
+	retired["Msg"+"Resume"] = true
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
