@@ -878,9 +878,10 @@ func (c *Client) stateErr() error {
 	return c.stateErrLocked(errConnLost)
 }
 
-// stateErrLocked is stateErr with up, when the state is not final,
-// reported as that. Callers hold c.mu.
-func (c *Client) stateErrLocked(up error) error {
+// stateErrLocked is the error a final state — closed, shut down,
+// failed — makes calls fail with, and otherwise when it is none. Callers
+// hold c.mu.
+func (c *Client) stateErrLocked(otherwise error) error {
 	switch {
 	case c.closed:
 		return errClientClosed
@@ -889,7 +890,7 @@ func (c *Client) stateErrLocked(up error) error {
 	case c.failErr != nil:
 		return c.failErr
 	}
-	return up
+	return otherwise
 }
 
 // waitReady parks until the session is usable, or reports the terminal

@@ -268,13 +268,11 @@ func newResultPump(conn net.Conn, wire *wireMetrics) *resultPump {
 // send enqueues a control Response. Results encoded from here on travel
 // behind it: a submit's OK precedes its first result.
 func (p *resultPump) send(r *Response) error {
-	w := p.win.Load()
-	if w == nil {
-		return p.enqueue(pumpEntry{resp: r})
+	if w := p.win.Load(); w != nil {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		w.fence()
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.fence()
 	return p.enqueue(pumpEntry{resp: r})
 }
 
