@@ -291,6 +291,10 @@ func (c *Client) pinger() {
 	}
 }
 
+// ackEvery bounds the results a read loop leaves unacknowledged while
+// more keep arriving.
+const ackEvery = maxBatchTuples
+
 // readLoop decodes what the server sends on conn, acknowledging results
 // through w whenever it has read all that arrived.
 func (c *Client) readLoop(conn net.Conn, w *requestPump, done chan struct{}) {
@@ -313,8 +317,10 @@ func (c *Client) readLoop(conn net.Conn, w *requestPump, done chan struct{}) {
 	// frames after.
 	framed, acked := false, c.lastResult
 	for {
-		if br.Buffered() == 0 && c.lastResult > acked {
-			// About to block: acknowledge what arrived.
+		// Acknowledge what arrived when about to block, or once
+		// ackEvery results went unacknowledged: a reader that never
+		// catches up must still release the server's window.
+		if c.lastResult > acked && (br.Buffered() == 0 || c.lastResult-acked >= ackEvery) {
 			acked = c.lastResult
 			w.ack(acked)
 		}
