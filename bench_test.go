@@ -1,77 +1,26 @@
-// Benchmarks regenerating the paper's evaluation (one per figure) plus
-// ablations for the design choices DESIGN.md calls out. The hot paths'
-// per-layer costs are benchmark/'s (`-trace 1`, layers.go), not here.
+// Benchmarks regenerating the paper's Figure 3 plus ablations for the
+// design choices DESIGN.md calls out. The hot paths' per-layer costs are
+// benchmark/'s (`-trace 1`, layers.go), not here.
 //
-// The figure benches attach the measured experiment metrics to the
+// The figure bench attaches the measured experiment metrics to the
 // benchmark output via ReportMetric, so `go test -bench=Figure` prints
-// the numbers behind Figures 3 and 4; `go run ./cmd/figures` prints the
-// full series in the paper's layout.
+// the numbers behind Figure 3; `go run ./cmd/figures` prints Figures 3
+// and 4 in the paper's layout.
 package cosmos_test
 
 import (
-	"fmt"
 	"testing"
 
 	"cosmos/internal/cbn"
 	"cosmos/internal/cost"
 	"cosmos/internal/cql"
-	"cosmos/internal/merge"
 	"cosmos/internal/overlay"
 	"cosmos/internal/profile"
-	"cosmos/internal/querygen"
 	"cosmos/internal/sensordata"
 	"cosmos/internal/sim"
 	"cosmos/internal/stream"
 	"cosmos/internal/topology"
 )
-
-// benchQueries is the per-iteration query count for the Figure 4
-// benches: the first checkpoint of the paper's sweep. The full
-// 2000…10000 series is produced by cmd/figures.
-const benchQueries = 2000
-
-// BenchmarkFigure4aBenefitRatio regenerates Figure 4(a)'s first
-// checkpoint for every workload distribution; the benefit ratio is
-// attached as a custom metric.
-func BenchmarkFigure4aBenefitRatio(b *testing.B) {
-	for _, dist := range querygen.PaperDistributions() {
-		b.Run(dist.Name, func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				results, err := sim.Sweep(sim.Config{
-					Dist: dist,
-					Seed: int64(i + 1),
-				}, []int{benchQueries})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = results[0].BenefitRatio
-			}
-			b.ReportMetric(last, "benefit-ratio")
-		})
-	}
-}
-
-// BenchmarkFigure4bGroupingRatio regenerates Figure 4(b)'s first
-// checkpoint per distribution.
-func BenchmarkFigure4bGroupingRatio(b *testing.B) {
-	for _, dist := range querygen.PaperDistributions() {
-		b.Run(dist.Name, func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				results, err := sim.Sweep(sim.Config{
-					Dist: dist,
-					Seed: int64(i + 1),
-				}, []int{benchQueries})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = results[0].GroupingRatio
-			}
-			b.ReportMetric(last, "grouping-ratio")
-		})
-	}
-}
 
 // BenchmarkFigure3ShareVsNonShare runs the Figure 3 scenario end to end
 // (real SPE + CBN, both strategies) and reports the byte saving on the
@@ -90,29 +39,6 @@ func BenchmarkFigure3ShareVsNonShare(b *testing.B) {
 		}
 	}
 	b.ReportMetric(100*saving, "shared-link-saving-%")
-}
-
-// BenchmarkAblationMergeMode compares ExactUnion against ConvexHull
-// representative composition (DESIGN.md ablation): hull keeps filters
-// tiny but loosens them, trading benefit for optimizer speed.
-func BenchmarkAblationMergeMode(b *testing.B) {
-	for _, mode := range []merge.Mode{merge.ExactUnion, merge.ConvexHull} {
-		b.Run(mode.String(), func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				results, err := sim.Sweep(sim.Config{
-					Dist: querygen.Zipf15,
-					Seed: int64(i + 1),
-					Mode: mode,
-				}, []int{benchQueries})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = results[0].BenefitRatio
-			}
-			b.ReportMetric(last, "benefit-ratio")
-		})
-	}
 }
 
 // BenchmarkAblationProjection measures the data layer's early-projection
@@ -183,68 +109,6 @@ func BenchmarkAblationReorg(b *testing.B) {
 		ratio = after / before
 	}
 	b.ReportMetric(ratio, "cost-ratio")
-}
-
-// BenchmarkAblationTreeStructure compares dissemination-tree shapes
-// under the shared-content cost (one stream multicast to every node —
-// the paper's dissemination scenario): the paper's MST choice vs. the
-// shortest-path tree (what unicast systems induce) vs. a star. Reported
-// metric is cost relative to the MST, which is provably minimal here.
-func BenchmarkAblationTreeStructure(b *testing.B) {
-	g, err := topology.GeneratePowerLaw(500, 2, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	subscribers := make([]bool, g.NumNodes())
-	for i := range subscribers {
-		subscribers[i] = true
-	}
-	mst, err := overlay.MST(g, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := mst.SharedCost(1000, subscribers)
-	build := map[string]func() (*overlay.Tree, error){
-		"mst":  func() (*overlay.Tree, error) { return overlay.MST(g, 0) },
-		"spt":  func() (*overlay.Tree, error) { return overlay.SPT(g, 0) },
-		"star": func() (*overlay.Tree, error) { return overlay.Star(g, 0) },
-	}
-	for _, name := range []string{"mst", "spt", "star"} {
-		b.Run(name, func(b *testing.B) {
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				tree, err := build[name]()
-				if err != nil {
-					b.Fatal(err)
-				}
-				ratio = tree.SharedCost(1000, subscribers) / base
-			}
-			b.ReportMetric(ratio, "cost-vs-mst")
-		})
-	}
-}
-
-// BenchmarkAblationMaxCandidates sweeps the optimiser's candidate-scan
-// bound: the knob trading insertion time against merging quality at
-// scale. Benefit ratio is reported alongside the insertion throughput.
-func BenchmarkAblationMaxCandidates(b *testing.B) {
-	for _, mc := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("cap-%d", mc), func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				results, err := sim.Sweep(sim.Config{
-					Dist:          querygen.Zipf15,
-					Seed:          int64(i + 1),
-					MaxCandidates: mc,
-				}, []int{benchQueries})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = results[0].BenefitRatio
-			}
-			b.ReportMetric(last, "benefit-ratio")
-		})
-	}
 }
 
 // BenchmarkOutputRate measures the cost estimator, which runs once per

@@ -574,10 +574,11 @@ func (b *Broker) PruneStream(name string) {
 		}
 		b.subs[iface] = kept
 		if changed {
-			agg := profile.New()
-			for _, p := range kept {
-				agg.Merge(p)
-			}
+			// Merge unions per stream, so the kept profiles' aggregate is
+			// the old one without the stream. The clone leaves the old
+			// aggregate to DemandOn's callers.
+			agg := b.agg[iface].Clone()
+			agg.RemoveStream(name)
 			b.agg[iface] = agg
 		}
 	}

@@ -1,10 +1,13 @@
 package cbn
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"cosmos/internal/predicate"
 	"cosmos/internal/profile"
+	"cosmos/internal/sensordata"
 	"cosmos/internal/stream"
 )
 
@@ -98,4 +101,104 @@ func TestGroupChurnDoesNotAccumulateBrokerState(t *testing.T) {
 
 func streamName(v int) string {
 	return "res-v" + string(rune('A'+v%26)) + string(rune('a'+(v/26)%26))
+}
+
+// TestPruneMatchesRebuiltBroker is the property behind PruneStream's
+// aggregate trim: after any sequence of subscribes, unsubscribes and
+// prunes, the broker routes every tuple exactly as a fresh broker that
+// received only the surviving subscriptions does.
+func TestPruneMatchesRebuiltBroker(t *testing.T) {
+	const streams, ifaces = 3, 5
+	attrs := []string{"station", "temperature", "humidity", "solar", "wind"}
+	randProfile := func(rng *rand.Rand) *profile.Profile {
+		p := profile.New()
+		for s := 0; s < streams; s++ {
+			if rng.Intn(2) == 0 && !(s == streams-1 && len(p.Streams) == 0) {
+				continue
+			}
+			var proj []string
+			if rng.Intn(3) > 0 {
+				for _, a := range attrs {
+					if rng.Intn(2) == 0 {
+						proj = append(proj, a)
+					}
+				}
+			}
+			var f predicate.DNF
+			for d := rng.Intn(3); d > 0; d-- {
+				op := predicate.GT
+				if rng.Intn(2) == 0 {
+					op = predicate.LT
+				}
+				attr := attrs[1+rng.Intn(2)]
+				f = append(f, predicate.Conj{predicate.C(attr, op, stream.Float(float64(5+rng.Intn(30))))})
+			}
+			p.AddStream(sensordata.StreamName(s), proj, f)
+		}
+		return p
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewBroker(0)
+		for i := 0; i < ifaces; i++ {
+			b.AttachIface(IfaceID(i))
+		}
+		// live mirrors what the broker should still hold, per interface.
+		live := make([][]*profile.Profile, ifaces)
+		for op := 0; op < 60; op++ {
+			iface := rng.Intn(ifaces)
+			switch r := rng.Intn(10); {
+			case r < 6:
+				p := randProfile(rng)
+				b.HandleSubscribe(p, IfaceID(iface))
+				live[iface] = append(live[iface], p)
+			case r < 8:
+				if len(live[iface]) == 0 {
+					continue
+				}
+				gone := normalize(live[iface][rng.Intn(len(live[iface]))])
+				b.Unsubscribe(gone, IfaceID(iface))
+				kept := live[iface][:0]
+				for _, p := range live[iface] {
+					if !normalize(p).Equal(gone) {
+						kept = append(kept, p)
+					}
+				}
+				live[iface] = kept
+			default:
+				name := sensordata.StreamName(rng.Intn(streams))
+				b.PruneStream(name)
+				for i, ps := range live {
+					var kept []*profile.Profile
+					for _, p := range ps {
+						p = p.Clone()
+						if !p.RemoveStream(name) {
+							kept = append(kept, p)
+						}
+					}
+					live[i] = kept
+				}
+			}
+			rebuilt := NewBroker(0)
+			for i := 0; i < ifaces; i++ {
+				rebuilt.AttachIface(IfaceID(i))
+			}
+			for i, ps := range live {
+				for _, p := range ps {
+					rebuilt.HandleSubscribe(p, IfaceID(i))
+				}
+			}
+			for s := 0; s < streams; s++ {
+				for _, tp := range sensordata.NewGenerator(s, seed).Take(8) {
+					from := IfaceID(rng.Intn(ifaces))
+					got, gerr := b.RouteTuple(tp, from)
+					want, werr := rebuilt.RouteTuple(tp, from)
+					if gerr != nil || werr != nil {
+						t.Fatalf("seed %d op %d: route errors %v / %v", seed, op, gerr, werr)
+					}
+					sameDeliveries(t, got, want, fmt.Sprintf("seed %d op %d stream %d", seed, op, s))
+				}
+			}
+		}
+	}
 }

@@ -248,9 +248,9 @@ func (s Stats) GroupingRatio() float64 {
 	return float64(s.Groups) / float64(s.Queries)
 }
 
-// RateBenefitRatio is the rate-only benefit 1 − ΣC(rep)/ΣC(q); the
-// network-weighted benefit ratio of Figure 4(a) is computed by the sim
-// package, which multiplies rates by dissemination path costs.
+// RateBenefitRatio is the estimated rate-only benefit 1 − ΣC(rep)/ΣC(q);
+// Figure 4(a)'s benefit ratio is measured by the sim package from the
+// links' delay-weighted traffic.
 func (s Stats) RateBenefitRatio() float64 {
 	if s.MemberBps == 0 {
 		return 0

@@ -255,54 +255,6 @@ func TestReorganizerFixpointOnGoodTree(t *testing.T) {
 	}
 }
 
-func TestSharedCostMSTMinimal(t *testing.T) {
-	// With every node subscribing, shared-content cost equals
-	// rate × total tree weight, which the MST minimises by definition.
-	g := graph(t, 150, 12)
-	subs := make([]bool, g.NumNodes())
-	for i := range subs {
-		subs[i] = true
-	}
-	mst, err := MST(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spt, err := SPT(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	star, err := Star(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm := mst.SharedCost(100, subs)
-	if cs := spt.SharedCost(100, subs); cs < cm-1e-9 {
-		t.Errorf("SPT shared cost %f below MST %f", cs, cm)
-	}
-	if cs := star.SharedCost(100, subs); cs < cm-1e-9 {
-		t.Errorf("star shared cost %f below MST %f", cs, cm)
-	}
-}
-
-func TestSharedCostOnlyDemandedLinks(t *testing.T) {
-	// 0 root, children 1,2; 2 has child 3; only node 3 subscribes:
-	// demanded links are 3→2 and 2→0.
-	tree := &Tree{
-		Root:      0,
-		Parent:    []int{-1, 0, 0, 2},
-		Children:  [][]int{{1, 2}, {}, {3}, {}},
-		LinkDelay: []float64{0, 10, 5, 2},
-	}
-	subs := []bool{false, false, false, true}
-	if c := tree.SharedCost(10, subs); c != (5+2)*10 {
-		t.Errorf("shared cost = %f, want 70", c)
-	}
-	// Nobody subscribes: zero cost.
-	if c := tree.SharedCost(10, make([]bool, 4)); c != 0 {
-		t.Errorf("empty demand cost = %f", c)
-	}
-}
-
 func TestStarAndSPTErrors(t *testing.T) {
 	g := graph(t, 20, 1)
 	if _, err := MST(g, -1); err == nil {

@@ -255,41 +255,6 @@ func (t *Tree) EdgeFlows(rates []float64) []float64 {
 	return flow
 }
 
-// SharedCost models dissemination of ONE shared stream (multicast): a
-// link carries the stream's full rate exactly once if any subscriber
-// lives in its subtree, zero otherwise. Total cost is therefore
-// rate × Σ delay over demanded links — which the minimum spanning tree
-// minimises when everyone subscribes; this is why the paper's experiment
-// disseminates over an MST. Contrast EdgeFlows/TotalCost, which model
-// per-subscriber distinct content (flows add up).
-func (t *Tree) SharedCost(rateBps float64, subscriber []bool) float64 {
-	n := t.NumNodes()
-	demanded := make([]bool, n)
-	order := make([]int, 0, n)
-	stack := []int{t.Root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		order = append(order, v)
-		stack = append(stack, t.Children[v]...)
-	}
-	for i := n - 1; i >= 0; i-- {
-		v := order[i]
-		d := subscriber[v]
-		for _, c := range t.Children[v] {
-			d = d || demanded[c]
-		}
-		demanded[v] = d
-	}
-	total := 0.0
-	for v := 0; v < n; v++ {
-		if v != t.Root && demanded[v] {
-			total += t.LinkDelay[v] * rateBps
-		}
-	}
-	return total
-}
-
 // CostFunc scores one overlay link carrying a flow; the reorganiser
 // minimises the sum over links plus per-node load penalties. This is the
 // "configurable cost function" of §3.2.

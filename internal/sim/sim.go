@@ -1,32 +1,40 @@
-// Package sim assembles the paper's evaluation (§5): random continuous
-// queries over 63 sensor streams, the incremental greedy merging
-// optimiser, and a simulated CBN over a BRITE-style power-law topology of
-// 1000 nodes with a minimum-spanning-tree dissemination tree. It reports
-// the two metrics of Figure 4:
+// Package sim runs the paper's evaluation (§5) on the system itself:
+// random continuous queries over 63 sensor streams, the incremental
+// greedy merging optimiser, and the CBN over a BRITE-style power-law
+// topology of 1000 nodes with a minimum-spanning-tree dissemination tree.
+// It reports the two metrics of Figure 4:
 //
 //	benefit ratio  — the fraction of (delay-weighted) communication cost
 //	                 that query merging removes, per Figure 4(a);
 //	grouping ratio — #groups / #queries, per Figure 4(b).
 //
-// Cost model. Result streams flow from the processor along dissemination
-// tree paths to each query's user node. Without merging every query's
-// result stream is shipped independently, so a link used by the paths of
-// queries Q carries Σ_{q∈Q} C(q) bytes/sec. With merging, a link carries
-// the representative stream filtered to the union of downstream member
-// needs, bounded above by both C(rep) and Σ C(member); the simulator
-// charges min(C(rep), Σ C(members downstream)), which is exact at the
-// fan-out extremes (single member: C(q); near the processor: C(rep)) and
-// a safe upper bound in between. Costs are delay-weighted byte rates
-// (bytes/sec × ms), matching the paper's communication-cost metric.
+// Measurement. A Runner builds two synchronous core.Systems over the same
+// tree, one merging and one with merging disabled, and submits the same
+// querygen queries at the same user nodes to both. All 63 sensor streams
+// are registered at the processor's node, as in Figure 3, so every byte
+// a link carries is result delivery. At each checkpoint both systems are
+// fed ReadingsPerCheckpoint readings per stream and a link is charged
+// what its counters grew by: Σ DataBytes × DelayMs (bytes × ms). The
+// grouping ratio is the merging processor's own statistic, and every
+// query must have received the same number of results under both
+// strategies.
+//
+// Cost. Set-up, not publishing, dominates. With merging a Submit
+// re-plans its group and re-subscribes every member's result stream, so
+// its cost grows with the standing queries: on the 1000-node topology a
+// merged Submit takes 2–13 ms below 250 queries and 16–102 ms between
+// 1000 and 1500 (the more skewed the workload, the larger the groups and
+// the dearer), an unmerged one 8–17 ms (FIGURES.json). cmd/figures'
+// defaults are sized to that.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"time"
 
-	"cosmos/internal/cost"
-	"cosmos/internal/cql"
+	"cosmos/internal/cbn"
+	"cosmos/internal/core"
 	"cosmos/internal/merge"
 	"cosmos/internal/overlay"
 	"cosmos/internal/querygen"
@@ -35,27 +43,23 @@ import (
 	"cosmos/internal/topology"
 )
 
-// Config parameterises one simulation run.
+// ReadingsPerCheckpoint is how many readings each sensor stream
+// publishes at a checkpoint; the benefit ratio is charged over them.
+const ReadingsPerCheckpoint = 100
+
+// Config parameterises one Figure 4 instance.
 type Config struct {
 	// Nodes is the topology size (paper: 1000).
 	Nodes int
 	// EdgesPerNode is the Barabási–Albert attachment parameter.
 	EdgesPerNode int
-	// Queries is the total number of queries inserted.
-	Queries int
 	// Dist is the workload skew (uniform / zipf…).
 	Dist querygen.Distribution
-	// Seed drives every random choice.
+	// Seed drives every random choice: the topology (Seed), the
+	// processor and user nodes (Seed+1) and the queries (Seed+2).
 	Seed int64
 	// Mode selects representative-predicate composition.
 	Mode merge.Mode
-	// MaxCandidates bounds the optimiser's per-insert group scan
-	// (0 = unlimited).
-	MaxCandidates int
-	// IncludeInputSide also counts source→processor transfer (identical
-	// under both strategies; dilutes the ratio). Default false, matching
-	// the paper's focus on result delivery sharing.
-	IncludeInputSide bool
 }
 
 // withDefaults fills zero fields with the paper's settings.
@@ -66,12 +70,6 @@ func (c Config) withDefaults() Config {
 	if c.EdgesPerNode == 0 {
 		c.EdgesPerNode = 2
 	}
-	if c.Queries == 0 {
-		c.Queries = 2000
-	}
-	if c.MaxCandidates == 0 {
-		c.MaxCandidates = 64
-	}
 	return c
 }
 
@@ -80,42 +78,45 @@ type Result struct {
 	Queries       int
 	Groups        int
 	GroupingRatio float64
-	// UnmergedCost and MergedCost are delay-weighted byte rates.
+	// UnmergedCost and MergedCost are the checkpoint's readings' link
+	// traffic, Σ DataBytes × DelayMs, without and with merging.
 	UnmergedCost float64
 	MergedCost   float64
 	// BenefitRatio is 1 − MergedCost/UnmergedCost (Figure 4a).
 	BenefitRatio float64
+	// Results is the number of results the queries received at this
+	// checkpoint, the same under both strategies.
+	Results int
+	// SetupMerged and SetupUnmerged are the wall time every Submit so
+	// far took, with and without merging.
+	SetupMerged, SetupUnmerged time.Duration
 }
 
-// Runner holds the assembled experiment so checkpoints can be evaluated
+// strategy is one of the two systems a Runner drives.
+type strategy struct {
+	sys   *core.System
+	ports []*core.SourcePort
+	gens  []*sensordata.Generator
+	// results counts each query's deliveries, by submission order.
+	results []int
+	setup   time.Duration
+	// links holds the counters at the previous checkpoint.
+	links []*cbn.LinkStats
+}
+
+// Runner holds the two running systems so checkpoints can be measured
 // as queries stream in.
 type Runner struct {
-	cfg       Config
-	reg       *stream.Registry
-	gen       *querygen.Generator
-	opt       *merge.Optimizer
-	est       cost.Estimator
-	tree      *overlay.Tree
-	rng       *rand.Rand
-	processor int
-	// userOf[tag] is the node hosting the query's user.
-	userOf map[string]int
-	// pathCache caches node→processor tree paths.
-	pathCache map[int][]pathEdge
-	// sourceOf maps stream name → source node (input-side accounting).
-	sourceOf map[string]int
-	inserted int
+	nodes    int
+	gen      *querygen.Generator
+	rng      *rand.Rand
+	merged   *strategy
+	unmerged *strategy
 }
 
-// pathEdge is one tree link on a user's delivery path, identified by its
-// child endpoint (each non-root node owns its uplink).
-type pathEdge struct {
-	child int
-	delay float64
-}
-
-// NewRunner builds the experiment: topology, MST dissemination tree,
-// catalog, workload generator and optimiser.
+// NewRunner builds the instance: topology, an MST rooted at the
+// processor, and both systems with every sensor stream registered at the
+// processor's node.
 func NewRunner(cfg Config) (*Runner, error) {
 	cfg = cfg.withDefaults()
 	g, err := topology.GeneratePowerLaw(cfg.Nodes, cfg.EdgesPerNode, cfg.Seed)
@@ -124,177 +125,165 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	processor := rng.Intn(cfg.Nodes)
-	// The paper builds an MST dissemination tree over the topology; we
-	// root it at the processor so result paths follow tree branches.
 	tree, err := overlay.MST(g, processor)
 	if err != nil {
 		return nil, err
 	}
-	reg := stream.NewRegistry()
-	if err := sensordata.RegisterAll(reg); err != nil {
-		return nil, err
+	// One draw per stream goes unused: FIGURES.json's estimates placed a
+	// source there, and the user nodes must stay those of the estimated
+	// instances.
+	for s := 0; s < sensordata.NumStations; s++ {
+		rng.Intn(cfg.Nodes)
 	}
 	gen, err := querygen.New(querygen.Config{Dist: cfg.Dist, Seed: cfg.Seed + 2})
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{
-		cfg: cfg,
-		reg: reg,
-		gen: gen,
-		opt: merge.NewOptimizer(merge.Options{
-			Mode:          cfg.Mode,
-			MaxCandidates: cfg.MaxCandidates,
-		}),
-		tree:      tree,
-		rng:       rng,
-		processor: processor,
-		userOf:    map[string]int{},
-		pathCache: map[int][]pathEdge{},
-		sourceOf:  map[string]int{},
+	r := &Runner{nodes: cfg.Nodes, gen: gen, rng: rng}
+	if r.merged, err = newStrategy(cfg, tree, processor, false); err != nil {
+		return nil, err
 	}
-	for s := 0; s < sensordata.NumStations; s++ {
-		r.sourceOf[sensordata.StreamName(s)] = rng.Intn(cfg.Nodes)
+	if r.unmerged, err = newStrategy(cfg, tree, processor, true); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// Insert adds n more queries, assigning each a random user node.
+func newStrategy(cfg Config, tree *overlay.Tree, processor int, disableMerging bool) (*strategy, error) {
+	sys, err := core.NewSystem(core.Options{
+		Tree:           tree,
+		Seed:           cfg.Seed,
+		ProcessorNodes: []int{processor},
+		Mode:           cfg.Mode,
+		DisableMerging: disableMerging,
+	})
+	if err != nil {
+		return nil, err
+	}
+	st := &strategy{sys: sys}
+	for s := 0; s < sensordata.NumStations; s++ {
+		port, err := sys.RegisterStream(sensordata.Info(s), processor)
+		if err != nil {
+			return nil, err
+		}
+		st.ports = append(st.ports, port)
+		st.gens = append(st.gens, sensordata.NewGenerator(s, cfg.Seed))
+	}
+	st.links = sys.NetStats()
+	return st, nil
+}
+
+// submit registers one query and times it.
+func (st *strategy) submit(text string, user int) error {
+	i := len(st.results)
+	st.results = append(st.results, 0)
+	start := time.Now()
+	_, err := st.sys.Submit(text, user, func(stream.Tuple) { st.results[i]++ })
+	st.setup += time.Since(start)
+	return err
+}
+
+// publish feeds n readings per stream, round robin, and returns the
+// links' delay-weighted traffic since the previous call.
+func (st *strategy) publish(n int) (float64, error) {
+	for i := 0; i < n; i++ {
+		for s, port := range st.ports {
+			if err := port.Publish(st.gens[s].Next()); err != nil {
+				return 0, err
+			}
+		}
+	}
+	links := st.sys.NetStats()
+	cost := 0.0
+	for i, l := range links {
+		cost += float64(l.DataBytes-st.links[i].DataBytes) * l.DelayMs
+	}
+	st.links = links
+	return cost, nil
+}
+
+// Insert submits n more queries to both systems, each at a random user
+// node.
 func (r *Runner) Insert(n int) error {
 	for i := 0; i < n; i++ {
 		text := r.gen.Next()
-		b, err := cql.AnalyzeString(text, r.reg)
-		if err != nil {
+		user := r.rng.Intn(r.nodes)
+		if err := r.merged.submit(text, user); err != nil {
 			return fmt.Errorf("sim: generated query rejected: %w", err)
 		}
-		tag := fmt.Sprintf("q%06d", r.inserted)
-		if _, err := r.opt.Add(tag, b); err != nil {
-			return err
+		if err := r.unmerged.submit(text, user); err != nil {
+			return fmt.Errorf("sim: generated query rejected: %w", err)
 		}
-		r.userOf[tag] = r.rng.Intn(r.cfg.Nodes)
-		r.inserted++
 	}
 	return nil
 }
 
-// pathTo returns the tree path from a node up to the processor (root).
-func (r *Runner) pathTo(node int) []pathEdge {
-	if p, ok := r.pathCache[node]; ok {
-		return p
+// Measure publishes ReadingsPerCheckpoint readings per stream to both
+// systems and reads the Figure 4 metrics off them. It fails when a query
+// received a different number of results with merging than without.
+func (r *Runner) Measure() (*Result, error) {
+	before := sum(r.merged.results)
+	merged, err := r.merged.publish(ReadingsPerCheckpoint)
+	if err != nil {
+		return nil, err
 	}
-	var path []pathEdge
-	for v := node; v != r.tree.Root; v = r.tree.Parent[v] {
-		path = append(path, pathEdge{child: v, delay: r.tree.LinkDelay[v]})
+	unmerged, err := r.unmerged.publish(ReadingsPerCheckpoint)
+	if err != nil {
+		return nil, err
 	}
-	r.pathCache[node] = path
-	return path
-}
-
-// Evaluate computes the Figure 4 metrics for the current query set.
-func (r *Runner) Evaluate() *Result {
-	st := r.opt.Stats()
+	for i, n := range r.merged.results {
+		if n != r.unmerged.results[i] {
+			return nil, fmt.Errorf("sim: query %d received %d results merged, %d unmerged",
+				i, n, r.unmerged.results[i])
+		}
+	}
+	st := r.merged.sys.Processors()[0].Stats()
 	res := &Result{
 		Queries:       st.Queries,
 		Groups:        st.Groups,
 		GroupingRatio: st.GroupingRatio(),
+		UnmergedCost:  unmerged,
+		MergedCost:    merged,
+		Results:       sum(r.merged.results) - before,
+		SetupMerged:   r.merged.setup,
+		SetupUnmerged: r.unmerged.setup,
 	}
-	var unmerged, merged float64
-	for _, g := range r.opt.Groups() {
-		repBps := g.RepBps
-		// Accumulate per-link downstream member rates for this group.
-		sums := map[int]float64{}   // child node → Σ member bps
-		delays := map[int]float64{} // child node → link delay
-		for _, m := range g.Members {
-			user := r.userOf[m.Tag]
-			for _, e := range r.pathTo(user) {
-				sums[e.child] += m.Bps
-				delays[e.child] = e.delay
-			}
-		}
-		// Deterministic accumulation order (map iteration is randomised
-		// and float addition is not associative).
-		children := make([]int, 0, len(sums))
-		for child := range sums {
-			children = append(children, child)
-		}
-		sort.Ints(children)
-		for _, child := range children {
-			sum := sums[child]
-			d := delays[child]
-			unmerged += d * sum
-			flow := sum
-			if repBps < flow {
-				flow = repBps
-			}
-			merged += d * flow
-		}
-	}
-	if r.cfg.IncludeInputSide {
-		in := r.inputSideCost()
-		unmerged += in
-		merged += in
-	}
-	res.UnmergedCost = unmerged
-	res.MergedCost = merged
 	if unmerged > 0 {
 		res.BenefitRatio = 1 - merged/unmerged
 	}
-	return res
+	return res, nil
 }
 
-// inputSideCost estimates source→processor transfer, identical under
-// both strategies (the CBN already shares input streams): per source
-// stream, the demanded fraction of the stream flows along the tree path
-// from the source node to the processor.
-func (r *Runner) inputSideCost() float64 {
-	// Union selectivity per stream across all groups' representatives,
-	// under independence (upper bound).
-	missByStream := map[string]float64{}
-	for _, g := range r.opt.Groups() {
-		for _, ref := range g.Rep.From {
-			info := g.Rep.Infos[ref.Alias]
-			sel := r.est.SelectivityDNF(info, g.Rep.Sel[ref.Alias])
-			if _, ok := missByStream[ref.Stream]; !ok {
-				missByStream[ref.Stream] = 1
-			}
-			missByStream[ref.Stream] *= 1 - sel
-		}
-	}
-	names := make([]string, 0, len(missByStream))
-	for name := range missByStream {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	total := 0.0
-	for _, name := range names {
-		info, ok := r.reg.Lookup(name)
-		if !ok {
-			continue
-		}
-		demand := info.Bps() * (1 - missByStream[name])
-		for _, e := range r.pathTo(r.sourceOf[name]) {
-			total += e.delay * demand
-		}
+func sum(xs []int) int {
+	total := 0
+	for _, x := range xs {
+		total += x
 	}
 	return total
 }
 
 // Sweep runs the full Figure 4 protocol: insert queries up to each
-// checkpoint and evaluate there.
+// checkpoint and measure there.
 func Sweep(cfg Config, checkpoints []int) ([]*Result, error) {
 	r, err := NewRunner(cfg)
 	if err != nil {
 		return nil, err
 	}
 	var out []*Result
+	inserted := 0
 	for _, cp := range checkpoints {
-		if cp < r.inserted {
+		if cp < inserted {
 			return nil, fmt.Errorf("sim: checkpoints must be non-decreasing")
 		}
-		if err := r.Insert(cp - r.inserted); err != nil {
+		if err := r.Insert(cp - inserted); err != nil {
 			return nil, err
 		}
-		out = append(out, r.Evaluate())
+		inserted = cp
+		res, err := r.Measure()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
 	}
 	return out, nil
 }
@@ -318,13 +307,19 @@ func AverageResults(runs [][]*Result) []*Result {
 			acc.UnmergedCost += run[i].UnmergedCost
 			acc.MergedCost += run[i].MergedCost
 			acc.BenefitRatio += run[i].BenefitRatio
+			acc.Results += run[i].Results
+			acc.SetupMerged += run[i].SetupMerged
+			acc.SetupUnmerged += run[i].SetupUnmerged
 		}
 		k := float64(len(runs))
-		acc.Groups = acc.Groups / len(runs)
+		acc.Groups /= len(runs)
 		acc.GroupingRatio /= k
 		acc.UnmergedCost /= k
 		acc.MergedCost /= k
 		acc.BenefitRatio /= k
+		acc.Results /= len(runs)
+		acc.SetupMerged /= time.Duration(len(runs))
+		acc.SetupUnmerged /= time.Duration(len(runs))
 		out[i] = acc
 	}
 	return out
