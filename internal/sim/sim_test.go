@@ -7,7 +7,7 @@ import (
 	"cosmos/internal/querygen"
 )
 
-// smallCfg keeps unit-test runs fast; cmd/figures runs the paper's scale.
+// smallCfg keeps unit-test runs fast; FIGURES.json's runs use 1000 nodes.
 func smallCfg(dist querygen.Distribution, seed int64) Config {
 	return Config{
 		Nodes:        200,
