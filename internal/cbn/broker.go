@@ -13,12 +13,15 @@
 // The broker separates a rare, symbolic control plane from a hot,
 // compiled data plane:
 //
-//   - Control plane (HandleAdvertise, HandleSubscribe, Unsubscribe,
+//   - Control plane (HandleAdvertise, HandleDemand, HandleSubscribe,
 //     PruneStream, AttachIface): mutex-protected, works on symbolic
-//     profiles (attribute names, DNF filters) because covering-based
-//     suppression needs the full predicate algebra. Every mutation that
-//     feeds routing (subscriptions, aggregates, interfaces) invalidates
-//     the compiled routing table; HandleAdvertise needs no invalidation
+//     profiles (attribute names, DNF filters) because
+//     covering-based suppression needs the full predicate algebra. Demand
+//     is state, not a log of deltas: each interface holds one profile,
+//     which an update replaces, and each change is forwarded toward the
+//     stream's sources whether it widens or narrows the demand. Every
+//     mutation that feeds routing (demand, interfaces) invalidates the
+//     compiled routing table; HandleAdvertise needs no invalidation
 //     because advert state never enters the table.
 //   - Data plane (RouteTuple): reads an immutable routing table published
 //     through an atomic.Pointer — one map lookup per tuple, then
@@ -51,6 +54,7 @@ package cbn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,10 +69,13 @@ import (
 // a neighbour broker or a local client (source, processor or user proxy).
 type IfaceID int
 
-// Forward instructs the transport to send a subscription on an interface.
+// Forward instructs the transport to send a demand update on an
+// interface: the far side's demand from this broker for Stream becomes
+// Prof's part of it, none when Prof lacks the stream.
 type Forward struct {
-	Iface IfaceID
-	Prof  *profile.Profile
+	Iface  IfaceID
+	Stream string
+	Prof   *profile.Profile
 }
 
 // AdvertForward instructs the transport to send an advertisement.
@@ -152,13 +159,11 @@ type Broker struct {
 	mu sync.Mutex
 	// ifaces is guarded by mu.
 	ifaces []IfaceID
-	// subs stores every profile received per interface; guarded by mu.
-	subs map[IfaceID][]*profile.Profile
-	// agg caches the union of subs per interface (what that side
-	// wants); guarded by mu.
+	// agg is each interface's demand, what its far side wants, as last
+	// set; no entry is no demand. Guarded by mu.
 	agg map[IfaceID]*profile.Profile
-	// sent records what has been propagated out of each interface, for
-	// covering-based suppression; guarded by mu.
+	// sent is the demand last forwarded on each interface, per stream,
+	// for covering-based suppression; guarded by mu.
 	sent map[IfaceID]*profile.Profile
 	// adverts maps stream name → interfaces through which the stream's
 	// source is reachable; guarded by mu.
@@ -176,7 +181,6 @@ type Broker struct {
 func NewBroker(id int) *Broker {
 	return &Broker{
 		ID:        id,
-		subs:      map[IfaceID][]*profile.Profile{},
 		agg:       map[IfaceID]*profile.Profile{},
 		sent:      map[IfaceID]*profile.Profile{},
 		adverts:   map[string]map[IfaceID]bool{},
@@ -233,31 +237,15 @@ func normalize(p *profile.Profile) *profile.Profile {
 		if attrs == nil {
 			continue // all attributes anyway
 		}
-		f := out.FilterFor(s)
-		if f.IsTrue() {
-			continue
-		}
-		set := map[string]bool{}
-		for _, a := range attrs {
-			set[a] = true
-		}
-		changed := false
-		for _, a := range f.Attrs() {
+		widened := slices.Clip(attrs)
+		for _, a := range out.FilterFor(s).Attrs() {
 			// The intrinsic timestamp resolves from the tuple itself and
 			// must not enter projection sets.
-			if a == predicate.IntrinsicTs {
-				continue
-			}
-			if !set[a] {
-				set[a] = true
-				changed = true
-			}
-		}
-		if changed {
-			widened := make([]string, 0, len(set))
-			for a := range set {
+			if a != predicate.IntrinsicTs && !slices.Contains(attrs, a) {
 				widened = append(widened, a)
 			}
+		}
+		if len(widened) > len(attrs) {
 			out.AddStream(s, widened, out.Filters[s])
 		}
 	}
@@ -266,10 +254,10 @@ func normalize(p *profile.Profile) *profile.Profile {
 
 // HandleAdvertise processes a stream advertisement arriving on an
 // interface. Advertisements flood the overlay (they are rare and tiny);
-// the broker remembers which interface leads to the source so future
-// subscriptions travel toward it. It returns the advert forwards plus any
-// pending subscriptions that must now be sent toward the advertiser
-// (subscriptions that arrived before the advert).
+// the broker remembers which interface leads to the source so demand
+// travels toward it. It returns the advert forwards plus the demand for
+// the stream that must now be sent toward the advertiser (demand that
+// arrived before the advert).
 func (b *Broker) HandleAdvertise(streamName string, from IfaceID) ([]AdvertForward, []Forward) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -287,100 +275,107 @@ func (b *Broker) HandleAdvertise(streamName string, from IfaceID) ([]AdvertForwa
 			adverts = append(adverts, AdvertForward{Iface: iface, Stream: streamName})
 		}
 	}
-	// Re-propagate interested subscriptions toward the new route.
-	var subs []Forward
-	demand := b.demandExcept(from, streamName)
-	if demand != nil {
-		if fw := b.coverAndRecord(demand, from); fw != nil {
-			subs = append(subs, Forward{Iface: from, Prof: fw})
-		}
-	}
-	return adverts, subs
+	return adverts, b.forwardLocked([]string{streamName})
 }
 
-// demandExcept unions the subscriptions for one stream arriving on all
-// interfaces except skip; nil when there are none. Callers hold b.mu.
-func (b *Broker) demandExcept(skip IfaceID, streamName string) *profile.Profile {
-	var acc *profile.Profile
-	for iface, ps := range b.subs {
-		if iface == skip {
-			continue
-		}
-		for _, p := range ps {
-			for _, s := range p.Streams {
-				if s != streamName {
-					continue
-				}
-				if acc == nil {
-					acc = profile.New()
-				}
-				one := profile.New()
-				one.AddStream(s, p.Attrs[s], p.Filters[s])
-				acc.Merge(one)
+// HandleDemand sets the demand arriving on an interface. For each of
+// streams, p's part of it (none when p is nil or lacks it) replaces what
+// the interface wanted: that is the update one broker forwards to the
+// next. With no streams, p replaces the interface's whole demand, which
+// is how a client sets its attachment's; a nil p then withdraws it all.
+func (b *Broker) HandleDemand(p *profile.Profile, from IfaceID, streams ...string) []Forward {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if p != nil {
+		p = normalize(p)
+	}
+	if len(streams) == 0 {
+		for _, q := range []*profile.Profile{b.agg[from], p} {
+			if q != nil {
+				streams = append(streams, q.Streams...)
 			}
 		}
 	}
-	return acc
+	return b.setDemandLocked(p, streams, from)
 }
 
-// coverAndRecord suppresses the parts of p already covered by what was
-// sent on iface, recording the rest. Returns nil when fully covered.
-// Callers hold b.mu.
-func (b *Broker) coverAndRecord(p *profile.Profile, iface IfaceID) *profile.Profile {
-	already := b.sent[iface]
-	if already != nil && already.CoversProfile(p) {
-		return nil
-	}
-	if already == nil {
-		b.sent[iface] = p.Clone()
-	} else {
-		already.Merge(p)
-	}
-	return p
-}
-
-// HandleSubscribe processes a profile arriving on an interface, returning
-// the forwards the transport must emit. Subscriptions propagate toward
-// advertised sources only, with covering-based suppression (a
-// subscription covered by one already sent on a link is not re-sent).
+// HandleSubscribe adds p to the demand arriving on an interface: the
+// interface's demand becomes its current demand ∪ p.
 func (b *Broker) HandleSubscribe(p *profile.Profile, from IfaceID) []Forward {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	p = normalize(p)
-	b.subs[from] = append(b.subs[from], p)
-	if b.agg[from] == nil {
-		b.agg[from] = profile.New()
-	}
-	b.agg[from].Merge(p)
-	b.invalidateLocked()
-
-	// Split the profile per stream and route toward each advertiser.
-	perIface := map[IfaceID]*profile.Profile{}
+	next := profile.New()
 	for _, s := range p.Streams {
+		next.CopyStream(b.agg[from], s)
+		next.MergeStream(p, s)
+	}
+	return b.setDemandLocked(next, p.Streams, from)
+}
+
+// setDemandLocked sets, for each of streams, the demand arriving on from
+// to p's part, and forwards every stream whose demand changed. Callers
+// hold b.mu and pass a normalized p the broker may keep.
+func (b *Broker) setDemandLocked(p *profile.Profile, streams []string, from IfaceID) []Forward {
+	cur := b.agg[from]
+	var changed []string
+	for _, s := range streams {
+		if profile.SameOn(cur, p, s) {
+			continue
+		}
+		if cur == nil {
+			cur = profile.New()
+			b.agg[from] = cur
+		}
+		cur.CopyStream(p, s)
+		changed = append(changed, s)
+	}
+	if len(changed) == 0 {
+		return nil
+	}
+	if len(cur.Streams) == 0 {
+		delete(b.agg, from)
+	}
+	b.invalidateLocked()
+	return b.forwardLocked(changed)
+}
+
+// forwardLocked re-derives, for each stream, the demand every interface
+// toward one of its advertisers should carry — the union of the other
+// interfaces' demand — and returns an update for each whose demand
+// differs from what it was last sent, narrower or wider. Callers hold
+// b.mu.
+func (b *Broker) forwardLocked(streams []string) []Forward {
+	var out []Forward
+	for _, s := range streams {
+		start := len(out)
 		for iface := range b.adverts[s] {
-			if iface == from {
+			want := b.demandExcept(iface, s)
+			if profile.SameOn(b.sent[iface], want, s) {
 				continue
 			}
-			one := profile.New()
-			one.AddStream(s, p.Attrs[s], p.Filters[s])
-			if perIface[iface] == nil {
-				perIface[iface] = profile.New()
+			if b.sent[iface] == nil {
+				b.sent[iface] = profile.New()
 			}
-			perIface[iface].Merge(one)
+			b.sent[iface].CopyStream(want, s)
+			out = append(out, Forward{Iface: iface, Stream: s, Prof: want})
 		}
-	}
-	var out []Forward
-	ifaces := make([]IfaceID, 0, len(perIface))
-	for iface := range perIface {
-		ifaces = append(ifaces, iface)
-	}
-	sort.Slice(ifaces, func(i, j int) bool { return ifaces[i] < ifaces[j] })
-	for _, iface := range ifaces {
-		if fw := b.coverAndRecord(perIface[iface], iface); fw != nil {
-			out = append(out, Forward{Iface: iface, Prof: fw})
-		}
+		sort.Slice(out[start:], func(i, j int) bool { return out[start+i].Iface < out[start+j].Iface })
 	}
 	return out
+}
+
+// demandExcept unions one stream's demand over every interface except
+// skip; the result lacks the stream when there is none. Callers hold
+// b.mu.
+func (b *Broker) demandExcept(skip IfaceID, streamName string) *profile.Profile {
+	acc := profile.New()
+	for _, iface := range b.ifaces {
+		if iface != skip {
+			acc.MergeStream(b.agg[iface], streamName)
+		}
+	}
+	return acc
 }
 
 // RouteTuple routes a datagram arriving on an interface: it is forwarded
@@ -534,12 +529,15 @@ func (b *Broker) publishLocked(name string, st *streamTable) {
 	b.table.Store(&routeTable{streams: streams})
 }
 
-// DemandOn returns the aggregated profile of one interface (what the far
-// side wants); nil when nothing is subscribed.
+// DemandOn returns a copy of one interface's demand (what the far side
+// wants); nil when it wants nothing.
 func (b *Broker) DemandOn(iface IfaceID) *profile.Profile {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.agg[iface]
+	if p := b.agg[iface]; p != nil {
+		return p.Clone()
+	}
+	return nil
 }
 
 // KnowsSource reports whether the broker has a route toward a stream's
@@ -551,41 +549,19 @@ func (b *Broker) KnowsSource(streamName string) bool {
 }
 
 // PruneStream discards every trace of a stream from the broker's state:
-// advertisement routes, per-interface subscriptions, aggregates, and
-// covering records. COSMOS processors retire result stream names when a
-// query group changes; pruning plays the role of the state TTL a
-// long-running deployment would use.
+// advertisement routes, per-interface demand, and what was forwarded.
+// COSMOS processors retire result stream names when a query group
+// changes; pruning plays the role of the state TTL a long-running
+// deployment would use.
 func (b *Broker) PruneStream(name string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.invalidateLocked()
 	delete(b.adverts, name)
-	for iface, subs := range b.subs {
-		kept := subs[:0]
-		changed := false
-		for _, p := range subs {
-			if contains(p.Streams, name) {
-				changed = true
-				if p.RemoveStream(name) {
-					continue // profile became empty; drop it
-				}
-			}
-			kept = append(kept, p)
-		}
-		b.subs[iface] = kept
-		if changed {
-			// Merge unions per stream, so the kept profiles' aggregate is
-			// the old one without the stream. The clone leaves the old
-			// aggregate to DemandOn's callers.
-			agg := b.agg[iface].Clone()
-			agg.RemoveStream(name)
-			b.agg[iface] = agg
-		}
-	}
-	for iface, sent := range b.sent {
-		if sent != nil && contains(sent.Streams, name) {
-			if sent.RemoveStream(name) {
-				delete(b.sent, iface)
+	for _, m := range []map[IfaceID]*profile.Profile{b.agg, b.sent} {
+		for iface, p := range m {
+			if p.RemoveStream(name) {
+				delete(m, iface)
 			}
 		}
 	}
@@ -594,35 +570,4 @@ func (b *Broker) PruneStream(name string) {
 			delete(b.projCache, key)
 		}
 	}
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-// Unsubscribe removes every subscription previously received on the
-// interface that Equal-matches p, rebuilding the interface aggregate.
-// Propagating unsubscriptions upstream is handled by transports that
-// need it (the simulator re-issues full state instead).
-func (b *Broker) Unsubscribe(p *profile.Profile, from IfaceID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	kept := b.subs[from][:0]
-	for _, existing := range b.subs[from] {
-		if !existing.Equal(normalize(p)) {
-			kept = append(kept, existing)
-		}
-	}
-	b.subs[from] = kept
-	agg := profile.New()
-	for _, existing := range kept {
-		agg.Merge(existing)
-	}
-	b.agg[from] = agg
-	b.invalidateLocked()
 }

@@ -266,18 +266,45 @@ func TestRouteTupleErrorOnBadFilter(t *testing.T) {
 	}
 }
 
-func TestUnsubscribeStopsDelivery(t *testing.T) {
-	b := NewBroker(0)
-	b.AttachIface(0)
-	b.AttachIface(1)
-	p := tempProfile(20, nil)
-	b.HandleSubscribe(p, 1)
-	if d, _ := b.RouteTuple(sensorTuple(1, 1, 25, 0), 0); len(d) != 1 {
-		t.Fatal("expected delivery before unsubscribe")
+// TestWithdrawnDemandStopsDelivery: a narrowed demand reaches the
+// source's broker, and a closed client's demand is withdrawn at every
+// broker, so nothing it no longer wants crosses a link.
+func TestWithdrawnDemandStopsDelivery(t *testing.T) {
+	net := lineNet(3)
+	src := net.AttachClient(0)
+	sub := net.AttachClient(2)
+	delivered := 0
+	sub.OnTuple = func(stream.Tuple) { delivered++ }
+	src.Advertise("Sensor1")
+	sub.SetDemand(tempProfile(10, nil))
+	sub.SetDemand(tempProfile(20, nil)) // narrows: replaces temp > 10
+	toward := func() *profile.Profile {
+		b := net.Broker(0)
+		return b.DemandOn(b.Ifaces()[0]) // the link toward the subscriber
 	}
-	b.Unsubscribe(p, 1)
-	if d, _ := b.RouteTuple(sensorTuple(2, 1, 25, 0), 0); len(d) != 0 {
-		t.Error("delivery after unsubscribe")
+	if got := toward(); got == nil || got.String() != tempProfile(20, nil).String() {
+		t.Fatalf("source broker's demand = %v, want temp > 20", got)
+	}
+	src.Publish(sensorTuple(1, 1, 15, 0))
+	if delivered != 0 || net.TotalDataBytes() != 0 {
+		t.Fatalf("narrowed demand still pulled temp 15: %d deliveries, %d link bytes", delivered, net.TotalDataBytes())
+	}
+	src.Publish(sensorTuple(2, 1, 25, 0))
+	if delivered != 1 {
+		t.Fatalf("deliveries = %d, want 1", delivered)
+	}
+	bytes := net.TotalDataBytes()
+	sub.Close()
+	for i := 0; i < net.NumNodes(); i++ {
+		for _, iface := range net.Broker(i).Ifaces() {
+			if d := net.Broker(i).DemandOn(iface); d != nil {
+				t.Errorf("broker %d iface %d still wants %v after Close", i, iface, d)
+			}
+		}
+	}
+	src.Publish(sensorTuple(3, 1, 25, 0))
+	if delivered != 1 || net.TotalDataBytes() != bytes {
+		t.Errorf("after Close: %d deliveries, link bytes %d -> %d", delivered, bytes, net.TotalDataBytes())
 	}
 }
 

@@ -3,6 +3,7 @@ package cbn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cosmos/internal/predicate"
@@ -23,7 +24,7 @@ func referenceRoute(b *Broker, t stream.Tuple, from IfaceID) ([]Delivery, error)
 	name := t.Schema.Stream
 	for _, iface := range b.ifaces {
 		agg := b.agg[iface]
-		if iface == from || agg == nil || !contains(agg.Streams, name) {
+		if iface == from || agg == nil || !slices.Contains(agg.Streams, name) {
 			continue
 		}
 		ok, err := agg.FilterFor(name).Eval(t)
@@ -175,7 +176,7 @@ func TestRouteNoMatchAllocationFree(t *testing.T) {
 // demand the compiler must reject (a filter over a missing attribute):
 // the stream's entry stores the compile error, RouteTuple returns it for
 // every tuple without recompiling, other streams keep routing, and
-// withdrawing the bad subscription restores the stream.
+// withdrawing the bad demand restores the stream.
 func TestCompiledRoutingBadFilterStoredError(t *testing.T) {
 	b := NewBroker(0)
 	b.AttachIface(0)
@@ -207,7 +208,7 @@ func TestCompiledRoutingBadFilterStoredError(t *testing.T) {
 		t.Fatal("the stored error must not be recompiled per tuple")
 	}
 
-	b.Unsubscribe(bad, 2)
+	b.HandleDemand(nil, 2)
 	out, err = b.RouteTuple(sensorTuple(3, 3, 20, 50), 0)
 	if err != nil || len(out) != 1 || out[0].Iface != 1 {
 		t.Fatalf("after withdrawing the bad filter: %d deliveries, err %v; want 1 on iface 1", len(out), err)
@@ -403,18 +404,18 @@ func TestControlPlaneInvalidatesCompiledTable(t *testing.T) {
 		}
 	})
 
-	t.Run("Unsubscribe", func(t *testing.T) {
+	t.Run("HandleDemand", func(t *testing.T) {
 		b := build()
-		b.Unsubscribe(tempProfile(10, nil), 1)
+		b.HandleDemand(nil, 1)
 		if b.table.Load() != nil {
-			t.Fatal("Unsubscribe must invalidate the compiled table")
+			t.Fatal("HandleDemand must invalidate the compiled table")
 		}
 		out, err := b.RouteTuple(sensorTuple(2, 1, 20, 50), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(out) != 0 {
-			t.Fatalf("after unsubscribe nothing should be delivered, got %d", len(out))
+			t.Fatalf("after the demand is withdrawn nothing should be delivered, got %d", len(out))
 		}
 	})
 

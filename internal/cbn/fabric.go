@@ -26,28 +26,63 @@ type LinkStats struct {
 	A, B    int
 	DelayMs float64
 	// DataBytes / DataMsgs count tuple traffic; CtrlBytes / CtrlMsgs
-	// count advertisements and subscriptions.
+	// count advertisements and demand updates.
 	DataBytes int64
 	DataMsgs  int64
 	CtrlBytes int64
 	CtrlMsgs  int64
 }
 
-// Message kinds.
+// Message kinds. A client sets its whole demand (msgDemand, prof) or
+// adds to it (msgSubscribe); brokers pass one stream's demand on
+// (msgDemand, name and prof).
 const (
 	msgData = iota
 	msgSubscribe
+	msgDemand
 	msgAdvertise
 )
 
-// message is one CBN message at a broker: a tuple, a subscription or an
-// advertisement, and the interface it arrived on.
+// message is one CBN message at a broker: a tuple, a demand update or
+// an advertisement, and the interface it arrived on.
 type message struct {
 	from  IfaceID
 	kind  int
 	tuple stream.Tuple
 	prof  *profile.Profile
 	name  string
+}
+
+// endpoint is what SimClient and LiveClient share: the node and
+// interface a client occupies, and the control messages it sends
+// through its transport's control function.
+type endpoint struct {
+	Node    int
+	iface   IfaceID
+	control func(node int, m message)
+}
+
+// Iface returns the broker interface the client occupies, the one whose
+// Broker.DemandOn is the client's demand.
+func (e *endpoint) Iface() IfaceID { return e.iface }
+
+// Advertise announces a stream from the client's node; the advert floods
+// the overlay.
+func (e *endpoint) Advertise(streamName string) {
+	e.control(e.Node, message{from: e.iface, kind: msgAdvertise, name: streamName})
+}
+
+// SetDemand sets the client's whole data interest to p, replacing what it
+// had (nil: none); the network forwards the change toward the sources,
+// narrowing as well as widening.
+func (e *endpoint) SetDemand(p *profile.Profile) {
+	e.control(e.Node, message{from: e.iface, kind: msgDemand, prof: p})
+}
+
+// Subscribe adds p to the client's data interest: SetDemand of its
+// current demand ∪ p, applied at the broker.
+func (e *endpoint) Subscribe(p *profile.Profile) {
+	e.control(e.Node, message{from: e.iface, kind: msgSubscribe, prof: p})
 }
 
 // receiver is a client endpoint as its broker sees it: a SimClient runs
@@ -192,19 +227,28 @@ func (f *Fabric) step(node int, m message, scratch *[]Delivery, forward func(pee
 			*scratch = deliveries
 		}
 	case msgSubscribe:
-		for _, fw := range b.HandleSubscribe(m.prof, m.from) {
-			f.send(node, fw.Iface, message{kind: msgSubscribe, prof: fw.Prof}, forward)
+		f.sendDemand(node, b.HandleSubscribe(m.prof, m.from), forward)
+	case msgDemand:
+		var streams []string
+		if m.name != "" {
+			streams = []string{m.name}
 		}
+		f.sendDemand(node, b.HandleDemand(m.prof, m.from, streams...), forward)
 	case msgAdvertise:
-		adverts, subs := b.HandleAdvertise(m.name, m.from)
+		adverts, demand := b.HandleAdvertise(m.name, m.from)
 		for _, a := range adverts {
 			f.send(node, a.Iface, message{kind: msgAdvertise, name: a.Stream}, forward)
 		}
-		for _, fw := range subs {
-			f.send(node, fw.Iface, message{kind: msgSubscribe, prof: fw.Prof}, forward)
-		}
+		f.sendDemand(node, demand, forward)
 	}
 	return nil
+}
+
+// sendDemand passes a broker's demand updates on.
+func (f *Fabric) sendDemand(node int, fws []Forward, forward func(peer int, m message)) {
+	for _, fw := range fws {
+		f.send(node, fw.Iface, message{kind: msgDemand, name: fw.Stream, prof: fw.Prof}, forward)
+	}
 }
 
 // send passes one message on through interface iface of node. Clients
@@ -225,9 +269,9 @@ func (f *Fabric) send(node int, iface IfaceID, m message, forward func(peer int,
 		case msgData:
 			h.link.dataMsgs.Add(1)
 			h.link.dataBytes.Add(int64(m.tuple.WireSize() + DataHeaderBytes))
-		case msgSubscribe:
+		case msgDemand:
 			h.link.ctrlMsgs.Add(1)
-			h.link.ctrlBytes.Add(int64(profileWireSize(m.prof)))
+			h.link.ctrlBytes.Add(int64(demandWireSize(m.name, m.prof)))
 		case msgAdvertise:
 			h.link.ctrlMsgs.Add(1)
 			h.link.ctrlBytes.Add(int64(AdvertBytes + len(m.name)))
@@ -285,17 +329,12 @@ func (f *Fabric) TotalDataBytes() int64 {
 	return total
 }
 
-// profileWireSize estimates a subscription message's size.
-func profileWireSize(p *profile.Profile) int {
-	size := SubscribeBaseSize
-	for _, s := range p.Streams {
-		size += len(s)
-		if attrs := p.AttrsFor(s); attrs != nil {
-			size += AttrNameBytes * len(attrs)
-		}
-		for _, cj := range p.FilterFor(s) {
-			size += ConstraintBytes * len(cj)
-		}
+// demandWireSize estimates the size of a message carrying one stream's
+// demand (withdrawn when p lacks the stream).
+func demandWireSize(name string, p *profile.Profile) int {
+	size := SubscribeBaseSize + len(name) + AttrNameBytes*len(p.AttrsFor(name))
+	for _, cj := range p.FilterFor(name) {
+		size += ConstraintBytes * len(cj)
 	}
 	return size
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"cosmos/internal/overlay"
-	"cosmos/internal/profile"
 	"cosmos/internal/stream"
 )
 
@@ -142,15 +141,14 @@ func (nd *liveNode) push(m liveMsg) {
 }
 
 // LiveClient is a client endpoint of a LiveNet: a source, a processor
-// ingress/egress port, or a user proxy. Publish/Advertise/Subscribe are
-// safe for concurrent use; deliveries arrive on the client's pump
+// ingress/egress port, or a user proxy. Publish, Advertise, SetDemand
+// and Subscribe are safe for concurrent use; deliveries arrive on the client's pump
 // goroutine, one at a time, in arrival order. The pump starts lazily on
 // the first callback installation or delivery, so publish-only clients
 // (e.g. per-worker egress) park no goroutine.
 type LiveClient struct {
-	net   *LiveNet
-	Node  int
-	iface IfaceID
+	endpoint
+	net *LiveNet
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -178,10 +176,6 @@ func (c *LiveClient) ensurePumpLocked() {
 		go c.pump()
 	}
 }
-
-// Iface returns the broker interface this client occupies — needed to
-// withdraw subscriptions via Broker.Unsubscribe.
-func (c *LiveClient) Iface() IfaceID { return c.iface }
 
 // receive hands a delivery to the client's pump.
 func (c *LiveClient) receive(t stream.Tuple) {
@@ -303,13 +297,15 @@ func (c *LiveClient) shutdown(wait bool) {
 	}
 }
 
-// Close detaches the client: the broker stops delivering to it, its
-// pump (if any) winds down, and queued deliveries are dropped. It does
-// not wait for an in-flight delivery callback, so it is safe to call
-// while holding locks the callback might need. Publish after Close
-// still works until the network stops; idempotent and safe while
-// brokers route concurrently.
+// Close withdraws the client's demand and detaches it: the broker stops
+// delivering to it, its pump (if any) winds down, and queued deliveries
+// are dropped. The withdrawal propagates asynchronously, like any
+// demand update. Close does not wait for an in-flight delivery
+// callback, so it is safe to call while holding locks the callback
+// might need. Publish after Close still works until the network stops;
+// idempotent and safe while brokers route concurrently.
 func (c *LiveClient) Close() {
+	c.SetDemand(nil)
 	c.net.detach(c.Node, c.iface)
 	c.shutdown(false)
 }
@@ -384,7 +380,10 @@ func (n *LiveNet) AttachClient(node int) (*LiveClient, error) {
 	if node < 0 || node >= n.NumNodes() {
 		return nil, fmt.Errorf("cbn: node %d out of range", node)
 	}
-	c := &LiveClient{net: n, Node: node, stopped: make(chan struct{})}
+	c := &LiveClient{net: n, stopped: make(chan struct{})}
+	// Control messages are injected like publishes: they wait for an
+	// ingress credit, and the change propagates asynchronously.
+	c.endpoint = endpoint{Node: node, control: func(node int, m message) { n.inject(node, m) }}
 	c.cond = sync.NewCond(&c.mu)
 	c.iface = n.attach(node, hop{client: c})
 	// The stopped check and the registration share one critical section,
@@ -572,16 +571,6 @@ func (n *LiveNet) Quiesce() {
 // new messages in between — the stabilisation test used by
 // core.LiveSystem.Quiesce.
 func (n *LiveNet) Injected() int64 { return n.injected.Load() }
-
-// Advertise announces a stream from the client's node.
-func (c *LiveClient) Advertise(streamName string) {
-	c.net.inject(c.Node, message{from: c.iface, kind: msgAdvertise, name: streamName})
-}
-
-// Subscribe submits a profile from the client's node.
-func (c *LiveClient) Subscribe(p *profile.Profile) {
-	c.net.inject(c.Node, message{from: c.iface, kind: msgSubscribe, prof: p})
-}
 
 // Publish injects a datagram, blocking while the node's ingress credits
 // are exhausted. The error reports only a stopped network; routing is

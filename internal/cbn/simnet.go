@@ -2,30 +2,28 @@ package cbn
 
 import (
 	"cosmos/internal/overlay"
-	"cosmos/internal/profile"
 	"cosmos/internal/stream"
 )
 
 // SimClient is an endpoint attached to a broker in a SimNet: a source, a
 // processor, or a user proxy.
 type SimClient struct {
-	net   *SimNet
-	Node  int
-	iface IfaceID
+	endpoint
+	net *SimNet
 	// OnTuple receives tuples delivered to this client (nil to discard).
 	OnTuple func(stream.Tuple)
 }
-
-// Iface returns the broker interface this client occupies — needed to
-// withdraw subscriptions via Broker.Unsubscribe.
-func (c *SimClient) Iface() IfaceID { return c.iface }
 
 // SetOnTuple installs the delivery callback, mirroring LiveClient so the
 // system layer can assemble against either transport.
 func (c *SimClient) SetOnTuple(fn func(stream.Tuple)) { c.OnTuple = fn }
 
-// Close detaches the client: its broker stops delivering to it.
-func (c *SimClient) Close() { c.net.detach(c.Node, c.iface) }
+// Close withdraws the client's demand and detaches it: its broker stops
+// delivering to it.
+func (c *SimClient) Close() {
+	c.SetDemand(nil)
+	c.net.detach(c.Node, c.iface)
+}
 
 func (c *SimClient) receive(t stream.Tuple) {
 	if c.OnTuple != nil {
@@ -92,20 +90,9 @@ func (n *SimNet) AddLink(a, b int, delayMs float64) { n.addLink(a, b, delayMs) }
 
 // AttachClient attaches a client endpoint to a node.
 func (n *SimNet) AttachClient(node int) *SimClient {
-	c := &SimClient{net: n, Node: node}
+	c := &SimClient{endpoint: endpoint{Node: node, control: n.control}, net: n}
 	c.iface = n.attach(node, hop{client: c})
 	return c
-}
-
-// Advertise announces a stream from this client's node; the advert floods
-// the overlay.
-func (c *SimClient) Advertise(streamName string) {
-	c.net.control(c.Node, message{from: c.iface, kind: msgAdvertise, name: streamName})
-}
-
-// Subscribe submits a data-interest profile from this client.
-func (c *SimClient) Subscribe(p *profile.Profile) {
-	c.net.control(c.Node, message{from: c.iface, kind: msgSubscribe, prof: p})
 }
 
 // Publish injects a datagram from this client. The error is the first

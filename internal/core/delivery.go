@@ -14,7 +14,7 @@ import (
 )
 
 // A delivery proxy is the user side of a group's result stream (paper
-// §2), one per (sink, group, user node). Its network client subscribes
+// §2), one per (sink, group, user node). Its network client's demand is
 // the union of its members' re-tightening profiles, so the network
 // delivers each result once; the proxy re-applies every member's filter
 // (network-side slack never reaches a user) and hands its sink the tuple
@@ -100,7 +100,7 @@ func (h *QueryHandle) Query() *cql.Bound { return h.bound }
 // Processor returns the processor executing (the group of) this query.
 func (h *QueryHandle) Processor() *Processor { return h.proc }
 
-// Demand returns the aggregated profile on the query's proxy interface.
+// Demand returns the demand of the query's proxy interface.
 func (h *QueryHandle) Demand() *profile.Profile {
 	h.sys.mu.Lock()
 	defer h.sys.mu.Unlock()
@@ -124,15 +124,15 @@ func (s *System) proxyForLocked(h *QueryHandle, group string) (*proxy, error) {
 	return px, nil
 }
 
-// leaveProxyLocked takes h out of its proxy and withdraws its profile;
-// the last member out closes the proxy. Called under the system lock.
+// leaveProxyLocked takes h out of its proxy; the last member out closes
+// the proxy, which withdraws its demand. A proxy with members left drops
+// h's profile from its demand in the refresh of the group that follows.
+// Called under the system lock.
 func (s *System) leaveProxyLocked(h *QueryHandle) {
 	px := h.px
 	px.mu.Lock()
 	px.members = slices.DeleteFunc(px.members, func(m *QueryHandle) bool { return m == h })
 	px.lay = nil
-	// Equal profiles go too: the refresh after a cancel restores them.
-	s.net.Broker(h.UserNode).Unsubscribe(h.filter, px.client.Iface())
 	empty := len(px.members) == 0
 	px.mu.Unlock()
 	if empty {
@@ -143,8 +143,8 @@ func (s *System) leaveProxyLocked(h *QueryHandle) {
 
 // refresh (re)binds the handle to its group's representative: builds the
 // re-tightening profile, the output schema and the value lookup table,
-// then subscribes through the proxy, which a new query joins here.
-// Called under the system lock.
+// and joins a new query to its proxy. The caller sets the proxy's demand
+// afterwards. Called under the system lock.
 func (h *QueryHandle) refresh(gs *groupState, singleton bool) error {
 	resultStream := gs.resultStream
 	var prof *profile.Profile
@@ -183,7 +183,6 @@ func (h *QueryHandle) refresh(gs *groupState, singleton bool) error {
 	}
 	px.stream, px.lay = resultStream, nil
 	h.filter, h.out, h.lookup = prof, h.bound.OutSchema.Rename(h.Tag), lookup
-	px.client.Subscribe(prof)
 	return nil
 }
 

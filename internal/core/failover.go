@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cosmos/internal/profile"
 )
@@ -11,9 +11,10 @@ import (
 // execution state of their installed representative plans; when a
 // processor fails, a surviving processor adopts its groups — recompiling
 // the plans, restoring the latest checkpoints, re-advertising the SAME
-// result stream names (so user subscriptions keep working; the CBN
-// re-routes subscriptions toward the new advertiser), and re-subscribing
-// the input profiles.
+// result stream names (so user demand keeps working; the CBN re-routes it
+// toward the new advertiser), and adding the groups' inputs to its own
+// demand. The failed processor's client is closed, which withdraws its
+// demand from the network.
 //
 // The checkpoint store is shared in-process, standing in for a
 // replicated checkpoint log. Adopted groups are frozen: they keep
@@ -47,11 +48,12 @@ func (s *System) FailProcessor(procID int) error {
 	}
 
 	// The failed processor stops consuming and emitting; its runtime is
-	// torn down, dropping any queued work (crash semantics).
+	// torn down, dropping any queued work (crash semantics), and its
+	// demand leaves the network with its client.
 	failed.mu.Lock()
 	failed.alive = false
 	failed.mu.Unlock()
-	failed.client.SetOnTuple(nil)
+	failed.client.Close()
 	failed.rt.Close()
 
 	// Recompile + restore every checkpointed plan on the survivor.
@@ -59,19 +61,12 @@ func (s *System) FailProcessor(procID int) error {
 		return fmt.Errorf("core: failover: %w", err)
 	}
 
-	// Adopt group bookkeeping: advertise result streams from the new
-	// location and pull inputs there. Sorted for determinism.
+	// Adopt group bookkeeping, owned and adopted alike: advertise result
+	// streams from the new location and pull inputs there.
 	failed.mu.Lock()
-	ids := make([]int, 0, len(failed.groups))
-	for id := range failed.groups {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	groups := make([]*groupState, 0, len(ids))
-	for _, id := range ids {
-		groups = append(groups, failed.groups[id])
-	}
-	failed.groups = map[int]*groupState{}
+	groups := failed.liveLocked()
+	slices.SortFunc(groups, byPlan)
+	failed.groups, failed.adopted = map[int]*groupState{}, map[string]*groupState{}
 	failed.load = 0
 	failed.mu.Unlock()
 
@@ -82,9 +77,9 @@ func (s *System) FailProcessor(procID int) error {
 		backup.mu.Unlock()
 		backup.cp.Register(gs.plan, gs.rep, gs.resultStream)
 		// Advertising from the backup's node makes the CBN re-route
-		// member subscriptions toward it.
+		// member demand toward it.
 		backup.client.Advertise(gs.resultStream)
-		backup.client.Subscribe(profile.FromQuery(gs.rep))
+		backup.setInput(gs, gs.input)
 		// Re-home the query handles.
 		for _, tag := range gs.memberTags {
 			if h, ok := s.queries[tag]; ok {
@@ -98,27 +93,29 @@ func (s *System) FailProcessor(procID int) error {
 // removeAdopted cancels a member of an adopted (failed-over) group.
 func (p *Processor) removeAdopted(tag string) (*groupState, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, gs := range p.adopted {
-		for i, member := range gs.memberTags {
-			if member != tag {
-				continue
-			}
-			gs.memberTags = append(gs.memberTags[:i], gs.memberTags[i+1:]...)
-			p.load--
-			if len(gs.memberTags) == 0 {
-				p.rt.Remove(gs.plan)
-				p.cp.Drop(gs.plan)
-				p.sys.reg.Deregister(gs.resultStream)
-				p.sys.net.PruneStream(gs.resultStream)
-				delete(p.adopted, gs.resultStream)
-				return nil, nil
-			}
+		i := slices.Index(gs.memberTags, tag)
+		if i < 0 {
+			continue
+		}
+		gs.memberTags = slices.Delete(gs.memberTags, i, i+1)
+		p.load--
+		if len(gs.memberTags) > 0 {
 			// The representative stays frozen; survivors keep their
 			// re-tightening profiles, which remain exact.
+			p.mu.Unlock()
 			return gs, nil
 		}
+		p.rt.Remove(gs.plan)
+		p.cp.Drop(gs.plan)
+		p.sys.reg.Deregister(gs.resultStream)
+		p.sys.net.PruneStream(gs.resultStream)
+		delete(p.adopted, gs.resultStream)
+		p.mu.Unlock()
+		p.setInput(gs, profile.New())
+		return nil, nil
 	}
+	p.mu.Unlock()
 	return nil, fmt.Errorf("core: processor %d does not own %s", p.ID, tag)
 }
 

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -23,7 +26,8 @@ import (
 // Its query-management module (paper Figure 2) analyses incoming
 // queries, groups them with the merging optimiser, installs (or
 // replaces) the representative query in the SPE, and maintains the
-// data-interest profiles that pull source streams in and push result
+// processor's demand — the union of its groups' input profiles, which
+// pulls source streams in — and the advertisements that push result
 // streams out. When checkpointing is enabled it periodically captures
 // plan state for query-layer fault tolerance.
 type Processor struct {
@@ -47,7 +51,10 @@ type Processor struct {
 	// adopted holds groups taken over from failed processors, keyed by
 	// result stream name; they serve and shrink but accept no new
 	// members. Guarded by mu.
-	adopted         map[string]*groupState
+	adopted map[string]*groupState
+	// demand is the union of the live groups' inputs, as last set on
+	// the client. Guarded by mu.
+	demand          *profile.Profile
 	load            int  // guarded by mu
 	alive           bool // guarded by mu
 	consumeCount    int  // guarded by mu
@@ -62,13 +69,16 @@ type groupState struct {
 	resultStream string
 	rep          *cql.Bound
 	memberTags   []string
+	// input is the profile of the source data rep reads (paper §4);
+	// empty once the group is gone.
+	input *profile.Profile
 }
 
 // resultStreamName derives the versioned result stream name of a group.
-// The version bumps on every membership change: a fresh stream name
-// invalidates every stale subscription in the network at once, avoiding
-// distributed unsubscription (old names simply stop carrying data when
-// the old plan is replaced).
+// The version bumps on every membership change: the fresh name retires
+// the old plan generation's name, its in-flight results and its schema
+// at once (old names simply stop carrying data when the old plan is
+// replaced, and PruneStream clears them from every broker).
 func resultStreamName(procID, groupID, version int) string {
 	return fmt.Sprintf("res-p%d-g%d-v%d", procID, groupID, version)
 }
@@ -91,12 +101,13 @@ func newProcessor(s *System, id, node int) (*Processor, error) {
 		client: client,
 		opt: merge.NewOptimizer(merge.Options{
 			Mode:          s.opts.Mode,
-			MaxCandidates: s.opts.MaxCandidates,
+			MaxCandidates: maxCandidates,
 			MinBenefit:    minBenefit,
 		}),
 		cp:              ft.NewCheckpointer(),
 		groups:          map[int]*groupState{},
 		adopted:         map[string]*groupState{},
+		demand:          profile.New(),
 		alive:           true,
 		checkpointEvery: s.opts.CheckpointEvery,
 	}
@@ -168,41 +179,35 @@ func (p *Processor) onPlanError(planID string, err error) {
 // PlanErrors returns the number of plan execution failures observed.
 func (p *Processor) PlanErrors() int64 { return p.planErrs.Load() }
 
-// planOf resolves the engine plan ID executing a query tag, searching
-// owned and adopted groups.
+// liveLocked lists the live groups, owned and adopted. Callers hold
+// p.mu.
+func (p *Processor) liveLocked() []*groupState {
+	return slices.AppendSeq(slices.Collect(maps.Values(p.groups)), maps.Values(p.adopted))
+}
+
+// byPlan orders groups by plan ID, for deterministic iteration.
+func byPlan(a, b *groupState) int { return strings.Compare(a.plan, b.plan) }
+
+// planOf resolves the engine plan ID executing a query tag.
 func (p *Processor) planOf(tag string) (string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, gs := range p.groups {
-		for _, member := range gs.memberTags {
-			if member == tag {
-				return gs.plan, true
-			}
-		}
-	}
-	for _, gs := range p.adopted {
-		for _, member := range gs.memberTags {
-			if member == tag {
-				return gs.plan, true
-			}
+	for _, gs := range p.liveLocked() {
+		if slices.Contains(gs.memberTags, tag) {
+			return gs.plan, true
 		}
 	}
 	return "", false
 }
 
 // planQueries resolves the member query tags and result stream served
-// by an engine plan, searching owned and adopted groups.
+// by an engine plan.
 func (p *Processor) planQueries(planID string) (tags []string, resultStream string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, gs := range p.groups {
+	for _, gs := range p.liveLocked() {
 		if gs.plan == planID {
-			return append([]string(nil), gs.memberTags...), gs.resultStream
-		}
-	}
-	for _, gs := range p.adopted {
-		if gs.plan == planID {
-			return append([]string(nil), gs.memberTags...), gs.resultStream
+			return slices.Clone(gs.memberTags), gs.resultStream
 		}
 	}
 	return nil, ""
@@ -216,22 +221,16 @@ func (p *Processor) planQueries(planID string) (tags []string, resultStream stri
 // capture under live traffic never stops the world.
 func (p *Processor) captureAll() {
 	p.mu.Lock()
-	plans := make([]string, 0, len(p.groups)+len(p.adopted))
-	for _, gs := range p.groups {
-		plans = append(plans, gs.plan)
-	}
-	for _, gs := range p.adopted {
-		plans = append(plans, gs.plan)
-	}
+	live := p.liveLocked()
 	p.mu.Unlock()
-	for _, id := range plans {
-		p.rt.WithPlan(id, func(plan *spe.Plan) { p.cp.Capture(plan) })
+	for _, gs := range live {
+		p.rt.WithPlan(gs.plan, func(plan *spe.Plan) { p.cp.Capture(plan) })
 	}
 }
 
 // accept runs the query-management path for one new query: group it,
 // install/replace the representative plan, advertise the (versioned)
-// result stream, and (re)subscribe the input profile. Returns the
+// result stream, and set the processor's demand again. Returns the
 // affected group. Called under the system lock.
 func (p *Processor) accept(tag string, b *cql.Bound) (*groupState, error) {
 	placement, err := p.opt.Add(tag, b)
@@ -243,8 +242,9 @@ func (p *Processor) accept(tag string, b *cql.Bound) (*groupState, error) {
 	gs, known := p.groups[g.ID]
 	if !known {
 		gs = &groupState{
-			id:   g.ID,
-			plan: fmt.Sprintf("p%d-g%04d", p.ID, g.ID),
+			id:    g.ID,
+			plan:  fmt.Sprintf("p%d-g%04d", p.ID, g.ID),
+			input: profile.New(),
 		}
 		p.groups[g.ID] = gs
 	} else {
@@ -286,6 +286,7 @@ func (p *Processor) remove(tag string) (*groupState, error) {
 		p.sys.net.PruneStream(gs.resultStream)
 		delete(p.groups, gs.id)
 		p.mu.Unlock()
+		p.setInput(gs, profile.New())
 		return nil, nil
 	}
 	gs.version++
@@ -302,9 +303,9 @@ func (p *Processor) remove(tag string) (*groupState, error) {
 }
 
 // installGroup (re)installs the representative plan under the group's
-// current (versioned) result stream name, registers the schema, and
-// subscribes the input profile. Each new version is advertised; older
-// versions stop carrying data the moment the plan is replaced.
+// current (versioned) result stream name, registers the schema, and sets
+// the group's input. Each new version is advertised; older versions stop
+// carrying data the moment the plan is replaced.
 func (p *Processor) installGroup(gs *groupState) error {
 	if _, err := p.rt.Install(gs.plan, gs.rep, gs.resultStream); err != nil {
 		return err
@@ -321,11 +322,50 @@ func (p *Processor) installGroup(gs *groupState) error {
 		return err
 	}
 	p.client.Advertise(gs.resultStream)
-	// Pull the representative's source data: compose and subscribe the
-	// profile of paper §4 ("For each query, a profile is composed for
-	// retrieving the source data").
-	p.client.Subscribe(profile.FromQuery(gs.rep))
+	// Pull the representative's source data: compose the profile of
+	// paper §4 ("For each query, a profile is composed for retrieving
+	// the source data").
+	p.setInput(gs, profile.FromQuery(gs.rep))
 	return nil
+}
+
+// setInput makes in the group's input (empty: the group is gone) and
+// sets the processor's demand again. An input that covers the old one
+// only widens the union, so it is merged in; otherwise only the streams
+// the old or new input reads are recomputed, each as the union over the
+// live groups, owned and adopted, in plan order. Called under the system
+// lock, once p.groups and p.adopted hold the change.
+func (p *Processor) setInput(gs *groupState, in *profile.Profile) {
+	p.mu.Lock()
+	old, next := gs.input, p.demand.Clone()
+	gs.input = in
+	if in.CoversProfile(old) {
+		next.Merge(in)
+	} else {
+		live := p.liveLocked()
+		slices.SortFunc(live, byPlan)
+		for _, s := range slices.Concat(old.Streams, in.Streams) {
+			next.RemoveStream(s)
+			next.MergeStream(unionOn(live, s), s)
+		}
+	}
+	p.demand = next
+	p.mu.Unlock()
+	p.client.SetDemand(next)
+}
+
+// unionOn returns the union of the groups' inputs for one stream.
+// Merging halves pairwise keeps the filter simplification quadratic in
+// the disjuncts; merging one group at a time would make it cubic.
+func unionOn(gs []*groupState, s string) *profile.Profile {
+	out := profile.New()
+	if len(gs) == 1 {
+		out.CopyStream(gs[0].input, s)
+	} else if len(gs) > 1 {
+		out = unionOn(gs[:len(gs)/2], s)
+		out.MergeStream(unionOn(gs[len(gs)/2:], s), s)
+	}
+	return out
 }
 
 // Load returns the number of queries assigned to this processor.

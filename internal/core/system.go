@@ -16,12 +16,14 @@ import (
 	"cosmos/internal/topology"
 )
 
+// edgesPerNode is the overlay's power-law attachment parameter;
+// maxCandidates bounds the merging optimiser's candidate scan.
+const edgesPerNode, maxCandidates = 2, 64
+
 // Options configures a System.
 type Options struct {
 	// Nodes is the overlay size (default 64).
 	Nodes int
-	// EdgesPerNode is the power-law attachment parameter (default 2).
-	EdgesPerNode int
 	// Seed drives topology and placement randomness (deterministic).
 	Seed int64
 	// ProcessorNodes places processors explicitly; when empty,
@@ -30,12 +32,10 @@ type Options struct {
 	Processors     int
 	// Mode selects representative-predicate composition.
 	Mode merge.Mode
-	// MaxCandidates bounds the merging optimiser's candidate scan.
-	MaxCandidates int
 	// Placement selects the query-distribution policy.
 	Placement PlacementPolicy
 	// Tree overrides topology generation with an explicit dissemination
-	// tree (Nodes/EdgesPerNode are then ignored). Used by experiments
+	// tree (Nodes is then ignored). Used by experiments
 	// that need an exact overlay shape, e.g. Figure 3.
 	Tree *overlay.Tree
 	// DisableMerging turns the query-merging optimiser off: every query
@@ -73,14 +73,8 @@ func (o Options) withDefaults() Options {
 	if o.Nodes == 0 {
 		o.Nodes = 64
 	}
-	if o.EdgesPerNode == 0 {
-		o.EdgesPerNode = 2
-	}
 	if o.Processors == 0 {
 		o.Processors = 1
-	}
-	if o.MaxCandidates == 0 {
-		o.MaxCandidates = 64
 	}
 	return o
 }
@@ -147,7 +141,7 @@ func newSystem(opts Options, live bool) (*System, error) {
 		opts.Nodes = tree.NumNodes()
 	} else {
 		var err error
-		g, err = topology.GeneratePowerLaw(opts.Nodes, opts.EdgesPerNode, opts.Seed)
+		g, err = topology.GeneratePowerLaw(opts.Nodes, edgesPerNode, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +226,8 @@ func (s *System) Obs() *obs.Metrics { return s.obs }
 // every plan inline on the publishing goroutine, under its lock.
 type netClient interface {
 	Advertise(streamName string)
-	Subscribe(p *profile.Profile)
+	// SetDemand replaces the attachment's whole demand (nil: none).
+	SetDemand(p *profile.Profile)
 	// Publish hands one tuple into the network. Both implementations
 	// are audited ingest boundaries: SimClient routes synchronously
 	// through the (hotpath-checked) broker, LiveClient enqueues on the
@@ -242,8 +237,9 @@ type netClient interface {
 	Publish(t stream.Tuple) error
 	SetOnTuple(fn func(stream.Tuple))
 	Iface() cbn.IfaceID
-	// Close releases the attachment (delivery stops; on the live
-	// transport the pump goroutine and broker endpoint are reclaimed).
+	// Close withdraws the attachment's demand and releases it (delivery
+	// stops; on the live transport the pump goroutine and broker
+	// endpoint are reclaimed).
 	Close()
 }
 
@@ -401,9 +397,13 @@ func (s *System) SubmitTo(text string, userNode int, sink Sink, sub any) (*Query
 }
 
 // refreshGroupLocked rebuilds delivery state for every member of a group
-// after its representative (or result schema) changed.
+// after its representative (or result schema) changed, then sets the
+// demand of each proxy the members use, once: the union of its members'
+// re-tightening profiles (every member of a proxy is in the group).
 func (s *System) refreshGroupLocked(proc *Processor, gs *groupState) error {
 	singleton := len(gs.memberTags) == 1
+	var proxies []*proxy // in member order, for a deterministic cascade
+	demand := map[*proxy]*profile.Profile{}
 	for _, tag := range gs.memberTags {
 		h, ok := s.queries[tag]
 		if !ok {
@@ -412,6 +412,14 @@ func (s *System) refreshGroupLocked(proc *Processor, gs *groupState) error {
 		if err := h.refresh(gs, singleton); err != nil {
 			return fmt.Errorf("core: refreshing %s: %w", tag, err)
 		}
+		if demand[h.px] == nil {
+			demand[h.px] = profile.New()
+			proxies = append(proxies, h.px)
+		}
+		demand[h.px].Merge(h.filter)
+	}
+	for _, px := range proxies {
+		px.client.SetDemand(demand[px])
 	}
 	return nil
 }

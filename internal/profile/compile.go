@@ -46,7 +46,7 @@ func (cs *CompiledStream) Apply(t stream.Tuple) stream.Tuple {
 // tuples of this schema (missing attribute, incomparable kinds): callers
 // refuse such demand, there is no other evaluator to fall back to.
 func (p *Profile) CompileFor(s *stream.Schema) (*CompiledStream, error) {
-	if s == nil || !p.hasStream(s.Stream) {
+	if s == nil || !p.HasStream(s.Stream) {
 		return nil, nil
 	}
 	cs := &CompiledStream{}

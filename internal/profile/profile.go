@@ -11,7 +11,7 @@ package profile
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cosmos/internal/predicate"
@@ -41,9 +41,8 @@ func New() *Profile {
 // AddStream registers interest in a stream with a projection set (nil for
 // all attributes) and a filter (nil for TRUE).
 func (p *Profile) AddStream(name string, attrs []string, filter predicate.DNF) {
-	if !p.hasStream(name) {
-		p.Streams = append(p.Streams, name)
-		sort.Strings(p.Streams)
+	if i, found := slices.BinarySearch(p.Streams, name); !found {
+		p.Streams = slices.Insert(p.Streams, i, name)
 	}
 	if attrs != nil {
 		p.Attrs[name] = stream.SortedAttrSet(attrs)
@@ -57,13 +56,10 @@ func (p *Profile) AddStream(name string, attrs []string, filter predicate.DNF) {
 	}
 }
 
-func (p *Profile) hasStream(name string) bool {
-	for _, s := range p.Streams {
-		if s == name {
-			return true
-		}
-	}
-	return false
+// HasStream reports whether p requests the stream at all.
+func (p *Profile) HasStream(name string) bool {
+	_, found := slices.BinarySearch(p.Streams, name)
+	return found
 }
 
 // AttrsFor returns the projection set for a stream; nil means all.
@@ -73,11 +69,8 @@ func (p *Profile) AttrsFor(name string) []string { return p.Attrs[name] }
 // profile becomes empty. Brokers use it to garbage-collect state for
 // retired result streams.
 func (p *Profile) RemoveStream(name string) (empty bool) {
-	for i, s := range p.Streams {
-		if s == name {
-			p.Streams = append(p.Streams[:i], p.Streams[i+1:]...)
-			break
-		}
+	if i, found := slices.BinarySearch(p.Streams, name); found {
+		p.Streams = slices.Delete(p.Streams, i, i+1)
 	}
 	delete(p.Attrs, name)
 	delete(p.Filters, name)
@@ -110,30 +103,50 @@ func (p *Profile) Clone() *Profile {
 // aggregation a CBN broker applies to the profiles of one interface.
 func (p *Profile) Merge(other *Profile) {
 	for _, s := range other.Streams {
-		mergedAttrs := unionAttrs(p, other, s)
-		var mergedFilter predicate.DNF
-		switch {
-		case !p.hasStream(s):
-			mergedFilter = other.FilterFor(s)
-		default:
-			a, b := p.FilterFor(s), other.FilterFor(s)
-			if a.IsTrue() || b.IsTrue() {
-				mergedFilter = nil // TRUE
-			} else {
-				mergedFilter = a.Or(b)
-			}
-		}
-		if mergedFilter != nil && mergedFilter.IsTrue() {
-			mergedFilter = nil
-		}
-		p.AddStream(s, mergedAttrs, mergedFilter)
+		p.MergeStream(other, s)
 	}
+}
+
+// MergeStream unions src's part for one stream into p, as Merge does for
+// every stream; a nil src, or one without the stream, adds nothing.
+func (p *Profile) MergeStream(src *Profile, s string) {
+	if src == nil || !src.HasStream(s) {
+		return
+	}
+	mergedAttrs := unionAttrs(p, src, s)
+	var mergedFilter predicate.DNF
+	switch {
+	case !p.HasStream(s):
+		mergedFilter = src.FilterFor(s)
+	default:
+		a, b := p.FilterFor(s), src.FilterFor(s)
+		if a.IsTrue() || b.IsTrue() {
+			mergedFilter = nil // TRUE
+		} else {
+			mergedFilter = a.Or(b)
+		}
+	}
+	if mergedFilter != nil && mergedFilter.IsTrue() {
+		mergedFilter = nil
+	}
+	p.AddStream(s, mergedAttrs, mergedFilter)
+}
+
+// CopyStream sets p's part for one stream to src's, dropping it when src
+// is nil or lacks the stream. The parts share their filter, which no
+// Profile method mutates in place.
+func (p *Profile) CopyStream(src *Profile, s string) {
+	if src == nil || !src.HasStream(s) {
+		p.RemoveStream(s)
+		return
+	}
+	p.AddStream(s, src.Attrs[s], src.Filters[s])
 }
 
 // unionAttrs unions the projection sets of a stream across two profiles,
 // where nil means "all attributes" and therefore dominates.
 func unionAttrs(a, b *Profile, s string) []string {
-	aAttrs, aHas := a.Attrs[s], a.hasStream(s)
+	aAttrs, aHas := a.Attrs[s], a.HasStream(s)
 	bAttrs := b.Attrs[s]
 	if (aHas && aAttrs == nil) || bAttrs == nil {
 		return nil
@@ -141,28 +154,17 @@ func unionAttrs(a, b *Profile, s string) []string {
 	if !aHas {
 		return bAttrs
 	}
-	set := map[string]bool{}
-	for _, x := range aAttrs {
-		set[x] = true
-	}
-	for _, x := range bAttrs {
-		set[x] = true
-	}
-	out := make([]string, 0, len(set))
-	for x := range set {
-		out = append(out, x)
-	}
-	sort.Strings(out)
-	return out
+	out := slices.Concat(aAttrs, bAttrs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // CoversProfile reports whether p covers q: every datagram covered by q
-// is covered by p AND p requests at least q's attributes. Brokers use
-// this to suppress redundant subscription propagation (covering-based
-// routing).
+// is covered by p AND p requests at least q's attributes. A processor
+// uses this to tell an input that only widens its demand.
 func (p *Profile) CoversProfile(q *Profile) bool {
 	for _, s := range q.Streams {
-		if !p.hasStream(s) {
+		if !p.HasStream(s) {
 			return false
 		}
 		// Projection: p's attrs must be a superset (nil = all).
@@ -189,6 +191,21 @@ func (p *Profile) CoversProfile(q *Profile) bool {
 	return true
 }
 
+// SameOn reports whether p and q request the same of one stream: both
+// lack it, or their parts are identical. A nil profile requests nothing.
+// Merge simplifies filters, so a union that only adds demand an existing
+// filter covers stays identical; brokers rely on that for covering-based
+// suppression.
+func SameOn(p, q *Profile, s string) bool {
+	ph, qh := p != nil && p.HasStream(s), q != nil && q.HasStream(s)
+	if !ph || !qh {
+		return ph == qh
+	}
+	pa, qa := p.Attrs[s], q.Attrs[s]
+	return slices.Equal(pa, qa) && (pa == nil) == (qa == nil) &&
+		slices.EqualFunc(p.Filters[s], q.Filters[s], slices.Equal[predicate.Conj])
+}
+
 // String renders the profile compactly for logs and tests.
 func (p *Profile) String() string {
 	var b strings.Builder
@@ -205,32 +222,4 @@ func (p *Profile) String() string {
 	}
 	b.WriteString("⟩")
 	return b.String()
-}
-
-// Equal reports structural equality of two profiles (after canonical
-// ordering). Filters compare by canonical string rendering.
-func (p *Profile) Equal(q *Profile) bool {
-	if len(p.Streams) != len(q.Streams) {
-		return false
-	}
-	for i := range p.Streams {
-		if p.Streams[i] != q.Streams[i] {
-			return false
-		}
-	}
-	for _, s := range p.Streams {
-		pa, qa := p.Attrs[s], q.Attrs[s]
-		if (pa == nil) != (qa == nil) || len(pa) != len(qa) {
-			return false
-		}
-		for i := range pa {
-			if pa[i] != qa[i] {
-				return false
-			}
-		}
-		if p.FilterFor(s).String() != q.FilterFor(s).String() {
-			return false
-		}
-	}
-	return true
 }

@@ -10,7 +10,7 @@ import "cosmos/internal/stream"
 // Covers reports whether the profile covers a datagram: the datagram's
 // stream must be in S and satisfy that stream's filter (paper §3.1).
 func (p *Profile) Covers(t stream.Tuple) (bool, error) {
-	if t.Schema == nil || !p.hasStream(t.Schema.Stream) {
+	if t.Schema == nil || !p.HasStream(t.Schema.Stream) {
 		return false, nil
 	}
 	f, ok := p.Filters[t.Schema.Stream]

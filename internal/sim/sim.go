@@ -20,7 +20,7 @@
 // strategies.
 //
 // Cost. Set-up, not publishing, dominates. With merging a Submit
-// re-plans its group and re-subscribes every member's result stream, so
+// re-plans its group and re-sets the demand of every member's proxy, so
 // its cost grows with the standing queries: on the 1000-node topology a
 // merged Submit takes 2–13 ms below 250 queries and 16–102 ms between
 // 1000 and 1500 (the more skewed the workload, the larger the groups and

@@ -196,7 +196,7 @@ func TestDeliverySharingScope(t *testing.T) {
 				stream = ps.ResultStream
 			}
 		}
-		if got, want := serverHandle(t, srv, wideTag).Demand(), profile.ForResult(stream); got == nil || !got.Equal(want) {
+		if got, want := serverHandle(t, srv, wideTag).Demand(), profile.ForResult(stream); got == nil || got.String() != want.String() {
 			t.Fatalf("proxy interface demand %v, want the survivor's %v", got, want)
 		}
 	})
