@@ -369,13 +369,13 @@ func (b *Broker) forwardLocked(streams []string) []Forward {
 // skip; the result lacks the stream when there is none. Callers hold
 // b.mu.
 func (b *Broker) demandExcept(skip IfaceID, streamName string) *profile.Profile {
-	acc := profile.New()
+	var parts []*profile.Profile
 	for _, iface := range b.ifaces {
-		if iface != skip {
-			acc.MergeStream(b.agg[iface], streamName)
+		if p := b.agg[iface]; iface != skip && p != nil && p.HasStream(streamName) {
+			parts = append(parts, p)
 		}
 	}
-	return acc
+	return profile.UnionOn(streamName, parts)
 }
 
 // RouteTuple routes a datagram arriving on an interface: it is forwarded

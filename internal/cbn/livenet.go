@@ -142,10 +142,10 @@ func (nd *liveNode) push(m liveMsg) {
 
 // LiveClient is a client endpoint of a LiveNet: a source, a processor
 // ingress/egress port, or a user proxy. Publish, Advertise, SetDemand
-// and Subscribe are safe for concurrent use; deliveries arrive on the client's pump
-// goroutine, one at a time, in arrival order. The pump starts lazily on
-// the first callback installation or delivery, so publish-only clients
-// (e.g. per-worker egress) park no goroutine.
+// and Subscribe are safe for concurrent use; deliveries arrive on the
+// client's pump goroutine, one at a time, in arrival order. The pump
+// starts lazily on the first callback installation or delivery, so
+// publish-only clients (e.g. per-worker egress) park no goroutine.
 type LiveClient struct {
 	endpoint
 	net *LiveNet

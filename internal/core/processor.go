@@ -344,28 +344,17 @@ func (p *Processor) setInput(gs *groupState, in *profile.Profile) {
 	} else {
 		live := p.liveLocked()
 		slices.SortFunc(live, byPlan)
+		inputs := make([]*profile.Profile, len(live))
+		for i, g := range live {
+			inputs[i] = g.input
+		}
 		for _, s := range slices.Concat(old.Streams, in.Streams) {
-			next.RemoveStream(s)
-			next.MergeStream(unionOn(live, s), s)
+			next.CopyStream(profile.UnionOn(s, inputs), s)
 		}
 	}
 	p.demand = next
 	p.mu.Unlock()
 	p.client.SetDemand(next)
-}
-
-// unionOn returns the union of the groups' inputs for one stream.
-// Merging halves pairwise keeps the filter simplification quadratic in
-// the disjuncts; merging one group at a time would make it cubic.
-func unionOn(gs []*groupState, s string) *profile.Profile {
-	out := profile.New()
-	if len(gs) == 1 {
-		out.CopyStream(gs[0].input, s)
-	} else if len(gs) > 1 {
-		out = unionOn(gs[:len(gs)/2], s)
-		out.MergeStream(unionOn(gs[len(gs)/2:], s), s)
-	}
-	return out
 }
 
 // Load returns the number of queries assigned to this processor.

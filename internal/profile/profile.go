@@ -143,6 +143,23 @@ func (p *Profile) CopyStream(src *Profile, s string) {
 	p.AddStream(s, src.Attrs[s], src.Filters[s])
 }
 
+// UnionOn returns a profile requesting what any of ps requests of one
+// stream (a nil entry requests nothing). It merges halves pairwise, which
+// keeps filter simplification quadratic in the disjuncts where merging
+// one profile at a time is cubic.
+func UnionOn(s string, ps []*Profile) *Profile {
+	if len(ps) > 1 {
+		out := UnionOn(s, ps[:len(ps)/2])
+		out.MergeStream(UnionOn(s, ps[len(ps)/2:]), s)
+		return out
+	}
+	out := New()
+	for _, p := range ps {
+		out.CopyStream(p, s)
+	}
+	return out
+}
+
 // unionAttrs unions the projection sets of a stream across two profiles,
 // where nil means "all attributes" and therefore dominates.
 func unionAttrs(a, b *Profile, s string) []string {
