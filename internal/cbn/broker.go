@@ -15,14 +15,14 @@
 //
 //   - Control plane (HandleAdvertise, HandleDemand, HandleSubscribe,
 //     PruneStream, AttachIface): mutex-protected, works on symbolic
-//     profiles (attribute names, DNF filters) because
-//     covering-based suppression needs the full predicate algebra. Demand
-//     is state, not a log of deltas: each interface holds one profile,
-//     which an update replaces, and each change is forwarded toward the
-//     stream's sources whether it widens or narrows the demand. Every
-//     mutation that feeds routing (demand, interfaces) invalidates the
-//     compiled routing table; HandleAdvertise needs no invalidation
-//     because advert state never enters the table.
+//     profiles (attribute names, DNF filters) because covering-based
+//     suppression needs the full predicate algebra. Demand is state, not
+//     a log of deltas: each interface holds one profile, which an update
+//     replaces, and each change is forwarded toward the stream's sources
+//     whether it widens or narrows the demand. Every mutation that feeds
+//     routing (demand, interfaces) invalidates the compiled routing
+//     table; HandleAdvertise needs no invalidation because advert state
+//     never enters the table.
 //   - Data plane (RouteTuple): reads an immutable routing table published
 //     through an atomic.Pointer — one map lookup per tuple, then
 //     index-resolved predicate evaluation (predicate.Compiled) and

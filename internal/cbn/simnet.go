@@ -55,13 +55,13 @@ type SimNet struct {
 	// allocates no closure per message.
 	forward func(node int, m message)
 	// ctrlErr retains the first control-plane drain failure (advert or
-	// subscription cascade), since Advertise/Subscribe have no error
-	// return; Err surfaces it instead of letting it vanish.
+	// demand cascade), since Advertise, SetDemand and Subscribe have no
+	// error return; Err surfaces it instead of letting it vanish.
 	ctrlErr error
 }
 
 // Err reports the first control-plane failure (a failed advertisement
-// or subscription flood) observed by this network, or nil.
+// or demand cascade) observed by this network, or nil.
 func (n *SimNet) Err() error { return n.ctrlErr }
 
 // NewSimNet builds a network of n brokers with no links.
