@@ -100,6 +100,12 @@ type Source interface {
 	// WithResilience, accepted tuples survive a reconnect and are
 	// applied exactly once by a daemon that still holds the session (at
 	// most one window of them twice by one that restarted).
+	//
+	// Publish takes ownership of t.Values: the data layer shares them
+	// downstream, forwarding the slice, or a subslice of it, to every
+	// subscriber whose early projection keeps those columns, so the
+	// caller must never write to them again. Build each tuple from a
+	// fresh slice.
 	Publish(t Tuple) error
 }
 

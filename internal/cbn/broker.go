@@ -25,9 +25,14 @@
 //     never enters the table.
 //   - Data plane (RouteTuple): reads an immutable routing table published
 //     through an atomic.Pointer — one map lookup per tuple, then
-//     index-resolved predicate evaluation (predicate.Compiled) and
-//     index-based projection (stream.Tuple.ProjectIdx). No mutex, no name
-//     lookups, and zero heap allocations for tuples that match nothing.
+//     index-resolved predicate evaluation (predicate.Compiled) and early
+//     projection (profile.CompiledStream.Apply), which keeps the arriving
+//     column order: a route wanting every column forwards the tuple
+//     itself, one keeping a contiguous run of columns shares a capped
+//     subslice of its values, and only a projection that leaves a gap
+//     copies (stream.Tuple.ProjectIdx). No mutex, no name lookups, and
+//     zero heap allocations for tuples that match nothing or need no
+//     copy.
 //
 // Per stream, the table is compiled lazily on the first routed tuple and
 // keyed by that tuple's schema pointer. There is no second evaluator:
@@ -112,10 +117,10 @@ type streamTable struct {
 }
 
 // route is the lock-free data path: evaluate each route's compiled filter
-// directly on the tuple's value slice and project by index. It allocates
+// directly on the tuple's value slice and project it early. It allocates
 // only for the delivery slice (none when the caller recycles a scratch
-// slice) and projected tuples; a tuple matching no route allocates
-// nothing.
+// slice) and for tuples a gapped projection copies; a tuple matching no
+// route, or routed only whole or as contiguous runs, allocates nothing.
 //
 //cosmos:hotpath
 func (st *streamTable) route(t stream.Tuple, from IfaceID, scratch []Delivery) []Delivery {

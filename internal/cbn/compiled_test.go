@@ -15,8 +15,9 @@ import (
 
 // referenceRoute computes the deliveries by name: each interface's
 // aggregate profile is matched through the name-resolved DNF evaluator
-// and projected by attribute name, ignoring the compiled table. It is
-// the semantic reference the compiled data plane must match.
+// and projected by attribute name, in the order the arriving schema
+// lays the attributes out, ignoring the compiled table. It is the
+// semantic reference the compiled data plane must match.
 func referenceRoute(b *Broker, t stream.Tuple, from IfaceID) ([]Delivery, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -36,7 +37,7 @@ func referenceRoute(b *Broker, t stream.Tuple, from IfaceID) ([]Delivery, error)
 		}
 		projected := t
 		if attrs := agg.AttrsFor(name); attrs != nil {
-			ps, err := t.Schema.Project(attrs)
+			ps, err := t.Schema.Project(arrivalOrder(t.Schema, attrs))
 			if err != nil {
 				return nil, err
 			}
@@ -47,6 +48,23 @@ func referenceRoute(b *Broker, t stream.Tuple, from IfaceID) ([]Delivery, error)
 		out = append(out, Delivery{Iface: iface, Tuple: projected})
 	}
 	return out, nil
+}
+
+// arrivalOrder lists attrs as s lays them out, then those s lacks, which
+// Schema.Project reports.
+func arrivalOrder(s *stream.Schema, attrs []string) []string {
+	var out []string
+	for _, f := range s.Fields {
+		if slices.Contains(attrs, f.Name) {
+			out = append(out, f.Name)
+		}
+	}
+	for _, a := range attrs {
+		if !s.Has(a) {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // sameDeliveries asserts two delivery lists are identical: same
@@ -169,6 +187,49 @@ func TestRouteNoMatchAllocationFree(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("no-match RouteTuple allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestRouteRunProjectionAllocationFree pins early projection's two
+// copy-free cases: with a recycled scratch slice, a matching tuple routes
+// without allocating when its demand names every column (in an order
+// other than the schema's) and when it keeps one contiguous run of
+// columns, which the delivery shares.
+func TestRouteRunProjectionAllocationFree(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		attrs []string
+	}{
+		{"every column", []string{"wind", "station", "temperature", "humidity", "solar"}},
+		{"run", []string{"solar", "humidity"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBroker(0)
+			b.AttachIface(0)
+			b.AttachIface(1)
+			p := profile.New()
+			p.AddStream("Sensor07", tc.attrs, predicate.DNF{
+				{predicate.C("humidity", predicate.GE, stream.Float(0))},
+			})
+			b.HandleSubscribe(p, 1)
+			tp := sensordata.NewGenerator(7, 1).Next()
+			scratch, err := b.RouteTupleInto(tp, 0, nil) // the first tuple compiles the table
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := referenceRoute(b, tp, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameDeliveries(t, scratch, want, tc.name)
+			if allocs := testing.AllocsPerRun(1000, func() {
+				if scratch, err = b.RouteTupleInto(tp, 0, scratch); err != nil || len(scratch) != 1 {
+					t.Fatalf("route = %v, %v; want one delivery", scratch, err)
+				}
+			}); allocs != 0 {
+				t.Errorf("RouteTupleInto allocates %.1f/op, want 0", allocs)
+			}
+		})
 	}
 }
 

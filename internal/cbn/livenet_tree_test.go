@@ -1,6 +1,8 @@
 package cbn
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -138,5 +140,103 @@ func TestBrokerDemandAndKnowsSource(t *testing.T) {
 	demand := b.DemandOn(1)
 	if demand == nil || demand.FilterFor("Sensor1").IsTrue() {
 		t.Errorf("demand = %v", demand)
+	}
+}
+
+// TestLiveNetSharedProjections routes one source's tuples through two
+// brokers to five clients under the identity, contiguous runs and
+// gapped projections, while the source keeps publishing. Every client
+// checks each tuple's layout and values, and appends to them: a run a
+// broker shares must be capped, or the append would write the source's
+// columns under the other clients (which -race reports).
+func TestLiveNetSharedProjections(t *testing.T) {
+	schema := stream.MustSchema("Shared",
+		stream.Field{Name: "station", Kind: stream.KindInt},
+		stream.Field{Name: "temperature", Kind: stream.KindFloat},
+		stream.Field{Name: "humidity", Kind: stream.KindFloat},
+		stream.Field{Name: "solar", Kind: stream.KindFloat},
+		stream.Field{Name: "wind", Kind: stream.KindFloat},
+	)
+	value := func(ts stream.Timestamp, col int) stream.Value {
+		if col == 0 {
+			return stream.Int(int64(ts))
+		}
+		return stream.Float(float64(ts) + float64(col)/10)
+	}
+	net := NewLiveNet(2)
+	if err := net.AddLink(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	src, err := net.AttachClient(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 1's union is station..solar, a run of the source's layout, so
+	// its clients see projections of a projection.
+	subs := []struct {
+		node  int
+		attrs []string
+		cols  []int // the source columns the client must see, in order
+	}{
+		{0, nil, []int{0, 1, 2, 3, 4}},
+		{0, []string{"wind", "humidity", "solar"}, []int{2, 3, 4}},
+		{0, []string{"wind", "temperature"}, []int{1, 4}},
+		{1, []string{"humidity", "temperature"}, []int{1, 2}},
+		{1, []string{"solar", "station"}, []int{0, 3}},
+	}
+	const n = 2000
+	counts := make([]atomic.Int64, len(subs))
+	var bad atomic.Value
+	clients := make([]*LiveClient, len(subs))
+	for i, sub := range subs {
+		c, err := net.AttachClient(sub.node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(sub.cols))
+		for k, col := range sub.cols {
+			names[k] = schema.Fields[col].Name
+		}
+		i, cols := i, sub.cols
+		c.SetOnTuple(func(tp stream.Tuple) {
+			ok := len(tp.Values) == len(cols) && slices.Equal(tp.Schema.AttrNames(), names)
+			for k := 0; ok && k < len(cols); k++ {
+				ok = tp.Values[k].Equal(value(tp.Ts, cols[k]))
+			}
+			if !ok {
+				bad.CompareAndSwap(nil, fmt.Sprintf("client %d got %s, want columns %v", i, tp, names))
+			}
+			_ = append(tp.Values, stream.Int(-1))
+			counts[i].Add(1)
+		})
+		clients[i] = c
+	}
+	net.Start()
+	defer net.Stop()
+	src.Advertise("Shared")
+	net.Quiesce()
+	for i, sub := range subs {
+		p := profile.New()
+		p.AddStream("Shared", sub.attrs, nil)
+		clients[i].Subscribe(p)
+	}
+	net.Quiesce()
+	for ts := stream.Timestamp(0); ts < n; ts++ {
+		vals := make([]stream.Value, schema.Arity())
+		for col := range vals {
+			vals[col] = value(ts, col)
+		}
+		if err := src.Publish(stream.MustTuple(schema, ts, vals...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Quiesce()
+	if msg := bad.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+	for i := range counts {
+		if got := counts[i].Load(); got != n {
+			t.Errorf("client %d received %d tuples, want %d", i, got, n)
+		}
 	}
 }

@@ -7,18 +7,27 @@ import (
 
 // CompiledStream is the compiled per-stream view of a profile against one
 // schema: the filter with attribute references pre-resolved to column
-// indices, and the projection as an index list. It is immutable and safe
-// for concurrent use; CBN brokers install these in their lock-free
-// routing tables.
+// indices, and the projection in one of three forms. The projection
+// keeps its columns in the order the schema lays them out, so every
+// layout the data plane derives is a subsequence of the one tuples
+// arrive in: a projection keeping every column is the identity, one
+// keeping a contiguous run of columns shares the tuple's values, and
+// only one that leaves a gap copies them. It is immutable and safe for
+// concurrent use; CBN brokers install these in their lock-free routing
+// tables.
 type CompiledStream struct {
 	// Match is the compiled filter; nil means TRUE (no filter, or a
 	// trivially true one).
 	Match *predicate.Compiled
-	// ProjIdx lists the source column of each projected attribute; nil
-	// means identity (all attributes).
+	// ProjIdx lists the source column of each projected attribute when
+	// the projection leaves a gap; nil otherwise.
 	ProjIdx []int
-	// ProjSchema is the schema of projected tuples; nil when ProjIdx is.
+	// ProjSchema is the schema of projected tuples; nil for the
+	// identity.
 	ProjSchema *stream.Schema
+	// runLo and runHi bound the source columns [runLo, runHi) a gap-free
+	// projection keeps, when ProjSchema is set and ProjIdx is nil.
+	runLo, runHi int
 }
 
 // Covers evaluates the compiled filter against a tuple's values; the
@@ -29,12 +38,17 @@ func (cs *CompiledStream) Covers(vals []stream.Value, ts stream.Timestamp) bool 
 	return cs.Match == nil || cs.Match.EvalValues(vals, ts)
 }
 
-// Apply projects a covered tuple per the compiled projection.
+// Apply projects a covered tuple per the compiled projection. A
+// contiguous run is the tuple's own values, capped so that appending to
+// the projected tuple cannot reach the columns past the run.
 //
 //cosmos:hotpath
 func (cs *CompiledStream) Apply(t stream.Tuple) stream.Tuple {
-	if cs.ProjIdx == nil {
+	switch {
+	case cs.ProjSchema == nil:
 		return t
+	case cs.ProjIdx == nil:
+		return stream.Tuple{Schema: cs.ProjSchema, Ts: t.Ts, Values: t.Values[cs.runLo:cs.runHi:cs.runHi]}
 	}
 	return t.ProjectIdx(cs.ProjIdx, cs.ProjSchema)
 }
@@ -58,32 +72,25 @@ func (p *Profile) CompileFor(s *stream.Schema) (*CompiledStream, error) {
 		cs.Match = m
 	}
 	if attrs, ok := p.Attrs[s.Stream]; ok && attrs != nil {
-		proj, idx, err := s.ProjectIdx(attrs)
+		proj, idx, err := s.ProjectIdx(s.InLayoutOrder(attrs))
 		if err != nil {
 			return nil, err
 		}
-		// A projection selecting every column in source order is the
-		// identity: leave ProjIdx nil so Apply forwards tuples without
-		// copying. Downstream hops of an already-narrowed stream hit
-		// this on every tuple.
-		if !identityIdx(idx, s.Arity()) {
+		// idx ascends, so it is one run exactly when it spans len(idx)
+		// columns. A run of every column is the identity: leave the
+		// projection nil so Apply forwards tuples without copying.
+		// Downstream hops of an already-narrowed stream hit this on
+		// every tuple.
+		lo, hi := 0, 0
+		if n := len(idx); n > 0 {
+			lo, hi = idx[0], idx[n-1]+1
+		}
+		switch {
+		case hi-lo != len(idx):
 			cs.ProjSchema, cs.ProjIdx = proj, idx
+		case len(idx) < s.Arity():
+			cs.ProjSchema, cs.runLo, cs.runHi = proj, lo, hi
 		}
 	}
 	return cs, nil
-}
-
-// identityIdx reports whether idx is exactly [0, 1, ..., arity-1].
-//
-//cosmos:hotpath
-func identityIdx(idx []int, arity int) bool {
-	if len(idx) != arity {
-		return false
-	}
-	for i, j := range idx {
-		if i != j {
-			return false
-		}
-	}
-	return true
 }

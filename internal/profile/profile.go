@@ -23,7 +23,10 @@ type Profile struct {
 	// Streams is S: the requested stream names, sorted.
 	Streams []string
 	// Attrs is P: per stream, the attribute names of interest, sorted.
-	// A nil entry for a stream means "all attributes".
+	// Sorted is the canonical form covering and merging compare, not the
+	// layout order: a projection keeps the columns in the order the
+	// arriving schema has them (CompileFor). A nil entry for a stream
+	// means "all attributes".
 	Attrs map[string][]string
 	// Filters is F: per stream, the filter DNF. A missing entry means the
 	// stream is requested unconditionally (TRUE).

@@ -1,7 +1,9 @@
 package profile
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cosmos/internal/predicate"
@@ -107,5 +109,80 @@ func TestCoversProfileSoundnessProperty(t *testing.T) {
 	}
 	if positives < 20 {
 		t.Fatalf("only %d positive covering pairs; test too weak", positives)
+	}
+}
+
+// TestCompiledApplyArrivalOrderProperty: over random schemas and
+// attribute sets, CompiledStream.Apply equals the name-resolved
+// projection (Profile.Project), which keeps the arriving schema's
+// order. Every column is the tuple itself; a contiguous run shares the
+// tuple's values with cap == len, so an append cannot reach the
+// columns past it; a gap copies.
+func TestCompiledApplyArrivalOrderProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	kinds := []stream.Kind{stream.KindInt, stream.KindFloat, stream.KindString}
+	runs, gaps, idents := 0, 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		arity := 1 + r.Intn(7)
+		fields := make([]stream.Field, arity)
+		vals := make([]stream.Value, arity)
+		for i, n := range r.Perm(10)[:arity] {
+			fields[i] = stream.Field{Name: fmt.Sprintf("a%d", n), Kind: kinds[r.Intn(len(kinds))]}
+			switch fields[i].Kind {
+			case stream.KindInt:
+				vals[i] = stream.Int(int64(r.Intn(100)))
+			case stream.KindFloat:
+				vals[i] = stream.Float(r.Float64())
+			default:
+				vals[i] = stream.String_(fmt.Sprint(r.Intn(100)))
+			}
+		}
+		s := stream.MustSchema("R", fields...)
+		tp := stream.MustTuple(s, stream.Timestamp(trial), vals...)
+		var attrs []string
+		for _, i := range r.Perm(arity)[:1+r.Intn(arity)] {
+			attrs = append(attrs, fields[i].Name)
+		}
+		p := New()
+		p.AddStream("R", attrs, nil)
+		cs, err := p.CompileFor(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := cs.Apply(tp)
+		want, err := p.Project(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := fmt.Sprintf("schema %s, attrs %v", s, attrs)
+		if !got.Equal(want) || got.Ts != tp.Ts {
+			t.Fatalf("%s: Apply = %s, want %s", ctx, got, want)
+		}
+		if g, w := got.Schema.AttrNames(), want.Schema.AttrNames(); !slices.Equal(g, w) {
+			t.Fatalf("%s: projected attrs %v, want %v", ctx, g, w)
+		}
+		lo := s.ColIndex(got.Schema.Fields[0].Name)
+		shared := &got.Values[0] == &tp.Values[lo]
+		switch {
+		case len(attrs) == arity:
+			idents++
+			if got.Schema != s || !shared {
+				t.Fatalf("%s: every column must forward the tuple itself", ctx)
+			}
+		case s.ColIndex(got.Schema.Fields[len(attrs)-1].Name)-lo == len(attrs)-1:
+			runs++
+			if !shared || cap(got.Values) != len(got.Values) {
+				t.Fatalf("%s: a run must share the values with cap == len, shared %v cap %d len %d",
+					ctx, shared, cap(got.Values), len(got.Values))
+			}
+		default:
+			gaps++
+			if shared {
+				t.Fatalf("%s: a gapped projection must copy", ctx)
+			}
+		}
+	}
+	if runs < 100 || gaps < 100 || idents < 100 {
+		t.Fatalf("too few cases: %d runs, %d gaps, %d identities", runs, gaps, idents)
 	}
 }

@@ -1,6 +1,10 @@
 package profile
 
-import "cosmos/internal/stream"
+import (
+	"slices"
+
+	"cosmos/internal/stream"
+)
 
 // The name-resolved matcher and projector of a profile: the semantic
 // reference the compiled views (CompileFor) are tested against. They
@@ -21,13 +25,25 @@ func (p *Profile) Covers(t stream.Tuple) (bool, error) {
 }
 
 // Project applies the early projection of the profile to a covered
-// datagram, returning the tuple restricted to the interest attributes.
+// datagram, returning the tuple restricted to the interest attributes in
+// the order the datagram's schema lays them out.
 func (p *Profile) Project(t stream.Tuple) (stream.Tuple, error) {
 	attrs, ok := p.Attrs[t.Schema.Stream]
 	if !ok {
 		return t, nil
 	}
-	ps, err := t.Schema.Project(attrs)
+	var names []string
+	for _, f := range t.Schema.Fields {
+		if slices.Contains(attrs, f.Name) {
+			names = append(names, f.Name)
+		}
+	}
+	for _, a := range attrs {
+		if !t.Schema.Has(a) {
+			names = append(names, a) // Schema.Project reports it
+		}
+	}
+	ps, err := t.Schema.Project(names)
 	if err != nil {
 		return stream.Tuple{}, err
 	}

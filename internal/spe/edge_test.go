@@ -3,6 +3,7 @@ package spe
 import (
 	"testing"
 
+	"cosmos/internal/profile"
 	"cosmos/internal/stream"
 )
 
@@ -171,5 +172,42 @@ func TestSnapshotAcrossEngineReplace(t *testing.T) {
 	}
 	if err := p3.Restore(snap); err == nil {
 		t.Error("restoring into a differently-shaped plan should error")
+	}
+}
+
+// TestCatalogLayoutBindsIdentityAdapter: a plan's inputs keep their
+// needed attributes in the source's layout order, the order the data
+// layer projects in, so the tuples it delivers — the catalog's own
+// layout when every column is needed, the query profile's early
+// projection otherwise — bind the identity adapter and are buffered
+// without a per-tuple remap.
+func TestCatalogLayoutBindsIdentityAdapter(t *testing.T) {
+	for _, q := range []string{
+		"SELECT timestamp, itemID FROM ClosedAuction [Now] WHERE buyerID > 0",
+		"SELECT O.itemID, C.buyerID FROM OpenAuction [Range 3 Hour] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID AND O.start_price > 1",
+	} {
+		b := bind(t, q)
+		p, err := Compile("q", b, "res")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := profile.FromQuery(b)
+		for _, tp := range []stream.Tuple{openTuple(1, 7, 1, 500), closedTuple(2, 7, 3)} {
+			cs, err := prof.CompileFor(tp.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cs == nil {
+				continue // not an input of this query
+			}
+			if _, err := p.Push(cs.Apply(tp)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, in := range p.inputs {
+			if !in.ad.identity {
+				t.Errorf("%s: input %s binds %v over %s, want the identity", q, in.alias, in.ad.idx, in.ad.src)
+			}
+		}
 	}
 }

@@ -130,10 +130,13 @@ func Compile(id string, b *cql.Bound, resultStream string) (*Plan, error) {
 	// Each input normalises incoming tuples to the attributes the query
 	// actually needs. The data layer may deliver projected tuples (early
 	// projection); as long as the needed attributes survive, the plan
-	// adapts them by name.
+	// adapts them by name. The input keeps them in the source's layout
+	// order, which is the order the data layer projects in, so a tuple
+	// carrying exactly the needed columns binds the identity adapter.
 	need := b.NeededAttrs()
 	for _, ref := range b.From {
-		inSchema, err := b.Schemas[ref.Alias].Project(need[ref.Alias])
+		src := b.Schemas[ref.Alias]
+		inSchema, err := src.Project(src.InLayoutOrder(need[ref.Alias]))
 		if err != nil {
 			return nil, fmt.Errorf("spe: %w", err)
 		}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -127,6 +128,16 @@ func (s *Schema) Project(names []string) (*Schema, error) {
 		fields = append(fields, f)
 	}
 	return NewSchema(s.Stream, fields...)
+}
+
+// InLayoutOrder returns a copy of names ordered by their column in s.
+// That is the one order every projection the data plane derives keeps,
+// so each is a subsequence of the layout it arrived in. A name s lacks
+// sorts first, so Project and ProjectIdx still report it.
+func (s *Schema) InLayoutOrder(names []string) []string {
+	out := slices.Clone(names)
+	slices.SortFunc(out, func(a, b string) int { return s.ColIndex(a) - s.ColIndex(b) })
+	return out
 }
 
 // ProjectIdx resolves a projection to its compiled form: the projected

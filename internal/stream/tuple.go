@@ -7,7 +7,10 @@ import (
 
 // Tuple is one element of a stream: a timestamped row conforming to a
 // schema. Tuples are treated as immutable once published; operators build
-// new tuples rather than mutating inputs.
+// new tuples rather than mutating inputs. A published tuple's Values are
+// shared downstream and never written again: a broker forwards the
+// tuple itself when a route wants every column, and a capped subslice
+// of its Values when the route keeps one contiguous run of them.
 type Tuple struct {
 	Schema *Schema
 	Ts     Timestamp
@@ -87,7 +90,9 @@ func (t Tuple) Project(proj *Schema) (Tuple, error) {
 
 // ProjectIdx is the compiled-path counterpart of Project: it builds the
 // projected tuple from pre-resolved column indices, so the per-tuple cost
-// is a single value-slice copy with no name lookups. Callers obtain idx
+// is a single value-slice copy with no name lookups. The data plane
+// calls it only for a projection that leaves a gap between the columns
+// it keeps (see profile.CompiledStream.Apply). Callers obtain idx
 // and proj once (e.g. via Schema.ProjectIdx) and must ensure every index
 // is in range for the tuple's value slice.
 //
