@@ -6,6 +6,7 @@ import (
 
 	"cosmos/internal/cbn"
 	"cosmos/internal/core"
+	"cosmos/internal/handoff"
 	"cosmos/internal/obs"
 )
 
@@ -145,9 +146,10 @@ type (
 // arrive on the Results channel in delivery order (per query, the total
 // emission order of its plan — identical across backends for the same
 // workload). The channel is fed through an elastic buffer, so a slow
-// consumer never blocks the deployment's data path; it closes after the
-// subscription ends AND the buffer has drained, at which point Err
-// reports the terminal status.
+// consumer never blocks the deployment's data path; the buffer gives
+// back a burst's memory once deliveries have stayed small for a while.
+// The channel closes after the subscription ends AND the buffer has
+// drained, at which point Err reports the terminal status.
 //
 // Consumers MUST drain Results until it closes — ranging over the
 // channel does this naturally, and SubmitFunc does it for callback
@@ -166,13 +168,13 @@ type Subscription struct {
 	cancelOnce sync.Once
 	cancelErr  error
 
+	q handoff.Queue[Tuple] // results the pump has not taken
+
 	mu    sync.Mutex
-	cond  *sync.Cond
-	tag   string
-	queue []Tuple
-	gaps  []Gap
-	ended bool
-	err   error
+	tag   string // guarded by mu
+	gaps  []Gap  // guarded by mu
+	ended bool   // guarded by mu
+	err   error  // guarded by mu
 }
 
 // newSubscription builds a subscription and starts its delivery pump.
@@ -181,7 +183,6 @@ type Subscription struct {
 // user.
 func newSubscription() *Subscription {
 	s := &Subscription{out: make(chan Tuple, 64), done: make(chan struct{})}
-	s.cond = sync.NewCond(&s.mu)
 	go s.pump()
 	return s
 }
@@ -265,14 +266,7 @@ func (s *Subscription) addGap(g Gap) {
 
 // push enqueues one result; never blocks (the queue is elastic).
 // Deliveries after the subscription ended are dropped.
-func (s *Subscription) push(t Tuple) {
-	s.mu.Lock()
-	if !s.ended {
-		s.queue = append(s.queue, t)
-		s.cond.Signal()
-	}
-	s.mu.Unlock()
-}
+func (s *Subscription) push(t Tuple) { s.q.Push(t) }
 
 // end marks the subscription terminated; the first cause wins. The pump
 // drains what is queued and closes the channel.
@@ -281,9 +275,9 @@ func (s *Subscription) end(err error) {
 	if !s.ended {
 		s.ended = true
 		s.err = err
-		s.cond.Signal()
 	}
 	s.mu.Unlock()
+	s.q.Close()
 }
 
 // pump is the delivery loop: it moves batches from the elastic queue to
@@ -291,28 +285,16 @@ func (s *Subscription) end(err error) {
 // ended and the queue is dry.
 func (s *Subscription) pump() {
 	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.ended {
-			s.cond.Wait()
+		batch := s.q.Take()
+		if len(batch) == 0 {
+			// done first: a consumer unblocked by the channel close
+			// must observe the terminal status via Err.
+			close(s.done)
+			close(s.out)
+			return
 		}
-		batch := s.queue
-		s.queue = nil
-		ended := s.ended
-		s.mu.Unlock()
 		for _, t := range batch {
 			s.out <- t
-		}
-		if ended {
-			s.mu.Lock()
-			drained := len(s.queue) == 0
-			s.mu.Unlock()
-			if drained {
-				// done first: a consumer unblocked by the channel
-				// close must observe the terminal status via Err.
-				close(s.done)
-				close(s.out)
-				return
-			}
 		}
 	}
 }

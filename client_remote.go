@@ -10,18 +10,6 @@ import (
 // pass it via WithResilience. See the field docs for defaults.
 type Resilience = transport.Resilience
 
-// GapPolicy is the client's reaction to results lost across a reconnect.
-type GapPolicy = transport.GapPolicy
-
-// Gap policies.
-const (
-	// GapResume (default) records the gap on the Subscription and
-	// keeps streaming.
-	GapResume = transport.GapResume
-	// GapError ends the Subscription with an error describing the gap.
-	GapError = transport.GapError
-)
-
 // Gap describes results lost across a reconnect — only ever results the
 // daemon no longer had; Subscription.Gaps reports them.
 type Gap = transport.Gap
@@ -40,9 +28,10 @@ type dialConfig struct {
 // directions — what Publish accepted, the results the subscriptions are
 // owed — are exactly-once against a daemon that still holds the
 // session, and what a daemon no longer had is recorded as a Gap on the
-// Subscription instead of killing it. Without this option (the zero
-// state) a lost connection ends every subscription — the historical
-// fail-fast behaviour.
+// Subscription instead of killing it; a consumer that cannot tolerate a
+// gap checks Subscription.Gaps and cancels. Without this option (the
+// zero state) a lost connection ends every subscription — the
+// historical fail-fast behaviour.
 func WithResilience(r Resilience) DialOption {
 	return func(c *dialConfig) { c.resilience = &r }
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cosmos/internal/handoff"
 	"cosmos/internal/overlay"
 	"cosmos/internal/stream"
 )
@@ -27,19 +28,21 @@ import (
 //     slow broker throttles its publishers (e.g. exec.Runtime workers
 //     emitting results) instead of dropping tuples or buffering them
 //     without bound.
-//   - Broker-to-broker forwarding is elastic: each node's mailbox grows
-//     as needed and a broker never blocks sending to a peer. Brokers
-//     therefore always make progress, which rules out the routing
-//     deadlock that bounded links would allow the moment traffic flows
-//     both ways across a tree edge (data up toward processors, results
-//     down toward users). This mirrors SimNet, whose event queue is
-//     also unbounded; per-link credit flow control is future work.
-//   - Client egress is elastic: deliveries to a client are queued on an
-//     unbounded per-client buffer and handed to the client's callback by
-//     a dedicated pump goroutine, in arrival order. A slow client never
-//     stalls a broker, which breaks the cycle broker → processor ingest
-//     → worker → broker that synchronous delivery would close into a
-//     deadlock.
+//   - Broker-to-broker forwarding is elastic: each node's mailbox is a
+//     handoff.Queue, so it grows as needed and a broker never blocks
+//     sending to a peer. Brokers therefore always make progress, which
+//     rules out the routing deadlock that bounded links would allow the
+//     moment traffic flows both ways across a tree edge (data up toward
+//     processors, results down toward users). This mirrors SimNet,
+//     whose event queue is also unbounded; per-link credit flow control
+//     is future work.
+//   - Client egress is elastic: deliveries to a client are queued on the
+//     client's handoff.Queue and handed to its callback by a dedicated
+//     pump goroutine, in arrival order. A slow client never stalls a
+//     broker, which breaks the cycle broker → processor ingest → worker
+//     → broker that synchronous delivery would close into a deadlock.
+//
+// Both elastic queues keep memory under handoff's one retention rule.
 //
 // Clients may attach at any time, before or after Start — core.LiveSystem
 // attaches a client per source, processor and query proxy as they appear.
@@ -83,9 +86,7 @@ type LiveNet struct {
 func (n *LiveNet) QueueDepths() []int {
 	out := make([]int, len(n.nodes))
 	for i, nd := range n.nodes {
-		nd.mu.Lock()
-		out[i] = len(nd.queue)
-		nd.mu.Unlock()
+		out[i] = nd.q.Len()
 	}
 	return out
 }
@@ -98,15 +99,11 @@ type liveNode struct {
 	// node's single event-loop goroutine, never shared.
 	scratch []Delivery
 
-	// mu/cond guard the elastic mailbox the node's broker drains.
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []liveMsg // guarded by mu
-	// dead marks a node whose broker goroutine exited after a panic;
-	// messages routed to it are black-holed with their accounting
-	// settled, so the rest of the network keeps running and quiescing.
-	// Guarded by mu.
-	dead bool
+	// q is the elastic mailbox the node's broker drains. It is closed
+	// when the broker panics (or the net stops): messages routed to the
+	// node from then on are black-holed with their accounting settled,
+	// so the rest of the network keeps running and quiescing.
+	q handoff.Queue[liveMsg]
 
 	// credits bounds the node's backlog of client-injected messages:
 	// inject acquires, the broker releases after processing.
@@ -126,18 +123,18 @@ type liveMsg struct {
 // pending count) and drop it — black-hole semantics, as any CBN shows
 // for a failed broker.
 func (nd *liveNode) push(m liveMsg) {
-	nd.mu.Lock()
-	if nd.dead {
-		nd.mu.Unlock()
-		if m.credit {
-			<-nd.credits
-		}
-		nd.net.done()
-		return
+	if !nd.q.Push(m) {
+		nd.settle(m)
 	}
-	nd.queue = append(nd.queue, m)
-	nd.cond.Signal()
-	nd.mu.Unlock()
+}
+
+// settle returns a message's ingress credit, if it holds one, and marks
+// it processed.
+func (nd *liveNode) settle(m liveMsg) {
+	if m.credit {
+		<-nd.credits
+	}
+	nd.net.done()
 }
 
 // LiveClient is a client endpoint of a LiveNet: a source, a processor
@@ -149,28 +146,29 @@ func (nd *liveNode) push(m liveMsg) {
 type LiveClient struct {
 	endpoint
 	net *LiveNet
+	q   handoff.Queue[stream.Tuple] // deliveries the pump has not taken
 
 	mu      sync.Mutex
-	cond    *sync.Cond
 	onTuple func(stream.Tuple) // guarded by mu
-	queue   []stream.Tuple     // guarded by mu
 	running bool               // guarded by mu
 	closed  bool               // guarded by mu
-	stopped chan struct{}      // guarded by mu
+	stopped chan struct{}      // closed when a started pump exits
 }
 
 // SetOnTuple installs the delivery callback; safe to call concurrently.
 func (c *LiveClient) SetOnTuple(fn func(stream.Tuple)) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.onTuple = fn
+	c.mu.Unlock()
 	if fn != nil {
-		c.ensurePumpLocked()
+		c.startPump()
 	}
 }
 
-// ensurePumpLocked starts the delivery pump once. Callers hold c.mu.
-func (c *LiveClient) ensurePumpLocked() {
+// startPump starts the delivery pump once, unless the client is closed.
+func (c *LiveClient) startPump() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if !c.running && !c.closed {
 		c.running = true
 		go c.pump()
@@ -179,60 +177,40 @@ func (c *LiveClient) ensurePumpLocked() {
 
 // receive hands a delivery to the client's pump.
 func (c *LiveClient) receive(t stream.Tuple) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	c.net.pending.Add(1)
+	if !c.q.Push(t) {
+		c.net.done() // closed: dropped
 		return
 	}
-	c.net.pending.Add(1)
-	c.queue = append(c.queue, t)
-	c.ensurePumpLocked()
-	c.cond.Signal()
-	c.mu.Unlock()
+	c.startPump()
 }
 
-// pump is the client's delivery loop: it drains the elastic queue and
-// invokes the callback outside the client lock, marking each delivery
-// done for quiescence accounting only after the callback returns.
+// pump is the client's delivery loop: it invokes the callback on each
+// taken delivery outside the client lock, marking each delivery done
+// for quiescence accounting only after the callback returns. Once the
+// client is closed it settles what is still queued without delivering
+// it, and exits when the queue is drained.
 func (c *LiveClient) pump() {
 	defer close(c.stopped)
-	// Double-buffer the queue: the drained batch is zeroed and swapped
-	// back in as the next fill buffer, so steady-state delivery does
-	// not reallocate the queue every cycle.
-	var spare []stream.Tuple
 	for {
-		c.mu.Lock()
-		for len(c.queue) == 0 && !c.closed {
-			c.cond.Wait()
-		}
-		if c.closed {
-			dropped := len(c.queue)
-			c.queue = nil
-			c.mu.Unlock()
-			for i := 0; i < dropped; i++ {
-				c.net.done()
-			}
+		batch := c.q.Take()
+		if len(batch) == 0 {
 			return
 		}
-		batch := c.queue
-		c.queue = spare
-		fn := c.onTuple
+		c.mu.Lock()
+		fn, closed := c.onTuple, c.closed
 		c.mu.Unlock()
-		for i, t := range batch {
-			if fn != nil && !c.deliverSafe(fn, t) {
-				// The callback panicked: settle the rest of the batch,
-				// fail this client only, and loop back so the closed
-				// branch drains whatever queued meanwhile and exits.
-				for range batch[i:] {
-					c.net.done()
-				}
-				c.fail()
-				break
+		for _, t := range batch {
+			if fn != nil && !closed && !c.deliverSafe(fn, t) {
+				// The callback panicked: fail this client only. The rest
+				// of the batch and whatever queued meanwhile are settled
+				// undelivered.
+				c.shutdown(false)
+				c.net.detach(c.Node, c.iface)
+				closed = true
 			}
 			c.net.done()
 		}
-		clear(batch) // drop refs before recycling
-		spare = batch[:0]
 	}
 }
 
@@ -249,51 +227,29 @@ func (c *LiveClient) deliverSafe(fn func(stream.Tuple), t stream.Tuple) (ok bool
 	return true
 }
 
-// fail closes the client after a callback panic and detaches it from
-// its node, so the broker stops delivering to it. The failure domain is
-// this one client; brokers and other clients are unaffected.
-func (c *LiveClient) fail() {
-	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
-		c.cond.Broadcast()
-	}
-	c.mu.Unlock()
-	c.net.detach(c.Node, c.iface)
-}
-
 // shutdown closes the client, dropping queued deliveries. When wait is
 // set it blocks until a running pump has exited (used by LiveNet.Stop,
 // which guarantees no goroutine outlives it); callers that may hold
 // locks a delivery callback could need pass wait=false.
 func (c *LiveClient) shutdown(wait bool) {
 	c.mu.Lock()
-	if c.closed {
-		running := c.running
-		c.mu.Unlock()
-		if wait && running {
-			<-c.stopped // pump may still be winding down after fail()
-		}
-		return
-	}
+	first := !c.closed
 	c.closed = true
 	running := c.running
-	var dropped int
-	if !running {
-		// No pump to drain the queue; settle accounting here.
-		dropped = len(c.queue)
-		c.queue = nil
-	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
-	if running {
+	c.q.Close()
+	switch {
+	case running:
 		if wait {
-			<-c.stopped // the pump drops and settles its queue on exit
+			<-c.stopped // the pump settles the queue on its way out
 		}
-		return
-	}
-	for i := 0; i < dropped; i++ {
-		c.net.done()
+	case first:
+		// No pump ever starts now; settle the queue here.
+		for batch := c.q.TryTake(); len(batch) > 0; batch = c.q.TryTake() {
+			for range batch {
+				c.net.done()
+			}
+		}
 	}
 }
 
@@ -338,9 +294,7 @@ func NewLiveNet(n int, opts ...LiveNetOption) *LiveNet {
 		opt(net)
 	}
 	for i := range net.nodes {
-		nd := &liveNode{net: net, credits: make(chan struct{}, net.inboxCap)}
-		nd.cond = sync.NewCond(&nd.mu)
-		net.nodes[i] = nd
+		net.nodes[i] = &liveNode{net: net, credits: make(chan struct{}, net.inboxCap)}
 	}
 	net.forward = func(peer int, m message) {
 		net.pending.Add(1)
@@ -384,7 +338,6 @@ func (n *LiveNet) AttachClient(node int) (*LiveClient, error) {
 	// Control messages are injected like publishes: they wait for an
 	// ingress credit, and the change propagates asynchronously.
 	c.endpoint = endpoint{Node: node, control: func(node int, m message) { n.inject(node, m) }}
-	c.cond = sync.NewCond(&c.mu)
 	c.iface = n.attach(node, hop{client: c})
 	// The stopped check and the registration share one critical section,
 	// so a client either lands in the list Stop tears down or is refused.
@@ -427,9 +380,7 @@ func (n *LiveNet) Stop() {
 	n.stopping.Store(true)
 	close(n.quit)
 	for _, nd := range n.nodes {
-		nd.mu.Lock()
-		nd.cond.Broadcast()
-		nd.mu.Unlock()
+		nd.q.Close()
 	}
 	n.wg.Wait()
 	for _, c := range clients {
@@ -442,34 +393,18 @@ func (n *LiveNet) Stop() {
 func (n *LiveNet) run(node int) {
 	defer n.wg.Done()
 	nd := n.nodes[node]
-	// Double-buffer the mailbox: each drained batch is zeroed and
-	// swapped back as the next fill buffer, so steady-state routing
-	// does not reallocate the queue every drain cycle.
-	var spare []liveMsg
 	for {
-		nd.mu.Lock()
-		for len(nd.queue) == 0 && !n.stopping.Load() {
-			nd.cond.Wait()
-		}
-		if n.stopping.Load() {
-			nd.mu.Unlock()
+		batch := nd.q.Take()
+		if len(batch) == 0 || n.stopping.Load() {
 			return
 		}
-		batch := nd.queue
-		nd.queue = spare
-		nd.mu.Unlock()
 		for i, m := range batch {
 			if !n.stepSafe(node, m.message) {
 				n.failNode(node, batch[i:])
 				return
 			}
-			if m.credit {
-				<-nd.credits
-			}
-			n.done()
+			nd.settle(m)
 		}
-		clear(batch) // drop refs before recycling
-		spare = batch[:0]
 	}
 }
 
@@ -491,28 +426,20 @@ func (n *LiveNet) stepSafe(node int, m message) (ok bool) {
 // failNode marks a node dead after its broker panicked and settles the
 // accounting of every message it will never process: the unprocessed
 // tail of the current batch plus anything still queued. Later pushes
-// and injections to the node are black-holed (see liveNode.push and
-// inject), so the rest of the network keeps flowing and Quiesce still
-// converges. The failure domain is the one broker: no other node,
-// client or pump is affected.
+// and injections to the node are black-holed (see liveNode.push), so
+// the rest of the network keeps flowing and Quiesce still converges.
+// The failure domain is the one broker: no other node, client or pump
+// is affected.
 func (n *LiveNet) failNode(node int, unsettled []liveMsg) {
 	nd := n.nodes[node]
-	nd.mu.Lock()
-	nd.dead = true
-	queued := nd.queue
-	nd.queue = nil
-	nd.mu.Unlock()
-	settle := func(m liveMsg) {
-		if m.credit {
-			<-nd.credits
-		}
-		n.done()
-	}
+	nd.q.Close()
 	for _, m := range unsettled {
-		settle(m)
+		nd.settle(m)
 	}
-	for _, m := range queued {
-		settle(m)
+	for batch := nd.q.TryTake(); len(batch) > 0; batch = nd.q.TryTake() {
+		for _, m := range batch {
+			nd.settle(m)
+		}
 	}
 }
 
@@ -531,16 +458,6 @@ func (n *LiveNet) done() {
 // the net stops.
 func (n *LiveNet) inject(node int, m message) bool {
 	nd := n.nodes[node]
-	nd.mu.Lock()
-	dead := nd.dead
-	nd.mu.Unlock()
-	if dead {
-		// The node's broker failed: black-hole the injection without
-		// consuming a credit the dead broker would never return. Count
-		// it so the Injected/Quiesce stabilisation test stays balanced.
-		n.injected.Add(1)
-		return true
-	}
 	select {
 	case nd.credits <- struct{}{}:
 	case <-n.quit:

@@ -5,12 +5,11 @@
 //
 // Data layer:
 //
-//   - Retransmitter/Receiver give each overlay link sequenced,
-//     acknowledged delivery with a bounded replay buffer, so transient
-//     loss is repaired by NACK-driven retransmission;
 //   - RepairTree re-attaches the orphaned subtrees of a failed broker to
 //     their nearest surviving ancestor and reports which subscriptions
-//     must be re-issued.
+//     must be re-issued. The links themselves need no replay buffer:
+//     in-process links do not lose messages, and the TCP hop resends
+//     from its session windows (internal/transport).
 //
 // Query layer:
 //
@@ -23,121 +22,9 @@ package ft
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"cosmos/internal/overlay"
-	"cosmos/internal/stream"
 )
-
-// Seq is a per-link monotonically increasing sequence number.
-type Seq uint64
-
-// Frame is one sequenced datagram on a link.
-type Frame struct {
-	Seq   Seq
-	Tuple stream.Tuple
-}
-
-// Retransmitter is the sender side of one reliable link: it assigns
-// sequence numbers and keeps unacknowledged frames for replay, bounded
-// by Window frames (older unacked frames are dropped — the horizon a
-// receiver can recover from).
-type Retransmitter struct {
-	mu     sync.Mutex
-	next   Seq     // guarded by mu
-	buf    []Frame // guarded by mu; unacked, ascending seq
-	Window int
-}
-
-// NewRetransmitter builds a sender with the given replay window
-// (default 1024 when window <= 0).
-func NewRetransmitter(window int) *Retransmitter {
-	if window <= 0 {
-		window = 1024
-	}
-	return &Retransmitter{Window: window, next: 1}
-}
-
-// Send assigns the next sequence number and retains the frame.
-func (r *Retransmitter) Send(t stream.Tuple) Frame {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := Frame{Seq: r.next, Tuple: t}
-	r.next++
-	r.buf = append(r.buf, f)
-	if len(r.buf) > r.Window {
-		r.buf = r.buf[len(r.buf)-r.Window:]
-	}
-	return f
-}
-
-// Ack discards frames up to and including seq.
-func (r *Retransmitter) Ack(seq Seq) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i := sort.Search(len(r.buf), func(i int) bool { return r.buf[i].Seq > seq })
-	r.buf = append(r.buf[:0], r.buf[i:]...)
-}
-
-// Replay returns the retained frames in (from, to]; it errors when the
-// range has already been evicted (the receiver must resubscribe).
-func (r *Retransmitter) Replay(from, to Seq) ([]Frame, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) > 0 && from+1 < r.buf[0].Seq {
-		return nil, fmt.Errorf("ft: frames up to %d evicted (oldest retained %d)", from, r.buf[0].Seq)
-	}
-	var out []Frame
-	for _, f := range r.buf {
-		if f.Seq > from && f.Seq <= to {
-			out = append(out, f)
-		}
-	}
-	return out, nil
-}
-
-// Pending returns the number of unacknowledged frames.
-func (r *Retransmitter) Pending() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// Receiver is the receiving side: it detects gaps and emits NACK ranges.
-type Receiver struct {
-	mu   sync.Mutex
-	last Seq // guarded by mu
-}
-
-// Gap describes missing sequence numbers (exclusive from, inclusive to).
-type Gap struct{ From, To Seq }
-
-// Accept processes an arriving frame. It returns whether the frame is
-// new (not a duplicate) and, when a gap precedes it, the NACK range to
-// request.
-func (rc *Receiver) Accept(f Frame) (fresh bool, gap *Gap) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	switch {
-	case f.Seq <= rc.last:
-		return false, nil // duplicate or replayed frame already seen
-	case f.Seq == rc.last+1:
-		rc.last = f.Seq
-		return true, nil
-	default:
-		g := &Gap{From: rc.last, To: f.Seq - 1}
-		rc.last = f.Seq
-		return true, g
-	}
-}
-
-// Last returns the highest sequence number seen, the low-water mark for
-// acknowledgements.
-func (rc *Receiver) Last() Seq {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.last
-}
 
 // RepairResult describes a tree repair.
 type RepairResult struct {

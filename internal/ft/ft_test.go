@@ -19,61 +19,6 @@ func tup(ts stream.Timestamp, v int64) stream.Tuple {
 	return stream.MustTuple(testSchema, ts, stream.Int(v))
 }
 
-func TestRetransmitLostFrames(t *testing.T) {
-	tx := NewRetransmitter(64)
-	rx := &Receiver{}
-
-	f1 := tx.Send(tup(1, 1))
-	f2 := tx.Send(tup(2, 2))
-	f3 := tx.Send(tup(3, 3))
-
-	// Deliver 1, lose 2, deliver 3 → gap (1,2].
-	if fresh, gap := rx.Accept(f1); !fresh || gap != nil {
-		t.Fatalf("frame 1: fresh=%v gap=%v", fresh, gap)
-	}
-	fresh, gap := rx.Accept(f3)
-	if !fresh || gap == nil {
-		t.Fatalf("frame 3 should reveal a gap")
-	}
-	if gap.From != 1 || gap.To != 2 {
-		t.Fatalf("gap = %+v", gap)
-	}
-	// NACK-driven replay recovers frame 2.
-	frames, err := tx.Replay(gap.From, gap.To)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 1 || frames[0].Seq != f2.Seq || frames[0].Tuple.MustGet("v").AsInt() != 2 {
-		t.Fatalf("replay = %v", frames)
-	}
-	// Duplicates are rejected.
-	if fresh, _ := rx.Accept(f3); fresh {
-		t.Error("duplicate accepted")
-	}
-}
-
-func TestAckEvictsAndReplayBeyondHorizonFails(t *testing.T) {
-	tx := NewRetransmitter(4)
-	for i := 1; i <= 10; i++ {
-		tx.Send(tup(stream.Timestamp(i), int64(i)))
-	}
-	// Window 4 keeps frames 7..10 only.
-	if tx.Pending() != 4 {
-		t.Fatalf("pending = %d", tx.Pending())
-	}
-	if _, err := tx.Replay(2, 5); err == nil {
-		t.Error("replay beyond horizon should fail")
-	}
-	tx.Ack(8)
-	if tx.Pending() != 2 {
-		t.Errorf("pending after ack = %d", tx.Pending())
-	}
-	frames, err := tx.Replay(8, 10)
-	if err != nil || len(frames) != 2 {
-		t.Fatalf("replay after ack = %v, %v", frames, err)
-	}
-}
-
 func TestRepairTree(t *testing.T) {
 	g, err := topology.GeneratePowerLaw(40, 2, 3)
 	if err != nil {

@@ -816,8 +816,11 @@ func (c *Client) restore(conn net.Conn) error {
 	// a later attempt cannot learn it again: it is owed until one
 	// completes.
 	oweGap := func(cs *clientSub, gap Gap) {
+		if cs.onGap == nil {
+			return
+		}
 		c.mu.Lock()
-		c.owedGaps = append(c.owedGaps, func() { c.applyGap(cs, gap) })
+		c.owedGaps = append(c.owedGaps, func() { cs.onGap(gap) })
 		c.mu.Unlock()
 	}
 	for i, cs := range live {
@@ -862,18 +865,6 @@ func (c *Client) restore(conn net.Conn) error {
 		_, _, _ = c.roundTrip(&Request{Kind: MsgCancel, QueryTag: tag}, nil)
 	}
 	return nil
-}
-
-// applyGap reports a delivery gap per the configured policy.
-func (c *Client) applyGap(cs *clientSub, gap Gap) {
-	if cs.onGap != nil {
-		cs.onGap(gap)
-	}
-	if c.res.OnGap != GapError {
-		return
-	}
-	_, _, _ = c.roundTrip(&Request{Kind: MsgCancel, QueryTag: c.forget(cs)}, nil)
-	cs.end(fmt.Errorf("transport: delivery %s", gap))
 }
 
 // stateErr maps the client's current state to the error a failed call
@@ -1051,8 +1042,8 @@ func (c *Client) PublishWindow() int { return c.pub.depth() }
 // Cancel or Close (nil error), a server-side end such as a graceful
 // daemon shutdown (nil error), or an unrecoverable connection loss (the
 // error). onGap, which may be nil, fires after every reconnect that lost
-// results (see Gap); under GapError the subscription then ends with an
-// error instead of continuing.
+// results (see Gap), and the subscription keeps streaming; a consumer
+// that cannot tolerate a gap cancels from onGap.
 func (c *Client) Submit(cqlText string, userNode int, onResult func(stream.Tuple), onEnd func(error), onGap func(Gap)) (string, error) {
 	cs := &clientSub{cql: cqlText, userNode: userNode, onResult: onResult, onEnd: onEnd, onGap: onGap}
 	resp, err := c.callSub(&Request{Kind: MsgSubmit, CQL: cqlText, UserNode: userNode}, cs)

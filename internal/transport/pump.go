@@ -5,170 +5,97 @@ import (
 	"encoding/gob"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"cosmos/internal/handoff"
 )
 
 // pump is one connection's single writer for one direction: everything
 // that side sends is enqueued here and written by one goroutine
-// (Hazelcast Jet's single-writer discipline). The goroutine swaps the
-// queue against a recycled spare, hands the batch to process — which
-// owns the gob encoder and the frame scratch, and so runs lock-free —
-// and flushes the bufio.Writer only when the queue runs dry: whatever
-// accumulated while the previous write was in flight forms the next
-// batch. There is no linger timer and no batch-size setting. The server
-// instantiates it with control/result-flush/ack entries (resultPump), the
-// client with request/publish-flush/ack entries (requestPump); the
-// direction lives entirely in process.
+// (Hazelcast Jet's single-writer discipline). The goroutine takes the
+// queued entries as one batch, hands it to process — which owns the gob
+// encoder and the frame scratch, and so runs lock-free — and flushes
+// the bufio.Writer only when the queue runs dry: whatever accumulated
+// while the previous write was in flight forms the next batch. There is
+// no linger timer and no batch-size setting. The server instantiates it
+// with control/result-flush/ack entries (resultPump), the client with
+// request/publish-flush/ack entries (requestPump); the direction lives
+// entirely in process.
 type pump[E any] struct {
 	bw *bufio.Writer // all frame bytes funnel through here
-	// process writes one swapped-out batch onto bw and reports whether
-	// any bytes were written; it calls fail on a write error. Set once,
+	// process writes one taken batch onto bw and reports whether any
+	// bytes were written; it calls fail on a write error. Set once,
 	// before run starts.
 	process func(batch []E) bool
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []E   // guarded by mu
-	err    error // guarded by mu; first write error; the pump is dead after
-	closed bool  // guarded by mu
-	idle   bool  // guarded by mu; queue empty AND everything flushed — drain's barrier
+	q handoff.Queue[E]
+	// err is the first write error, or net.ErrClosed after close; the
+	// pump is dead once it is set.
+	err atomic.Pointer[error]
 
 	hdr  [frameHeaderSize]byte // writeFrame's scratch (a local would escape through bw.Write)
 	done chan struct{}         // closed when run returns
 }
 
-// Queue slices keep the capacity of the largest burst they carried. The
-// pump drops them — so a warm-up burst does not pin its high-water mark
-// for the connection's life — once it has gone idle pumpShrinkAfter
-// times in a row without carrying, between two idles, a batch of even a
-// pumpShrinkRatio-th of that capacity (slices of up to pumpKeepCap
-// entries are always kept). Waiting that long is what keeps recurring
-// bursts from dropping and regrowing the slices between each other,
-// which costs more than the capacity it frees.
-const (
-	pumpShrinkRatio = 8
-	pumpKeepCap     = 64
-	pumpShrinkAfter = 1024
-)
-
 func newPump[E any](w io.Writer, bufSize int) *pump[E] {
-	p := &pump[E]{bw: bufio.NewWriterSize(w, bufSize), done: make(chan struct{})}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+	return &pump[E]{bw: bufio.NewWriterSize(w, bufSize), done: make(chan struct{})}
 }
 
 //cosmos:hotpath
 func (p *pump[E]) enqueue(e E) error {
-	p.mu.Lock()
-	if p.err != nil || p.closed {
-		err := p.err
-		p.mu.Unlock()
-		if err == nil {
-			err = net.ErrClosed
-		}
-		return err
+	if p.q.Push(e) {
+		return nil
 	}
-	p.queue = append(p.queue, e)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	return nil
+	return *p.err.Load() // stop sets err before it closes the queue
 }
 
 // drain blocks until everything enqueued so far is on the wire (or the
 // pump died). Used by the graceful shutdown after the final MsgEnd
 // pushes, before the connection closes.
-func (p *pump[E]) drain() {
-	p.mu.Lock()
-	// idle alone is not enough: it can be stale-true from before the
-	// pump woke up to take a just-enqueued batch. The queue must also
-	// be empty (once the pump swaps a batch out it clears idle before
-	// releasing the lock, so empty+idle really means flushed).
-	for (len(p.queue) > 0 || !p.idle) && p.err == nil && !p.closed {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-}
+func (p *pump[E]) drain() { p.q.WaitIdle() }
 
 // close stops the pump goroutine; entries still queued are dropped
 // (their connection is going away).
-func (p *pump[E]) close() {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
+func (p *pump[E]) close() { p.stop(net.ErrClosed) }
+
+func (p *pump[E]) fail(err error) { p.stop(err) }
+
+// stop kills the pump with err unless it is dead already.
+func (p *pump[E]) stop(err error) {
+	p.err.CompareAndSwap(nil, &err)
+	p.q.Close()
 }
 
-func (p *pump[E]) fail(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-func (p *pump[E]) dead() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err != nil || p.closed
-}
+func (p *pump[E]) dead() bool { return p.err.Load() != nil }
 
 // depth gauges the pump's pending-entry backlog.
-func (p *pump[E]) depth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
+func (p *pump[E]) depth() int { return p.q.Len() }
 
-// run is the single writer. It swaps the queue against a recycled
-// spare (no allocation at steady state), writes the batch, and flushes
-// only when the queue goes dry — back-to-back entries ride the bufio
-// boundary instead.
+// run is the single writer. It writes each batch and flushes only when
+// the queue goes dry — back-to-back entries ride the bufio boundary
+// instead. Once the pump is dead, what is still queued reaches process,
+// which writes none of it, and nothing more is flushed.
 func (p *pump[E]) run() {
 	defer close(p.done)
-	var spare []E  // the batch written last, recycled as the next queue
 	dirty := false // bytes sit in bw since the last flush
-	peak := 0      // longest batch since the pump last went idle
-	slack := 0     // consecutive idles that found the slices oversized
 	for {
-		p.mu.Lock()
-		for len(p.queue) == 0 {
-			if p.closed || p.err != nil {
-				p.mu.Unlock()
-				return
-			}
-			if dirty {
-				p.mu.Unlock()
-				err := p.bw.Flush()
-				dirty = false
-				if err != nil {
+		batch := p.q.TryTake()
+		if len(batch) == 0 {
+			if dirty && !p.dead() {
+				if err := p.bw.Flush(); err != nil {
 					p.fail(err)
 				}
-				p.mu.Lock()
+				dirty = false
 				continue // something may have arrived during the flush
 			}
-			if keep := max(pumpShrinkRatio*peak, pumpKeepCap); cap(p.queue) <= keep && cap(spare) <= keep {
-				slack = 0
-			} else if slack++; slack == pumpShrinkAfter {
-				p.queue, spare, slack = nil, nil, 0
+			if batch = p.q.Take(); len(batch) == 0 {
+				return
 			}
-			peak = 0
-			p.idle = true
-			p.cond.Broadcast()
-			p.cond.Wait()
-			p.idle = false
 		}
-		batch := p.queue
-		p.queue = spare[:0]
-		p.mu.Unlock()
 		if p.process(batch) {
 			dirty = true
 		}
-		peak = max(peak, len(batch))
-		clear(batch) // drop tuple/request refs before recycling
-		spare = batch
 	}
 }
 

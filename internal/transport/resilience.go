@@ -34,23 +34,7 @@ type Resilience struct {
 	// The client applies a read deadline of three intervals, so a dead
 	// server is detected even when no results flow.
 	HeartbeatInterval time.Duration
-
-	// OnGap says what to do when a reconnect reveals lost results.
-	OnGap GapPolicy
 }
-
-// GapPolicy is the client's reaction to results lost across a
-// reconnect — only ever results the server no longer had.
-type GapPolicy int
-
-const (
-	// GapResume (default) reports the gap on the subscription and
-	// keeps streaming.
-	GapResume GapPolicy = iota
-	// GapError ends the subscription with an error describing the gap
-	// (exactly-once consumers resubscribe and rebuild instead).
-	GapError
-)
 
 // Gap describes results lost across a reconnect. A server that still
 // holds the session resends what the outage kept from the client, so a

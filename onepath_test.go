@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -26,9 +27,14 @@ import (
 // runtime, the SimNet-only outbox of worker emissions, and the unused
 // delay-weighted byte sum, the transport adapters and endpoint/link
 // tables SimNet and LiveNet each kept beside one shared cbn.Fabric, the
-// server's own lock around a synchronous System, and the per-subscription
-// result resume with its per-member sequence slabs —
-// are not declared or used anywhere, and cmd/cosmosbench is gone.
+// server's own lock around a synchronous System, the per-subscription
+// result resume with its per-member sequence slabs, and the wire pump's
+// own retention constants and the LiveNet client's lock-held pump start
+// beside handoff.Queue — are not declared or used anywhere, and
+// cmd/cosmosbench is gone. It also pins one hand-off queue: outside
+// internal/handoff, sync.NewCond builds only the three named state waits
+// (the transport client's state, its pubWindow, and a resultWindow), so
+// a hand-written cond-wait queue fails here.
 func TestOnePathStructure(t *testing.T) {
 	if _, err := os.Stat("cmd/cosmosbench"); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("cmd/cosmosbench exists (stat: %v); benchmark/ is the one instrument", err)
@@ -43,6 +49,7 @@ func TestOnePathStructure(t *testing.T) {
 		"WeightedDataCost",
 		"simTransport", "liveTransport", "liveEndpoint", "liveLinkStats", "allocIface", "cancelQuery",
 		"deliverySlab",
+		"pumpShrinkRatio", "pumpKeepCap", "pumpShrinkAfter", "ensurePumpLocked",
 	} {
 		retired[name] = true
 	}
@@ -55,6 +62,12 @@ func TestOnePathStructure(t *testing.T) {
 	}
 	retired["Msg"+"Publish"] = true
 	retired["Msg"+"Resume"] = true
+	// The state waits that may build a sync.Cond: file → assigned field.
+	stateWaits := map[string]bool{
+		"internal/transport/client.go c.cond":     true,
+		"internal/transport/client.go c.pub.cond": true,
+		"internal/transport/results.go w.cond":    true,
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -77,8 +90,14 @@ func TestOnePathStructure(t *testing.T) {
 		// The Eval methods call each other where they are defined.
 		evalHome := filepath.ToSlash(path) == "internal/predicate/predicate.go"
 		inProfile := filepath.ToSlash(filepath.Dir(path)) == "internal/profile"
+		inHandoff := filepath.ToSlash(filepath.Dir(path)) == "internal/handoff"
+		allowedCond := map[ast.Node]bool{}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Lhs) == 1 && len(n.Rhs) == 1 && stateWaits[filepath.ToSlash(path)+" "+types.ExprString(n.Lhs[0])] {
+					allowedCond[n.Rhs[0]] = true
+				}
 			case *ast.Ident:
 				if retired[n.Name] {
 					t.Errorf("%s: retired identifier %s", fset.Position(n.Pos()), n.Name)
@@ -86,6 +105,11 @@ func TestOnePathStructure(t *testing.T) {
 			case *ast.CallExpr:
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Eval" && !evalHome {
 					t.Errorf("%s: non-test call of a name-resolved Eval", fset.Position(n.Pos()))
+				}
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewCond" && !inHandoff && !allowedCond[n] {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sync" {
+						t.Errorf("%s: sync.NewCond outside the named state waits; hand off through handoff.Queue", fset.Position(n.Pos()))
+					}
 				}
 			case *ast.FuncDecl:
 				if inProfile && n.Recv != nil && (n.Name.Name == "Covers" || n.Name.Name == "Project") {
