@@ -173,6 +173,11 @@ type planSlot struct {
 	// first sampled push.
 	pushes, emits, errs int64          // guarded by mu
 	lat                 *obs.Histogram // guarded by mu
+
+	// out is the plan's emission buffer, reused push after push and
+	// cleared once emitted so it pins no tuple's values. Its size is the
+	// largest emission of a single push.
+	out []stream.Tuple // guarded by mu
 }
 
 // dispatchTable is one immutable snapshot of the per-stream dispatch
@@ -511,7 +516,7 @@ func (s *planSlot) push(r *Runtime, emit Sink, t stream.Tuple) (err error) {
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.dead = true
-				s.plan = nil
+				s.plan, s.out = nil, nil
 				//lint:ignore hotpath panic containment is the cold branch; capturing the stack is the point
 				err = &PanicError{PlanID: s.id, Value: rec, Stack: debug.Stack()}
 			}
@@ -520,14 +525,14 @@ func (s *planSlot) push(r *Runtime, emit Sink, t stream.Tuple) (err error) {
 			s.injectPanic = false
 			panic("exec: injected fault")
 		}
-		var out []stream.Tuple
-		out, err = s.plan.Push(t)
+		s.out, err = s.plan.PushAppend(s.out[:0], t)
 		if err == nil {
-			s.emits += int64(len(out))
-			for _, res := range out {
+			s.emits += int64(len(s.out))
+			for _, res := range s.out {
 				emit(res)
 			}
 		}
+		clear(s.out)
 	}()
 	s.pushes++
 	if err != nil {

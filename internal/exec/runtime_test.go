@@ -416,6 +416,38 @@ func TestDispatchNoMatchAllocationFree(t *testing.T) {
 	}
 }
 
+// TestConsumeSelectRunAllocationFree: a synchronous Consume of a
+// selection whose select list is a run of the arriving tuple's columns
+// allocates nothing. The plan shares the run of the tuple's values, and
+// the slot emits through its reused buffer.
+func TestConsumeSelectRunAllocationFree(t *testing.T) {
+	reg := stream.NewRegistry()
+	if err := sensordata.RegisterAll(reg); err != nil {
+		t.Fatal(err)
+	}
+	b, err := cql.AnalyzeString("SELECT station, temperature, humidity, solar, wind FROM Sensor00 [Now]", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitted := 0
+	rt := exec.New(exec.Config{Emit: func(stream.Tuple) { emitted++ }})
+	defer rt.Close()
+	if _, err := rt.Install("p", b, "r"); err != nil {
+		t.Fatal(err)
+	}
+	tp := sensordata.NewGenerator(0, 1).Next()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := rt.Consume(tp); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Consume allocates %.1f/op, want 0", allocs)
+	}
+	if emitted != 1001 {
+		t.Fatalf("emitted %d results, want 1001", emitted)
+	}
+}
+
 // TestInstallReplaceRemove: a tuple reaches every plan of its stream,
 // re-installing an ID swaps the plan in place, and a removed plan stops
 // emitting and leaves Plans.

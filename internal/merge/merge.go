@@ -13,7 +13,8 @@ package merge
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"cosmos/internal/cql"
 	"cosmos/internal/predicate"
@@ -219,6 +220,12 @@ func mergeAggregates(q1, q2 *cql.Bound) (*cql.Bound, error) {
 // unionCols unions the select columns of two queries plus any extra
 // column sets. Output names revert to canonical qualified names (user AS
 // aliases are per-member concerns, reapplied when results are delivered).
+// The order is the representative's own choice, since every member finds
+// its columns by name. A single-input representative keeps its source's
+// column order, the order the data plane delivers its input in, so a
+// select list that is a run of the input emits that run of the arriving
+// tuple without copying it. A join assembles every result afresh; its
+// columns are ordered by qualified name.
 func unionCols(q1, q2 *cql.Bound, extra ...[]cql.ColRef) ([]cql.ColRef, []string) {
 	all := append(append([]cql.ColRef{}, q1.SelectCols...), q2.SelectCols...)
 	for _, cols := range extra {
@@ -233,7 +240,12 @@ func unionCols(q1, q2 *cql.Bound, extra ...[]cql.ColRef) ([]cql.ColRef, []string
 			cols = append(cols, c)
 		}
 	}
-	sort.Slice(cols, func(i, j int) bool { return cols[i].String() < cols[j].String() })
+	if len(q1.From) == 1 {
+		src := q1.Schemas[q1.From[0].Alias]
+		slices.SortFunc(cols, func(a, b cql.ColRef) int { return src.ColIndex(a.Name) - src.ColIndex(b.Name) })
+	} else {
+		slices.SortFunc(cols, func(a, b cql.ColRef) int { return strings.Compare(a.String(), b.String()) })
+	}
 	names := make([]string, len(cols))
 	for i, c := range cols {
 		names[i] = c.String()

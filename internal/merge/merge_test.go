@@ -108,6 +108,59 @@ func TestPaperMergeQ1Q2(t *testing.T) {
 	}
 }
 
+// TestSingleInputRepresentativeKeepsLayoutOrder: a single-input
+// representative lists its columns in the source's layout order, not by
+// name. Four selections whose lists grow by one Load00 column each merge
+// to the whole stream in its own order, and a filter attribute a member
+// needs joins the list at its layout position.
+func TestSingleInputRepresentativeKeepsLayoutOrder(t *testing.T) {
+	reg := stream.NewRegistry()
+	if err := reg.Register(&stream.Info{Schema: stream.MustSchema("Load00",
+		stream.Field{Name: "seq", Kind: stream.KindInt},
+		stream.Field{Name: "pubns", Kind: stream.KindInt},
+		stream.Field{Name: "v0", Kind: stream.KindFloat},
+		stream.Field{Name: "v1", Kind: stream.KindFloat},
+		stream.Field{Name: "v2", Kind: stream.KindFloat},
+	), Rate: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		queries []string
+		want    string
+	}{
+		{[]string{
+			"SELECT seq, pubns FROM Load00 [Now]",
+			"SELECT seq, pubns, v0 FROM Load00 [Now]",
+			"SELECT seq, pubns, v0, v1 FROM Load00 [Now]",
+			"SELECT seq, pubns, v0, v1, v2 FROM Load00 [Now]",
+		}, "Load00.seq,Load00.pubns,Load00.v0,Load00.v1,Load00.v2"},
+		{[]string{
+			"SELECT v2, seq FROM Load00 [Now]",
+			"SELECT pubns FROM Load00 [Now] WHERE v1 > 5",
+		}, "Load00.seq,Load00.pubns,Load00.v1,Load00.v2"},
+	} {
+		var rep *cql.Bound
+		for _, text := range tc.queries {
+			q, err := cql.AnalyzeString(text, reg)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			if rep == nil {
+				rep = q
+			} else if rep, err = Queries(rep, q, ExactUnion); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []string
+		for _, c := range rep.SelectCols {
+			got = append(got, c.String())
+		}
+		if strings.Join(got, ",") != tc.want {
+			t.Errorf("%v: representative selects %v, want %s", tc.queries, got, tc.want)
+		}
+	}
+}
+
 func TestMemberProfileReTightensWindow(t *testing.T) {
 	q1, q2 := bind(t, q1Text), bind(t, q2Text)
 	rep, err := Queries(q1, q2, ExactUnion)

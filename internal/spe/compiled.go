@@ -27,9 +27,13 @@ type slotCol struct {
 // (aggregate plans keep theirs inside aggState).
 type compiledPlan struct {
 	// emitCols resolves the select list; tsSlots lists the slots whose
-	// hidden input-timestamp column is appended (IncludeInputTs).
-	emitCols []slotCol
-	tsSlots  []int
+	// hidden input-timestamp column is appended (IncludeInputTs). When a
+	// single input's select list is one contiguous run [runLo, runHi) of
+	// its columns (runHi > 0), a result of a pushed tuple the identity
+	// adapter passed through shares that run of the tuple's values.
+	emitCols     []slotCol
+	tsSlots      []int
+	runLo, runHi int
 	// cmps and resid evaluate the join predicates and residual DNF over
 	// the assembled joined value slice; trivial short-circuits both.
 	cmps    *predicate.CompiledCmps
@@ -42,7 +46,8 @@ type compiledPlan struct {
 	// the probing slot and, for a window row, slot i's segment of scratch
 	// filled from its store. All are reusable per-push buffers (Push is
 	// serialised per plan, under the plan's slot lock in the exec
-	// runtime; emitted tuples never alias them).
+	// runtime). An emitted tuple may share a run of the pushed tuple's
+	// values, never these buffers.
 	offsets []int
 	scratch []stream.Value
 	placed  []bool
@@ -84,6 +89,15 @@ func (p *Plan) buildCompiled(b *cql.Bound) error {
 				return fmt.Errorf("input of %s lacks %s", c.Qualifier, c.Name)
 			}
 			cp.emitCols = append(cp.emitCols, slotCol{in.slot, col})
+		}
+		if n == 1 && len(cp.emitCols) > 0 {
+			cp.runLo, cp.runHi = cp.emitCols[0].col, cp.emitCols[0].col+len(cp.emitCols)
+			for k, sc := range cp.emitCols {
+				if sc.col != cp.runLo+k {
+					cp.runLo, cp.runHi = 0, 0
+					break
+				}
+			}
 		}
 		if b.IncludeInputTs && len(b.From) > 1 {
 			for i, ref := range b.From {
@@ -173,14 +187,15 @@ func (in *inputState) rebindAdapter(src *stream.Schema) error {
 	return nil
 }
 
-// pushInput runs one tuple through one input of the plan.
-func (p *Plan) pushInput(in *inputState, t stream.Tuple) ([]stream.Tuple, error) {
+// pushInput runs one tuple through one input of the plan, appending
+// what it emits to dst.
+func (p *Plan) pushInput(dst []stream.Tuple, in *inputState, t stream.Tuple) ([]stream.Tuple, error) {
 	vals, err := in.adapt(t)
 	if err != nil {
-		return nil, fmt.Errorf("spe %s: input tuple: %w", p.ID, err)
+		return dst, fmt.Errorf("spe %s: input tuple: %w", p.ID, err)
 	}
 	if !in.selC.IsTrue() && !in.selC.EvalValues(vals, t.Ts) {
-		return nil, nil
+		return dst, nil
 	}
 	if p.agg != nil {
 		p.evict(in)
@@ -188,27 +203,26 @@ func (p *Plan) pushInput(in *inputState, t stream.Tuple) ([]stream.Tuple, error)
 		// Rebind from the bound's placeholder schema to the plan's
 		// registered result stream schema.
 		row.Schema = p.Result
-		return []stream.Tuple{row}, nil
+		return append(dst, row), nil
 	}
 	cp := p.cp
 	cp.place(in.slot, vals, t.Ts)
 	if !cp.trivial {
 		copy(cp.scratch[cp.offsets[in.slot]:], vals)
 	}
-	var out []stream.Tuple
 	if len(p.inputs) == 1 {
 		if cp.accept() {
-			out = append(out, cp.emit(p))
+			dst = append(dst, cp.emit(p, cp.runHi > 0 && in.ad.identity))
 		}
 	} else {
 		for _, other := range p.inputs {
 			p.evict(other)
 		}
-		p.dfsCompiled(0, &out)
+		p.dfsCompiled(0, &dst)
 		in.insert(vals, t.Ts)
 	}
 	cp.unplace(in.slot)
-	return out, nil
+	return dst, nil
 }
 
 // dfsCompiled enumerates join combinations depth-first in input order —
@@ -221,7 +235,7 @@ func (p *Plan) dfsCompiled(i int, out *[]stream.Tuple) {
 	cp := p.cp
 	if i == len(p.inputs) {
 		if cp.accept() {
-			*out = append(*out, cp.emit(p))
+			*out = append(*out, cp.emit(p, false))
 		}
 		return
 	}
@@ -290,10 +304,17 @@ func (cp *compiledPlan) accept() bool {
 	return cp.resid == nil || cp.resid.EvalValues(cp.scratch, cp.comboTs())
 }
 
-// emit projects the combination into the result schema through the
+// emit projects the combination into a result tuple through the
 // pre-resolved (slot, column) pairs. Kinds were validated at compile
-// time, so the tuple is built directly.
-func (cp *compiledPlan) emit(p *Plan) stream.Tuple {
+// time, so the tuple is built directly. With share set, the lone slot's
+// row is the pushed tuple's own Values, published and never written
+// again, and the select list is a run of it: the result shares the run,
+// capped so no append through it reaches the columns after it.
+// Otherwise the values are copied.
+func (cp *compiledPlan) emit(p *Plan, share bool) stream.Tuple {
+	if share {
+		return stream.Tuple{Schema: p.Result, Ts: cp.ts[0], Values: cp.rows[0][cp.runLo:cp.runHi:cp.runHi]}
+	}
 	values := make([]stream.Value, 0, p.Result.Arity())
 	for _, sc := range cp.emitCols {
 		values = append(values, cp.rows[sc.slot][sc.col])

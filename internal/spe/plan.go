@@ -37,8 +37,9 @@
 // A plan's emission sequence is a total order over its pushes; order
 // across plans is the host's business (exec.Runtime runs plans in
 // plan-ID order synchronously, or shards them across a worker pool).
-// Plan.Push assumes single-threaded access per plan — whoever hosts a
-// plan must serialise its pushes, which exec does under a per-plan lock.
+// Plan.PushAppend (and Push, its fresh-slice form) assumes
+// single-threaded access per plan — whoever hosts a plan must serialise
+// its pushes, which exec does under a per-plan lock.
 package spe
 
 import (
@@ -193,32 +194,41 @@ func (p *Plan) InputStreams() []string {
 	return out
 }
 
-// Push processes one input tuple, returning emitted result tuples. Tuples
-// must arrive with per-stream non-decreasing timestamps; cross-stream
-// interleaving is tolerated (the watermark is the max seen timestamp).
+// Push processes one input tuple, returning emitted result tuples: it is
+// PushAppend into a fresh slice.
+func (p *Plan) Push(t stream.Tuple) ([]stream.Tuple, error) { return p.PushAppend(nil, t) }
+
+// PushAppend processes one input tuple, appending the emitted result
+// tuples to dst in emission order. Tuples must arrive with per-stream
+// non-decreasing timestamps; cross-stream interleaving is tolerated (the
+// watermark is the max seen timestamp). On error nothing is appended:
+// the result has dst's length.
 //
-//cosmos:hotpath-ok — SPE boundary: operator graphs allocate by design; budget pinned by the spe benchmarks
-func (p *Plan) Push(t stream.Tuple) ([]stream.Tuple, error) {
+// A result's Values are its own unless the select list is one contiguous
+// run of a single input's columns and the tuple arrived in the input's
+// layout: then they are the pushed tuple's Values[lo:hi:hi], shared under
+// the rule that a published tuple's values are never written again. A
+// selection copies nothing then, so a caller that reuses dst (exec does,
+// per plan) pushes without allocating.
+//
+//cosmos:hotpath-ok — SPE boundary: joins and aggregates allocate their rows by design; budget pinned by the spe AllocsPerRun tests
+func (p *Plan) PushAppend(dst []stream.Tuple, t stream.Tuple) ([]stream.Tuple, error) {
 	ins, ok := p.byStream[t.Schema.Stream]
 	if !ok {
-		return nil, nil // not an input of this plan
+		return dst, nil // not an input of this plan
 	}
 	if t.Ts > p.watermark {
 		p.watermark = t.Ts
 	}
-	if len(ins) == 1 {
-		// Common case (no self-join): skip the cross-alias collector.
-		return p.pushInput(ins[0], t)
-	}
-	var out []stream.Tuple
-	for _, in := range ins {
-		emitted, err := p.pushInput(in, t)
-		if err != nil {
-			return nil, err
+	n := len(dst)
+	for _, in := range ins { // several only for a self-join
+		var err error
+		if dst, err = p.pushInput(dst, in, t); err != nil {
+			clear(dst[n:])
+			return dst[:n], err
 		}
-		out = append(out, emitted...)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // evict drops rows that can no longer join anything given the

@@ -10,7 +10,9 @@ import (
 // new tuples rather than mutating inputs. A published tuple's Values are
 // shared downstream and never written again: a broker forwards the
 // tuple itself when a route wants every column, and a capped subslice
-// of its Values when the route keeps one contiguous run of them.
+// of its Values when the route keeps one contiguous run of them; a
+// plan's selection whose select list is such a run emits that capped
+// subslice as its result's Values.
 type Tuple struct {
 	Schema *Schema
 	Ts     Timestamp
