@@ -19,10 +19,10 @@
 //     suppression needs the full predicate algebra. Demand is state, not
 //     a log of deltas: each interface holds one profile, which an update
 //     replaces, and each change is forwarded toward the stream's sources
-//     whether it widens or narrows the demand. Every mutation that feeds
-//     routing (demand, interfaces) invalidates the compiled routing
-//     table; HandleAdvertise needs no invalidation because advert state
-//     never enters the table.
+//     whether it widens or narrows the demand. A demand change or a prune
+//     invalidates the compiled entries of the streams it touched, a new
+//     interface or catalog the whole table; HandleAdvertise needs no
+//     invalidation because advert state never enters the table.
 //   - Data plane (RouteTuple): reads an immutable routing table published
 //     through an atomic.Pointer — one map lookup per tuple, then
 //     index-resolved predicate evaluation (predicate.Compiled) and early
@@ -59,6 +59,7 @@ package cbn
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -156,8 +157,9 @@ type Broker struct {
 	ID int
 
 	// table is the compiled routing table read lock-free by RouteTuple.
-	// nil until the first tuple of any stream is routed; reset to nil by
-	// every control-plane mutation.
+	// nil until the first tuple of any stream is routed. A demand change
+	// or a prune drops the entries of the streams it touched; AttachIface
+	// and SetCatalog drop the whole table.
 	table atomic.Pointer[routeTable]
 
 	// mu is the control-plane lock; every field below is guarded by mu.
@@ -201,14 +203,20 @@ func (b *Broker) SetCatalog(reg *stream.Registry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.catalog = reg
-	b.invalidateLocked()
+	b.table.Store(nil)
 }
 
-// invalidateLocked discards the compiled routing table; the next routed
-// tuple of each stream recompiles it from current broker state. Callers
-// hold b.mu.
-func (b *Broker) invalidateLocked() {
-	b.table.Store(nil)
+// dropLocked discards the compiled entries of the named streams; the
+// next routed tuple of each recompiles it from current broker state.
+// Other streams keep their entries. Callers hold b.mu.
+func (b *Broker) dropLocked(names ...string) {
+	if old := b.table.Load(); old != nil {
+		streams := maps.Clone(old.streams)
+		for _, name := range names {
+			delete(streams, name)
+		}
+		b.table.Store(&routeTable{streams: streams})
+	}
 }
 
 // AttachIface registers an interface.
@@ -222,7 +230,7 @@ func (b *Broker) AttachIface(id IfaceID) {
 	}
 	b.ifaces = append(b.ifaces, id)
 	sort.Slice(b.ifaces, func(i, j int) bool { return b.ifaces[i] < b.ifaces[j] })
-	b.invalidateLocked()
+	b.table.Store(nil)
 }
 
 // Ifaces returns the attached interface IDs, sorted.
@@ -341,7 +349,7 @@ func (b *Broker) setDemandLocked(p *profile.Profile, streams []string, from Ifac
 	if len(cur.Streams) == 0 {
 		delete(b.agg, from)
 	}
-	b.invalidateLocked()
+	b.dropLocked(changed...)
 	return b.forwardLocked(changed)
 }
 
@@ -520,17 +528,13 @@ func (b *Broker) internProjSchema(ps *stream.Schema) *stream.Schema {
 // publishLocked installs a stream's compiled entry into a fresh immutable
 // table snapshot (copy-on-write). Callers hold b.mu.
 func (b *Broker) publishLocked(name string, st *streamTable) {
-	old := b.table.Load()
-	var streams map[string]*streamTable
-	if old == nil {
-		streams = map[string]*streamTable{name: st}
-	} else {
-		streams = make(map[string]*streamTable, len(old.streams)+1)
-		for k, v := range old.streams {
-			streams[k] = v
-		}
-		streams[name] = st
+	var old map[string]*streamTable
+	if tbl := b.table.Load(); tbl != nil {
+		old = tbl.streams
 	}
+	streams := make(map[string]*streamTable, len(old)+1)
+	maps.Copy(streams, old)
+	streams[name] = st
 	b.table.Store(&routeTable{streams: streams})
 }
 
@@ -561,7 +565,7 @@ func (b *Broker) KnowsSource(streamName string) bool {
 func (b *Broker) PruneStream(name string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.invalidateLocked()
+	b.dropLocked(name)
 	delete(b.adverts, name)
 	for _, m := range []map[IfaceID]*profile.Profile{b.agg, b.sent} {
 		for iface, p := range m {

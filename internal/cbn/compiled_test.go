@@ -402,11 +402,11 @@ func TestCompiledTableSurvivesUpstreamRebuild(t *testing.T) {
 	}
 
 	// A subscription arriving at the upstream broker only (fully covered,
-	// so nothing propagates downstream) invalidates broker 0's table.
+	// so nothing propagates downstream) invalidates broker 0's entry.
 	extra := net.AttachClient(0)
 	extra.Subscribe(tempProfile(30, []string{"station", "temp"}))
-	if net.Broker(0).table.Load() != nil {
-		t.Fatal("upstream table should be invalidated by the new subscription")
+	if tbl := net.Broker(0).table.Load(); tbl != nil && tbl.streams["Sensor1"] != nil {
+		t.Fatal("upstream entry should be invalidated by the new subscription")
 	}
 
 	if err := src.Publish(sensorTuple(2, 1, 21, 50)); err != nil {
@@ -431,31 +431,68 @@ func TestCompiledTableSurvivesUpstreamRebuild(t *testing.T) {
 	}
 }
 
-// TestControlPlaneInvalidatesCompiledTable checks that every control
-// plane mutation discards the published table, and that rebuilt routing
-// reflects the new state.
+// TestControlPlaneInvalidatesCompiledTable checks that a control-plane
+// mutation discards the compiled entries of exactly the streams it
+// touched — a demand change or a prune leaves every other stream's entry
+// in place, pointer for pointer — that a new interface discards the
+// whole table, and that rebuilt routing reflects the new state.
 func TestControlPlaneInvalidatesCompiledTable(t *testing.T) {
-	build := func() *Broker {
+	other := stream.MustSchema("Sensor2", sensorSchema.Fields...)
+	otherTuple := stream.MustTuple(other, 1, stream.Int(2), stream.Float(20), stream.Float(50))
+	build := func() (*Broker, *streamTable) {
 		b := NewBroker(0)
 		b.AttachIface(0)
 		b.AttachIface(1)
 		b.HandleSubscribe(tempProfile(10, nil), 1)
-		if _, err := b.RouteTuple(sensorTuple(1, 1, 20, 50), 0); err != nil {
-			t.Fatal(err)
+		p := profile.New()
+		p.AddStream("Sensor2", nil, predicate.DNF{{predicate.C("temp", predicate.GT, stream.Float(10))}})
+		b.HandleSubscribe(p, 1)
+		for _, tp := range []stream.Tuple{sensorTuple(1, 1, 20, 50), otherTuple} {
+			if _, err := b.RouteTuple(tp, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if b.table.Load() == nil {
-			t.Fatal("routing a tuple should publish a compiled table")
+		tbl := b.table.Load()
+		if tbl == nil || tbl.streams["Sensor1"] == nil || tbl.streams["Sensor2"] == nil {
+			t.Fatal("routing a tuple should publish its stream's compiled entry")
 		}
-		return b
+		return b, tbl.streams["Sensor2"]
+	}
+	// touchedOnly checks that Sensor1's entry is gone and Sensor2's kept.
+	touchedOnly := func(t *testing.T, b *Broker, kept *streamTable, op string) {
+		t.Helper()
+		tbl := b.table.Load()
+		if tbl == nil {
+			t.Fatalf("%s must not discard the untouched streams' entries", op)
+		}
+		if tbl.streams["Sensor1"] != nil {
+			t.Fatalf("%s must invalidate the touched stream's entry", op)
+		}
+		if tbl.streams["Sensor2"] != kept {
+			t.Fatalf("%s must leave the untouched stream's entry in place", op)
+		}
 	}
 
 	t.Run("HandleSubscribe", func(t *testing.T) {
-		b := build()
-		b.AttachIface(2)
-		b.HandleSubscribe(tempProfile(30, nil), 2)
-		if b.table.Load() != nil {
-			t.Fatal("HandleSubscribe must invalidate the compiled table")
+		b, kept := build()
+		b.HandleSubscribe(tempProfile(5, nil), 1) // widens Sensor1's demand
+		touchedOnly(t, b, kept, "HandleSubscribe")
+		out, err := b.RouteTuple(sensorTuple(2, 1, 8, 50), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(out) != 1 {
+			t.Fatalf("rebuilt entry should deliver once, got %d", len(out))
+		}
+	})
+
+	t.Run("AttachIface", func(t *testing.T) {
+		b, _ := build()
+		b.AttachIface(2)
+		if b.table.Load() != nil {
+			t.Fatal("AttachIface must invalidate the whole compiled table")
+		}
+		b.HandleSubscribe(tempProfile(30, nil), 2)
 		out, err := b.RouteTuple(sensorTuple(2, 1, 35, 50), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -466,11 +503,9 @@ func TestControlPlaneInvalidatesCompiledTable(t *testing.T) {
 	})
 
 	t.Run("HandleDemand", func(t *testing.T) {
-		b := build()
-		b.HandleDemand(nil, 1)
-		if b.table.Load() != nil {
-			t.Fatal("HandleDemand must invalidate the compiled table")
-		}
+		b, kept := build()
+		b.HandleDemand(nil, 1, "Sensor1")
+		touchedOnly(t, b, kept, "HandleDemand")
 		out, err := b.RouteTuple(sensorTuple(2, 1, 20, 50), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -478,14 +513,15 @@ func TestControlPlaneInvalidatesCompiledTable(t *testing.T) {
 		if len(out) != 0 {
 			t.Fatalf("after the demand is withdrawn nothing should be delivered, got %d", len(out))
 		}
+		if out, _ := b.RouteTuple(otherTuple, 0); len(out) != 1 {
+			t.Fatalf("the untouched stream should still be delivered, got %d", len(out))
+		}
 	})
 
 	t.Run("PruneStream", func(t *testing.T) {
-		b := build()
+		b, kept := build()
 		b.PruneStream("Sensor1")
-		if b.table.Load() != nil {
-			t.Fatal("PruneStream must invalidate the compiled table")
-		}
+		touchedOnly(t, b, kept, "PruneStream")
 		out, err := b.RouteTuple(sensorTuple(2, 1, 20, 50), 0)
 		if err != nil {
 			t.Fatal(err)

@@ -89,63 +89,44 @@ func (Estimator) SelectivityConstraint(info *stream.Info, c predicate.Constraint
 }
 
 // SelectivityConj estimates a conjunction's selectivity assuming
-// attribute independence, but collapsing multiple range constraints on
-// the same term into a single interval so that "a ≥ 2 AND a ≤ 5" is not
-// double-counted.
+// attribute independence. It reads the conjunction's predicate.Summary:
+// an unsatisfiable conjunction selects nothing, and a term constrained
+// only by numeric range comparisons, with known statistics, takes its
+// combined interval, so that "a ≥ 2 AND a ≤ 5" is not double-counted.
+// Every other term multiplies its constraints' selectivities in order.
 func (e Estimator) SelectivityConj(info *stream.Info, cj predicate.Conj) float64 {
 	if len(cj) == 0 {
 		return 1
 	}
-	if !cj.Satisfiable() {
+	sum := predicate.Summarize(cj)
+	if !sum.Satisfiable() {
 		return 0
 	}
-	// Partition constraints per term; handle pure-range terms via the
-	// combined interval, everything else constraint-wise.
-	perTerm := map[string][]predicate.Constraint{}
-	order := []string{}
-	for _, c := range cj {
-		key := c.Term.String()
-		if _, seen := perTerm[key]; !seen {
-			order = append(order, key)
-		}
-		perTerm[key] = append(perTerm[key], c)
-	}
 	sel := 1.0
-	for _, key := range order {
-		cons := perTerm[key]
-		if s, ok := e.rangeOnlySelectivity(info, cons); ok {
+	terms := sum.Terms()
+	for i := range terms {
+		if s, ok := rangeSelectivity(info, &terms[i]); ok {
 			sel *= s
 			continue
 		}
-		for _, c := range cons {
+		for _, c := range terms[i].Constraints {
 			sel *= e.SelectivityConstraint(info, c)
 		}
 	}
 	return clamp01(sel)
 }
 
-// rangeOnlySelectivity handles a term constrained exclusively by range
-// operators with known stats, returning the width of the intersected
+// rangeSelectivity handles a term constrained exclusively by numeric
+// range comparisons with known stats, returning the width of their
 // interval over the domain span.
-func (e Estimator) rangeOnlySelectivity(info *stream.Info, cons []predicate.Constraint) (float64, bool) {
-	if info == nil || len(cons) < 2 {
+func rangeSelectivity(info *stream.Info, t *predicate.TermSummary) (float64, bool) {
+	iv, ok := t.RangeInterval()
+	if !ok || info == nil || t.Term.IsDiff() {
 		return 0, false
 	}
-	term := cons[0].Term
-	if term.IsDiff() {
-		return 0, false
-	}
-	stats, ok := info.Stats[term.A]
+	stats, ok := info.Stats[t.Term.A]
 	if !ok || stats.Span() <= 0 {
 		return 0, false
-	}
-	iv := predicate.Universal()
-	for _, c := range cons {
-		one, isRange := predicate.FromOp(c.Op, c.Const.AsFloat())
-		if !isRange || c.Op == predicate.EQ {
-			return 0, false
-		}
-		iv = iv.Intersect(one)
 	}
 	return clamp01(iv.Width(stats.Min, stats.Max) / stats.Span()), true
 }

@@ -23,6 +23,7 @@ package predicate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -381,31 +382,36 @@ func (d DNF) Attrs() []string {
 
 // Simplify removes unsatisfiable disjuncts and disjuncts covered by
 // (implying) another disjunct. This is the covering optimisation CBN
-// routing tables rely on to stay compact.
+// routing tables rely on to stay compact. Each disjunct is summarised
+// once; the pairwise covering tests compare summaries.
 func (d DNF) Simplify() DNF {
 	kept := make(DNF, 0, len(d))
+	sums := make([]Summary, 0, len(d))
 	for _, cj := range d {
-		if !cj.Satisfiable() {
+		s := Summarize(cj)
+		if !s.Satisfiable() {
 			continue
 		}
 		kept = append(kept, cj)
+		sums = append(sums, s)
 	}
-	out := make(DNF, 0, len(kept))
-	for i, cj := range kept {
+	// Compact kept in place: the covering tests read only sums.
+	out := kept[:0]
+	for i := range sums {
 		covered := false
-		for j, other := range kept {
+		for j := range sums {
 			if i == j {
 				continue
 			}
-			// Drop cj if some other disjunct covers it. Break ties by
-			// index so that two identical disjuncts keep exactly one.
-			if Implies(cj, other) && (j < i || !Implies(other, cj)) {
+			// Drop disjunct i if some other disjunct covers it. Break ties
+			// by index so that two identical disjuncts keep exactly one.
+			if sums[i].Implies(sums[j]) && (j < i || !sums[j].Implies(sums[i])) {
 				covered = true
 				break
 			}
 		}
 		if !covered {
-			out = append(out, cj)
+			out = append(out, kept[i])
 		}
 	}
 	return out
@@ -436,20 +442,14 @@ func (d DNF) String() string {
 
 // ImpliesDNF reports whether a ⟹ b holds for DNFs, using the sound (but
 // incomplete) disjunct-wise test: every disjunct of a must imply some
-// disjunct of b.
+// disjunct of b. Each disjunct is summarised once.
 func ImpliesDNF(a, b DNF) bool {
+	sb := make([]Summary, len(b))
+	for i, cj := range b {
+		sb[i] = Summarize(cj)
+	}
 	for _, cja := range a {
-		if !cja.Satisfiable() {
-			continue
-		}
-		found := false
-		for _, cjb := range b {
-			if Implies(cja, cjb) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if sa := Summarize(cja); sa.Satisfiable() && !slices.ContainsFunc(sb, sa.Implies) {
 			return false
 		}
 	}

@@ -206,14 +206,15 @@ func TestImpliesDirected(t *testing.T) {
 	}
 }
 
-func TestEquivalent(t *testing.T) {
+func TestImpliesBothDirections(t *testing.T) {
 	a := Conj{C("x", GE, stream.Int(3)), C("x", LE, stream.Int(3))}
 	b := Conj{C("x", EQ, stream.Int(3))}
-	if !Equivalent(a, b) {
+	if !Implies(a, b) || !Implies(b, a) {
 		t.Error("x in [3,3] should be equivalent to x=3")
 	}
-	if Equivalent(a, Conj{C("x", EQ, stream.Int(4))}) {
-		t.Error("different points must not be equivalent")
+	c := Conj{C("x", EQ, stream.Int(4))}
+	if Implies(a, c) || Implies(c, a) {
+		t.Error("different points must not imply each other")
 	}
 }
 
@@ -517,21 +518,33 @@ func TestConjStringCanonical(t *testing.T) {
 	}
 }
 
-func TestIntervalFor(t *testing.T) {
-	cj := Conj{C("x", GE, stream.Int(2)), C("x", LT, stream.Int(8))}
-	iv, ok := cj.IntervalFor(Attr("x"))
-	if !ok || iv.String() != "[2, 8)" {
-		t.Errorf("IntervalFor = %v, %v", iv, ok)
+func TestSummaryTerms(t *testing.T) {
+	cj := Conj{
+		C("x", GE, stream.Int(2)),
+		C("y", EQ, stream.Int(1)),
+		Constraint{Term: Diff("a.ts", "b.ts"), Op: LE, Const: stream.Int(5)},
+		C("x", LT, stream.Int(8)),
 	}
-	if _, ok := cj.IntervalFor(Attr("y")); ok {
-		t.Error("unconstrained term should report !ok")
+	s := Summarize(cj)
+	terms := s.Terms()
+	if len(terms) != 3 {
+		t.Fatalf("want 3 terms, got %d", len(terms))
 	}
-}
-
-func TestParseTermKeyRoundTrip(t *testing.T) {
-	for _, tm := range []Term{Attr("x"), Diff("a.ts", "b.ts"), Attr("O.itemID")} {
-		if got := parseTermKey(tm.String()); got != tm {
-			t.Errorf("round trip %v -> %v", tm, got)
-		}
+	x := &terms[0]
+	if x.Term != Attr("x") || len(x.Constraints) != 2 ||
+		x.Constraints[0] != cj[0] || x.Constraints[1] != cj[3] {
+		t.Errorf("x summary holds %v", x.Constraints)
+	}
+	if iv, ok := x.RangeInterval(); !ok || iv.String() != "[2, 8)" {
+		t.Errorf("x interval = %v, %v", iv, ok)
+	}
+	if _, ok := terms[1].RangeInterval(); ok {
+		t.Error("an equality is not a range comparison")
+	}
+	if terms[2].Term != Diff("a.ts", "b.ts") {
+		t.Errorf("third term = %v", terms[2].Term)
+	}
+	if s.find(Attr("z")) != nil {
+		t.Error("unconstrained term should have no summary")
 	}
 }

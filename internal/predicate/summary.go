@@ -1,175 +1,104 @@
 package predicate
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"cosmos/internal/stream"
 )
 
-// termSummary condenses all constraints a conjunction places on one term
-// into a normal form: a numeric interval plus exclusion points for numeric
-// terms, an equality/exclusion view for strings, and a bag of opaque
-// constraints (e.g. string range comparisons) that are only reasoned about
-// syntactically.
-type termSummary struct {
-	iv       Interval
-	ne       map[float64]bool // numeric points excluded via NE
-	strEq    *string          // exact string equality, nil if none
-	strNe    map[string]bool
-	opaque   map[string]bool // canonical renderings of opaque constraints
-	conflict bool            // contradictory constraints (unsatisfiable)
+// Summary is the per-term normal form of a conjunction, built once by
+// Summarize. It is the one place that decides how the constraints on a
+// term combine: satisfiability, implication, the hull and the cost
+// model's selectivity estimate all read it.
+type Summary struct {
+	terms []TermSummary // first-appearance order
+	unsat bool          // some term admits no value
 }
 
-func newTermSummary() *termSummary {
-	return &termSummary{
-		iv:     Universal(),
-		ne:     map[float64]bool{},
-		strNe:  map[string]bool{},
-		opaque: map[string]bool{},
-	}
+// TermSummary condenses the constraints a conjunction places on one term:
+// a numeric interval plus excluded points for numeric constants, an
+// equality/exclusion view for strings, and the opaque constraints (string
+// range comparisons, constants of no known kind) that are only reasoned
+// about syntactically. The sets are small slices, nil when empty, as they
+// almost always are.
+type TermSummary struct {
+	Term        Term
+	Constraints Conj // the term's constraints, in conjunction order
+	// last is the index in the conjunction of the last constraint while
+	// Constraints is a view of it, else -1.
+	last      int
+	iv        Interval
+	ne        []float64 // numeric points excluded via NE
+	strEq     string    // exact string equality, when hasStrEq
+	hasStrEq  bool
+	strNe     []string
+	opaque    []Constraint
+	conflict  bool // two different string equalities
+	rangeOnly bool // every constraint is a numeric range comparison
 }
 
-// add folds one constraint into the summary.
-func (s *termSummary) add(c Constraint) {
-	switch c.Const.Kind() {
-	case stream.KindInt, stream.KindFloat, stream.KindTime, stream.KindBool:
-		v := c.Const.AsFloat()
-		if c.Op == NE {
-			s.ne[v] = true
-			return
-		}
-		iv, ok := FromOp(c.Op, v)
-		if ok {
-			s.iv = s.iv.Intersect(iv)
-		}
-	case stream.KindString:
-		str := c.Const.AsString()
-		switch c.Op {
-		case EQ:
-			if s.strEq != nil && *s.strEq != str {
-				s.conflict = true
-				return
-			}
-			cp := str
-			s.strEq = &cp
-		case NE:
-			s.strNe[str] = true
+// Summarize normalises a conjunction into one summary per constrained
+// term.
+func Summarize(cj Conj) Summary {
+	s := Summary{terms: make([]TermSummary, 0, len(cj))}
+	for k, c := range cj {
+		t := s.find(c.Term)
+		switch {
+		case t == nil:
+			s.terms = append(s.terms, TermSummary{Term: c.Term, Constraints: cj[k : k+1 : k+1], last: k, rangeOnly: true})
+			t = &s.terms[len(s.terms)-1]
+		case t.last == k-1:
+			// The term's constraints so far end just before c: widen the
+			// view of cj, as for the usual "x >= a AND x <= b".
+			t.Constraints, t.last = cj[k-len(t.Constraints):k+1:k+1], k
 		default:
-			// String range comparison: keep opaquely.
-			s.opaque[c.String()] = true
+			// The view's capacity is its length, so this copies it.
+			t.Constraints, t.last = append(t.Constraints, c), -1
 		}
-	default:
-		s.opaque[c.String()] = true
+		t.add(c)
 	}
+	for i := range s.terms {
+		if !s.terms[i].satisfiable() {
+			s.unsat = true
+		}
+	}
+	return s
 }
 
-// satisfiable reports whether the summary admits any value. For numeric
-// terms an NE exclusion only empties a point interval.
-func (s *termSummary) satisfiable() bool {
-	if s.conflict {
-		return false
+// find returns the summary of a term, or nil when it is unconstrained.
+func (s Summary) find(term Term) *TermSummary {
+	for i := range s.terms {
+		if s.terms[i].Term == term {
+			return &s.terms[i]
+		}
 	}
-	if s.iv.Empty() {
-		return false
-	}
-	if p, ok := s.iv.IsPoint(); ok && s.ne[p] {
-		return false
-	}
-	if s.strEq != nil && s.strNe[*s.strEq] {
-		return false
-	}
-	return true
+	return nil
 }
 
-// excludes reports whether the summary provably rejects the numeric point p.
-func (s *termSummary) excludes(p float64) bool {
-	if s.ne[p] {
-		return true
-	}
-	return !s.iv.Contains(p)
-}
-
-// impliedBy reports whether any value satisfying "other" also satisfies s
-// (i.e. other ⟹ s for this term). The test is sound but not complete.
-func (s *termSummary) impliedBy(other *termSummary) bool {
-	// Numeric part: other's admissible region must sit inside s's.
-	if !s.iv.ContainsInterval(other.iv) {
-		// One rescue: s's interval may exclude only points other excludes
-		// via NE; we do not chase that completeness hole and simply fail.
-		return false
-	}
-	for p := range s.ne {
-		if !other.excludes(p) {
-			return false
-		}
-	}
-	// String part.
-	if s.strEq != nil {
-		if other.strEq == nil || *other.strEq != *s.strEq {
-			return false
-		}
-	}
-	for str := range s.strNe {
-		if other.strEq != nil && *other.strEq != str {
-			continue // equality to a different string excludes str
-		}
-		if !other.strNe[str] {
-			return false
-		}
-	}
-	// Opaque constraints must appear verbatim on the other side.
-	for o := range s.opaque {
-		if !other.opaque[o] {
-			return false
-		}
-	}
-	return true
-}
-
-// summaries normalises a conjunction into per-term summaries keyed by the
-// term's canonical rendering.
-func summarize(cj Conj) map[string]*termSummary {
-	out := map[string]*termSummary{}
-	for _, c := range cj {
-		key := c.Term.String()
-		s, ok := out[key]
-		if !ok {
-			s = newTermSummary()
-			out[key] = s
-		}
-		s.add(c)
-	}
-	return out
-}
+// Terms returns the per-term summaries in order of the terms' first
+// appearance in the conjunction. The slice is the summary's own.
+func (s Summary) Terms() []TermSummary { return s.terms }
 
 // Satisfiable reports whether the conjunction admits at least one tuple,
 // considering each term independently (sound for the attribute/constant
 // constraint language of CBN filters; attribute-difference terms are
 // treated as independent variables, which is conservative).
-func (cj Conj) Satisfiable() bool {
-	for _, s := range summarize(cj) {
-		if !s.satisfiable() {
-			return false
-		}
-	}
-	return true
-}
+func (s Summary) Satisfiable() bool { return !s.unsat }
 
-// Implies reports whether a ⟹ b: every tuple satisfying a also satisfies
-// b. Sound but not complete — it may answer false for implications that
-// hold through cross-term reasoning. An unsatisfiable a implies anything.
-func Implies(a, b Conj) bool {
-	sa := summarize(a)
-	for _, s := range sa {
-		if !s.satisfiable() {
-			return true
-		}
+// Implies reports whether every tuple satisfying s's conjunction also
+// satisfies o's. Sound but not complete — it may answer false for
+// implications that hold through cross-term reasoning. An unsatisfiable
+// s implies anything.
+func (s Summary) Implies(o Summary) bool {
+	if s.unsat {
+		return true
 	}
-	sb := summarize(b)
-	for term, tb := range sb {
-		ta, ok := sa[term]
-		if !ok {
-			ta = newTermSummary() // a is unconstrained on this term
+	for i := range o.terms {
+		tb := &o.terms[i]
+		ta := s.find(tb.Term)
+		if ta == nil {
+			ta = &unconstrained
 		}
 		if !tb.impliedBy(ta) {
 			return false
@@ -178,9 +107,122 @@ func Implies(a, b Conj) bool {
 	return true
 }
 
-// Equivalent reports mutual implication.
-func Equivalent(a, b Conj) bool {
-	return Implies(a, b) && Implies(b, a)
+// unconstrained is the summary of a term a conjunction does not mention.
+var unconstrained = TermSummary{iv: Universal()}
+
+// RangeInterval returns the interval the term's constraints intersect to
+// when every one of them is a numeric range comparison (<, <=, >, >=);
+// the boolean is false otherwise.
+func (t *TermSummary) RangeInterval() (Interval, bool) { return t.iv, t.rangeOnly }
+
+// add folds one constraint into the summary.
+func (t *TermSummary) add(c Constraint) {
+	switch c.Const.Kind() {
+	case stream.KindInt, stream.KindFloat, stream.KindTime, stream.KindBool:
+		v := c.Const.AsFloat()
+		if c.Op == NE {
+			t.rangeOnly = false
+			if !slices.Contains(t.ne, v) {
+				t.ne = append(t.ne, v)
+			}
+			return
+		}
+		iv, ok := FromOp(c.Op, v)
+		if ok {
+			t.iv = t.iv.Intersect(iv)
+		}
+		if !ok || c.Op == EQ {
+			t.rangeOnly = false
+		}
+	case stream.KindString:
+		t.rangeOnly = false
+		str := c.Const.AsString()
+		switch c.Op {
+		case EQ:
+			if t.hasStrEq && t.strEq != str {
+				t.conflict = true
+				return
+			}
+			t.strEq, t.hasStrEq = str, true
+		case NE:
+			if !slices.Contains(t.strNe, str) {
+				t.strNe = append(t.strNe, str)
+			}
+		default:
+			// String range comparison: keep opaquely.
+			t.opaque = append(t.opaque, c)
+		}
+	default:
+		t.rangeOnly = false
+		t.opaque = append(t.opaque, c)
+	}
+}
+
+// satisfiable reports whether the summary admits any value. For numeric
+// terms an NE exclusion only empties a point interval.
+func (t *TermSummary) satisfiable() bool {
+	if t.conflict || t.iv.Empty() {
+		return false
+	}
+	if p, ok := t.iv.IsPoint(); ok && slices.Contains(t.ne, p) {
+		return false
+	}
+	return !t.hasStrEq || !slices.Contains(t.strNe, t.strEq)
+}
+
+// excludes reports whether the summary provably rejects the numeric point p.
+func (t *TermSummary) excludes(p float64) bool {
+	return slices.Contains(t.ne, p) || !t.iv.Contains(p)
+}
+
+// impliedBy reports whether any value satisfying other also satisfies t
+// (i.e. other ⟹ t for this term). The test is sound but not complete.
+func (t *TermSummary) impliedBy(other *TermSummary) bool {
+	// Numeric part: other's admissible region must sit inside t's. t's
+	// interval may exclude only points other excludes via NE; that
+	// completeness hole is not chased.
+	if !t.iv.ContainsInterval(other.iv) {
+		return false
+	}
+	for _, p := range t.ne {
+		if !other.excludes(p) {
+			return false
+		}
+	}
+	// String part.
+	if t.hasStrEq && (!other.hasStrEq || other.strEq != t.strEq) {
+		return false
+	}
+	for _, str := range t.strNe {
+		if other.hasStrEq && other.strEq != str {
+			continue // equality to a different string excludes str
+		}
+		if !slices.Contains(other.strNe, str) {
+			return false
+		}
+	}
+	// Opaque constraints must appear verbatim on the other side: the same
+	// operator spelling and constant.
+	for _, o := range t.opaque {
+		if !slices.ContainsFunc(other.opaque, func(p Constraint) bool {
+			return p.Op.String() == o.Op.String() && p.Const == o.Const
+		}) {
+			return false
+		}
+	}
+	return true
+}
+
+// Satisfiable reports whether the conjunction admits at least one tuple;
+// see Summary.Satisfiable.
+func (cj Conj) Satisfiable() bool {
+	return Summarize(cj).Satisfiable()
+}
+
+// Implies reports whether a ⟹ b: every tuple satisfying a also satisfies
+// b; see Summary.Implies.
+func Implies(a, b Conj) bool {
+	return Summarize(a).Implies(Summarize(b))
 }
 
 // Hull returns a conjunction that is implied by both inputs: the per-term
@@ -189,61 +231,40 @@ func Equivalent(a, b Conj) bool {
 // This is the predicate-loosening step of representative-query
 // composition; exactness is recovered downstream by re-tightening profiles.
 func Hull(a, b Conj) Conj {
-	sa, sb := summarize(a), summarize(b)
-	// Deterministic order for reproducible output.
-	terms := make([]string, 0, len(sa))
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			terms = append(terms, t)
-		}
-	}
-	sort.Strings(terms)
-
+	sa, sb := Summarize(a), Summarize(b)
+	// Terms in the order of their renderings, for reproducible output.
+	slices.SortFunc(sa.terms, func(x, y TermSummary) int {
+		return strings.Compare(x.Term.String(), y.Term.String())
+	})
 	var out Conj
-	for _, tkey := range terms {
-		ta, tb := sa[tkey], sb[tkey]
-		term := parseTermKey(tkey)
+	for i := range sa.terms {
+		ta := &sa.terms[i]
+		term, tb := ta.Term, sb.find(ta.Term)
+		if tb == nil {
+			continue
+		}
 		// Numeric hull.
 		hull := ta.iv.Hull(tb.iv)
 		out = append(out, intervalConstraints(term, hull)...)
 		// Shared NE exclusions that both sides provably exclude.
-		for p := range ta.ne {
+		for _, p := range ta.ne {
 			if tb.excludes(p) && hull.Contains(p) {
 				out = append(out, Constraint{Term: term, Op: NE, Const: stream.Float(p)})
 			}
 		}
 		// String equality survives only if identical on both sides.
-		if ta.strEq != nil && tb.strEq != nil && *ta.strEq == *tb.strEq {
-			out = append(out, Constraint{Term: term, Op: EQ, Const: stream.String_(*ta.strEq)})
+		if ta.hasStrEq && tb.hasStrEq && ta.strEq == tb.strEq {
+			out = append(out, Constraint{Term: term, Op: EQ, Const: stream.String_(ta.strEq)})
 		}
-		// Shared string exclusions.
-		strNe := make([]string, 0, len(ta.strNe))
-		for s := range ta.strNe {
-			if tb.strNe[s] || (tb.strEq != nil && *tb.strEq != s) {
-				strNe = append(strNe, s)
+		// Shared string exclusions, sorted.
+		slices.Sort(ta.strNe)
+		for _, s := range ta.strNe {
+			if slices.Contains(tb.strNe, s) || (tb.hasStrEq && tb.strEq != s) {
+				out = append(out, Constraint{Term: term, Op: NE, Const: stream.String_(s)})
 			}
-		}
-		sort.Strings(strNe)
-		for _, s := range strNe {
-			out = append(out, Constraint{Term: term, Op: NE, Const: stream.String_(s)})
 		}
 	}
 	return out
-}
-
-// parseTermKey reverses Term.String. Attribute names may themselves contain
-// dots (qualified names) but never the '-' separator we emit, except that
-// qualified names like "O.start-x" would be ambiguous; COSMOS attribute
-// names are restricted to identifier characters plus '.', so a plain split
-// on the last '-' is safe only if names have no '-'. We split on the first
-// '-' to match Diff construction.
-func parseTermKey(key string) Term {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '-' {
-			return Term{A: key[:i], B: key[i+1:]}
-		}
-	}
-	return Term{A: key}
 }
 
 // intervalConstraints renders an interval back into constraints on a term.
@@ -267,15 +288,4 @@ func intervalConstraints(term Term, iv Interval) Conj {
 		out = append(out, Constraint{Term: term, Op: op, Const: stream.Float(iv.Hi)})
 	}
 	return out
-}
-
-// IntervalFor extracts the numeric interval a conjunction induces on a
-// term; the boolean reports whether the term is constrained at all. Used
-// by the selectivity estimator.
-func (cj Conj) IntervalFor(term Term) (Interval, bool) {
-	s, ok := summarize(cj)[term.String()]
-	if !ok {
-		return Universal(), false
-	}
-	return s.iv, true
 }

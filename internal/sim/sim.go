@@ -22,9 +22,9 @@
 // Cost. Set-up, not publishing, dominates. With merging a Submit
 // re-plans its group and re-sets the demand of every member's proxy, so
 // its cost grows with the standing queries: on the 1000-node topology a
-// merged Submit takes 2–13 ms below 250 queries and 16–102 ms between
+// merged Submit takes 4–6 ms below 250 queries and 14–39 ms between
 // 1000 and 1500 (the more skewed the workload, the larger the groups and
-// the dearer), an unmerged one 8–17 ms (FIGURES.json). cmd/figures'
+// the dearer), an unmerged one 10–13 ms (FIGURES.json). cmd/figures'
 // defaults are sized to that.
 package sim
 
