@@ -13,16 +13,17 @@
 // The broker separates a rare, symbolic control plane from a hot,
 // compiled data plane:
 //
-//   - Control plane (HandleAdvertise, HandleDemand, HandleSubscribe,
-//     PruneStream, AttachIface): mutex-protected, works on symbolic
-//     profiles (attribute names, DNF filters) because covering-based
-//     suppression needs the full predicate algebra. Demand is state, not
-//     a log of deltas: each interface holds one profile, which an update
-//     replaces, and each change is forwarded toward the stream's sources
-//     whether it widens or narrows the demand. A demand change or a prune
+//   - Control plane (HandleAdvertise, HandleDemand, PruneStream):
+//     mutex-protected, works on symbolic profiles (attribute names, DNF
+//     filters) because covering-based suppression needs the full
+//     predicate algebra. Demand is state, not a log of deltas: each
+//     interface holds one profile, which an update replaces, and each
+//     change is forwarded toward the stream's sources whether it widens
+//     or narrows the demand; the broker keeps no interface list of its
+//     own (the Fabric's tables are it). A demand change or a prune
 //     invalidates the compiled entries of the streams it touched, a new
-//     interface or catalog the whole table; HandleAdvertise needs no
-//     invalidation because advert state never enters the table.
+//     catalog the whole table; HandleAdvertise needs no invalidation
+//     because advert state never enters the table.
 //   - Data plane (RouteTuple): reads an immutable routing table published
 //     through an atomic.Pointer — one map lookup per tuple, then
 //     index-resolved predicate evaluation (predicate.Compiled) and early
@@ -58,10 +59,10 @@
 package cbn
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,12 +83,6 @@ type Forward struct {
 	Iface  IfaceID
 	Stream string
 	Prof   *profile.Profile
-}
-
-// AdvertForward instructs the transport to send an advertisement.
-type AdvertForward struct {
-	Iface  IfaceID
-	Stream string
 }
 
 // Delivery instructs the transport to send a (projected) tuple.
@@ -158,17 +153,16 @@ type Broker struct {
 
 	// table is the compiled routing table read lock-free by RouteTuple.
 	// nil until the first tuple of any stream is routed. A demand change
-	// or a prune drops the entries of the streams it touched; AttachIface
-	// and SetCatalog drop the whole table.
+	// or a prune drops the entries of the streams it touched; SetCatalog
+	// drops the whole table.
 	table atomic.Pointer[routeTable]
 
 	// mu is the control-plane lock; every field below is guarded by mu.
 	mu sync.Mutex
-	// ifaces is guarded by mu.
-	ifaces []IfaceID
 	// agg is each interface's demand, what its far side wants, as last
-	// set; no entry is no demand. Guarded by mu.
-	agg map[IfaceID]*profile.Profile
+	// set, in interface order; an interface without an entry wants
+	// nothing. Guarded by mu.
+	agg []ifaceDemand
 	// sent is the demand last forwarded on each interface, per stream,
 	// for covering-based suppression; guarded by mu.
 	sent map[IfaceID]*profile.Profile
@@ -188,7 +182,6 @@ type Broker struct {
 func NewBroker(id int) *Broker {
 	return &Broker{
 		ID:        id,
-		agg:       map[IfaceID]*profile.Profile{},
 		sent:      map[IfaceID]*profile.Profile{},
 		adverts:   map[string]map[IfaceID]bool{},
 		projCache: map[string]*stream.Schema{},
@@ -219,25 +212,30 @@ func (b *Broker) dropLocked(names ...string) {
 	}
 }
 
-// AttachIface registers an interface.
-func (b *Broker) AttachIface(id IfaceID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, existing := range b.ifaces {
-		if existing == id {
-			return
-		}
-	}
-	b.ifaces = append(b.ifaces, id)
-	sort.Slice(b.ifaces, func(i, j int) bool { return b.ifaces[i] < b.ifaces[j] })
-	b.table.Store(nil)
+type ifaceDemand struct {
+	iface IfaceID
+	prof  *profile.Profile
 }
 
-// Ifaces returns the attached interface IDs, sorted.
-func (b *Broker) Ifaces() []IfaceID {
+// demandOf returns iface's demand, nil when it wants nothing, and the
+// index its entry has or would take in b.agg. Callers hold b.mu.
+func (b *Broker) demandOf(iface IfaceID) (int, *profile.Profile) {
+	i, ok := slices.BinarySearchFunc(b.agg, iface, func(d ifaceDemand, id IfaceID) int { return cmp.Compare(d.iface, id) })
+	if !ok {
+		return i, nil
+	}
+	return i, b.agg[i].prof
+}
+
+// DemandIfaces returns the interfaces whose far side wants something,
+// ascending.
+func (b *Broker) DemandIfaces() (out []IfaceID) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]IfaceID(nil), b.ifaces...)
+	for _, d := range b.agg {
+		out = append(out, d.iface)
+	}
+	return out
 }
 
 // normalize widens a profile's projection sets with the attributes its
@@ -268,27 +266,21 @@ func normalize(p *profile.Profile) *profile.Profile {
 // HandleAdvertise processes a stream advertisement arriving on an
 // interface. Advertisements flood the overlay (they are rare and tiny);
 // the broker remembers which interface leads to the source so demand
-// travels toward it. It returns the advert forwards plus the demand for
-// the stream that must now be sent toward the advertiser (demand that
-// arrived before the advert).
-func (b *Broker) HandleAdvertise(streamName string, from IfaceID) ([]AdvertForward, []Forward) {
+// travels toward it. It reports whether the advertisement is new, which
+// is when the transport floods it on, plus the demand for the stream
+// that must now be sent toward the advertiser (demand that arrived
+// before the advert).
+func (b *Broker) HandleAdvertise(streamName string, from IfaceID) (fresh bool, demand []Forward) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.adverts[streamName] == nil {
 		b.adverts[streamName] = map[IfaceID]bool{}
 	}
 	if b.adverts[streamName][from] {
-		return nil, nil // duplicate advert; stop the flood
+		return false, nil // duplicate advert; stop the flood
 	}
 	b.adverts[streamName][from] = true
-
-	var adverts []AdvertForward
-	for _, iface := range b.ifaces {
-		if iface != from {
-			adverts = append(adverts, AdvertForward{Iface: iface, Stream: streamName})
-		}
-	}
-	return adverts, b.forwardLocked([]string{streamName})
+	return true, b.forwardLocked([]string{streamName})
 }
 
 // HandleDemand sets the demand arriving on an interface. For each of
@@ -303,7 +295,8 @@ func (b *Broker) HandleDemand(p *profile.Profile, from IfaceID, streams ...strin
 		p = normalize(p)
 	}
 	if len(streams) == 0 {
-		for _, q := range []*profile.Profile{b.agg[from], p} {
+		_, cur := b.demandOf(from)
+		for _, q := range []*profile.Profile{cur, p} {
 			if q != nil {
 				streams = append(streams, q.Streams...)
 			}
@@ -312,25 +305,11 @@ func (b *Broker) HandleDemand(p *profile.Profile, from IfaceID, streams ...strin
 	return b.setDemandLocked(p, streams, from)
 }
 
-// HandleSubscribe adds p to the demand arriving on an interface: the
-// interface's demand becomes its current demand ∪ p.
-func (b *Broker) HandleSubscribe(p *profile.Profile, from IfaceID) []Forward {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	p = normalize(p)
-	next := profile.New()
-	for _, s := range p.Streams {
-		next.CopyStream(b.agg[from], s)
-		next.MergeStream(p, s)
-	}
-	return b.setDemandLocked(next, p.Streams, from)
-}
-
 // setDemandLocked sets, for each of streams, the demand arriving on from
 // to p's part, and forwards every stream whose demand changed. Callers
 // hold b.mu and pass a normalized p the broker may keep.
 func (b *Broker) setDemandLocked(p *profile.Profile, streams []string, from IfaceID) []Forward {
-	cur := b.agg[from]
+	i, cur := b.demandOf(from)
 	var changed []string
 	for _, s := range streams {
 		if profile.SameOn(cur, p, s) {
@@ -338,7 +317,7 @@ func (b *Broker) setDemandLocked(p *profile.Profile, streams []string, from Ifac
 		}
 		if cur == nil {
 			cur = profile.New()
-			b.agg[from] = cur
+			b.agg = slices.Insert(b.agg, i, ifaceDemand{iface: from, prof: cur})
 		}
 		cur.CopyStream(p, s)
 		changed = append(changed, s)
@@ -347,7 +326,7 @@ func (b *Broker) setDemandLocked(p *profile.Profile, streams []string, from Ifac
 		return nil
 	}
 	if len(cur.Streams) == 0 {
-		delete(b.agg, from)
+		b.agg = slices.Delete(b.agg, i, i+1)
 	}
 	b.dropLocked(changed...)
 	return b.forwardLocked(changed)
@@ -373,20 +352,22 @@ func (b *Broker) forwardLocked(streams []string) []Forward {
 			b.sent[iface].CopyStream(want, s)
 			out = append(out, Forward{Iface: iface, Stream: s, Prof: want})
 		}
-		sort.Slice(out[start:], func(i, j int) bool { return out[start+i].Iface < out[start+j].Iface })
+		slices.SortFunc(out[start:], func(x, y Forward) int { return cmp.Compare(x.Iface, y.Iface) })
 	}
 	return out
 }
 
 // demandExcept unions one stream's demand over every interface except
-// skip; the result lacks the stream when there is none. Callers hold
-// b.mu.
+// skip, in interface order; nil when there is none. Callers hold b.mu.
 func (b *Broker) demandExcept(skip IfaceID, streamName string) *profile.Profile {
 	var parts []*profile.Profile
-	for _, iface := range b.ifaces {
-		if p := b.agg[iface]; iface != skip && p != nil && p.HasStream(streamName) {
-			parts = append(parts, p)
+	for _, d := range b.agg {
+		if d.iface != skip && d.prof.HasStream(streamName) {
+			parts = append(parts, d.prof)
 		}
+	}
+	if len(parts) == 0 {
+		return nil
 	}
 	return profile.UnionOn(streamName, parts)
 }
@@ -475,14 +456,10 @@ func (b *Broker) compileStreamLocked(s *stream.Schema) *streamTable {
 			}
 		}
 	}
-	for _, iface := range b.ifaces {
-		agg := b.agg[iface]
-		if agg == nil {
-			continue
-		}
-		cs, err := agg.CompileFor(s)
+	for _, d := range b.agg {
+		cs, err := d.prof.CompileFor(s)
 		if err != nil {
-			st.err = fmt.Errorf("cbn: broker %d cannot route %s toward iface %d: %w", b.ID, s.Stream, iface, err)
+			st.err = fmt.Errorf("cbn: broker %d cannot route %s toward iface %d: %w", b.ID, s.Stream, d.iface, err)
 			st.routes = nil
 			return st
 		}
@@ -490,7 +467,7 @@ func (b *Broker) compileStreamLocked(s *stream.Schema) *streamTable {
 			continue // this side has no interest in the stream
 		}
 		cs.ProjSchema = b.internProjSchema(cs.ProjSchema)
-		st.routes = append(st.routes, compiledRoute{iface: iface, view: cs})
+		st.routes = append(st.routes, compiledRoute{iface: d.iface, view: cs})
 	}
 	return st
 }
@@ -543,7 +520,7 @@ func (b *Broker) publishLocked(name string, st *streamTable) {
 func (b *Broker) DemandOn(iface IfaceID) *profile.Profile {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if p := b.agg[iface]; p != nil {
+	if _, p := b.demandOf(iface); p != nil {
 		return p.Clone()
 	}
 	return nil
@@ -567,11 +544,10 @@ func (b *Broker) PruneStream(name string) {
 	defer b.mu.Unlock()
 	b.dropLocked(name)
 	delete(b.adverts, name)
-	for _, m := range []map[IfaceID]*profile.Profile{b.agg, b.sent} {
-		for iface, p := range m {
-			if p.RemoveStream(name) {
-				delete(m, iface)
-			}
+	b.agg = slices.DeleteFunc(b.agg, func(d ifaceDemand) bool { return d.prof.RemoveStream(name) })
+	for iface, p := range b.sent {
+		if p.RemoveStream(name) {
+			delete(b.sent, iface)
 		}
 	}
 	for key := range b.projCache {

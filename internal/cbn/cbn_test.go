@@ -32,6 +32,17 @@ func tempProfile(minTemp float64, attrs []string) *profile.Profile {
 }
 
 // lineNet builds brokers 0—1—2—…—(n-1).
+// addDemand adds p to the demand arriving on iface, as a client's
+// Subscribe does: HandleDemand of the interface's demand ∪ p.
+func addDemand(b *Broker, p *profile.Profile, iface IfaceID) []Forward {
+	next := b.DemandOn(iface)
+	if next == nil {
+		next = profile.New()
+	}
+	next.Merge(p)
+	return b.HandleDemand(next, iface)
+}
+
 func lineNet(n int) *SimNet {
 	net := NewSimNet(n)
 	for i := 0; i+1 < n; i++ {
@@ -254,13 +265,11 @@ func TestNormalizeKeepsFilterAttrs(t *testing.T) {
 
 func TestRouteTupleErrorOnBadFilter(t *testing.T) {
 	b := NewBroker(0)
-	b.AttachIface(0)
-	b.AttachIface(1)
 	bad := profile.New()
 	bad.AddStream("Sensor1", nil, predicate.DNF{
 		{predicate.C("no_such_attr", predicate.GT, stream.Float(0))},
 	})
-	b.HandleSubscribe(bad, 1)
+	b.HandleDemand(bad, 1)
 	if _, err := b.RouteTuple(sensorTuple(1, 1, 1, 1), 0); err == nil {
 		t.Error("filter referencing a missing attribute should error")
 	}
@@ -279,8 +288,7 @@ func TestWithdrawnDemandStopsDelivery(t *testing.T) {
 	sub.SetDemand(tempProfile(10, nil))
 	sub.SetDemand(tempProfile(20, nil)) // narrows: replaces temp > 10
 	toward := func() *profile.Profile {
-		b := net.Broker(0)
-		return b.DemandOn(b.Ifaces()[0]) // the link toward the subscriber
+		return net.Broker(0).DemandOn(0) // the link toward the subscriber
 	}
 	if got := toward(); got == nil || got.String() != tempProfile(20, nil).String() {
 		t.Fatalf("source broker's demand = %v, want temp > 20", got)
@@ -296,7 +304,7 @@ func TestWithdrawnDemandStopsDelivery(t *testing.T) {
 	bytes := net.TotalDataBytes()
 	sub.Close()
 	for i := 0; i < net.NumNodes(); i++ {
-		for _, iface := range net.Broker(i).Ifaces() {
+		for _, iface := range net.Broker(i).DemandIfaces() {
 			if d := net.Broker(i).DemandOn(iface); d != nil {
 				t.Errorf("broker %d iface %d still wants %v after Close", i, iface, d)
 			}

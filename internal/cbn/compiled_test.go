@@ -23,9 +23,9 @@ func referenceRoute(b *Broker, t stream.Tuple, from IfaceID) ([]Delivery, error)
 	defer b.mu.Unlock()
 	var out []Delivery
 	name := t.Schema.Stream
-	for _, iface := range b.ifaces {
-		agg := b.agg[iface]
-		if iface == from || agg == nil || !slices.Contains(agg.Streams, name) {
+	for _, d := range b.agg {
+		iface, agg := d.iface, d.prof
+		if iface == from || !slices.Contains(agg.Streams, name) {
 			continue
 		}
 		ok, err := agg.FilterFor(name).Eval(t)
@@ -113,28 +113,25 @@ func TestCompiledRoutingDifferentialRandom(t *testing.T) {
 				b.SetCatalog(reg)
 			}
 			const fanout = 12
-			for i := 0; i <= fanout; i++ {
-				b.AttachIface(IfaceID(i))
-			}
 			for i, q := range bound {
-				b.HandleSubscribe(profile.FromQuery(q), IfaceID(1+i%fanout))
+				addDemand(b, profile.FromQuery(q), IfaceID(1+i%fanout))
 			}
 			// A few hand-built profiles widen the shape space: no filter,
 			// no projection, multi-disjunct, intrinsic-timestamp filters.
 			all := profile.New()
 			all.AddStream(sensordata.StreamName(0), nil, nil)
-			b.HandleSubscribe(all, 3)
+			addDemand(b, all, 3)
 			multi := profile.New()
 			multi.AddStream(sensordata.StreamName(1), []string{"station", "wind"}, predicate.DNF{
 				{predicate.C("wind", predicate.GT, stream.Float(20))},
 				{predicate.C("humidity", predicate.LT, stream.Float(15))},
 			})
-			b.HandleSubscribe(multi, 5)
+			addDemand(b, multi, 5)
 			ts := profile.New()
 			ts.AddStream(sensordata.StreamName(2), []string{"temperature"}, predicate.DNF{
 				{predicate.C(predicate.IntrinsicTs, predicate.GE, stream.Time(0))},
 			})
-			b.HandleSubscribe(ts, 7)
+			addDemand(b, ts, 7)
 
 			rng := rand.New(rand.NewSource(99))
 			for station := 0; station < 12; station++ {
@@ -170,14 +167,12 @@ func TestCompiledRoutingDifferentialRandom(t *testing.T) {
 // filtering cost across 32 subscribed interfaces.
 func TestRouteNoMatchAllocationFree(t *testing.T) {
 	b := NewBroker(0)
-	b.AttachIface(0)
 	for i := 1; i <= 32; i++ {
-		b.AttachIface(IfaceID(i))
 		p := profile.New()
 		p.AddStream("Sensor07", []string{"station"}, predicate.DNF{
 			{predicate.C("station", predicate.EQ, stream.Int(int64(100+i)))},
 		})
-		b.HandleSubscribe(p, IfaceID(i))
+		b.HandleDemand(p, IfaceID(i))
 	}
 	tp := sensordata.NewGenerator(7, 1).Next() // station 7: matches nothing
 	b.RouteTuple(tp, 0)                        // the first tuple compiles the table
@@ -205,13 +200,11 @@ func TestRouteRunProjectionAllocationFree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := NewBroker(0)
-			b.AttachIface(0)
-			b.AttachIface(1)
 			p := profile.New()
 			p.AddStream("Sensor07", tc.attrs, predicate.DNF{
 				{predicate.C("humidity", predicate.GE, stream.Float(0))},
 			})
-			b.HandleSubscribe(p, 1)
+			b.HandleDemand(p, 1)
 			tp := sensordata.NewGenerator(7, 1).Next()
 			scratch, err := b.RouteTupleInto(tp, 0, nil) // the first tuple compiles the table
 			if err != nil {
@@ -240,15 +233,12 @@ func TestRouteRunProjectionAllocationFree(t *testing.T) {
 // withdrawing the bad demand restores the stream.
 func TestCompiledRoutingBadFilterStoredError(t *testing.T) {
 	b := NewBroker(0)
-	b.AttachIface(0)
-	b.AttachIface(1)
-	b.AttachIface(2)
-	b.HandleSubscribe(tempProfile(15, nil), 1)
+	b.HandleDemand(tempProfile(15, nil), 1)
 	bad := profile.New()
 	bad.AddStream("Sensor1", nil, predicate.DNF{
 		{predicate.C("nonexistent", predicate.GT, stream.Int(0))},
 	})
-	b.HandleSubscribe(bad, 2)
+	b.HandleDemand(bad, 2)
 
 	if _, err := referenceRoute(b, sensorTuple(1, 3, 20, 50), 0); err == nil {
 		t.Fatal("the name-resolved reference should error on the missing attribute")
@@ -286,9 +276,7 @@ func TestCompiledRoutingCatalogMismatch(t *testing.T) {
 	}
 	b := NewBroker(0)
 	b.SetCatalog(reg)
-	b.AttachIface(0)
-	b.AttachIface(1)
-	b.HandleSubscribe(tempProfile(10, nil), 1)
+	b.HandleDemand(tempProfile(10, nil), 1)
 
 	if out, err := b.RouteTuple(sensorTuple(1, 1, 20, 50), 0); err != nil || len(out) != 1 {
 		t.Fatalf("registered layout: %d deliveries, err %v", len(out), err)
@@ -318,9 +306,7 @@ func TestCompiledRoutingCatalogMismatch(t *testing.T) {
 // the next tuple of that layout is back on the lock-free path.
 func TestCompiledRoutingSchemaDrift(t *testing.T) {
 	b := NewBroker(0)
-	b.AttachIface(0)
-	b.AttachIface(1)
-	b.HandleSubscribe(tempProfile(10, []string{"station", "temp"}), 1)
+	b.HandleDemand(tempProfile(10, []string{"station", "temp"}), 1)
 
 	if _, err := b.RouteTuple(sensorTuple(1, 1, 20, 50), 0); err != nil {
 		t.Fatal(err)
@@ -434,19 +420,17 @@ func TestCompiledTableSurvivesUpstreamRebuild(t *testing.T) {
 // TestControlPlaneInvalidatesCompiledTable checks that a control-plane
 // mutation discards the compiled entries of exactly the streams it
 // touched — a demand change or a prune leaves every other stream's entry
-// in place, pointer for pointer — that a new interface discards the
-// whole table, and that rebuilt routing reflects the new state.
+// in place, pointer for pointer — demand on a new interface included,
+// and that rebuilt routing reflects the new state.
 func TestControlPlaneInvalidatesCompiledTable(t *testing.T) {
 	other := stream.MustSchema("Sensor2", sensorSchema.Fields...)
 	otherTuple := stream.MustTuple(other, 1, stream.Int(2), stream.Float(20), stream.Float(50))
 	build := func() (*Broker, *streamTable) {
 		b := NewBroker(0)
-		b.AttachIface(0)
-		b.AttachIface(1)
-		b.HandleSubscribe(tempProfile(10, nil), 1)
+		b.HandleDemand(tempProfile(10, nil), 1)
 		p := profile.New()
 		p.AddStream("Sensor2", nil, predicate.DNF{{predicate.C("temp", predicate.GT, stream.Float(10))}})
-		b.HandleSubscribe(p, 1)
+		addDemand(b, p, 1)
 		for _, tp := range []stream.Tuple{sensorTuple(1, 1, 20, 50), otherTuple} {
 			if _, err := b.RouteTuple(tp, 0); err != nil {
 				t.Fatal(err)
@@ -473,10 +457,10 @@ func TestControlPlaneInvalidatesCompiledTable(t *testing.T) {
 		}
 	}
 
-	t.Run("HandleSubscribe", func(t *testing.T) {
+	t.Run("WidenDemand", func(t *testing.T) {
 		b, kept := build()
-		b.HandleSubscribe(tempProfile(5, nil), 1) // widens Sensor1's demand
-		touchedOnly(t, b, kept, "HandleSubscribe")
+		addDemand(b, tempProfile(5, nil), 1) // widens Sensor1's demand
+		touchedOnly(t, b, kept, "widening HandleDemand")
 		out, err := b.RouteTuple(sensorTuple(2, 1, 8, 50), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -486,13 +470,10 @@ func TestControlPlaneInvalidatesCompiledTable(t *testing.T) {
 		}
 	})
 
-	t.Run("AttachIface", func(t *testing.T) {
-		b, _ := build()
-		b.AttachIface(2)
-		if b.table.Load() != nil {
-			t.Fatal("AttachIface must invalidate the whole compiled table")
-		}
-		b.HandleSubscribe(tempProfile(30, nil), 2)
+	t.Run("NewIfaceDemand", func(t *testing.T) {
+		b, kept := build()
+		b.HandleDemand(tempProfile(30, nil), 2)
+		touchedOnly(t, b, kept, "demand on a new interface")
 		out, err := b.RouteTuple(sensorTuple(2, 1, 35, 50), 0)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package cbn
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,12 +34,10 @@ type LinkStats struct {
 	CtrlMsgs  int64
 }
 
-// Message kinds. A client sets its whole demand (msgDemand, prof) or
-// adds to it (msgSubscribe); brokers pass one stream's demand on
-// (msgDemand, name and prof).
+// Message kinds. A client sets its whole demand (msgDemand, prof);
+// brokers pass one stream's demand on (msgDemand, name and prof).
 const (
 	msgData = iota
-	msgSubscribe
 	msgDemand
 	msgAdvertise
 )
@@ -60,6 +59,9 @@ type endpoint struct {
 	Node    int
 	iface   IfaceID
 	control func(node int, m message)
+
+	mu     sync.Mutex       // sends demand updates in the order they are made
+	demand *profile.Profile // the last one; guarded by mu
 }
 
 // Iface returns the broker interface the client occupies, the one whose
@@ -74,24 +76,37 @@ func (e *endpoint) Advertise(streamName string) {
 
 // SetDemand sets the client's whole data interest to p, replacing what it
 // had (nil: none); the network forwards the change toward the sources,
-// narrowing as well as widening.
+// narrowing as well as widening. A SimClient's delivery callback must not
+// set its own client's demand: the cascade runs under the client's lock.
 func (e *endpoint) SetDemand(p *profile.Profile) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.demand = p
 	e.control(e.Node, message{from: e.iface, kind: msgDemand, prof: p})
 }
 
 // Subscribe adds p to the client's data interest: SetDemand of its
-// current demand ∪ p, applied at the broker.
+// current demand ∪ p.
 func (e *endpoint) Subscribe(p *profile.Profile) {
-	e.control(e.Node, message{from: e.iface, kind: msgSubscribe, prof: p})
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	next := profile.New()
+	if e.demand != nil {
+		next.Merge(e.demand)
+	}
+	next.Merge(p)
+	e.demand = next
+	e.control(e.Node, message{from: e.iface, kind: msgDemand, prof: next})
 }
 
 // receiver is a client endpoint as its broker sees it: a SimClient runs
 // its callback on the spot, a LiveClient queues the tuple for its pump.
 type receiver interface{ receive(t stream.Tuple) }
 
-// hop is where one broker interface leads: a client endpoint, or an
+// hop is one broker interface and where it leads: a client endpoint, or an
 // overlay link whose far end is interface peerIface of node peer.
 type hop struct {
+	iface     IfaceID
 	client    receiver // nil for an overlay link
 	peer      int
 	peerIface IfaceID
@@ -125,19 +140,25 @@ type Fabric struct {
 	metrics *obs.Metrics
 }
 
-// ifaceTable is one node's interfaces. Clients attach and detach while
-// brokers route (LiveNet), hence the lock.
+// ifaceTable is one node's interfaces, the only record of what is
+// attached there. Clients attach and detach while brokers route
+// (LiveNet), hence the lock.
 type ifaceTable struct {
 	mu   sync.RWMutex
-	hops map[IfaceID]hop // guarded by mu
-	next IfaceID         // guarded by mu
+	hops []hop   // in interface order, IDs being handed out ascending; guarded by mu
+	next IfaceID // guarded by mu
+}
+
+// find returns the index of iface's hop. Callers hold tb.mu.
+func (tb *ifaceTable) find(iface IfaceID) (int, bool) {
+	i := sort.Search(len(tb.hops), func(i int) bool { return tb.hops[i].iface >= iface })
+	return i, i < len(tb.hops) && tb.hops[i].iface == iface
 }
 
 func newFabric(n int) Fabric {
 	f := Fabric{brokers: make([]*Broker, n), tables: make([]ifaceTable, n)}
 	for i := range f.brokers {
 		f.brokers[i] = NewBroker(i)
-		f.tables[i].hops = map[IfaceID]hop{}
 	}
 	return f
 }
@@ -157,12 +178,11 @@ func (f *Fabric) Broker(node int) *Broker { return f.brokers[node] }
 func (f *Fabric) attach(node int, h hop) IfaceID {
 	tb := &f.tables[node]
 	tb.mu.Lock()
-	id := tb.next
+	defer tb.mu.Unlock()
+	h.iface = tb.next
 	tb.next++
-	tb.hops[id] = h
-	tb.mu.Unlock()
-	f.brokers[node].AttachIface(id)
-	return id
+	tb.hops = append(tb.hops, h)
+	return h.iface
 }
 
 // detach forgets an interface: the broker's deliveries to it are dropped
@@ -170,8 +190,10 @@ func (f *Fabric) attach(node int, h hop) IfaceID {
 func (f *Fabric) detach(node int, iface IfaceID) {
 	tb := &f.tables[node]
 	tb.mu.Lock()
-	delete(tb.hops, iface)
-	tb.mu.Unlock()
+	defer tb.mu.Unlock()
+	if i, ok := tb.find(iface); ok {
+		tb.hops = slices.Delete(tb.hops, i, i+1)
+	}
 }
 
 // addLink joins two brokers with an undirected overlay link; a pair
@@ -191,7 +213,8 @@ func (f *Fabric) addLink(a, b int, delayMs float64) {
 	ib := f.attach(b, hop{peer: a, peerIface: ia, link: l})
 	tb := &f.tables[a]
 	tb.mu.Lock()
-	tb.hops[ia] = hop{peer: b, peerIface: ib, link: l}
+	i, _ := tb.find(ia)
+	tb.hops[i].peerIface = ib
 	tb.mu.Unlock()
 }
 
@@ -226,8 +249,6 @@ func (f *Fabric) step(node int, m message, scratch *[]Delivery, forward func(pee
 			clear(deliveries) // drop tuple refs before recycling
 			*scratch = deliveries
 		}
-	case msgSubscribe:
-		f.sendDemand(node, b.HandleSubscribe(m.prof, m.from), forward)
 	case msgDemand:
 		var streams []string
 		if m.name != "" {
@@ -235,13 +256,26 @@ func (f *Fabric) step(node int, m message, scratch *[]Delivery, forward func(pee
 		}
 		f.sendDemand(node, b.HandleDemand(m.prof, m.from, streams...), forward)
 	case msgAdvertise:
-		adverts, demand := b.HandleAdvertise(m.name, m.from)
-		for _, a := range adverts {
-			f.send(node, a.Iface, message{kind: msgAdvertise, name: a.Stream}, forward)
+		fresh, demand := b.HandleAdvertise(m.name, m.from)
+		if fresh {
+			f.flood(node, m, forward)
 		}
 		f.sendDemand(node, demand, forward)
 	}
 	return nil
+}
+
+// flood passes an advertisement on through every interface of node but
+// the one it arrived on, in interface order.
+func (f *Fabric) flood(node int, m message, forward func(peer int, m message)) {
+	tb := &f.tables[node]
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	for _, h := range tb.hops {
+		if h.iface != m.from {
+			h.pass(m, forward)
+		}
+	}
 }
 
 // sendDemand passes a broker's demand updates on.
@@ -251,20 +285,31 @@ func (f *Fabric) sendDemand(node int, fws []Forward, forward func(peer int, m me
 	}
 }
 
-// send passes one message on through interface iface of node. Clients
-// take tuples only; an interface detached meanwhile drops the message.
+// send passes one message on through interface iface of node; an
+// interface detached meanwhile drops the message.
 func (f *Fabric) send(node int, iface IfaceID, m message, forward func(peer int, m message)) {
 	tb := &f.tables[node]
 	tb.mu.RLock()
-	h, ok := tb.hops[iface]
+	var h hop // the zero hop: detached
+	if i, ok := tb.find(iface); ok {
+		h = tb.hops[i]
+	}
 	tb.mu.RUnlock()
+	h.pass(m, forward)
+}
+
+// pass hands one message to where h leads: a client takes tuples only;
+// a message for a neighbour is charged on the link and handed to
+// forward with the interface it arrives on; the zero hop drops it.
+// flood calls it under the table's read lock: an advertisement runs no
+// client callback, and forward takes no table lock.
+func (h hop) pass(m message, forward func(peer int, m message)) {
 	switch {
-	case !ok:
 	case h.client != nil:
 		if m.kind == msgData {
 			h.client.receive(m.tuple)
 		}
-	default:
+	case h.link != nil:
 		switch m.kind {
 		case msgData:
 			h.link.dataMsgs.Add(1)
@@ -330,11 +375,14 @@ func (f *Fabric) TotalDataBytes() int64 {
 }
 
 // demandWireSize estimates the size of a message carrying one stream's
-// demand (withdrawn when p lacks the stream).
+// demand (withdrawn when p is nil or lacks the stream).
 func demandWireSize(name string, p *profile.Profile) int {
-	size := SubscribeBaseSize + len(name) + AttrNameBytes*len(p.AttrsFor(name))
-	for _, cj := range p.FilterFor(name) {
-		size += ConstraintBytes * len(cj)
+	size := SubscribeBaseSize + len(name)
+	if p != nil {
+		size += AttrNameBytes * len(p.AttrsFor(name))
+		for _, cj := range p.FilterFor(name) {
+			size += ConstraintBytes * len(cj)
+		}
 	}
 	return size
 }

@@ -65,11 +65,12 @@ type LiveNet struct {
 	inboxCap int
 
 	mu      sync.Mutex
-	clients []*LiveClient // guarded by mu
-	started bool          // guarded by mu
-	stopped bool          // guarded by mu
+	started bool // guarded by mu
+	stopped bool // guarded by mu
 	wg      sync.WaitGroup
-	quit    chan struct{}
+	// pumps counts running client pumps, closed clients' included.
+	pumps sync.WaitGroup
+	quit  chan struct{}
 
 	stopping atomic.Bool
 
@@ -152,7 +153,6 @@ type LiveClient struct {
 	onTuple func(stream.Tuple) // guarded by mu
 	running bool               // guarded by mu
 	closed  bool               // guarded by mu
-	stopped chan struct{}      // closed when a started pump exits
 }
 
 // SetOnTuple installs the delivery callback; safe to call concurrently.
@@ -165,11 +165,12 @@ func (c *LiveClient) SetOnTuple(fn func(stream.Tuple)) {
 	}
 }
 
-// startPump starts the delivery pump once, unless the client is closed.
+// startPump starts the delivery pump once, unless the client is closed
+// or the network stopped.
 func (c *LiveClient) startPump() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.running && !c.closed {
+	if !c.running && !c.closed && c.net.addPump() {
 		c.running = true
 		go c.pump()
 	}
@@ -191,7 +192,7 @@ func (c *LiveClient) receive(t stream.Tuple) {
 // client is closed it settles what is still queued without delivering
 // it, and exits when the queue is drained.
 func (c *LiveClient) pump() {
-	defer close(c.stopped)
+	defer c.net.pumps.Done()
 	for {
 		batch := c.q.Take()
 		if len(batch) == 0 {
@@ -205,7 +206,7 @@ func (c *LiveClient) pump() {
 				// The callback panicked: fail this client only. The rest
 				// of the batch and whatever queued meanwhile are settled
 				// undelivered.
-				c.shutdown(false)
+				c.shutdown()
 				c.net.detach(c.Node, c.iface)
 				closed = true
 			}
@@ -227,24 +228,16 @@ func (c *LiveClient) deliverSafe(fn func(stream.Tuple), t stream.Tuple) (ok bool
 	return true
 }
 
-// shutdown closes the client, dropping queued deliveries. When wait is
-// set it blocks until a running pump has exited (used by LiveNet.Stop,
-// which guarantees no goroutine outlives it); callers that may hold
-// locks a delivery callback could need pass wait=false.
-func (c *LiveClient) shutdown(wait bool) {
+// shutdown closes the client, dropping queued deliveries: a running
+// pump settles them on its way out, otherwise shutdown does. It does
+// not wait for the pump; LiveNet.Stop does, through LiveNet.pumps.
+func (c *LiveClient) shutdown() {
 	c.mu.Lock()
-	first := !c.closed
+	settle := !c.closed && !c.running // no pump ever starts now
 	c.closed = true
-	running := c.running
 	c.mu.Unlock()
 	c.q.Close()
-	switch {
-	case running:
-		if wait {
-			<-c.stopped // the pump settles the queue on its way out
-		}
-	case first:
-		// No pump ever starts now; settle the queue here.
+	if settle {
 		for batch := c.q.TryTake(); len(batch) > 0; batch = c.q.TryTake() {
 			for range batch {
 				c.net.done()
@@ -263,7 +256,7 @@ func (c *LiveClient) shutdown(wait bool) {
 func (c *LiveClient) Close() {
 	c.SetDemand(nil)
 	c.net.detach(c.Node, c.iface)
-	c.shutdown(false)
+	c.shutdown()
 }
 
 // LiveNetOption configures a LiveNet at construction.
@@ -334,22 +327,30 @@ func (n *LiveNet) AttachClient(node int) (*LiveClient, error) {
 	if node < 0 || node >= n.NumNodes() {
 		return nil, fmt.Errorf("cbn: node %d out of range", node)
 	}
-	c := &LiveClient{net: n, stopped: make(chan struct{})}
+	c := &LiveClient{net: n}
 	// Control messages are injected like publishes: they wait for an
 	// ingress credit, and the change propagates asynchronously.
 	c.endpoint = endpoint{Node: node, control: func(node int, m message) { n.inject(node, m) }}
-	c.iface = n.attach(node, hop{client: c})
-	// The stopped check and the registration share one critical section,
-	// so a client either lands in the list Stop tears down or is refused.
+	// Attaching under n.mu puts a client in the interface table Stop
+	// walks, or refuses it.
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.stopped {
-		n.mu.Unlock()
-		n.detach(node, c.iface)
 		return nil, fmt.Errorf("cbn: live network stopped")
 	}
-	n.clients = append(n.clients, c)
-	n.mu.Unlock()
+	c.iface = n.attach(node, hop{client: c})
 	return c, nil
+}
+
+// addPump counts a client pump about to start, refusing once the net
+// has stopped: Stop waits for every pump counted.
+func (n *LiveNet) addPump() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.stopped {
+		n.pumps.Add(1)
+	}
+	return !n.stopped
 }
 
 // Start launches one goroutine per broker.
@@ -367,7 +368,8 @@ func (n *LiveNet) Start() {
 }
 
 // Stop terminates the broker goroutines and client pumps and waits for
-// them; queued messages and deliveries are dropped. Idempotent.
+// them, closed clients' pumps included; queued messages and deliveries
+// are dropped. Idempotent.
 func (n *LiveNet) Stop() {
 	n.mu.Lock()
 	if n.stopped {
@@ -375,7 +377,6 @@ func (n *LiveNet) Stop() {
 		return
 	}
 	n.stopped = true
-	clients := n.clients
 	n.mu.Unlock()
 	n.stopping.Store(true)
 	close(n.quit)
@@ -383,9 +384,17 @@ func (n *LiveNet) Stop() {
 		nd.q.Close()
 	}
 	n.wg.Wait()
-	for _, c := range clients {
-		c.shutdown(true)
+	for i := range n.tables {
+		tb := &n.tables[i]
+		tb.mu.RLock()
+		for _, h := range tb.hops {
+			if c, ok := h.client.(*LiveClient); ok {
+				c.shutdown()
+			}
+		}
+		tb.mu.RUnlock()
 	}
+	n.pumps.Wait()
 }
 
 // run is the per-broker event loop: drain the node mailbox FIFO,

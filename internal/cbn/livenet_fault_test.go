@@ -9,7 +9,7 @@ import (
 )
 
 // TestLiveNetBrokerPanicContainment kills one broker with a poisoned
-// control message and checks the failure stays inside that node: other
+// tuple and checks the failure stays inside that node: other
 // brokers keep routing, traffic toward the dead node is black-holed
 // with its accounting settled (Quiesce still converges, publishers are
 // not starved of credits), and Stop tears the network down cleanly.
@@ -55,9 +55,12 @@ func TestLiveNetBrokerPanicContainment(t *testing.T) {
 		t.Fatalf("before fault: sub0=%d sub1=%d, want 10/10", got0.Load(), got1.Load())
 	}
 
-	// A nil profile panics the broker that processes it (nil Clone).
-	// Only node 1 must die.
-	poison.Subscribe(nil)
+	// A tuple without the values its schema declares panics the broker
+	// that routes it: sub1's compiled filter reads past them. Only node 1
+	// must die.
+	if err := poison.Publish(stream.Tuple{Schema: sensorSchema, Ts: 10}); err != nil {
+		t.Fatal(err)
+	}
 	net.Quiesce()
 
 	for i := 10; i < 20; i++ {

@@ -116,8 +116,6 @@ func TestLiveNetOverGeneratedTree(t *testing.T) {
 
 func TestBrokerDemandAndKnowsSource(t *testing.T) {
 	b := NewBroker(0)
-	b.AttachIface(0)
-	b.AttachIface(1)
 	if b.KnowsSource("Sensor1") {
 		t.Error("no advert yet")
 	}
@@ -132,7 +130,7 @@ func TestBrokerDemandAndKnowsSource(t *testing.T) {
 	p.AddStream("Sensor1", []string{"temp"}, predicate.DNF{
 		{predicate.C("temp", predicate.GT, stream.Float(5))},
 	})
-	forwards := b.HandleSubscribe(p, 1)
+	forwards := b.HandleDemand(p, 1)
 	// The subscription must route toward the advertiser on iface 0.
 	if len(forwards) != 1 || forwards[0].Iface != 0 {
 		t.Fatalf("forwards = %v", forwards)

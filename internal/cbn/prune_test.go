@@ -45,8 +45,6 @@ func TestPruneStreamKeepsOtherStreams(t *testing.T) {
 	// A profile spanning two streams must keep the surviving stream's
 	// interest after the other is pruned.
 	b := NewBroker(0)
-	b.AttachIface(0)
-	b.AttachIface(1)
 	b.HandleAdvertise("A", 0)
 	b.HandleAdvertise("B", 0)
 	p := profile.New()
@@ -54,7 +52,7 @@ func TestPruneStreamKeepsOtherStreams(t *testing.T) {
 	p.AddStream("B", nil, predicate.DNF{
 		{predicate.C("x", predicate.GT, stream.Int(5))},
 	})
-	b.HandleSubscribe(p, 1)
+	b.HandleDemand(p, 1)
 	b.PruneStream("A")
 
 	schemaB := stream.MustSchema("B", stream.Field{Name: "x", Kind: stream.KindInt})
@@ -77,21 +75,20 @@ func TestPruneStreamKeepsOtherStreams(t *testing.T) {
 // stay bounded — the purpose of result-stream pruning.
 func TestGroupChurnDoesNotAccumulateBrokerState(t *testing.T) {
 	b := NewBroker(0)
-	b.AttachIface(0) // toward processor
-	b.AttachIface(1) // toward user
 	for v := 0; v < 100; v++ {
 		name := streamName(v)
 		b.HandleAdvertise(name, 0)
 		p := profile.New()
 		p.AddStream(name, nil, nil)
-		b.HandleSubscribe(p, 1)
+		addDemand(b, p, 1)
 		if v > 0 {
 			b.PruneStream(streamName(v - 1))
 		}
 	}
 	// Only the latest version's state may remain.
 	b.mu.Lock()
-	streams := len(b.agg[1].Streams)
+	_, d := b.demandOf(1)
+	streams := len(d.Streams)
 	sent := len(b.sent[0].Streams)
 	adverts := len(b.adverts)
 	b.mu.Unlock()
@@ -152,9 +149,6 @@ func TestPruneMatchesRebuiltBroker(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		b := NewBroker(0)
-		for i := 0; i < ifaces; i++ {
-			b.AttachIface(IfaceID(i))
-		}
 		// live mirrors what the broker should still hold, per interface:
 		// the profiles its demand is the union of.
 		live := make([][]*profile.Profile, ifaces)
@@ -177,7 +171,7 @@ func TestPruneMatchesRebuiltBroker(t *testing.T) {
 			switch r := rng.Intn(10); {
 			case r < 5:
 				p := randProfile(rng)
-				b.HandleSubscribe(p, IfaceID(iface))
+				addDemand(b, p, IfaceID(iface))
 				live[iface] = append(live[iface], p)
 			case r < 7:
 				// Narrow the interface's demand to one of its profiles.
@@ -198,12 +192,9 @@ func TestPruneMatchesRebuiltBroker(t *testing.T) {
 				drop(name, 0, 1, 2, 3, 4)
 			}
 			rebuilt := NewBroker(0)
-			for i := 0; i < ifaces; i++ {
-				rebuilt.AttachIface(IfaceID(i))
-			}
 			for i, ps := range live {
 				for _, p := range ps {
-					rebuilt.HandleSubscribe(p, IfaceID(i))
+					addDemand(rebuilt, p, IfaceID(i))
 				}
 			}
 			for s := 0; s < propStreams; s++ {

@@ -90,7 +90,7 @@ func checkCancelWithdrawsDemand(t *testing.T, live bool) {
 	// is never published again, so there only source demand counts.
 	for node := 0; node < sys.net.NumNodes(); node++ {
 		b := sys.net.Broker(node)
-		for _, iface := range b.Ifaces() {
+		for _, iface := range b.DemandIfaces() {
 			if d := b.DemandOn(iface); d != nil && (!live || slices.Contains(d.Streams, "OpenAuction")) {
 				t.Errorf("broker %d iface %d still wants %v", node, iface, d)
 			}

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"slices"
-
-	"cosmos/internal/profile"
-)
+import "fmt"
 
 // Query-layer fault tolerance (paper §2): processors checkpoint the
 // execution state of their installed representative plans; when a
@@ -17,10 +12,11 @@ import (
 // demand from the network.
 //
 // The checkpoint store is shared in-process, standing in for a
-// replicated checkpoint log. Adopted groups are frozen: they keep
-// serving and can shrink (members cancel), but no longer accept new
-// members — re-balancing adopted queries back into the optimiser is
-// deliberate future work the paper also leaves open.
+// replicated checkpoint log. An adopted group is flagged in the
+// survivor's one group table and changes through setGroup like any
+// other. It is frozen: it keeps serving and can shrink (members cancel),
+// but no longer accepts new members — re-balancing adopted queries back
+// into the optimiser is deliberate future work the paper also leaves open.
 
 // FailProcessor simulates the crash of a processor and fails its query
 // groups over to the next alive processor. It errors when no survivor
@@ -65,14 +61,14 @@ func (s *System) FailProcessor(procID int) error {
 	// streams from the new location and pull inputs there.
 	failed.mu.Lock()
 	groups := failed.liveLocked()
-	slices.SortFunc(groups, byPlan)
-	failed.groups, failed.adopted = map[int]*groupState{}, map[string]*groupState{}
+	failed.groups = map[string]*groupState{}
 	failed.load = 0
 	failed.mu.Unlock()
 
 	for _, gs := range groups {
 		backup.mu.Lock()
-		backup.adopted[gs.resultStream] = gs
+		gs.adopted = true
+		backup.groups[gs.plan] = gs
 		backup.load += len(gs.memberTags)
 		backup.mu.Unlock()
 		backup.cp.Register(gs.plan, gs.rep, gs.resultStream)
@@ -88,35 +84,6 @@ func (s *System) FailProcessor(procID int) error {
 		}
 	}
 	return nil
-}
-
-// removeAdopted cancels a member of an adopted (failed-over) group.
-func (p *Processor) removeAdopted(tag string) (*groupState, error) {
-	p.mu.Lock()
-	for _, gs := range p.adopted {
-		i := slices.Index(gs.memberTags, tag)
-		if i < 0 {
-			continue
-		}
-		gs.memberTags = slices.Delete(gs.memberTags, i, i+1)
-		p.load--
-		if len(gs.memberTags) > 0 {
-			// The representative stays frozen; survivors keep their
-			// re-tightening profiles, which remain exact.
-			p.mu.Unlock()
-			return gs, nil
-		}
-		p.rt.Remove(gs.plan)
-		p.cp.Drop(gs.plan)
-		p.sys.reg.Deregister(gs.resultStream)
-		p.sys.net.PruneStream(gs.resultStream)
-		delete(p.adopted, gs.resultStream)
-		p.mu.Unlock()
-		p.setInput(gs, profile.New())
-		return nil, nil
-	}
-	p.mu.Unlock()
-	return nil, fmt.Errorf("core: processor %d does not own %s", p.ID, tag)
 }
 
 // Alive reports whether the processor is serving.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"cosmos/internal/stream"
@@ -131,5 +133,84 @@ func TestSubmitAfterFailureUsesSurvivor(t *testing.T) {
 	sys2.procs[1].mu.Unlock()
 	if _, err := sys2.Submit("SELECT itemID FROM OpenAuction [Now]", 3, nil); err == nil {
 		t.Error("submit with no alive processor should fail")
+	}
+}
+
+// TestFailoverStatsPlans: after a failover, StatsSnapshot lists each
+// adopted group's plan under the survivor, with its member tags and its
+// unchanged result stream; cancelling an adopted member removes its tag,
+// and cancelling the last member removes the plan.
+func TestFailoverStatsPlans(t *testing.T) {
+	sys, _, _ := newAuctionSystem(t, Options{Nodes: 16, Seed: 3, Processors: 2, Placement: RoundRobin})
+	var hs []*QueryHandle
+	for _, text := range []string{
+		"SELECT itemID FROM OpenAuction [Now] WHERE sellerID > 5",
+		"SELECT itemID FROM OpenAuction [Now] WHERE sellerID > 1",
+		"SELECT itemID FROM OpenAuction [Now] WHERE sellerID > 7",
+		"SELECT itemID FROM ClosedAuction [Now] WHERE buyerID > 1",
+		"SELECT O.itemID FROM OpenAuction [Range 3 Hour] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID",
+	} {
+		h, err := sys.Submit(text, 5, func(stream.Tuple) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	failed := hs[0].Processor()
+	// plans maps plan ID to its entry, for the plans hosted by proc.
+	plans := func(proc int) map[string]PlanStats {
+		out := map[string]PlanStats{}
+		for _, ps := range sys.StatsSnapshot().Plans {
+			if ps.Proc == proc {
+				out[ps.Plan] = ps
+			}
+		}
+		return out
+	}
+	before := plans(failed.ID)
+	merged := hs[0].Tag + "," + hs[2].Tag
+	var mergedPlan string
+	for id, ps := range before {
+		if strings.Join(ps.Queries, ",") == merged {
+			mergedPlan = id
+		}
+	}
+	if len(before) != 2 || mergedPlan == "" {
+		t.Fatalf("processor %d hosts %v; want two plans, one serving %s", failed.ID, before, merged)
+	}
+
+	if err := sys.FailProcessor(failed.ID); err != nil {
+		t.Fatal(err)
+	}
+	backup := hs[0].Processor()
+	after := plans(backup.ID)
+	for id, want := range before {
+		got, ok := after[id]
+		if !ok {
+			t.Errorf("adopted plan %s missing from processor %d's stats", id, backup.ID)
+			continue
+		}
+		if !slices.Equal(got.Queries, want.Queries) || got.ResultStream != want.ResultStream {
+			t.Errorf("adopted plan %s: queries %v, result %s; want %v, %s",
+				id, got.Queries, got.ResultStream, want.Queries, want.ResultStream)
+		}
+	}
+
+	if err := sys.Cancel(hs[0]); err != nil {
+		t.Fatal(err)
+	}
+	got := plans(backup.ID)[mergedPlan]
+	if !slices.Equal(got.Queries, []string{hs[2].Tag}) || got.ResultStream != before[mergedPlan].ResultStream {
+		t.Errorf("after cancelling %s: plan %s serves %v as %s; want [%s] as %s", hs[0].Tag, mergedPlan,
+			got.Queries, got.ResultStream, hs[2].Tag, before[mergedPlan].ResultStream)
+	}
+	if err := sys.Cancel(hs[2]); err != nil {
+		t.Fatal(err)
+	}
+	if ps, ok := plans(backup.ID)[mergedPlan]; ok {
+		t.Errorf("plan %s still listed after its last member left: %+v", mergedPlan, ps)
+	}
+	if len(plans(backup.ID)) != len(after)-1 {
+		t.Errorf("backup lists %d plans, want %d", len(plans(backup.ID)), len(after)-1)
 	}
 }

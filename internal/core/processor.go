@@ -45,13 +45,9 @@ type Processor struct {
 	planErrs atomic.Int64
 
 	mu sync.Mutex
-	// groups tracks installed representative queries by group ID.
-	// Guarded by mu.
-	groups map[int]*groupState
-	// adopted holds groups taken over from failed processors, keyed by
-	// result stream name; they serve and shrink but accept no new
-	// members. Guarded by mu.
-	adopted map[string]*groupState
+	// groups holds the live query groups, owned and adopted, by plan ID.
+	// Only setGroup and FailProcessor change it. Guarded by mu.
+	groups map[string]*groupState
 	// demand is the union of the live groups' inputs, as last set on
 	// the client. Guarded by mu.
 	demand          *profile.Profile
@@ -66,12 +62,15 @@ type groupState struct {
 	id           int
 	plan         string // engine plan ID, unique system-wide
 	version      int
-	resultStream string
+	resultStream string // "" until the group is first installed
 	rep          *cql.Bound
 	memberTags   []string
 	// input is the profile of the source data rep reads (paper §4);
 	// empty once the group is gone.
 	input *profile.Profile
+	// adopted marks a group taken over from a failed processor: unknown
+	// to the optimiser, it serves and shrinks but takes no new members.
+	adopted bool
 }
 
 // resultStreamName derives the versioned result stream name of a group.
@@ -105,8 +104,7 @@ func newProcessor(s *System, id, node int) (*Processor, error) {
 			MinBenefit:    minBenefit,
 		}),
 		cp:              ft.NewCheckpointer(),
-		groups:          map[int]*groupState{},
-		adopted:         map[string]*groupState{},
+		groups:          map[string]*groupState{},
 		demand:          profile.New(),
 		alive:           true,
 		checkpointEvery: s.opts.CheckpointEvery,
@@ -179,25 +177,25 @@ func (p *Processor) onPlanError(planID string, err error) {
 // PlanErrors returns the number of plan execution failures observed.
 func (p *Processor) PlanErrors() int64 { return p.planErrs.Load() }
 
-// liveLocked lists the live groups, owned and adopted. Callers hold
-// p.mu.
+// liveLocked lists the live groups, owned and adopted, in plan order.
+// Callers hold p.mu.
 func (p *Processor) liveLocked() []*groupState {
-	return slices.AppendSeq(slices.Collect(maps.Values(p.groups)), maps.Values(p.adopted))
+	return slices.SortedFunc(maps.Values(p.groups), byPlan)
 }
 
 // byPlan orders groups by plan ID, for deterministic iteration.
 func byPlan(a, b *groupState) int { return strings.Compare(a.plan, b.plan) }
 
-// planOf resolves the engine plan ID executing a query tag.
-func (p *Processor) planOf(tag string) (string, bool) {
+// groupOf finds the group serving a query tag; nil when none does.
+func (p *Processor) groupOf(tag string) *groupState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, gs := range p.liveLocked() {
+	for _, gs := range p.groups {
 		if slices.Contains(gs.memberTags, tag) {
-			return gs.plan, true
+			return gs
 		}
 	}
-	return "", false
+	return nil
 }
 
 // planQueries resolves the member query tags and result stream served
@@ -205,10 +203,8 @@ func (p *Processor) planOf(tag string) (string, bool) {
 func (p *Processor) planQueries(planID string) (tags []string, resultStream string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, gs := range p.liveLocked() {
-		if gs.plan == planID {
-			return slices.Clone(gs.memberTags), gs.resultStream
-		}
+	if gs := p.groups[planID]; gs != nil {
+		return slices.Clone(gs.memberTags), gs.resultStream
 	}
 	return nil, ""
 }
@@ -228,73 +224,78 @@ func (p *Processor) captureAll() {
 	}
 }
 
-// accept runs the query-management path for one new query: group it,
-// install/replace the representative plan, advertise the (versioned)
-// result stream, and set the processor's demand again. Returns the
-// affected group. Called under the system lock.
+// accept runs the query-management path for one new query: group it
+// with the optimiser, then move the group to its new representative and
+// membership. Returns the affected group. Called under the system lock.
 func (p *Processor) accept(tag string, b *cql.Bound) (*groupState, error) {
 	placement, err := p.opt.Add(tag, b)
 	if err != nil {
 		return nil, err
 	}
 	g := placement.Group
+	plan := fmt.Sprintf("p%d-g%04d", p.ID, g.ID)
 	p.mu.Lock()
-	gs, known := p.groups[g.ID]
-	if !known {
-		gs = &groupState{
-			id:    g.ID,
-			plan:  fmt.Sprintf("p%d-g%04d", p.ID, g.ID),
-			input: profile.New(),
-		}
-		p.groups[g.ID] = gs
-	} else {
-		gs.version++
-		p.sys.reg.Deregister(gs.resultStream)
-		p.sys.net.PruneStream(gs.resultStream)
-	}
-	gs.resultStream = resultStreamName(p.ID, gs.id, gs.version)
-	gs.rep = g.Rep
-	gs.memberTags = memberTags(g)
-	p.load++
+	gs := p.groups[plan]
 	p.mu.Unlock()
-
-	if err := p.installGroup(gs); err != nil {
-		return nil, err
+	if gs == nil {
+		gs = &groupState{id: g.ID, plan: plan, input: profile.New()}
 	}
-	return gs, nil
+	return p.setGroup(gs, g.Rep, memberTags(g))
 }
 
 // remove drops a query; returns the surviving group (nil when the group
-// dissolved). Called under the system lock.
+// dissolved). An adopted group is unknown to the optimiser: it keeps its
+// frozen representative, and survivors keep their re-tightening
+// profiles, which remain exact. Called under the system lock.
 func (p *Processor) remove(tag string) (*groupState, error) {
-	g, ok := p.opt.GroupOf(tag)
-	if !ok {
-		// Not in the optimiser: the query may belong to an adopted
-		// (failed-over) group.
-		return p.removeAdopted(tag)
+	gs := p.groupOf(tag)
+	switch {
+	case gs == nil:
+		return nil, fmt.Errorf("core: processor %d does not own %s", p.ID, tag)
+	case gs.adopted:
+		return p.setGroup(gs, gs.rep, slices.DeleteFunc(slices.Clone(gs.memberTags), func(m string) bool { return m == tag }))
 	}
-	p.mu.Lock()
-	gs := p.groups[g.ID]
-	p.mu.Unlock()
 	survivor, _ := p.opt.Remove(tag)
-	p.mu.Lock()
-	p.load--
 	if survivor == nil {
+		return p.setGroup(gs, nil, nil)
+	}
+	return p.setGroup(gs, survivor.Rep, memberTags(survivor))
+}
+
+// setGroup is the one transition of a group's record: gs is to serve
+// tags through rep; it returns gs, or nil once the group dissolved. With
+// no members left the group dissolves: its plan, checkpoint, result
+// stream and input are retired. The same representative, an adopted
+// group shrinking, changes only the membership. Any other retires the
+// old result stream, if any, and is installed under a fresh version.
+// Called under the system lock.
+func (p *Processor) setGroup(gs *groupState, rep *cql.Bound, tags []string) (*groupState, error) {
+	p.mu.Lock()
+	p.load += len(tags) - len(gs.memberTags)
+	gs.memberTags = tags
+	switch {
+	case len(tags) == 0:
 		p.rt.Remove(gs.plan)
 		p.cp.Drop(gs.plan)
+		delete(p.groups, gs.plan)
+	case rep == gs.rep:
+		p.mu.Unlock()
+		return gs, nil
+	default:
+		p.groups[gs.plan] = gs
+	}
+	if gs.resultStream != "" {
 		p.sys.reg.Deregister(gs.resultStream)
 		p.sys.net.PruneStream(gs.resultStream)
-		delete(p.groups, gs.id)
+		gs.version++
+	}
+	if len(tags) == 0 {
 		p.mu.Unlock()
 		p.setInput(gs, profile.New())
 		return nil, nil
 	}
-	gs.version++
-	p.sys.reg.Deregister(gs.resultStream)
-	p.sys.net.PruneStream(gs.resultStream)
 	gs.resultStream = resultStreamName(p.ID, gs.id, gs.version)
-	gs.rep = survivor.Rep
-	gs.memberTags = memberTags(survivor)
+	gs.rep = rep
 	p.mu.Unlock()
 	if err := p.installGroup(gs); err != nil {
 		return nil, err
@@ -334,7 +335,7 @@ func (p *Processor) installGroup(gs *groupState) error {
 // only widens the union, so it is merged in; otherwise only the streams
 // the old or new input reads are recomputed, each as the union over the
 // live groups, owned and adopted, in plan order. Called under the system
-// lock, once p.groups and p.adopted hold the change.
+// lock, once p.groups holds the change.
 func (p *Processor) setInput(gs *groupState, in *profile.Profile) {
 	p.mu.Lock()
 	old, next := gs.input, p.demand.Clone()
@@ -343,7 +344,6 @@ func (p *Processor) setInput(gs *groupState, in *profile.Profile) {
 		next.Merge(in)
 	} else {
 		live := p.liveLocked()
-		slices.SortFunc(live, byPlan)
 		inputs := make([]*profile.Profile, len(live))
 		for i, g := range live {
 			inputs[i] = g.input
@@ -368,7 +368,7 @@ func (p *Processor) Load() int {
 func (p *Processor) Groups() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.groups) + len(p.adopted)
+	return len(p.groups)
 }
 
 // Stats exposes the optimiser's merging statistics.

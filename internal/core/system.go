@@ -466,11 +466,8 @@ func (s *System) InjectPlanPanic(tag string) bool {
 	if !ok {
 		return false
 	}
-	planID, ok := h.proc.planOf(tag)
-	if !ok {
-		return false
-	}
-	return h.proc.rt.InjectPanic(planID)
+	gs := h.proc.groupOf(tag)
+	return gs != nil && h.proc.rt.InjectPanic(gs.plan)
 }
 
 // Quiesce is the system-wide stabilisation barrier: it blocks until no
