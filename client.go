@@ -202,7 +202,10 @@ func (s *Subscription) setTag(tag string) {
 }
 
 // Results returns the result channel. It closes after the subscription
-// ends and every buffered result has been delivered.
+// ends and every buffered result has been delivered. A result's Values
+// may be shared with other subscribers' results and with the published
+// tuple they derive from, on every backend: they are read-only, and a
+// consumer that wants to write takes a Tuple.Clone.
 func (s *Subscription) Results() <-chan Tuple { return s.out }
 
 // Err returns the terminal status once Results has closed: nil after a

@@ -33,6 +33,11 @@
 //		cosmos.String("ACME"), cosmos.Float(101.5)))
 //	for t := range sub.Results() { fmt.Println(t) }
 //
+// Results are read-only: a delivered result's Values share the routed
+// tuple's backing array wherever its columns form a run of it, so a
+// consumer keeps them as long as it likes but writes only to a
+// Tuple.Clone. Publish, in turn, takes ownership of a tuple's Values.
+//
 // The underlying System/LiveSystem callback API (System.Submit) remains
 // available for embedded deployments; SubmitFunc adapts the callback
 // form onto any Client.

@@ -201,15 +201,18 @@ func (b *Broker) SetCatalog(reg *stream.Registry) {
 
 // dropLocked discards the compiled entries of the named streams; the
 // next routed tuple of each recompiles it from current broker state.
-// Other streams keep their entries. Callers hold b.mu.
+// Other streams keep their entries, and a table holding none of the
+// names is kept as it is. Callers hold b.mu.
 func (b *Broker) dropLocked(names ...string) {
-	if old := b.table.Load(); old != nil {
-		streams := maps.Clone(old.streams)
-		for _, name := range names {
-			delete(streams, name)
-		}
-		b.table.Store(&routeTable{streams: streams})
+	old := b.table.Load()
+	if old == nil || !slices.ContainsFunc(names, func(name string) bool { return old.streams[name] != nil }) {
+		return
 	}
+	streams := maps.Clone(old.streams)
+	for _, name := range names {
+		delete(streams, name)
+	}
+	b.table.Store(&routeTable{streams: streams})
 }
 
 type ifaceDemand struct {

@@ -196,3 +196,49 @@ func TestLiveNetAttachChurn(t *testing.T) {
 		t.Errorf("Stop returned with %d of %d held callbacks finished", got, held)
 	}
 }
+
+// TestLiveNetPruneUnroutedStream: retiring a stream no broker ever
+// routed leaves every broker's compiled route table as it is, so an
+// advertisement plus prune of such a stream costs no more once the
+// brokers have routed a tuple of another stream than before.
+func TestLiveNetPruneUnroutedStream(t *testing.T) {
+	net := NewLiveNet(3)
+	for _, l := range [][2]int{{0, 1}, {1, 2}} {
+		if err := net.AddLink(l[0], l[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := net.AttachClient(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := net.AttachClient(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delivered atomic.Int64
+	sink.SetOnTuple(func(stream.Tuple) { delivered.Add(1) })
+	net.Start()
+	defer net.Stop()
+	src.Advertise("Sensor1")
+	sink.SetDemand(tempProfile(0, nil))
+	net.Quiesce()
+	measure := func() float64 {
+		return advertAllocs(func(name string) {
+			src.Advertise(name)
+			net.Quiesce()
+			net.PruneStream(name)
+		}, func(string) {})
+	}
+	before := measure()
+	if err := src.Publish(sensorTuple(1, 1, 25, 0)); err != nil {
+		t.Fatal(err)
+	}
+	net.Quiesce()
+	if got := delivered.Load(); got != 1 {
+		t.Fatalf("sink received %d tuples, want 1", got)
+	}
+	if after := measure(); after > before {
+		t.Errorf("once a tuple was routed, an advertisement plus prune allocates %.1f/op, %.1f before", after, before)
+	}
+}

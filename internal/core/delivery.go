@@ -31,7 +31,10 @@ type Sink interface {
 type Receiver interface {
 	// Deliver hands over a delivered tuple and the members it matched
 	// (match[i] is lay.Members[i]'s), serially, under the proxy's lock:
-	// it must not block, call into the System, or keep match.
+	// it must not block, call into the System, or keep match. t.Values
+	// are the routed tuple's, shared with every other subscriber of the
+	// delivery: a receiver may keep them, or a subslice, but never write
+	// to them.
 	//
 	//cosmos:hotpath-ok — the subscriber's hand-off, a subscription pump enqueue (Submit) or the wire enqueue (a TCP session)
 	Deliver(lay *Layout, t stream.Tuple, match []bool)
@@ -53,6 +56,10 @@ type Member struct {
 	Out *stream.Schema // the query's output schema, named by its tag
 	Idx []int          // per Out column, the body column carrying it
 	Sub any            // the sink's state for the query, as given to SubmitTo
+	// When Hi > 0 the member's columns are the delivered tuple's
+	// Values[Lo:Hi], in order — the whole tuple when that is every
+	// column — and its row is that run. Otherwise they leave a gap.
+	Lo, Hi int
 }
 
 // proxyKey names a proxy; a group's plan ID outlives versions and failover.
@@ -259,6 +266,7 @@ func (p *proxy) bindLocked(s *stream.Schema) {
 		if !ok {
 			continue
 		}
+		lo, hi := stream.ColumnRun(idx)
 		// Each column takes the body position of an earlier member's
 		// same column that this member has not taken yet, or a new one.
 		for i, col := range idx {
@@ -274,13 +282,16 @@ func (p *proxy) bindLocked(s *stream.Schema) {
 			}
 			idx[i] = pos
 		}
-		lay.Members = append(lay.Members, Member{Out: h.out, Idx: idx, Sub: h.sub})
+		lay.Members = append(lay.Members, Member{Out: h.out, Idx: idx, Sub: h.sub, Lo: lo, Hi: hi})
 		p.match = append(p.match, match)
 	}
 	p.lay, p.hits = lay, make([]bool, len(p.match))
 }
 
-// funcSink is Submit's subscriber: a proxy of its own, results copied out.
+// funcSink is Submit's subscriber: a proxy of its own. A member whose
+// columns are a run of the delivered tuple gets that run, capped so no
+// append through it reaches the columns after it; only a gapped member's
+// row is copied out.
 type funcSink struct {
 	//cosmos:hotpath-ok — the caller's result callback
 	fn func(stream.Tuple)
@@ -294,6 +305,10 @@ func (f *funcSink) Deliver(lay *Layout, t stream.Tuple, _ []bool) {
 		return
 	}
 	m := &lay.Members[0]
+	if m.Hi > 0 {
+		f.fn(stream.Tuple{Schema: m.Out, Ts: t.Ts, Values: t.Values[m.Lo:m.Hi:m.Hi]})
+		return
+	}
 	values := make([]stream.Value, len(m.Idx))
 	for i, j := range m.Idx {
 		values[i] = t.Values[lay.Cols[j]]

@@ -138,7 +138,8 @@ func TestSubmitAfterFailureUsesSurvivor(t *testing.T) {
 
 // TestFailoverStatsPlans: after a failover, StatsSnapshot lists each
 // adopted group's plan under the survivor, with its member tags and its
-// unchanged result stream; cancelling an adopted member removes its tag,
+// unchanged result stream, and none under the failed processor;
+// cancelling an adopted member removes its tag,
 // and cancelling the last member removes the plan.
 func TestFailoverStatsPlans(t *testing.T) {
 	sys, _, _ := newAuctionSystem(t, Options{Nodes: 16, Seed: 3, Processors: 2, Placement: RoundRobin})
@@ -183,6 +184,9 @@ func TestFailoverStatsPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	backup := hs[0].Processor()
+	if gone := plans(failed.ID); len(gone) != 0 {
+		t.Errorf("failed processor %d still lists plans %v", failed.ID, gone)
+	}
 	after := plans(backup.ID)
 	for id, want := range before {
 		got, ok := after[id]

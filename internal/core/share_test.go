@@ -173,3 +173,78 @@ func testLiveSharedSelections(t *testing.T, merged bool, queries []liveQuery) {
 		}
 	}
 }
+
+// TestSubmitDeliverSharesRuns pins Submit's delivery: a member whose
+// columns are the whole delivered tuple, or one contiguous run of it,
+// receives that run of the routed tuple's values, capped, and the
+// proxy's delivery allocates nothing; only a gapped member's row is
+// copied out. The three queries merge into one group, so each proxy
+// receives the representative's result stream projected to its own
+// demand: the whole tuple for the first, the run pubns, v0 widened by
+// the re-tightening filter's v1 for the second, and seq, v1 in the
+// representative's order, not the query's, for the third.
+func TestSubmitDeliverSharesRuns(t *testing.T) {
+	info := &stream.Info{Schema: stream.MustSchema("Load",
+		stream.Field{Name: "seq", Kind: stream.KindInt},
+		stream.Field{Name: "pubns", Kind: stream.KindInt},
+		stream.Field{Name: "v0", Kind: stream.KindFloat},
+		stream.Field{Name: "v1", Kind: stream.KindFloat},
+		stream.Field{Name: "v2", Kind: stream.KindFloat},
+	), Rate: 1000}
+	sys, err := NewSystem(Options{Nodes: 8, Seed: 5, Processors: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, err := sys.RegisterStream(info, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		text   string
+		width  int // the delivered tuple's arity
+		lo, hi int // the member's run of it; hi == 0: gapped
+		allocs float64
+	}{
+		{"SELECT seq, pubns, v0, v1, v2 FROM Load [Now]", 5, 0, 5, 0},
+		{"SELECT pubns, v0 FROM Load [Now] WHERE v1 >= 0", 3, 0, 2, 0},
+		{"SELECT v1, seq FROM Load [Now]", 2, 0, 0, 1},
+	} {
+		var got stream.Tuple
+		h, err := sys.Submit(tc.text, 3, func(r stream.Tuple) { got = r })
+		if err != nil {
+			t.Fatalf("submit %q: %v", tc.text, err)
+		}
+		// Keep the last tuple the network hands the proxy.
+		px := h.px
+		var delivered stream.Tuple
+		px.client.SetOnTuple(func(d stream.Tuple) {
+			delivered = d
+			px.deliver(d)
+		})
+		defer func() {
+			if err := sys.Cancel(h); err != nil {
+				t.Error(err)
+			}
+		}()
+		if err := port.Publish(stream.MustTuple(info.Schema, 7,
+			stream.Int(7), stream.Int(7000), stream.Float(1.5), stream.Float(2.5), stream.Float(3.5))); err != nil {
+			t.Fatal(err)
+		}
+		if got.Schema == nil {
+			t.Fatalf("%s: no result", tc.text)
+		}
+		m := px.lay.Members[0]
+		if len(delivered.Values) != tc.width || m.Lo != tc.lo || m.Hi != tc.hi {
+			t.Fatalf("%s: member run [%d, %d) of %s, want [%d, %d)", tc.text, m.Lo, m.Hi, delivered.Schema, tc.lo, tc.hi)
+		}
+		if tc.hi > 0 && (&got.Values[0] != &delivered.Values[tc.lo] || cap(got.Values) != tc.hi-tc.lo) {
+			t.Fatalf("%s: result %s does not share the capped run [%d, %d) of %s", tc.text, got, tc.lo, tc.hi, delivered)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { px.deliver(delivered) }); allocs != tc.allocs {
+			t.Errorf("%s: delivery allocates %.1f/op, want %.0f", tc.text, allocs, tc.allocs)
+		}
+	}
+	if g := sys.Processors()[0].Groups(); g != 1 {
+		t.Errorf("%d groups, want 1", g)
+	}
+}

@@ -88,6 +88,9 @@ func (s *System) StatsSnapshot() SystemStats {
 		st.LoadPerProc = append(st.LoadPerProc, p.Load())
 		st.PlanErrsPerProc = append(st.PlanErrsPerProc, p.PlanErrors())
 
+		if !p.Alive() {
+			continue // its runtime closed with it; the survivor lists what it adopted
+		}
 		plans, workers := p.rt.StatsSnapshot()
 		for _, ps := range plans {
 			tags, res := p.planQueries(ps.Plan)

@@ -342,6 +342,10 @@ func (p *SourcePort) Publish(t stream.Tuple) error {
 // when beneficial, and its results re-tightened from the group's
 // representative stream. It is SubmitTo with a sink of the query's own.
 //
+// A result's Values are shared with the routed tuple and the other
+// subscribers of its delivery, so they are read-only: onResult may keep
+// them but never write to them (Tuple.Clone gives a writable copy).
+//
 // onResult is called serially, under the query's delivery-proxy lock, so
 // it must not cancel or submit a query of its own group on either
 // transport. On the synchronous System it also runs under the System

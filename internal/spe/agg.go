@@ -36,6 +36,10 @@ type aggState struct {
 	// float SUM/AVG emission).
 	trackMembers bool
 	groups       map[hashKey]*groupAgg
+	// spare is the last group evicted, emptied, which the next new group
+	// takes instead of allocating: a [Now] aggregate's group expires and
+	// returns on every push. One, so empty groups never accumulate.
+	spare *groupAgg
 }
 
 // aggSpec is one aggregate output with its argument pre-resolved.
@@ -119,7 +123,9 @@ func (a *aggState) admit(st *rowStore, vals []stream.Value, ord uint64) *groupAg
 	key := a.keyOf(vals)
 	g := a.groups[key]
 	if g == nil {
-		g = &groupAgg{accs: make([]aggAcc, len(a.specs))}
+		if g, a.spare = a.spare, nil; g == nil {
+			g = &groupAgg{accs: make([]aggAcc, len(a.specs))}
+		}
 		a.groups[key] = g
 	}
 	g.count++
@@ -189,7 +195,11 @@ func (a *aggState) evictMember(st *rowStore, vals []stream.Value) {
 		st.unlinkFirst(&g.members)
 	}
 	if g.count <= 0 {
+		// Its count is 0 and its member chain empty: clear what the
+		// accumulators still reference and keep it for the next group.
 		delete(a.groups, key)
+		clear(g.accs)
+		a.spare = g
 	}
 }
 

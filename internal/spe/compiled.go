@@ -27,13 +27,9 @@ type slotCol struct {
 // (aggregate plans keep theirs inside aggState).
 type compiledPlan struct {
 	// emitCols resolves the select list; tsSlots lists the slots whose
-	// hidden input-timestamp column is appended (IncludeInputTs). When a
-	// single input's select list is one contiguous run [runLo, runHi) of
-	// its columns (runHi > 0), a result of a pushed tuple the identity
-	// adapter passed through shares that run of the tuple's values.
-	emitCols     []slotCol
-	tsSlots      []int
-	runLo, runHi int
+	// hidden input-timestamp column is appended (IncludeInputTs).
+	emitCols []slotCol
+	tsSlots  []int
 	// cmps and resid evaluate the join predicates and residual DNF over
 	// the assembled joined value slice; trivial short-circuits both.
 	cmps    *predicate.CompiledCmps
@@ -90,14 +86,12 @@ func (p *Plan) buildCompiled(b *cql.Bound) error {
 			}
 			cp.emitCols = append(cp.emitCols, slotCol{in.slot, col})
 		}
-		if n == 1 && len(cp.emitCols) > 0 {
-			cp.runLo, cp.runHi = cp.emitCols[0].col, cp.emitCols[0].col+len(cp.emitCols)
+		if n == 1 {
+			cols := make([]int, len(cp.emitCols))
 			for k, sc := range cp.emitCols {
-				if sc.col != cp.runLo+k {
-					cp.runLo, cp.runHi = 0, 0
-					break
-				}
+				cols[k] = sc.col
 			}
+			p.inputs[0].runLo, p.inputs[0].runHi = stream.ColumnRun(cols)
 		}
 		if b.IncludeInputTs && len(b.From) > 1 {
 			for i, ref := range b.From {
@@ -141,6 +135,10 @@ type adapter struct {
 	src      *stream.Schema
 	idx      []int
 	identity bool
+	// runAt is the source column where the input's select run
+	// [runLo, runHi) starts when its columns sit together there, in
+	// order; -1 when they do not, or the input has no run.
+	runAt int
 }
 
 // adapt normalises an incoming tuple's values to the input's projected
@@ -183,8 +181,25 @@ func (in *inputState) rebindAdapter(src *stream.Schema) error {
 			identity = false
 		}
 	}
-	in.ad = adapter{src: src, idx: idx, identity: identity}
+	runAt := -1
+	if lo, hi := stream.ColumnRun(idx[in.runLo:in.runHi]); hi > 0 {
+		runAt = lo
+	}
+	in.ad = adapter{src: src, idx: idx, identity: identity, runAt: runAt}
 	return nil
+}
+
+// sharedRun returns the run of t's values a selection's result shares:
+// the input's select run as it sits in t's layout, capped so no append
+// through it reaches the columns after it; nil when the run has no
+// contiguous place there. t arrived under the adapter's source schema,
+// and a published tuple's values are never written again.
+func (in *inputState) sharedRun(t stream.Tuple) []stream.Value {
+	if in.ad.runAt < 0 {
+		return nil
+	}
+	lo, hi := in.ad.runAt, in.ad.runAt+in.runHi-in.runLo
+	return t.Values[lo:hi:hi]
 }
 
 // pushInput runs one tuple through one input of the plan, appending
@@ -212,7 +227,7 @@ func (p *Plan) pushInput(dst []stream.Tuple, in *inputState, t stream.Tuple) ([]
 	}
 	if len(p.inputs) == 1 {
 		if cp.accept() {
-			dst = append(dst, cp.emit(p, cp.runHi > 0 && in.ad.identity))
+			dst = append(dst, cp.emit(p, in.sharedRun(t)))
 		}
 	} else {
 		for _, other := range p.inputs {
@@ -235,7 +250,7 @@ func (p *Plan) dfsCompiled(i int, out *[]stream.Tuple) {
 	cp := p.cp
 	if i == len(p.inputs) {
 		if cp.accept() {
-			*out = append(*out, cp.emit(p, false))
+			*out = append(*out, cp.emit(p, nil))
 		}
 		return
 	}
@@ -306,14 +321,12 @@ func (cp *compiledPlan) accept() bool {
 
 // emit projects the combination into a result tuple through the
 // pre-resolved (slot, column) pairs. Kinds were validated at compile
-// time, so the tuple is built directly. With share set, the lone slot's
-// row is the pushed tuple's own Values, published and never written
-// again, and the select list is a run of it: the result shares the run,
-// capped so no append through it reaches the columns after it.
-// Otherwise the values are copied.
-func (cp *compiledPlan) emit(p *Plan, share bool) stream.Tuple {
-	if share {
-		return stream.Tuple{Schema: p.Result, Ts: cp.ts[0], Values: cp.rows[0][cp.runLo:cp.runHi:cp.runHi]}
+// time, so the tuple is built directly. A non-nil run is the lone
+// input's select list as the pushed tuple carries it (sharedRun): the
+// result shares it. Otherwise the values are copied.
+func (cp *compiledPlan) emit(p *Plan, run []stream.Value) stream.Tuple {
+	if run != nil {
+		return stream.Tuple{Schema: p.Result, Ts: cp.ts[0], Values: run}
 	}
 	values := make([]stream.Value, 0, p.Result.Arity())
 	for _, sc := range cp.emitCols {

@@ -59,6 +59,10 @@ type inputState struct {
 	win    stream.Duration
 	sel    predicate.DNF
 	schema *stream.Schema
+	// When the plan is a selection over this, its only input, and the
+	// select list is one contiguous run [runLo, runHi) of the input's
+	// columns, runHi > 0.
+	runLo, runHi int
 
 	// store holds the in-window rows in arrival order (timestamps
 	// non-decreasing per stream) under absolute ordinals, which is what
@@ -205,11 +209,12 @@ func (p *Plan) Push(t stream.Tuple) ([]stream.Tuple, error) { return p.PushAppen
 // the result has dst's length.
 //
 // A result's Values are its own unless the select list is one contiguous
-// run of a single input's columns and the tuple arrived in the input's
-// layout: then they are the pushed tuple's Values[lo:hi:hi], shared under
-// the rule that a published tuple's values are never written again. A
-// selection copies nothing then, so a caller that reuses dst (exec does,
-// per plan) pushes without allocating.
+// run of a single input's columns and those columns sit together, in
+// order, in the pushed tuple's layout: then they are the pushed tuple's
+// Values[lo:hi:hi], shared under the rule that a published tuple's
+// values are never written again. A selection copies nothing then, so a
+// caller that reuses dst (exec does, per plan) pushes without
+// allocating.
 //
 //cosmos:hotpath-ok — SPE boundary: joins and aggregates allocate their rows by design; budget pinned by the spe AllocsPerRun tests
 func (p *Plan) PushAppend(dst []stream.Tuple, t stream.Tuple) ([]stream.Tuple, error) {

@@ -58,42 +58,57 @@ func mergedFanout(t *testing.T, reg *stream.Registry) *cql.Bound {
 }
 
 // TestSelectRunPushAppendAllocationFree pins the selection's share: when
-// the select list is one contiguous run of the input's columns and the
-// tuple arrives in the input's layout, PushAppend into a reused dst
-// emits that run of the tuple's values without allocating. The cases
-// are the merged representative of four growing lists (every column of
-// the stream) and a run in the middle of an input that a filter widens
-// on both sides, fed the query profile's early projection.
+// the select list is one contiguous run of the input's columns and those
+// columns sit together in the pushed tuple's layout, PushAppend into a
+// reused dst emits that run of the tuple's values without allocating.
+// The cases are the merged representative of four growing lists (every
+// column of the stream) and a run in the middle of an input that a
+// filter widens on both sides, fed the query profile's early projection,
+// and a run fed the whole source tuple, wider than the input — what a
+// processor whose other plans need more columns receives — so that the
+// adapter is not the identity.
 func TestSelectRunPushAppendAllocationFree(t *testing.T) {
 	reg := loadCatalog()
 	mid, err := cql.AnalyzeString("SELECT pubns, v0 FROM Load00 [Now] WHERE seq >= 0 AND v1 >= 0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	narrow, err := cql.AnalyzeString("SELECT pubns, v0 FROM Load00 [Now] WHERE seq >= 0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		b      *cql.Bound
-		lo, hi int // the run, in the pushed tuple's columns
+		lo, hi int  // the run, in the pushed tuple's columns
+		whole  bool // push the source tuple, not the query's projection of it
 	}{
-		{"merged representative", mergedFanout(t, reg), 0, 5},
-		{"mid-schema run", mid, 1, 3},
+		{"merged representative", mergedFanout(t, reg), 0, 5, false},
+		{"mid-schema run", mid, 1, 3, false},
+		{"run of a wider tuple", narrow, 1, 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := Compile("q", tc.b, "res")
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs, err := profile.FromQuery(tc.b).CompileFor(loadTuple(reg, 1).Schema)
-			if err != nil {
-				t.Fatal(err)
+			tp := loadTuple(reg, 1)
+			if !tc.whole {
+				cs, err := profile.FromQuery(tc.b).CompileFor(tp.Schema)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tp = cs.Apply(tp)
 			}
-			tp := cs.Apply(loadTuple(reg, 1))
 			dst, err := p.PushAppend(nil, tp)
 			if err != nil || len(dst) != 1 {
 				t.Fatalf("push = %v, %v; want one result", dst, err)
 			}
 			if got := &dst[0].Values[0]; got != &tp.Values[tc.lo] || len(dst[0].Values) != tc.hi-tc.lo {
 				t.Fatalf("result %s does not share the run [%d, %d) of %s", dst[0], tc.lo, tc.hi, tp)
+			}
+			if tc.whole && p.inputs[0].ad.identity {
+				t.Fatalf("%s binds the identity adapter to the input %s", tp.Schema, p.inputs[0].schema)
 			}
 			if allocs := testing.AllocsPerRun(1000, func() {
 				if dst, err = p.PushAppend(dst[:0], tp); err != nil || len(dst) != 1 {
@@ -103,6 +118,45 @@ func TestSelectRunPushAppendAllocationFree(t *testing.T) {
 				t.Errorf("PushAppend allocates %.1f/op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestNowAggregatePushOneAllocation pins a [Now] aggregate's group
+// recycling: each push expires the previous row, whose group empties
+// and leaves, and admits a row of another group, which takes the
+// emptied group's state. A push into a reused dst allocates only the
+// emitted row's values.
+func TestNowAggregatePushOneAllocation(t *testing.T) {
+	b := bind(t, "SELECT station, COUNT(*), MAX(temp), SUM(temp) FROM Sensor [Now] GROUP BY station")
+	p, err := Compile("q", b, "res")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, _ := catalog().Schema("Sensor")
+	tuples := make([]stream.Tuple, 4096)
+	for i := range tuples {
+		tuples[i] = stream.MustTuple(sch, stream.Timestamp(int64(i)*int64(stream.Second)),
+			stream.Int(int64(i%4)), stream.Float(float64(i%17)))
+	}
+	var dst []stream.Tuple
+	i := 0
+	push := func() {
+		if dst, err = p.PushAppend(dst[:0], tuples[i]); err != nil || len(dst) != 1 {
+			t.Fatalf("push %d = %v, %v; want one row", i, dst, err)
+		}
+		if n := dst[0].Values[1].AsInt(); n != 1 {
+			t.Fatalf("push %d: group count %d, want 1", i, n)
+		}
+		i++
+	}
+	for i < 64 {
+		push()
+	}
+	if allocs := testing.AllocsPerRun(2000, push); allocs != 1 {
+		t.Errorf("[Now] aggregate push allocates %.2f/op, want 1", allocs)
+	}
+	if n := len(p.agg.groups); n != 1 {
+		t.Errorf("%d groups resident, want 1", n)
 	}
 }
 
@@ -159,10 +213,10 @@ func aliases(a, b []stream.Value) bool {
 // shuffled one. Every PushAppend output must equal the reference
 // executor's in values and order; every result's Values must have
 // cap == len; a result must alias the pushed tuple exactly when the
-// select list is a run of the input's columns and the tuple arrived in
-// the input's layout, and never the plan's reusable rows (the adapter's
-// row, the join scratch). Results kept across later pushes must keep
-// their values.
+// select list is a run of the input's columns and those columns sit
+// together, in list order, in the pushed tuple's layout, and never the
+// plan's reusable rows (the adapter's row, the join scratch). Results
+// kept across later pushes must keep their values.
 func TestSelectShareProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	kinds := []stream.Kind{stream.KindInt, stream.KindFloat, stream.KindString}
@@ -265,10 +319,15 @@ func TestSelectShareProperty(t *testing.T) {
 				if cap(g.Values) != len(g.Values) {
 					t.Fatalf("%s: result values cap %d, len %d", ctx, cap(g.Values), len(g.Values))
 				}
-				identity := reflect.DeepEqual(tp.Schema.AttrNames(), in.schema.AttrNames())
-				if a := aliases(g.Values, tp.Values); a != (run && identity) {
-					t.Fatalf("%s: result aliases the pushed tuple: %v, want %v (run %v, identity layout %v)",
-						ctx, a, run && identity, run, identity)
+				together := true
+				for k, c := range cols {
+					if tp.Schema.ColIndex(c) != tp.Schema.ColIndex(cols[0])+k {
+						together = false
+					}
+				}
+				if a := aliases(g.Values, tp.Values); a != (run && together) {
+					t.Fatalf("%s: result aliases the pushed tuple: %v, want %v (run %v, together in the pushed layout %v)",
+						ctx, a, run && together, run, together)
 				} else if a {
 					shared++
 				} else {

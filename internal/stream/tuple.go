@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -12,7 +13,9 @@ import (
 // tuple itself when a route wants every column, and a capped subslice
 // of its Values when the route keeps one contiguous run of them; a
 // plan's selection whose select list is such a run emits that capped
-// subslice as its result's Values.
+// subslice as its result's Values, and a subscriber whose columns are
+// such a run of the delivered result receives that capped subslice.
+// Code handed a tuple reads it; to write, it writes a Clone.
 type Tuple struct {
 	Schema *Schema
 	Ts     Timestamp
@@ -32,6 +35,14 @@ func NewTuple(s *Schema, ts Timestamp, values ...Value) (Tuple, error) {
 		}
 	}
 	return Tuple{Schema: s, Ts: ts, Values: values}, nil
+}
+
+// Clone returns the tuple with Values of its own, for a caller that
+// wants to write them: a delivered result's Values are shared and
+// read-only.
+func (t Tuple) Clone() Tuple {
+	t.Values = slices.Clone(t.Values)
+	return t
 }
 
 // MustTuple is NewTuple that panics on error.
@@ -88,6 +99,21 @@ func (t Tuple) Project(proj *Schema) (Tuple, error) {
 		vals[i] = v
 	}
 	return Tuple{Schema: proj, Ts: t.Ts, Values: vals}, nil
+}
+
+// ColumnRun returns the columns [lo, hi) that cols lists when they are
+// one contiguous run, in order; 0, 0 when they leave a gap or cols is
+// empty.
+func ColumnRun(cols []int) (lo, hi int) {
+	if len(cols) == 0 {
+		return 0, 0
+	}
+	for k, c := range cols {
+		if c != cols[0]+k {
+			return 0, 0
+		}
+	}
+	return cols[0], cols[0] + len(cols)
 }
 
 // ProjectIdx is the compiled-path counterpart of Project: it builds the
