@@ -103,8 +103,9 @@ type Source interface {
 	// most one window of them twice by one that restarted).
 	//
 	// Publish takes ownership of t.Values: the data layer shares them
-	// downstream, forwarding the slice, or a subslice of it, to every
-	// subscriber whose early projection keeps those columns, so the
+	// downstream, handing the slice to every consumer at the source's
+	// node (only links project) and a subslice of it over every link
+	// whose early projection keeps a run of those columns, so the
 	// caller must never write to them again. Build each tuple from a
 	// fresh slice.
 	Publish(t Tuple) error

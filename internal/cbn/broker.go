@@ -6,7 +6,11 @@
 //
 // COSMOS extends traditional CBN with stream awareness: datagrams belong
 // to named streams, and profiles carry per-stream projection sets that
-// brokers apply early to save bandwidth (§3.1).
+// brokers apply early to save bandwidth (§3.1). Only links project: a
+// client endpoint receives every covered tuple in the layout its broker
+// routed it, every column its demand names and perhaps more, and binds
+// columns by name; the hop to it crosses no link, so a copy there would
+// save nothing.
 //
 // # Two-plane design
 //
@@ -26,12 +30,12 @@
 //     because advert state never enters the table.
 //   - Data plane (RouteTuple): reads an immutable routing table published
 //     through an atomic.Pointer — one map lookup per tuple, then
-//     index-resolved predicate evaluation (predicate.Compiled) and early
-//     projection (profile.CompiledStream.Apply), which keeps the arriving
-//     column order: a route wanting every column forwards the tuple
-//     itself, one keeping a contiguous run of columns shares a capped
-//     subslice of its values, and only a projection that leaves a gap
-//     copies (stream.Tuple.ProjectIdx). No mutex, no name lookups, and
+//     index-resolved predicate evaluation (predicate.Compiled) and, toward
+//     a link, early projection (profile.CompiledStream.Apply), which keeps
+//     the arriving column order: a route wanting every column forwards
+//     the tuple itself, one keeping a contiguous run of columns shares a
+//     capped subslice of its values, and only a projection that leaves a
+//     gap copies (stream.Tuple.ProjectIdx). No mutex, no name lookups, and
 //     zero heap allocations for tuples that match nothing or need no
 //     copy.
 //
@@ -113,10 +117,11 @@ type streamTable struct {
 }
 
 // route is the lock-free data path: evaluate each route's compiled filter
-// directly on the tuple's value slice and project it early. It allocates
-// only for the delivery slice (none when the caller recycles a scratch
-// slice) and for tuples a gapped projection copies; a tuple matching no
-// route, or routed only whole or as contiguous runs, allocates nothing.
+// directly on the tuple's value slice and project it early toward a link.
+// It allocates only for the delivery slice (none when the caller recycles
+// a scratch slice) and for tuples a gapped link projection copies; a
+// tuple matching no route, or routed only whole or as contiguous runs,
+// allocates nothing.
 //
 //cosmos:hotpath
 func (st *streamTable) route(t stream.Tuple, from IfaceID, scratch []Delivery) []Delivery {
@@ -218,6 +223,10 @@ func (b *Broker) dropLocked(names ...string) {
 type ifaceDemand struct {
 	iface IfaceID
 	prof  *profile.Profile
+	// client is set when a client endpoint set the demand: the route
+	// toward it filters and hands tuples over whole, since only a link
+	// projects.
+	client bool
 }
 
 // demandOf returns iface's demand, nil when it wants nothing, and the
@@ -286,33 +295,35 @@ func (b *Broker) HandleAdvertise(streamName string, from IfaceID) (fresh bool, d
 	return true, b.forwardLocked([]string{streamName})
 }
 
-// HandleDemand sets the demand arriving on an interface. For each of
-// streams, p's part of it (none when p is nil or lacks it) replaces what
-// the interface wanted: that is the update one broker forwards to the
-// next. With no streams, p replaces the interface's whole demand, which
-// is how a client sets its attachment's; a nil p then withdraws it all.
+// HandleDemand sets the demand arriving on an interface from a
+// neighbour broker. For each of streams, p's part of it (none when p is
+// nil or lacks it) replaces what the interface wanted: that is the
+// update one broker forwards to the next. With no streams, p replaces
+// the interface's whole demand; a nil p then withdraws it all.
 func (b *Broker) HandleDemand(p *profile.Profile, from IfaceID, streams ...string) []Forward {
+	return b.setDemand(p, from, false, streams)
+}
+
+// setDemand is HandleDemand for any interface: it returns the updates
+// for every stream whose demand changed. client records that a client
+// endpoint set the demand (always its whole demand): the route toward a
+// client applies the filter and hands over the routed tuple as it
+// arrived, every column the demand names and perhaps more, since only
+// links project.
+func (b *Broker) setDemand(p *profile.Profile, from IfaceID, client bool, streams []string) []Forward {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if p != nil {
-		p = normalize(p)
+		p = normalize(p) // the broker keeps the normalized copy
 	}
+	i, cur := b.demandOf(from)
 	if len(streams) == 0 {
-		_, cur := b.demandOf(from)
 		for _, q := range []*profile.Profile{cur, p} {
 			if q != nil {
 				streams = append(streams, q.Streams...)
 			}
 		}
 	}
-	return b.setDemandLocked(p, streams, from)
-}
-
-// setDemandLocked sets, for each of streams, the demand arriving on from
-// to p's part, and forwards every stream whose demand changed. Callers
-// hold b.mu and pass a normalized p the broker may keep.
-func (b *Broker) setDemandLocked(p *profile.Profile, streams []string, from IfaceID) []Forward {
-	i, cur := b.demandOf(from)
 	var changed []string
 	for _, s := range streams {
 		if profile.SameOn(cur, p, s) {
@@ -320,7 +331,7 @@ func (b *Broker) setDemandLocked(p *profile.Profile, streams []string, from Ifac
 		}
 		if cur == nil {
 			cur = profile.New()
-			b.agg = slices.Insert(b.agg, i, ifaceDemand{iface: from, prof: cur})
+			b.agg = slices.Insert(b.agg, i, ifaceDemand{iface: from, prof: cur, client: client})
 		}
 		cur.CopyStream(p, s)
 		changed = append(changed, s)
@@ -468,6 +479,9 @@ func (b *Broker) compileStreamLocked(s *stream.Schema) *streamTable {
 		}
 		if cs == nil {
 			continue // this side has no interest in the stream
+		}
+		if d.client {
+			cs = &profile.CompiledStream{Match: cs.Match} // only links project
 		}
 		cs.ProjSchema = b.internProjSchema(cs.ProjSchema)
 		st.routes = append(st.routes, compiledRoute{iface: d.iface, view: cs})

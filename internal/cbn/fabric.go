@@ -34,8 +34,9 @@ type LinkStats struct {
 	CtrlMsgs  int64
 }
 
-// Message kinds. A client sets its whole demand (msgDemand, prof);
-// brokers pass one stream's demand on (msgDemand, name and prof).
+// Message kinds. A client sets its whole demand (msgDemand, prof), which
+// its broker records as a client's; brokers pass one stream's demand on
+// (msgDemand, name and prof).
 const (
 	msgData = iota
 	msgDemand
@@ -76,8 +77,11 @@ func (e *endpoint) Advertise(streamName string) {
 
 // SetDemand sets the client's whole data interest to p, replacing what it
 // had (nil: none); the network forwards the change toward the sources,
-// narrowing as well as widening. A SimClient's delivery callback must not
-// set its own client's demand: the cascade runs under the client's lock.
+// narrowing as well as widening. p's projection sets narrow what links
+// carry toward the client, not what it receives: its broker hands it
+// each covered tuple as routed, so it binds columns by name. A
+// SimClient's delivery callback must not set its own client's demand:
+// the cascade runs under the client's lock.
 func (e *endpoint) SetDemand(p *profile.Profile) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -254,7 +258,7 @@ func (f *Fabric) step(node int, m message, scratch *[]Delivery, forward func(pee
 		if m.name != "" {
 			streams = []string{m.name}
 		}
-		f.sendDemand(node, b.HandleDemand(m.prof, m.from, streams...), forward)
+		f.sendDemand(node, b.setDemand(m.prof, m.from, m.name == "", streams), forward)
 	case msgAdvertise:
 		fresh, demand := b.HandleAdvertise(m.name, m.from)
 		if fresh {

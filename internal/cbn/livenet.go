@@ -156,6 +156,9 @@ type LiveClient struct {
 }
 
 // SetOnTuple installs the delivery callback; safe to call concurrently.
+// As with SimClient.OnTuple, a delivered tuple is the routed one, every
+// column the demand names and perhaps more (only links project), with
+// shared values: bind columns by name, never write them.
 func (c *LiveClient) SetOnTuple(fn func(stream.Tuple)) {
 	c.mu.Lock()
 	c.onTuple = fn

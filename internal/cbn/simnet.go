@@ -10,7 +10,10 @@ import (
 type SimClient struct {
 	endpoint
 	net *SimNet
-	// OnTuple receives tuples delivered to this client (nil to discard).
+	// OnTuple receives tuples delivered to this client (nil to discard):
+	// each covered tuple in the layout its broker routed it, every column
+	// the demand names and perhaps more (only links project), with values
+	// shared with the routed tuple; bind columns by name, never write them.
 	OnTuple func(stream.Tuple)
 }
 

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"cosmos/internal/overlay"
 	"cosmos/internal/stream"
 )
 
@@ -178,11 +180,10 @@ func testLiveSharedSelections(t *testing.T, merged bool, queries []liveQuery) {
 // columns are the whole delivered tuple, or one contiguous run of it,
 // receives that run of the routed tuple's values, capped, and the
 // proxy's delivery allocates nothing; only a gapped member's row is
-// copied out. The three queries merge into one group, so each proxy
-// receives the representative's result stream projected to its own
-// demand: the whole tuple for the first, the run pubns, v0 widened by
-// the re-tightening filter's v1 for the second, and seq, v1 in the
-// representative's order, not the query's, for the third.
+// copied out. The three queries merge into one group, and only links
+// project, so each proxy receives the representative's whole result:
+// the first member's columns are all of it, the second's the run
+// pubns, v0 within it, and the third's v1, seq are gapped in it.
 func TestSubmitDeliverSharesRuns(t *testing.T) {
 	info := &stream.Info{Schema: stream.MustSchema("Load",
 		stream.Field{Name: "seq", Kind: stream.KindInt},
@@ -206,8 +207,8 @@ func TestSubmitDeliverSharesRuns(t *testing.T) {
 		allocs float64
 	}{
 		{"SELECT seq, pubns, v0, v1, v2 FROM Load [Now]", 5, 0, 5, 0},
-		{"SELECT pubns, v0 FROM Load [Now] WHERE v1 >= 0", 3, 0, 2, 0},
-		{"SELECT v1, seq FROM Load [Now]", 2, 0, 0, 1},
+		{"SELECT pubns, v0 FROM Load [Now] WHERE v1 >= 0", 5, 1, 3, 0},
+		{"SELECT v1, seq FROM Load [Now]", 5, 0, 0, 1},
 	} {
 		var got stream.Tuple
 		h, err := sys.Submit(tc.text, 3, func(r stream.Tuple) { got = r })
@@ -246,5 +247,154 @@ func TestSubmitDeliverSharesRuns(t *testing.T) {
 	}
 	if g := sys.Processors()[0].Groups(); g != 1 {
 		t.Errorf("%d groups, want 1", g)
+	}
+}
+
+// TestMergedJoinMembersCopyOnce pins delivery on the shape of the
+// paper's auction example: four q1/q2 pairs of OpenAuction [Range 3|5
+// Hour] ⋈ ClosedAuction [Now], each query its own Submit, merged into
+// one group at processor node 0 of Figure 3's overlay, q1s at node 2 and
+// q2s at node 3. Every member's column list is gapped in the
+// representative's result, and a client hop no longer projects, so a
+// matching close costs its join result, the routing, and one copy per
+// member; every member receives exactly what it receives alone.
+func TestMergedJoinMembersCopyOnce(t *testing.T) {
+	open := &stream.Info{Schema: stream.MustSchema("OpenAuction",
+		stream.Field{Name: "itemID", Kind: stream.KindInt},
+		stream.Field{Name: "seller", Kind: stream.KindInt},
+		stream.Field{Name: "category", Kind: stream.KindInt},
+		stream.Field{Name: "reserve", Kind: stream.KindFloat},
+		stream.Field{Name: "pubns", Kind: stream.KindInt},
+	), Rate: 500}
+	closed := &stream.Info{Schema: stream.MustSchema("ClosedAuction",
+		stream.Field{Name: "itemID", Kind: stream.KindInt},
+		stream.Field{Name: "buyer", Kind: stream.KindInt},
+		stream.Field{Name: "category", Kind: stream.KindInt},
+		stream.Field{Name: "final", Kind: stream.KindFloat},
+		stream.Field{Name: "pubns", Kind: stream.KindInt},
+	), Rate: 500}
+	var queries []string
+	var nodes []int
+	for _, cols := range []string{
+		"O.itemID, C.buyer, C.pubns",
+		"O.itemID, O.seller, C.buyer, C.pubns",
+		"O.itemID, C.final, C.pubns",
+		"O.itemID, O.reserve, C.final, C.pubns",
+	} {
+		for _, q := range []struct{ hours, node int }{{3, 2}, {5, 3}} {
+			queries = append(queries, fmt.Sprintf(
+				"SELECT %s FROM OpenAuction [Range %d Hour] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID", cols, q.hours))
+			nodes = append(nodes, q.node)
+		}
+	}
+	newSys := func() (*System, *SourcePort, *SourcePort) {
+		sys, err := NewSystem(Options{
+			Tree: &overlay.Tree{
+				Root:      0,
+				Parent:    []int{-1, 0, 1, 1},
+				Children:  [][]int{{1}, {2, 3}, {}, {}},
+				LinkDelay: []float64{0, 10, 10, 10},
+			},
+			ProcessorNodes: []int{0},
+			Seed:           1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		openPort, err := sys.RegisterStream(open, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closedPort, err := sys.RegisterStream(closed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, openPort, closedPort
+	}
+	// Items 1..6 open an hour apart; each closes 2 hours after the last
+	// open, so q1s see items 4..6 and q2s items 2..6.
+	publish := func(openPort, closedPort *SourcePort) {
+		for item := int64(1); item <= 6; item++ {
+			ts := stream.Timestamp(item) * stream.Timestamp(stream.Hour)
+			if err := openPort.Publish(stream.MustTuple(open.Schema, ts,
+				stream.Int(item), stream.Int(100+item), stream.Int(item%3), stream.Float(float64(item)*10), stream.Int(int64(ts)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for item := int64(1); item <= 6; item++ {
+			ts := 8*stream.Timestamp(stream.Hour) + stream.Timestamp(item)
+			if err := closedPort.Publish(stream.MustTuple(closed.Schema, ts,
+				stream.Int(item), stream.Int(200+item), stream.Int(item%3), stream.Float(float64(item)*20), stream.Int(int64(ts)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	render := func(rs []stream.Tuple) []string {
+		out := make([]string, len(rs))
+		for i, r := range rs {
+			out[i] = fmt.Sprint(r.Ts, r.Values)
+		}
+		return out
+	}
+
+	sys, openPort, closedPort := newSys()
+	measuring := false
+	got := make([][]stream.Tuple, len(queries))
+	for i, q := range queries {
+		if _, err := sys.Submit(q, nodes[i], func(r stream.Tuple) {
+			if !measuring {
+				got[i] = append(got[i], r)
+			}
+		}); err != nil {
+			t.Fatalf("submit %q: %v", q, err)
+		}
+	}
+	if g := sys.Processors()[0].Groups(); g != 1 {
+		t.Fatalf("%d groups, want 1", g)
+	}
+	publish(openPort, closedPort)
+	for i, q := range queries {
+		solo, soloOpen, soloClosed := newSys()
+		var want []stream.Tuple
+		if _, err := solo.Submit(q, nodes[i], func(r stream.Tuple) { want = append(want, r) }); err != nil {
+			t.Fatal(err)
+		}
+		publish(soloOpen, soloClosed)
+		if g, w := render(got[i]), render(want); len(w) == 0 || !slices.Equal(g, w) {
+			t.Errorf("%s at node %d: merged %v, solo %v", q, nodes[i], g, w)
+		}
+	}
+
+	// Every member's columns leave a gap in the delivered result, the
+	// representative's whole row, so each is copied out once.
+	gapped := 0
+	for _, px := range sys.proxies {
+		for _, m := range px.lay.Members {
+			if m.Hi == 0 {
+				gapped++
+			}
+		}
+	}
+	if gapped != len(queries) {
+		t.Errorf("%d gapped members, want all %d", gapped, len(queries))
+	}
+	// One more close of item 6, which every member sees. Besides the
+	// copies, it allocates the published tuple, one delivery slice per
+	// broker that routes it on the sync System (node 0 twice: the close
+	// to the processor, the result to its link; then nodes 1, 2 and 3),
+	// and the join's one result.
+	const published, routing, join = 1, 5, 1
+	measuring = true
+	ts := 8*stream.Timestamp(stream.Hour) + 100
+	allocs := testing.AllocsPerRun(100, func() {
+		ts++
+		if err := closedPort.Publish(stream.MustTuple(closed.Schema, ts,
+			stream.Int(6), stream.Int(206), stream.Int(0), stream.Float(120), stream.Int(int64(ts)))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bound := float64(published + routing + join + gapped); allocs > bound {
+		t.Errorf("a matching close allocates %.0f, want at most %.0f: %d for the join and its routing, one copy per gapped member (%d)",
+			allocs, bound, published+routing+join, gapped)
 	}
 }

@@ -14,7 +14,9 @@ import (
 // keeping a contiguous run of columns shares the tuple's values, and
 // only one that leaves a gap copies them. It is immutable and safe for
 // concurrent use; CBN brokers install these in their lock-free routing
-// tables.
+// tables, a link's as compiled and a client endpoint's with Match alone,
+// which hands covered tuples over whole: only links project, and a
+// client binds the columns it wants by name in whatever layout arrives.
 type CompiledStream struct {
 	// Match is the compiled filter; nil means TRUE (no filter, or a
 	// trivially true one).
