@@ -17,17 +17,20 @@
 // The broker separates a rare, symbolic control plane from a hot,
 // compiled data plane:
 //
-//   - Control plane (HandleAdvertise, HandleDemand, PruneStream):
-//     mutex-protected, works on symbolic profiles (attribute names, DNF
-//     filters) because covering-based suppression needs the full
-//     predicate algebra. Demand is state, not a log of deltas: each
-//     interface holds one profile, which an update replaces, and each
-//     change is forwarded toward the stream's sources whether it widens
-//     or narrows the demand; the broker keeps no interface list of its
-//     own (the Fabric's tables are it). A demand change or a prune
-//     invalidates the compiled entries of the streams it touched, a new
-//     catalog the whole table; HandleAdvertise needs no invalidation
-//     because advert state never enters the table.
+//   - Control plane (HandleAdvertise, HandleDemand and the
+//     unadvertisement's handler, pruneStream): mutex-protected, works on
+//     symbolic profiles (attribute names, DNF filters) because
+//     covering-based suppression needs the full predicate algebra.
+//     Demand is state, not a log of deltas: each interface holds one
+//     profile, which an update replaces, and each change is forwarded
+//     toward the stream's sources whether it widens or narrows the
+//     demand; the broker keeps no interface list of its own (the
+//     Fabric's tables are it). A stream is retired by a message too: its
+//     unadvertisement follows the advertisement over the same links, and
+//     every broker it reaches forgets the stream. A demand change or an
+//     unadvertisement invalidates the compiled entries of the streams it
+//     touched, a new catalog the whole table; HandleAdvertise needs no
+//     invalidation because advert state never enters the table.
 //   - Data plane (RouteTuple): reads an immutable routing table published
 //     through an atomic.Pointer — one map lookup per tuple, then
 //     index-resolved predicate evaluation (predicate.Compiled) and, toward
@@ -38,6 +41,11 @@
 //     gap copies (stream.Tuple.ProjectIdx). No mutex, no name lookups, and
 //     zero heap allocations for tuples that match nothing or need no
 //     copy.
+//
+// Every change to a broker's state is a message: once the overlay is
+// assembled (SetCatalog is assembly-time), only Fabric.step writes
+// broker state — on LiveNet, from the broker's own goroutine — and each
+// control message that crosses a link is charged on it.
 //
 // Per stream, the table is compiled lazily on the first routed tuple and
 // keyed by that tuple's schema pointer. There is no second evaluator:
@@ -158,8 +166,8 @@ type Broker struct {
 
 	// table is the compiled routing table read lock-free by RouteTuple.
 	// nil until the first tuple of any stream is routed. A demand change
-	// or a prune drops the entries of the streams it touched; SetCatalog
-	// drops the whole table.
+	// or an unadvertisement drops the entries of the streams it touched;
+	// SetCatalog drops the whole table.
 	table atomic.Pointer[routeTable]
 
 	// mu is the control-plane lock; every field below is guarded by mu.
@@ -298,18 +306,22 @@ func (b *Broker) HandleAdvertise(streamName string, from IfaceID) (fresh bool, d
 // HandleDemand sets the demand arriving on an interface from a
 // neighbour broker. For each of streams, p's part of it (none when p is
 // nil or lacks it) replaces what the interface wanted: that is the
-// update one broker forwards to the next. With no streams, p replaces
-// the interface's whole demand; a nil p then withdraws it all.
+// update one broker forwards to the next. An update for a stream the
+// broker has no advertisement for is recorded as a withdrawal: a
+// neighbour sends demand only toward an advertisement this broker
+// flooded to it, so on a tree such an update crossed the stream's
+// unadvertisement and is stale. With no streams, p replaces the
+// interface's whole demand; a nil p then withdraws it all.
 func (b *Broker) HandleDemand(p *profile.Profile, from IfaceID, streams ...string) []Forward {
 	return b.setDemand(p, from, false, streams)
 }
 
 // setDemand is HandleDemand for any interface: it returns the updates
 // for every stream whose demand changed. client records that a client
-// endpoint set the demand (always its whole demand): the route toward a
-// client applies the filter and hands over the routed tuple as it
-// arrived, every column the demand names and perhaps more, since only
-// links project.
+// endpoint set the demand (always its whole demand, which may arrive
+// before the advertisement): the route toward a client applies the
+// filter and hands over the routed tuple as it arrived, every column
+// the demand names and perhaps more, since only links project.
 func (b *Broker) setDemand(p *profile.Profile, from IfaceID, client bool, streams []string) []Forward {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -317,6 +329,7 @@ func (b *Broker) setDemand(p *profile.Profile, from IfaceID, client bool, stream
 		p = normalize(p) // the broker keeps the normalized copy
 	}
 	i, cur := b.demandOf(from)
+	perStream := len(streams) > 0 // only a neighbour names streams
 	if len(streams) == 0 {
 		for _, q := range []*profile.Profile{cur, p} {
 			if q != nil {
@@ -326,14 +339,18 @@ func (b *Broker) setDemand(p *profile.Profile, from IfaceID, client bool, stream
 	}
 	var changed []string
 	for _, s := range streams {
-		if profile.SameOn(cur, p, s) {
+		want := p
+		if perStream && len(b.adverts[s]) == 0 {
+			want = nil // crossed the stream's unadvertisement
+		}
+		if profile.SameOn(cur, want, s) {
 			continue
 		}
 		if cur == nil {
 			cur = profile.New()
 			b.agg = slices.Insert(b.agg, i, ifaceDemand{iface: from, prof: cur, client: client})
 		}
-		cur.CopyStream(p, s)
+		cur.CopyStream(want, s)
 		changed = append(changed, s)
 	}
 	if len(changed) == 0 {
@@ -551,14 +568,17 @@ func (b *Broker) KnowsSource(streamName string) bool {
 	return len(b.adverts[streamName]) > 0
 }
 
-// PruneStream discards every trace of a stream from the broker's state:
-// advertisement routes, per-interface demand, and what was forwarded.
+// pruneStream handles a stream's unadvertisement: it discards every
+// trace of the stream from the broker's state — advertisement routes,
+// per-interface demand, what was forwarded, the compiled entry and the
+// interned projections — and reports whether the broker knew the
+// stream, which is when the transport floods the unadvertisement on.
 // COSMOS processors retire result stream names when a query group
-// changes; pruning plays the role of the state TTL a long-running
-// deployment would use.
-func (b *Broker) PruneStream(name string) {
+// changes.
+func (b *Broker) pruneStream(name string) (known bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	known = len(b.adverts[name]) > 0
 	b.dropLocked(name)
 	delete(b.adverts, name)
 	b.agg = slices.DeleteFunc(b.agg, func(d ifaceDemand) bool { return d.prof.RemoveStream(name) })
@@ -572,4 +592,5 @@ func (b *Broker) PruneStream(name string) {
 			delete(b.projCache, key)
 		}
 	}
+	return known
 }

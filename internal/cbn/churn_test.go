@@ -17,7 +17,7 @@ const churnCycles = 1000
 
 // advertAllocs measures the allocations of one advertisement of a fresh
 // stream flooding the network, averaged and truncated as by
-// testing.AllocsPerRun. Each stream is pruned again, outside the count,
+// testing.AllocsPerRun. Each stream is retired again, outside the count,
 // so every advertisement meets the same broker state.
 func advertAllocs(advertise func(name string), prune func(name string)) float64 {
 	const runs = 200
@@ -52,7 +52,7 @@ func TestAdvertiseUndemandedAllocations(t *testing.T) {
 		if fresh, demand := b.HandleAdvertise(name, 0); !fresh || demand != nil {
 			t.Fatalf("advert of %s: fresh %v, demand %v; want fresh, none", name, fresh, demand)
 		}
-	}, b.PruneStream)
+	}, func(name string) { b.pruneStream(name) })
 	// All it may allocate is the stream's set of advertising interfaces.
 	entry := testing.AllocsPerRun(200, func() {
 		m := map[IfaceID]bool{}
@@ -74,7 +74,7 @@ func TestSimNetAttachChurn(t *testing.T) {
 	net := lineNet(3)
 	src := net.AttachClient(0)
 	src.Advertise("Sensor1")
-	measure := func() float64 { return advertAllocs(src.Advertise, net.PruneStream) }
+	measure := func() float64 { return advertAllocs(src.Advertise, src.Unadvertise) }
 	before := measure()
 	for i := 0; i < churnCycles; i++ {
 		c := net.AttachClient(1)
@@ -120,7 +120,10 @@ func TestLiveNetAttachChurn(t *testing.T) {
 		return advertAllocs(func(name string) {
 			src.Advertise(name)
 			net.Quiesce()
-		}, net.PruneStream)
+		}, func(name string) {
+			src.Unadvertise(name)
+			net.Quiesce()
+		})
 	}
 	before := measure()
 	var delivered atomic.Int64
@@ -199,8 +202,8 @@ func TestLiveNetAttachChurn(t *testing.T) {
 
 // TestLiveNetPruneUnroutedStream: retiring a stream no broker ever
 // routed leaves every broker's compiled route table as it is, so an
-// advertisement plus prune of such a stream costs no more once the
-// brokers have routed a tuple of another stream than before.
+// advertisement plus unadvertisement of such a stream costs no more once
+// the brokers have routed a tuple of another stream than before.
 func TestLiveNetPruneUnroutedStream(t *testing.T) {
 	net := NewLiveNet(3)
 	for _, l := range [][2]int{{0, 1}, {1, 2}} {
@@ -227,7 +230,8 @@ func TestLiveNetPruneUnroutedStream(t *testing.T) {
 		return advertAllocs(func(name string) {
 			src.Advertise(name)
 			net.Quiesce()
-			net.PruneStream(name)
+			src.Unadvertise(name)
+			net.Quiesce()
 		}, func(string) {})
 	}
 	before := measure()
@@ -239,6 +243,6 @@ func TestLiveNetPruneUnroutedStream(t *testing.T) {
 		t.Fatalf("sink received %d tuples, want 1", got)
 	}
 	if after := measure(); after > before {
-		t.Errorf("once a tuple was routed, an advertisement plus prune allocates %.1f/op, %.1f before", after, before)
+		t.Errorf("once a tuple was routed, an advertisement plus unadvertisement allocates %.1f/op, %.1f before", after, before)
 	}
 }

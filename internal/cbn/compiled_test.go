@@ -419,9 +419,9 @@ func TestCompiledTableSurvivesUpstreamRebuild(t *testing.T) {
 
 // TestControlPlaneInvalidatesCompiledTable checks that a control-plane
 // mutation discards the compiled entries of exactly the streams it
-// touched — a demand change or a prune leaves every other stream's entry
-// in place, pointer for pointer — demand on a new interface included,
-// and that rebuilt routing reflects the new state.
+// touched — a demand change or an unadvertisement leaves every other
+// stream's entry in place, pointer for pointer — demand on a new
+// interface included, and that rebuilt routing reflects the new state.
 func TestControlPlaneInvalidatesCompiledTable(t *testing.T) {
 	other := stream.MustSchema("Sensor2", sensorSchema.Fields...)
 	otherTuple := stream.MustTuple(other, 1, stream.Int(2), stream.Float(20), stream.Float(50))
@@ -501,8 +501,8 @@ func TestControlPlaneInvalidatesCompiledTable(t *testing.T) {
 
 	t.Run("PruneStream", func(t *testing.T) {
 		b, kept := build()
-		b.PruneStream("Sensor1")
-		touchedOnly(t, b, kept, "PruneStream")
+		b.pruneStream("Sensor1")
+		touchedOnly(t, b, kept, "an unadvertisement")
 		out, err := b.RouteTuple(sensorTuple(2, 1, 20, 50), 0)
 		if err != nil {
 			t.Fatal(err)

@@ -27,7 +27,7 @@ type LinkStats struct {
 	A, B    int
 	DelayMs float64
 	// DataBytes / DataMsgs count tuple traffic; CtrlBytes / CtrlMsgs
-	// count advertisements and demand updates.
+	// count (un)advertisements and demand updates.
 	DataBytes int64
 	DataMsgs  int64
 	CtrlBytes int64
@@ -36,15 +36,18 @@ type LinkStats struct {
 
 // Message kinds. A client sets its whole demand (msgDemand, prof), which
 // its broker records as a client's; brokers pass one stream's demand on
-// (msgDemand, name and prof).
+// (msgDemand, name and prof). An advertisement (msgAdvertise, name)
+// floods from a stream's source, and its unadvertisement
+// (msgUnadvertise, name) follows it the same way, retiring the stream.
 const (
 	msgData = iota
 	msgDemand
 	msgAdvertise
+	msgUnadvertise
 )
 
-// message is one CBN message at a broker: a tuple, a demand update or
-// an advertisement, and the interface it arrived on.
+// message is one CBN message at a broker: a tuple, a demand update, an
+// advertisement or an unadvertisement, and the interface it arrived on.
 type message struct {
 	from  IfaceID
 	kind  int
@@ -73,6 +76,15 @@ func (e *endpoint) Iface() IfaceID { return e.iface }
 // the overlay.
 func (e *endpoint) Advertise(streamName string) {
 	e.control(e.Node, message{from: e.iface, kind: msgAdvertise, name: streamName})
+}
+
+// Unadvertise retires a stream the client advertised: every broker the
+// unadvertisement reaches forgets the stream, its routes and the demand
+// for it. It travels behind the advertisement and behind every tuple the
+// client published before it, so send it once the stream's last tuple
+// is out.
+func (e *endpoint) Unadvertise(streamName string) {
+	e.control(e.Node, message{from: e.iface, kind: msgUnadvertise, name: streamName})
 }
 
 // SetDemand sets the client's whole data interest to p, replacing what it
@@ -225,22 +237,17 @@ func (f *Fabric) addLink(a, b int, delayMs float64) {
 // step takes one message through node's broker. A routed tuple for a
 // local client goes to its receiver; a message for a neighbour is charged
 // on the link and handed to forward with the interface it arrives on.
-// Routing recycles *scratch when scratch is non-nil, which only a caller
-// that cannot re-enter step for this node while the deliveries are being
-// passed on may ask for. The error is the broker's routing error for a
-// tuple, which then goes nowhere.
+// Routing recycles *scratch, which no other step may use until this one
+// returns. The error is the broker's routing error for a tuple, which
+// then goes nowhere.
 func (f *Fabric) step(node int, m message, scratch *[]Delivery, forward func(peer int, m message)) error {
 	b := f.brokers[node]
 	switch m.kind {
 	case msgData:
-		var buf []Delivery
-		if scratch != nil {
-			buf = *scratch
-		}
 		// Brokers route concurrently on LiveNet: stripe the count by node
 		// so the counting stays uncontended.
 		start := f.metrics.StageStartAt(obs.StageRoute, node)
-		deliveries, err := b.RouteTupleInto(m.tuple, m.from, buf)
+		deliveries, err := b.RouteTupleInto(m.tuple, m.from, *scratch)
 		f.metrics.StageEnd(obs.StageRoute, start)
 		f.metrics.TraceMark(int64(m.tuple.Ts), obs.StageRoute)
 		if err != nil {
@@ -249,7 +256,7 @@ func (f *Fabric) step(node int, m message, scratch *[]Delivery, forward func(pee
 		for _, d := range deliveries {
 			f.send(node, d.Iface, message{kind: msgData, tuple: d.Tuple}, forward)
 		}
-		if scratch != nil && deliveries != nil {
+		if deliveries != nil {
 			clear(deliveries) // drop tuple refs before recycling
 			*scratch = deliveries
 		}
@@ -265,12 +272,16 @@ func (f *Fabric) step(node int, m message, scratch *[]Delivery, forward func(pee
 			f.flood(node, m, forward)
 		}
 		f.sendDemand(node, demand, forward)
+	case msgUnadvertise:
+		if b.pruneStream(m.name) {
+			f.flood(node, m, forward)
+		}
 	}
 	return nil
 }
 
-// flood passes an advertisement on through every interface of node but
-// the one it arrived on, in interface order.
+// flood passes an advertisement or an unadvertisement on through every
+// interface of node but the one it arrived on, in interface order.
 func (f *Fabric) flood(node int, m message, forward func(peer int, m message)) {
 	tb := &f.tables[node]
 	tb.mu.RLock()
@@ -305,8 +316,8 @@ func (f *Fabric) send(node int, iface IfaceID, m message, forward func(peer int,
 // pass hands one message to where h leads: a client takes tuples only;
 // a message for a neighbour is charged on the link and handed to
 // forward with the interface it arrives on; the zero hop drops it.
-// flood calls it under the table's read lock: an advertisement runs no
-// client callback, and forward takes no table lock.
+// flood calls it under the table's read lock: an (un)advertisement runs
+// no client callback, and forward takes no table lock.
 func (h hop) pass(m message, forward func(peer int, m message)) {
 	switch {
 	case h.client != nil:
@@ -321,7 +332,7 @@ func (h hop) pass(m message, forward func(peer int, m message)) {
 		case msgDemand:
 			h.link.ctrlMsgs.Add(1)
 			h.link.ctrlBytes.Add(int64(demandWireSize(m.name, m.prof)))
-		case msgAdvertise:
+		case msgAdvertise, msgUnadvertise:
 			h.link.ctrlMsgs.Add(1)
 			h.link.ctrlBytes.Add(int64(AdvertBytes + len(m.name)))
 		}
@@ -331,19 +342,11 @@ func (h hop) pass(m message, forward func(peer int, m message)) {
 }
 
 // SetCatalog installs a stream catalog on every broker as the
-// schema-drift guard for compiled routing.
+// schema-drift guard for compiled routing. Call it at assembly, before
+// traffic flows.
 func (f *Fabric) SetCatalog(reg *stream.Registry) {
 	for _, b := range f.brokers {
 		b.SetCatalog(reg)
-	}
-}
-
-// PruneStream garbage-collects a retired stream's state on every broker
-// (the TTL expiry of a long-running deployment); safe while brokers
-// route, the broker control plane being locked.
-func (f *Fabric) PruneStream(name string) {
-	for _, b := range f.brokers {
-		b.PruneStream(name)
 	}
 }
 

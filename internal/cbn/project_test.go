@@ -15,6 +15,7 @@ type testClient interface {
 	SetOnTuple(func(stream.Tuple))
 	SetDemand(*profile.Profile)
 	Advertise(string)
+	Unadvertise(string)
 	Publish(stream.Tuple) error
 }
 

@@ -27,12 +27,15 @@ func TestPruneStreamRemovesState(t *testing.T) {
 		t.Fatalf("pre-prune delivery = %d", delivered)
 	}
 
-	net.PruneStream("Sensor1")
+	src.Unadvertise("Sensor1")
 
-	// No broker may route or know the stream anymore.
+	// No broker may route, know or want the stream anymore.
 	for i := 0; i < net.NumNodes(); i++ {
 		if net.Broker(i).KnowsSource("Sensor1") {
 			t.Errorf("broker %d still has a route", i)
+		}
+		if d := net.Broker(i).DemandIfaces(); len(d) != 0 {
+			t.Errorf("broker %d: interfaces %v still hold demand", i, d)
 		}
 	}
 	src.Publish(sensorTuple(2, 1, 20, 0))
@@ -53,7 +56,7 @@ func TestPruneStreamKeepsOtherStreams(t *testing.T) {
 		{predicate.C("x", predicate.GT, stream.Int(5))},
 	})
 	b.HandleDemand(p, 1)
-	b.PruneStream("A")
+	b.pruneStream("A")
 
 	schemaB := stream.MustSchema("B", stream.Field{Name: "x", Kind: stream.KindInt})
 	d, err := b.RouteTuple(stream.MustTuple(schemaB, 1, stream.Int(9)), 0)
@@ -72,7 +75,7 @@ func TestPruneStreamKeepsOtherStreams(t *testing.T) {
 
 // TestGroupChurnDoesNotAccumulateBrokerState drives repeated group
 // version bumps through a broker and checks its demand and advert tables
-// stay bounded — the purpose of result-stream pruning.
+// stay bounded — the purpose of a result stream's unadvertisement.
 func TestGroupChurnDoesNotAccumulateBrokerState(t *testing.T) {
 	b := NewBroker(0)
 	for v := 0; v < 100; v++ {
@@ -82,7 +85,7 @@ func TestGroupChurnDoesNotAccumulateBrokerState(t *testing.T) {
 		p.AddStream(name, nil, nil)
 		addDemand(b, p, 1)
 		if v > 0 {
-			b.PruneStream(streamName(v - 1))
+			b.pruneStream(streamName(v - 1))
 		}
 	}
 	// Only the latest version's state may remain.
@@ -139,11 +142,11 @@ func randProfile(rng *rand.Rand) *profile.Profile {
 }
 
 // TestPruneMatchesRebuiltBroker is the property behind the per-interface
-// demand state and PruneStream's trim: after any sequence of additive
-// subscribes, narrowing HandleDemand calls, one-stream withdrawals,
-// Close-style withdrawals and prunes, the broker routes every tuple
-// exactly as a fresh broker that received only the surviving demand
-// does.
+// demand state and an unadvertisement's trim: after any sequence of
+// additive subscribes, narrowing HandleDemand calls, one-stream
+// withdrawals, Close-style withdrawals and unadvertisements, the broker
+// routes every tuple exactly as a fresh broker that received only the
+// surviving demand does.
 func TestPruneMatchesRebuiltBroker(t *testing.T) {
 	const ifaces = 5
 	for seed := int64(1); seed <= 20; seed++ {
@@ -188,7 +191,7 @@ func TestPruneMatchesRebuiltBroker(t *testing.T) {
 				b.HandleDemand(nil, IfaceID(iface)) // what Close sends
 				live[iface] = nil
 			default:
-				b.PruneStream(name)
+				b.pruneStream(name)
 				drop(name, 0, 1, 2, 3, 4)
 			}
 			rebuilt := NewBroker(0)

@@ -57,6 +57,12 @@ type SimNet struct {
 	// forward queues a message at a node; built once, so routing
 	// allocates no closure per message.
 	forward func(node int, m message)
+	// scratch holds one delivery slice per nesting depth of run, which
+	// routing recycles. A delivery callback that publishes re-enters run
+	// one level deeper, so it never touches the slice an outer step is
+	// still passing on.
+	scratch [][]Delivery
+	depth   int
 	// ctrlErr retains the first control-plane drain failure (advert or
 	// demand cascade), since Advertise, SetDemand and Subscribe have no
 	// error return; Err surfaces it instead of letting it vanish.
@@ -118,9 +124,17 @@ var drainCompactThreshold = 1024
 // run injects a message at node and processes queued messages until the
 // network is quiet, returning the first routing error. A delivery
 // callback that publishes re-enters run, which drains the queue from
-// where it stands; the outer loop then finds it empty.
+// where it stands with its own scratch; the outer loop then finds the
+// queue empty.
 func (n *SimNet) run(node int, m message) error {
 	n.forward(node, m)
+	depth := n.depth
+	if depth == len(n.scratch) {
+		n.scratch = append(n.scratch, nil)
+	}
+	n.depth++
+	defer func() { n.depth-- }()
+	scratch := n.scratch[depth]
 	var first error
 	for n.qhead < len(n.queue) {
 		// Compact once the consumed prefix dominates the queue, bounding
@@ -131,10 +145,11 @@ func (n *SimNet) run(node int, m message) error {
 		e := n.queue[n.qhead]
 		n.queue[n.qhead] = event{} // release tuple/profile references
 		n.qhead++
-		if err := n.step(e.node, e.message, nil, n.forward); err != nil && first == nil {
+		if err := n.step(e.node, e.message, &scratch, n.forward); err != nil && first == nil {
 			first = err
 		}
 	}
+	n.scratch[depth] = scratch
 	n.queue = n.queue[:0]
 	n.qhead = 0
 	return first

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"cosmos/internal/stream"
@@ -84,16 +83,11 @@ func checkCancelWithdrawsDemand(t *testing.T, live bool) {
 	if moved := publishOpens(t, sys, port, 100, 100); moved != 0 {
 		t.Errorf("after every query was cancelled, 100 tuples moved %d link data bytes", moved)
 	}
-	// No broker wants anything. On the live transport a retired result
-	// stream's demand may outlive PruneStream's sweep when an update for
-	// it was still in flight; it pulls nothing, since the retired name
-	// is never published again, so there only source demand counts.
+	// No broker wants anything.
 	for node := 0; node < sys.net.NumNodes(); node++ {
 		b := sys.net.Broker(node)
 		for _, iface := range b.DemandIfaces() {
-			if d := b.DemandOn(iface); d != nil && (!live || slices.Contains(d.Streams, "OpenAuction")) {
-				t.Errorf("broker %d iface %d still wants %v", node, iface, d)
-			}
+			t.Errorf("broker %d iface %d still wants %v", node, iface, b.DemandOn(iface))
 		}
 	}
 }
@@ -146,3 +140,73 @@ func checkFailoverWithdrawsDemand(t *testing.T, live bool) {
 
 func TestFailoverWithdrawsDemand(t *testing.T)     { checkFailoverWithdrawsDemand(t, false) }
 func TestLiveFailoverWithdrawsDemand(t *testing.T) { checkFailoverWithdrawsDemand(t, true) }
+
+// TestLiveSubmitCancelRetiresStreams: a long-running LiveSystem with a
+// worker pool retires every result stream it stops using. Each cycle
+// submits two queries that merge, publishes, and cancels both, with no
+// quiesce inside a cycle, so each group is re-versioned and dissolved
+// while its advertisements, demand updates and results are still in
+// flight. Once the system is quiet, no broker knows a retired result
+// stream or wants anything.
+func TestLiveSubmitCancelRetiresStreams(t *testing.T) {
+	ls, err := NewLiveSystem(Options{Nodes: 16, Seed: 3, ExecWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	info := auctionInfos()[0]
+	port, err := ls.RegisterStream(info, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls.Quiesce()
+	retired := map[string]bool{}
+	submit := func(text string, node int) *QueryHandle {
+		h, err := ls.Submit(text, node, func(stream.Tuple) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	// record notes the result stream h's group publishes now.
+	record := func(h *QueryHandle) {
+		if gs := h.proc.groupOf(h.Tag); gs != nil {
+			retired[gs.resultStream] = true
+		}
+	}
+	const cycles = 300
+	for i := 0; i < cycles; i++ {
+		a := submit("SELECT itemID FROM OpenAuction [Now] WHERE start_price > 10", 3+i%8)
+		record(a)
+		b := submit("SELECT itemID, sellerID FROM OpenAuction [Now] WHERE start_price > 20", 4+i%8)
+		record(b)
+		for j := 0; j < 3; j++ {
+			ts := stream.Timestamp(3*i + j)
+			if err := port.Publish(openT(info, ts, int64(ts), 1, float64(ts%40))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ls.Cancel(a); err != nil {
+			t.Fatal(err)
+		}
+		record(b)
+		if err := ls.Cancel(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ls.Quiesce()
+	if len(retired) < 2*cycles {
+		t.Fatalf("%d result streams over %d cycles, want the pairs merged and re-versioned", len(retired), cycles)
+	}
+	for node := 0; node < ls.net.NumNodes(); node++ {
+		b := ls.net.Broker(node)
+		for name := range retired {
+			if b.KnowsSource(name) {
+				t.Errorf("broker %d still knows retired stream %s", node, name)
+			}
+		}
+		for _, iface := range b.DemandIfaces() {
+			t.Errorf("broker %d iface %d still wants %v", node, iface, b.DemandOn(iface))
+		}
+	}
+}

@@ -28,7 +28,7 @@ import (
 // replaces) the representative query in the SPE, and maintains the
 // processor's demand — the union of its groups' input profiles, which
 // pulls source streams in — and the advertisements that push result
-// streams out. When checkpointing is enabled it periodically captures
+// streams out and the unadvertisements that retire them. When checkpointing is enabled it periodically captures
 // plan state for query-layer fault tolerance.
 type Processor struct {
 	ID   int
@@ -76,8 +76,9 @@ type groupState struct {
 // resultStreamName derives the versioned result stream name of a group.
 // The version bumps on every membership change: the fresh name retires
 // the old plan generation's name, its in-flight results and its schema
-// at once (old names simply stop carrying data when the old plan is
-// replaced, and PruneStream clears them from every broker).
+// at once (old names stop carrying data when the old plan is replaced,
+// and their unadvertisement, following the last result, clears them
+// from every broker).
 func resultStreamName(procID, groupID, version int) string {
 	return fmt.Sprintf("res-p%d-g%d-v%d", procID, groupID, version)
 }
@@ -268,7 +269,11 @@ func (p *Processor) remove(tag string) (*groupState, error) {
 // stream and input are retired. The same representative, an adopted
 // group shrinking, changes only the membership. Any other retires the
 // old result stream, if any, and is installed under a fresh version.
-// Called under the system lock.
+// A retired stream is unadvertised through the processor's client once
+// the old plan has been replaced or removed: the runtime emits under the
+// plan's lock, so the old plan's last result is already in the node's
+// mailbox, and FIFO links carry the unadvertisement to every broker
+// behind it and behind the advertisement. Called under the system lock.
 func (p *Processor) setGroup(gs *groupState, rep *cql.Bound, tags []string) (*groupState, error) {
 	p.mu.Lock()
 	p.load += len(tags) - len(gs.memberTags)
@@ -284,20 +289,25 @@ func (p *Processor) setGroup(gs *groupState, rep *cql.Bound, tags []string) (*gr
 	default:
 		p.groups[gs.plan] = gs
 	}
-	if gs.resultStream != "" {
-		p.sys.reg.Deregister(gs.resultStream)
-		p.sys.net.PruneStream(gs.resultStream)
+	retired := gs.resultStream
+	if retired != "" {
+		p.sys.reg.Deregister(retired)
 		gs.version++
 	}
 	if len(tags) == 0 {
 		p.mu.Unlock()
+		p.client.Unadvertise(retired)
 		p.setInput(gs, profile.New())
 		return nil, nil
 	}
 	gs.resultStream = resultStreamName(p.ID, gs.id, gs.version)
 	gs.rep = rep
 	p.mu.Unlock()
-	if err := p.installGroup(gs); err != nil {
+	err := p.installGroup(gs)
+	if retired != "" {
+		p.client.Unadvertise(retired)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return gs, nil

@@ -255,9 +255,10 @@ func TestSubmitDeliverSharesRuns(t *testing.T) {
 // Hour] ⋈ ClosedAuction [Now], each query its own Submit, merged into
 // one group at processor node 0 of Figure 3's overlay, q1s at node 2 and
 // q2s at node 3. Every member's column list is gapped in the
-// representative's result, and a client hop no longer projects, so a
-// matching close costs its join result, the routing, and one copy per
-// member; every member receives exactly what it receives alone.
+// representative's result, a client hop does not project and routing
+// recycles its delivery slices, so a matching close costs its join
+// result and one copy per member; every member receives exactly what it
+// receives alone.
 func TestMergedJoinMembersCopyOnce(t *testing.T) {
 	open := &stream.Info{Schema: stream.MustSchema("OpenAuction",
 		stream.Field{Name: "itemID", Kind: stream.KindInt},
@@ -379,11 +380,9 @@ func TestMergedJoinMembersCopyOnce(t *testing.T) {
 		t.Errorf("%d gapped members, want all %d", gapped, len(queries))
 	}
 	// One more close of item 6, which every member sees. Besides the
-	// copies, it allocates the published tuple, one delivery slice per
-	// broker that routes it on the sync System (node 0 twice: the close
-	// to the processor, the result to its link; then nodes 1, 2 and 3),
-	// and the join's one result.
-	const published, routing, join = 1, 5, 1
+	// copies, it allocates the published tuple and the join's one
+	// result; routing recycles the sync System's delivery slices.
+	const published, join = 1, 1
 	measuring = true
 	ts := 8*stream.Timestamp(stream.Hour) + 100
 	allocs := testing.AllocsPerRun(100, func() {
@@ -393,8 +392,8 @@ func TestMergedJoinMembersCopyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if bound := float64(published + routing + join + gapped); allocs > bound {
-		t.Errorf("a matching close allocates %.0f, want at most %.0f: %d for the join and its routing, one copy per gapped member (%d)",
-			allocs, bound, published+routing+join, gapped)
+	if bound := float64(published + join + gapped); allocs > bound {
+		t.Errorf("a matching close allocates %.0f, want at most %.0f: %d for the published tuple and the join, one copy per gapped member (%d)",
+			allocs, bound, published+join, gapped)
 	}
 }

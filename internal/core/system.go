@@ -226,6 +226,9 @@ func (s *System) Obs() *obs.Metrics { return s.obs }
 // every plan inline on the publishing goroutine, under its lock.
 type netClient interface {
 	Advertise(streamName string)
+	// Unadvertise retires an advertised stream once its last tuple is
+	// published: every broker forgets the stream.
+	Unadvertise(streamName string)
 	// SetDemand replaces the attachment's whole demand (nil: none).
 	SetDemand(p *profile.Profile)
 	// Publish hands one tuple into the network. Both implementations

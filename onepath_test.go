@@ -30,7 +30,9 @@ import (
 // server's own lock around a synchronous System, the per-subscription
 // result resume with its per-member sequence slabs, and the wire pump's
 // own retention constants and the LiveNet client's lock-held pump start
-// beside handoff.Queue — are not declared or used anywhere, and
+// beside handoff.Queue, and the sweep that retired a stream on every
+// broker without a message beside its unadvertisement — are not
+// declared or used anywhere, and
 // cmd/cosmosbench is gone. It also pins one hand-off queue: outside
 // internal/handoff, sync.NewCond builds only the three named state waits
 // (the transport client's state, its pubWindow, and a resultWindow), so
@@ -50,6 +52,7 @@ func TestOnePathStructure(t *testing.T) {
 		"simTransport", "liveTransport", "liveEndpoint", "liveLinkStats", "allocIface", "cancelQuery",
 		"deliverySlab",
 		"pumpShrinkRatio", "pumpKeepCap", "pumpShrinkAfter", "ensurePumpLocked",
+		"PruneStream",
 	} {
 		retired[name] = true
 	}
