@@ -206,7 +206,10 @@ func (s *Subscription) setTag(tag string) {
 // ends and every buffered result has been delivered. A result's Values
 // may be shared with other subscribers' results and with the published
 // tuple they derive from, on every backend: they are read-only, and a
-// consumer that wants to write takes a Tuple.Clone.
+// consumer that wants to write takes a Tuple.Clone. A result's row may
+// be cut from a chunk shared with other rows, which a kept result keeps
+// alive, at most one chunk (2.5 KiB) each: Clone what is kept
+// long-term.
 func (s *Subscription) Results() <-chan Tuple { return s.out }
 
 // Err returns the terminal status once Results has closed: nil after a

@@ -36,7 +36,10 @@
 // Results are read-only: a delivered result's Values share the routed
 // tuple's backing array wherever its columns form a run of it, so a
 // consumer keeps them as long as it likes but writes only to a
-// Tuple.Clone. Publish, in turn, takes ownership of a tuple's Values.
+// Tuple.Clone. A fresh row the system builds is cut from a chunk of
+// values it shares with other rows, and a result kept keeps its chunk
+// alive, at most one (2.5 KiB) per result: Clone what is kept
+// long-term. Publish, in turn, takes ownership of a tuple's Values.
 //
 // The underlying System/LiveSystem callback API (System.Submit) remains
 // available for embedded deployments; SubmitFunc adapts the callback

@@ -38,7 +38,8 @@
 //     the arriving column order: a route wanting every column forwards
 //     the tuple itself, one keeping a contiguous run of columns shares a
 //     capped subslice of its values, and only a projection that leaves a
-//     gap copies (stream.Tuple.ProjectIdx). No mutex, no name lookups, and
+//     gap copies (stream.Tuple.ProjectIdx), into a row cut from the
+//     routing node's slab (stream.Slab). No mutex, no name lookups, and
 //     zero heap allocations for tuples that match nothing or need no
 //     copy.
 //
@@ -127,12 +128,13 @@ type streamTable struct {
 // route is the lock-free data path: evaluate each route's compiled filter
 // directly on the tuple's value slice and project it early toward a link.
 // It allocates only for the delivery slice (none when the caller recycles
-// a scratch slice) and for tuples a gapped link projection copies; a
+// a scratch slice) and for the rows a gapped link projection copies into
+// (a slab's chunk now and then, or one per row when slab is nil); a
 // tuple matching no route, or routed only whole or as contiguous runs,
 // allocates nothing.
 //
 //cosmos:hotpath
-func (st *streamTable) route(t stream.Tuple, from IfaceID, scratch []Delivery) []Delivery {
+func (st *streamTable) route(t stream.Tuple, from IfaceID, scratch []Delivery, slab *stream.Slab) []Delivery {
 	out := scratch[:0]
 	for i := range st.routes {
 		r := &st.routes[i]
@@ -147,7 +149,7 @@ func (st *streamTable) route(t stream.Tuple, from IfaceID, scratch []Delivery) [
 			// allocation free.
 			out = make([]Delivery, 0, len(st.routes))
 		}
-		out = append(out, Delivery{Iface: r.iface, Tuple: r.view.Apply(t)})
+		out = append(out, Delivery{Iface: r.iface, Tuple: r.view.ApplyFrom(t, slab)})
 	}
 	return out
 }
@@ -427,6 +429,14 @@ func (b *Broker) RouteTuple(t stream.Tuple, from IfaceID) ([]Delivery, error) {
 //
 //cosmos:hotpath
 func (b *Broker) RouteTupleInto(t stream.Tuple, from IfaceID, scratch []Delivery) ([]Delivery, error) {
+	return b.routeInto(t, from, scratch, nil)
+}
+
+// routeInto is RouteTupleInto for a transport's step, which also owns a
+// slab to cut gapped link projections from.
+//
+//cosmos:hotpath
+func (b *Broker) routeInto(t stream.Tuple, from IfaceID, scratch []Delivery, slab *stream.Slab) ([]Delivery, error) {
 	if t.Schema == nil {
 		return nil, nil // no stream: no demand can cover it
 	}
@@ -442,7 +452,7 @@ func (b *Broker) RouteTupleInto(t stream.Tuple, from IfaceID, scratch []Delivery
 	if st.err != nil {
 		return nil, st.err
 	}
-	return st.route(t, from, scratch), nil
+	return st.route(t, from, scratch, slab), nil
 }
 
 // applies reports whether the compiled entry is valid for tuples of the

@@ -238,16 +238,17 @@ func (f *Fabric) addLink(a, b int, delayMs float64) {
 // local client goes to its receiver; a message for a neighbour is charged
 // on the link and handed to forward with the interface it arrives on.
 // Routing recycles *scratch, which no other step may use until this one
-// returns. The error is the broker's routing error for a tuple, which
-// then goes nowhere.
-func (f *Fabric) step(node int, m message, scratch *[]Delivery, forward func(peer int, m message)) error {
+// returns, and cuts gapped link projections from slab, which only steps
+// serialised with this one may use. The error is the broker's routing
+// error for a tuple, which then goes nowhere.
+func (f *Fabric) step(node int, m message, scratch *[]Delivery, slab *stream.Slab, forward func(peer int, m message)) error {
 	b := f.brokers[node]
 	switch m.kind {
 	case msgData:
 		// Brokers route concurrently on LiveNet: stripe the count by node
 		// so the counting stays uncontended.
 		start := f.metrics.StageStartAt(obs.StageRoute, node)
-		deliveries, err := b.RouteTupleInto(m.tuple, m.from, *scratch)
+		deliveries, err := b.routeInto(m.tuple, m.from, *scratch, slab)
 		f.metrics.StageEnd(obs.StageRoute, start)
 		f.metrics.TraceMark(int64(m.tuple.Ts), obs.StageRoute)
 		if err != nil {

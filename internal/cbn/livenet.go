@@ -96,9 +96,11 @@ func (n *LiveNet) QueueDepths() []int {
 type liveNode struct {
 	net *LiveNet
 
-	// scratch is the delivery buffer routing recycles; owned by the
-	// node's single event-loop goroutine, never shared.
+	// scratch is the delivery buffer routing recycles, and slab the one
+	// gapped link projections are cut from; both owned by the node's
+	// single event-loop goroutine, never shared.
 	scratch []Delivery
+	slab    stream.Slab
 
 	// q is the elastic mailbox the node's broker drains. It is closed
 	// when the broker panics (or the net stops): messages routed to the
@@ -431,7 +433,8 @@ func (n *LiveNet) stepSafe(node int, m message) (ok bool) {
 				node, rec, debug.Stack())
 		}
 	}()
-	_ = n.step(node, m, &n.nodes[node].scratch, n.forward)
+	nd := n.nodes[node]
+	_ = n.step(node, m, &nd.scratch, &nd.slab, n.forward)
 	return true
 }
 

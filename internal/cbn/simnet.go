@@ -63,6 +63,10 @@ type SimNet struct {
 	// still passing on.
 	scratch [][]Delivery
 	depth   int
+	// slab is the one gapped link projections are cut from, at every
+	// depth: steps run one at a time, serialised by whoever drives the
+	// net.
+	slab stream.Slab
 	// ctrlErr retains the first control-plane drain failure (advert or
 	// demand cascade), since Advertise, SetDemand and Subscribe have no
 	// error return; Err surfaces it instead of letting it vanish.
@@ -145,7 +149,7 @@ func (n *SimNet) run(node int, m message) error {
 		e := n.queue[n.qhead]
 		n.queue[n.qhead] = event{} // release tuple/profile references
 		n.qhead++
-		if err := n.step(e.node, e.message, &scratch, n.forward); err != nil && first == nil {
+		if err := n.step(e.node, e.message, &scratch, &n.slab, n.forward); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -34,7 +34,9 @@ type Receiver interface {
 	// it must not block, call into the System, or keep match. t.Values
 	// are the routed tuple's, shared with every other subscriber of the
 	// delivery: a receiver may keep them, or a subslice, but never write
-	// to them.
+	// to them. They may be a row cut from a producer's stream.Slab, which
+	// a kept row keeps alive, at most one chunk (2.5 KiB): Clone what is
+	// kept long-term.
 	//
 	//cosmos:hotpath-ok — the subscriber's hand-off, a subscription pump enqueue (Submit) or the wire enqueue (a TCP session)
 	Deliver(lay *Layout, t stream.Tuple, match []bool)
@@ -288,19 +290,27 @@ func (p *proxy) bindLocked(s *stream.Schema) {
 	p.lay, p.hits = lay, make([]bool, len(p.match))
 }
 
-// funcSink is Submit's subscriber: a proxy of its own. A member whose
-// columns are a run of the delivered tuple gets that run, capped so no
-// append through it reaches the columns after it; only a gapped member's
-// row is copied out.
+// funcSink is Submit's subscriber. Each proxy it opens gets a receiver
+// of its own (funcRecv), so proxies of one sink deliver concurrently.
 type funcSink struct {
-	//cosmos:hotpath-ok — the caller's result callback
 	fn func(stream.Tuple)
 }
 
-func (f *funcSink) Open() Receiver { return f }
+func (f *funcSink) Open() Receiver { return &funcRecv{fn: f.fn} }
+
+// funcRecv is one proxy's receiver of a Submit. A member whose columns
+// are a run of the delivered tuple gets that run, capped so no append
+// through it reaches the columns after it; only a gapped member's row
+// is copied out, into a row cut from slab.
+type funcRecv struct {
+	//cosmos:hotpath-ok — the caller's result callback
+	fn func(stream.Tuple)
+	// slab is owned by the receiver's proxy: Deliver runs under its lock.
+	slab stream.Slab
+}
 
 //cosmos:hotpath
-func (f *funcSink) Deliver(lay *Layout, t stream.Tuple, _ []bool) {
+func (f *funcRecv) Deliver(lay *Layout, t stream.Tuple, _ []bool) {
 	if f.fn == nil {
 		return
 	}
@@ -309,7 +319,7 @@ func (f *funcSink) Deliver(lay *Layout, t stream.Tuple, _ []bool) {
 		f.fn(stream.Tuple{Schema: m.Out, Ts: t.Ts, Values: t.Values[m.Lo:m.Hi:m.Hi]})
 		return
 	}
-	values := make([]stream.Value, len(m.Idx))
+	values := f.slab.Take(len(m.Idx))
 	for i, j := range m.Idx {
 		values[i] = t.Values[lay.Cols[j]]
 	}

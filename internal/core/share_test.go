@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -180,10 +181,11 @@ func testLiveSharedSelections(t *testing.T, merged bool, queries []liveQuery) {
 // columns are the whole delivered tuple, or one contiguous run of it,
 // receives that run of the routed tuple's values, capped, and the
 // proxy's delivery allocates nothing; only a gapped member's row is
-// copied out. The three queries merge into one group, and only links
-// project, so each proxy receives the representative's whole result:
-// the first member's columns are all of it, the second's the run
-// pubns, v0 within it, and the third's v1, seq are gapped in it.
+// copied out, into a row cut from the receiver's slab. The three
+// queries merge into one group, and only links project, so each proxy
+// receives the representative's whole result: the first member's
+// columns are all of it, the second's the run pubns, v0 within it, and
+// the third's v1, seq are gapped in it.
 func TestSubmitDeliverSharesRuns(t *testing.T) {
 	info := &stream.Info{Schema: stream.MustSchema("Load",
 		stream.Field{Name: "seq", Kind: stream.KindInt},
@@ -204,11 +206,10 @@ func TestSubmitDeliverSharesRuns(t *testing.T) {
 		text   string
 		width  int // the delivered tuple's arity
 		lo, hi int // the member's run of it; hi == 0: gapped
-		allocs float64
 	}{
-		{"SELECT seq, pubns, v0, v1, v2 FROM Load [Now]", 5, 0, 5, 0},
-		{"SELECT pubns, v0 FROM Load [Now] WHERE v1 >= 0", 5, 1, 3, 0},
-		{"SELECT v1, seq FROM Load [Now]", 5, 0, 0, 1},
+		{"SELECT seq, pubns, v0, v1, v2 FROM Load [Now]", 5, 0, 5},
+		{"SELECT pubns, v0 FROM Load [Now] WHERE v1 >= 0", 5, 1, 3},
+		{"SELECT v1, seq FROM Load [Now]", 5, 0, 0},
 	} {
 		var got stream.Tuple
 		h, err := sys.Submit(tc.text, 3, func(r stream.Tuple) { got = r })
@@ -241,8 +242,15 @@ func TestSubmitDeliverSharesRuns(t *testing.T) {
 		if tc.hi > 0 && (&got.Values[0] != &delivered.Values[tc.lo] || cap(got.Values) != tc.hi-tc.lo) {
 			t.Fatalf("%s: result %s does not share the capped run [%d, %d) of %s", tc.text, got, tc.lo, tc.hi, delivered)
 		}
-		if allocs := testing.AllocsPerRun(1000, func() { px.deliver(delivered) }); allocs != tc.allocs {
-			t.Errorf("%s: delivery allocates %.1f/op, want %.0f", tc.text, allocs, tc.allocs)
+		// A run costs nothing; a gapped row is cut from the receiver's
+		// slab, a chunk per SlabChunk/2 rows.
+		const runs = 1000
+		bound := background
+		if tc.hi == 0 {
+			bound += carved(runs, len(m.Idx))
+		}
+		if n := mallocs(runs, func() { px.deliver(delivered) }); n > bound {
+			t.Errorf("%s: %d deliveries allocate %d times, want at most %d", tc.text, runs, n, bound)
 		}
 	}
 	if g := sys.Processors()[0].Groups(); g != 1 {
@@ -256,9 +264,10 @@ func TestSubmitDeliverSharesRuns(t *testing.T) {
 // one group at processor node 0 of Figure 3's overlay, q1s at node 2 and
 // q2s at node 3. Every member's column list is gapped in the
 // representative's result, a client hop does not project and routing
-// recycles its delivery slices, so a matching close costs its join
-// result and one copy per member; every member receives exactly what it
-// receives alone.
+// recycles its delivery slices, so a matching close costs its published
+// tuple, its join result and one copy per member, the last two cut from
+// the plan's and each receiver's slab; every member receives exactly
+// what it receives alone.
 func TestMergedJoinMembersCopyOnce(t *testing.T) {
 	open := &stream.Info{Schema: stream.MustSchema("OpenAuction",
 		stream.Field{Name: "itemID", Kind: stream.KindInt},
@@ -379,21 +388,112 @@ func TestMergedJoinMembersCopyOnce(t *testing.T) {
 	if gapped != len(queries) {
 		t.Errorf("%d gapped members, want all %d", gapped, len(queries))
 	}
-	// One more close of item 6, which every member sees. Besides the
-	// copies, it allocates the published tuple and the join's one
+	// More closes of item 6, which every member sees. Besides the
+	// copies, each allocates the published tuple and the join's one
 	// result; routing recycles the sync System's delivery slices.
-	const published, join = 1, 1
 	measuring = true
 	ts := 8*stream.Timestamp(stream.Hour) + 100
-	allocs := testing.AllocsPerRun(100, func() {
+	const runs = 100
+	join := 0
+	allocs := mallocs(runs, func() {
 		ts++
 		if err := closedPort.Publish(stream.MustTuple(closed.Schema, ts,
 			stream.Int(6), stream.Int(206), stream.Int(0), stream.Float(120), stream.Int(int64(ts)))); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if bound := float64(published + join + gapped); allocs > bound {
-		t.Errorf("a matching close allocates %.0f, want at most %.0f: %d for the published tuple and the join, one copy per gapped member (%d)",
-			allocs, bound, published+join, gapped)
+	bound := runs + background // the published tuples
+	for _, px := range sys.proxies {
+		for _, m := range px.lay.Members {
+			bound += carved(runs, len(m.Idx))
+		}
+		join = px.lay.schema.Arity()
+	}
+	bound += carved(runs, join)
+	if allocs > bound {
+		t.Errorf("%d matching closes allocate %d times, want at most %d: one per published tuple, and the join result (%d values) and each gapped member's copy (%d members) cut from slabs",
+			runs, allocs, bound, join, gapped)
+	}
+}
+
+// mallocs counts the heap allocations of runs calls of f on one P, as
+// testing.AllocsPerRun does, without rounding their mean down to a
+// whole number: a row cut from a slab costs a fraction of one.
+func mallocs(runs int, f func()) int {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return int(after.Mallocs - before.Mallocs)
+}
+
+// carved bounds the chunks cutting rows rows of width values from a
+// slab allocates: one per SlabChunk/width rows, the first possibly
+// partly cut already.
+func carved(rows, width int) int {
+	return rows/(stream.SlabChunk/width) + 1
+}
+
+// background allows for the few allocations the runtime makes on its
+// own while mallocs counts.
+const background = 8
+
+// TestSubmitProxiesDeliverConcurrently: proxies deliver concurrently,
+// each under its own lock, and a Submit's sink may have several (one per
+// group its query passes through), so each proxy it opens must get a
+// receiver of its own whose slab no other proxy cuts from. Two
+// receivers of one sink copy gapped members out concurrently (-race
+// reports a shared slab); every result kept must still read its
+// tuple's values once both are done.
+func TestSubmitProxiesDeliverConcurrently(t *testing.T) {
+	in := stream.MustSchema("Load",
+		stream.Field{Name: "seq", Kind: stream.KindInt},
+		stream.Field{Name: "pubns", Kind: stream.KindInt},
+		stream.Field{Name: "v0", Kind: stream.KindFloat},
+		stream.Field{Name: "v1", Kind: stream.KindFloat},
+	)
+	out := stream.MustSchema("q",
+		stream.Field{Name: "v1", Kind: stream.KindFloat},
+		stream.Field{Name: "seq", Kind: stream.KindInt},
+	)
+	// v1, seq is gapped in the delivered layout: each result is a copy.
+	lay := &Layout{Cols: []int{3, 0}, Members: []Member{{Out: out, Idx: []int{0, 1}}}}
+	var mu sync.Mutex
+	var kept []stream.Tuple
+	sink := &funcSink{fn: func(r stream.Tuple) {
+		mu.Lock()
+		kept = append(kept, r)
+		mu.Unlock()
+	}}
+	recvs := []Receiver{sink.Open(), sink.Open()}
+	if recvs[0] == recvs[1] {
+		t.Fatal("Open handed two proxies one receiver")
+	}
+	const n = 2000
+	var wg sync.WaitGroup
+	for g, recv := range recvs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				seq := int64(g*n + i)
+				recv.Deliver(lay, stream.MustTuple(in, stream.Timestamp(seq),
+					stream.Int(seq), stream.Int(seq*1000), stream.Float(0), stream.Float(float64(seq)+0.25)), []bool{true})
+			}
+		}()
+	}
+	wg.Wait()
+	if len(kept) != 2*n {
+		t.Fatalf("%d results, want %d", len(kept), 2*n)
+	}
+	for _, r := range kept {
+		seq := int64(r.Ts)
+		if len(r.Values) != 2 || cap(r.Values) != 2 || !r.Values[0].Equal(stream.Float(float64(seq)+0.25)) || !r.Values[1].Equal(stream.Int(seq)) {
+			t.Fatalf("result %s (cap %d) does not read v1, seq of tuple %d", r, cap(r.Values), seq)
+		}
 	}
 }

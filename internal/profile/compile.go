@@ -42,17 +42,26 @@ func (cs *CompiledStream) Covers(vals []stream.Value, ts stream.Timestamp) bool 
 
 // Apply projects a covered tuple per the compiled projection. A
 // contiguous run is the tuple's own values, capped so that appending to
-// the projected tuple cannot reach the columns past the run.
+// the projected tuple cannot reach the columns past the run; a gapped
+// projection copies into a row of its own.
 //
 //cosmos:hotpath
 func (cs *CompiledStream) Apply(t stream.Tuple) stream.Tuple {
+	return cs.ApplyFrom(t, nil)
+}
+
+// ApplyFrom is Apply for a producer that owns a slab: a gapped
+// projection's row is cut from it.
+//
+//cosmos:hotpath
+func (cs *CompiledStream) ApplyFrom(t stream.Tuple, slab *stream.Slab) stream.Tuple {
 	switch {
 	case cs.ProjSchema == nil:
 		return t
 	case cs.ProjIdx == nil:
 		return stream.Tuple{Schema: cs.ProjSchema, Ts: t.Ts, Values: t.Values[cs.runLo:cs.runHi:cs.runHi]}
 	}
-	return t.ProjectIdx(cs.ProjIdx, cs.ProjSchema)
+	return t.ProjectIdx(cs.ProjIdx, cs.ProjSchema, slab)
 }
 
 // CompileFor compiles the profile's interest in one stream against that

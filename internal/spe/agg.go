@@ -204,11 +204,12 @@ func (a *aggState) evictMember(st *rowStore, vals []stream.Value) {
 }
 
 // update admits the surviving row and emits its group's refreshed
-// aggregate row. The row is bound to the bound's placeholder OutSchema;
-// the plan rebinds it to its registered result stream schema.
-func (a *aggState) update(st *rowStore, vals []stream.Value, ts stream.Timestamp, ord uint64) stream.Tuple {
+// aggregate row, cut from the plan's slab. The row is bound to the
+// bound's placeholder OutSchema; the plan rebinds it to its registered
+// result stream schema.
+func (a *aggState) update(st *rowStore, vals []stream.Value, ts stream.Timestamp, ord uint64, slab *stream.Slab) stream.Tuple {
 	g := a.admit(st, vals, ord)
-	values := make([]stream.Value, 0, len(a.plainIdx)+len(a.specs))
+	values := slab.Take(len(a.plainIdx) + len(a.specs))[:0]
 	for _, col := range a.plainIdx {
 		values = append(values, vals[col])
 	}

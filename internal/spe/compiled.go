@@ -214,7 +214,7 @@ func (p *Plan) pushInput(dst []stream.Tuple, in *inputState, t stream.Tuple) ([]
 	}
 	if p.agg != nil {
 		p.evict(in)
-		row := p.agg.update(&in.store, vals, t.Ts, in.insert(vals, t.Ts))
+		row := p.agg.update(&in.store, vals, t.Ts, in.insert(vals, t.Ts), &p.slab)
 		// Rebind from the bound's placeholder schema to the plan's
 		// registered result stream schema.
 		row.Schema = p.Result
@@ -323,12 +323,13 @@ func (cp *compiledPlan) accept() bool {
 // pre-resolved (slot, column) pairs. Kinds were validated at compile
 // time, so the tuple is built directly. A non-nil run is the lone
 // input's select list as the pushed tuple carries it (sharedRun): the
-// result shares it. Otherwise the values are copied.
+// result shares it. Otherwise the values are copied into a row cut
+// from the plan's slab.
 func (cp *compiledPlan) emit(p *Plan, run []stream.Value) stream.Tuple {
 	if run != nil {
 		return stream.Tuple{Schema: p.Result, Ts: cp.ts[0], Values: run}
 	}
-	values := make([]stream.Value, 0, p.Result.Arity())
+	values := p.slab.Take(p.Result.Arity())[:0]
 	for _, sc := range cp.emitCols {
 		values = append(values, cp.rows[sc.slot][sc.col])
 	}

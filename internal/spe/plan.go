@@ -117,6 +117,10 @@ type Plan struct {
 	watermark stream.Timestamp
 
 	cp *compiledPlan
+	// slab is the one the plan's fresh result rows are cut from: an
+	// aggregate's rows and a copying emission's. Pushes are serialised
+	// per plan, so it is owned by whichever push runs.
+	slab stream.Slab
 }
 
 // Compile builds an executable plan for a bound query. resultStream is

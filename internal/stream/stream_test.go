@@ -405,7 +405,7 @@ func TestProjectIdxMatchesProject(t *testing.T) {
 	if !proj.Equal(want) {
 		t.Fatalf("ProjectIdx schema %s, want %s", proj, want)
 	}
-	fast := tp.ProjectIdx(idx, proj)
+	fast := tp.ProjectIdx(idx, proj, nil)
 	slow, err := tp.Project(want)
 	if err != nil {
 		t.Fatal(err)

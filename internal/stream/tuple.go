@@ -15,7 +15,10 @@ import (
 // plan's selection whose select list is such a run emits that capped
 // subslice as its result's Values, and a subscriber whose columns are
 // such a run of the delivered result receives that capped subslice.
-// Code handed a tuple reads it; to write, it writes a Clone.
+// Code handed a tuple reads it; to write, it writes a Clone. A fresh
+// row the data plane builds is cut from its producer's Slab, so a tuple
+// a consumer keeps may keep that row's chunk alive with it, at most one
+// chunk (2.5 KiB); Clone what is kept long-term.
 type Tuple struct {
 	Schema *Schema
 	Ts     Timestamp
@@ -118,15 +121,16 @@ func ColumnRun(cols []int) (lo, hi int) {
 
 // ProjectIdx is the compiled-path counterpart of Project: it builds the
 // projected tuple from pre-resolved column indices, so the per-tuple cost
-// is a single value-slice copy with no name lookups. The data plane
-// calls it only for a projection that leaves a gap between the columns
-// it keeps (see profile.CompiledStream.Apply). Callers obtain idx
-// and proj once (e.g. via Schema.ProjectIdx) and must ensure every index
-// is in range for the tuple's value slice.
+// is a single value-slice copy with no name lookups, into a row cut from
+// slab (nil: a row of its own). The data plane calls it only for a
+// projection that leaves a gap between the columns it keeps (see
+// profile.CompiledStream.Apply). Callers obtain idx and proj once (e.g.
+// via Schema.ProjectIdx) and must ensure every index is in range for the
+// tuple's value slice.
 //
 //cosmos:hotpath
-func (t Tuple) ProjectIdx(idx []int, proj *Schema) Tuple {
-	vals := make([]Value, len(idx))
+func (t Tuple) ProjectIdx(idx []int, proj *Schema, slab *Slab) Tuple {
+	vals := slab.Take(len(idx))
 	for i, j := range idx {
 		vals[i] = t.Values[j]
 	}

@@ -75,6 +75,7 @@ type Client struct {
 	// persists across them: delivery ids and sequences are per session.
 	wireSubs   map[uint32]*wireSub // the read loop's alone
 	lastResult uint64              // the read loop's alone; last contiguous result sequence
+	slab       stream.Slab         // the read loop's alone; result arenas and gapped members' rows are cut from it
 
 	stop      chan struct{} // closed by Close: aborts backoff waits and the pinger
 	loops     sync.WaitGroup
@@ -469,7 +470,8 @@ func (c *Client) readBinaryFrame(br *bufio.Reader, marker byte) error {
 
 // readResults decodes a result 'D' payload: each body once, into the
 // frame's value arena, then each member it is for, aliasing the body's
-// values or copied out (wireMember.lo) and checked against the member's
+// values or copied out into a row of its own (wireMember.lo), both cut
+// from the read loop's slab, and checked against the member's
 // schema before it is delivered. A frame that arrived before — a resend
 // after a reconnect — is skipped whole; any other must continue the
 // session's sequence.
@@ -494,11 +496,10 @@ func (c *Client) readResults(b []byte) error {
 	k := len(ws.members)
 	pos := dataHeaderSize
 	mapBytes := bitmapBytes(k)
-	arena, err := frameArena(count, ws.arity, mapBytes, len(b)-pos)
+	arena, err := frameArena(&c.slab, count, ws.arity, mapBytes, len(b)-pos)
 	if err != nil {
 		return err
 	}
-	var copied []stream.Value
 	for i := 0; i < count; i++ {
 		if len(b)-pos < mapBytes {
 			return fmt.Errorf("transport: truncated match bitmap")
@@ -522,11 +523,10 @@ func (c *Client) readResults(b []byte) error {
 			if m.lo >= 0 {
 				vals = values[m.lo : m.lo+len(m.idx) : m.lo+len(m.idx)]
 			} else {
-				from := len(copied)
-				for _, col := range m.idx {
-					copied = append(copied, values[col])
+				vals = c.slab.Take(len(m.idx))
+				for k, col := range m.idx {
+					vals[k] = values[col]
 				}
-				vals = copied[from:len(copied):len(copied)]
 			}
 			t, err := stream.NewTuple(m.schema, ts, vals...)
 			if err != nil {

@@ -327,6 +327,9 @@ type session struct {
 	srcs     map[uint32]*core.SourcePort
 	refused  string
 	received uint64
+	// slab is the one publish frames' value arenas are cut from; the
+	// serve goroutine's alone, like the rest of the publish state.
+	slab stream.Slab
 
 	mu      sync.Mutex
 	id      string               // guarded by mu; client-chosen resumable identity; "" = plain session
@@ -499,7 +502,7 @@ func (sess *session) applyPublishFrame(b []byte) error {
 	// Tuples carry the catalog's own schema: the door's fast path.
 	schema := src.Schema()
 	arity := schema.Arity()
-	arena, err := frameArena(count, arity, 0, len(b)-dataHeaderSize)
+	arena, err := frameArena(&sess.slab, count, arity, 0, len(b)-dataHeaderSize)
 	if err != nil {
 		return err
 	}

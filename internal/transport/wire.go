@@ -158,12 +158,21 @@ var errFrameTooLong = errors.New("transport: frame length exceeds limit")
 // marker is already consumed) into *bufp. Untrusted input: a declared
 // length beyond maxFramePayload errors before anything is allocated for
 // it, and below it the buffer grows with the bytes that actually arrive.
+// The prefix is read in place from br's buffer (an array handed to
+// io.ReadFull would escape, one allocation per frame): io.EOF when the
+// stream ends cleanly before it, io.ErrUnexpectedEOF within it.
 func readFrame(br *bufio.Reader, bufp *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(hdr))
+	if _, err := br.Discard(4); err != nil {
+		return nil, err
+	}
 	if n > maxFramePayload {
 		return nil, fmt.Errorf("%w: %d bytes declared (wire version mismatch?)", errFrameTooLong, n)
 	}
@@ -311,16 +320,17 @@ func decodeValues(b []byte, pos int, values []stream.Value) (stream.Timestamp, i
 	return ts, pos, nil
 }
 
-// frameArena allocates the value arena a 'D' frame's tuples of arity
-// values share (each keeps its sub-slice). The declared count is first
-// checked against the tupleBytes present — the smallest encoded tuple is
-// its prefix, a timestamp and two bytes per value — so a lying count
-// cannot size the allocation.
-func frameArena(count, arity, prefix, tupleBytes int) ([]stream.Value, error) {
+// frameArena cuts from slab the value arena a 'D' frame's tuples of
+// arity values share (each keeps its sub-slice); a frame of many tuples
+// is wider than a slab cuts and gets an arena of its own. The declared
+// count is first checked against the tupleBytes present — the smallest
+// encoded tuple is its prefix, a timestamp and two bytes per value — so
+// a lying count cannot size the allocation.
+func frameArena(slab *stream.Slab, count, arity, prefix, tupleBytes int) ([]stream.Value, error) {
 	if count*(prefix+8+2*arity) > tupleBytes {
 		return nil, fmt.Errorf("transport: data frame declares %d tuples in %d bytes", count, tupleBytes)
 	}
-	return make([]stream.Value, count*arity), nil
+	return slab.Take(count * arity), nil
 }
 
 // appendString encodes a uvarint-length-prefixed string.

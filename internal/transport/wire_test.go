@@ -1,6 +1,11 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -323,5 +328,53 @@ func TestDecodeFastPathAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("decode allocates %.1f/tuple, want <= 1 (the value slice)", allocs)
+	}
+}
+
+// repeatReader yields b over and over.
+type repeatReader struct {
+	b   []byte
+	pos int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		m := copy(p[n:], r.b[r.pos:])
+		n += m
+		r.pos = (r.pos + m) % len(r.b)
+	}
+	return n, nil
+}
+
+// TestReadFrameAllocs pins readFrame's steady state: with a warm buffer
+// a frame costs no allocation, its length prefix included. A stream
+// that ends before a prefix reads io.EOF, one that ends within the
+// prefix or the payload io.ErrUnexpectedEOF.
+func TestReadFrameAllocs(t *testing.T) {
+	frame := binary.LittleEndian.AppendUint32(nil, 100)
+	frame = append(frame, bytes.Repeat([]byte{7}, 100)...)
+	br := bufio.NewReaderSize(&repeatReader{b: frame}, 4096)
+	var buf []byte
+	read := func() {
+		if b, err := readFrame(br, &buf); err != nil || len(b) != 100 {
+			t.Fatalf("readFrame = %d bytes, %v; want 100", len(b), err)
+		}
+	}
+	read()
+	if allocs := testing.AllocsPerRun(1000, read); allocs != 0 {
+		t.Errorf("readFrame allocates %.1f/frame on a warm buffer, want 0", allocs)
+	}
+	for _, tc := range []struct {
+		in   []byte
+		want error
+	}{
+		{nil, io.EOF},
+		{frame[:2], io.ErrUnexpectedEOF},
+		{frame[:50], io.ErrUnexpectedEOF},
+	} {
+		if _, err := readFrame(bufio.NewReader(bytes.NewReader(tc.in)), &buf); !errors.Is(err, tc.want) {
+			t.Errorf("readFrame of %d bytes: %v, want %v", len(tc.in), err, tc.want)
+		}
 	}
 }

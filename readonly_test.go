@@ -15,10 +15,14 @@ import (
 // changes. Subscribers reading the whole stream, a run of it and a
 // gapped subset keep every result they receive, append to each (an
 // uncapped share would write the columns after its run under the other
-// readers) and write to a Clone of each. Once the source has published the rest, every kept
-// result must still carry the source's values under the query's column
-// names, and every subscriber must have received each tuple it selects
-// exactly once.
+// readers) and write to a Clone of each. A [Now] aggregate's rows are
+// cut from its plan's slab, a gapped member's from its receiver's (or,
+// over TCP, the client's), and a second source published interleaved
+// with the first makes each TCP publish frame one tuple, cut from the
+// server session's slab. Once the sources have published the rest,
+// every kept result must still carry its source's values under the
+// query's column names, and every subscriber must have received each
+// tuple it selects exactly once.
 func TestResultsReadOnlyAcrossBackends(t *testing.T) {
 	schema := cosmos.MustSchema("Load",
 		cosmos.Field{Name: "seq", Kind: cosmos.KindInt},
@@ -41,6 +45,11 @@ func TestResultsReadOnlyAcrossBackends(t *testing.T) {
 			return cosmos.Float(float64(seq) + 0.5)
 		}
 	}
+	aux := cosmos.MustSchema("Aux",
+		cosmos.Field{Name: "seq", Kind: cosmos.KindInt},
+		cosmos.Field{Name: "pubns", Kind: cosmos.KindInt},
+		cosmos.Field{Name: "v2", Kind: cosmos.KindFloat},
+	)
 	queries := []struct {
 		text  string
 		node  int
@@ -50,10 +59,16 @@ func TestResultsReadOnlyAcrossBackends(t *testing.T) {
 		{"SELECT seq, pubns FROM Load [Now]", 5, 0},
 		{"SELECT pubns, v0 FROM Load [Now] WHERE v1 >= 0", 6, 0},
 		{"SELECT v2, seq FROM Load [Now] WHERE v0 >= 50", 7, 50},
+		{"SELECT pubns, SUM(v1) AS v1 FROM Load [Now] GROUP BY pubns", 4, 0},
+		{"SELECT v2, seq FROM Aux [Now]", 2, 0},
 	}
 	const n = 1000
 	eachBackend(t, func(t *testing.T, c cosmos.Client) {
 		src, err := c.RegisterStream(&cosmos.StreamInfo{Schema: schema, Rate: 1000}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auxSrc, err := c.RegisterStream(&cosmos.StreamInfo{Schema: aux, Rate: 1000}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,14 +92,18 @@ func TestResultsReadOnlyAcrossBackends(t *testing.T) {
 		if err := c.Quiesce(); err != nil {
 			t.Fatal(err)
 		}
-		for seq := int64(0); seq < n; seq++ {
-			vals := make([]cosmos.Value, schema.Arity())
-			for k, f := range schema.Fields {
+		publish := func(src cosmos.Source, s *cosmos.Schema, seq int64) {
+			vals := make([]cosmos.Value, s.Arity())
+			for k, f := range s.Fields {
 				vals[k] = value(seq, f.Name)
 			}
-			if err := src.Publish(cosmos.MustTuple(schema, cosmos.Timestamp(seq), vals...)); err != nil {
+			if err := src.Publish(cosmos.MustTuple(s, cosmos.Timestamp(seq), vals...)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		for seq := int64(0); seq < n; seq++ {
+			publish(src, schema, seq)
+			publish(auxSrc, aux, seq)
 		}
 		if err := c.Quiesce(); err != nil {
 			t.Fatal(err)
