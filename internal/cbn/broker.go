@@ -262,24 +262,32 @@ func (b *Broker) DemandIfaces() (out []IfaceID) {
 
 // normalize widens a profile's projection sets with the attributes its
 // filters evaluate, so that en-route projection never strips attributes a
-// downstream filter still needs.
+// downstream filter still needs. p is never written: normalize returns
+// p itself when no set must widen, and a widened copy otherwise.
 func normalize(p *profile.Profile) *profile.Profile {
-	out := p.Clone()
-	for _, s := range out.Streams {
-		attrs := out.Attrs[s]
+	out := p
+	for _, s := range p.Streams {
+		attrs := p.Attrs[s]
 		if attrs == nil {
 			continue // all attributes anyway
 		}
 		widened := slices.Clip(attrs)
-		for _, a := range out.FilterFor(s).Attrs() {
-			// The intrinsic timestamp resolves from the tuple itself and
-			// must not enter projection sets.
-			if a != predicate.IntrinsicTs && !slices.Contains(attrs, a) {
-				widened = append(widened, a)
+		for _, cj := range p.Filters[s] {
+			for _, c := range cj {
+				for _, a := range [...]string{c.Term.A, c.Term.B} {
+					// The intrinsic timestamp resolves from the tuple itself
+					// and must not enter projection sets.
+					if a != "" && a != predicate.IntrinsicTs && !slices.Contains(widened, a) {
+						widened = append(widened, a)
+					}
+				}
 			}
 		}
 		if len(widened) > len(attrs) {
-			out.AddStream(s, widened, out.Filters[s])
+			if out == p {
+				out = p.Clone()
+			}
+			out.AddStream(s, widened, p.Filters[s])
 		}
 	}
 	return out
@@ -328,7 +336,9 @@ func (b *Broker) setDemand(p *profile.Profile, from IfaceID, client bool, stream
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if p != nil {
-		p = normalize(p) // the broker keeps the normalized copy
+		// The broker keeps per-stream copies of the normalized parts
+		// (CopyStream below), never p itself.
+		p = normalize(p)
 	}
 	i, cur := b.demandOf(from)
 	perStream := len(streams) > 0 // only a neighbour names streams

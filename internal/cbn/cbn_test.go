@@ -1,7 +1,9 @@
 package cbn
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -504,4 +506,42 @@ func TestAdvertiseDuplicateSuppressed(t *testing.T) {
 	if totalCtrlMsgs(net) != base {
 		t.Error("duplicate advertisement flooded again")
 	}
+}
+
+// TestSetDemandKeepsNoCallerProfile: a broker keeps copies of the parts
+// of a demand it is handed, never the caller's profile, whether the
+// profile is normalized as it stands or must widen: mutating the
+// profile after SetDemand changes neither the demand the broker holds
+// nor what it forwarded.
+func TestSetDemandKeepsNoCallerProfile(t *testing.T) {
+	for _, attrs := range [][]string{{"station", "temp"}, {"station"}, nil} {
+		net := lineNet(3)
+		src := net.AttachClient(0)
+		sub := net.AttachClient(2)
+		src.Advertise("Sensor1")
+		p := tempProfile(20, attrs)
+		sub.SetDemand(p)
+		held := netDemand(net)
+
+		p.AddStream("Sensor1", []string{"humidity"}, predicate.DNF{{predicate.C("humidity", predicate.LT, stream.Float(1))}})
+		p.Merge(tempProfile(-5, []string{"temp"}))
+		p.AddStream("Sensor2", nil, nil)
+		if a := p.Attrs["Sensor1"]; len(a) > 0 {
+			a[0] = "bogus"
+		}
+		if got := netDemand(net); got != held {
+			t.Errorf("attrs %v: demand changed with the caller's profile:\n%s\nwas\n%s", attrs, got, held)
+		}
+	}
+}
+
+// netDemand renders every interface's demand on every broker.
+func netDemand(net *SimNet) string {
+	var b strings.Builder
+	for node := 0; node < net.NumNodes(); node++ {
+		for _, iface := range net.Broker(node).DemandIfaces() {
+			fmt.Fprintf(&b, "%d/%d %s\n", node, iface, net.Broker(node).DemandOn(iface))
+		}
+	}
+	return b.String()
 }

@@ -62,6 +62,8 @@ func (s *System) FailProcessor(procID int) error {
 	failed.mu.Lock()
 	groups := failed.liveLocked()
 	failed.groups = map[string]*groupState{}
+	failed.byTag = map[string]*groupState{}
+	failed.readers = map[string][]*groupState{}
 	failed.load = 0
 	failed.mu.Unlock()
 
@@ -70,6 +72,9 @@ func (s *System) FailProcessor(procID int) error {
 		gs.adopted = true
 		backup.groups[gs.plan] = gs
 		backup.load += len(gs.memberTags)
+		for _, tag := range gs.memberTags {
+			backup.byTag[tag] = gs
+		}
 		backup.mu.Unlock()
 		backup.cp.Register(gs.plan, gs.rep, gs.resultStream)
 		// Advertising from the backup's node makes the CBN re-route

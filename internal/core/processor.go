@@ -45,9 +45,15 @@ type Processor struct {
 	planErrs atomic.Int64
 
 	mu sync.Mutex
-	// groups holds the live query groups, owned and adopted, by plan ID.
-	// Only setGroup and FailProcessor change it. Guarded by mu.
+	// groups holds the live query groups, owned and adopted, by plan ID,
+	// and byTag each group's members by query tag. Only setGroup and
+	// FailProcessor change them. Guarded by mu.
 	groups map[string]*groupState
+	byTag  map[string]*groupState
+	// readers lists, per stream, the live groups whose input reads it,
+	// in plan order: the parts a narrowing re-unions. setInput keeps it.
+	// Guarded by mu.
+	readers map[string][]*groupState
 	// demand is the union of the live groups' inputs, as last set on
 	// the client. Guarded by mu.
 	demand          *profile.Profile
@@ -106,6 +112,8 @@ func newProcessor(s *System, id, node int) (*Processor, error) {
 		}),
 		cp:              ft.NewCheckpointer(),
 		groups:          map[string]*groupState{},
+		byTag:           map[string]*groupState{},
+		readers:         map[string][]*groupState{},
 		demand:          profile.New(),
 		alive:           true,
 		checkpointEvery: s.opts.CheckpointEvery,
@@ -191,12 +199,19 @@ func byPlan(a, b *groupState) int { return strings.Compare(a.plan, b.plan) }
 func (p *Processor) groupOf(tag string) *groupState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, gs := range p.groups {
-		if slices.Contains(gs.memberTags, tag) {
-			return gs
-		}
+	return p.byTag[tag]
+}
+
+// setMembersLocked makes tags gs's members. Callers hold p.mu.
+func (p *Processor) setMembersLocked(gs *groupState, tags []string) {
+	p.load += len(tags) - len(gs.memberTags)
+	for _, tag := range gs.memberTags {
+		delete(p.byTag, tag)
 	}
-	return nil
+	for _, tag := range tags {
+		p.byTag[tag] = gs
+	}
+	gs.memberTags = tags
 }
 
 // planQueries resolves the member query tags and result stream served
@@ -276,8 +291,7 @@ func (p *Processor) remove(tag string) (*groupState, error) {
 // behind it and behind the advertisement. Called under the system lock.
 func (p *Processor) setGroup(gs *groupState, rep *cql.Bound, tags []string) (*groupState, error) {
 	p.mu.Lock()
-	p.load += len(tags) - len(gs.memberTags)
-	gs.memberTags = tags
+	p.setMembersLocked(gs, tags)
 	switch {
 	case len(tags) == 0:
 		p.rt.Remove(gs.plan)
@@ -344,27 +358,51 @@ func (p *Processor) installGroup(gs *groupState) error {
 // sets the processor's demand again. An input that covers the old one
 // only widens the union, so it is merged in; otherwise only the streams
 // the old or new input reads are recomputed, each as the union over the
-// live groups, owned and adopted, in plan order. Called under the system
-// lock, once p.groups holds the change.
+// live groups, owned and adopted, that read it, in plan order. Called
+// under the system lock, once p.groups holds the change.
 func (p *Processor) setInput(gs *groupState, in *profile.Profile) {
 	p.mu.Lock()
 	old, next := gs.input, p.demand.Clone()
 	gs.input = in
+	for _, s := range old.Streams {
+		if p.readers[s] = dropGroup(p.readers[s], gs); len(p.readers[s]) == 0 {
+			delete(p.readers, s)
+		}
+	}
+	for _, s := range in.Streams {
+		p.readers[s] = addGroup(p.readers[s], gs)
+	}
 	if in.CoversProfile(old) {
 		next.Merge(in)
 	} else {
-		live := p.liveLocked()
-		inputs := make([]*profile.Profile, len(live))
-		for i, g := range live {
-			inputs[i] = g.input
-		}
 		for _, s := range slices.Concat(old.Streams, in.Streams) {
+			readers := p.readers[s]
+			inputs := make([]*profile.Profile, len(readers))
+			for i, g := range readers {
+				inputs[i] = g.input
+			}
 			next.CopyStream(profile.UnionOn(s, inputs), s)
 		}
 	}
 	p.demand = next
 	p.mu.Unlock()
 	p.client.SetDemand(next)
+}
+
+// addGroup inserts gs into a plan-ordered group list, unless it is there.
+func addGroup(list []*groupState, gs *groupState) []*groupState {
+	if i, found := slices.BinarySearchFunc(list, gs, byPlan); !found {
+		list = slices.Insert(list, i, gs)
+	}
+	return list
+}
+
+// dropGroup removes gs from a plan-ordered group list, if it is there.
+func dropGroup(list []*groupState, gs *groupState) []*groupState {
+	if i, found := slices.BinarySearchFunc(list, gs, byPlan); found {
+		list = slices.Delete(list, i, i+1)
+	}
+	return list
 }
 
 // Load returns the number of queries assigned to this processor.

@@ -73,6 +73,11 @@ type Bound struct {
 	// result-splitting profiles can re-tighten member windows with
 	// Lemma 1 constraints such as −3h ≤ O.__ts − C.__ts ≤ 0.
 	IncludeInputTs bool
+
+	// sig and need are GroupSignature's and NeededAttrs' answers,
+	// derived once from the clauses above (derive).
+	sig  string
+	need map[string][]string
 }
 
 // InputTsAttr is the hidden result attribute carrying the contributing
@@ -232,7 +237,7 @@ func Analyze(q *Query, cat Catalog) (*Bound, error) {
 		}
 	}
 
-	if err := b.buildOutSchema(); err != nil {
+	if err := b.derive(); err != nil {
 		return nil, err
 	}
 	if err := b.checkExecutable(); err != nil {
@@ -616,11 +621,26 @@ func (b *Bound) buildOutSchema() error {
 	return nil
 }
 
+// derive computes what the query's clauses determine and every reader
+// asks for again: the output schema, the group signature and the needed
+// attributes. Analyze calls it once the clauses are bound, Rebuild once
+// the merge package has rewritten a clone's.
+func (b *Bound) derive() error {
+	if err := b.buildOutSchema(); err != nil {
+		return err
+	}
+	b.sig, b.need = b.groupSignature(), b.neededAttrs()
+	return nil
+}
+
 // NeededAttrs returns, per alias, the sorted set of bare attribute names
 // the query touches — the projection set P of its source-retrieval profile
 // (paper §4: "a projection predicate is composed by using all the
-// attributes in the query").
-func (b *Bound) NeededAttrs() map[string][]string {
+// attributes in the query"). The map and its slices are the Bound's own,
+// computed once: read them, never write them.
+func (b *Bound) NeededAttrs() map[string][]string { return b.need }
+
+func (b *Bound) neededAttrs() map[string][]string {
 	need := map[string]map[string]bool{}
 	for _, ref := range b.From {
 		need[ref.Alias] = map[string]bool{}
@@ -675,8 +695,11 @@ func (b *Bound) IsAggregate() bool { return len(b.Aggs) > 0 }
 // GroupSignature returns the canonical signature used by the grouping
 // optimiser: queries may share a group only when they involve the same
 // set of streams, the same join predicates, and — for aggregates — the
-// same aggregation functions and grouping columns (paper §4).
-func (b *Bound) GroupSignature() string {
+// same aggregation functions and grouping columns (paper §4). It is
+// computed once, with the Bound.
+func (b *Bound) GroupSignature() string { return b.sig }
+
+func (b *Bound) groupSignature() string {
 	streams := make([]string, len(b.From))
 	for i, ref := range b.From {
 		streams[i] = ref.Stream + "/" + ref.Alias

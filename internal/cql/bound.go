@@ -41,12 +41,14 @@ func (b *Bound) Clone() *Bound {
 	out.Joins = append([]predicate.AttrCmp(nil), b.Joins...)
 	out.OutSchema = b.OutSchema
 	out.IncludeInputTs = b.IncludeInputTs
+	out.sig, out.need = b.sig, b.need // read-only, shared
 	return out
 }
 
-// RebuildOutSchema recomputes OutSchema after SelectCols/Aggs mutation —
-// used by the merge package when composing representative queries.
-func (b *Bound) RebuildOutSchema() error { return b.buildOutSchema() }
+// Rebuild recomputes what analysis derives from the clauses — the output
+// schema, the group signature and the needed attributes — after the
+// merge package rewrote a clone's clauses to compose a representative.
+func (b *Bound) Rebuild() error { return b.derive() }
 
 // SynthesizeCQL renders the bound query back into CQL text. The output is
 // parseable by this package for the supported subset and is what a query

@@ -1,6 +1,7 @@
 package cql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -84,5 +85,43 @@ func TestSynthesizeCQLAggregates(t *testing.T) {
 func TestInputTsAttr(t *testing.T) {
 	if InputTsAttr("O") != "O.__ts" {
 		t.Errorf("InputTsAttr = %s", InputTsAttr("O"))
+	}
+}
+
+// TestDerivedOnce: the group signature and the needed attributes are
+// computed with the Bound, so reading them allocates nothing, and they
+// answer what computing them afresh does — after analysis, and after
+// Rebuild on a clone whose clauses changed.
+func TestDerivedOnce(t *testing.T) {
+	cat := paperCatalog()
+	b, err := AnalyzeString(q1Text, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = b.GroupSignature() }); n != 0 {
+		t.Errorf("GroupSignature allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = b.NeededAttrs() }); n != 0 {
+		t.Errorf("NeededAttrs allocates %v times", n)
+	}
+	fresh := func(b *Bound) {
+		t.Helper()
+		if got, want := b.GroupSignature(), b.groupSignature(); got != want {
+			t.Errorf("GroupSignature = %q, computed afresh %q", got, want)
+		}
+		if got, want := fmt.Sprint(b.NeededAttrs()), fmt.Sprint(b.neededAttrs()); got != want {
+			t.Errorf("NeededAttrs = %s, computed afresh %s", got, want)
+		}
+	}
+	fresh(b)
+	c := b.Clone()
+	c.SelectCols, c.OutNames = c.SelectCols[:1], c.OutNames[:1]
+	c.Sel["OpenAuction"] = predicate.DNF{{predicate.C("sellerID", predicate.GT, stream.Int(1))}}
+	if err := c.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	fresh(c)
+	if fmt.Sprint(c.NeededAttrs()) == fmt.Sprint(b.NeededAttrs()) {
+		t.Errorf("Rebuild kept the needed attributes of the unchanged clauses: %v", c.NeededAttrs())
 	}
 }

@@ -11,10 +11,12 @@
 // compiled plan pipeline:
 //
 //   - Control plane (Install, Remove, Close): mutex-protected registry of
-//     plan slots. Every mutation rebuilds a precomputed, immutable
-//     dispatch table — per stream, the plans consuming it sorted by plan
-//     ID, pre-partitioned by owning worker — and publishes it through an
-//     atomic.Pointer.
+//     plan slots and a precomputed, immutable dispatch table — per
+//     stream, the plans consuming it sorted by plan ID, pre-partitioned
+//     by owning worker — published through an atomic.Pointer. A mutation
+//     costs its change: it clones the table's stream map once and
+//     rebuilds the entries of the streams the old and the new plan read,
+//     nothing when they read the same ones.
 //   - Data plane (Consume): loads the table lock-free; one map lookup
 //     per tuple, no per-tuple sorting, no allocation on the dispatch
 //     path. A tuple of a stream no plan consumes costs one pointer load
@@ -70,8 +72,11 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime/debug"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -147,7 +152,8 @@ type Runtime struct {
 	wg      sync.WaitGroup
 
 	// table is the compiled dispatch state read lock-free by the data
-	// plane; rebuilt eagerly by every control-plane mutation.
+	// plane; each control-plane mutation publishes a copy with the
+	// entries of the streams it touched rebuilt. nil once closed.
 	table atomic.Pointer[dispatchTable]
 
 	mu         sync.RWMutex
@@ -162,6 +168,11 @@ type Runtime struct {
 type planSlot struct {
 	id string
 	w  *worker // owning worker; nil in synchronous mode
+	// inputs lists the streams whose dispatch entries hold the slot,
+	// sorted: its plan's input streams as of the last Install. It
+	// outlives the plan, so a dead slot's Remove still finds its
+	// entries. The runtime's mu, not the slot's, covers it.
+	inputs []string
 
 	mu          sync.Mutex
 	plan        *spe.Plan // guarded by mu
@@ -233,6 +244,7 @@ func New(cfg Config) *Runtime {
 		quit:    make(chan struct{}),
 		slots:   map[string]*planSlot{},
 	}
+	r.table.Store(&dispatchTable{streams: map[string]*streamEntry{}})
 	for i := 0; i < cfg.Workers; i++ {
 		sink := cfg.Emit
 		if cfg.EmitForWorker != nil {
@@ -292,11 +304,12 @@ func (r *Runtime) Install(id string, b *cql.Bound, resultStream string) (*spe.Pl
 	s.plan = p
 	s.dead = false
 	s.mu.Unlock()
-	r.publishLocked()
+	r.relinkLocked(s, p.InputStreams())
 	return p, nil
 }
 
-// Remove uninstalls a plan. Tuples already queued for the plan's worker
+// Remove uninstalls a plan, dead or alive: its slot leaves the registry
+// and the dispatch table. Tuples already queued for the plan's worker
 // are skipped the moment Remove returns.
 func (r *Runtime) Remove(id string) {
 	r.mu.Lock()
@@ -310,51 +323,74 @@ func (r *Runtime) Remove(id string) {
 	s.dead = true
 	s.plan = nil
 	s.mu.Unlock()
-	r.publishLocked()
+	r.relinkLocked(s, nil)
 }
 
-// publishLocked rebuilds the dispatch table from the slot registry and
-// publishes it. Callers hold r.mu.
-func (r *Runtime) publishLocked() {
-	ids := make([]string, 0, len(r.slots))
-	for id := range r.slots {
-		ids = append(ids, id)
+// relinkLocked moves slot s's dispatch entries from the streams it is
+// listed under to streams (sorted) and publishes the result: one clone
+// of the stream map, with fresh entries for the streams it enters or
+// leaves. A slot whose streams are unchanged — a plan replaced by one
+// reading the same inputs — leaves the table as it is. A slot whose plan
+// died by panic keeps its entries, which push skips, until its Remove or
+// the Install that revives it. Callers hold r.mu.
+func (r *Runtime) relinkLocked(s *planSlot, streams []string) {
+	old := s.inputs
+	s.inputs = streams
+	tbl := r.table.Load()
+	if tbl == nil || slices.Equal(old, streams) {
+		return // closed, or nothing to move
 	}
-	sort.Strings(ids)
-	streams := map[string]*streamEntry{}
-	for _, id := range ids {
-		s := r.slots[id]
-		// A slot whose plan died by panic keeps its registry entry (the
-		// ID stays claimed) but leaves the dispatch table.
-		s.mu.Lock()
-		p := s.plan
-		s.mu.Unlock()
-		if p == nil {
-			continue
-		}
-		for _, name := range p.InputStreams() {
-			e := streams[name]
-			if e == nil {
-				e = &streamEntry{}
-				streams[name] = e
-			}
-			e.slots = append(e.slots, s)
+	next := maps.Clone(tbl.streams)
+	for _, name := range old {
+		if !slices.Contains(streams, name) {
+			r.setEntry(next, name, s, false)
 		}
 	}
-	if len(r.workers) > 0 {
-		for _, e := range streams {
-			byWorker := map[*worker][]*planSlot{}
-			for _, s := range e.slots {
-				byWorker[s.w] = append(byWorker[s.w], s)
-			}
-			for _, w := range r.workers {
-				if slots := byWorker[w]; len(slots) > 0 {
-					e.shards = append(e.shards, shard{w: w, slots: slots})
-				}
-			}
+	for _, name := range streams {
+		if !slices.Contains(old, name) {
+			r.setEntry(next, name, s, true)
 		}
 	}
-	r.table.Store(&dispatchTable{streams: streams})
+	r.table.Store(&dispatchTable{streams: next})
+}
+
+// setEntry replaces one stream's entry in streams with a fresh one
+// holding its slots with s added (add) or taken out, in plan-ID order
+// and partitioned by owning worker; a stream left without slots loses
+// its entry. Published entries are never written. Callers hold r.mu.
+func (r *Runtime) setEntry(streams map[string]*streamEntry, name string, s *planSlot, add bool) {
+	var cur []*planSlot
+	if e := streams[name]; e != nil {
+		cur = e.slots
+	}
+	i, found := slices.BinarySearchFunc(cur, s.id, func(x *planSlot, id string) int { return strings.Compare(x.id, id) })
+	rest := cur[i:]
+	if found {
+		rest = cur[i+1:]
+	}
+	slots := make([]*planSlot, 0, len(cur)+1)
+	slots = append(slots, cur[:i]...)
+	if add {
+		slots = append(slots, s)
+	}
+	slots = append(slots, rest...)
+	if len(slots) == 0 {
+		delete(streams, name)
+		return
+	}
+	e := &streamEntry{slots: slots}
+	for _, w := range r.workers {
+		var mine []*planSlot
+		for _, x := range slots {
+			if x.w == w {
+				mine = append(mine, x)
+			}
+		}
+		if len(mine) > 0 {
+			e.shards = append(e.shards, shard{w: w, slots: mine})
+		}
+	}
+	streams[name] = e
 }
 
 // Plans lists installed plan IDs, sorted.

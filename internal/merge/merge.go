@@ -101,7 +101,7 @@ func Queries(q1, q2 *cql.Bound, mode Mode) (*cql.Bound, error) {
 	if len(rep.From) > 1 {
 		rep.IncludeInputTs = true
 	}
-	if err := rep.RebuildOutSchema(); err != nil {
+	if err := rep.Rebuild(); err != nil {
 		return nil, fmt.Errorf("merge: %w", err)
 	}
 	return rep, nil
@@ -211,7 +211,7 @@ func mergeAggregates(q1, q2 *cql.Bound) (*cql.Bound, error) {
 	for i := range rep.Aggs {
 		rep.Aggs[i].OutName = rep.Aggs[i].String()
 	}
-	if err := rep.RebuildOutSchema(); err != nil {
+	if err := rep.Rebuild(); err != nil {
 		return nil, fmt.Errorf("merge: %w", err)
 	}
 	return rep, nil

@@ -116,23 +116,11 @@ func (p *Profile) MergeStream(src *Profile, s string) {
 	if src == nil || !src.HasStream(s) {
 		return
 	}
-	mergedAttrs := unionAttrs(p, src, s)
-	var mergedFilter predicate.DNF
-	switch {
-	case !p.HasStream(s):
-		mergedFilter = src.FilterFor(s)
-	default:
-		a, b := p.FilterFor(s), src.FilterFor(s)
-		if a.IsTrue() || b.IsTrue() {
-			mergedFilter = nil // TRUE
-		} else {
-			mergedFilter = a.Or(b)
-		}
+	attrs, filter := src.Attrs[s], src.Filters[s]
+	if p.HasStream(s) {
+		attrs, filter = unionAttrs(p.Attrs[s], attrs), orFilters(p.Filters[s], filter)
 	}
-	if mergedFilter != nil && mergedFilter.IsTrue() {
-		mergedFilter = nil
-	}
-	p.AddStream(s, mergedAttrs, mergedFilter)
+	p.AddStream(s, attrs, trueAsNil(filter))
 }
 
 // CopyStream sets p's part for one stream to src's, dropping it when src
@@ -149,34 +137,87 @@ func (p *Profile) CopyStream(src *Profile, s string) {
 // UnionOn returns a profile requesting what any of ps requests of one
 // stream (a nil entry requests nothing). It merges halves pairwise, which
 // keeps filter simplification quadratic in the disjuncts where merging
-// one profile at a time is cubic.
+// one profile at a time is cubic. The halves are unioned as the parts'
+// own projection sets and filters, with no profile of their own, so an
+// entry without the stream costs nothing and a union one side dominates
+// — a TRUE filter, a projection set covering the other's — allocates
+// nothing either.
 func UnionOn(s string, ps []*Profile) *Profile {
-	if len(ps) > 1 {
-		out := UnionOn(s, ps[:len(ps)/2])
-		out.MergeStream(UnionOn(s, ps[len(ps)/2:]), s)
-		return out
-	}
 	out := New()
-	for _, p := range ps {
-		out.CopyStream(p, s)
+	if attrs, filter, ok := unionOn(s, ps); ok {
+		out.AddStream(s, attrs, trueAsNil(filter))
 	}
 	return out
 }
 
-// unionAttrs unions the projection sets of a stream across two profiles,
-// where nil means "all attributes" and therefore dominates.
-func unionAttrs(a, b *Profile, s string) []string {
-	aAttrs, aHas := a.Attrs[s], a.HasStream(s)
-	bAttrs := b.Attrs[s]
-	if (aHas && aAttrs == nil) || bAttrs == nil {
+// unionOn is UnionOn's pairwise fold over the parts themselves; ok is
+// false when no entry requests the stream. A nil filter is TRUE.
+func unionOn(s string, ps []*Profile) (attrs []string, filter predicate.DNF, ok bool) {
+	if len(ps) > 1 {
+		aAttrs, aFilter, aOK := unionOn(s, ps[:len(ps)/2])
+		bAttrs, bFilter, bOK := unionOn(s, ps[len(ps)/2:])
+		switch {
+		case !aOK:
+			return bAttrs, bFilter, bOK
+		case !bOK:
+			return aAttrs, aFilter, true
+		}
+		return unionAttrs(aAttrs, bAttrs), orFilters(aFilter, bFilter), true
+	}
+	if len(ps) == 0 || ps[0] == nil || !ps[0].HasStream(s) {
+		return nil, nil, false
+	}
+	return ps[0].Attrs[s], ps[0].Filters[s], true
+}
+
+// unionAttrs unions two projection sets of one stream, where nil means
+// "all attributes" and therefore dominates, and an empty set (an
+// aggregate needing no column) adds nothing. A strictly sorted set that
+// contains the other is the union itself, shared, not copied.
+func unionAttrs(a, b []string) []string {
+	switch {
+	case a == nil || b == nil:
 		return nil
+	case containsAll(a, b):
+		return a
+	case containsAll(b, a):
+		return b
 	}
-	if !aHas {
-		return bAttrs
-	}
-	out := slices.Concat(aAttrs, bAttrs)
+	out := append(append(make([]string, 0, len(a)+len(b)), a...), b...)
 	slices.Sort(out)
 	return slices.Compact(out)
+}
+
+// containsAll reports whether the strictly sorted set holds every name
+// of sub; false when set is not strictly sorted.
+func containsAll(set, sub []string) bool {
+	for i := 1; i < len(set); i++ {
+		if set[i-1] >= set[i] {
+			return false
+		}
+	}
+	for _, x := range sub {
+		if _, found := slices.BinarySearch(set, x); !found {
+			return false
+		}
+	}
+	return true
+}
+
+// orFilters unions two filters of one stream, where nil means TRUE.
+func orFilters(a, b predicate.DNF) predicate.DNF {
+	if a == nil || b == nil || a.IsTrue() || b.IsTrue() {
+		return nil
+	}
+	return a.Or(b)
+}
+
+// trueAsNil stores a trivially true filter as no filter.
+func trueAsNil(f predicate.DNF) predicate.DNF {
+	if f.IsTrue() {
+		return nil
+	}
+	return f
 }
 
 // CoversProfile reports whether p covers q: every datagram covered by q

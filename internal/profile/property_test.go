@@ -186,3 +186,59 @@ func TestCompiledApplyArrivalOrderProperty(t *testing.T) {
 		t.Fatalf("too few cases: %d runs, %d gaps, %d identities", runs, gaps, idents)
 	}
 }
+
+// genPart adds a random request of stream s to p, or none: a filter of up
+// to three disjuncts over A and B (TRUE a third of the time) and a
+// projection of all attributes, none (an aggregate's empty set), A or
+// both.
+func genPart(r *rand.Rand, p *Profile, s string) {
+	if r.Intn(4) == 0 {
+		return // this part lacks the stream
+	}
+	var filter predicate.DNF
+	if r.Intn(3) > 0 {
+		for d := 0; d <= r.Intn(3); d++ {
+			var cj predicate.Conj
+			for c := 0; c <= r.Intn(2); c++ {
+				attr := []string{"A", "B"}[r.Intn(2)]
+				op := []predicate.Op{predicate.EQ, predicate.LT, predicate.LE, predicate.GT, predicate.GE}[r.Intn(5)]
+				cj = append(cj, predicate.C(attr, op, stream.Int(int64(r.Intn(4)))))
+			}
+			filter = append(filter, cj)
+		}
+	}
+	attrs := [][]string{nil, {}, {"A"}, {"A", "B"}}[r.Intn(4)]
+	p.AddStream(s, attrs, filter)
+}
+
+// TestUnionOnMatchesLeftFoldProperty: UnionOn's pairwise fold over the
+// parts themselves requests, per stream, exactly what merging the
+// profiles into an empty one, one at a time, does (SameOn): the halving
+// and the parts it skips change how much work a union takes, never its
+// result. Part lists mix profiles lacking the stream, nil entries, TRUE
+// filters and all-attribute projections.
+func TestUnionOnMatchesLeftFoldProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 3000; trial++ {
+		ps := make([]*Profile, r.Intn(9))
+		for i := range ps {
+			if r.Intn(10) == 0 {
+				continue // a nil entry requests nothing
+			}
+			ps[i] = New()
+			genPart(r, ps[i], "R")
+			genPart(r, ps[i], "S")
+		}
+		fold := New()
+		for _, p := range ps {
+			if p != nil {
+				fold.Merge(p)
+			}
+		}
+		for _, s := range []string{"R", "S"} {
+			if got := UnionOn(s, ps); !SameOn(got, fold, s) || len(got.Streams) > 1 {
+				t.Fatalf("trial %d stream %s: UnionOn = %s, left fold = %s\nparts: %v", trial, s, got, fold, ps)
+			}
+		}
+	}
+}

@@ -44,6 +44,7 @@ package spe
 
 import (
 	"fmt"
+	"slices"
 
 	"cosmos/internal/cql"
 	"cosmos/internal/predicate"
@@ -107,8 +108,9 @@ type Plan struct {
 	inputs  []*inputState
 	byAlias map[string]*inputState
 	// byStream maps a source stream name to the inputs consuming it
-	// (several for self-joins).
+	// (several for self-joins); streams lists its keys, sorted.
 	byStream map[string][]*inputState
+	streams  []string
 
 	joined    *stream.Schema // joined namespace the join/residual predicates compile against
 	joins     []predicate.AttrCmp
@@ -161,8 +163,12 @@ func Compile(id string, b *cql.Bound, resultStream string) (*Plan, error) {
 		}
 		p.inputs = append(p.inputs, in)
 		p.byAlias[ref.Alias] = in
+		if p.byStream[ref.Stream] == nil {
+			p.streams = append(p.streams, ref.Stream)
+		}
 		p.byStream[ref.Stream] = append(p.byStream[ref.Stream], in)
 	}
+	slices.Sort(p.streams)
 	if b.IsAggregate() {
 		if len(b.From) != 1 {
 			return nil, fmt.Errorf("spe: aggregates over joins are not supported (query %s)", id)
@@ -193,14 +199,9 @@ func Compile(id string, b *cql.Bound, resultStream string) (*Plan, error) {
 	return p, nil
 }
 
-// InputStreams lists the distinct source stream names the plan consumes.
-func (p *Plan) InputStreams() []string {
-	out := make([]string, 0, len(p.byStream))
-	for s := range p.byStream {
-		out = append(out, s)
-	}
-	return out
-}
+// InputStreams lists the distinct source stream names the plan consumes,
+// sorted. The slice is the plan's own: read it, never write it.
+func (p *Plan) InputStreams() []string { return p.streams }
 
 // Push processes one input tuple, returning emitted result tuples: it is
 // PushAppend into a fresh slice.
