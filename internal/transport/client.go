@@ -500,6 +500,7 @@ func (c *Client) readResults(b []byte) error {
 	if err != nil {
 		return err
 	}
+	var ts stream.Timestamp // the previous body's, which the next one steps from
 	for i := 0; i < count; i++ {
 		if len(b)-pos < mapBytes {
 			return fmt.Errorf("transport: truncated match bitmap")
@@ -509,11 +510,10 @@ func (c *Client) readResults(b []byte) error {
 			return fmt.Errorf("transport: match bitmap names members beyond the delivery's %d", k)
 		}
 		values := arena[i*ws.arity : (i+1)*ws.arity : (i+1)*ws.arity]
-		ts, next, err := decodeValues(b, pos+mapBytes, values)
+		ts, pos, err = decodeValues(b, pos+mapBytes, i == 0, ts, values)
 		if err != nil {
 			return err
 		}
-		pos = next
 		for j := range ws.members {
 			if k > 1 && hits[j/8]&(1<<(j%8)) == 0 {
 				continue

@@ -18,9 +18,11 @@ import (
 const (
 	shareWide   = "SELECT itemID, start_price FROM OpenAuction [Now] WHERE start_price > 10"
 	shareNarrow = "SELECT itemID FROM OpenAuction [Now] WHERE start_price > 100"
-	// Encoded rows: a timestamp, then a tagged 8-byte slot per value.
-	wideBody   = 8 + 9 + 9
-	narrowBody = 8 + 9
+	// Encoded rows, each its frame's first: an 8-byte timestamp, the
+	// item — a small int, its tag and one byte — and the price's tag and
+	// 8 bytes.
+	wideBody   = 8 + 2 + 9
+	narrowBody = 8 + 2
 )
 
 // shareServer hosts a synchronous system behind a server and returns
@@ -217,7 +219,7 @@ func TestDeliverySharingScope(t *testing.T) {
 		// As version 3: id, count, firstSeq, then the subscription's own row.
 		out := announced[0].schema
 		want := appendDataHeader(nil, 1, 1)
-		want = appendTuple(want, stream.MustTuple(out, 7, stream.Int(7)))
+		want = appendTuple(want, true, 0, stream.MustTuple(out, 7, stream.Int(7)))
 		patchDataCount(want, 1)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("singleton 'D' frame\n% x\nwant the version-3 bytes\n% x", got, want)

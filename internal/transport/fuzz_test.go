@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"log"
+	"maps"
 	"math"
 	"net"
 	"slices"
@@ -74,7 +76,7 @@ func newScriptSession(srv *Server, script []byte) *session {
 
 // silenceLog discards what the server logs about bad input for the
 // length of a fuzz target.
-func silenceLog(f *testing.F) {
+func silenceLog(f testing.TB) {
 	prev := log.Writer()
 	log.SetOutput(io.Discard)
 	f.Cleanup(func() { log.SetOutput(prev) })
@@ -82,18 +84,16 @@ func silenceLog(f *testing.F) {
 
 // publishFrame builds a publish 'D' payload.
 func publishFrame(srcID uint32, firstSeq uint64, tuples ...stream.Tuple) []byte {
-	b := appendDataHeader(nil, srcID, firstSeq)
-	for _, t := range tuples {
-		b = appendTuple(b, t)
-	}
+	run, _ := encodeFrame(tuples)
+	b := append(appendDataHeader(nil, srcID, firstSeq), run...)
 	patchDataCount(b, len(tuples))
 	return b
 }
 
 // publishFrameSeeds are the malformations the server's 'D' decode must
 // refuse, next to frames it must accept, for a session whose source 1 is
-// Fuzz and whose applied sequence is 10.
-func publishFrameSeeds(t testing.TB) [][]byte {
+// Fuzz and whose applied sequence is 10, by name.
+func publishFrameSeeds(t testing.TB) map[string][]byte {
 	schema := fuzzSchema(t)
 	tp := func(i int64, s string) stream.Tuple {
 		return stream.MustTuple(schema, stream.Timestamp(i), stream.Int(i), stream.String_(s), stream.Float(float64(i)/2))
@@ -102,28 +102,69 @@ func publishFrameSeeds(t testing.TB) [][]byte {
 	narrow := stream.MustSchema("Fuzz", stream.Field{Name: "i", Kind: stream.KindInt})
 	wrongArity := publishFrame(1, 11, stream.MustTuple(narrow, 1, stream.Int(1)))
 	unknownKind := publishFrame(1, 11, tp(1, "kind"))
-	unknownKind[dataHeaderSize+8] = 0xEE
+	unknownKind[dataHeaderSize+8] = 0xEE // the first value's tag
 	truncatedString := publishFrame(1, 11, tp(1, "a string the frame ends inside of"))
 	truncatedString = truncatedString[:len(truncatedString)-20]
 	countLie := publishFrame(1, 11, tp(1, "lie"))
 	binary.LittleEndian.PutUint16(countLie[4:6], math.MaxUint16)
 	lengthLie := publishFrame(1, 11, tp(1, "lie"))
-	lengthLie[dataHeaderSize+8+9+1] = 0xFF // the string's uvarint length
-	return [][]byte{
-		valid,
-		publishFrame(1, 5, tp(1, "resent"), tp(2, "overlap")), // at or below applied: skipped, not refused
-		wrongArity,
-		unknownKind,
-		truncatedString,
-		publishFrame(7, 11, tp(1, "unopened source")),
-		countLie,
-		lengthLie,
-		publishFrame(1, 13, tp(1, "skips 11 and 12")),
-		publishFrame(1, 0, tp(1, "sequence zero")),
-		publishFrame(1, 11),
-		append(append([]byte(nil), valid...), 0),
-		valid[:dataHeaderSize-1],
-		{},
+	lengthLie[dataHeaderSize+8+2+1] = 0xFF // past ts, int 1's tag and byte, and the string's tag: its uvarint length
+	return map[string][]byte{
+		"valid":            valid,
+		"resent-overlap":   publishFrame(1, 5, tp(1, "resent"), tp(2, "overlap")), // at or below applied: skipped, not refused
+		"wrong-arity":      wrongArity,
+		"unknown-kind":     unknownKind,
+		"truncated-string": truncatedString,
+		"unopened-source":  publishFrame(7, 11, tp(1, "unopened source")),
+		"count-lie":        countLie,
+		"length-lie":       lengthLie,
+		"sequence-gap":     publishFrame(1, 13, tp(1, "skips 11 and 12")),
+		"sequence-zero":    publishFrame(1, 0, tp(1, "sequence zero")),
+		"empty-batch":      publishFrame(1, 11),
+		"trailing-byte":    append(slices.Clone(valid), 0),
+		"short-header":     valid[:dataHeaderSize-1],
+		"empty":            {},
+	}
+}
+
+// TestPublishFrameSeeds pins what the server's decode makes of each seed
+// of FuzzPublishFrame: the applied sequence it leaves, or the reason it
+// refuses the frame.
+func TestPublishFrameSeeds(t *testing.T) {
+	srv, port := fuzzServer(t)
+	silenceLog(t)
+	seeds := publishFrameSeeds(t)
+	for name, want := range map[string]string{
+		"valid":            "applied 13",
+		"resent-overlap":   "applied 10",
+		"wrong-arity":      "declares 1 tuples",
+		"unknown-kind":     "unknown value tag 0xee",
+		"truncated-string": "truncated string value",
+		"unopened-source":  "unopened source 7",
+		"count-lie":        "declares 65535 tuples",
+		"length-lie":       "truncated string value",
+		"sequence-gap":     "from sequence 13 does not continue",
+		"sequence-zero":    "from sequence 0 does not continue",
+		"empty-batch":      "frame of 0 tuples",
+		"trailing-byte":    "1 trailing bytes",
+		"short-header":     "truncated data frame header",
+		"empty":            "truncated data frame header",
+	} {
+		sess := newScriptSession(srv, nil)
+		if err := sess.openSource(1, port); err != nil {
+			t.Fatal(err)
+		}
+		sess.applied, sess.received = 10, 10
+		var got string
+		if err := sess.applyPublishFrame(seeds[name]); err != nil {
+			got = err.Error()
+		} else {
+			got = fmt.Sprintf("applied %d", sess.applied)
+		}
+		if !strings.Contains(got, want) {
+			t.Errorf("%s: %s, want %q", name, got, want)
+		}
+		sess.close(false)
 	}
 }
 
@@ -133,8 +174,9 @@ func publishFrameSeeds(t testing.TB) [][]byte {
 // applied sequence by more than the frame declared. Each tuple it
 // encounters obeys FuzzTupleDecode's round-trip property.
 func FuzzPublishFrame(f *testing.F) {
-	for _, seed := range publishFrameSeeds(f) {
-		f.Add(seed)
+	seeds := publishFrameSeeds(f)
+	for _, name := range slices.Sorted(maps.Keys(seeds)) {
+		f.Add(seeds[name])
 	}
 	srv, port := fuzzServer(f)
 	schema := port.Schema()
@@ -162,12 +204,13 @@ func FuzzPublishFrame(f *testing.F) {
 		if hdrErr != nil {
 			return
 		}
-		for pos, i := dataHeaderSize, 0; i < count; i++ {
-			next, ok := checkTupleRoundTrip(t, schema, b, pos)
+		pos, prev := dataHeaderSize, stream.Timestamp(0)
+		for i := 0; i < count; i++ {
+			got, next, ok := checkTupleRoundTrip(t, schema, b, pos, i == 0, prev)
 			if !ok {
 				break
 			}
-			pos = next
+			pos, prev = next, got.Ts
 		}
 	})
 }
@@ -322,7 +365,7 @@ func resultFrame(id uint32, lay *core.Layout, first uint64, hits [][]bool) []byt
 			}
 		}
 		row := stream.MustTuple(fuzzSource, stream.Timestamp(i+1), stream.Int(int64(i+1)), stream.Float(float64(i)/2))
-		b = appendBody(b, row, lay.Cols)
+		b = appendBody(b, i == 0, stream.Timestamp(i), row, lay.Cols)
 	}
 	patchDataCount(b, len(hits))
 	return b
@@ -427,8 +470,8 @@ func FuzzResultFrames(f *testing.F) {
 				if row.Schema.Stream != tag {
 					t.Fatalf("%s received a row of %s", tag, row.Schema.Stream)
 				}
-				enc := appendTuple(nil, row)
-				if next, ok := checkTupleRoundTrip(t, row.Schema, enc, 0); !ok || next != len(enc) {
+				enc := appendTuple(nil, true, 0, row)
+				if _, next, ok := checkTupleRoundTrip(t, row.Schema, enc, 0, true, 0); !ok || next != len(enc) {
 					t.Fatalf("%s: delivered %v does not decode under its own schema", tag, row)
 				}
 			}

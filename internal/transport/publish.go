@@ -96,8 +96,8 @@ func (p *pubWindow) publish(s *Source, t stream.Tuple) error {
 		buf = p.openFrame(s, buf)
 		buf = appendDataHeader(buf, s.id, p.seq+1)
 	}
-	*c.buf = appendTuple(buf, t)
-	p.accepted(c, before)
+	*c.buf = appendTuple(buf, p.frameN == 0, p.frameTs, t)
+	p.accepted(c, before, t.Ts)
 	p.mu.Unlock()
 	return nil
 }

@@ -911,7 +911,7 @@ func scriptedResults(n int) (announce []byte, frame func(seq uint64) []byte) {
 	announce = appendFrame(nil, frameSchema, appendSchemaFrame(nil, 1, lay))
 	return announce, func(seq uint64) []byte {
 		b := appendDataHeader(nil, 1, seq)
-		b = appendTuple(b, stream.MustTuple(out, stream.Timestamp(seq), stream.Int(int64(seq))))
+		b = appendTuple(b, true, 0, stream.MustTuple(out, stream.Timestamp(seq), stream.Int(int64(seq))))
 		patchDataCount(b, 1)
 		return appendFrame(nil, frameData, b)
 	}

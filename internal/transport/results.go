@@ -121,8 +121,8 @@ func (w *resultWindow) add(d *delivery, lay *core.Layout, t stream.Tuple, match 
 			}
 		}
 	}
-	*c.buf = appendBody(buf, t, lay.Cols)
-	w.accepted(c, before)
+	*c.buf = appendBody(buf, w.frameN == 0, w.frameTs, t, lay.Cols)
+	w.accepted(c, before, t.Ts)
 	w.wire.results.Add(int64(n))
 	w.wire.obs.StageEnd(obs.StageWire, start)
 	w.wire.obs.TraceMark(int64(t.Ts), obs.StageWire)

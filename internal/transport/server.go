@@ -517,9 +517,10 @@ func (sess *session) applyPublishFrame(b []byte) error {
 	}
 	pos := dataHeaderSize
 	taken := 0
+	var ts stream.Timestamp // the previous tuple's, which the next one steps from
 	for i := 0; i < count; i++ {
 		values := arena[i*arity : (i+1)*arity : (i+1)*arity]
-		ts, next, err := decodeValues(b, pos, values)
+		ts, pos, err = decodeValues(b, pos, i == 0, ts, values)
 		if err != nil {
 			return err
 		}
@@ -527,7 +528,6 @@ func (sess *session) applyPublishFrame(b []byte) error {
 		if err != nil {
 			return fmt.Errorf("transport: decoded tuple rejected: %v", err)
 		}
-		pos = next
 		seq := firstSeq + uint64(i)
 		if seq <= applied || sess.refused != "" {
 			continue

@@ -168,8 +168,9 @@ func (p *rawPeer) readAck(t *testing.T) (applied uint64, refusal string) {
 	return applied, refusal
 }
 
-// TestWireVersionOlderOfferRefused: a peer whose hello offers version 4
-// (results numbered per subscription), version 3 (results framed per
+// TestWireVersionOlderOfferRefused: a peer whose hello offers version 5
+// (every int, time and timestamp in 8 bytes), version 4 (results
+// numbered per subscription), version 3 (results framed per
 // subscription), version 2 (gob publish requests),
 // version 1 (gob result pushes) or none at all (a peer older than the
 // negotiation) is recognised and refused with an error naming both
@@ -177,7 +178,7 @@ func (p *rawPeer) readAck(t *testing.T) (applied uint64, refusal string) {
 func TestWireVersionOlderOfferRefused(t *testing.T) {
 	addr, shutdown := startServer(t)
 	defer shutdown()
-	for _, offer := range []int{0, 1, 2, 3, 4} {
+	for _, offer := range []int{0, 1, 2, 3, 4, 5} {
 		p := dialRaw(t, addr)
 		resp := p.call(t, &Request{ID: 1, Kind: MsgHello, WireVersion: offer})
 		if resp.Kind != MsgError {
@@ -231,7 +232,7 @@ func TestPublishFrameBeforeHelloRefused(t *testing.T) {
 	}
 
 	frame := appendDataHeader(nil, 1, 1)
-	frame = appendTuple(frame, stream.MustTuple(auctionInfo().Schema, 1, stream.Int(1), stream.Float(1)))
+	frame = appendTuple(frame, true, 0, stream.MustTuple(auctionInfo().Schema, 1, stream.Int(1), stream.Float(1)))
 	patchDataCount(frame, 1)
 	p.sendFrame(t, frameData, frame)
 	// Half-close: whatever the gob decoder makes of the frame's bytes, it
@@ -270,28 +271,32 @@ func TestPublishFrameBeforeHelloRefused(t *testing.T) {
 }
 
 // TestClientRefusesOlderServer: a server that answers the hello with a
-// lower version (it would go on to push gob results) fails the dial with
-// a version message, not a hung or garbled connection.
+// lower version — version 1 would go on to push gob results, version 5
+// would send 8-byte ints — fails the dial with a version message, not a
+// hung or garbled connection.
 func TestClientRefusesOlderServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
+	for _, version := range []int{1, 5} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		defer conn.Close()
-		var req Request
-		if gob.NewDecoder(conn).Decode(&req) == nil {
-			_ = gob.NewEncoder(conn).Encode(&Response{ID: req.ID, Kind: MsgOK, WireVersion: 1})
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			var req Request
+			if gob.NewDecoder(conn).Decode(&req) == nil {
+				_ = gob.NewEncoder(conn).Encode(&Response{ID: req.ID, Kind: MsgOK, WireVersion: version})
+			}
+			_, _ = conn.Read(make([]byte, 1)) // hold the connection until the client gives up
+		}()
+		_, err = Dial(ln.Addr().String())
+		ln.Close()
+		want := fmt.Sprintf("server speaks wire version %d", version)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("dial against a version-%d server: err %v, want a wire version mismatch (%q)", version, err, want)
 		}
-		_, _ = conn.Read(make([]byte, 1)) // hold the connection until the client gives up
-	}()
-	_, err = Dial(ln.Addr().String())
-	if err == nil || !strings.Contains(err.Error(), "wire version") {
-		t.Fatalf("dial against a version-1 server: err %v, want a wire version mismatch", err)
 	}
 }

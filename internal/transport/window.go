@@ -1,6 +1,10 @@
 package transport
 
-import "sync"
+import (
+	"sync"
+
+	"cosmos/internal/stream"
+)
 
 // A window is one direction of a session's data stream as its sender
 // holds it: the encoded frames it accepted, in chunks, numbered by one
@@ -46,6 +50,9 @@ type window[K comparable] struct {
 	frameKey  K    // guarded by mu
 	frameAt   int  // guarded by mu; offset of its header in the chunk
 	frameN    int  // guarded by mu; tuples in it
+	// frameTs is the timestamp of the open frame's last tuple, the next
+	// one's encoded step (appendTs) is from.
+	frameTs stream.Timestamp // guarded by mu
 
 	// sealed, when set, is told each sealed frame's payload length. Set
 	// once, before the window is shared.
@@ -89,7 +96,7 @@ func (w *window[K]) continues(k K) bool {
 //cosmos:hotpath
 func (w *window[K]) openFrame(k K, buf []byte) []byte {
 	w.sealFrame()
-	w.frameOpen, w.frameKey, w.frameAt, w.frameN = true, k, len(buf), 0
+	w.frameOpen, w.frameKey, w.frameAt, w.frameN, w.frameTs = true, k, len(buf), 0, 0
 	return append(buf, frameData, 0, 0, 0, 0)
 }
 
@@ -112,12 +119,14 @@ func (w *window[K]) sealFrame() {
 	}
 }
 
-// accepted books one tuple appended to c (grown from before bytes) and
-// makes sure a flush entry will carry it. Callers hold mu.
+// accepted books one tuple of timestamp ts appended to c (grown from
+// before bytes) and makes sure a flush entry will carry it. Callers hold
+// mu.
 //
 //cosmos:hotpath
-func (w *window[K]) accepted(c *chunk, before int) {
+func (w *window[K]) accepted(c *chunk, before int, ts stream.Timestamp) {
 	w.frameN++
+	w.frameTs = ts
 	w.seq++
 	c.last = w.seq
 	w.bytes += len(*c.buf) - before

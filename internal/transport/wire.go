@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -58,13 +59,26 @@ import (
 //	tuple × count   each behind a ⌈k/8⌉-byte bitmap when k > 1: bit i (of
 //	                byte i/8, LSB first) set if it is member i's result
 //
-// Each tuple is: i64 ts, then one value per column (of the body, or of
-// the source's schema). Values carry a one-byte kind tag before their
-// payload — the data model lets an int populate a float or time column
-// (see stream.NewTuple's widening), so the schema alone does not pin the
-// value kind and a faithful round trip must preserve it. Payloads are
-// fixed-width 8-byte slots for int/float/time, one byte for bool, and
-// uvarint-length-prefixed bytes for strings.
+// Each tuple is its timestamp, then one value per column (of the body,
+// or of the source's schema). The frame's first tuple carries its ts as
+// an i64; each later one the zigzag uvarint of its step from the tuple
+// before it, so a frame is decoded front to back and a chunk (window.go)
+// holds whole frames. A value is a one-byte tag — its kind in the low 3
+// bits, a width or a bool's value in the high 5 — then its payload. The
+// data model lets an int populate a float or time column (see
+// stream.NewTuple's widening), so the schema alone does not pin the value
+// kind and a faithful round trip must preserve it. Payloads take the
+// bytes they need:
+//
+//	int, time  tag kind | w<<3, then the zigzag value's w low bytes (0–8,
+//	           the top one non-zero; 0 is w = 0, no payload)
+//	bool       tag KindBool | v<<3 (v 0 or 1), no payload
+//	float      tag KindFloat, then the 8-byte IEEE bits
+//	string     tag KindString, then a uvarint length and the bytes
+//
+// The decoder refuses every other tag, a width that is not minimal and a
+// non-minimal uvarint, so every tuple it accepts re-encodes to its own
+// bytes.
 //
 // 'S' payload layout:
 //
@@ -91,13 +105,15 @@ import (
 
 // wireVersion is the one wire format version this build speaks: gob
 // control, binary data frames both ways, results per delivery on one
-// session sequence, acks both ways. Every MsgHello carries it; a peer
-// offering less (version 1 pushed results as gob, version 2 published
-// tuples as gob requests, version 3 framed results per subscription,
-// version 4 numbered results per subscription and resumed each with a
-// round trip), or one that submits or publishes without a hello, is
-// refused by name — there is no second framing to fall back to.
-const wireVersion = 5
+// session sequence, acks both ways, values and timestamp steps in the
+// bytes they need. Every MsgHello carries it; a peer offering less
+// (version 1 pushed results as gob, version 2 published tuples as gob
+// requests, version 3 framed results per subscription, version 4
+// numbered results per subscription and resumed each with a round trip,
+// version 5 sent every int, time and timestamp in 8 bytes), or one that
+// submits or publishes without a hello, is refused by name — there is no
+// second framing to fall back to.
+const wireVersion = 6
 
 // Frame markers (both directions, after the hello and its OK).
 const (
@@ -209,37 +225,63 @@ func decodeAck(b []byte) (applied uint64, refusal string, err error) {
 	return binary.LittleEndian.Uint64(b), string(b[ackHeaderSize:]), nil
 }
 
-// appendTuple encodes t onto buf: its timestamp, then every value.
+// appendTuple encodes t onto buf: its timestamp — whole when it opens a
+// 'D' frame (first), else as its step from prev, the timestamp of the
+// frame's tuple before it — then every value.
 //
 //cosmos:hotpath
-func appendTuple(buf []byte, t stream.Tuple) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(t.Ts)))
-	for _, v := range t.Values {
-		buf = appendValue(buf, v)
+func appendTuple(buf []byte, first bool, prev stream.Timestamp, t stream.Tuple) []byte {
+	buf = appendTs(buf, first, prev, t.Ts)
+	for i := range t.Values {
+		buf = appendValue(buf, &t.Values[i])
 	}
 	return buf
 }
 
-// appendBody encodes a result body onto buf: t's timestamp and the
-// values of the columns cols lists, straight from the delivered tuple.
+// appendBody encodes a result body onto buf: t's timestamp, as
+// appendTuple does, and the values of the columns cols lists, straight
+// from the delivered tuple.
 //
 //cosmos:hotpath
-func appendBody(buf []byte, t stream.Tuple, cols []int) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(t.Ts)))
+func appendBody(buf []byte, first bool, prev stream.Timestamp, t stream.Tuple, cols []int) []byte {
+	buf = appendTs(buf, first, prev, t.Ts)
 	for _, j := range cols {
-		buf = appendValue(buf, t.Values[j])
+		buf = appendValue(buf, &t.Values[j])
 	}
 	return buf
 }
 
-// appendValue encodes one value: its kind tag, then its payload.
+// appendTs encodes a tuple's timestamp: an i64 for a frame's first tuple,
+// else the zigzag uvarint of its step from prev. The step wraps like the
+// i64 arithmetic that undoes it, so any two timestamps follow each other.
 //
 //cosmos:hotpath
-func appendValue(buf []byte, v stream.Value) []byte {
+func appendTs(buf []byte, first bool, prev, ts stream.Timestamp) []byte {
+	if first {
+		return binary.LittleEndian.AppendUint64(buf, uint64(int64(ts)))
+	}
+	return binary.AppendUvarint(buf, zigzag(int64(ts)-int64(prev)))
+}
+
+// Value tags: a value's kind in the low bits, and above them its
+// payload's width (int, time) or its value (bool).
+const (
+	tagKindBits = 3
+	tagKindMask = 1<<tagKindBits - 1
+)
+
+// appendValue encodes one value: its tag, then its payload — an int's or
+// a time's zigzag value in the fewest little-endian bytes that hold it
+// (none for zero), a float's 8 bytes, a string's uvarint length and
+// bytes, and for a bool nothing, its value riding in the tag.
+//
+//cosmos:hotpath
+func appendValue(buf []byte, v *stream.Value) []byte {
 	switch v.Kind() {
 	case stream.KindInt:
-		buf = append(buf, byte(stream.KindInt))
-		return binary.LittleEndian.AppendUint64(buf, uint64(v.AsInt()))
+		return appendWidth(buf, stream.KindInt, zigzag(v.AsInt()))
+	case stream.KindTime:
+		return appendWidth(buf, stream.KindTime, zigzag(int64(v.AsTime())))
 	case stream.KindFloat:
 		buf = append(buf, byte(stream.KindFloat))
 		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.AsFloat()))
@@ -253,10 +295,7 @@ func appendValue(buf []byte, v stream.Value) []byte {
 		if v.AsBool() {
 			b = 1
 		}
-		return append(buf, byte(stream.KindBool), b)
-	case stream.KindTime:
-		buf = append(buf, byte(stream.KindTime))
-		return binary.LittleEndian.AppendUint64(buf, uint64(int64(v.AsTime())))
+		return append(buf, byte(stream.KindBool)|b<<tagKindBits)
 	default:
 		// Invalid values cannot legally appear in a tuple
 		// (stream.NewTuple rejects them); encode the tag so the
@@ -265,56 +304,96 @@ func appendValue(buf []byte, v stream.Value) []byte {
 	}
 }
 
-// decodeValues decodes the timestamp and len(values) values of one
-// encoded tuple at b[pos] into values and returns the position one past
-// its end; checking the kinds against a schema is the caller's. Untrusted
-// input: every read is bounds-checked, malformed bytes return an error.
-func decodeValues(b []byte, pos int, values []stream.Value) (stream.Timestamp, int, error) {
-	if pos+8 > len(b) {
-		return 0, 0, fmt.Errorf("transport: truncated tuple timestamp")
+// appendWidth encodes an int or time tag and u in the bytes it needs.
+//
+//cosmos:hotpath
+func appendWidth(buf []byte, kind stream.Kind, u uint64) []byte {
+	w := (bits.Len64(u) + 7) / 8
+	end := len(buf) + 1 + w
+	buf = append(buf, byte(kind)|byte(w)<<tagKindBits)
+	return binary.LittleEndian.AppendUint64(buf, u)[:end]
+}
+
+//cosmos:hotpath
+func zigzag(n int64) uint64 { return uint64(n<<1) ^ uint64(n>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// readUvarint reads the uvarint at b[pos], refusing a truncated, an
+// overlong or a non-minimal one: what decodes re-encodes to its bytes.
+func readUvarint(b []byte, pos int) (uint64, int, bool) {
+	n, w := binary.Uvarint(b[pos:])
+	if w <= 0 || (w > 1 && b[pos+w-1] == 0) {
+		return 0, 0, false
 	}
-	ts := stream.Timestamp(int64(binary.LittleEndian.Uint64(b[pos:])))
-	pos += 8
+	return n, pos + w, true
+}
+
+// decodeValues decodes one encoded tuple at b[pos] — its timestamp
+// (first and prev as appendTuple took them) and len(values) values, into
+// values — and returns the timestamp and the position one past its end;
+// checking the kinds against a schema is the caller's. Untrusted input:
+// every read is bounds-checked, malformed bytes return an error, and only
+// the encoder's own bytes for a tuple are accepted.
+func decodeValues(b []byte, pos int, first bool, prev stream.Timestamp, values []stream.Value) (stream.Timestamp, int, error) {
+	var ts stream.Timestamp
+	if first {
+		if pos+8 > len(b) {
+			return 0, 0, fmt.Errorf("transport: truncated tuple timestamp")
+		}
+		ts = stream.Timestamp(int64(binary.LittleEndian.Uint64(b[pos:])))
+		pos += 8
+	} else {
+		step, next, ok := readUvarint(b, pos)
+		if !ok {
+			return 0, 0, fmt.Errorf("transport: malformed tuple timestamp step")
+		}
+		ts = stream.Timestamp(int64(prev) + unzigzag(step))
+		pos = next
+	}
 	for i := range values {
 		if pos >= len(b) {
 			return 0, 0, fmt.Errorf("transport: truncated tuple value %d", i)
 		}
-		kind := stream.Kind(b[pos])
+		tag := b[pos]
+		kind, w := stream.Kind(tag&tagKindMask), int(tag>>tagKindBits)
 		pos++
-		switch kind {
-		case stream.KindInt, stream.KindTime:
-			if pos+8 > len(b) {
-				return 0, 0, fmt.Errorf("transport: truncated %v value", kind)
+		switch {
+		case (kind == stream.KindInt || kind == stream.KindTime) && w <= 8:
+			if w > len(b)-pos || (w > 0 && b[pos+w-1] == 0) {
+				return 0, 0, fmt.Errorf("transport: truncated or overlong %v value", kind)
 			}
-			n := int64(binary.LittleEndian.Uint64(b[pos:]))
-			pos += 8
-			if kind == stream.KindInt {
-				values[i] = stream.Int(n)
+			var u uint64
+			if len(b)-pos >= 8 {
+				u = binary.LittleEndian.Uint64(b[pos:]) & (math.MaxUint64 >> (64 - 8*w))
 			} else {
-				values[i] = stream.Time(stream.Timestamp(n))
+				for j := w - 1; j >= 0; j-- {
+					u = u<<8 | uint64(b[pos+j])
+				}
 			}
-		case stream.KindFloat:
+			pos += w
+			if kind == stream.KindInt {
+				values[i] = stream.Int(unzigzag(u))
+			} else {
+				values[i] = stream.Time(stream.Timestamp(unzigzag(u)))
+			}
+		case kind == stream.KindFloat && w == 0:
 			if pos+8 > len(b) {
 				return 0, 0, fmt.Errorf("transport: truncated float value")
 			}
 			values[i] = stream.Float(math.Float64frombits(binary.LittleEndian.Uint64(b[pos:])))
 			pos += 8
-		case stream.KindBool:
-			if pos >= len(b) {
-				return 0, 0, fmt.Errorf("transport: truncated bool value")
-			}
-			values[i] = stream.Bool(b[pos] != 0)
-			pos++
-		case stream.KindString:
-			n, w := binary.Uvarint(b[pos:])
-			if w <= 0 || n > uint64(len(b)-pos-w) {
+		case kind == stream.KindBool && w <= 1:
+			values[i] = stream.Bool(w == 1)
+		case kind == stream.KindString && w == 0:
+			n, next, ok := readUvarint(b, pos)
+			if !ok || n > uint64(len(b)-next) {
 				return 0, 0, fmt.Errorf("transport: truncated string value")
 			}
-			pos += w
-			values[i] = stream.String_(string(b[pos : pos+int(n)]))
-			pos += int(n)
+			values[i] = stream.String_(string(b[next : next+int(n)]))
+			pos = next + int(n)
 		default:
-			return 0, 0, fmt.Errorf("transport: unknown value kind %d", kind)
+			return 0, 0, fmt.Errorf("transport: unknown value tag %#x", tag)
 		}
 	}
 	return ts, pos, nil
@@ -324,10 +403,11 @@ func decodeValues(b []byte, pos int, values []stream.Value) (stream.Timestamp, i
 // arity values share (each keeps its sub-slice); a frame of many tuples
 // is wider than a slab cuts and gets an arena of its own. The declared
 // count is first checked against the tupleBytes present — the smallest
-// encoded tuple is its prefix, a timestamp and two bytes per value — so
+// encoded tuple is its prefix, a one-byte timestamp step and a one-byte
+// tag per value, and the first one's timestamp takes 8 bytes, not 1 — so
 // a lying count cannot size the allocation.
 func frameArena(slab *stream.Slab, count, arity, prefix, tupleBytes int) ([]stream.Value, error) {
-	if count*(prefix+8+2*arity) > tupleBytes {
+	if count*(prefix+1+arity)+7 > tupleBytes {
 		return nil, fmt.Errorf("transport: data frame declares %d tuples in %d bytes", count, tupleBytes)
 	}
 	return slab.Take(count * arity), nil
