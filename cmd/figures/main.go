@@ -16,13 +16,12 @@
 // dissemination tree and its four workload distributions (uniform,
 // zipf1.0, zipf1.5, zipf2). Submitting a query costs more the more
 // queries stand, so the defaults stop at 1500 queries and one
-// repetition: -fig all takes about 2.5 min on a 2-vCPU machine, nearly
+// repetition: -fig all takes about 50 s on a 2-vCPU machine, nearly
 // all of it set-up. The paper's 2000…10000 checkpoints
 // (sim.PaperCheckpoints) and 20 repetitions stay reachable through
 // -queries and -reps, but set-up time grows faster than linearly in the
-// query count: a merged Submit costs 4–6 ms below 250 standing queries
-// and 14–39 ms between 1000 and 1500, and a sweep to 2000 takes about
-// 4 min.
+// query count: a Submit costs 2–3 ms below 250 standing queries, and
+// between 1000 and 1500 2–7 ms merged and 5–6 ms unmerged.
 package main
 
 import (

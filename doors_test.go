@@ -12,17 +12,23 @@ import (
 // eachBackend runs fn against a fresh deployment behind each Client
 // backend: synchronous embedded, live embedded, and TCP.
 func eachBackend(t *testing.T, fn func(t *testing.T, c cosmos.Client)) {
+	eachBackendWith(t, diffOptions(), fn)
+}
+
+// eachBackendWith is eachBackend for a deployment of the given options;
+// the live and TCP ones run two execution workers per processor.
+func eachBackendWith(t *testing.T, opts core.Options, fn func(t *testing.T, c cosmos.Client)) {
 	t.Run("sim", func(t *testing.T) {
-		sys, err := core.NewSystem(diffOptions())
+		sys, err := core.NewSystem(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fn(t, cosmos.Embed(sys))
 	})
+	live := opts
+	live.ExecWorkers = 2
 	t.Run("live", func(t *testing.T) {
-		opts := diffOptions()
-		opts.ExecWorkers = 2
-		ls, err := core.NewLiveSystem(opts)
+		ls, err := core.NewLiveSystem(live)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +36,7 @@ func eachBackend(t *testing.T, fn func(t *testing.T, c cosmos.Client)) {
 		fn(t, cosmos.EmbedLive(ls))
 	})
 	t.Run("remote", func(t *testing.T) {
-		c, err := cosmos.Dial(startDiffServer(t, 2))
+		c, err := cosmos.Dial(startServerWith(t, live))
 		if err != nil {
 			t.Fatal(err)
 		}

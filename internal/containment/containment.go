@@ -23,6 +23,8 @@
 package containment
 
 import (
+	"slices"
+
 	"cosmos/internal/cql"
 	"cosmos/internal/predicate"
 	"cosmos/internal/window"
@@ -123,12 +125,8 @@ func containsInfinity(q1, q2 *cql.Bound) Result {
 // projectionCovered reports whether q2 outputs every source column q1
 // outputs.
 func projectionCovered(q1, q2 *cql.Bound) bool {
-	have := map[string]bool{}
-	for _, c := range q2.SelectCols {
-		have[c.String()] = true
-	}
 	for _, c := range q1.SelectCols {
-		if !have[c.String()] {
+		if !slices.Contains(q2.SelectCols, c) {
 			return false
 		}
 	}

@@ -160,3 +160,97 @@ func TestAdoptedGroupsStayInDemand(t *testing.T) {
 		t.Errorf("the adopted query got %d of 10 results after the survivor's own query left", got)
 	}
 }
+
+// countingClient counts the advertisements and unadvertisements a
+// processor sends through it.
+type countingClient struct {
+	netClient
+	adverts, unadverts int
+}
+
+func (c *countingClient) Advertise(s string) {
+	c.adverts++
+	c.netClient.Advertise(s)
+}
+
+func (c *countingClient) Unadvertise(s string) {
+	c.unadverts++
+	c.netClient.Unadvertise(s)
+}
+
+// ctrlMsgs sums the control messages every overlay link has carried.
+func ctrlMsgs(sys *System) int64 {
+	var n int64
+	for _, l := range sys.NetStats() {
+		n += l.CtrlMsgs
+	}
+	return n
+}
+
+// TestContainedSubmitCostFlat: a Submit its group's representative
+// already contains costs its own change, not the group's size. Into a
+// group of 2 and of 64 members, it advertises and unadvertises nothing,
+// keeps the result stream, refreshes no co-member (each keeps its
+// re-tightening profile, the same pointer) and only binds the newcomer;
+// its control messages do not grow with the group. Nor do its
+// allocations but for the brokers' share: the newcomer's demand is
+// re-unioned with every other interface's at its node (Broker.
+// demandExcept), four more proxies at 64 members, about 10 % of the
+// Submit. Refreshing every member would cost 64 refreshes, several
+// times the whole Submit.
+func TestContainedSubmitCostFlat(t *testing.T) {
+	const (
+		runs      = 20
+		standing  = "SELECT itemID, start_price FROM OpenAuction [Now] WHERE start_price > 10"
+		contained = "SELECT itemID, start_price FROM OpenAuction [Now] WHERE start_price > 100"
+	)
+	ctrl, allocs := map[int]int64{}, map[int]int{}
+	for _, n := range []int{2, 64} {
+		sys, _, _ := newAuctionSystem(t, Options{Nodes: 16, Seed: 3})
+		submit := func(q string, node int) *QueryHandle {
+			h, err := sys.Submit(q, node, func(stream.Tuple) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}
+		members := make([]*QueryHandle, n)
+		for i := range members {
+			members[i] = submit(standing, i%16)
+		}
+		proc := sys.Processors()[0]
+		client := &countingClient{netClient: proc.client}
+		proc.client = client
+		filters := make([]*profile.Profile, n)
+		for i, h := range members {
+			filters[i] = h.filter
+		}
+		resultStream := members[0].resultStreamName()
+		before := ctrlMsgs(sys)
+		h := submit(contained, 7)
+		ctrl[n] = ctrlMsgs(sys) - before
+		if client.adverts+client.unadverts != 0 {
+			t.Errorf("%d members: the contained Submit sent %d advertisements and %d unadvertisements, want none", n, client.adverts, client.unadverts)
+		}
+		if got := h.resultStreamName(); got != resultStream {
+			t.Errorf("%d members: the newcomer reads %s, the group read %s", n, got, resultStream)
+		}
+		for i, m := range members {
+			if m.filter != filters[i] || m.resultStreamName() != resultStream {
+				t.Fatalf("%d members: the contained Submit refreshed member %d", n, i)
+			}
+		}
+		if gs := proc.groupOf(h.Tag); gs == nil || len(gs.memberTags) != n+1 {
+			t.Fatalf("%d members: the newcomer did not join their group", n)
+		}
+		allocs[n] = mallocs(runs, func() { submit(contained, 7) }) / runs
+		checkDemand(t, proc)
+	}
+	t.Logf("a contained Submit: %d / %d control messages and %d / %d allocations into 2 / 64 members", ctrl[2], ctrl[64], allocs[2], allocs[64])
+	if ctrl[64] > ctrl[2] {
+		t.Errorf("a contained Submit sends %d control messages into 64 members, %d into 2", ctrl[64], ctrl[2])
+	}
+	if allocs[64]*4 > allocs[2]*5 {
+		t.Errorf("a contained Submit makes %d allocations into 64 members, %d into 2: more than 1.25x", allocs[64], allocs[2])
+	}
+}

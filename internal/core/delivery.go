@@ -133,11 +133,11 @@ func (s *System) proxyForLocked(h *QueryHandle, group string) (*proxy, error) {
 	return px, nil
 }
 
-// leaveProxyLocked takes h out of its proxy; the last member out closes
-// the proxy, which withdraws its demand. A proxy with members left drops
-// h's profile from its demand in the refresh of the group that follows.
-// Called under the system lock.
-func (s *System) leaveProxyLocked(h *QueryHandle) {
+// leaveProxyLocked takes h out of its proxy and returns the proxy, or nil
+// once the last member out closed it, which withdraws its demand. A proxy
+// with members left drops h's profile from its demand when the caller
+// next sets it (setDemand). Called under the system lock.
+func (s *System) leaveProxyLocked(h *QueryHandle) *proxy {
 	px := h.px
 	px.mu.Lock()
 	px.members = slices.DeleteFunc(px.members, func(m *QueryHandle) bool { return m == h })
@@ -147,7 +147,22 @@ func (s *System) leaveProxyLocked(h *QueryHandle) {
 	if empty {
 		delete(s.proxies, px.key)
 		px.client.Close()
+		return nil
 	}
+	return px
+}
+
+// setDemand sets the proxy's demand to the union of its members'
+// re-tightening profiles, in the order they joined (every member of a
+// proxy is in its group). Called under the system lock.
+func (p *proxy) setDemand() {
+	demand := profile.New()
+	p.mu.Lock()
+	for _, h := range p.members {
+		demand.Merge(h.filter)
+	}
+	p.mu.Unlock()
+	p.client.SetDemand(demand)
 }
 
 // refresh (re)binds the handle to its group's representative: builds the

@@ -218,3 +218,39 @@ func TestFailoverStatsPlans(t *testing.T) {
 		t.Errorf("backup lists %d plans, want %d", len(plans(backup.ID)), len(after)-1)
 	}
 }
+
+// TestAdoptedGroupShrinkKeepsSurvivorExact: an adopted group keeps its
+// frozen representative as it shrinks, so its last member must keep the
+// member binding, its re-tightening filter. Bound to the whole result
+// stream, as the sole member of an owned group is, the narrow survivor
+// here would receive every price above 10.
+func TestAdoptedGroupShrinkKeepsSurvivorExact(t *testing.T) {
+	sys, port, _ := newAuctionSystem(t, Options{Nodes: 16, Seed: 3, ProcessorNodes: []int{12, 0}, Placement: NearestToUser})
+	got := 0
+	wide, err := sys.Submit("SELECT itemID, start_price FROM OpenAuction [Now] WHERE start_price > 10", 12, func(stream.Tuple) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := sys.Submit("SELECT itemID, start_price FROM OpenAuction [Now] WHERE start_price > 100", 12, func(stream.Tuple) { got++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.proc != narrow.proc || wide.proc.Groups() != 1 {
+		t.Fatal("the two queries should share a group")
+	}
+	if err := sys.FailProcessor(wide.proc.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Cancel(wide); err != nil {
+		t.Fatal(err)
+	}
+	info := auctionInfos()[0]
+	for i, price := range []float64{50, 150} {
+		if err := port.Publish(openT(info, stream.Timestamp(i), int64(i), 1, price)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got != 1 {
+		t.Errorf("the adopted survivor (price > 100) got %d of prices 50 and 150, want 1", got)
+	}
+}

@@ -80,11 +80,12 @@ type groupState struct {
 }
 
 // resultStreamName derives the versioned result stream name of a group.
-// The version bumps on every membership change: the fresh name retires
-// the old plan generation's name, its in-flight results and its schema
-// at once (old names stop carrying data when the old plan is replaced,
-// and their unadvertisement, following the last result, clears them
-// from every broker).
+// The version bumps whenever the group's representative changes (a
+// membership change that keeps the representative keeps the name): the
+// fresh name retires the old plan generation's name, its in-flight
+// results and its schema at once (old names stop carrying data when the
+// old plan is replaced, and their unadvertisement, following the last
+// result, clears them from every broker).
 func resultStreamName(procID, groupID, version int) string {
 	return fmt.Sprintf("res-p%d-g%d-v%d", procID, groupID, version)
 }
@@ -242,11 +243,12 @@ func (p *Processor) captureAll() {
 
 // accept runs the query-management path for one new query: group it
 // with the optimiser, then move the group to its new representative and
-// membership. Returns the affected group. Called under the system lock.
-func (p *Processor) accept(tag string, b *cql.Bound) (*groupState, error) {
+// membership. Returns the affected group and whether it kept its
+// representative (see setGroup). Called under the system lock.
+func (p *Processor) accept(tag string, b *cql.Bound) (*groupState, bool, error) {
 	placement, err := p.opt.Add(tag, b)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	g := placement.Group
 	plan := fmt.Sprintf("p%d-g%04d", p.ID, g.ID)
@@ -260,14 +262,15 @@ func (p *Processor) accept(tag string, b *cql.Bound) (*groupState, error) {
 }
 
 // remove drops a query; returns the surviving group (nil when the group
-// dissolved). An adopted group is unknown to the optimiser: it keeps its
-// frozen representative, and survivors keep their re-tightening
-// profiles, which remain exact. Called under the system lock.
-func (p *Processor) remove(tag string) (*groupState, error) {
+// dissolved) and whether it kept its representative (see setGroup). An
+// adopted group is unknown to the optimiser: it keeps its frozen
+// representative, and survivors keep their re-tightening profiles, which
+// remain exact. Called under the system lock.
+func (p *Processor) remove(tag string) (*groupState, bool, error) {
 	gs := p.groupOf(tag)
 	switch {
 	case gs == nil:
-		return nil, fmt.Errorf("core: processor %d does not own %s", p.ID, tag)
+		return nil, false, fmt.Errorf("core: processor %d does not own %s", p.ID, tag)
 	case gs.adopted:
 		return p.setGroup(gs, gs.rep, slices.DeleteFunc(slices.Clone(gs.memberTags), func(m string) bool { return m == tag }))
 	}
@@ -279,17 +282,21 @@ func (p *Processor) remove(tag string) (*groupState, error) {
 }
 
 // setGroup is the one transition of a group's record: gs is to serve
-// tags through rep; it returns gs, or nil once the group dissolved. With
-// no members left the group dissolves: its plan, checkpoint, result
-// stream and input are retired. The same representative, an adopted
-// group shrinking, changes only the membership. Any other retires the
-// old result stream, if any, and is installed under a fresh version.
-// A retired stream is unadvertised through the processor's client once
-// the old plan has been replaced or removed: the runtime emits under the
-// plan's lock, so the old plan's last result is already in the node's
-// mailbox, and FIFO links carry the unadvertisement to every broker
-// behind it and behind the advertisement. Called under the system lock.
-func (p *Processor) setGroup(gs *groupState, rep *cql.Bound, tags []string) (*groupState, error) {
+// tags through rep; it returns gs, or nil once the group dissolved, and
+// whether gs kept its representative. With no members left the group
+// dissolves: its plan, checkpoint, result stream and input are retired.
+// The same representative — a join or a leave the optimiser found
+// equivalent, or an adopted group shrinking — changes only the
+// membership: no plan is installed, no version bumps and nothing is
+// advertised or unadvertised, so the co-members' window state and result
+// stream stand. Any other retires the old result stream, if any, and is
+// installed under a fresh version. A retired stream is unadvertised
+// through the processor's client once the old plan has been replaced or
+// removed: the runtime emits under the plan's lock, so the old plan's
+// last result is already in the node's mailbox, and FIFO links carry the
+// unadvertisement to every broker behind it and behind the
+// advertisement. Called under the system lock.
+func (p *Processor) setGroup(gs *groupState, rep *cql.Bound, tags []string) (*groupState, bool, error) {
 	p.mu.Lock()
 	p.setMembersLocked(gs, tags)
 	switch {
@@ -299,7 +306,7 @@ func (p *Processor) setGroup(gs *groupState, rep *cql.Bound, tags []string) (*gr
 		delete(p.groups, gs.plan)
 	case rep == gs.rep:
 		p.mu.Unlock()
-		return gs, nil
+		return gs, true, nil
 	default:
 		p.groups[gs.plan] = gs
 	}
@@ -312,7 +319,7 @@ func (p *Processor) setGroup(gs *groupState, rep *cql.Bound, tags []string) (*gr
 		p.mu.Unlock()
 		p.client.Unadvertise(retired)
 		p.setInput(gs, profile.New())
-		return nil, nil
+		return nil, false, nil
 	}
 	gs.resultStream = resultStreamName(p.ID, gs.id, gs.version)
 	gs.rep = rep
@@ -322,9 +329,9 @@ func (p *Processor) setGroup(gs *groupState, rep *cql.Bound, tags []string) (*gr
 		p.client.Unadvertise(retired)
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return gs, nil
+	return gs, false, nil
 }
 
 // installGroup (re)installs the representative plan under the group's

@@ -13,7 +13,7 @@ import (
 // to the unfiltered result stream) grows into a merged group, the first
 // user's old, filterless subscription must not keep delivering the whole
 // representative stream to it. The fix versions the result stream name
-// on every membership change.
+// whenever the representative changes, as it does here.
 func TestGroupGrowthDoesNotLeakForeignTuples(t *testing.T) {
 	sys, openPort, closedPort := newAuctionSystem(t, Options{Nodes: 16, Seed: 5})
 	infos := auctionInfos()
@@ -134,4 +134,76 @@ func (h *QueryHandle) resultStreamName() string {
 	h.px.mu.Lock()
 	defer h.px.mu.Unlock()
 	return h.px.stream
+}
+
+// The contained-join probe: q1 and q2 share a join group, the contained
+// variant is a third user's, and each item opens in the join window
+// before the newcomer arrives and closes after.
+const (
+	containedQ1 = "SELECT O.itemID, C.buyerID FROM OpenAuction [Range 5 Hour] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID"
+	containedQ2 = "SELECT O.itemID, C.buyerID FROM OpenAuction [Range 4 Hour] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID"
+	containedQ3 = "SELECT O.itemID, C.buyerID FROM OpenAuction [Range 3 Hour] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID"
+)
+
+// TestContainedJoinKeepsCoMembersState: a newcomer the group's
+// representative already contains changes nothing its co-members hold
+// (paper §4, Theorems 1 and 2). q1 [Range 5 Hour] and q2 [Range 4 Hour]
+// share a group, and ten opens enter its join window. Then a third user
+// submits the contained [Range 3 Hour] variant — in the second case
+// submits and cancels it — and ten matching closes follow. The join and
+// the leave both keep the representative, so the plan with its window
+// and the result stream stand, and q1 and q2 each get all ten results.
+//
+// The first join into a singleton still re-versions: q2 joining q1 moves
+// the layout from [O.itemID, C.buyerID] to one that carries O.__ts for
+// re-tightening, and the new plan starts with an empty window. Submitted
+// between the opens and the closes, q2 still costs q1 its ten results;
+// that case is "Transparency, part 2"'s.
+func TestContainedJoinKeepsCoMembersState(t *testing.T) {
+	for _, cancel := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cancel=%v", cancel), func(t *testing.T) {
+			sys, openPort, closedPort := newAuctionSystem(t, Options{Nodes: 16, Seed: 3})
+			infos := auctionInfos()
+			var got [2]int
+			var handles [2]*QueryHandle
+			for i, q := range []string{containedQ1, containedQ2} {
+				h, err := sys.Submit(q, 5+i, func(stream.Tuple) { got[i]++ })
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles[i] = h
+			}
+			for i := range 10 {
+				if err := openPort.Publish(openT(infos[0], stream.Timestamp(i), int64(i), 1, 10)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := handles[0].resultStreamName()
+			h3, err := sys.Submit(containedQ3, 9, func(stream.Tuple) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cancel {
+				if err := sys.Cancel(h3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if g := sys.Processors()[0].Groups(); g != 1 {
+				t.Fatalf("%d groups, want one", g)
+			}
+			for i, h := range handles {
+				if after := h.resultStreamName(); after != before {
+					t.Errorf("q%d's result stream went from %s to %s", i+1, before, after)
+				}
+			}
+			for i := range 10 {
+				if err := closedPort.Publish(closedT(infos[1], stream.Timestamp(10+i), int64(i), 77)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got != [2]int{10, 10} {
+				t.Errorf("q1 / q2 got %d / %d results, want 10 / 10", got[0], got[1])
+			}
+		})
+	}
 }

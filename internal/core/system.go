@@ -392,12 +392,23 @@ func (s *System) SubmitTo(text string, userNode int, sink Sink, sub any) (*Query
 	}
 	s.queries[tag] = h
 
-	gs, err := proc.accept(tag, bound)
+	gs, kept, err := proc.accept(tag, bound)
 	if err != nil {
 		delete(s.queries, tag)
 		return nil, err
 	}
-	if err := s.refreshGroupLocked(proc, gs); err != nil {
+	// A join that keeps the representative leaves every co-member's
+	// binding exact: only the newcomer binds, and only its proxy's demand
+	// changes. The second member is the exception, as the first leaves
+	// the singleton binding (the plan's own layout) for the member one.
+	if kept && len(gs.memberTags) > 2 {
+		if err := h.refresh(gs, false); err != nil {
+			return nil, fmt.Errorf("core: refreshing %s: %w", tag, err)
+		}
+		h.px.setDemand()
+		return h, nil
+	}
+	if err := s.refreshGroupLocked(gs); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -405,12 +416,11 @@ func (s *System) SubmitTo(text string, userNode int, sink Sink, sub any) (*Query
 
 // refreshGroupLocked rebuilds delivery state for every member of a group
 // after its representative (or result schema) changed, then sets the
-// demand of each proxy the members use, once: the union of its members'
-// re-tightening profiles (every member of a proxy is in the group).
-func (s *System) refreshGroupLocked(proc *Processor, gs *groupState) error {
+// demand of each proxy the members use, once, in member order.
+func (s *System) refreshGroupLocked(gs *groupState) error {
 	singleton := len(gs.memberTags) == 1
 	var proxies []*proxy // in member order, for a deterministic cascade
-	demand := map[*proxy]*profile.Profile{}
+	seen := map[*proxy]bool{}
 	for _, tag := range gs.memberTags {
 		h, ok := s.queries[tag]
 		if !ok {
@@ -419,20 +429,25 @@ func (s *System) refreshGroupLocked(proc *Processor, gs *groupState) error {
 		if err := h.refresh(gs, singleton); err != nil {
 			return fmt.Errorf("core: refreshing %s: %w", tag, err)
 		}
-		if demand[h.px] == nil {
-			demand[h.px] = profile.New()
+		if !seen[h.px] {
+			seen[h.px] = true
 			proxies = append(proxies, h.px)
 		}
-		demand[h.px].Merge(h.filter)
 	}
 	for _, px := range proxies {
-		px.client.SetDemand(demand[px])
+		px.setDemand()
 	}
 	return nil
 }
 
-// Cancel removes a query: the processor's group shrinks (or disappears)
-// and the remaining members are refreshed.
+// Cancel removes a query: the processor's group shrinks (or disappears).
+// When the group keeps its representative only the leaver's proxy
+// changes, its demand; otherwise the remaining members are refreshed.
+// The lone survivor of an owned group is refreshed too, back to the
+// singleton binding, the converse of the second member's join: its
+// group's kept representative is equivalent to its own query and has its
+// layout. An adopted group's frozen representative need not be, so its
+// survivors keep the member binding.
 func (s *System) Cancel(h *QueryHandle) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -440,13 +455,17 @@ func (s *System) Cancel(h *QueryHandle) error {
 		return fmt.Errorf("core: unknown query %s", h.Tag)
 	}
 	delete(s.queries, h.Tag)
-	s.leaveProxyLocked(h)
-	gs, err := h.proc.remove(h.Tag)
-	if err != nil {
+	px := s.leaveProxyLocked(h)
+	gs, kept, err := h.proc.remove(h.Tag)
+	switch {
+	case err != nil:
 		return err
-	}
-	if gs != nil {
-		return s.refreshGroupLocked(h.proc, gs)
+	case gs == nil:
+		return nil
+	case !kept, len(gs.memberTags) == 1 && !gs.adopted:
+		return s.refreshGroupLocked(gs)
+	case px != nil:
+		px.setDemand()
 	}
 	return nil
 }

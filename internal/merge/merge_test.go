@@ -519,3 +519,100 @@ func TestSynthesizeCQLRoundTrip(t *testing.T) {
 		t.Errorf("synthesized CQL does not reparse: %v\n%s", err, text)
 	}
 }
+
+// TestContainedJoinsKeepRep: a join whose representative would be
+// equivalent to the standing one, in the same layout, keeps the standing
+// one, the same pointer. Of the 15 joins of fanout_tcp's 16 set-up
+// selections (four column lists, each widening the last, then three
+// repeats of the cycle) only the three widenings move it.
+func TestContainedJoinsKeepRep(t *testing.T) {
+	r := stream.NewRegistry()
+	if err := r.Register(&stream.Info{
+		Schema: stream.MustSchema("Load00",
+			stream.Field{Name: "seq", Kind: stream.KindInt},
+			stream.Field{Name: "pubns", Kind: stream.KindInt},
+			stream.Field{Name: "v0", Kind: stream.KindFloat},
+			stream.Field{Name: "v1", Kind: stream.KindFloat},
+			stream.Field{Name: "v2", Kind: stream.KindFloat},
+		),
+		Rate: 2000,
+		Stats: map[string]stream.AttrStats{
+			"seq":   {Min: 0, Max: 1e12, Distinct: 1e9},
+			"pubns": {Min: 0, Max: 1e15, Distinct: 1e9},
+			"v0":    {Min: 0, Max: 100, Distinct: 1000},
+			"v1":    {Min: 0, Max: 100, Distinct: 1000},
+			"v2":    {Min: 0, Max: 100, Distinct: 1000},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	o := NewOptimizer(Options{Mode: ExactUnion, MaxCandidates: 64})
+	lists := []string{"seq, pubns", "seq, pubns, v0", "seq, pubns, v0, v1", "seq, pubns, v0, v1, v2"}
+	var g *Group
+	joins, kept := 0, 0
+	for i := range 16 {
+		q, err := cql.AnalyzeString(fmt.Sprintf("SELECT %s FROM Load00 [Now]", lists[i%4]), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before *cql.Bound
+		if g != nil {
+			before = g.Rep
+		}
+		p, err := o.Add(fmt.Sprintf("q%d", i), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			g = p.Group
+			continue
+		}
+		if p.Group != g {
+			t.Fatalf("query %d opened a group of its own", i)
+		}
+		joins++
+		if g.Rep == before {
+			kept++
+		}
+	}
+	if joins != 15 || kept != 12 {
+		t.Errorf("%d of %d joins kept the representative, want 12 of 15", kept, joins)
+	}
+}
+
+// TestRemoveKeepsEquivalentRep: a leave whose survivors rebuild an
+// equivalent representative in the same layout keeps the standing one,
+// the same pointer, also when one survivor is left; a leave that narrows
+// it moves it.
+func TestRemoveKeepsEquivalentRep(t *testing.T) {
+	o := NewOptimizer(Options{Mode: ExactUnion})
+	const sel = "SELECT itemID, start_price FROM OpenAuction [Now] WHERE start_price > %d"
+	for i, th := range []int{100, 200, 300, 100} {
+		if _, err := o.Add(fmt.Sprintf("q%d", i), bind(t, fmt.Sprintf(sel, th))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, _ := o.GroupOf("q0")
+	if len(g.Members) != 4 {
+		t.Fatalf("%d members, want the four in one group", len(g.Members))
+	}
+	rep := g.Rep
+	for _, tag := range []string{"q2", "q1", "q0"} {
+		if got, _ := o.Remove(tag); got != g || g.Rep != rep {
+			t.Fatalf("removing %s moved the representative; the survivors' is equivalent", tag)
+		}
+	}
+	if len(g.Members) != 1 || !containment.Equivalent(g.Rep, g.Members[0].Query) {
+		t.Fatal("the kept representative is not equivalent to its survivor")
+	}
+	if _, err := o.Add("q4", bind(t, fmt.Sprintf(sel, 50))); err != nil {
+		t.Fatal(err)
+	}
+	if g.Rep == rep {
+		t.Fatal("a widening join kept the representative")
+	}
+	widened := g.Rep
+	if o.Remove("q4"); g.Rep == widened {
+		t.Error("a narrowing leave kept the representative")
+	}
+}

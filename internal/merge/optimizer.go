@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"cosmos/internal/containment"
 	"cosmos/internal/cost"
 	"cosmos/internal/cql"
 )
@@ -29,8 +30,10 @@ type Group struct {
 	Signature string
 	// Members lists the group's queries.
 	Members []*Member
-	// Rep is the representative query; equal to the sole member's query
-	// for singleton groups.
+	// Rep is the representative query; the sole member's query for a
+	// group opened by it. A join or a leave that leaves an equivalent
+	// representative (see keepsRep) keeps this pointer, so a group of one
+	// may keep its former representative.
 	Rep *cql.Bound
 	// RepBps is the cached C(rep).
 	RepBps float64
@@ -148,8 +151,7 @@ func (o *Optimizer) Add(tag string, q *cql.Bound) (Placement, error) {
 	}
 
 	best.Members = append(best.Members, m)
-	best.Rep = bestRep
-	best.RepBps = o.est.Bps(bestRep)
+	best.setRep(bestRep, o.est)
 	o.touch(best)
 	o.byTag[tag] = best
 	o.nq++
@@ -209,9 +211,31 @@ func (o *Optimizer) Remove(tag string) (*Group, bool) {
 		}
 		rep = merged
 	}
-	g.Rep = rep
-	g.RepBps = o.est.Bps(rep)
+	g.setRep(rep, o.est)
 	return g, true
+}
+
+// setRep moves the group to the representative rep, unless its own
+// stands in for rep unchanged (keepsRep): then Rep stays the same
+// pointer, which tells the processor that plan, result stream and
+// members' re-tightening all stay as they are.
+func (g *Group) setRep(rep *cql.Bound, est cost.Estimator) {
+	if keepsRep(g.Rep, rep) {
+		return
+	}
+	g.Rep, g.RepBps = rep, est.Bps(rep)
+}
+
+// keepsRep reports whether the standing representative rep serves
+// everything candidate would (paper §4, Theorems 1 and 2): the same
+// output layout, the same per-input timestamps, and the same results,
+// containment both ways. The layout check matters beyond equivalence: a
+// member's re-tightening filter reads the columns and timestamps the
+// representative carries for it.
+func keepsRep(rep, candidate *cql.Bound) bool {
+	return candidate.OutSchema.Equal(rep.OutSchema) &&
+		candidate.IncludeInputTs == rep.IncludeInputTs &&
+		containment.Equivalent(candidate, rep)
 }
 
 // GroupOf returns the group currently holding a tag.

@@ -19,13 +19,14 @@
 // query must have received the same number of results under both
 // strategies.
 //
-// Cost. Set-up, not publishing, dominates. With merging a Submit
-// re-plans its group and re-sets the demand of every member's proxy, so
-// its cost grows with the standing queries: on the 1000-node topology a
-// merged Submit takes 4–6 ms below 250 queries and 14–39 ms between
-// 1000 and 1500 (the more skewed the workload, the larger the groups and
-// the dearer), an unmerged one 10–13 ms (FIGURES.json). cmd/figures'
-// defaults are sized to that.
+// Cost. Set-up, not publishing, dominates, and a Submit costs more the
+// more queries stand. With merging, a join that moves its group's
+// representative re-plans the group and rebinds every member; a join
+// the representative already contains, most joins on the skewed
+// workloads, binds only the newcomer. On the 1000-node topology a
+// Submit takes 2–3 ms below 250 queries; between 1000 and 1500 it takes
+// 2–7 ms merged (the more skewed the workload, the cheaper) and 5–6 ms
+// unmerged (FIGURES.json). cmd/figures' defaults are sized to that.
 package sim
 
 import (
