@@ -257,8 +257,10 @@ func (a *aggState) recompute(st *rowStore, g *groupAgg, si int) {
 	s := &a.specs[si]
 	acc := &g.accs[si]
 	first := true
-	for ord := g.members.first; ord != 0; ord = st.next[ord&st.mask] {
-		v := st.value(s.idx, ord)
+	for ord := g.members.first; ord != 0; {
+		pg, i := st.at(ord)
+		v := st.valueAt(pg, i, s.idx, ord)
+		ord = st.nextAt(pg, i)
 		if first {
 			acc.best, first = v, false
 			continue

@@ -121,7 +121,7 @@ func (p *Plan) buildCompiled(b *cql.Bound) error {
 			in.hash = p.buildJoinIndex(cp, i)
 		}
 		linked := in.hash != nil || (p.agg != nil && p.agg.trackMembers)
-		in.store = newRowStore(in.schema, linked)
+		in.store = newRowStore(in.schema, linked, in.win)
 	}
 	p.cp = cp
 	return nil
@@ -263,37 +263,41 @@ func (p *Plan) dfsCompiled(i int, out *[]stream.Tuple) {
 	if h, ok := in.hash.probe(cp); ok {
 		// Merge bucket and overflow candidates in arrival order so
 		// emission order matches a scan of the live window.
-		ord, ovf := in.hash.first(s, h), in.hash.overflow
+		ord, ovf := in.hash.buckets[h&in.hash.mask].first, in.hash.overflow
 		for ord != 0 || len(ovf) > 0 {
 			if len(ovf) == 0 || (ord != 0 && ord < ovf[0]) {
 				cand := ord
-				ord = s.next[ord&s.mask]
-				if in.hash.matches(s, cand, cp) {
-					p.tryRow(in, cand, out)
+				pg, i := s.at(cand)
+				ord = s.nextAt(pg, i)
+				if in.hash.matches(s, pg, i, cand, cp) {
+					p.tryRow(in, pg, i, cand, out)
 				}
 			} else {
-				p.tryRow(in, ovf[0], out)
+				pg, i := s.at(ovf[0])
+				p.tryRow(in, pg, i, ovf[0], out)
 				ovf = ovf[1:]
 			}
 		}
 	} else {
 		for ord := s.head; ord < s.tail; ord++ {
-			p.tryRow(in, ord, out)
+			pg, i := s.at(ord)
+			p.tryRow(in, pg, i, ord, out)
 		}
 	}
 	cp.unplace(i)
 }
 
-// tryRow extends the combination with one window row of input in, if
-// Lemma 1 admits it beside the rows already placed, and recurses.
-func (p *Plan) tryRow(in *inputState, ord uint64, out *[]stream.Tuple) {
-	ts := in.store.tsAt(ord)
+// tryRow extends the combination with one window row of input in (ord,
+// located at pg, i), if Lemma 1 admits it beside the rows already
+// placed, and recurses.
+func (p *Plan) tryRow(in *inputState, pg *page, i int, ord uint64, out *[]stream.Tuple) {
+	ts := in.store.tsAt(pg, i)
 	if !p.pairwiseJoinable(in, ts) {
 		return
 	}
 	cp := p.cp
 	row := cp.scratch[cp.offsets[in.slot]:cp.offsets[in.slot+1]]
-	in.store.read(ord, row)
+	in.store.readAt(pg, i, ord, row)
 	cp.place(in.slot, row, ts)
 	p.dfsCompiled(in.slot+1, out)
 }
@@ -351,21 +355,26 @@ func (cp *compiledPlan) comboTs() stream.Timestamp {
 }
 
 // joinIndex hashes one join input's rows on its compiled equi-join
-// columns: buckets has the ring's capacity, a row's bucket is its key
-// hash under the ring's mask, and a bucket chains its rows in arrival
-// order through the store's next column — rows of colliding keys
-// included, so a probe verifies candidates against the key columns. The
-// evictee heads its chain, which keeps the index exact in O(1) per
-// eviction. Rows whose key values are not hash-exact
-// (stream.Value.KeyExact) go to the overflow list, also in arrival
-// order, and are scanned on every probe, so Compare-equality corner
-// cases still join exactly as a nested-loop scan would.
+// columns: a row's bucket is its key hash under the index's mask, and a
+// bucket chains its rows in arrival order through the store's link
+// words — rows of colliding keys included, so a probe verifies
+// candidates against the key columns. The bucket table is a power of
+// two sized to the live rows, at most two per bucket, and doubles (fit)
+// when they outgrow it. The evictee heads its chain, which
+// keeps the index exact in O(1) per eviction. Rows whose key values are
+// not hash-exact (stream.Value.KeyExact) go to the overflow list, also
+// in arrival order, and are scanned on every probe, so Compare-equality
+// corner cases still join exactly as a nested-loop scan would.
 type joinIndex struct {
 	keyCols  []int     // this input's key columns, in join-predicate order
 	partners []slotCol // matching column in the combination, per key column
 	buckets  []chain
+	mask     uint64 // len(buckets) − 1
 	overflow []uint64
 }
+
+// minBuckets is the bucket table an index starts with.
+const minBuckets = 4
 
 // buildJoinIndex resolves input i's equi-join columns against the joined
 // namespace. Inputs with no equality predicate get no index (the probe
@@ -392,7 +401,8 @@ func (p *Plan) buildJoinIndex(cp *compiledPlan, i int) *joinIndex {
 	if len(keyCols) == 0 {
 		return nil
 	}
-	return &joinIndex{keyCols: keyCols, partners: partners}
+	return &joinIndex{keyCols: keyCols, partners: partners,
+		buckets: make([]chain, minBuckets), mask: minBuckets - 1}
 }
 
 // locate maps a joined-namespace column index to its (slot, column).
@@ -443,18 +453,11 @@ func (j *joinIndex) probe(cp *compiledPlan) (h uint64, ok bool) {
 	return h, true
 }
 
-// first is the oldest row of a key hash's bucket, 0 when it is empty.
-func (j *joinIndex) first(s *rowStore, h uint64) uint64 {
-	if len(j.buckets) == 0 {
-		return 0
-	}
-	return j.buckets[h&s.mask].first
-}
-
-// matches verifies a bucket candidate against the probe's key values.
-func (j *joinIndex) matches(s *rowStore, ord uint64, cp *compiledPlan) bool {
+// matches verifies a bucket candidate (ord, located at pg, i) against
+// the probe's key values.
+func (j *joinIndex) matches(s *rowStore, pg *page, i int, ord uint64, cp *compiledPlan) bool {
 	for m, pt := range j.partners {
-		if !s.value(j.keyCols[m], ord).Equal(cp.rows[pt.slot][pt.col]) {
+		if !s.valueAt(pg, i, j.keyCols[m], ord).Equal(cp.rows[pt.slot][pt.col]) {
 			return false
 		}
 	}
@@ -465,7 +468,7 @@ func (j *joinIndex) matches(s *rowStore, ord uint64, cp *compiledPlan) bool {
 // lists it as overflow.
 func (j *joinIndex) insert(s *rowStore, vals []stream.Value, ord uint64) {
 	if h, exact := j.hash(vals); exact {
-		s.link(&j.buckets[h&s.mask], ord)
+		s.link(&j.buckets[h&j.mask], ord)
 	} else {
 		j.overflow = append(j.overflow, ord)
 	}
@@ -475,22 +478,27 @@ func (j *joinIndex) insert(s *rowStore, vals []stream.Value, ord uint64) {
 // chain or the overflow list.
 func (j *joinIndex) evict(s *rowStore, vals []stream.Value) {
 	if h, exact := j.hash(vals); exact {
-		s.unlinkFirst(&j.buckets[h&s.mask])
+		s.unlinkFirst(&j.buckets[h&j.mask])
 	} else {
 		j.overflow = j.overflow[1:]
 	}
 }
 
-// rebuild rechains every live row after the ring grew (the mask, and
-// with it every row's bucket, changed). The overflow list holds
+// fit doubles the bucket table while the store's live rows, with the one
+// about to be appended, would exceed two per bucket, rechaining every
+// live row under the new mask in arrival order. The overflow list holds
 // ordinals and stands. row is a scratch row in the input's layout.
-func (j *joinIndex) rebuild(s *rowStore, row []stream.Value) {
-	j.buckets = make([]chain, len(s.ts))
+func (j *joinIndex) fit(s *rowStore, row []stream.Value) {
+	if s.len() < 2*len(j.buckets) {
+		return
+	}
+	j.buckets = make([]chain, 2*len(j.buckets))
+	j.mask = uint64(len(j.buckets) - 1)
 	for ord := s.head; ord < s.tail; ord++ {
-		s.read(ord, row)
+		pg, i := s.at(ord)
+		s.readAt(pg, i, ord, row)
 		if h, exact := j.hash(row); exact {
-			s.next[ord&s.mask] = 0
-			s.link(&j.buckets[h&s.mask], ord)
+			s.link(&j.buckets[h&j.mask], ord)
 		}
 	}
 }

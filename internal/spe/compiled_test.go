@@ -451,9 +451,10 @@ func TestSnapshotRestoreRebuildsCompiledState(t *testing.T) {
 }
 
 // TestCompiledJoinIndexExactUnderChurn checks that eviction keeps the
-// equi-join index exact: after heavy churn the bucket chains hold the
-// live rows and nothing else, each under the bucket its key hashes to,
-// in arrival order.
+// equi-join index exact: after heavy churn the bucket table is a power of
+// two with at most two live rows per bucket, and its chains hold the
+// live rows and nothing else, each once, under the bucket its key hashes
+// to by the index's own mask, in arrival order.
 func TestCompiledJoinIndexExactUnderChurn(t *testing.T) {
 	b := bind(t, `SELECT O.itemID FROM OpenAuction [Range 1 Second] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID`)
 	p, err := Compile("q", b, "res")
@@ -470,33 +471,38 @@ func TestCompiledJoinIndexExactUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := &in.store
-	if len(in.hash.buckets) != len(s.ts) {
-		t.Fatalf("%d buckets over a ring of %d", len(in.hash.buckets), len(s.ts))
+	s, idx := &in.store, in.hash
+	n := len(idx.buckets)
+	if n&(n-1) != 0 || idx.mask != uint64(n-1) || 2*n < s.len() {
+		t.Fatalf("%d buckets under mask %#x for %d live rows", n, idx.mask, s.len())
 	}
 	row := make([]stream.Value, in.schema.Arity())
-	chained := 0
-	for bi, bkt := range in.hash.buckets {
+	seen := map[uint64]bool{}
+	for bi, bkt := range idx.buckets {
 		prev := uint64(0)
-		for ord := bkt.first; ord != 0; ord = s.next[ord&s.mask] {
+		for ord := bkt.first; ord != 0; ord = s.nextAt(s.at(ord)) {
 			if ord < s.head || ord >= s.tail {
 				t.Fatalf("bucket %d chains dead row %d (live [%d, %d))", bi, ord, s.head, s.tail)
 			}
 			if ord <= prev {
 				t.Fatalf("bucket %d out of arrival order: %d after %d", bi, ord, prev)
 			}
-			s.read(ord, row)
-			if h, exact := in.hash.hash(row); !exact || h&s.mask != uint64(bi) {
-				t.Fatalf("row %d filed under bucket %d, hashes to %d", ord, bi, h&s.mask)
+			if seen[ord] {
+				t.Fatalf("row %d chained twice", ord)
 			}
-			if prev = ord; s.next[ord&s.mask] == 0 && bkt.last != ord {
+			seen[ord] = true
+			pg, i := s.at(ord)
+			s.readAt(pg, i, ord, row)
+			if h, exact := idx.hash(row); !exact || h&idx.mask != uint64(bi) {
+				t.Fatalf("row %d filed under bucket %d, hashes to %d", ord, bi, h&idx.mask)
+			}
+			if prev = ord; s.nextAt(s.at(ord)) == 0 && bkt.last != ord {
 				t.Fatalf("bucket %d: last = %d, chain ends at %d", bi, bkt.last, ord)
 			}
-			chained++
 		}
 	}
-	if chained != s.len() || len(in.hash.overflow) != 0 {
-		t.Errorf("index chains %d rows (+%d overflow) for %d live", chained, len(in.hash.overflow), s.len())
+	if len(seen) != s.len() || len(idx.overflow) != 0 {
+		t.Errorf("index chains %d rows (+%d overflow) for %d live", len(seen), len(idx.overflow), s.len())
 	}
 }
 

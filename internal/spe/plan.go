@@ -18,10 +18,10 @@
 // way the CBN broker compiles aggregate profiles: every attribute
 // reference on the per-tuple path resolves to a column index, selections
 // and join/residual predicates evaluate through package predicate's
-// compiled forms, every window is a typed row store (store.go: a ring of
-// per-column slabs in the kinds the input schema fixes), equi-join inputs
-// index theirs by key hash, and grouped aggregates maintain incremental
-// per-group state. That is the
+// compiled forms, every window is a typed row store (store.go: pages of
+// rows laid out in the kinds the input schema fixes, taken and given up
+// as the window slides), equi-join inputs index theirs by key hash, and
+// grouped aggregates maintain incremental per-group state. That is the
 // only execution path: a query whose predicates cannot be compiled fails
 // Compile (cql.Analyze already refuses it, so Submit is where it dies),
 // and an input tuple whose layout lacks a needed attribute, or carries it
@@ -83,11 +83,8 @@ type inputState struct {
 // insert appends a row to the window (and, for an equi-join input, its
 // bucket chain), returning its ordinal.
 func (in *inputState) insert(vals []stream.Value, ts stream.Timestamp) uint64 {
-	if in.store.full() {
-		in.store.grow()
-		if in.hash != nil {
-			in.hash.rebuild(&in.store, in.evictee)
-		}
+	if in.hash != nil {
+		in.hash.fit(&in.store, in.evictee)
 	}
 	ord := in.store.append(vals, ts)
 	if in.hash != nil {
@@ -244,13 +241,17 @@ func (p *Plan) PushAppend(dst []stream.Tuple, t stream.Tuple) ([]stream.Tuple, e
 // evict drops rows that can no longer join anything given the
 // watermark: a row of a stream with window T is dead once
 // watermark − ts > T (Lemma 1 upper bound on its own window). Eviction
-// advances the ring's head and unwinds the evictee from its group's
+// advances the store's head and unwinds the evictee from its group's
 // running aggregates or its join bucket, whose chain it heads.
 func (p *Plan) evict(in *inputState) {
 	s := &in.store
-	for s.head < s.tail && window.Expired(s.tsAt(s.head), p.watermark, in.win) {
+	for s.head < s.tail {
+		pg, i := s.at(s.head)
+		if !window.Expired(s.tsAt(pg, i), p.watermark, in.win) {
+			return
+		}
 		if p.agg != nil || in.hash != nil {
-			s.read(s.head, in.evictee)
+			s.readAt(pg, i, s.head, in.evictee)
 			if p.agg != nil {
 				p.agg.evictMember(s, in.evictee)
 			} else {
@@ -262,8 +263,8 @@ func (p *Plan) evict(in *inputState) {
 }
 
 // WindowStats reports the plan's resident window state: live rows over
-// all inputs, and the bytes their rings and join indexes occupy
-// (capacity, not fill). Like Push it needs the plan quiescent.
+// all inputs, and the bytes their stores' held and spare pages and their
+// join indexes occupy. Like Push it needs the plan quiescent.
 func (p *Plan) WindowStats() (rows int, bytes int64) {
 	for _, in := range p.inputs {
 		rows += in.store.len()

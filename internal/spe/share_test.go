@@ -164,7 +164,7 @@ func TestNowAggregatePushOneAllocation(t *testing.T) {
 }
 
 // TestGroupedAggregatePushOneAllocation pins a grouped aggregate's
-// steady state: with its groups and window ring warm, a push into a
+// steady state: with its groups and window pages warm, a push into a
 // reused dst allocates only for the emitted row's values, cut from the
 // plan's slab.
 func TestGroupedAggregatePushOneAllocation(t *testing.T) {

@@ -39,7 +39,7 @@ func catalog() *stream.Registry {
 	return r
 }
 
-func bind(t *testing.T, text string) *cql.Bound {
+func bind(t testing.TB, text string) *cql.Bound {
 	t.Helper()
 	b, err := cql.AnalyzeString(text, catalog())
 	if err != nil {
@@ -380,9 +380,11 @@ func TestWindowEvictionBoundsMemory(t *testing.T) {
 	if n := in.store.len(); n > 150 {
 		t.Errorf("live window grew to %d", n)
 	}
-	// The ring doubles only when full of live rows, so its capacity is
-	// a power of two below twice the peak live window.
-	if n := len(in.store.ts); n >= 2*150 || n&(n-1) != 0 {
-		t.Errorf("ring capacity grew to %d", n)
+	// Pages come and go with the window: the store holds its live rows'
+	// pages and one spare, at most the live rows plus two pages.
+	s := &in.store
+	page := s.pageBytes()
+	if got, bound := s.bytes(), int64(s.len())*page/int64(s.slots+1)+2*page; got > bound {
+		t.Errorf("store holds %d B for %d live rows, want ≤ %d", got, s.len(), bound)
 	}
 }

@@ -53,10 +53,11 @@ func sameWindows(t *testing.T, ctx string, pc *Plan, pi *refPlan) {
 }
 
 // TestRowStoreProperty drives a join and a chained aggregate through
-// seeded phases — steady churn (the ring wraps), bursts at one timestamp
-// (the ring grows mid-window), long silences (the window drains in one
-// push) — with Snapshot→Restore into a fresh plan along the way, and
-// holds emissions and window contents to the reference executor's.
+// seeded phases — steady churn (pages cross the page ring's end), bursts
+// at one timestamp (the store takes many pages mid-window), long
+// silences (the window drains in one push and gives its pages up) —
+// with Snapshot→Restore into a fresh plan along the way, and holds
+// emissions and window contents to the reference executor's.
 func TestRowStoreProperty(t *testing.T) {
 	reg := storeCatalog()
 	lSchema, _ := reg.Schema("L")
@@ -81,7 +82,8 @@ func TestRowStoreProperty(t *testing.T) {
 			}
 			pi := referenceTwin(t, "p", b, "res")
 			rng := rand.New(rand.NewSource(seed))
-			var wrapped, grew, drained bool
+			var crossed, many, drained bool
+			peak := 0
 			emitted, restores, lastRestore := 0, 0, 0
 			ts := stream.Timestamp(0)
 			for i := 0; i < events; i++ {
@@ -106,16 +108,17 @@ func TestRowStoreProperty(t *testing.T) {
 				}
 				emitted += samePush(t, ctx, pc, pi, tp)
 				s := &pc.inputs[0].store
-				wrapped = wrapped || s.tail-1 > uint64(len(s.ts))
-				grew = grew || len(s.ts) > minRing
-				drained = drained || (s.len() <= 1 && len(s.ts) > minRing)
+				crossed = crossed || (s.tail-1)>>s.shift >= uint64(len(s.pages))
+				many = many || s.held > minPages
+				if peak = max(peak, s.held); s.len() <= 1 && s.held <= 1 && peak > minPages {
+					drained, peak = true, 0
+				}
 				if i%97 == 0 {
 					sameWindows(t, ctx, pc, pi)
 				}
 				// Restore into a fresh plan whenever the live rows straddle
-				// the ring's end (head slot above tail slot), at most every
-				// 300 events.
-				if s.len() > 1 && s.head&s.mask > (s.tail-1)&s.mask && i-lastRestore >= 300 {
+				// a page boundary, at most every 300 events.
+				if s.len() > 1 && s.head>>s.shift != (s.tail-1)>>s.shift && i-lastRestore >= 300 {
 					restored, err := Compile("p", b.Clone(), "res")
 					if err != nil {
 						t.Fatal(err)
@@ -128,9 +131,9 @@ func TestRowStoreProperty(t *testing.T) {
 					sameWindows(t, ctx+" after restore", pc, pi)
 				}
 			}
-			if !wrapped || !grew || !drained || restores == 0 || emitted == 0 {
-				t.Errorf("query %d seed %d: wrapped %v, grew %v, drained %v, %d restores at a wrapped head, %d emissions — the run missed a phase",
-					qi, seed, wrapped, grew, drained, restores, emitted)
+			if !crossed || !many || !drained || restores == 0 || emitted == 0 {
+				t.Errorf("query %d seed %d: crossed the ring's end %v, many pages %v, drained %v, %d restores across a page boundary, %d emissions — the run missed a phase",
+					qi, seed, crossed, many, drained, restores, emitted)
 			}
 		}
 	}
@@ -203,7 +206,7 @@ func TestOffKindValuesExact(t *testing.T) {
 
 // TestWindowBytesPerRow pins the layout: 100 k resident rows of three
 // 8-byte columns in an equi-join input cost at most 128 B of live heap
-// each — timestamp, columns and chain link in the ring, {first, last}
+// each — timestamp, columns and chain link in its page, {first, last}
 // per bucket — and WindowStats accounts for that heap.
 func TestWindowBytesPerRow(t *testing.T) {
 	b := bind(t, `SELECT O.itemID, O.sellerID, O.start_price FROM OpenAuction [Range 5 Hour] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID`)
@@ -236,5 +239,120 @@ func TestWindowBytesPerRow(t *testing.T) {
 	}
 	if diff := heap - float64(bytes); diff > 0.1*heap || diff < -0.1*heap {
 		t.Errorf("WindowStats reports %d B, the live heap grew by %.0f B", bytes, heap)
+	}
+}
+
+// TestDrainedWindowReleasesPages: a burst fills a window with 10 000 rows
+// at one instant, then a tuple past the window drains it. The store gives
+// its pages up as the head leaves them, so it ends holding at most two:
+// the page of the row just pushed and the spare.
+func TestDrainedWindowReleasesPages(t *testing.T) {
+	p, err := Compile("q", bind(t, `SELECT sellerID, MAX(start_price) FROM OpenAuction [Range 1 Second] GROUP BY sellerID`), "res")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10000; i++ {
+		if _, err := p.Push(openTuple(0, int64(i), int64(i%16), float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := &p.inputs[0].store
+	if _, peak := p.WindowStats(); peak < 10000/(int64(s.slots)+1)*s.pageBytes() {
+		t.Fatalf("the burst left %d B, less than its rows' pages", peak)
+	}
+	if _, err := p.Push(openTuple(stream.Timestamp(2*stream.Second), 1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	rows, bytes := p.WindowStats()
+	if rows != 1 || bytes > 2*s.pageBytes() {
+		t.Errorf("after the drain: %d rows in %d B, want 1 row in at most two pages (%d B)", rows, bytes, 2*s.pageBytes())
+	}
+}
+
+// TestNowStoreStaysSmall: a [Now] grouped aggregate holds the rows of one
+// instant, so after 10 000 pushes its store is no larger than an 8-row
+// store — its page, without a spare.
+func TestNowStoreStaysSmall(t *testing.T) {
+	p, err := Compile("q", bind(t, `SELECT station, MAX(temp) FROM Sensor [Now] GROUP BY station`), "res")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10000; i++ {
+		if _, err := p.Push(sensorTuple(stream.Timestamp(i), int64(i%7), float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Timestamp, chain link, station and temp: 32 B a row.
+	const eightRows = 8 * 32
+	if rows, bytes := p.WindowStats(); rows != 1 || bytes > eightRows {
+		t.Errorf("%d rows in %d B, want 1 row in at most %d B", rows, bytes, eightRows)
+	}
+}
+
+// BenchmarkWindowPush times a push into a warmed window in steady state
+// — every push evicts about as many rows as it inserts — for the
+// paper's join, an equi-join over a ~90 k-row [Range 5 Hour] window
+// probed by [Now] closes (opens and closes alternate), and for a grouped
+// MAX over a ~18 k-row [Range 1 Hour] window. It reports ns/push,
+// allocs/push and the window state's bytes per live row. The warm-up
+// runs outside the timer.
+func BenchmarkWindowPush(b *testing.B) {
+	const step = 200 * stream.Millisecond // 90 k opens per 5 hours
+	open, _ := catalog().Schema("OpenAuction")
+	closed, _ := catalog().Schema("ClosedAuction")
+	ov, cv := make([]stream.Value, 4), make([]stream.Value, 3)
+	openAt := func(i int) stream.Tuple {
+		ts := stream.Timestamp(i) * stream.Timestamp(step)
+		ov[0], ov[1], ov[2], ov[3] = stream.Int(int64(i)), stream.Int(int64(i%64)), stream.Float(float64(i%1000)), stream.Time(ts)
+		return stream.Tuple{Schema: open, Ts: ts, Values: ov}
+	}
+	cases := []struct {
+		name string
+		cql  string
+		warm int
+		push func(i int) stream.Tuple
+	}{
+		{"join", `SELECT O.itemID, C.buyerID FROM OpenAuction [Range 5 Hour] O, ClosedAuction [Now] C WHERE O.itemID = C.itemID`, 90000,
+			func(i int) stream.Tuple {
+				if i%2 == 0 {
+					return openAt(i / 2)
+				}
+				// Close an item opened an hour ago, still in the window.
+				ts := stream.Timestamp(i/2) * stream.Timestamp(step)
+				cv[0], cv[1], cv[2] = stream.Int(int64(i/2-18000)), stream.Int(int64(i%4096)), stream.Time(ts)
+				return stream.Tuple{Schema: closed, Ts: ts, Values: cv}
+			}},
+		{"max", `SELECT sellerID, MAX(start_price) FROM OpenAuction [Range 1 Hour] GROUP BY sellerID`, 18000, openAt},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := Compile("q", bind(b, c.cql), "res")
+			if err != nil {
+				b.Fatal(err)
+			}
+			var dst []stream.Tuple
+			next := 0
+			push := func() {
+				if dst, err = p.PushAppend(dst[:0], c.push(next)); err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+			for next < 2*c.warm { // join: the opens of the window; max: two windows
+				push()
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for range b.N {
+				push()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			rows, bytes := p.WindowStats()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/push")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "allocs/push")
+			b.ReportMetric(float64(bytes)/float64(rows), "state_B/row")
+		})
 	}
 }
