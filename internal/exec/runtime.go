@@ -180,10 +180,9 @@ type planSlot struct {
 	injectPanic bool      // guarded by mu; one-shot fault-injection: panic on the next push
 
 	// Per-plan series, guarded by mu (incrementing under the lock the
-	// push already holds costs nothing extra). lat is allocated on the
-	// first sampled push.
-	pushes, emits, errs int64          // guarded by mu
-	lat                 *obs.Histogram // guarded by mu
+	// push already holds costs nothing extra).
+	pushes, emits, errs int64         // guarded by mu
+	lat                 obs.Histogram // guarded by mu
 
 	// out is the plan's emission buffer, reused push after push and
 	// cleared once emitted so it pins no tuple's values. Its size is the
@@ -575,9 +574,6 @@ func (s *planSlot) push(r *Runtime, emit Sink, t stream.Tuple) (err error) {
 		s.errs++
 	}
 	if d := m.StageEnd(obs.StageExec, start); d != 0 {
-		if s.lat == nil {
-			s.lat = &obs.Histogram{}
-		}
 		s.lat.Observe(d)
 	}
 	s.mu.Unlock()

@@ -68,9 +68,7 @@ func (r *Runtime) StatsSnapshot() ([]PlanStats, []WorkerStats) {
 		if s.plan != nil { // nil once a concurrent Remove got there first
 			ps.WindowRows, ps.WindowBytes = s.plan.WindowStats()
 		}
-		if s.lat != nil {
-			ps.PushLat = s.lat.Snapshot()
-		}
+		ps.PushLat = s.lat.Snapshot()
 		s.mu.Unlock()
 		if s.w != nil {
 			ps.Worker = s.w.idx

@@ -14,13 +14,20 @@ import (
 // a bucket spans 2^e values where e grows with the octave, so the
 // relative quantile error is bounded by 1/histSubCount (~3.1%) at any
 // magnitude. With 32 sub-buckets the full int64 nanosecond range needs
-// 1920 buckets (~15 KiB of counters) — small enough to embed one
-// histogram per stage and per plan.
+// 59 octaves, 1 888 buckets. A Histogram holds one 256-byte row of
+// counters per octave it has seen, allocated on the octave's first
+// observation, behind 496 bytes of row pointers and totals: a latency
+// series touches about ten octaves, so it costs ~3 KiB, not the 15 KiB
+// a dense counter array would.
 const (
 	histSubBits  = 5
 	histSubCount = 1 << histSubBits // 32 linear sub-buckets per octave
-	histBuckets  = (64 - histSubBits) * histSubCount
+	histOctaves  = 64 - histSubBits
+	histBuckets  = histOctaves * histSubCount
 )
+
+// histRow is one octave's counters.
+type histRow = [histSubCount]atomic.Uint64
 
 // bucketIndex maps a value to its bucket. Negative values clamp to 0.
 //
@@ -59,22 +66,28 @@ func bucketMid(i int) int64 {
 }
 
 // Histogram is a fixed-bucket log-linear latency histogram safe for
-// concurrent use. Observe is lock-free and allocation-free; Snapshot
-// produces a mergeable copy for quantile queries. The zero value is
-// ready to use.
+// concurrent use. Observe is lock-free, and allocation-free once the
+// value's octave has been seen; Snapshot produces a mergeable copy for
+// quantile queries. The zero value is ready to use.
 type Histogram struct {
-	counts [histBuckets]atomic.Uint64
-	count  atomic.Uint64
-	sum    atomic.Int64
-	max    atomic.Int64
+	rows  [histOctaves]atomic.Pointer[histRow] // nil until the octave's first value
+	count atomic.Uint64
+	sum   atomic.Int64
+	max   atomic.Int64
 }
 
-// Observe records one value (nanoseconds by convention). 0 allocs,
-// no locks: three atomic adds plus a max CAS that rarely retries.
+// Observe records one value (nanoseconds by convention). No locks:
+// three atomic adds plus a max CAS that rarely retries; 0 allocs unless
+// this is the first value in its octave.
 //
 //cosmos:hotpath
 func (h *Histogram) Observe(v int64) {
-	h.counts[bucketIndex(v)].Add(1)
+	i := bucketIndex(v)
+	r := h.rows[i>>histSubBits].Load()
+	if r == nil {
+		r = h.row(i >> histSubBits)
+	}
+	r[i&(histSubCount-1)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 	for {
@@ -83,6 +96,15 @@ func (h *Histogram) Observe(v int64) {
 			return
 		}
 	}
+}
+
+// row installs octave o's row on its first observation. Racing first
+// observers each allocate, and the losers use the winner's row.
+//
+//cosmos:hotpath-ok — at most histOctaves (59) allocations of 256 B per histogram, none once the octave's row exists
+func (h *Histogram) row(o int) *histRow {
+	h.rows[o].CompareAndSwap(nil, new(histRow))
+	return h.rows[o].Load()
 }
 
 // Count returns the number of observations.
@@ -97,16 +119,25 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		Sum:   h.sum.Load(),
 		Max:   h.max.Load(),
 	}
-	hi := -1
-	var counts [histBuckets]uint64
-	for i := range h.counts {
-		if c := h.counts[i].Load(); c != 0 {
-			counts[i] = c
-			hi = i
+	hi := -1 // the highest non-empty bucket
+	for o := histOctaves - 1; o >= 0 && hi < 0; o-- {
+		if r := h.rows[o].Load(); r != nil {
+			for j := histSubCount - 1; j >= 0; j-- {
+				if r[j].Load() != 0 {
+					hi = o<<histSubBits | j
+					break
+				}
+			}
 		}
 	}
-	if hi >= 0 {
-		s.Counts = append([]uint64(nil), counts[:hi+1]...)
+	if hi < 0 {
+		return s
+	}
+	s.Counts = make([]uint64, hi+1)
+	for i := range s.Counts {
+		if r := h.rows[i>>histSubBits].Load(); r != nil {
+			s.Counts[i] = r[i&(histSubCount-1)].Load()
+		}
 	}
 	return s
 }

@@ -161,7 +161,8 @@ func (s *rowStore) takePage() {
 
 // dropPage gives up the held page the head just left (page n): it
 // becomes the spare, its strings released, unless a spare is already
-// kept. The ring halves once a quarter of it is held.
+// kept. The ring halves once an eighth of it is held, so a store whose
+// held pages swing between one and three keeps its four-entry ring.
 func (s *rowStore) dropPage(n uint64) {
 	p := &s.pages[n&uint64(len(s.pages)-1)]
 	if s.spare.words == nil {
@@ -170,7 +171,7 @@ func (s *rowStore) dropPage(n uint64) {
 	}
 	*p = page{}
 	s.held--
-	if len(s.pages) > minPages && 4*s.held <= len(s.pages) {
+	if len(s.pages) > minPages && 8*s.held <= len(s.pages) {
 		s.repage(len(s.pages) / 2)
 	}
 }

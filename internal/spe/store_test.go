@@ -269,6 +269,29 @@ func TestDrainedWindowReleasesPages(t *testing.T) {
 	}
 }
 
+// TestPageRingKeepsItsSize: a store swinging between one held page and
+// three keeps the four-entry ring its first swing grew, rather than
+// halving it on every drain and doubling it again on every refill.
+func TestPageRingKeepsItsSize(t *testing.T) {
+	s := newRowStore(stream.MustSchema("T", stream.Field{Name: "v", Kind: stream.KindInt}), false, stream.Hour)
+	vals := []stream.Value{stream.Int(1)}
+	var ring *page
+	for cycle := 0; cycle < 100; cycle++ {
+		for s.held < 3 {
+			s.append(vals, 0)
+		}
+		for s.held > 1 {
+			s.popFront()
+		}
+		if ring == nil {
+			ring = &s.pages[0]
+		}
+		if len(s.pages) != 4 || &s.pages[0] != ring {
+			t.Fatalf("cycle %d: the ring was reallocated (%d entries) after its first growth", cycle, len(s.pages))
+		}
+	}
+}
+
 // TestNowStoreStaysSmall: a [Now] grouped aggregate holds the rows of one
 // instant, so after 10 000 pushes its store is no larger than an 8-row
 // store — its page, without a spare.
