@@ -60,8 +60,8 @@ func TestChaosReconnectDifferential(t *testing.T) {
 // partial frame and resume without duplicating or corrupting a row.
 func TestChaosByteCutDifferential(t *testing.T) {
 	// 8000 bytes per epoch clears the per-resume handshake overhead
-	// (the hello, a few hundred bytes of gob) with room for data, so
-	// every epoch makes forward progress.
+	// (the hello's OK, 183 bytes of JSON with this workload's 12 resumed
+	// tags) with room for data, so every epoch makes forward progress.
 	runChaosDifferential(t, faultnet.Config{
 		Seed:       11,
 		CutAtBytes: 8000,

@@ -120,8 +120,8 @@ type SystemStats = core.SystemStats
 type LinkStats = cbn.LinkStats
 
 // Observability surface: the per-stage / per-plan / per-worker series
-// carried inside SystemStats (identical shape on every backend, gob-
-// shipped verbatim over the TCP transport), plus the tuple-trace
+// carried inside SystemStats (identical shape on every backend, shipped
+// verbatim as JSON over the TCP transport), plus the tuple-trace
 // records retained when Options.Obs.TraceEvery > 0.
 type (
 	// StageStats is one data-path stage's series: total event count and

@@ -3,7 +3,9 @@ package cosmos_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -496,4 +498,50 @@ func TestEmbedSyncConcurrentUse(t *testing.T) {
 	if sys.Queries() != 0 {
 		t.Errorf("%d queries left after context teardown", sys.Queries())
 	}
+}
+
+// TestRegisterRefusesNonFiniteCatalogNumbers: a NaN, infinite or
+// negative rate, or a NaN or infinite statistics bound, is refused by
+// name on the embedded backends and over TCP alike — the catalog's one
+// rule — and leaves no stream behind.
+func TestRegisterRefusesNonFiniteCatalogNumbers(t *testing.T) {
+	schema := cosmos.MustSchema("Bad", cosmos.Field{Name: "v", Kind: cosmos.KindFloat})
+	bad := []*cosmos.StreamInfo{
+		{Schema: schema, Rate: math.NaN()},
+		{Schema: schema, Rate: math.Inf(1)},
+		{Schema: schema, Rate: -1},
+		{Schema: schema, Rate: 1, Stats: map[string]cosmos.AttrStats{"v": {Min: math.NaN(), Max: 1}}},
+		{Schema: schema, Rate: 1, Stats: map[string]cosmos.AttrStats{"v": {Min: 0, Max: math.Inf(-1)}}},
+	}
+	check := func(t *testing.T, client cosmos.Client) {
+		for _, info := range bad {
+			if _, err := client.RegisterStream(info, 1); err == nil || !strings.Contains(err.Error(), `stream "Bad"`) {
+				t.Errorf("rate %v, stats %v: register err %v, want a refusal naming the stream", info.Rate, info.Stats, err)
+			}
+		}
+		infos, err := client.Catalog()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, info := range infos {
+			if info.Schema.Stream == "Bad" {
+				t.Errorf("a refused registration left %s in the catalog", info.Schema)
+			}
+		}
+	}
+	t.Run("sim", func(t *testing.T) {
+		sys, err := core.NewSystem(diffOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, cosmos.Embed(sys))
+	})
+	t.Run("remote", func(t *testing.T) {
+		client, err := cosmos.Dial(startDiffServer(t, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		check(t, client)
+	})
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // PlanStats is one installed plan's execution series. Plain data —
-// gob/json-encodable, shipped inside core.SystemStats.
+// JSON-encodable, shipped inside core.SystemStats.
 type PlanStats struct {
 	// Plan is the installed plan ID.
 	Plan string

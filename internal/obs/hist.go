@@ -143,7 +143,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // HistSnapshot is a point-in-time copy of a Histogram: plain data,
-// gob/json-encodable, mergeable. Counts is dense from bucket 0 and
+// JSON-encodable, mergeable. Counts is dense from bucket 0 and
 // trimmed at the highest non-empty bucket.
 type HistSnapshot struct {
 	Counts []uint64

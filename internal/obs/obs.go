@@ -24,8 +24,8 @@
 // instrumented call sites need no conditionals.
 //
 // Snapshots (StageStats, HistSnapshot, WireStats, Trace) are plain
-// data: gob- and json-encodable, so the same stats shape travels over
-// the TCP transport unchanged.
+// data: JSON-encodable, so the same stats shape travels over the TCP
+// transport and cosmosd -metrics-addr unchanged.
 package obs
 
 import (

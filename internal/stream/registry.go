@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -39,6 +40,22 @@ func (in *Info) TupleWidth() int { return in.Schema.TupleWidth() + 8 }
 // Bps returns the full-rate bandwidth of the stream in bytes per second.
 func (in *Info) Bps() float64 { return in.Rate * float64(in.TupleWidth()) }
 
+// Check reports why in cannot enter a catalog, naming the stream: a NaN,
+// infinite or negative Rate, or a non-finite statistics bound. The cost
+// model turns them into NaN benefits, and JSON cannot carry them.
+func (in *Info) Check() error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	if !finite(in.Rate) || in.Rate < 0 {
+		return fmt.Errorf("stream %q: rate %v is not a finite non-negative number", in.Schema.Stream, in.Rate)
+	}
+	for attr, s := range in.Stats {
+		if !finite(s.Min) || !finite(s.Max) {
+			return fmt.Errorf("stream %q: attribute %s: statistics bounds [%v, %v] are not finite", in.Schema.Stream, attr, s.Min, s.Max)
+		}
+	}
+	return nil
+}
+
 // Registry is a thread-safe catalogue of stream Info records. The paper
 // (§3) floods the schema catalogue to every node when the number of
 // streams is small and proposes a DHT keyed by stream name otherwise;
@@ -55,10 +72,13 @@ func NewRegistry() *Registry {
 }
 
 // Register adds or replaces the record for a stream. It errors if the
-// schema's stream name is empty.
+// schema's stream name is empty or the record fails Check.
 func (r *Registry) Register(info *Info) error {
 	if info == nil || info.Schema == nil || info.Schema.Stream == "" {
 		return fmt.Errorf("stream: registering invalid stream info")
+	}
+	if err := info.Check(); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -3,8 +3,8 @@ package transport
 import (
 	"bufio"
 	crand "crypto/rand"
-	"encoding/gob"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -75,6 +75,7 @@ type Client struct {
 	// persists across them: delivery ids and sequences are per session.
 	wireSubs   map[uint32]*wireSub // the read loop's alone
 	lastResult uint64              // the read loop's alone; last contiguous result sequence
+	acked      uint64              // the read loop's alone; last result sequence acknowledged on this connection
 	slab       stream.Slab         // the read loop's alone; result arenas and gapped members' rows are cut from it
 
 	stop      chan struct{} // closed by Close: aborts backoff waits and the pinger
@@ -90,7 +91,7 @@ type Client struct {
 type pendingCall struct {
 	ch    chan *Response
 	sub   *clientSub
-	hello bool // the read loop switches to framed reads when this OK arrives
+	hello bool // the read loop takes the result stream up where this OK says
 }
 
 // clientSub is one subscription's client-side state. The logical tag
@@ -301,50 +302,26 @@ const ackEvery = maxBatchTuples
 func (c *Client) readLoop(conn net.Conn, w *requestPump, done chan struct{}) {
 	defer c.loops.Done()
 	defer close(done)
-	// The decoder reads through an explicit bufio.Reader. gob never
-	// over-reads from an io.ByteReader, so once the hello OK has been
-	// decoded the loop can strip frame markers from the same reader
-	// without losing buffered bytes — one decoder for the connection's
-	// whole life (gob type definitions are sent once per stream;
-	// restarting the decoder would desynchronise it).
 	br := bufio.NewReaderSize(conn, 32<<10)
-	dec := gob.NewDecoder(br)
 	var idle time.Duration
 	if c.resilient {
 		idle = 3 * c.hb
 	}
-	// Nothing precedes the hello on a connection, and its OK is the last
-	// unframed server→client message: bare gob until it arrives, marked
-	// frames after.
-	framed, acked := false, c.lastResult
+	c.acked = c.lastResult // what the hello reports
 	for {
 		// Acknowledge what arrived when about to block, or once
 		// ackEvery results went unacknowledged: a reader that never
 		// catches up must still release the server's window.
-		if c.lastResult > acked && (br.Buffered() == 0 || c.lastResult-acked >= ackEvery) {
-			acked = c.lastResult
-			w.ack(acked)
+		if c.lastResult > c.acked && (br.Buffered() == 0 || c.lastResult-c.acked >= ackEvery) {
+			c.acked = c.lastResult
+			w.ack(c.acked)
 		}
 		if idle > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(idle))
 		}
-		marker, err := frameGob, error(nil)
-		if framed {
-			marker, err = br.ReadByte()
-		}
-		switch {
-		case err != nil:
-		case marker == frameGob:
-			var resp Response
-			if err = dec.Decode(&resp); err == nil && c.handleControl(&resp) && !framed {
-				framed = true
-				c.resumeResults(&resp)
-				acked = c.lastResult
-			}
-		case marker == frameData || marker == frameSchema || marker == frameAck:
-			err = c.readBinaryFrame(br, marker)
-		default:
-			err = fmt.Errorf("transport: unknown frame marker %#x (wire version mismatch?)", marker)
+		marker, err := br.ReadByte()
+		if err == nil {
+			err = c.handleFrame(br, marker)
 		}
 		if err != nil {
 			c.connLost(conn, err)
@@ -353,16 +330,58 @@ func (c *Client) readLoop(conn net.Conn, w *requestPump, done chan struct{}) {
 	}
 }
 
-// handleControl dispatches one gob control message: pushed ends and
-// shutdown notices, or the response a pending call waits for. It reports
-// whether the message was the OK of this connection's hello from a
-// server speaking this build's wire version — from the next byte on, the
-// stream is marker-framed.
-func (c *Client) handleControl(resp *Response) (helloOK bool) {
+// handleFrame consumes one server→client frame (marker already read) into
+// a pooled buffer and dispatches it. Any malformed byte returns an error —
+// treated as connection loss, never a panic — and a declared length
+// beyond maxFramePayload errors before anything is read or allocated
+// for it.
+func (c *Client) handleFrame(br *bufio.Reader, marker byte) error {
+	switch marker {
+	case frameControl, frameData, frameSchema, frameAck:
+	default:
+		return fmt.Errorf("transport: unknown frame marker %#x (wire version mismatch?)", marker)
+	}
+	bufp := getFrameBuf()
+	defer putFrameBuf(bufp)
+	b, err := readFrame(br, bufp)
+	if err != nil {
+		return err
+	}
+	switch marker {
+	case frameControl:
+		var resp Response
+		if err := json.Unmarshal(b, &resp); err != nil {
+			return fmt.Errorf("transport: control frame: %v", err)
+		}
+		c.handleControl(&resp)
+		return nil
+	case frameAck:
+		applied, refusal, err := decodeAck(b)
+		if err != nil {
+			return err
+		}
+		c.pub.ack(applied, refusal)
+		return nil
+	case frameSchema:
+		id, arity, members, err := decodeSchemaFrame(b)
+		if err != nil {
+			return err
+		}
+		c.wireSubs[id] = &wireSub{arity: arity, members: members}
+		return nil
+	}
+	return c.readResults(b)
+}
+
+// handleControl dispatches one control message: pushed ends and
+// shutdown notices, or the response a pending call waits for. The OK of
+// this connection's hello from a server speaking this build's wire
+// version takes the result stream up where it says.
+func (c *Client) handleControl(resp *Response) {
 	switch resp.Kind {
 	case MsgEnd:
 		c.handleEnd(resp)
-		return false
+		return
 	case MsgShutdown:
 		// Graceful server shutdown: terminal on the wire. The MsgEnd
 		// pushes that follow end each subscription cleanly; the client
@@ -372,17 +391,16 @@ func (c *Client) handleControl(resp *Response) (helloOK bool) {
 		c.cond.Broadcast()
 		c.mu.Unlock()
 		c.pub.fail(errServerShutdown)
-		return false
+		return
 	case MsgPong:
-		return false
+		return
 	}
 	c.mu.Lock()
 	pc := c.pending[resp.ID]
 	delete(c.pending, resp.ID)
-	// A server older than binary framing answers with a lower version
-	// and keeps writing bare gob: stay unframed, DialConfig's checkWire
-	// reports the mismatch.
-	helloOK = pc != nil && pc.hello && resp.Kind == MsgOK && resp.WireVersion == wireVersion
+	// A server of another version gets no result stream: DialConfig's
+	// checkWire reports the mismatch.
+	helloOK := pc != nil && pc.hello && resp.Kind == MsgOK && resp.WireVersion == wireVersion
 	var lateEnd func()
 	if pc != nil && pc.sub != nil {
 		cs := pc.sub
@@ -412,17 +430,19 @@ func (c *Client) handleControl(resp *Response) (helloOK bool) {
 	if lateEnd != nil {
 		lateEnd()
 	}
+	if helloOK {
+		c.resumeResults(resp)
+	}
 	if pc != nil {
 		pc.ch <- resp
 	}
-	return helloOK
 }
 
 // resumeResults picks the result stream up where this connection's hello
 // OK says it goes on: a server that did not hold the session starts a
 // fresh stream, one that did resends from the client's last contiguous
 // result or, when its window overflowed while detached, from the first
-// it still holds.
+// it still holds. Acks go on from there.
 func (c *Client) resumeResults(hello *Response) {
 	switch {
 	case hello.Epoch <= 1:
@@ -430,6 +450,7 @@ func (c *Client) resumeResults(hello *Response) {
 	case hello.ResultSeq > c.lastResult+1:
 		c.lastResult = hello.ResultSeq - 1
 	}
+	c.acked = c.lastResult
 }
 
 // wireSub is the read loop's decode state for one delivery id,
@@ -437,35 +458,6 @@ func (c *Client) resumeResults(hello *Response) {
 type wireSub struct {
 	arity   int
 	members []wireMember
-}
-
-// readBinaryFrame consumes one length-prefixed binary frame (marker
-// already read) into a pooled buffer and dispatches it. Any malformed
-// byte returns an error — treated as connection loss, never a panic.
-func (c *Client) readBinaryFrame(br *bufio.Reader, marker byte) error {
-	bufp := getFrameBuf()
-	defer putFrameBuf(bufp)
-	b, err := readFrame(br, bufp)
-	if err != nil {
-		return err
-	}
-	switch marker {
-	case frameAck:
-		applied, refusal, err := decodeAck(b)
-		if err != nil {
-			return err
-		}
-		c.pub.ack(applied, refusal)
-		return nil
-	case frameSchema:
-		id, arity, members, err := decodeSchemaFrame(b)
-		if err != nil {
-			return err
-		}
-		c.wireSubs[id] = &wireSub{arity: arity, members: members}
-		return nil
-	}
-	return c.readResults(b)
 }
 
 // readResults decodes a result 'D' payload: each body once, into the
@@ -960,6 +952,10 @@ func (c *Client) callSub(req *Request, sub *clientSub) (*Response, error) {
 // registration for replay: after a reconnect to a fresh server it is
 // repeated before anything is resubmitted.
 func (c *Client) Register(info *stream.Info, node int) error {
+	// JSON cannot carry what the catalog refuses: refuse it by its rule.
+	if err := info.Check(); err != nil {
+		return err
+	}
 	name := info.Schema.Stream
 	req := &Request{Kind: MsgRegister, Info: ToWireInfo(info), Node: node, Source: c.newSourceID()}
 	if _, err := c.call(req); err != nil {

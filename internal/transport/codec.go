@@ -1,17 +1,19 @@
 // Package transport exposes a COSMOS deployment over TCP: a daemon
-// (cmd/cosmosd) hosts the system and speaks a small gob-encoded
-// request/response protocol with clients (cmd/cosmosctl or the Client
-// type) that register streams, publish tuples, and submit continuous
-// queries whose results stream back asynchronously.
+// (cmd/cosmosd) hosts the system and speaks a small request/response
+// protocol with clients (cmd/cosmosctl or the Client type) that register
+// streams, publish tuples, and submit continuous queries whose results
+// stream back asynchronously.
 //
-// Tuples have one framing, the same in both directions: binary 'D'
-// frames written by each side's single-writer pump (wire.go, pump.go),
-// set up by the hello that opens the connection. Gob carries the control
-// plane only. Publishing is pipelined: Source.Publish encodes into the
-// connection's publish window and returns; the server applies frames in
-// connection order and answers with cumulative acks (publish.go). A peer
-// that speaks an older framing is refused at the hello by version;
-// nothing selects a framing.
+// Every message in either direction is a frame — marker, u32 length,
+// payload — written by each side's single-writer pump (wire.go, pump.go)
+// from the connection's first byte. Control messages are 'G' frames of
+// JSON; tuples travel in binary 'D' frames, the same in both directions,
+// set up by the hello that opens the connection. Publishing is
+// pipelined: Source.Publish encodes into the connection's publish window
+// and returns; the server applies frames in connection order and answers
+// with cumulative acks (publish.go). A framed peer of an older version is
+// refused at the hello by version, an unframed one (version 6 or older)
+// at its first byte; nothing selects a framing.
 package transport
 
 import "cosmos/internal/stream"
@@ -23,7 +25,7 @@ type WireField struct {
 	AvgLen int
 }
 
-// WireSchema is the gob-encodable form of stream.Schema.
+// WireSchema is the JSON-encodable form of stream.Schema.
 type WireSchema struct {
 	Stream string
 	Fields []WireField
@@ -54,7 +56,7 @@ type WireStats struct {
 	Distinct int
 }
 
-// WireInfo is the gob-encodable stream.Info.
+// WireInfo is the JSON-encodable stream.Info.
 type WireInfo struct {
 	Schema WireSchema
 	Rate   float64

@@ -248,15 +248,7 @@ func serverHandle(t *testing.T, srv *Server, tag string) *core.QueryHandle {
 // marker, and returns its payload — decoded too when it is an 'S' frame.
 func readRawFrame(t *testing.T, p *rawPeer, marker byte) ([]byte, int, []wireMember) {
 	t.Helper()
-	_ = p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if m, err := p.br.ReadByte(); err != nil || m != marker {
-		t.Fatalf("reading a %q frame: marker %q, err %v", marker, m, err)
-	}
-	var buf []byte
-	b, err := readFrame(p.br, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := p.read(t, marker)
 	if marker != frameSchema {
 		return b, 0, nil
 	}

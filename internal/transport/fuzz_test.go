@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"log"
 	"maps"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -53,11 +54,20 @@ func fuzzServer(t testing.TB) (*Server, *core.SourcePort) {
 }
 
 // scriptConn is a connection whose peer already said everything it will:
-// reads replay the script and then report EOF, writes vanish.
-type scriptConn struct{ r *bytes.Reader }
+// reads replay the script and then report EOF, writes go to w or, when
+// it is nil, vanish.
+type scriptConn struct {
+	r *bytes.Reader
+	w io.Writer
+}
 
-func (c scriptConn) Read(b []byte) (int, error)       { return c.r.Read(b) }
-func (c scriptConn) Write(b []byte) (int, error)      { return len(b), nil }
+func (c scriptConn) Read(b []byte) (int, error) { return c.r.Read(b) }
+func (c scriptConn) Write(b []byte) (int, error) {
+	if c.w == nil {
+		return len(b), nil
+	}
+	return c.w.Write(b)
+}
 func (c scriptConn) Close() error                     { return nil }
 func (c scriptConn) LocalAddr() net.Addr              { return scriptAddr{} }
 func (c scriptConn) RemoteAddr() net.Addr             { return scriptAddr{} }
@@ -215,31 +225,15 @@ func FuzzPublishFrame(f *testing.F) {
 	})
 }
 
-// requestScript gob-encodes a client's side of a connection: the hello
-// bare, everything after it marker-framed, frames verbatim.
-type requestScript struct {
-	buf    bytes.Buffer
-	enc    *gob.Encoder
-	framed bool
-}
+// requestScript builds a client's side of a connection: control
+// requests as the frames a request pump writes, other frames verbatim.
+type requestScript struct{ buf bytes.Buffer }
 
-func newRequestScript() *requestScript {
-	s := &requestScript{}
-	s.enc = gob.NewEncoder(&s.buf)
-	return s
-}
+func newRequestScript() *requestScript { return &requestScript{} }
 
 func (s *requestScript) request(t testing.TB, req Request) *requestScript {
 	t.Helper()
-	if s.framed {
-		s.buf.WriteByte(frameGob)
-	}
-	if err := s.enc.Encode(&req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Kind == MsgHello && req.WireVersion >= wireVersion {
-		s.framed = true
-	}
+	s.buf.Write(controlFrame(t, &req))
 	return s
 }
 
@@ -250,10 +244,10 @@ func (s *requestScript) frame(marker byte, payload []byte) *requestScript {
 
 func (s *requestScript) bytes() []byte { return s.buf.Bytes() }
 
-// requestScriptSeeds are whole client→server byte streams: well-formed
-// sessions of every request kind, version refusals, and streams that go
-// wrong part-way.
-func requestScriptSeeds(t testing.TB) [][]byte {
+// requestScriptSeeds are whole client→server byte streams, by name:
+// well-formed sessions of every request kind, version refusals, and
+// streams that go wrong part-way.
+func requestScriptSeeds(t testing.TB) map[string][]byte {
 	schema := fuzzSchema(t)
 	tp := stream.MustTuple(schema, 1, stream.Int(1), stream.String_("x"), stream.Float(1))
 	hello := Request{ID: 1, Kind: MsgHello, WireVersion: wireVersion}
@@ -278,9 +272,14 @@ func requestScriptSeeds(t testing.TB) [][]byte {
 		return newRequestScript().request(t, hello).frame(frameAck, payload).
 			request(t, Request{ID: 2, Kind: MsgCatalog}).bytes()
 	}
-	ackShort := ack([]byte{1, 0, 0})
-	ackTrailing := ack(append(binary.LittleEndian.AppendUint64(nil, 0), 0))
-	ackBeyond := ack(binary.LittleEndian.AppendUint64(nil, 5)) // nothing was sent
+	// Control frames that do not parse, behind a submit whose query the
+	// session's end must cancel.
+	submitted := func() *requestScript {
+		return newRequestScript().request(t, hello).
+			request(t, Request{ID: 2, Kind: MsgSubmit, CQL: "SELECT i FROM Fuzz [Now]", UserNode: 4})
+	}
+	hugeControl := submitted()
+	hugeControl.buf.Write([]byte{frameControl, 0xFF, 0xFF, 0xFF, 0xFF})
 	noHello := newRequestScript().
 		request(t, Request{ID: 1, Kind: MsgCatalog}).
 		request(t, Request{ID: 2, Kind: MsgSubmit, CQL: "SELECT i FROM Fuzz [Now]", UserNode: 4}).
@@ -288,37 +287,80 @@ func requestScriptSeeds(t testing.TB) [][]byte {
 	oldPeer := newRequestScript().
 		request(t, Request{ID: 1, Kind: MsgHello, WireVersion: 2}).
 		request(t, Request{ID: 2, Kind: MsgKind(1)}) // version 2's gob publish
-	badMarker := newRequestScript().request(t, hello).frame('Z', []byte("what"))
 	badFrame := newRequestScript().request(t, hello).
 		request(t, Request{ID: 2, Kind: MsgOpenSource, Stream: "Fuzz", Source: 1}).
 		frame(frameData, publishFrame(9, 1, tp))
 	hugeFrame := newRequestScript().request(t, hello)
 	hugeFrame.buf.Write([]byte{frameData, 0xFF, 0xFF, 0xFF, 0xFF})
-	frameFirst := newRequestScript().frame(frameData, publishFrame(1, 1, tp))
-	return [][]byte{
-		publisher.bytes(),
-		subscriber.bytes(),
-		noHello.bytes(),
-		oldPeer.bytes(),
-		badMarker.bytes(),
-		badFrame.bytes(),
-		hugeFrame.bytes(),
-		frameFirst.bytes(),
-		publisher.bytes()[:len(publisher.bytes())/2],
-		ackShort,
-		ackTrailing,
-		ackBeyond,
-		{},
+	return map[string][]byte{
+		"publisher":             publisher.bytes(),
+		"subscriber":            subscriber.bytes(),
+		"no-hello":              noHello.bytes(),
+		"version-2-peer":        oldPeer.bytes(),
+		"gob-peer":              []byte(gobHelloV6),
+		"unknown-marker":        newRequestScript().request(t, hello).frame('Z', []byte("what")).bytes(),
+		"unopened-source-frame": badFrame.bytes(),
+		"oversized-frame":       hugeFrame.bytes(),
+		"oversized-control":     hugeControl.bytes(),
+		"malformed-control":     submitted().frame(frameControl, []byte(`{"ID":3,"Kind":`)).bytes(),
+		"unknown-kind":          submitted().request(t, Request{ID: 3, Kind: 200}).request(t, Request{ID: 4, Kind: MsgCatalog}).bytes(),
+		"frame-before-hello":    newRequestScript().frame(frameData, publishFrame(1, 1, tp)).bytes(),
+		"publisher-cut-short":   publisher.bytes()[:len(publisher.bytes())/2],
+		"ack-short":             ack([]byte{1, 0, 0}),
+		"ack-trailing-byte":     ack(append(binary.LittleEndian.AppendUint64(nil, 0), 0)),
+		"ack-beyond-sent":       ack(binary.LittleEndian.AppendUint64(nil, 5)), // nothing was sent
+		"empty":                 {},
+	}
+}
+
+// TestRequestScriptSeeds pins the refusal that ends the session for each
+// seed of FuzzRequestDecode that does not parse as a frame, or comes
+// before the hello — each refused from its header, before any body is
+// read — and that the session leaves no query behind.
+func TestRequestScriptSeeds(t *testing.T) {
+	srv, _ := fuzzServer(t)
+	silenceLog(t)
+	seeds := requestScriptSeeds(t)
+	for name, want := range map[string]string{
+		"gob-peer":           "malformed frame: unknown frame marker 0xff",
+		"unknown-marker":     "malformed frame: unknown frame marker 0x5a",
+		"oversized-control":  "malformed control frame: transport: frame length exceeds limit",
+		"malformed-control":  "malformed control frame: unexpected end of JSON input",
+		"oversized-frame":    "malformed publish frame: transport: frame length exceeds limit",
+		"frame-before-hello": "malformed publish frame: publish frame before hello",
+	} {
+		var out bytes.Buffer
+		sess := srv.newSession(scriptConn{r: bytes.NewReader(seeds[name]), w: &out})
+		sess.readLoop()
+		sess.close(false)
+		srv.retire(sess)
+		refusal := ""
+		for br := bufio.NewReader(&out); ; {
+			marker, b, err := nextFrame(br)
+			if err != nil {
+				break
+			}
+			if marker == frameAck {
+				_, refusal, _ = decodeAck(b)
+			}
+		}
+		if !strings.Contains(refusal, want) {
+			t.Errorf("%s: refused with %q, want %q", name, refusal, want)
+		}
+		if n := srv.sys.Queries(); n != 0 {
+			t.Errorf("%s: %d queries left behind", name, n)
+		}
 	}
 }
 
 // FuzzRequestDecode hands a session's read loop an arbitrary byte stream
-// as everything its client ever sends — gob control requests, markers,
-// frames — and requires it to end: by an error or at EOF, never by a
-// panic, and with every query the stream submitted cancelled again.
+// as everything its client ever sends — control, publish and ack frames
+// — and requires it to end: by an error or at EOF, never by a panic, and
+// with every query the stream submitted cancelled again.
 func FuzzRequestDecode(f *testing.F) {
-	for _, seed := range requestScriptSeeds(f) {
-		f.Add(seed)
+	seeds := requestScriptSeeds(f)
+	for _, name := range slices.Sorted(maps.Keys(seeds)) {
+		f.Add(seeds[name])
 	}
 	srv, _ := fuzzServer(f)
 	silenceLog(f)
@@ -372,13 +414,15 @@ func resultFrame(id uint32, lay *core.Layout, first uint64, hits [][]bool) []byt
 }
 
 // resultStreamSeeds are whole server→client byte streams past the hello:
-// a well-formed exchange, and each way its 'S' and 'D' frames can lie.
-func resultStreamSeeds() map[string][]byte {
+// a well-formed exchange, each way its 'S' and 'D' frames can lie, and
+// the control frames a server pushes or answers with.
+func resultStreamSeeds(t testing.TB) map[string][]byte {
 	frames := func(fs ...[]byte) []byte { return bytes.Join(fs, nil) }
 	schema := func(id uint32, lay *core.Layout) []byte {
 		return appendFrame(nil, frameSchema, appendSchemaFrame(nil, id, lay))
 	}
 	data := func(payload []byte) []byte { return appendFrame(nil, frameData, payload) }
+	control := func(resp Response) []byte { return controlFrame(t, &resp) }
 	pairRows := resultFrame(1, fuzzPair, 1, [][]bool{{true, true}, {true, false}, {true, true}})
 	soloRows := resultFrame(2, fuzzSolo, 4, [][]bool{{true}, {true}})
 
@@ -418,25 +462,34 @@ func resultStreamSeeds() map[string][]byte {
 		"unannounced-delivery": data(pairRows),
 		"length-lie":           {frameData, 0xFF, 0xFF, 0xFF, 0x03},
 		"empty":                {},
+		// q1 ends server-side between two frames of its delivery: the
+		// second reaches q2 alone.
+		"pushed-end": frames(schema(1, fuzzPair), data(pairRows), control(Response{Kind: MsgEnd, QueryTag: "q1"}),
+			data(resultFrame(1, fuzzPair, 4, [][]bool{{true, true}}))),
+		"shutdown":          frames(schema(2, fuzzSolo), control(Response{Kind: MsgShutdown}), data(resultFrame(2, fuzzSolo, 1, [][]bool{{true}}))),
+		"pong":              frames(control(Response{ID: 3, Kind: MsgPong}), schema(2, fuzzSolo), data(resultFrame(2, fuzzSolo, 1, [][]bool{{true}}))),
+		"unawaited-ok":      frames(control(Response{ID: 7, Kind: MsgOK, QueryTag: "q9"}), schema(2, fuzzSolo), data(resultFrame(2, fuzzSolo, 1, [][]bool{{true}}))),
+		"malformed-control": frames(appendFrame(nil, frameControl, []byte(`{"Kind":`)), schema(2, fuzzSolo), data(resultFrame(2, fuzzSolo, 1, [][]bool{{true}}))),
 	}
 }
 
 // resultClient is a client that never dialled, holding subscriptions
 // q1, q2 and q3 whose results land in recs.
 func resultClient(recs map[string]*subRecorder) *Client {
-	c := &Client{subs: map[string]*clientSub{}, byServer: map[string]*clientSub{}, wireSubs: map[uint32]*wireSub{}}
+	c := &Client{pending: map[uint64]*pendingCall{}, subs: map[string]*clientSub{}, byServer: map[string]*clientSub{}, wireSubs: map[uint32]*wireSub{}}
 	c.cond = sync.NewCond(&c.mu)
 	c.pub.cond = sync.NewCond(&c.pub.mu)
 	for tag, rec := range recs {
-		cs := &clientSub{onResult: rec.onResult, logical: tag, server: tag}
+		cs := &clientSub{onResult: rec.onResult, onEnd: rec.onEnd, logical: tag, server: tag}
 		c.subs[tag], c.byServer[tag] = cs, cs
 	}
 	return c
 }
 
 // FuzzResultFrames feeds a client's read loop an arbitrary byte stream as
-// everything its server sends after the hello — 'S', 'D' and 'A' frames
-// — through Client.readBinaryFrame. A malformed frame must end the stream
+// everything its server sends after the hello — 'G', 'S', 'D' and 'A'
+// frames — through Client.handleFrame, the read loop's one dispatch. A
+// malformed frame must end the stream
 // with an error, never a panic and never an allocation its bytes do not
 // back (frameArena, decodeSchemaFrame and readFrame check counts and
 // lengths against the bytes present first). The session's result
@@ -444,8 +497,9 @@ func resultClient(recs map[string]*subRecorder) *Client {
 // known subscription that obeys FuzzTupleDecode's round-trip property
 // under its own schema.
 func FuzzResultFrames(f *testing.F) {
-	for _, seed := range resultStreamSeeds() {
-		f.Add(seed)
+	seeds := resultStreamSeeds(f)
+	for _, name := range slices.Sorted(maps.Keys(seeds)) {
+		f.Add(seeds[name])
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		recs := map[string]*subRecorder{"q1": {}, "q2": {}, "q3": {}}
@@ -453,11 +507,11 @@ func FuzzResultFrames(f *testing.F) {
 		br := bufio.NewReader(bytes.NewReader(script))
 		for {
 			marker, err := br.ReadByte()
-			if err != nil || (marker != frameData && marker != frameSchema && marker != frameAck) {
+			if err != nil {
 				break
 			}
 			last := c.lastResult
-			err = c.readBinaryFrame(br, marker)
+			err = c.handleFrame(br, marker)
 			if c.lastResult < last {
 				t.Fatalf("result sequence went back from %d to %d", last, c.lastResult)
 			}
@@ -479,9 +533,25 @@ func FuzzResultFrames(f *testing.F) {
 	})
 }
 
-// TestResultStreamSeeds pins what the seeds of FuzzResultFrames deliver.
+// replayResults feeds a result stream to c through the read loop's
+// dispatch and returns the error that ended it, nil at a clean end.
+func replayResults(c *Client, script []byte) error {
+	br := bufio.NewReader(bytes.NewReader(script))
+	for {
+		marker, err := br.ReadByte()
+		if err != nil {
+			return nil
+		}
+		if err := c.handleFrame(br, marker); err != nil {
+			return err
+		}
+	}
+}
+
+// TestResultStreamSeeds pins what the seeds of FuzzResultFrames deliver,
+// end and refuse.
 func TestResultStreamSeeds(t *testing.T) {
-	seeds := resultStreamSeeds()
+	seeds := resultStreamSeeds(t)
 	for name, want := range map[string]map[string]int{
 		"valid":              {"q1": 3, "q2": 2, "q3": 2},
 		"layout-change":      {"q1": 3, "q2": 2, "q3": 1},
@@ -489,37 +559,32 @@ func TestResultStreamSeeds(t *testing.T) {
 		"sequence-hole":      {"q1": 3, "q2": 2},
 		"sequence-backwards": {"q1": 3, "q2": 2},
 		"kind-lie":           {}, // the first row's q1 result is rejected
+		"pushed-end":         {"q1": 3, "q2": 3},
+		"shutdown":           {"q3": 1},
+		"pong":               {"q3": 1},
+		"unawaited-ok":       {"q3": 1},
+		"malformed-control":  {},
 	} {
 		recs := map[string]*subRecorder{"q1": {}, "q2": {}, "q3": {}}
 		c := resultClient(recs)
-		br := bufio.NewReader(bytes.NewReader(seeds[name]))
-		var err error
-		for err == nil {
-			var marker byte
-			if marker, err = br.ReadByte(); err == nil {
-				err = c.readBinaryFrame(br, marker)
-			}
-		}
+		err := replayResults(c, seeds[name])
 		for tag, rec := range recs {
 			if got := rec.count(); got != want[tag] {
 				t.Errorf("%s: %s got %d results, want %d (stream ended: %v)", name, tag, got, want[tag], err)
 			}
+			_, _, ends := rec.snapshot()
+			if ended := name == "pushed-end" && tag == "q1"; len(ends) != map[bool]int{true: 1}[ended] || ended && ends[0] != nil {
+				t.Errorf("%s: %s ended %v, want one clean end only for the pushed one", name, tag, ends)
+			}
+		}
+		if c.terminal != (name == "shutdown") {
+			t.Errorf("%s: terminal %v", name, c.terminal)
 		}
 	}
 	for _, name := range []string{"column-beyond-body", "member-count-lie", "no-members", "bitmap-beyond-k",
 		"count-lie", "short-header", "trailing-byte", "unannounced-delivery", "length-lie",
-		"sequence-hole", "sequence-backwards"} {
-		c := resultClient(map[string]*subRecorder{})
-		br := bufio.NewReader(bytes.NewReader(seeds[name]))
-		var frameErr error
-		for frameErr == nil {
-			marker, err := br.ReadByte()
-			if err != nil {
-				break
-			}
-			frameErr = c.readBinaryFrame(br, marker)
-		}
-		if frameErr == nil {
+		"sequence-hole", "sequence-backwards", "malformed-control"} {
+		if replayResults(resultClient(map[string]*subRecorder{}), seeds[name]) == nil {
 			t.Errorf("%s: every frame was accepted", name)
 		}
 	}
@@ -616,4 +681,30 @@ func (s *syncBuffer) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b.String()
+}
+
+// TestFuzzCorpusIsSeeds: the checked-in corpora are the seed functions'
+// output, one file per seed name, so a codec change that moves a seed
+// fails here until the corpus is regenerated with it.
+func TestFuzzCorpusIsSeeds(t *testing.T) {
+	for target, seeds := range map[string]map[string][]byte{
+		"FuzzPublishFrame":  publishFrameSeeds(t),
+		"FuzzRequestDecode": requestScriptSeeds(t),
+		"FuzzResultFrames":  resultStreamSeeds(t),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != len(seeds) {
+			t.Errorf("%s: %d corpus files for %d seeds", target, len(files), len(seeds))
+		}
+		for name, seed := range seeds {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed); err != nil || string(got) != want {
+				t.Errorf("%s/%s: the corpus file is not the seed's bytes (read error %v)", target, name, err)
+			}
+		}
+	}
 }

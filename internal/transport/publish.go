@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
 
@@ -175,12 +174,11 @@ func (p *pubWindow) ackedSeq() uint64 {
 // message — the hello, control requests, pings, publish frames, result
 // acks — goes through its one writer goroutine, so what one goroutine
 // sends in some order reaches the server in that order (a Submit or
-// Quiesce issued after a Publish is applied after it). It owns the
-// connection's gob encoder; one pump lives as long as its connection.
+// Quiesce issued after a Publish is applied after it). One pump lives as
+// long as its connection.
 type requestPump struct {
 	*pump[requestEntry]
 	conn   net.Conn
-	enc    *gob.Encoder
 	win    *pubWindow
 	chunks [][]byte // takeUnsent's scratch
 
@@ -198,9 +196,8 @@ type requestEntry struct {
 }
 
 func newRequestPump(conn net.Conn, win *pubWindow) *requestPump {
-	// The buffer is gob's own size: chunks above it pass straight through.
+	// Chunks above the buffer's size pass straight through.
 	p := &requestPump{pump: newPump[requestEntry](conn, 4096), conn: conn, win: win}
-	p.enc = gob.NewEncoder(p.bw)
 	p.process = p.writeEntries
 	go p.run()
 	return p
@@ -247,13 +244,7 @@ func (p *requestPump) writeEntries(batch []requestEntry) bool {
 		case e.ack:
 			err = p.writeFrame(frameAck, appendAck(p.ackBuf[:0], p.acks.take(), ""))
 		default:
-			// The hello is the connection's one unframed request.
-			if e.req.Kind != MsgHello {
-				err = p.bw.WriteByte(frameGob)
-			}
-			if err == nil {
-				err = p.enc.Encode(e.req)
-			}
+			err = p.writeControl(e.req)
 		}
 		if err != nil {
 			// The read loop owns loss handling: closing the connection

@@ -2,7 +2,7 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
+	"encoding/json"
 	"io"
 	"net"
 	"sync/atomic"
@@ -14,12 +14,12 @@ import (
 // pump is one connection's single writer for one direction: everything
 // that side sends is enqueued here and written by one goroutine
 // (Hazelcast Jet's single-writer discipline). The goroutine takes the
-// queued entries as one batch, hands it to process — which owns the gob
-// encoder and the frame scratch, and so runs lock-free — and flushes
-// the bufio.Writer only when the queue runs dry: whatever accumulated
-// while the previous write was in flight forms the next batch. There is
-// no linger timer and no batch-size setting. The server instantiates it
-// with control/result-flush/ack entries (resultPump), the client with
+// queued entries as one batch, hands it to process — which owns the
+// frame scratch, and so runs lock-free — and flushes the bufio.Writer
+// only when the queue runs dry: whatever accumulated while the previous
+// write was in flight forms the next batch. There is no linger timer and
+// no batch-size setting. The server instantiates it with
+// control/result-flush/ack entries (resultPump), the client with
 // request/publish-flush/ack entries (requestPump); the direction lives
 // entirely in process.
 type pump[E any] struct {
@@ -109,6 +109,15 @@ func (p *pump[E]) writeFrame(marker byte, payload []byte) error {
 	return err
 }
 
+// writeControl emits a 'G' frame: msg, a *Request or *Response, as JSON.
+func (p *pump[E]) writeControl(msg any) error {
+	payload, err := json.Marshal(msg)
+	if err != nil {
+		return err
+	}
+	return p.writeFrame(frameControl, payload)
+}
+
 // acker coalesces a connection's cumulative acks of the other direction:
 // the reading side records the sequence and queues one ack entry until
 // the writer takes it, and the writer sends the latest. An entry queued
@@ -134,11 +143,9 @@ func (a *acker) take() uint64 {
 
 // resultPump is the server side of a connection: every server→client
 // message — OKs, pushes, pongs, publish acks, result chunks — goes
-// through it from the connection's first byte. Its goroutine owns the
-// gob encoder: one encoder for the connection's life, since gob emits
-// type definitions once per stream. Control frames travel bare until the
-// hello OK, which is the last unframed message; results reach the pump
-// already encoded, as the session's result window (results.go). Once
+// through it from the connection's first byte, each as a frame. Control
+// Responses are encoded by its goroutine; results reach the pump already
+// encoded, as the session's result window (results.go). Once
 // bounded (graceful shutdown), every write refreshes a per-write
 // deadline: a healthy-but-slow drain keeps extending it, while a
 // subscriber that stopped reading fails its write within the bound
@@ -146,22 +153,19 @@ func (a *acker) take() uint64 {
 type resultPump struct {
 	*pump[pumpEntry]
 	conn    *boundedConn
-	enc     *gob.Encoder
 	wire    *wireMetrics                 // server-wide wire accounting; never nil
 	win     atomic.Pointer[resultWindow] // the session's results, set by the hello
-	framed  bool                         // the writer's: the hello OK is written
 	chunks  [][]byte                     // takeUnsent's scratch
 	acks    acker                        // the session's applied publish sequence
 	refusal atomic.Pointer[string]
 	ackBuf  [ackHeaderSize]byte
 }
 
-// pumpEntry is one queued write: a control Response (resp set; hello
-// marks the hello OK), the result window's unsent chunks as of when the
-// writer gets to it (flush), or the publish ack (ack).
+// pumpEntry is one queued write: a control Response (resp set), the
+// result window's unsent chunks as of when the writer gets to it
+// (flush), or the publish ack (ack).
 type pumpEntry struct {
 	resp  *Response
-	hello bool
 	flush bool
 	ack   bool
 }
@@ -186,7 +190,6 @@ func (c *boundedConn) Write(b []byte) (int, error) {
 func newResultPump(conn net.Conn, wire *wireMetrics) *resultPump {
 	bc := &boundedConn{Conn: conn}
 	p := &resultPump{pump: newPump[pumpEntry](bc, 32<<10), conn: bc, wire: wire}
-	p.enc = gob.NewEncoder(p.bw)
 	p.process = p.writeEntries
 	go p.run()
 	return p
@@ -207,7 +210,7 @@ func (p *resultPump) send(r *Response) error {
 // window behind it, resending what lies beyond last. Callers hold w.mu.
 func (p *resultPump) sendHello(ok *Response, w *resultWindow, last uint64) {
 	p.win.Store(w)
-	_ = p.enqueue(pumpEntry{resp: ok, hello: true})
+	_ = p.enqueue(pumpEntry{resp: ok})
 	w.attach(p.queueFlush, min(last, w.through))
 }
 
@@ -250,7 +253,11 @@ func (p *resultPump) writeEntries(batch []pumpEntry) bool {
 		case e.ack:
 			wrote = p.writeAck() || wrote
 		case e.resp != nil:
-			wrote = p.writeControl(e) || wrote
+			if err := p.writeControl(e.resp); err != nil {
+				p.fail(err)
+			} else {
+				wrote = true
+			}
 		case e.flush:
 			wrote = p.writeResults() || wrote
 		}
@@ -261,23 +268,6 @@ func (p *resultPump) writeEntries(batch []pumpEntry) bool {
 		_ = p.conn.Close()
 	}
 	return wrote
-}
-
-// writeControl emits a control message: a 'G' frame — marker + one gob
-// Response — or, up to the hello OK, the bare gob.
-func (p *resultPump) writeControl(e *pumpEntry) bool {
-	if p.framed {
-		if err := p.bw.WriteByte(frameGob); err != nil {
-			p.fail(err)
-			return false
-		}
-	}
-	if err := p.enc.Encode(e.resp); err != nil {
-		p.fail(err)
-		return false
-	}
-	p.framed = p.framed || e.hello
-	return true
 }
 
 // writeAck emits an 'A' frame: the applied sequence, then the refusal

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -832,22 +832,16 @@ func scriptedServer(t *testing.T, hello func(conn int, req *Request, resp *Respo
 	serve := func(conn net.Conn, n int) {
 		defer conn.Close()
 		br := bufio.NewReader(conn)
-		dec, enc := gob.NewDecoder(br), gob.NewEncoder(conn)
-		for framed := false; ; framed = true {
-			if framed {
-				m, err := br.ReadByte()
-				for err == nil && m == frameAck {
-					var buf []byte
-					if _, err = readFrame(br, &buf); err == nil {
-						m, err = br.ReadByte()
-					}
-				}
-				if err != nil || m != frameGob {
-					return
-				}
+		for {
+			marker, b, err := nextFrame(br)
+			if err != nil {
+				return
+			}
+			if marker == frameAck {
+				continue
 			}
 			var req Request
-			if err := dec.Decode(&req); err != nil {
+			if marker != frameControl || json.Unmarshal(b, &req) != nil {
 				return
 			}
 			resp := Response{ID: req.ID, Kind: MsgOK}
@@ -864,15 +858,7 @@ func scriptedServer(t *testing.T, hello func(conn int, req *Request, resp *Respo
 			case MsgPing:
 				resp.Kind = MsgPong
 			}
-			if framed {
-				if _, err := conn.Write([]byte{frameGob}); err != nil {
-					return
-				}
-			}
-			if err := enc.Encode(&resp); err != nil {
-				return
-			}
-			if _, err := conn.Write(after); err != nil || reply == answerThenCut {
+			if _, err := conn.Write(append(controlFrame(t, &resp), after...)); err != nil || reply == answerThenCut {
 				return
 			}
 		}
@@ -1169,7 +1155,7 @@ func TestSplitCutResumesLayout(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if err := c.readBinaryFrame(br, marker); err != nil {
+			if err := c.handleFrame(br, marker); err != nil {
 				if err == io.ErrUnexpectedEOF || err == io.EOF {
 					return
 				}

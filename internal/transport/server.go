@@ -3,7 +3,7 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -314,9 +314,9 @@ type session struct {
 	conn net.Conn
 	w    *resultPump
 	done chan struct{} // closed once serve returned and the session's state is parked or gone
-	// framed is the serve goroutine's: the hello OK is queued, and binary
-	// frames flow both ways from here on.
-	framed bool
+	// saidHello is the serve goroutine's: the hello OK is queued, and
+	// results, sources and binary frames may follow.
+	saidHello bool
 
 	// Publish state of the serve goroutine alone: the sources the
 	// connection opened, by client-chosen id, the sticky refusal, and the
@@ -356,69 +356,35 @@ func (sess *session) serve() {
 }
 
 // readLoop reads and dispatches what the client sends until the
-// connection ends or sends something that does not parse.
+// connection ends or sends something that does not parse. Every message
+// is a frame: the marker, then the frame read whole — its declared
+// length checked before any of it is read — then handleFrame.
 func (sess *session) readLoop() {
-	// One bufio.Reader (sized like gob's own) under the one gob decoder:
-	// gob never over-reads from an io.ByteReader, so once the hello is
-	// in, the loop strips frame markers from the same reader — the
-	// mirror image of Client.readLoop.
 	br := bufio.NewReaderSize(sess.conn, 4096)
-	dec := gob.NewDecoder(br)
 	idle := sess.srv.idleTimeout
 	for {
 		if idle > 0 {
 			_ = sess.conn.SetReadDeadline(time.Now().Add(idle))
 		}
-		if sess.framed {
-			marker, err := br.ReadByte()
-			if err != nil {
-				sess.logReadErr(err)
-				return
-			}
-			switch marker {
-			case frameGob:
-			case frameData, frameAck:
-				if ioErr, err := sess.readBinaryFrame(br, marker); ioErr {
-					// The connection died inside the frame: nothing of it
-					// is applied, and a resumed session sends it again.
-					sess.logReadErr(err)
-					return
-				} else if err != nil {
-					sess.refuseAndDrop(frameName[marker], err)
-					return
-				}
-				continue
-			default:
-				sess.refuseAndDrop("frame", fmt.Errorf("unknown frame marker %#x", marker))
-				return
-			}
-		}
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		marker, err := br.ReadByte()
+		if err != nil {
 			sess.logReadErr(err)
-			if !sess.framed && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				// Most likely a peer that skipped the hello: tell it
-				// what this end expected before hanging up.
-				_ = sess.w.send(errResp("undecodable request before hello (%v): binary frames need the wire version %d hello first", err, wireVersion))
-				sess.w.bound()
-				sess.w.drain()
-			}
 			return
 		}
-		if req.Kind == MsgPing {
-			// Keepalive: answer outside dispatch so a ping never waits
-			// behind a system operation.
-			if err := sess.w.send(&Response{ID: req.ID, Kind: MsgPong}); err != nil {
-				return
-			}
-			continue
+		what, ok := frameName[marker]
+		if !ok {
+			// A peer of wire version 6 or older opens with bare gob: its
+			// first byte is no marker.
+			sess.refuseAndDrop("frame", fmt.Errorf("unknown frame marker %#x: every message is a wire version %d frame", marker, wireVersion))
+			return
 		}
-		resp := sess.dispatch(&req)
-		if resp == nil {
-			continue // dispatch responded itself (MsgHello/MsgSubmit ordering)
-		}
-		resp.ID = req.ID
-		if err := sess.w.send(resp); err != nil {
+		if ioErr, err := sess.handleFrame(br, marker); ioErr {
+			// The connection died inside the frame: nothing of it is
+			// applied, and a resumed session sends it again.
+			sess.logReadErr(err)
+			return
+		} else if err != nil {
+			sess.refuseAndDrop(what, err)
 			return
 		}
 	}
@@ -445,21 +411,41 @@ func (sess *session) refuseAndDrop(what string, err error) {
 	sess.w.drain()
 }
 
-// frameName names a client→server binary frame in a refusal.
-var frameName = map[byte]string{frameData: "publish frame", frameAck: "result ack"}
+// frameName names each client→server frame in a refusal.
+var frameName = map[byte]string{frameControl: "control frame", frameData: "publish frame", frameAck: "result ack"}
 
-// readBinaryFrame consumes one client→server binary frame (marker
-// already read) into a pooled buffer and applies it: a 'D' frame's
-// published tuples, or an 'A' frame's cumulative result ack. ioErr says
-// the error is the connection's, not the frame's.
-func (sess *session) readBinaryFrame(br *bufio.Reader, marker byte) (ioErr bool, err error) {
+// handleFrame consumes one client→server frame (marker already read)
+// into a pooled buffer and applies it: a 'G' frame's request, a 'D'
+// frame's published tuples, or an 'A' frame's cumulative result ack.
+// ioErr says the error is the connection's, not the frame's.
+func (sess *session) handleFrame(br *bufio.Reader, marker byte) (ioErr bool, err error) {
 	bufp := getFrameBuf()
 	defer putFrameBuf(bufp)
 	b, err := readFrame(br, bufp)
 	if err != nil {
 		return !errors.Is(err, errFrameTooLong), err
 	}
-	if marker == frameAck {
+	switch {
+	case marker == frameControl:
+		var req Request
+		if err := json.Unmarshal(b, &req); err != nil {
+			return false, err
+		}
+		// A keepalive is answered outside dispatch, so a ping never waits
+		// behind a system operation.
+		resp := &Response{Kind: MsgPong}
+		if req.Kind != MsgPing {
+			if resp = sess.dispatch(&req); resp == nil {
+				return false, nil // dispatch responded itself (MsgHello/MsgSubmit ordering)
+			}
+		}
+		resp.ID = req.ID
+		// A failed send is the connection's: the pump is dead.
+		err := sess.w.send(resp)
+		return err != nil, err
+	case !sess.saidHello:
+		return false, fmt.Errorf("%s before hello: binary frames need the wire version %d hello first", frameName[marker], wireVersion)
+	case marker == frameAck:
 		if len(b) != ackHeaderSize {
 			return false, fmt.Errorf("transport: result ack of %d bytes, want %d", len(b), ackHeaderSize)
 		}
@@ -673,6 +659,12 @@ func errResp(format string, args ...interface{}) *Response {
 	return &Response{Kind: MsgError, Error: fmt.Sprintf(format, args...)}
 }
 
+// errBeforeHello refuses what a connection may do only after its hello:
+// open the tuple streams.
+func errBeforeHello(what string) *Response {
+	return errResp("%s before hello: tuples travel as wire version %d frames, which the connection's hello sets up", what, wireVersion)
+}
+
 // Open makes the session a core.Sink: its subscriptions in one group at
 // one user node share a proxy, a delivery id and one body per result,
 // encoded into the session's result window.
@@ -725,6 +717,9 @@ func (sess *session) dispatch(req *Request) *Response {
 	}
 	switch req.Kind {
 	case MsgRegister:
+		if req.Source != 0 && !sess.saidHello {
+			return errBeforeHello("register with a source")
+		}
 		info, err := FromWireInfo(req.Info)
 		if err != nil {
 			return errResp("bad stream info: %v", err)
@@ -735,7 +730,7 @@ func (sess *session) dispatch(req *Request) *Response {
 		}
 		// The registering session usually publishes the stream: its
 		// register opens the source in the same round trip.
-		if req.Source != 0 && sess.framed {
+		if req.Source != 0 {
 			if err := sess.openSource(req.Source, port); err != nil {
 				return errResp("%v", err)
 			}
@@ -743,8 +738,8 @@ func (sess *session) dispatch(req *Request) *Response {
 		return &Response{Kind: MsgOK}
 
 	case MsgOpenSource:
-		if !sess.framed {
-			return errResp("open source before hello: published tuples travel as wire version %d frames, which the connection's hello sets up", wireVersion)
+		if !sess.saidHello {
+			return errBeforeHello("open source")
 		}
 		port, ok := s.sys.Source(req.Stream)
 		if !ok {
@@ -765,8 +760,8 @@ func (sess *session) dispatch(req *Request) *Response {
 		// order is delivery order. The sub starts gated: results before
 		// the MsgOK is queued are held, so no frame for this query
 		// precedes the response announcing its tag.
-		if !sess.framed {
-			return errResp("submit before hello: results travel as wire version %d frames, which the connection's hello sets up", wireVersion)
+		if !sess.saidHello {
+			return errBeforeHello("submit")
 		}
 		st := &subState{gated: true}
 		h, err := s.sys.SubmitTo(req.CQL, req.UserNode, sess, st)
@@ -849,10 +844,9 @@ func (sess *session) dispatch(req *Request) *Response {
 // one, or the client's own acknowledged count when this server never
 // held the session) and the first result sequence the window still
 // holds; tags absent from the reply no longer exist server-side — the
-// client resubmits those from scratch. The OK is the last unframed
-// message on the connection, the window's resend queues behind it
-// (finishHello), and hello returns nil so serve does not write a second
-// response.
+// client resubmits those from scratch. The window's resend queues
+// behind the OK (finishHello), and hello returns nil so serve does not
+// write a second response.
 func (sess *session) hello(req *Request) *Response {
 	s := sess.srv
 	if req.WireVersion < wireVersion {
@@ -916,14 +910,14 @@ func (sess *session) hello(req *Request) *Response {
 	return nil
 }
 
-// finishHello queues a hello's OK — the connection's last unframed
-// message — and attaches the session's result window behind it: res when
+// finishHello queues a hello's OK and attaches the session's result
+// window behind it: res when
 // adopted, a fresh one otherwise, resending what lies beyond the client's
 // last contiguous result. The window's lock is held throughout, so the
 // OK reports the first sequence the window holds as of the attach.
 func (sess *session) finishHello(req *Request, resp *Response, res *resultWindow) {
 	resp.ID, resp.WireVersion = req.ID, wireVersion
-	if sess.framed {
+	if sess.saidHello {
 		// A repeated hello: the connection's stream goes on.
 		_ = sess.w.send(resp)
 		return
@@ -935,7 +929,7 @@ func (sess *session) finishHello(req *Request, resp *Response, res *resultWindow
 	sess.mu.Lock()
 	sess.res = res
 	sess.mu.Unlock()
-	sess.framed = true
+	sess.saidHello = true
 	res.mu.Lock()
 	defer res.mu.Unlock()
 	resp.ResultSeq = res.dropped + 1

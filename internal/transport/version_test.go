@@ -2,9 +2,13 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -73,15 +77,45 @@ func TestWireVersionAgreed(t *testing.T) {
 	}
 }
 
+// controlFrame is msg — a *Request or *Response — as the 'G' frame a
+// pump writes.
+func controlFrame(t testing.TB, msg any) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	p := newPump[struct{}](&b, 64)
+	if err := p.writeControl(msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// appendFrame appends one frame, header and payload, to dst.
+func appendFrame(dst []byte, marker byte, payload []byte) []byte {
+	var hdr [frameHeaderSize]byte
+	putFrameHeader(hdr[:], marker, len(payload))
+	return append(append(dst, hdr[:]...), payload...)
+}
+
+// nextFrame reads one frame the way the read loops do: the marker, then
+// the payload behind the bounded length.
+func nextFrame(br *bufio.Reader) (marker byte, payload []byte, err error) {
+	if marker, err = br.ReadByte(); err != nil {
+		return 0, nil, err
+	}
+	var buf []byte
+	payload, err = readFrame(br, &buf)
+	return marker, payload, err
+}
+
 // rawPeer speaks the protocol by hand, the way a peer of another build —
-// or a hostile one — would. Until its hello is accepted it exchanges
-// bare gob; after (framed set) every message carries its marker.
+// or a hostile one — would: frames built and read with the production
+// codec, in whatever order the test sends them.
 type rawPeer struct {
-	conn   net.Conn
-	enc    *gob.Encoder
-	br     *bufio.Reader // under dec, so markers and frames read in step with gob
-	dec    *gob.Decoder
-	framed bool
+	conn net.Conn
+	br   *bufio.Reader
 }
 
 func dialRaw(t *testing.T, addr string) *rawPeer {
@@ -91,34 +125,39 @@ func dialRaw(t *testing.T, addr string) *rawPeer {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	br := bufio.NewReader(conn)
-	return &rawPeer{conn: conn, enc: gob.NewEncoder(conn), br: br, dec: gob.NewDecoder(br)}
+	return &rawPeer{conn: conn, br: bufio.NewReader(conn)}
 }
 
 // call sends one request and reads its response.
 func (p *rawPeer) call(t *testing.T, req *Request) *Response {
 	t.Helper()
-	if p.framed {
-		if _, err := p.conn.Write([]byte{frameGob}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.enc.Encode(req); err != nil {
+	p.write(t, controlFrame(t, req))
+	return p.readResponse(t)
+}
+
+func (p *rawPeer) write(t *testing.T, b []byte) {
+	t.Helper()
+	if _, err := p.conn.Write(b); err != nil {
 		t.Fatal(err)
 	}
-	return p.readResponse(t)
+}
+
+// read reads the next frame, which must carry marker, and returns its
+// payload.
+func (p *rawPeer) read(t *testing.T, marker byte) []byte {
+	t.Helper()
+	_ = p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	m, b, err := nextFrame(p.br)
+	if err != nil || m != marker {
+		t.Fatalf("reading a %q frame: marker %q, err %v", marker, m, err)
+	}
+	return b
 }
 
 func (p *rawPeer) readResponse(t *testing.T) *Response {
 	t.Helper()
-	_ = p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if p.framed {
-		if marker, err := p.br.ReadByte(); err != nil || marker != frameGob {
-			t.Fatalf("reading a control frame: marker %q, err %v", marker, err)
-		}
-	}
 	var resp Response
-	if err := p.dec.Decode(&resp); err != nil {
+	if err := json.Unmarshal(p.read(t, frameControl), &resp); err != nil {
 		t.Fatal(err)
 	}
 	return &resp
@@ -130,55 +169,42 @@ func (p *rawPeer) hello(t *testing.T) {
 	if resp := p.call(t, &Request{ID: 1, Kind: MsgHello, WireVersion: wireVersion}); resp.Kind != MsgOK {
 		t.Fatalf("hello refused: %s", resp.Error)
 	}
-	p.framed = true
-}
-
-// appendFrame appends one binary frame, header and payload, to dst.
-func appendFrame(dst []byte, marker byte, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	putFrameHeader(hdr[:], marker, len(payload))
-	return append(append(dst, hdr[:]...), payload...)
 }
 
 // sendFrame writes one binary frame.
 func (p *rawPeer) sendFrame(t *testing.T, marker byte, payload []byte) {
 	t.Helper()
-	if _, err := p.conn.Write(appendFrame(nil, marker, payload)); err != nil {
-		t.Fatal(err)
-	}
+	p.write(t, appendFrame(nil, marker, payload))
 }
 
 // readAck reads one 'A' frame.
 func (p *rawPeer) readAck(t *testing.T) (applied uint64, refusal string) {
 	t.Helper()
-	_ = p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	marker, err := p.br.ReadByte()
-	if err != nil || marker != frameAck {
-		t.Fatalf("reading an ack: marker %q, err %v", marker, err)
-	}
-	var buf []byte
-	b, err := readFrame(p.br, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied, refusal, err = decodeAck(b)
+	applied, refusal, err := decodeAck(p.read(t, frameAck))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return applied, refusal
 }
 
-// TestWireVersionOlderOfferRefused: a peer whose hello offers version 5
-// (every int, time and timestamp in 8 bytes), version 4 (results
-// numbered per subscription), version 3 (results framed per
-// subscription), version 2 (gob publish requests),
-// version 1 (gob result pushes) or none at all (a peer older than the
-// negotiation) is recognised and refused with an error naming both
-// versions; the connection stays usable for control traffic.
+// hungUp reports whether the server closed the connection.
+func (p *rawPeer) hungUp() bool {
+	_ = p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err := p.br.ReadByte()
+	return err != nil && !errors.Is(err, os.ErrDeadlineExceeded)
+}
+
+// TestWireVersionOlderOfferRefused: a framed peer whose hello offers
+// version 6 (the hello and control plane as gob), version 5 (every int,
+// time and timestamp in 8 bytes), version 4 (results numbered per
+// subscription), version 3 (results framed per subscription), version 2
+// (gob publish requests), version 1 (gob result pushes) or none at all
+// is refused with an error naming both versions; the connection stays
+// usable for control traffic.
 func TestWireVersionOlderOfferRefused(t *testing.T) {
 	addr, shutdown := startServer(t)
 	defer shutdown()
-	for _, offer := range []int{0, 1, 2, 3, 4, 5} {
+	for _, offer := range []int{0, 1, 2, 3, 4, 5, 6} {
 		p := dialRaw(t, addr)
 		resp := p.call(t, &Request{ID: 1, Kind: MsgHello, WireVersion: offer})
 		if resp.Kind != MsgError {
@@ -191,6 +217,30 @@ func TestWireVersionOlderOfferRefused(t *testing.T) {
 		if resp := p.call(t, &Request{ID: 2, Kind: MsgCatalog}); resp.Kind != MsgOK {
 			t.Fatalf("offer %d: control request after the refusal answered kind %d (%s)", offer, resp.Kind, resp.Error)
 		}
+	}
+}
+
+// gobHelloV6 is how a version-6 peer's hello begins: bare gob, the
+// length of its first message (the Request type's definition), then
+// the definition — no frame marker.
+const gobHelloV6 = "\xff\xb8\xff\xb1\x03\x01\x01\aRequest\x01\xff\x80\x00"
+
+// TestGobPeerRefusedAtFirstByte: a peer of version 6 or older opens with
+// bare gob. Its first byte is no frame marker, so the server refuses it
+// there — by the framing, not by a version number it never reads — and
+// hangs up.
+func TestGobPeerRefusedAtFirstByte(t *testing.T) {
+	addr, shutdown := startServer(t)
+	defer shutdown()
+	p := dialRaw(t, addr)
+	p.write(t, []byte(gobHelloV6))
+	applied, refusal := p.readAck(t)
+	want := fmt.Sprintf("unknown frame marker 0xff: every message is a wire version %d frame", wireVersion)
+	if applied != 0 || !strings.Contains(refusal, want) {
+		t.Fatalf("gob hello answered (%d, %q), want a refusal containing %q", applied, refusal, want)
+	}
+	if !p.hungUp() {
+		t.Fatal("the server kept the connection of a peer that does not frame")
 	}
 }
 
@@ -215,9 +265,10 @@ func TestSubmitWithoutHelloRefused(t *testing.T) {
 }
 
 // TestPublishFrameBeforeHelloRefused: binary frames exist only after the
-// hello. A peer that opens with a publish frame gets an error naming the
-// wire version and is hung up on; a source cannot be opened without the
-// hello either. Neither leaves anything behind.
+// hello. A source cannot be opened, or registered open, without it, and
+// a peer that sends a publish frame first is refused — the reason,
+// naming the hello, in a refusal ack — and hung up on. None of it leaves
+// anything behind, and the server goes on serving others.
 func TestPublishFrameBeforeHelloRefused(t *testing.T) {
 	addr, shutdown := startServer(t)
 	defer shutdown()
@@ -226,26 +277,26 @@ func TestPublishFrameBeforeHelloRefused(t *testing.T) {
 	if resp := p.call(t, &Request{ID: 1, Kind: MsgRegister, Info: ToWireInfo(auctionInfo()), Node: 1}); resp.Kind != MsgOK {
 		t.Fatalf("register without hello: %s", resp.Error)
 	}
-	resp := p.call(t, &Request{ID: 2, Kind: MsgOpenSource, Stream: "OpenAuction", Source: 1})
-	if resp.Kind != MsgError || !strings.Contains(resp.Error, fmt.Sprintf("wire version %d", wireVersion)) {
-		t.Fatalf("open source without hello answered kind %d %q; want a refusal naming the wire version", resp.Kind, resp.Error)
+	for _, req := range []*Request{
+		{ID: 2, Kind: MsgOpenSource, Stream: "OpenAuction", Source: 1},
+		{ID: 3, Kind: MsgRegister, Info: ToWireInfo(&stream.Info{Schema: stream.MustSchema("Other", stream.Field{Name: "a", Kind: stream.KindInt})}), Node: 1, Source: 2},
+	} {
+		resp := p.call(t, req)
+		if resp.Kind != MsgError || !strings.Contains(resp.Error, fmt.Sprintf("before hello: tuples travel as wire version %d frames", wireVersion)) {
+			t.Fatalf("request kind %d without hello answered kind %d %q; want a refusal naming the hello", req.Kind, resp.Kind, resp.Error)
+		}
 	}
 
 	frame := appendDataHeader(nil, 1, 1)
 	frame = appendTuple(frame, true, 0, stream.MustTuple(auctionInfo().Schema, 1, stream.Int(1), stream.Float(1)))
 	patchDataCount(frame, 1)
 	p.sendFrame(t, frameData, frame)
-	// Half-close: whatever the gob decoder makes of the frame's bytes, it
-	// cannot wait for more of them.
-	if err := p.conn.(*net.TCPConn).CloseWrite(); err != nil {
-		t.Fatal(err)
+	applied, refusal := p.readAck(t)
+	if applied != 0 || !strings.Contains(refusal, fmt.Sprintf("publish frame before hello: binary frames need the wire version %d hello first", wireVersion)) {
+		t.Fatalf("publish frame before hello answered (%d, %q); want a refusal naming the hello", applied, refusal)
 	}
-	resp = p.readResponse(t)
-	if resp.Kind != MsgError || !strings.Contains(resp.Error, fmt.Sprintf("wire version %d hello", wireVersion)) {
-		t.Fatalf("publish frame before hello answered kind %d %q; want a refusal naming the hello", resp.Kind, resp.Error)
-	}
-	if _, err := p.br.ReadByte(); err == nil {
-		t.Fatal("the server kept the connection open after an undecodable request")
+	if !p.hungUp() {
+		t.Fatal("the server kept the connection open after a frame before the hello")
 	}
 
 	// The server carries on: a proper client publishes into the stream the
@@ -270,33 +321,153 @@ func TestPublishFrameBeforeHelloRefused(t *testing.T) {
 	}
 }
 
-// TestClientRefusesOlderServer: a server that answers the hello with a
-// lower version — version 1 would go on to push gob results, version 5
-// would send 8-byte ints — fails the dial with a version message, not a
-// hung or garbled connection.
-func TestClientRefusesOlderServer(t *testing.T) {
-	for _, version := range []int{1, 5} {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+// TestOversizeControlFrameRefused: a control frame that declares more
+// than maxFramePayload is refused from its header, before any body
+// arrives — the test sends none. The session ends with the refusal and
+// leaves no query behind.
+func TestOversizeControlFrameRefused(t *testing.T) {
+	addr, shutdown := startServer(t)
+	defer shutdown()
+	p := dialRaw(t, addr)
+	p.hello(t)
+	if resp := p.call(t, &Request{ID: 2, Kind: MsgRegister, Info: ToWireInfo(auctionInfo()), Node: 1}); resp.Kind != MsgOK {
+		t.Fatalf("register: %s", resp.Error)
+	}
+	if resp := p.call(t, &Request{ID: 3, Kind: MsgSubmit, CQL: "SELECT itemID FROM OpenAuction [Now]", UserNode: 5}); resp.Kind != MsgOK {
+		t.Fatalf("submit: %s", resp.Error)
+	}
+	var hdr [frameHeaderSize]byte
+	putFrameHeader(hdr[:], frameControl, maxFramePayload+1)
+	p.write(t, hdr[:])
+	_, refusal := p.readAck(t)
+	if !strings.Contains(refusal, "malformed control frame") || !strings.Contains(refusal, "frame length exceeds limit") {
+		t.Fatalf("oversize control frame answered %q, want a refusal naming the limit", refusal)
+	}
+	if !p.hungUp() {
+		t.Fatal("the server kept the session after an oversize control frame")
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitFor(t, 5*time.Second, "the refused session's query cancelled", func() bool {
+		st, err := c.Stats()
+		return err == nil && st.Queries == 0
+	})
+}
+
+// fakeServer accepts one connection and hands it to serve; the returned
+// address is the listener's.
+func fakeServer(t *testing.T, serve func(conn net.Conn, br *bufio.Reader)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			var req Request
-			if gob.NewDecoder(conn).Decode(&req) == nil {
-				_ = gob.NewEncoder(conn).Encode(&Response{ID: req.ID, Kind: MsgOK, WireVersion: version})
-			}
-			_, _ = conn.Read(make([]byte, 1)) // hold the connection until the client gives up
-		}()
-		_, err = Dial(ln.Addr().String())
-		ln.Close()
-		want := fmt.Sprintf("server speaks wire version %d", version)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("dial against a version-%d server: err %v, want a wire version mismatch (%q)", version, err, want)
+		defer conn.Close()
+		serve(conn, bufio.NewReader(conn))
+	}()
+	return ln.Addr().String()
+}
+
+// answerHello reads the client's hello and answers it with an OK at
+// version.
+func answerHello(t *testing.T, conn net.Conn, br *bufio.Reader, version int) bool {
+	marker, b, err := nextFrame(br)
+	var req Request
+	if err != nil || marker != frameControl || json.Unmarshal(b, &req) != nil {
+		return false
+	}
+	_, err = conn.Write(controlFrame(t, &Response{ID: req.ID, Kind: MsgOK, WireVersion: version}))
+	return err == nil
+}
+
+// TestClientRefusesOlderServer: a framed server that answers the hello
+// with a lower version fails the dial with a version message; a
+// version-6 server, which answers in bare gob, fails it at the answer's
+// first byte with a wire version mismatch. Neither hangs.
+func TestClientRefusesOlderServer(t *testing.T) {
+	addr := fakeServer(t, func(conn net.Conn, br *bufio.Reader) {
+		if answerHello(t, conn, br, wireVersion-1) {
+			_, _ = br.ReadByte() // hold the connection until the client gives up
 		}
+	})
+	_, err := Dial(addr)
+	want := fmt.Sprintf("server speaks wire version %d", wireVersion-1)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("dial against a version-%d server: err %v, want a wire version mismatch (%q)", wireVersion-1, err, want)
+	}
+
+	addr = fakeServer(t, func(conn net.Conn, br *bufio.Reader) {
+		if _, _, err := nextFrame(br); err == nil {
+			// How a version-6 server's gob answer begins: the length of
+			// its first message, the Response type's definition.
+			_, _ = conn.Write([]byte("\xff\x8c\x7f\x03\x01\x01\bResponse\x01\xff\x80\x00"))
+		}
+		_, _ = br.ReadByte()
+	})
+	_, err = Dial(addr)
+	if err == nil || !strings.Contains(err.Error(), "wire version mismatch") {
+		t.Fatalf("dial against a gob server: err %v, want a wire version mismatch", err)
+	}
+}
+
+// TestClientRefusesOversizeControlFrame: a control frame that declares
+// more than maxFramePayload loses the client its connection from the
+// header alone, without allocating anything of the declared size.
+func TestClientRefusesOversizeControlFrame(t *testing.T) {
+	sent := make(chan struct{})
+	addr := fakeServer(t, func(conn net.Conn, br *bufio.Reader) {
+		if !answerHello(t, conn, br, wireVersion) {
+			return
+		}
+		<-sent
+		var hdr [frameHeaderSize]byte
+		putFrameHeader(hdr[:], frameControl, maxFramePayload+1)
+		_, _ = conn.Write(hdr[:])
+		_, _ = br.ReadByte()
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	close(sent)
+	waitFor(t, 5*time.Second, "the connection lost", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.failErr != nil
+	})
+	runtime.ReadMemStats(&after)
+	if _, err := c.Catalog(); err == nil || !strings.Contains(err.Error(), "frame length exceeds limit") {
+		t.Fatalf("a call after the oversize frame: err %v, want the connection lost to the limit", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFramePayload/4 {
+		t.Fatalf("reading the oversize header allocated %d bytes", grew)
+	}
+}
+
+// TestServerRefusesNegativeRate: the catalog's rule holds for a peer
+// that skips the client's own check — a negative rate, which JSON can
+// carry, is refused by the server's registry, naming the stream.
+func TestServerRefusesNegativeRate(t *testing.T) {
+	addr, shutdown := startServer(t)
+	defer shutdown()
+	p := dialRaw(t, addr)
+	p.hello(t)
+	info := auctionInfo()
+	info.Rate = -1
+	resp := p.call(t, &Request{ID: 2, Kind: MsgRegister, Info: ToWireInfo(info), Node: 1})
+	if resp.Kind != MsgError || !strings.Contains(resp.Error, `stream "OpenAuction": rate -1`) {
+		t.Fatalf("register of a negative rate answered kind %d %q, want a refusal naming the stream", resp.Kind, resp.Error)
 	}
 }

@@ -15,25 +15,30 @@ import (
 	"cosmos/internal/stream"
 )
 
-// The wire format: the data plane of the TCP protocol.
+// The wire format of the TCP protocol: one framing for every message.
 //
-// The control plane (requests, OKs, errors, session management) stays
-// gob — it is cold and self-describing. The data plane — the tuples
-// sources publish and the results subscriptions receive, by far the
-// hottest traffic in either direction — travels as length-prefixed
-// binary frames whose column layout is fixed at a control-plane moment,
-// the same trick predicate.Compile plays: the source's open, or the
-// delivery's 'S' frame. Tuples then encode and decode with zero
-// reflection and zero per-value allocation.
+// The control plane (requests, OKs, errors, session management) is cold
+// and schema-rich: each message travels as the JSON encoding of one
+// Request or Response (protocol.go), the codec cosmosd -metrics-addr
+// serves the same SystemStats in. The data plane — the tuples sources
+// publish and the results subscriptions receive, by far the hottest
+// traffic in either direction — travels as binary frames whose column
+// layout is fixed at a control-plane moment, the same trick
+// predicate.Compile plays: the source's open, or the delivery's 'S'
+// frame. Tuples then encode and decode with zero reflection and zero
+// per-value allocation.
 //
-// The MsgHello that opens a connection and its OK are the only unframed
-// messages. After them every message, in both directions, carries a
-// one-byte frame marker:
+// From a connection's first byte, in both directions, every message is
+// a marker, a u32 little-endian payload length and the payload — the
+// MsgHello that opens the connection and its OK included:
 //
-//	'G' | gob-encoded Request or Response       (control; self-delimiting)
+//	'G' | u32 len | JSON Request or Response    (control)
 //	'D' | u32 len | id count firstSeq tuples    (a batch of tuples)
 //	'S' | u32 len | id arity members            (server→client: a delivery's layout)
 //	'A' | u32 len | seq [refusal]               (a cumulative ack of the other direction)
+//
+// A reader checks the marker and the declared length (maxFramePayload)
+// before it reads or allocates any of the payload, whichever the kind.
 //
 // Each direction is one stream, numbered by one sequence per session and
 // held by its sender until the receiver's 'A' covers it (window.go):
@@ -103,31 +108,28 @@ import (
 // frame, by the reason as raw bytes to the end of the payload. A
 // client→server 'A' is exactly its 8 bytes.
 
-// wireVersion is the one wire format version this build speaks: gob
-// control, binary data frames both ways, results per delivery on one
-// session sequence, acks both ways, values and timestamp steps in the
-// bytes they need. Every MsgHello carries it; a peer offering less
-// (version 1 pushed results as gob, version 2 published tuples as gob
-// requests, version 3 framed results per subscription, version 4
-// numbered results per subscription and resumed each with a round trip,
-// version 5 sent every int, time and timestamp in 8 bytes), or one that
-// submits or publishes without a hello, is refused by name — there is no
-// second framing to fall back to.
-const wireVersion = 6
+// wireVersion is the one wire format version this build speaks: the
+// framing above, JSON control frames, values and timestamp steps in the
+// bytes they need. Every MsgHello carries it; a framed peer offering
+// less is refused by name, and a peer of version 6 or older, which opens
+// with bare gob, at its first byte — there is no second framing to fall
+// back to. ARCHITECTURE.md, "Wire format and the two pumps", lists what
+// each older version sent.
+const wireVersion = 7
 
-// Frame markers (both directions, after the hello and its OK).
+// Frame markers (both directions, from the first byte).
 const (
-	frameGob    byte = 'G'
-	frameData   byte = 'D'
-	frameSchema byte = 'S'
-	frameAck    byte = 'A'
+	frameControl byte = 'G'
+	frameData    byte = 'D'
+	frameSchema  byte = 'S'
+	frameAck     byte = 'A'
 )
 
 // frameHeaderSize is the marker plus the u32 payload length that open
-// every binary frame.
+// every frame.
 const frameHeaderSize = 5
 
-// putFrameHeader writes a binary frame's marker and payload length into
+// putFrameHeader writes a frame's marker and payload length into
 // hdr[:frameHeaderSize].
 //
 //cosmos:hotpath
@@ -137,8 +139,8 @@ func putFrameHeader(hdr []byte, marker byte, payloadLen int) {
 }
 
 // maxFramePayload bounds a declared frame length on the read side: a
-// longer prefix means a corrupt stream (or an unframed gob peer), not a
-// legitimate frame, and must error before allocating.
+// longer prefix means a corrupt stream, not a legitimate frame, and must
+// error before allocating.
 const maxFramePayload = 64 << 20
 
 // batchSoftBytes flushes a growing batch frame before it exceeds this
@@ -170,7 +172,7 @@ func putFrameBuf(b *[]byte) {
 
 var errFrameTooLong = errors.New("transport: frame length exceeds limit")
 
-// readFrame reads one binary frame's length prefix and payload (the
+// readFrame reads one frame's length prefix and payload (the
 // marker is already consumed) into *bufp. Untrusted input: a declared
 // length beyond maxFramePayload errors before anything is allocated for
 // it, and below it the buffer grows with the bytes that actually arrive.

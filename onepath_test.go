@@ -31,9 +31,10 @@ import (
 // result resume with its per-member sequence slabs, and the wire pump's
 // own retention constants and the LiveNet client's lock-held pump start
 // beside handoff.Queue, and the sweep that retired a stream on every
-// broker without a message beside its unadvertisement — are not
-// declared or used anywhere, and
-// cmd/cosmosbench is gone. It also pins one hand-off queue: outside
+// broker without a message beside its unadvertisement, and the gob
+// control frame beside the JSON one — are not declared or used anywhere,
+// no non-test file imports encoding/gob (the wire has one framing and
+// the control plane one codec), and cmd/cosmosbench is gone. It also pins one hand-off queue: outside
 // internal/handoff, sync.NewCond builds only the three named state waits
 // (the transport client's state, its pubWindow, and a resultWindow), so
 // a hand-written cond-wait queue fails here.
@@ -53,6 +54,7 @@ func TestOnePathStructure(t *testing.T) {
 		"deliverySlab",
 		"pumpShrinkRatio", "pumpKeepCap", "pumpShrinkAfter", "ensurePumpLocked",
 		"PruneStream",
+		"frameGob",
 	} {
 		retired[name] = true
 	}
@@ -89,6 +91,11 @@ func TestOnePathStructure(t *testing.T) {
 		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				t.Errorf("%s: imports encoding/gob; control frames carry JSON", fset.Position(imp.Pos()))
+			}
 		}
 		// The Eval methods call each other where they are defined.
 		evalHome := filepath.ToSlash(path) == "internal/predicate/predicate.go"
